@@ -29,9 +29,9 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .darboux import (DarbouxChain, intertwining_residual, transform,
-                      transformed_potential, transformed_solution)
+from .darboux import DarbouxChain, transformed_potential, transformed_solution
 from .errors import DunklDarbouxError
+from .libm import exp, power
 from .model import (DunklParams, modified_norm, probability_density,
                     sampled_parity_defect)
 from .numerics import derivative
@@ -43,7 +43,7 @@ from .scenarios import (ScenarioGaussianMass, ScenarioHarmonicEnergy,
                         mapped_initial_solution, pdm_equivalence_nu,
                         pipeline_hatpsi, pipeline_vhat, printed_bound_state,
                         standard_chain_order1, standard_chain_u12,
-                        standard_vhat, SCENARIO_NAMES)
+                        standard_vhat_dE, SCENARIO_NAMES)
 
 DEFAULT_TOL = 1e-6
 TOL_ENV_VAR = "DUNKL_DARBOUX_TOL"
@@ -165,6 +165,11 @@ def _tolerance() -> float:
 
 def _fmt(value: float) -> str:
     return f"{value:.12g}"
+
+
+def _rows(*columns: np.ndarray) -> list:
+    """Table rows (lists of Python floats) from equal-length columns."""
+    return np.column_stack(columns).tolist()
 
 
 def _write_csv(path: Optional[str], header: Sequence[str],
@@ -439,16 +444,13 @@ def cmd_darboux(config: RunConfig) -> int:
         else bound_state_energy(n, params, config.rule or "ene1")
     chain = _build_chain(config, E)
     phi = mapped_initial_solution(params, E)
-    grid = _grid(config, -2.0, 1.0, 200)
-    rows = []
-    for y in grid:
-        y = float(y)
-        x = math.exp(y)
-        u_hat = transformed_potential(chain, y)
-        phi_hat = transformed_solution(chain, phi, y)
-        v_hat = pipeline_vhat(E, chain, x)
-        psi_hat = x ** (0.5 - params.nu) * phi_hat
-        rows.append([y, x, u_hat, v_hat, phi_hat, psi_hat])
+    ys = _grid(config, -2.0, 1.0, 200)
+    xs = exp(ys)
+    u_hat = transformed_potential(chain, ys)
+    phi_hat = transformed_solution(chain, phi, ys)
+    v_hat = pipeline_vhat(E, chain, xs)
+    psi_hat = power(xs, 0.5 - params.nu) * phi_hat
+    rows = _rows(ys, xs, u_hat, v_hat, phi_hat, psi_hat)
     _emit_table(config, ["y", "x", "u_hat", "v_hat", "phi_hat", "psi_hat"], rows)
     return EXIT_OK
 
@@ -514,76 +516,53 @@ def _transform_settings(config: RunConfig, default_nu: float,
     return params, energies
 
 
+def _potential_rows(config: RunConfig, chain_at: Callable[[float], DarbouxChain]):
+    """Figures 3 and 7: initial potential and V-hat at the three energies."""
+    _, energies = _transform_settings(config, 2.5, -1)
+    xs = _grid(config, 0.2, 3.0, 300)
+    # The initial potential is energy-scaled; the ground energy fixes
+    # the displayed curve.
+    columns = [xs, xs * xs / energies[0]]
+    columns += [pipeline_vhat(E, chain_at(E), xs) for E in energies]
+    return ["x", "v_initial", "v_hat_0", "v_hat_1", "v_hat_2"], _rows(*columns)
+
+
 def _figure_3(config: RunConfig):
-    params, energies = _transform_settings(config, 2.5, -1)
-    grid = _grid(config, 0.2, 3.0, 300)
-    chains = [standard_chain_u12(E, validate=False) for E in energies]
-    rows = []
-    for x in grid:
-        x = float(x)
-        # The initial potential is energy-scaled; the ground energy
-        # fixes the displayed curve.
-        row = [x, x * x / energies[0]]
-        row += [pipeline_vhat(E, c, x) for E, c in zip(energies, chains)]
-        rows.append(row)
-    return ["x", "v_initial", "v_hat_0", "v_hat_1", "v_hat_2"], rows
+    return _potential_rows(config, lambda E: standard_chain_u12(E, validate=False))
 
 
-def _transformed_state_rows(config: RunConfig, params: DunklParams,
-                            energies: Sequence[float]):
-    grid = _grid(config, 0.2, 3.0, 300)
-    chains = [standard_chain_u12(E, validate=False) for E in energies]
-    rows = []
-    for x in grid:
-        x = float(x)
-        rows.append([x] + [pipeline_hatpsi(params, E, c, x)
-                           for E, c in zip(energies, chains)])
-    return grid, chains, rows
+def _transformed_states(config: RunConfig, params: DunklParams,
+                        energies: Sequence[float]):
+    """Grid and the standard-chain Psi-hat column at each energy."""
+    xs = _grid(config, 0.2, 3.0, 300)
+    return xs, [pipeline_hatpsi(params, E, standard_chain_u12(E, validate=False), xs)
+                for E in energies]
 
 
 def _figure_45(config: RunConfig, density: bool):
     params, energies = _transform_settings(config, 2.5, -1)
-    grid, chains, state_rows = _transformed_state_rows(config, params, energies)
+    xs, states = _transformed_states(config, params, energies)
     if not density:
-        return ["x", "psi_hat_0", "psi_hat_1", "psi_hat_2"], state_rows
+        return ["x", "psi_hat_0", "psi_hat_1", "psi_hat_2"], _rows(xs, *states)
     # Densities are normalized on the emitted grid (trapezoid rule over
     # the symmetric extension), which is the display contract.
-    from .numerics import parameter_derivative
-    xs = np.array([row[0] for row in state_rows])
     columns = []
-    for j, (E, chain) in enumerate(zip(energies, chains)):
-        dvdE = {}
-        raw = []
-        for row in state_rows:
-            x = row[0]
-            dv = parameter_derivative(lambda e, xx: standard_vhat(e, xx), E, x,
-                                      h_eps=1e-4 * max(1.0, abs(E)))
-            raw.append(row[1 + j] ** 2 * x ** (2.0 * params.nu) * (1.0 - dv))
-        raw = np.array(raw)
+    for E, psi in zip(energies, states):
+        raw = (power(psi, 2) * power(xs, 2.0 * params.nu)
+               * (1.0 - standard_vhat_dE(E, xs)))
         weight = 2.0 * np.trapezoid(raw, xs)
         columns.append(raw / weight)
-    rows = [[float(x)] + [float(col[i]) for col in columns]
-            for i, x in enumerate(xs)]
-    return ["x", "p_hat_0", "p_hat_1", "p_hat_2"], rows
+    return ["x", "p_hat_0", "p_hat_1", "p_hat_2"], _rows(xs, *columns)
 
 
 def _figure_6(config: RunConfig):
     params, energies = _transform_settings(config, 3.5, 1)
-    _, _, rows = _transformed_state_rows(config, params, energies)
-    return ["x", "psi_hat_0", "psi_hat_1", "psi_hat_2"], rows
+    xs, states = _transformed_states(config, params, energies)
+    return ["x", "psi_hat_0", "psi_hat_1", "psi_hat_2"], _rows(xs, *states)
 
 
 def _figure_7(config: RunConfig):
-    params, energies = _transform_settings(config, 2.5, -1)
-    grid = _grid(config, 0.2, 3.0, 300)
-    chains = [confluent_chain(E) for E in energies]
-    rows = []
-    for x in grid:
-        x = float(x)
-        row = [x, x * x / energies[0]]
-        row += [pipeline_vhat(E, c, x) for E, c in zip(energies, chains)]
-        rows.append(row)
-    return ["x", "v_initial", "v_hat_0", "v_hat_1", "v_hat_2"], rows
+    return _potential_rows(config, confluent_chain)
 
 
 def cmd_figure(config: RunConfig, number: int) -> int:

@@ -4,24 +4,33 @@ The central engineering decision: Wronskian matrices never sample
 second or higher derivatives of the transformation functions.  All
 rows beyond the first derivative are reduced through the governing
 equation, so closed-form (u, u') pairs keep the determinants exact in
-their inputs.  Supported matrix size is 4; the worked chains need at
-most 3.
+their inputs.  Matrices are at most 3 x 3 (an order-2 chain plus the
+transformed solution) and use explicit determinant formulas; U-hat and
+W' are analytic for chains of order 1 and 2, and higher orders raise
+``CapabilityError``.
+
+``wronskian``, ``wronskian_first_derivative``, ``transformed_potential``
+and ``transformed_solution`` take a float or an ndarray of points y and
+pass it unchanged to the chain functions, so a float gives a float and
+an ndarray is evaluated elementwise, equal to the per-point calls bit
+for bit.  ``chain_residuals`` evaluates the chain functions on the
+whole grid it is given, so they must accept arrays there.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .errors import (CapabilityError, ConstructionError, DomainError,
                      SingularityError)
+from .libm import power
 from .numerics import derivative, parameter_derivative
 from .pointmap import SchrodingerForm
 
-MAX_MATRIX_SIZE = 4
+MAX_MATRIX_SIZE = 3
 DEFAULT_W_FLOOR = 1e-12
 
 KIND_STANDARD = "standard"
@@ -82,130 +91,135 @@ class DarbouxOutput:
     wronskian_floor: float
 
 
-def _potential_derivs(chain: DarbouxChain, y: float, need: int):
-    """U, U', U'' at y; derivatives by stencil, only taken when needed."""
-    u = chain.potential(y)
-    u1 = derivative(lambda t: chain.potential(t), y, 1) if need >= 1 else 0.0
-    u2 = derivative(lambda t: chain.potential(t), y, 2) if need >= 2 else 0.0
-    return u, u1, u2
-
-
-def _column(values: Sequence[float], derivs: Sequence[float], eps: float,
-            u: float, u1: float, u2: float, nrows: int,
-            lower: Optional[Sequence[float]] = None) -> list:
+def _column(f0, f1, eps: float, u, nrows: int, lower=None) -> list:
     """Derivative ladder d^r f for r < nrows, reduced via the ODE.
 
-    ``lower`` carries (value, derivative, second derivative) of the
-    previous Jordan-chain member for the confluent inhomogeneity;
-    omitted for standard columns.
+    ``lower`` is the value of the previous Jordan-chain member for the
+    confluent inhomogeneity; omitted for standard columns.
     """
-    f0, f1 = values[0], derivs[0]
     col = [f0, f1]
     if nrows >= 3:
         d2 = (u - eps) * f0
         if lower is not None:
-            d2 -= lower[0]
+            d2 = d2 - lower
         col.append(d2)
-    if nrows >= 4:
-        d3 = u1 * f0 + (u - eps) * f1
-        if lower is not None:
-            d3 -= lower[1]
-        col.append(d3)
     return col[:nrows]
 
 
-def _det(matrix: np.ndarray) -> float:
-    """Cofactor expansion along the largest-magnitude column."""
-    n = matrix.shape[0]
-    if n == 1:
-        return float(matrix[0, 0])
-    if n == 2:
-        return float(matrix[0, 0] * matrix[1, 1] - matrix[0, 1] * matrix[1, 0])
-    pivot = int(np.argmax(np.abs(matrix).sum(axis=0)))
+def _columns(chain: DarbouxChain, y, include: Optional[OdeSolution]) -> list:
+    """Columns of the Wronskian matrix of the chain (plus ``include``)."""
+    nrows = chain.order + (1 if include is not None else 0)
+    if nrows > MAX_MATRIX_SIZE:
+        raise CapabilityError(
+            f"Wronskian size {nrows} exceeds supported maximum {MAX_MATRIX_SIZE}")
+    u = chain.potential(y) if nrows >= 3 else None
+    cols = []
+    for j, (f, f1) in enumerate(chain.funcs):
+        eps = chain.eps[j] if chain.kind == KIND_STANDARD else chain.eps[0]
+        lower = cols[-1][0] if chain.kind == KIND_CONFLUENT and j > 0 else None
+        cols.append(_column(f(y), f1(y), eps, u, nrows, lower=lower))
+    if include is not None:
+        cols.append(_column(include.f(y), include.f1(y), include.eps, u, nrows))
+    return cols
+
+
+def _minor(cols: list, r1: int, r2: int, c1: int, c2: int):
+    """2 x 2 determinant of rows r1 < r2 and columns c1 < c2."""
+    return cols[c1][r1] * cols[c2][r2] - cols[c2][r1] * cols[c1][r2]
+
+
+def _expand(cols: list, pivot: int):
+    """3 x 3 cofactor expansion along column ``pivot``; zero entries skipped."""
+    c1, c2 = [c for c in range(3) if c != pivot]
     total = 0.0
-    for r in range(n):
-        entry = matrix[r, pivot]
-        if entry == 0.0:
-            continue
-        minor = np.delete(np.delete(matrix, r, axis=0), pivot, axis=1)
+    for r in range(3):
+        r1, r2 = [q for q in range(3) if q != r]
+        entry = cols[pivot][r]
         sign = -1.0 if (r + pivot) % 2 else 1.0
-        total += sign * entry * _det(minor)
+        term = sign * entry * _minor(cols, r1, r2, c1, c2)
+        if isinstance(entry, np.ndarray):
+            total = np.where(entry == 0.0, total, total + term)
+        elif entry != 0.0:
+            total += term
     return total
 
 
-def _build_matrix(chain: DarbouxChain, y: float,
-                  include: Optional[OdeSolution]) -> np.ndarray:
-    n = chain.order + (1 if include is not None else 0)
-    if n > MAX_MATRIX_SIZE:
-        raise CapabilityError(f"Wronskian size {n} exceeds supported maximum {MAX_MATRIX_SIZE}")
-    need = max(0, n - 3)  # U-derivative order required by the ladder
-    u, u1, u2 = _potential_derivs(chain, y, need)
-    cols = []
-    prev = None  # (value, deriv) of previous confluent member
-    for j, (f, f1) in enumerate(chain.funcs):
-        eps = chain.eps[j] if chain.kind == KIND_STANDARD else chain.eps[0]
-        v0, v1 = f(y), f1(y)
-        lower = None
-        if chain.kind == KIND_CONFLUENT and j > 0:
-            lower = prev
-        cols.append(_column([v0], [v1], eps, u, u1, u2, n, lower=lower))
-        prev = (v0, v1)
-    if include is not None:
-        cols.append(_column([include.f(y)], [include.f1(y)], include.eps,
-                            u, u1, u2, n))
-    return np.array(cols, dtype=float).T  # rows = derivative order
+def _det(cols: list):
+    """Determinant of the matrix with the given columns (size 1 to 3).
+
+    The 3 x 3 case expands along the column of largest absolute sum,
+    chosen per point.
+    """
+    n = len(cols)
+    if n == 1:
+        return cols[0][0]
+    if n == 2:
+        return _minor(cols, 0, 1, 0, 1)
+    sums = [(abs(c[0]) + abs(c[1])) + abs(c[2]) for c in cols]
+    pivot = np.argmax(np.stack(sums), axis=0)
+    if pivot.ndim == 0:
+        return _expand(cols, int(pivot))
+    return np.choose(pivot, [_expand(cols, p) for p in range(3)])
 
 
-def _scale(matrix: np.ndarray) -> float:
-    col_norm = np.max(np.abs(matrix), axis=0)
-    col_norm = np.where(col_norm > 0, col_norm, 1.0)
-    return float(np.prod(col_norm))
+def _scale(cols: list):
+    """Product over columns of their largest magnitude (1 for a zero column)."""
+    scale = 1.0
+    for col in cols:
+        norm = abs(col[0])
+        for entry in col[1:]:
+            norm = np.maximum(norm, abs(entry))
+        scale = scale * np.where(norm > 0, norm, 1.0)
+    return scale
 
 
-def wronskian(chain: DarbouxChain, y: float,
-              include: Optional[OdeSolution] = None) -> float:
+def _below_floor(w, floor, y) -> None:
+    low = abs(w) < floor
+    if isinstance(low, np.ndarray):
+        if low.any():
+            at = float(np.broadcast_to(y, low.shape)[low][0])
+            raise SingularityError(f"Wronskian below floor at y={at}")
+    elif low:
+        raise SingularityError(f"Wronskian below floor at y={y}")
+
+
+def wronskian(chain: DarbouxChain, y, include: Optional[OdeSolution] = None):
     """Wronskian of the chain functions (optionally with an extra solution)."""
     if chain.order == 0 and include is None:
         return 1.0
-    matrix = _build_matrix(chain, y, include)
-    return _det(matrix)
+    return _det(_columns(chain, y, include))
 
 
-def _wronskian_with_scale(chain: DarbouxChain, y: float,
-                          include: Optional[OdeSolution] = None):
-    matrix = _build_matrix(chain, y, include)
-    return _det(matrix), _scale(matrix)
-
-
-def wronskian_first_derivative(chain: DarbouxChain, y: float) -> float:
-    """W'(y) from the Abel-type reduction (orders <= 2), else stencil."""
+def wronskian_first_derivative(chain: DarbouxChain, y):
+    """W'(y) from the Abel-type reduction (chains of order 1 and 2)."""
     if chain.order == 1:
         return chain.funcs[0][1](y)
     if chain.order == 2:
         (f1, d1), (f2, d2) = chain.funcs
         if chain.kind == KIND_STANDARD:
             return (chain.eps[0] - chain.eps[1]) * f1(y) * f2(y)
-        return -f1(y) ** 2
-    return derivative(lambda t: wronskian(chain, t), y, 1)
+        return -power(f1(y), 2)
+    raise CapabilityError(f"W' is supported for chains of order 1 and 2, not {chain.order}")
 
 
-def transformed_potential(chain: DarbouxChain, y: float,
-                          w_floor: float = DEFAULT_W_FLOOR) -> float:
+def transformed_potential(chain: DarbouxChain, y, w_floor: float = DEFAULT_W_FLOOR):
     """U-hat(y) = U(y) - 2 (log W)''.
 
     W' and W'' are analytic for orders <= 2 (Abel reduction of the
-    chain equations); higher orders fall back to stencils on W.
+    chain equations); higher orders raise ``CapabilityError``.
     """
-    u = chain.potential(y)
     n = chain.order
+    if n > 2:
+        raise CapabilityError(f"U-hat is supported for chains of order up to 2, not {n}")
+    u = chain.potential(y)
     if n == 0:
         return u
     if n == 1:
         f, d = chain.funcs[0]
         w, wp = f(y), d(y)
         wpp = (u - chain.eps[0]) * w
-        scale = max(abs(w), abs(wp), 1.0)
-    elif n == 2:
+        scale = np.maximum(np.maximum(abs(w), abs(wp)), 1.0)
+    else:
         (f1, d1), (f2, d2) = chain.funcs
         v1, v2, g1, g2 = f1(y), f2(y), d1(y), d2(y)
         w = v1 * g2 - g1 * v2
@@ -216,25 +230,24 @@ def transformed_potential(chain: DarbouxChain, y: float,
         else:
             wp = -v1 * v1
             wpp = -2.0 * v1 * g1
-        scale = max(abs(v1), abs(g1), 1.0) * max(abs(v2), abs(g2), 1.0)
-    else:
-        w = wronskian(chain, y)
-        wp = derivative(lambda t: wronskian(chain, t), y, 1)
-        wpp = derivative(lambda t: wronskian(chain, t), y, 2)
-        scale = 1.0
-    if abs(w) < w_floor * scale:
-        raise SingularityError(f"Wronskian below floor at y={y}")
+        scale = (np.maximum(np.maximum(abs(v1), abs(g1)), 1.0)
+                 * np.maximum(np.maximum(abs(v2), abs(g2)), 1.0))
+    _below_floor(w, w_floor * scale, y)
     return u - 2.0 * (wpp * w - wp * wp) / (w * w)
 
 
-def transformed_solution(chain: DarbouxChain, phi: OdeSolution, y: float,
-                         w_floor: float = DEFAULT_W_FLOOR) -> float:
-    """Phi-hat(y) = W(u_1..u_n, Phi) / W(u_1..u_n)."""
-    den, scale = _wronskian_with_scale(chain, y)
-    if abs(den) < w_floor * scale:
-        raise SingularityError(f"Wronskian below floor at y={y}")
-    num = wronskian(chain, y, include=phi)
-    return num / den
+def transformed_solution(chain: DarbouxChain, phi: OdeSolution, y,
+                         w_floor: float = DEFAULT_W_FLOOR):
+    """Phi-hat(y) = W(u_1..u_n, Phi) / W(u_1..u_n).
+
+    The chain functions are evaluated once: the denominator matrix is
+    the leading block of the numerator matrix.
+    """
+    cols = _columns(chain, y, phi)
+    block = [col[:chain.order] for col in cols[:-1]]
+    den = _det(block) if block else 1.0
+    _below_floor(den, w_floor * _scale(block), y)
+    return _det(cols) / den
 
 
 def transform(chain: DarbouxChain, phi: OdeSolution, grid) -> DarbouxOutput:
@@ -262,24 +275,23 @@ def chain_residuals(chain: DarbouxChain, grid, h: float = 5e-4) -> np.ndarray:
 
     Standard: u_j'' + (eps_j - U) u_j.  Confluent: the Jordan-chain
     system with inhomogeneity -u_{j-1}.  Second derivatives come from
-    stencils on the first-derivative channel.
+    stencils on the first-derivative channel.  The chain functions are
+    evaluated on the whole grid at once.
     """
     grid = np.asarray(grid, dtype=float)
+    u = chain.potential(grid)
     out = np.zeros(len(chain.funcs))
     for j, (f, d) in enumerate(chain.funcs):
         eps = chain.eps[j] if chain.kind == KIND_STANDARD else chain.eps[0]
-        worst = 0.0
-        for y in grid:
-            u = chain.potential(y)
-            second = derivative(d, float(y), 1, h)
-            res = second + (eps - u) * f(y)
-            scale = abs(second) + abs((eps - u) * f(y))
-            if chain.kind == KIND_CONFLUENT and j > 0:
-                prev = chain.funcs[j - 1][0](y)
-                res += prev
-                scale += abs(prev)
-            worst = max(worst, abs(res) / max(scale, 1e-30))
-        out[j] = worst
+        second = derivative(d, grid, 1, h)
+        term = (eps - u) * f(grid)
+        res = second + term
+        scale = abs(second) + abs(term)
+        if chain.kind == KIND_CONFLUENT and j > 0:
+            prev = chain.funcs[j - 1][0](grid)
+            res = res + prev
+            scale = scale + abs(prev)
+        out[j] = np.fmax.reduce(abs(res) / np.maximum(scale, 1e-30), initial=0.0)
     return out
 
 

@@ -2,10 +2,14 @@
 
 Step-size defaults balance truncation against rounding at double
 precision; every stencil applies one Richardson extrapolation step.
-Quadrature over the real line is delegated to adaptive Gauss-Kronrod
-integration (QAGI variable substitution onto a finite interval), with
-the integration split exactly at x = 0 so that no panel straddles the
-|x|^w kink of the weight function.
+``derivative`` and ``parameter_derivative`` accept an ndarray of points
+as well as a float and then work elementwise, equal to the per-point
+calls bit for bit.  Quadrature over the real line is delegated to
+adaptive Gauss-Kronrod integration (QAGI variable substitution onto a
+finite interval), with the integration split exactly at x = 0 so that
+no panel straddles the |x|^w kink of the weight function.  SciPy is
+imported by the first ``integrate_real_line`` call, not with the
+package, so commands that compute no norm never pay for loading it.
 """
 
 from __future__ import annotations
@@ -16,9 +20,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate as _integrate
 
 from .errors import AccuracyError, DomainError, EvaluationError
+from .libm import power
 
 DEFAULT_SPATIAL_STEP_SCALE = 1e-4
 DEFAULT_PARAM_STEP_SCALE = 1e-5
@@ -62,8 +66,22 @@ class QuadratureResult:
             raise DomainError("QuadratureResult: invalid error estimate or eval count")
 
 
-def default_step(y: float) -> float:
+def default_step(y):
+    if isinstance(y, np.ndarray):
+        return DEFAULT_SPATIAL_STEP_SCALE * np.maximum(1.0, np.abs(y))
     return DEFAULT_SPATIAL_STEP_SCALE * max(1.0, abs(y))
+
+
+def _check_finite(val, node, what: str):
+    """val, or EvaluationError at its first non-finite entry."""
+    if isinstance(val, np.ndarray):
+        bad = ~np.isfinite(val)
+        if bad.any():
+            where = float(np.broadcast_to(node, val.shape)[bad][0])
+            raise EvaluationError(f"non-finite {what}{where}", node=where)
+    elif not math.isfinite(val):
+        raise EvaluationError(f"non-finite {what}{node}", node=node)
+    return val
 
 
 def _sample(f: Callable[[float], float], node: float) -> float:
@@ -73,38 +91,53 @@ def _sample(f: Callable[[float], float], node: float) -> float:
     return val
 
 
-def derivative(f: Callable[[float], float], y: float, order: int, h: Optional[float] = None) -> float:
+# Sample offsets of each central stencil, in units of the step.
+_SHIFTS = {1: (1, -1), 2: (1, 0, -1), 3: (2, 1, -1, -2)}
+
+
+def _stencil(order: int, s, step):
+    """Central difference from the samples s[k] = f(y + k step)."""
+    if order == 1:
+        return (s[1] - s[-1]) / (2 * step)
+    if order == 2:
+        return (s[1] - 2 * s[0] + s[-1]) / power(step, 2)
+    return (s[2] - 2 * s[1] + 2 * s[-1] - s[-2]) / (2 * power(step, 3))
+
+
+def derivative(f: Callable[[float], float], y, order: int, h=None):
     """Central-difference derivative of the given order (1..3).
 
     One Richardson extrapolation step is applied, giving O(h^4)
-    truncation for orders 1 and 2.
+    truncation for orders 1 and 2.  For an ndarray y (h a float or an
+    array of per-point steps), f must work elementwise: it is called
+    once, on the stencil nodes of all points together.
     """
     if order not in (1, 2, 3):
         raise DomainError(f"derivative: unsupported order {order}")
     if h is None:
         h = default_step(y)
-    if h <= 0:
+    if np.any(h <= 0) if isinstance(h, np.ndarray) else h <= 0:
         raise DomainError("derivative: step must be positive")
-
-    def stencil(step: float) -> float:
-        if order == 1:
-            return (_sample(f, y + step) - _sample(f, y - step)) / (2 * step)
-        if order == 2:
-            return (_sample(f, y + step) - 2 * _sample(f, y) + _sample(f, y - step)) / step**2
-        return (_sample(f, y + 2 * step) - 2 * _sample(f, y + step)
-                + 2 * _sample(f, y - step) - _sample(f, y - 2 * step)) / (2 * step**3)
-
-    coarse = stencil(h)
-    fine = stencil(h / 2)
+    shifts = _SHIFTS[order]
+    steps = (h, h / 2)
+    if isinstance(y, np.ndarray):
+        nodes = np.concatenate([y + k * step if k else y for step in steps for k in shifts])
+        parts = np.split(_check_finite(f(nodes), nodes, "sample at "), 2 * len(shifts))
+        samples = [dict(zip(shifts, parts[i * len(shifts):])) for i in (0, 1)]
+    else:
+        samples = [{k: _sample(f, y + k * step if k else y) for k in shifts}
+                   for step in steps]
+    coarse, fine = (_stencil(order, s, step) for s, step in zip(samples, steps))
     return (4 * fine - coarse) / 3
 
 
-def parameter_derivative(family: Callable[[float, float], float], eps0: float, y: float,
-                         h_eps: Optional[float] = None) -> float:
+def parameter_derivative(family: Callable[[float, float], float], eps0: float, y,
+                         h_eps: Optional[float] = None):
     """d/d(eps) of family(eps, y) at eps0, by a 4-point central stencil.
 
     The 4-point rule is the Richardson extrapolation of the 2-point
-    central difference, with O(h^4) truncation error.
+    central difference, with O(h^4) truncation error.  y may be an
+    ndarray; family then gets the whole array at each probe eps.
     """
     if h_eps is None:
         h_eps = DEFAULT_PARAM_STEP_SCALE * max(1.0, abs(eps0))
@@ -112,11 +145,8 @@ def parameter_derivative(family: Callable[[float, float], float], eps0: float, y
         raise DomainError("parameter_derivative: step must be positive")
     samples = {}
     for k in (-2, -1, 1, 2):
-        val = family(eps0 + k * h_eps, y)
-        if not math.isfinite(val):
-            raise EvaluationError(f"non-finite family sample at eps={eps0 + k * h_eps}",
-                                  node=eps0 + k * h_eps)
-        samples[k] = val
+        eps = eps0 + k * h_eps
+        samples[k] = _check_finite(family(eps, y), eps, "family sample at eps=")
     return (8 * (samples[1] - samples[-1]) - (samples[2] - samples[-2])) / (12 * h_eps)
 
 
@@ -127,6 +157,8 @@ def integrate_real_line(f: Callable[[float], float], decay_scale: float = 1.0) -
     contract).  The integral is split at 0 and each half handled by
     adaptive quadrature with infinite-interval substitution.
     """
+    from scipy import integrate as _integrate
+
     if decay_scale <= 0:
         raise DomainError("integrate_real_line: decay_scale must be positive")
     counter = {"n": 0}

@@ -30,11 +30,12 @@ from .darboux import (DarbouxChain, KIND_STANDARD, OdeSolution,
                       build_confluent_chain, transformed_potential,
                       transformed_solution, validate_chain)
 from .errors import ContractError, DomainError, SingularityError
+from .libm import exp, log, power
 from .model import (DunklParams, DunklSystem, EnergyPotential, MassProfile,
                     ParityFunction)
 from .numerics import parameter_derivative
 from .pointmap import CoordinateChange, SchrodingerForm, exp_map, sqrt_map
-from .specfun import assoc_laguerre, bessel_i, kummer_m
+from .specfun import assoc_laguerre, assoc_laguerre_grid, bessel_i, kummer_m
 
 SCENARIO_NAMES = ("gaussian-mass", "harmonic-energy", "harmonic-energy-pdm")
 
@@ -276,9 +277,9 @@ class ScenarioHarmonicEnergy:
         return DunklSystem(params=params, mass=self.mass(), potential=self.potential())
 
     @staticmethod
-    def mapped_potential(E: float, y: float) -> float:
+    def mapped_potential(E: float, y):
         """U_E(y) of the mapped standard form (note the 1/E on e^{4y})."""
-        return 0.25 - E * math.exp(2 * y) + math.exp(4 * y) / E
+        return 0.25 - E * exp(2 * y) + exp(4 * y) / E
 
     def form(self, params: DunklParams) -> SchrodingerForm:
         eps = params.delta * params.nu - params.nu**2
@@ -315,17 +316,24 @@ def pdm_equivalence_nu(nu_bar: float, delta_bar: int, delta: int) -> float:
     return 1.5 * delta + 0.5 * math.sqrt(radicand)
 
 
+def _laguerre(degree: float, alpha: float, z):
+    """L_degree^alpha(z) for a float z, or elementwise for an ndarray z."""
+    if isinstance(z, np.ndarray):
+        return assoc_laguerre_grid(degree, alpha, z).values
+    return assoc_laguerre(degree, alpha, z).value
+
+
 def _laguerre_trio(degree: float, alpha: float):
     """L, L', L'' in the argument, via dL_d^a/dz = -L_{d-1}^{a+1}."""
 
     def u(z):
-        return assoc_laguerre(degree, alpha, z).value
+        return _laguerre(degree, alpha, z)
 
     def up(z):
-        return -assoc_laguerre(degree - 1, alpha + 1, z).value
+        return -_laguerre(degree - 1, alpha + 1, z)
 
     def upp(z):
-        return assoc_laguerre(degree - 2, alpha + 2, z).value
+        return _laguerre(degree - 2, alpha + 2, z)
 
     return u, up, upp
 
@@ -379,7 +387,8 @@ def mapped_initial_solution(params: DunklParams, E: float) -> OdeSolution:
     """The initial solution in mapped coordinates, with spectral parameter.
 
     Phi(y) = e^{-z/2 + (r/2) y} L_d^alpha(z), z = e^{2y}/sqrt(E);
-    its parameter is the Dunkl constant delta nu - nu^2.
+    its parameter is the Dunkl constant delta nu - nu^2.  Phi and Phi'
+    accept a float or an ndarray of y.
     """
     r = discriminant_root(params)
     beta = 1.0 / math.sqrt(E)
@@ -388,12 +397,12 @@ def mapped_initial_solution(params: DunklParams, E: float) -> OdeSolution:
     u, up, _ = _laguerre_trio(degree, alpha)
 
     def phi(y):
-        z = beta * math.exp(2 * y)
-        return math.exp(-0.5 * z + 0.5 * r * y) * u(z)
+        z = beta * exp(2 * y)
+        return exp(-0.5 * z + 0.5 * r * y) * u(z)
 
     def phi1(y):
-        z = beta * math.exp(2 * y)
-        return math.exp(-0.5 * z + 0.5 * r * y) * ((0.5 * r - z) * u(z) + 2 * z * up(z))
+        z = beta * exp(2 * y)
+        return exp(-0.5 * z + 0.5 * r * y) * ((0.5 * r - z) * u(z) + 2 * z * up(z))
 
     eps = params.delta * params.nu - params.nu**2
     return OdeSolution(f=phi, f1=phi1, eps=eps)
@@ -403,27 +412,30 @@ STANDARD_CHAIN_EPS = (0.25, -0.75)
 
 
 def _standard_chain_functions(E: float):
-    """The two closed-form chain members at eps = 1/4 and -3/4."""
+    """The two closed-form chain members at eps = 1/4 and -3/4.
+
+    Each member and its derivative accept a float or an ndarray of y.
+    """
     beta = 1.0 / math.sqrt(E)
     c = 0.25 * E**1.5
     u, up, _ = _laguerre_trio(c - 0.5, 0.0)
     v, vp, _ = _laguerre_trio(c - 1.0, 1.0)
 
     def u1(y):
-        z = beta * math.exp(2 * y)
-        return math.exp(-0.5 * z) * u(z)
+        z = beta * exp(2 * y)
+        return exp(-0.5 * z) * u(z)
 
     def u1p(y):
-        z = beta * math.exp(2 * y)
-        return math.exp(-0.5 * z) * z * (2 * up(z) - u(z))
+        z = beta * exp(2 * y)
+        return exp(-0.5 * z) * z * (2 * up(z) - u(z))
 
     def u2(y):
-        z = beta * math.exp(2 * y)
-        return math.exp(y - 0.5 * z) * v(z)
+        z = beta * exp(2 * y)
+        return exp(y - 0.5 * z) * v(z)
 
     def u2p(y):
-        z = beta * math.exp(2 * y)
-        return math.exp(y - 0.5 * z) * ((1.0 - z) * v(z) + 2 * z * vp(z))
+        z = beta * exp(2 * y)
+        return exp(y - 0.5 * z) * ((1.0 - z) * v(z) + 2 * z * vp(z))
 
     return (u1, u1p), (u2, u2p)
 
@@ -466,8 +478,9 @@ CONFLUENT_EPS1 = -2.0
 def confluent_solution_family(E: float):
     """Parametric solution family of the mapped equation, in eps.
 
-    Returns (value, y-derivative) callables of (eps, y); the indices of
-    the Laguerre factor vary smoothly with eps.
+    Returns (value, y-derivative) callables of (eps, y), with y a float
+    or an ndarray; the indices of the Laguerre factor vary smoothly
+    with eps.
     """
     beta = 1.0 / math.sqrt(E)
     c = 0.25 * E**1.5
@@ -475,17 +488,16 @@ def confluent_solution_family(E: float):
     def family(eps, y):
         r1 = math.sqrt(1.0 - 4.0 * eps)
         degree = -0.5 + c - 0.25 * r1
-        z = beta * math.exp(2 * y)
-        return (math.exp(-0.5 * z + 0.5 * r1 * y)
-                * assoc_laguerre(degree, 0.5 * r1, z).value)
+        z = beta * exp(2 * y)
+        return exp(-0.5 * z + 0.5 * r1 * y) * _laguerre(degree, 0.5 * r1, z)
 
     def family_dy(eps, y):
         r1 = math.sqrt(1.0 - 4.0 * eps)
         degree = -0.5 + c - 0.25 * r1
-        z = beta * math.exp(2 * y)
-        lz = assoc_laguerre(degree, 0.5 * r1, z).value
-        lzp = -assoc_laguerre(degree - 1, 0.5 * r1 + 1.0, z).value
-        return (math.exp(-0.5 * z + 0.5 * r1 * y)
+        z = beta * exp(2 * y)
+        lz = _laguerre(degree, 0.5 * r1, z)
+        lzp = -_laguerre(degree - 1, 0.5 * r1 + 1.0, z)
+        return (exp(-0.5 * z + 0.5 * r1 * y)
                 * ((0.5 * r1 - z) * lz + 2 * z * lzp))
 
     return family, family_dy
@@ -545,49 +557,42 @@ def closed_form_hatv4(x: float) -> float:
     return (poly_i00 * i0 * i0 - cross * i0 * i1 + poly_i11 * i1 * i1) / den
 
 
-def hatv_from_ue(E: float, u_hat: Callable[[float], float], p: float, q: float,
-                 x: float) -> float:
+def hatv_from_ue(E: float, u_hat: Callable, p: float, q: float, x):
     """Transformed potential in the original variable, from U-hat.
 
     V-hat(x) = E - x^{-q-2} [(q+1)^2/(8p) - U-hat(log x)/(2p)].
     """
-    if x <= 0:
+    if np.any(x <= 0):
         raise DomainError("hatv_from_ue: x must be positive")
-    return E - x ** (-q - 2.0) * ((q + 1.0) ** 2 / (8.0 * p)
-                                  - u_hat(math.log(x)) / (2.0 * p))
+    return E - power(x, -q - 2.0) * ((q + 1.0) ** 2 / (8.0 * p)
+                                     - u_hat(log(x)) / (2.0 * p))
 
 
-def pipeline_hatpsi(params: DunklParams, E: float, chain: DarbouxChain,
-                    x: float) -> float:
+# The pipeline helpers below take x as a float or an ndarray; an ndarray
+# is evaluated as one grid and equals the per-float calls bit for bit.
+
+def pipeline_hatpsi(params: DunklParams, E: float, chain: DarbouxChain, x):
     """Transformed bound state in the original variable (x > 0 branch)."""
-    if x <= 0:
+    if np.any(x <= 0):
         raise DomainError("pipeline_hatpsi: x must be positive")
     phi = mapped_initial_solution(params, E)
-    return x ** (0.5 - params.nu) * transformed_solution(chain, phi, math.log(x))
+    return power(x, 0.5 - params.nu) * transformed_solution(chain, phi, log(x))
 
 
-def pipeline_vhat(E: float, chain: DarbouxChain, x: float) -> float:
+def pipeline_vhat(E: float, chain: DarbouxChain, x):
     """Transformed potential in the original variable via the chain."""
     return hatv_from_ue(E, lambda y: transformed_potential(chain, y), 0.5, 0.0, x)
 
 
-def standard_vhat(E: float, x: float) -> float:
+def standard_vhat(E: float, x):
     """V-hat at energy E for the standard chain (chain rebuilt per call)."""
     return pipeline_vhat(E, standard_chain_u12(E, validate=False), x)
 
 
-def standard_vhat_dE(E: float, x: float) -> float:
-    """dV-hat/dE, rebuilding the chain at each probe energy."""
+def standard_vhat_dE(E: float, x):
+    """dV-hat/dE, rebuilding the chain at each of the four probe energies."""
     return parameter_derivative(lambda e, xx: standard_vhat(e, xx), E, x,
                                 h_eps=1e-4 * max(1.0, abs(E)))
-
-
-def transformed_density(params: DunklParams, E: float, x: float) -> float:
-    """Modified density of the standard-chain transformed state."""
-    chain = standard_chain_u12(E, validate=False)
-    psi = pipeline_hatpsi(params, E, chain, abs(x))
-    weight = abs(x) ** (2.0 * params.nu)
-    return psi * psi * weight * (1.0 - standard_vhat_dE(E, abs(x)))
 
 
 _SCENARIOS = {

@@ -6,6 +6,18 @@ modified Bessel functions I0 and I1.  All routines are self-contained
 double-precision evaluations; each returns the value together with a
 conservative absolute error estimate.
 
+``kummer_m``, ``assoc_laguerre`` and ``bessel_i`` take Python floats and
+return a ``SpecialValue``.  ``kummer_m_grid`` and ``assoc_laguerre_grid``
+take scalar parameters and an ndarray of arguments and return a
+``SpecialGrid``; each entry equals the scalar routine's value and error
+estimate at that point bit for bit.  The grid series is one cumulative
+product over a (terms x points) factor matrix, stopped per point by the
+scalar rule and summed per point with ``math.fsum``.
+
+The e^z factor of the reflected branch goes through ``libm.exp``, the
+scalar libm routine per element: numpy's vectorised exp can differ from
+it in the last ulp, which would break that equality.
+
 The Tricomi function U (second-kind confluent hypergeometric) is
 intentionally not implemented: bounded solutions discard it, so only
 its first-kind companion is ever evaluated here.
@@ -16,7 +28,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
+from .libm import exp
 
 # Direct summation of the 1F1 series alternates for negative arguments
 # and loses about |z|/ln 10 digits to cancellation; below this z the
@@ -32,6 +47,11 @@ BESSEL_SERIES_CUTOFF = 18.0
 BESSEL_Z_MAX = 600.0
 
 _EPS = 2.2204460492503131e-16
+# Terms added per cumulative-product block of the grid series; points
+# still unconverged after a block continue in the next one.
+_SERIES_BLOCK = 48
+# k ** 0.5 for every possible series length k, as the scalar series computes it.
+_SQRT_COUNT = np.array([k ** 0.5 for k in range(KUMMER_MAX_TERMS + 2)])
 
 
 @dataclass(frozen=True)
@@ -45,6 +65,20 @@ class SpecialValue:
         if not math.isfinite(self.value):
             raise DomainError("special function value is not finite")
         if self.est_abs_error < 0:
+            raise DomainError("error estimate must be nonnegative")
+
+
+@dataclass(frozen=True)
+class SpecialGrid:
+    """Function values on a grid with conservative absolute error estimates."""
+
+    values: np.ndarray
+    est_abs_errors: np.ndarray
+
+    def __post_init__(self):
+        if not np.all(np.isfinite(self.values)):
+            raise DomainError("special function value is not finite")
+        if np.any(self.est_abs_errors < 0):
             raise DomainError("error estimate must be nonnegative")
 
 
@@ -79,15 +113,20 @@ def kummer_m(a: float, b: float, z: float) -> SpecialValue:
     return _kummer_series(a, b, z)
 
 
-def _kummer_polynomial(n: int, b: float, z: float) -> SpecialValue:
-    # Coefficients c_k = (-n)_k / ((b)_k k!), summed by Horner's rule.
+def _polynomial_coeffs(n: int, b: float) -> list:
+    """Coefficients c_k = (-n)_k / ((b)_k k!) of the terminating series."""
     coeffs = [1.0]
     c = 1.0
     for k in range(n):
         c *= (-n + k) / ((b + k) * (k + 1))
         coeffs.append(c)
+    return coeffs
+
+
+def _kummer_polynomial(n: int, b: float, z: float) -> SpecialValue:
+    # Summed by Horner's rule.
     acc = 0.0
-    for c in reversed(coeffs):
+    for c in reversed(_polynomial_coeffs(n, b)):
         acc = acc * z + c
     return SpecialValue(acc, (n + 1) * _EPS * max(1.0, abs(acc)))
 
@@ -108,6 +147,97 @@ def _kummer_series(a: float, b: float, z: float) -> SpecialValue:
     return SpecialValue(value, est)
 
 
+def kummer_m_grid(a: float, b: float, z: np.ndarray) -> SpecialGrid:
+    """``kummer_m`` at every entry of the ndarray z (scalar a and b).
+
+    Same branches, checks and error messages as the scalar routine; the
+    |z| range guard rejects the whole grid if any point is outside it.
+    """
+    z = np.asarray(z, dtype=float)
+    for name, val in (("a", a), ("b", b)):
+        if not math.isfinite(val):
+            raise DomainError(f"kummer_m: argument {name} is not finite")
+    if not np.all(np.isfinite(z)):
+        raise DomainError("kummer_m: argument z is not finite")
+    if _is_nonpositive_integer(b):
+        raise DomainError("kummer_m: b must not be a nonpositive integer")
+    if _is_nonpositive_integer(a):
+        return _kummer_polynomial_grid(int(-a), b, z)
+    if np.any(np.abs(z) > KUMMER_Z_MAX):
+        raise DomainError(f"kummer_m: |z| exceeds supported range {KUMMER_Z_MAX}")
+    low = z < KUMMER_SERIES_Z_MIN
+    if not low.any():
+        return SpecialGrid(*_kummer_series_grid(a, b, z))
+    values = np.empty_like(z)
+    est = np.empty_like(z)
+    inner_value, inner_est = _kummer_series_grid(b - a, b, -z[low])
+    scale = exp(z[low])
+    values[low] = scale * inner_value
+    est[low] = scale * inner_est + _EPS * np.abs(scale * inner_value)
+    high = ~low
+    values[high], est[high] = _kummer_series_grid(a, b, z[high])
+    return SpecialGrid(values, est)
+
+
+def _kummer_polynomial_grid(n: int, b: float, z: np.ndarray) -> SpecialGrid:
+    acc = np.zeros_like(z)
+    for c in reversed(_polynomial_coeffs(n, b)):
+        acc = acc * z + c
+    return SpecialGrid(acc, (n + 1) * _EPS * np.maximum(1.0, np.abs(acc)))
+
+
+def _kummer_series_grid(a: float, b: float, z: np.ndarray):
+    """``_kummer_series`` per point: (values, error estimates) arrays.
+
+    terms[k, i] is term k at point i, built by the scalar recurrence
+    term_{k+1} = term_k * ((a+k) z / ((b+k)(k+1))) as a cumulative
+    product, block by block for the points that have not stopped.
+    Terms past a point's stop are zeroed, which leaves its fsum exact.
+    """
+    n = z.size
+    terms = np.empty((KUMMER_MAX_TERMS + 1, n))
+    terms[0] = 1.0
+    peak = np.ones(n)
+    last = np.full(n, KUMMER_MAX_TERMS)   # index of the last term summed
+    active = np.arange(n)
+    k0 = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while active.size and k0 < KUMMER_MAX_TERMS:
+            ks = np.arange(k0, min(k0 + _SERIES_BLOCK, KUMMER_MAX_TERMS))
+            factors = (np.multiply.outer(a + ks, z[active])
+                       / ((b + ks) * (ks + 1))[:, None])
+            factors[0] *= terms[k0, active]
+            block = np.cumprod(factors, axis=0)
+            size = np.abs(block)
+            block_peak = np.fmax(np.fmax.accumulate(size, axis=0), peak[active])
+            stops = (size < 1e-18 * block_peak) & (ks > 2)[:, None]
+            terms[k0 + 1:k0 + 1 + len(ks), active] = block
+            hit = stops.any(axis=0)
+            first = stops.argmax(axis=0)
+            peak[active] = np.where(hit, block_peak[first, np.arange(active.size)],
+                                    block_peak[-1])
+            last[active[hit]] = k0 + 1 + first[hit]
+            active = active[~hit]
+            k0 += len(ks)
+    width = last.max() + 1 if n else 0
+    kept = np.where(np.arange(width)[:, None] <= last, terms[:width], 0.0)
+    values = np.fromiter(map(math.fsum, kept.T.tolist()), dtype=float, count=n)
+    # Truncation bound from the last term plus rounding at the series peak.
+    est = np.abs(terms[last, np.arange(n)]) + _EPS * peak * _SQRT_COUNT[last + 1]
+    return values, est
+
+
+def _laguerre_prefactor(degree: float, alpha: float) -> float:
+    """binom(degree+alpha, degree) by Gamma-function ratios."""
+    try:
+        lg_num, sign_num = math.lgamma(degree + alpha + 1.0), _gamma_sign(degree + alpha + 1.0)
+        lg_den1, sign_den1 = math.lgamma(degree + 1.0), _gamma_sign(degree + 1.0)
+        lg_den2, sign_den2 = math.lgamma(alpha + 1.0), _gamma_sign(alpha + 1.0)
+    except ValueError as exc:
+        raise DomainError(f"assoc_laguerre: Gamma pole in prefactor: {exc}") from exc
+    return sign_num * sign_den1 * sign_den2 * math.exp(lg_num - lg_den1 - lg_den2)
+
+
 def assoc_laguerre(degree: float, alpha: float, z: float) -> SpecialValue:
     """Associated Laguerre function L_degree^alpha(z) for real degree.
 
@@ -122,17 +252,33 @@ def assoc_laguerre(degree: float, alpha: float, z: float) -> SpecialValue:
     if _is_nonpositive_integer(degree + 1.0):
         # Gamma(degree+1) pole: the prefactor vanishes identically.
         return SpecialValue(0.0, 0.0)
-    try:
-        lg_num, sign_num = math.lgamma(degree + alpha + 1.0), _gamma_sign(degree + alpha + 1.0)
-        lg_den1, sign_den1 = math.lgamma(degree + 1.0), _gamma_sign(degree + 1.0)
-        lg_den2, sign_den2 = math.lgamma(alpha + 1.0), _gamma_sign(alpha + 1.0)
-    except ValueError as exc:
-        raise DomainError(f"assoc_laguerre: Gamma pole in prefactor: {exc}") from exc
-    prefactor = sign_num * sign_den1 * sign_den2 * math.exp(lg_num - lg_den1 - lg_den2)
+    prefactor = _laguerre_prefactor(degree, alpha)
     hyp = kummer_m(-degree, alpha + 1.0, z)
     value = prefactor * hyp.value
     est = abs(prefactor) * hyp.est_abs_error + _EPS * abs(value)
     return SpecialValue(value, est)
+
+
+def assoc_laguerre_grid(degree: float, alpha: float, z: np.ndarray) -> SpecialGrid:
+    """``assoc_laguerre`` at every entry of the ndarray z.
+
+    The Gamma-ratio prefactor is computed once per call.
+    """
+    z = np.asarray(z, dtype=float)
+    for name, val in (("degree", degree), ("alpha", alpha)):
+        if not math.isfinite(val):
+            raise DomainError(f"assoc_laguerre: argument {name} is not finite")
+    if not np.all(np.isfinite(z)):
+        raise DomainError("assoc_laguerre: argument z is not finite")
+    if _is_nonpositive_integer(alpha + 1.0):
+        raise DomainError("assoc_laguerre: alpha+1 must not be a nonpositive integer")
+    if _is_nonpositive_integer(degree + 1.0):
+        return SpecialGrid(np.zeros_like(z), np.zeros_like(z))
+    prefactor = _laguerre_prefactor(degree, alpha)
+    hyp = kummer_m_grid(-degree, alpha + 1.0, z)
+    values = prefactor * hyp.values
+    est = abs(prefactor) * hyp.est_abs_errors + _EPS * np.abs(values)
+    return SpecialGrid(values, est)
 
 
 def _gamma_sign(x: float) -> float:

@@ -1,9 +1,14 @@
 """Command-line interface: exit codes, formats, determinism, config."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dunkl_darboux
 from dunkl_darboux.cli import (EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION,
                                RunConfig, UsageError, _fmt, _grid, _merge,
                                _tolerance, run)
@@ -130,7 +135,7 @@ def test_darboux_rejects_bad_order(capsys):
 
 def test_figures_deterministic(tmp_path):
     # byte-identical reruns are the reproducibility contract
-    for number in ("1", "2"):
+    for number in ("1", "2", "3", "4", "5", "6", "7"):
         a = tmp_path / f"fig{number}a.csv"
         b = tmp_path / f"fig{number}b.csv"
         args = ["figure", number, "--grid-count", "25"]
@@ -231,3 +236,15 @@ def test_verify_json_report(capsys):
     names = [c["name"] for c in payload["checks"]]
     assert "induced_potential_match" in names
     assert "constant_term_identity" in names
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # scipy.integrate is imported by the first norm integral, so commands
+    # that compute no norm start without paying for it
+    src = str(Path(dunkl_darboux.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, dunkl_darboux.cli; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60, check=True)
+    assert proc.stdout.strip() == "False"

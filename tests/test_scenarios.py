@@ -23,7 +23,7 @@ from dunkl_darboux.scenarios import (DUNKL_GRID, MAPPED_GRID,
                                      monomial_exponent, parity_exponent,
                                      pdm_equivalence_nu, pipeline_hatpsi,
                                      pipeline_vhat, printed_bound_state,
-                                     standard_chain_u12)
+                                     standard_chain_u12, standard_vhat_dE)
 
 NU_HALF_ODD = DunklParams(nu=0.5, delta=-1, mu=1)
 NU_HALF_EVEN = DunklParams(nu=0.5, delta=1, mu=1)
@@ -262,3 +262,26 @@ def test_transformed_solution_solves_transformed_dunkl_equation():
                + ((delta * nu - nu) / (x * x) + E - v) * psi_hat(x))
         scale = abs(second) + abs(psi_hat(x)) * (abs(E - v) + abs(delta * nu - nu) / x**2)
         assert abs(res) < 1e-5 * max(scale, 1e-6)
+
+
+def test_pipeline_grid_equals_pointwise_bit_for_bit():
+    # an ndarray of x is one grid evaluation; it must reproduce the
+    # per-float calls exactly, which keeps the CLI output byte-identical
+    def bits(values):
+        return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+    xs = np.linspace(0.2, 3.0, 13)
+    for E in (4.0, 12.0 ** (2.0 / 3.0)):
+        std = standard_chain_u12(E, validate=False)
+        con = confluent_chain(E)
+        cases = [lambda x: pipeline_hatpsi(TRANSFORM_PARAMS, E, std, x),
+                 lambda x: pipeline_hatpsi(TRANSFORM_PARAMS, E, con, x),
+                 lambda x: pipeline_vhat(E, std, x),
+                 lambda x: pipeline_vhat(E, con, x),
+                 lambda x: standard_vhat_dE(E, x)]
+        for fn in cases:
+            grid = fn(xs)
+            points = [fn(float(x)) for x in xs]
+            assert isinstance(grid, np.ndarray)
+            assert all(type(p) is float for p in points)
+            assert bits(grid) == bits(points)

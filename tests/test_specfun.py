@@ -8,10 +8,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import special as sp
 
 from dunkl_darboux.errors import DomainError
-from dunkl_darboux.specfun import assoc_laguerre, bessel_i, kummer_m
+from dunkl_darboux.specfun import (KUMMER_Z_MAX, assoc_laguerre,
+                                   assoc_laguerre_grid, bessel_i, kummer_m,
+                                   kummer_m_grid)
 
 
 def test_kummer_terminating_series():
@@ -155,3 +158,69 @@ def test_error_estimates_are_conservative():
     for a, b, z in ((0.3, 1.2, 4.0), (1.7, 2.2, -8.0)):
         res = kummer_m(a, b, z)
         assert abs(res.value - sp.hyp1f1(a, b, z)) <= 1e3 * res.est_abs_error + 1e-14
+
+
+# Grid evaluation: every entry must equal the scalar routine bit for bit.
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+def _pointwise(fn, p, q, zs):
+    results = [fn(p, q, z) for z in zs]
+    return [r.value for r in results], [r.est_abs_error for r in results]
+
+
+def _assert_grid_matches_scalar(fn, grid_fn, p, q, zs):
+    try:
+        want = _pointwise(fn, p, q, zs)
+    except DomainError:
+        with pytest.raises(DomainError):
+            grid_fn(p, q, np.array(zs))
+        return
+    got = grid_fn(p, q, np.array(zs))
+    assert _bits(got.values) == _bits(want[0])
+    assert _bits(got.est_abs_errors) == _bits(want[1])
+
+
+# Arguments cover the series (z >= -1), reflected (z < -1) and polynomial
+# (nonpositive integer a) branches; one example in ten adds a point
+# outside the |z| range guard or puts b (alpha + 1) on a pole.
+_ZS = st.lists(st.one_of(st.floats(-60.0, 60.0), st.floats(-1.5, -0.5),
+                         st.sampled_from([0.0, -1.0])), min_size=1, max_size=25)
+
+
+def _rarely(common, rare):
+    """common, or in one example of ten the value ``rare``."""
+    return st.integers(0, 9).flatmap(lambda k: st.just(rare) if k == 0 else common)
+
+
+_OUTSIDE = _rarely(st.just([]), [KUMMER_Z_MAX + 5.0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=st.one_of(st.floats(-20.0, 20.0), st.integers(-12, 0).map(float)),
+       b=_rarely(st.floats(0.05, 20.0), -2.0),
+       zs=_ZS, outside=_OUTSIDE)
+def test_kummer_grid_equals_scalar_bit_for_bit(a, b, zs, outside):
+    _assert_grid_matches_scalar(kummer_m, kummer_m_grid, a, b, zs + outside)
+
+
+@settings(max_examples=150, deadline=None)
+@given(degree=st.one_of(st.floats(-6.0, 16.0), st.integers(-4, 12).map(float)),
+       alpha=_rarely(st.floats(-0.95, 6.0), -2.0),
+       zs=_ZS, outside=_OUTSIDE)
+def test_laguerre_grid_equals_scalar_bit_for_bit(degree, alpha, zs, outside):
+    _assert_grid_matches_scalar(assoc_laguerre, assoc_laguerre_grid, degree, alpha,
+                                zs + outside)
+
+
+def test_grid_range_guard_matches_scalar_message():
+    zs = np.array([0.5, 2.0, KUMMER_Z_MAX + 1.0])
+    with pytest.raises(DomainError) as scalar:
+        kummer_m(0.3, 1.2, float(zs[-1]))
+    with pytest.raises(DomainError) as grid:
+        kummer_m_grid(0.3, 1.2, zs)
+    assert str(grid.value) == str(scalar.value)
+    # the terminating polynomial has no range restriction on either path
+    assert kummer_m_grid(-2.0, 1.2, zs).values[-1] == kummer_m(-2.0, 1.2, float(zs[-1])).value

@@ -125,9 +125,14 @@ def derivative(f: Callable[[float], float], y, order: int, h=None):
         parts = np.split(_check_finite(f(nodes), nodes, "sample at "), 2 * len(shifts))
         samples = [dict(zip(shifts, parts[i * len(shifts):])) for i in (0, 1)]
     else:
-        samples = [{k: _sample(f, y + k * step if k else y) for k in shifts}
-                   for step in steps]
-    coarse, fine = (_stencil(order, s, step) for s, step in zip(samples, steps))
+        samples = []
+        for step in steps:
+            s = {}
+            for k in shifts:
+                s[k] = _sample(f, y + k * step if k else y)
+            samples.append(s)
+    coarse = _stencil(order, samples[0], steps[0])
+    fine = _stencil(order, samples[1], steps[1])
     return (4 * fine - coarse) / 3
 
 

@@ -316,26 +316,25 @@ def pdm_equivalence_nu(nu_bar: float, delta_bar: int, delta: int) -> float:
     return 1.5 * delta + 0.5 * math.sqrt(radicand)
 
 
-def _laguerre(degree: float, alpha: float, z):
-    """L_degree^alpha(z) for a float z, or elementwise for an ndarray z."""
-    if isinstance(z, np.ndarray):
-        return assoc_laguerre_grid(degree, alpha, z).values
-    return assoc_laguerre(degree, alpha, z).value
+def _laguerre(degree: float, alpha: float):
+    """z -> L_degree^alpha(z) for a float z, or elementwise for an ndarray z."""
+
+    def lag(z):
+        if isinstance(z, np.ndarray):
+            return assoc_laguerre_grid(degree, alpha, z).values
+        return assoc_laguerre(degree, alpha, z).value
+
+    return lag
 
 
 def _laguerre_trio(degree: float, alpha: float):
     """L, L', L'' in the argument, via dL_d^a/dz = -L_{d-1}^{a+1}."""
-
-    def u(z):
-        return _laguerre(degree, alpha, z)
+    lower = _laguerre(degree - 1, alpha + 1)
 
     def up(z):
-        return -_laguerre(degree - 1, alpha + 1, z)
+        return -lower(z)
 
-    def upp(z):
-        return _laguerre(degree - 2, alpha + 2, z)
-
-    return u, up, upp
+    return _laguerre(degree, alpha), up, _laguerre(degree - 2, alpha + 2)
 
 
 def harmonic_initial_solution_function(params: DunklParams, E: float) -> ParityFunction:
@@ -489,14 +488,14 @@ def confluent_solution_family(E: float):
         r1 = math.sqrt(1.0 - 4.0 * eps)
         degree = -0.5 + c - 0.25 * r1
         z = beta * exp(2 * y)
-        return exp(-0.5 * z + 0.5 * r1 * y) * _laguerre(degree, 0.5 * r1, z)
+        return exp(-0.5 * z + 0.5 * r1 * y) * _laguerre(degree, 0.5 * r1)(z)
 
     def family_dy(eps, y):
         r1 = math.sqrt(1.0 - 4.0 * eps)
         degree = -0.5 + c - 0.25 * r1
         z = beta * exp(2 * y)
-        lz = _laguerre(degree, 0.5 * r1, z)
-        lzp = -_laguerre(degree - 1, 0.5 * r1 + 1.0, z)
+        lz = _laguerre(degree, 0.5 * r1)(z)
+        lzp = -_laguerre(degree - 1, 0.5 * r1 + 1.0)(z)
         return (exp(-0.5 * z + 0.5 * r1 * y)
                 * ((0.5 * r1 - z) * lz + 2 * z * lzp))
 

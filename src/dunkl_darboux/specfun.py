@@ -102,7 +102,9 @@ def kummer_m(a: float, b: float, z: float) -> SpecialValue:
     if _is_nonpositive_integer(a):
         # Terminating series: the polynomial has no argument restriction
         # (beyond overflow, caught by the finiteness contract).
-        return _kummer_polynomial(int(-a), b, z)
+        n = int(-a)
+        acc = _kummer_polynomial(n, b, z)
+        return SpecialValue(acc, (n + 1) * _EPS * max(1.0, abs(acc)))
     if abs(z) > KUMMER_Z_MAX:
         raise DomainError(f"kummer_m: |z| exceeds supported range {KUMMER_Z_MAX}")
     if z < KUMMER_SERIES_Z_MIN:
@@ -113,22 +115,18 @@ def kummer_m(a: float, b: float, z: float) -> SpecialValue:
     return _kummer_series(a, b, z)
 
 
-def _polynomial_coeffs(n: int, b: float) -> list:
-    """Coefficients c_k = (-n)_k / ((b)_k k!) of the terminating series."""
+def _kummer_polynomial(n: int, b: float, z):
+    """M(-n; b; z) for a float z, or elementwise for an ndarray z."""
+    # Coefficients c_k = (-n)_k / ((b)_k k!), summed by Horner's rule.
     coeffs = [1.0]
     c = 1.0
     for k in range(n):
         c *= (-n + k) / ((b + k) * (k + 1))
         coeffs.append(c)
-    return coeffs
-
-
-def _kummer_polynomial(n: int, b: float, z: float) -> SpecialValue:
-    # Summed by Horner's rule.
     acc = 0.0
-    for c in reversed(_polynomial_coeffs(n, b)):
+    for c in reversed(coeffs):
         acc = acc * z + c
-    return SpecialValue(acc, (n + 1) * _EPS * max(1.0, abs(acc)))
+    return acc
 
 
 def _kummer_series(a: float, b: float, z: float) -> SpecialValue:
@@ -162,7 +160,9 @@ def kummer_m_grid(a: float, b: float, z: np.ndarray) -> SpecialGrid:
     if _is_nonpositive_integer(b):
         raise DomainError("kummer_m: b must not be a nonpositive integer")
     if _is_nonpositive_integer(a):
-        return _kummer_polynomial_grid(int(-a), b, z)
+        n = int(-a)
+        acc = _kummer_polynomial(n, b, z)
+        return SpecialGrid(acc, (n + 1) * _EPS * np.maximum(1.0, np.abs(acc)))
     if np.any(np.abs(z) > KUMMER_Z_MAX):
         raise DomainError(f"kummer_m: |z| exceeds supported range {KUMMER_Z_MAX}")
     low = z < KUMMER_SERIES_Z_MIN
@@ -177,13 +177,6 @@ def kummer_m_grid(a: float, b: float, z: np.ndarray) -> SpecialGrid:
     high = ~low
     values[high], est[high] = _kummer_series_grid(a, b, z[high])
     return SpecialGrid(values, est)
-
-
-def _kummer_polynomial_grid(n: int, b: float, z: np.ndarray) -> SpecialGrid:
-    acc = np.zeros_like(z)
-    for c in reversed(_polynomial_coeffs(n, b)):
-        acc = acc * z + c
-    return SpecialGrid(acc, (n + 1) * _EPS * np.maximum(1.0, np.abs(acc)))
 
 
 def _kummer_series_grid(a: float, b: float, z: np.ndarray):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dunkl_darboux.errors import AccuracyError, DomainError, EvaluationError
+from dunkl_darboux.libm import exp
 from dunkl_darboux.numerics import (GridFunction, QuadratureResult, derivative,
                                     integrate_real_line, parameter_derivative)
 
@@ -34,6 +35,20 @@ def test_derivative_rejects_bad_order_and_step():
 def test_derivative_flags_nonfinite_samples():
     with pytest.raises(EvaluationError):
         derivative(lambda x: math.inf, 1.0, 1)
+
+
+def test_derivatives_on_ndarray_equal_pointwise_bit_for_bit():
+    # f must be elementwise: libm.exp is, and agrees with math.exp per element
+    ys = np.linspace(-2.0, 3.0, 11)
+    bits = lambda v: np.asarray(v, dtype=float).view(np.uint64).tolist()
+    for order, h in ((1, None), (2, None), (3, 1e-2), (1, 1e-3)):
+        grid = derivative(exp, ys, order, h)
+        assert bits(grid) == bits([derivative(math.exp, float(y), order, h) for y in ys])
+    grid = parameter_derivative(lambda eps, y: exp(eps * y), 0.3, ys)
+    assert bits(grid) == bits([parameter_derivative(lambda eps, y: math.exp(eps * y), 0.3,
+                                                    float(y)) for y in ys])
+    with pytest.raises(EvaluationError):
+        derivative(lambda y: np.where(y > 1.0, np.inf, y), ys, 1)
 
 
 def test_parameter_derivative_exponential_family():

@@ -32,8 +32,8 @@ import numpy as np
 from .darboux import DarbouxChain, transformed_potential, transformed_solution
 from .errors import DunklDarbouxError
 from .libm import exp, power
-from .model import (DunklParams, modified_norm, probability_density,
-                    sampled_parity_defect)
+from .model import (DunklParams, dunkl_residual, modified_norm,
+                    probability_density, sampled_parity_defect)
 from .numerics import derivative
 from .pointmap import energy_relation_residual, exp_map, induced_potential
 from .scenarios import (ScenarioGaussianMass, ScenarioHarmonicEnergy,
@@ -252,10 +252,13 @@ class VerificationReport:
         print("overall:", "PASS" if self.overall_pass else "FAIL")
 
 
+def _worst(residuals: np.ndarray) -> float:
+    """Largest entry; NaN if any entry is NaN, so the check fails."""
+    return float(np.max(residuals))
+
+
 def _relative_dunkl_residual(system, psi, E: float, grid: np.ndarray) -> float:
-    from .model import dunkl_residual
-    return max(abs(dunkl_residual(system, psi, E, float(x), relative=True))
-               for x in grid)
+    return _worst(np.abs(dunkl_residual(system, psi, E, grid, relative=True)))
 
 
 def _verify_gaussian(config: RunConfig, tol: float) -> VerificationReport:
@@ -274,10 +277,9 @@ def _verify_gaussian(config: RunConfig, tol: float) -> VerificationReport:
     norm = modified_norm(system, psi, E)
     norm_ok = 0.0 if (norm.value > 0 and math.isfinite(norm.value)) else 1.0
     report.add("norm_positive_finite", norm_ok, 0.5)
-    worst = max(abs(energy_relation_residual(scenario.coord(), scenario.mass(),
-                                             scenario.potential(), params, E,
-                                             float(y)))
-                for y in np.linspace(0.25, 4.0, 25))
+    worst = _worst(np.abs(energy_relation_residual(
+        scenario.coord(), scenario.mass(), scenario.potential(), params, E,
+        np.linspace(0.25, 4.0, 25))))
     report.add("norm_preservation_relation", worst, tol)
     return report
 
@@ -298,17 +300,14 @@ def _verify_harmonic(config: RunConfig, tol: float) -> VerificationReport:
     phi = mapped_initial_solution(params, E)
     mapped_grid = np.linspace(-2.0, 1.0, 100)
     form = scenario.form(params)
-    worst = 0.0
-    for y in mapped_grid:
-        second = derivative(phi.f1, float(y), 1)
-        res = second + (phi.eps - form.u_e(E, float(y))) * phi.f(float(y))
-        scale = abs(second) + abs((phi.eps - form.u_e(E, float(y))) * phi.f(float(y)))
-        worst = max(worst, abs(res) / max(scale, 1e-30))
+    second = derivative(phi.f1, mapped_grid, 1)
+    potential_term = (phi.eps - form.u_e(E, mapped_grid)) * phi.f(mapped_grid)
+    scale = np.abs(second) + np.abs(potential_term)
+    worst = _worst(np.abs(second + potential_term) / np.maximum(scale, 1e-30))
     report.add("mapped_equation_residual", worst, max(tol, 1e-6))
-    worst = max(abs(energy_relation_residual(scenario.coord(), scenario.mass(),
-                                             scenario.potential(), params, E,
-                                             float(y)))
-                for y in mapped_grid)
+    worst = _worst(np.abs(energy_relation_residual(
+        scenario.coord(), scenario.mass(), scenario.potential(), params, E,
+        mapped_grid)))
     report.add("norm_preservation_relation", worst, tol)
     return report
 
@@ -329,16 +328,13 @@ def _verify_pdm(config: RunConfig, tol: float) -> VerificationReport:
     harm = ScenarioHarmonicEnergy()
     pdm = ScenarioHarmonicEnergyPdm()
     coord = exp_map()
+    ys = np.linspace(-2.0, 1.0, 100)
     report = VerificationReport()
-    worst = 0.0
-    for y in np.linspace(-2.0, 1.0, 100):
-        u_harm = induced_potential(coord, harm.mass(), harm.potential(),
-                                   DunklParams(nu=nu_bar, delta=delta_bar, mu=1),
-                                   E, float(y))
-        u_pdm = induced_potential(coord, pdm.mass(), pdm.potential(),
-                                  DunklParams(nu=nu, delta=delta, mu=1),
-                                  E, float(y))
-        worst = max(worst, abs(u_harm - u_pdm) / max(1.0, abs(u_harm)))
+    u_harm = induced_potential(coord, harm.mass(), harm.potential(),
+                               DunklParams(nu=nu_bar, delta=delta_bar, mu=1), E, ys)
+    u_pdm = induced_potential(coord, pdm.mass(), pdm.potential(),
+                              DunklParams(nu=nu, delta=delta, mu=1), E, ys)
+    worst = _worst(np.abs(u_harm - u_pdm) / np.maximum(1.0, np.abs(u_harm)))
     report.add("induced_potential_match", worst, tol)
     # The redefined nu is fixed by matching the mapped constant term:
     # 3 delta nu - nu^2 (PDM) against delta_bar nu_bar - nu_bar^2.
@@ -402,8 +398,7 @@ def cmd_density(config: RunConfig) -> int:
         raise UsageError(f"density: unsupported scenario {config.scenario!r}")
     system = scenario.system(params)
     grid = _grid(config, 0.1, 4.0, 400)
-    rows = [[float(x), probability_density(system, psi, E, float(x))]
-            for x in grid]
+    rows = _rows(grid, probability_density(system, psi, E, grid))
     norm = modified_norm(system, psi, E)
     if (config.output_format or "csv") == "json":
         payload = {"columns": ["x", "density"],

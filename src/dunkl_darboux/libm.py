@@ -18,21 +18,21 @@ import numpy as np
 
 
 def _per_element(fn, x, *args):
-    if not isinstance(x, np.ndarray):
-        return fn(x, *args)
     flat = x.ravel().tolist()
     out = map(fn, flat, *map(itertools.repeat, args))
     return np.fromiter(out, dtype=float, count=len(flat)).reshape(x.shape)
 
 
+# Each helper tests for an ndarray itself, so a float costs one call.
+
 def exp(x):
-    return _per_element(math.exp, x)
+    return _per_element(math.exp, x) if isinstance(x, np.ndarray) else math.exp(x)
 
 
 def log(x):
-    return _per_element(math.log, x)
+    return _per_element(math.log, x) if isinstance(x, np.ndarray) else math.log(x)
 
 
 def power(x, p):
     """x ** p, for a scalar exponent p."""
-    return _per_element(pow, x, p)
+    return _per_element(pow, x, p) if isinstance(x, np.ndarray) else pow(x, p)

@@ -11,6 +11,14 @@ dependence of the potential through the factor 1 - dV/dE.
 Parity is carried as explicit metadata on functions: it is a modeling
 assumption, not a detected property.  The domain is the punctured line;
 evaluation at x = 0 is rejected rather than regularized.
+
+``dunkl_residual``, ``probability_density`` and ``sampled_parity_defect``
+take a float or an ndarray of x: floats in, floats out, with no NumPy
+call on the float path.  An ndarray is evaluated as one grid, so the
+functions of the system and of psi must then accept it too, and every
+entry equals the per-float call bit for bit (powers go through
+``libm.power``).  A grid is rejected, with the per-point message, if
+any of its points fails a guard.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ContractError, DomainError
+from .libm import power
 from .numerics import QuadratureResult, derivative, integrate_real_line
 
 ADMISSIBLE_OK = "ok"
@@ -145,31 +154,39 @@ def dunkl_apply_function(f: ParityFunction, params: DunklParams) -> ParityFuncti
     return ParityFunction(f=val, f1=d1, parity=-f.parity)
 
 
-def _residual_terms(system: DunklSystem, psi: ParityFunction, E: float, x: float):
+def _any_zero(x) -> bool:
+    """x == 0 for a float, or at any entry of an ndarray."""
+    return bool(np.any(x == 0)) if isinstance(x, np.ndarray) else x == 0
+
+
+def _residual_terms(system: DunklSystem, psi: ParityFunction, E: float, x):
     nu, delta, mu = system.params.nu, system.params.delta, system.params.mu
     m = system.mass.m(x)
     m1 = system.mass.m1(x)
-    if m == 0:
+    if _any_zero(m):
         raise DomainError("dunkl_residual: mass vanishes at evaluation point")
     kin = psi.second_derivative(x) / (2 * m)
-    coeff1 = (-m1 / (2 * m**2) + nu / (m * x) - nu * delta / (2 * m * x)
+    m_sq = power(m, 2)
+    x_sq = power(x, 2)
+    coeff1 = (-m1 / (2 * m_sq) + nu / (m * x) - nu * delta / (2 * m * x)
               + nu * delta / (2 * mu * m * x))
-    coeff0 = (-nu / (2 * m * x**2) - nu * m1 / (2 * m**2 * x)
-              + nu * delta / (2 * m * x**2) + nu * delta * m1 / (2 * m**2 * x)
-              + nu**2 / (2 * m * x**2) - nu**2 * delta / (2 * m * x**2)
-              + nu**2 * delta / (2 * mu * m * x**2) - nu**2 / (2 * mu * m * x**2)
+    coeff0 = (-nu / (2 * m * x_sq) - nu * m1 / (2 * m_sq * x)
+              + nu * delta / (2 * m * x_sq) + nu * delta * m1 / (2 * m_sq * x)
+              + nu**2 / (2 * m * x_sq) - nu**2 * delta / (2 * m * x_sq)
+              + nu**2 * delta / (2 * mu * m * x_sq) - nu**2 / (2 * mu * m * x_sq)
               + E - system.potential.v(E, x))
     return kin, coeff1 * psi.f1(x), coeff0 * psi.f(x)
 
 
-def dunkl_residual(system: DunklSystem, psi: ParityFunction, E: float, x: float,
-                   relative: bool = False) -> float:
+def dunkl_residual(system: DunklSystem, psi: ParityFunction, E: float, x,
+                   relative: bool = False):
     """Residual of the expanded governing equation at x (zero on solutions).
 
     With ``relative=True`` the residual is divided by the local scale,
-    the sum of the magnitudes of the three contributing terms.
+    the sum of the magnitudes of the three contributing terms (where
+    that sum is positive).
     """
-    if x == 0:
+    if _any_zero(x):
         raise DomainError("dunkl_residual: x = 0 is outside the domain")
     if psi.parity != system.params.delta:
         raise ContractError("dunkl_residual: solution parity must match delta")
@@ -178,19 +195,31 @@ def dunkl_residual(system: DunklSystem, psi: ParityFunction, E: float, x: float,
     if not relative:
         return res
     scale = abs(kin) + abs(t1) + abs(t0)
+    if isinstance(res, np.ndarray):
+        return np.divide(res, scale, out=res.copy(), where=scale > 0)
     return res / scale if scale > 0 else res
 
 
-def probability_density(system: DunklSystem, psi: ParityFunction, E: float, x: float) -> float:
+def probability_density(system: DunklSystem, psi: ParityFunction, E: float, x):
     """Modified probability density |psi|^2 |x|^w (1 - dV/dE)."""
-    if x == 0:
+    # The quadrature integrand of every norm: the float path stays lean.
+    grid = isinstance(x, np.ndarray)
+    if np.any(x == 0) if grid else x == 0:
         raise DomainError("probability_density: x = 0 is outside the domain")
     w = weight_exponent(system.params)
     val = psi.f(x)
     amp2 = val * val
+    # Far tail: the amplitude underflows before any growing factor of
+    # the energy derivative can overflow; the density is zero there,
+    # and dV/dE is evaluated only where the amplitude survives.
+    if grid:
+        live = amp2 != 0.0
+        xs = x[live]
+        density = np.zeros_like(amp2)
+        density[live] = (amp2[live] * power(np.abs(xs), w)
+                         * (1.0 - system.potential.dv_dE(E, xs)))
+        return density
     if amp2 == 0.0:
-        # Far tail: the amplitude underflows before any growing factor
-        # of the energy derivative can overflow; the density is zero.
         return 0.0
     return amp2 * abs(x) ** w * (1.0 - system.potential.dv_dE(E, x))
 
@@ -207,9 +236,14 @@ def modified_norm(system: DunklSystem, psi: ParityFunction, E: float,
 
 
 def sampled_parity_defect(f: ParityFunction, xs) -> float:
-    """Max |f(-x) - parity * f(x)| over sampled x > 0 (test helper)."""
+    """Max |f(-x) - parity * f(x)| over the sampled x > 0 (0.0 if none).
+
+    ``verify`` reports it as the parity_defect check.  f is evaluated
+    once on the positive samples and once on their reflections, so it
+    must accept an ndarray; a NaN defect is returned as NaN.
+    """
     xs = np.asarray(xs, dtype=float)
-    worst = 0.0
-    for x in xs[xs > 0]:
-        worst = max(worst, abs(f.f(-x) - f.parity * f.f(x)))
-    return worst
+    xs = xs[xs > 0]
+    if not xs.size:
+        return 0.0
+    return float(np.max(np.abs(f.f(-xs) - f.parity * f.f(xs))))

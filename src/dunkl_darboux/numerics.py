@@ -1,4 +1,4 @@
-"""Grid containers, finite-difference derivatives and real-line quadrature.
+"""Finite-difference derivatives and real-line quadrature.
 
 Step-size defaults balance truncation against rounding at double
 precision; every stencil applies one Richardson extrapolation step.
@@ -27,32 +27,6 @@ from .libm import power
 DEFAULT_SPATIAL_STEP_SCALE = 1e-4
 DEFAULT_PARAM_STEP_SCALE = 1e-5
 QUAD_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class GridFunction:
-    """Function sampled on a strictly increasing 1-D grid."""
-
-    nodes: np.ndarray
-    values: np.ndarray
-    deriv_values: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "values", values)
-        if nodes.ndim != 1 or values.shape != nodes.shape:
-            raise DomainError("GridFunction: nodes and values must be 1-D and equal length")
-        if not np.all(np.diff(nodes) > 0):
-            raise DomainError("GridFunction: nodes must be strictly increasing")
-        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(values))):
-            raise DomainError("GridFunction: entries must be finite")
-        if self.deriv_values is not None:
-            dv = np.asarray(self.deriv_values, dtype=float)
-            object.__setattr__(self, "deriv_values", dv)
-            if dv.shape != nodes.shape or not np.all(np.isfinite(dv)):
-                raise DomainError("GridFunction: derivative samples invalid")
 
 
 @dataclass(frozen=True)

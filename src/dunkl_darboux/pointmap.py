@@ -6,6 +6,13 @@ a conventional equation with an induced potential.  Coordinate changes
 carry analytic derivatives up to third order, because the induced
 potential needs x''' and numerical third derivatives would dominate
 the error budget.
+
+The maps of ``sqrt_map`` and ``exp_map``, ``induced_potential`` and
+``energy_relation_residual`` take a float or an ndarray of y: floats
+in, floats out, with no NumPy call on the float path.  An ndarray is
+evaluated as one grid (the mass and potential must then accept it
+too), every entry equals the per-float call bit for bit, and the grid
+is rejected, with the per-point message, if any point fails a guard.
 """
 
 from __future__ import annotations
@@ -14,7 +21,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
+import numpy as np
+
 from .errors import DomainError
+from .libm import exp, log, power
 from .model import DunklParams, EnergyPotential, MassProfile, ParityFunction
 from .numerics import parameter_derivative
 
@@ -46,13 +56,19 @@ class SchrodingerForm:
     epsilon_shift: float = 0.0
 
 
+def _sqrt(y):
+    # np.sqrt is correctly rounded like math.sqrt, but it turns a float
+    # into an np.float64, whose ** is NumPy's power rather than libm's.
+    return np.sqrt(y) if isinstance(y, np.ndarray) else math.sqrt(y)
+
+
 def sqrt_map() -> CoordinateChange:
     """x = sqrt(y) on y > 0 (positive branch; parity extends to x < 0)."""
     return CoordinateChange(
-        x_of_y=math.sqrt,
-        d1=lambda y: 0.5 * y ** -0.5,
-        d2=lambda y: -0.25 * y ** -1.5,
-        d3=lambda y: 0.375 * y ** -2.5,
+        x_of_y=_sqrt,
+        d1=lambda y: 0.5 * power(y, -0.5),
+        d2=lambda y: -0.25 * power(y, -1.5),
+        d3=lambda y: 0.375 * power(y, -2.5),
         y_of_x=lambda x: x * x,
         domain_y=(0.0, math.inf),
     )
@@ -61,11 +77,11 @@ def sqrt_map() -> CoordinateChange:
 def exp_map() -> CoordinateChange:
     """x = exp(y) on the whole line, mapping onto x > 0."""
     return CoordinateChange(
-        x_of_y=math.exp,
-        d1=math.exp,
-        d2=math.exp,
-        d3=math.exp,
-        y_of_x=math.log,
+        x_of_y=exp,
+        d1=exp,
+        d2=exp,
+        d3=exp,
+        y_of_x=log,
         domain_y=(-math.inf, math.inf),
     )
 
@@ -120,10 +136,12 @@ def induced_potential(coord: CoordinateChange, mass: MassProfile,
     geometric and mass-gradient term is written out explicitly.
     """
     x = coord.x_of_y(y)
-    if abs(x) < COORD_SINGULARITY_GUARD:
+    grid = isinstance(x, np.ndarray)
+    if (np.any(np.abs(x) < COORD_SINGULARITY_GUARD) if grid
+            else abs(x) < COORD_SINGULARITY_GUARD):
         raise DomainError("induced_potential: too close to the coordinate singularity")
     xp = coord.d1(y)
-    if xp == 0:
+    if np.any(xp == 0) if grid else (xp == 0):
         raise DomainError("induced_potential: coordinate change not invertible here")
     xpp = coord.d2(y)
     xppp = coord.d3(y)
@@ -133,18 +151,19 @@ def induced_potential(coord: CoordinateChange, mass: MassProfile,
     nu, delta, mu = params.nu, params.delta, params.mu
     v = potential.v(E, x)
     xp2 = xp * xp
+    x_sq = power(x, 2)
     return (E
             - 2 * E * m * xp2
             + 2 * m * v * xp2
-            - delta * nu * xp2 / (2 * x**2)
-            - delta * nu * xp2 / (2 * mu * x**2)
-            + nu**2 * xp2 / (2 * x**2)
-            + nu**2 * xp2 / (2 * mu * x**2)
+            - delta * nu * xp2 / (2 * x_sq)
+            - delta * nu * xp2 / (2 * mu * x_sq)
+            + nu**2 * xp2 / (2 * x_sq)
+            + nu**2 * xp2 / (2 * mu * x_sq)
             - delta * nu * m1 * xp2 / (2 * m * x)
             - delta * nu * m1 * xp2 / (2 * mu * m * x)
-            + 3 * m1**2 * xp2 / (4 * m * m)
+            + 3 * power(m1, 2) * xp2 / (4 * m * m)
             - m2 * xp2 / (2 * m)
-            + 3 * xpp**2 / (4 * xp2)
+            + 3 * power(xpp, 2) / (4 * xp2)
             - xppp / (2 * xp))
 
 
@@ -160,5 +179,5 @@ def energy_relation_residual(coord: CoordinateChange, mass: MassProfile,
     du_dE = parameter_derivative(
         lambda e, yy: induced_potential(coord, mass, potential, params, e, yy), E, y)
     x = coord.x_of_y(y)
-    rhs = 2 * mass.m(x) * coord.d1(y) ** 2 * (1.0 - potential.dv_dE(E, x))
+    rhs = 2 * mass.m(x) * power(coord.d1(y), 2) * (1.0 - potential.dv_dE(E, x))
     return (1.0 - du_dE) - rhs

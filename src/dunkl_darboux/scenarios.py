@@ -35,7 +35,8 @@ from .model import (DunklParams, DunklSystem, EnergyPotential, MassProfile,
                     ParityFunction)
 from .numerics import parameter_derivative
 from .pointmap import CoordinateChange, SchrodingerForm, exp_map, sqrt_map
-from .specfun import assoc_laguerre, assoc_laguerre_grid, bessel_i, kummer_m
+from .specfun import (assoc_laguerre, assoc_laguerre_grid, bessel_i, kummer_m,
+                      kummer_m_grid)
 
 SCENARIO_NAMES = ("gaussian-mass", "harmonic-energy", "harmonic-energy-pdm")
 
@@ -60,18 +61,22 @@ def monomial_exponent(params: DunklParams) -> float:
 
 
 def _parity_extend(core, core1, core2, delta: int) -> ParityFunction:
-    """Extend a half-line closed form to the punctured line by parity."""
+    """Extend a half-line closed form to the punctured line by parity.
 
-    def f(x: float) -> float:
-        return core(x) if x > 0 else delta * core(-x)
+    The extended functions take a float or an ndarray of x; on an
+    ndarray the core is evaluated once, on the reflected grid.
+    """
 
-    def f1(x: float) -> float:
-        return core1(x) if x > 0 else -delta * core1(-x)
+    def extend(fn, sign):
+        def ext(x):
+            if isinstance(x, np.ndarray):
+                pos = x > 0
+                return np.where(pos, 1.0, sign) * fn(np.where(pos, x, -x))
+            return fn(x) if x > 0 else sign * fn(-x)
+        return ext
 
-    def f2(x: float) -> float:
-        return core2(x) if x > 0 else delta * core2(-x)
-
-    return ParityFunction(f=f, f1=f1, f2=f2, parity=delta)
+    return ParityFunction(f=extend(core, delta), f1=extend(core1, -delta),
+                          f2=extend(core2, delta), parity=delta)
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +94,7 @@ class ScenarioGaussianMass:
         p, q = self.p, self.q
 
         def m(x):
-            return p * math.exp(-q * x * x)
+            return p * exp(-q * x * x)
 
         return MassProfile(
             m=m,
@@ -101,8 +106,8 @@ class ScenarioGaussianMass:
     def potential(self) -> EnergyPotential:
         p, q = self.p, self.q
         return EnergyPotential(
-            v=lambda E, x: E - 2 * p * E * math.exp(q * x * x) - 0.5 * p * math.exp(q * x * x),
-            dv_dE=lambda E, x: 1.0 - 2 * p * math.exp(q * x * x),
+            v=lambda E, x: E - 2 * p * E * exp(q * x * x) - 0.5 * p * exp(q * x * x),
+            dv_dE=lambda E, x: 1.0 - 2 * p * exp(q * x * x),
         )
 
     def coord(self) -> CoordinateChange:
@@ -124,7 +129,8 @@ def gaussian_solution_function(params: DunklParams, E: float) -> ParityFunction:
     """Decaying-form bound-state candidate for the gaussian-mass scenario.
 
     e^{-x^2} x^s M(a; b; x^2) with analytic derivatives via the Kummer
-    contiguous rule dM/dz = (a/b) M(a+1; b+1; z).
+    contiguous rule dM/dz = (a/b) M(a+1; b+1; z).  f, f1 and f2 accept
+    a float or an ndarray of x.
     """
     if not gaussian_admissible(params):
         raise ContractError(f"(delta, nu) = ({params.delta}, {params.nu}) not admissible")
@@ -133,34 +139,35 @@ def gaussian_solution_function(params: DunklParams, E: float) -> ParityFunction:
     a = 0.5 - E + 0.5 * params.delta * params.nu + 0.25 * r
     b = 1.0 + 0.5 * r
 
-    def u(z):
-        return kummer_m(a, b, z).value
+    u = _kummer(a, b)
+    u_next = _kummer(a + 1, b + 1)
+    u_next2 = _kummer(a + 2, b + 2)
 
     def up(z):
-        return (a / b) * kummer_m(a + 1, b + 1, z).value
+        return (a / b) * u_next(z)
 
     def upp(z):
-        return (a * (a + 1)) / (b * (b + 1)) * kummer_m(a + 2, b + 2, z).value
+        return (a * (a + 1)) / (b * (b + 1)) * u_next2(z)
 
     def g(x):
-        return x**s * u(x * x)
+        return power(x, s) * u(x * x)
 
     def g1(x):
-        return s * x**(s - 1) * u(x * x) + 2 * x**(s + 1) * up(x * x)
+        return s * power(x, s - 1) * u(x * x) + 2 * power(x, s + 1) * up(x * x)
 
     def g2(x):
-        return (s * (s - 1) * x**(s - 2) * u(x * x)
-                + (4 * s + 2) * x**s * up(x * x)
-                + 4 * x**(s + 2) * upp(x * x))
+        return (s * (s - 1) * power(x, s - 2) * u(x * x)
+                + (4 * s + 2) * power(x, s) * up(x * x)
+                + 4 * power(x, s + 2) * upp(x * x))
 
     def core(x):
-        return math.exp(-x * x) * g(x)
+        return exp(-x * x) * g(x)
 
     def core1(x):
-        return math.exp(-x * x) * (g1(x) - 2 * x * g(x))
+        return exp(-x * x) * (g1(x) - 2 * x * g(x))
 
     def core2(x):
-        return math.exp(-x * x) * (g2(x) - 4 * x * g1(x) + (4 * x * x - 2) * g(x))
+        return exp(-x * x) * (g2(x) - 4 * x * g1(x) + (4 * x * x - 2) * g(x))
 
     return _parity_extend(core, core1, core2, params.delta)
 
@@ -296,7 +303,7 @@ class ScenarioHarmonicEnergyPdm:
 
     def potential(self) -> EnergyPotential:
         return EnergyPotential(
-            v=lambda E, x: E + 1.0 / E - E / (x * x) - 2.0 / x**4,
+            v=lambda E, x: E + 1.0 / E - E / (x * x) - 2.0 / power(x, 4),
             dv_dE=lambda E, x: 1.0 - 1.0 / (E * E) - 1.0 / (x * x),
         )
 
@@ -314,6 +321,17 @@ def pdm_equivalence_nu(nu_bar: float, delta_bar: int, delta: int) -> float:
     """
     radicand = 9.0 - 4.0 * delta_bar * nu_bar + 4.0 * nu_bar**2
     return 1.5 * delta + 0.5 * math.sqrt(radicand)
+
+
+def _kummer(a: float, b: float):
+    """z -> M(a; b; z) for a float z, or elementwise for an ndarray z."""
+
+    def m(z):
+        if isinstance(z, np.ndarray):
+            return kummer_m_grid(a, b, z).values
+        return kummer_m(a, b, z).value
+
+    return m
 
 
 def _laguerre(degree: float, alpha: float):
@@ -342,7 +360,8 @@ def harmonic_initial_solution_function(params: DunklParams, E: float) -> ParityF
 
     e^{-x^2/(2 sqrt(E))} x^s L_d^alpha(x^2/sqrt(E)); the exponential
     carries the decaying sign, fixed by the residual check (the printed
-    growing sign does not solve the equation).
+    growing sign does not solve the equation).  f, f1 and f2 accept a
+    float or an ndarray of x.
     """
     if E <= 0:
         raise DomainError("harmonic_initial_solution: E must be positive")
@@ -354,25 +373,26 @@ def harmonic_initial_solution_function(params: DunklParams, E: float) -> ParityF
     u, up, upp = _laguerre_trio(degree, alpha)
 
     def g(x):
-        return x**s * u(beta * x * x)
+        return power(x, s) * u(beta * x * x)
 
     def g1(x):
-        return s * x**(s - 1) * u(beta * x * x) + 2 * beta * x**(s + 1) * up(beta * x * x)
+        return (s * power(x, s - 1) * u(beta * x * x)
+                + 2 * beta * power(x, s + 1) * up(beta * x * x))
 
     def g2(x):
         z = beta * x * x
-        return (s * (s - 1) * x**(s - 2) * u(z)
-                + (4 * s + 2) * beta * x**s * up(z)
-                + 4 * beta * beta * x**(s + 2) * upp(z))
+        return (s * (s - 1) * power(x, s - 2) * u(z)
+                + (4 * s + 2) * beta * power(x, s) * up(z)
+                + 4 * beta * beta * power(x, s + 2) * upp(z))
 
     def core(x):
-        return math.exp(-0.5 * beta * x * x) * g(x)
+        return exp(-0.5 * beta * x * x) * g(x)
 
     def core1(x):
-        return math.exp(-0.5 * beta * x * x) * (g1(x) - beta * x * g(x))
+        return exp(-0.5 * beta * x * x) * (g1(x) - beta * x * g(x))
 
     def core2(x):
-        return math.exp(-0.5 * beta * x * x) * (
+        return exp(-0.5 * beta * x * x) * (
             g2(x) - 2 * beta * x * g1(x) + (beta * beta * x * x - beta) * g(x))
 
     return _parity_extend(core, core1, core2, params.delta)

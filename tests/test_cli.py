@@ -4,11 +4,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dunkl_darboux
+from dunkl_darboux import cli
 from dunkl_darboux.cli import (EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION,
                                RunConfig, UsageError, _fmt, _grid, _merge,
                                _tolerance, run)
@@ -60,6 +63,49 @@ def test_verify_fails_under_impossible_tolerance(monkeypatch, capsys):
                 "--nu", "0.5", "--delta", "-1"])
     assert code == EXIT_VERIFICATION
     assert "overall: FAIL" in capsys.readouterr().out
+
+
+def _nan_at(fn, node):
+    """fn, but NaN at the grid point ``node`` (fn takes an ndarray)."""
+    return lambda x: np.where(x == node, np.nan, fn(x))
+
+
+def test_verify_fails_on_nan_psi_at_interior_node(monkeypatch, capsys):
+    # A NaN residual at one node must print nan and FAIL; a running
+    # max(worst, r) from 0.0 would drop it and report PASS.
+    node = np.linspace(0.1, 4.0, 400)[200]
+    real = cli.harmonic_initial_solution_function
+
+    def broken(params, E):
+        psi = real(params, E)
+        return replace(psi, f=_nan_at(psi.f, node))
+
+    monkeypatch.setattr(cli, "harmonic_initial_solution_function", broken)
+    code = run(["verify", "--scenario", "harmonic-energy",
+                "--nu", "2.5", "--delta", "-1"])
+    out = capsys.readouterr().out
+    assert code == EXIT_VERIFICATION
+    assert "FAIL  dunkl_residual: max residual nan" in out
+    assert "FAIL  parity_defect: max residual nan" in out
+    assert "PASS  mapped_equation_residual" in out
+
+
+def test_verify_fails_on_nan_mapped_solution(monkeypatch, capsys):
+    node = np.linspace(-2.0, 1.0, 100)[40]
+    real = cli.mapped_initial_solution
+
+    def broken(params, E):
+        phi = real(params, E)
+        return replace(phi, f=_nan_at(phi.f, node))
+
+    monkeypatch.setattr(cli, "mapped_initial_solution", broken)
+    code = run(["verify", "--scenario", "harmonic-energy",
+                "--nu", "2.5", "--delta", "-1", "--format", "json"])
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert code == EXIT_VERIFICATION
+    assert checks["mapped_equation_residual"]["max_residual"] == "nan"
+    assert checks["mapped_equation_residual"]["pass"] is False
+    assert checks["dunkl_residual"]["pass"] is True
 
 
 def test_tolerance_env_validation(monkeypatch):

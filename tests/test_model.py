@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from dunkl_darboux.errors import ContractError, DomainError
+from dunkl_darboux.libm import exp
 from dunkl_darboux.model import (DunklParams, DunklSystem, EnergyPotential,
                                  MassProfile, ParityFunction, admissible,
                                  dunkl_apply, dunkl_apply_function,
@@ -49,14 +50,14 @@ def _constant_mass_residual(v, nu, delta, E, psi, x):
 def _smooth_state(delta):
     if delta == -1:
         return ParityFunction(
-            f=lambda x: x * math.exp(-0.3 * x * x),
-            f1=lambda x: (1 - 0.6 * x * x) * math.exp(-0.3 * x * x),
-            f2=lambda x: (-1.8 * x + 0.36 * x**3) * math.exp(-0.3 * x * x),
+            f=lambda x: x * exp(-0.3 * x * x),
+            f1=lambda x: (1 - 0.6 * x * x) * exp(-0.3 * x * x),
+            f2=lambda x: (-1.8 * x + 0.36 * x**3) * exp(-0.3 * x * x),
             parity=-1)
     return ParityFunction(
-        f=lambda x: math.exp(-0.3 * x * x),
-        f1=lambda x: -0.6 * x * math.exp(-0.3 * x * x),
-        f2=lambda x: (0.36 * x * x - 0.6) * math.exp(-0.3 * x * x),
+        f=lambda x: exp(-0.3 * x * x),
+        f1=lambda x: -0.6 * x * exp(-0.3 * x * x),
+        f2=lambda x: (0.36 * x * x - 0.6) * exp(-0.3 * x * x),
         parity=1)
 
 

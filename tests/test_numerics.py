@@ -7,7 +7,7 @@ import pytest
 
 from dunkl_darboux.errors import AccuracyError, DomainError, EvaluationError
 from dunkl_darboux.libm import exp
-from dunkl_darboux.numerics import (GridFunction, QuadratureResult, derivative,
+from dunkl_darboux.numerics import (QuadratureResult, derivative,
                                     integrate_real_line, parameter_derivative)
 
 
@@ -83,18 +83,6 @@ def test_integrate_flags_nonfinite():
 def test_integrate_nonconvergent_raises_accuracy():
     with pytest.raises(AccuracyError):
         integrate_real_line(lambda x: math.cos(x) / (1.0 + abs(x)) ** 0.6)
-
-
-def test_grid_function_validation():
-    nodes = np.linspace(0.0, 1.0, 5)
-    gf = GridFunction(nodes=nodes, values=np.sin(nodes))
-    assert gf.values.shape == nodes.shape
-    with pytest.raises(DomainError):
-        GridFunction(nodes=nodes[::-1], values=np.sin(nodes))
-    with pytest.raises(DomainError):
-        GridFunction(nodes=nodes, values=np.append(np.sin(nodes[:-1]), np.nan))
-    with pytest.raises(DomainError):
-        GridFunction(nodes=nodes, values=np.zeros(3))
 
 
 def test_quadrature_result_validation():

@@ -12,13 +12,14 @@ Parity is carried as explicit metadata on functions: it is a modeling
 assumption, not a detected property.  The domain is the punctured line;
 evaluation at x = 0 is rejected rather than regularized.
 
-``dunkl_residual``, ``probability_density`` and ``sampled_parity_defect``
-take a float or an ndarray of x: floats in, floats out, with no NumPy
-call on the float path.  An ndarray is evaluated as one grid, so the
-functions of the system and of psi must then accept it too, and every
-entry equals the per-float call bit for bit (powers go through
-``libm.power``).  A grid is rejected, with the per-point message, if
-any of its points fails a guard.
+``dunkl_residual`` and ``probability_density`` take a float or an
+ndarray of x: floats in, floats out, with no NumPy call on the float
+path.  An ndarray is evaluated as one grid, so the functions of the
+system and of psi must then accept it too, and every entry equals the
+per-float call bit for bit (powers go through ``libm.power``).  A grid
+is rejected, with the per-point message, if any of its points fails a
+guard.  ``sampled_parity_defect`` evaluates f on all its samples at
+once.
 """
 
 from __future__ import annotations

@@ -49,7 +49,7 @@ def _rarely(common, rare):
     return st.integers(0, 9).flatmap(lambda k: st.just(rare) if k == 0 else common)
 
 
-def _settings(scenario, nu, delta, n, rule):
+def _solvable(scenario, nu, delta, n, rule):
     """(scenario, params, E, psi) of a solvable scenario."""
     params = DunklParams(nu=nu, delta=delta, mu=1)
     E = bound_state_energy(n, params, rule)
@@ -79,7 +79,7 @@ _EXTRA = _rarely(_rarely(st.just([]), [0.0]), [30.0])
 @given(scenario=_SOLVABLE, nu=_NU, delta=_DELTA, n=_N, rule=_RULE,
        xs=_XS, extra=_rarely(st.just([]), [30.0]))
 def test_solution_closures_grid_equals_points(scenario, nu, delta, n, rule, xs, extra):
-    _, _, _, psi = _settings(scenario, nu, delta, n, rule)
+    _, _, _, psi = _solvable(scenario, nu, delta, n, rule)
     for fn in (psi.f, psi.f1, psi.f2):
         _assert_grid_matches_points(fn, xs + extra)
 
@@ -88,7 +88,7 @@ def test_solution_closures_grid_equals_points(scenario, nu, delta, n, rule, xs, 
 @given(scenario=_SOLVABLE, nu=_NU, delta=_DELTA, n=_N, rule=_RULE,
        xs=_XS, extra=_EXTRA)
 def test_dunkl_residual_grid_equals_points(scenario, nu, delta, n, rule, xs, extra):
-    sc, params, E, psi = _settings(scenario, nu, delta, n, rule)
+    sc, params, E, psi = _solvable(scenario, nu, delta, n, rule)
     system = sc.system(params)
     for relative in (False, True):
         _assert_grid_matches_points(
@@ -99,7 +99,7 @@ def test_dunkl_residual_grid_equals_points(scenario, nu, delta, n, rule, xs, ext
 @given(scenario=_SOLVABLE, nu=_NU, delta=_DELTA, n=_N, rule=_RULE,
        xs=_XS, extra=_EXTRA)
 def test_probability_density_grid_equals_points(scenario, nu, delta, n, rule, xs, extra):
-    sc, params, E, psi = _settings(scenario, nu, delta, n, rule)
+    sc, params, E, psi = _solvable(scenario, nu, delta, n, rule)
     system = sc.system(params)
     _assert_grid_matches_points(lambda x: probability_density(system, psi, E, x),
                                 xs + extra)
@@ -112,7 +112,7 @@ def test_probability_density_far_tail_grid(nu, delta, n, tail):
     # At these nu, ene0 makes the Kummer factor an exact polynomial, so
     # there is no range guard; past x ~ 27 |psi|^2 underflows while
     # dV/dE would overflow
-    sc, params, E, psi = _settings("gaussian-mass", nu, delta, n, "ene0")
+    sc, params, E, psi = _solvable("gaussian-mass", nu, delta, n, "ene0")
     system = sc.system(params)
     xs = [1.0] + tail + [-x for x in tail]
     _assert_grid_matches_points(lambda x: probability_density(system, psi, E, x), xs)
@@ -145,7 +145,7 @@ def test_pointmap_grid_equals_points(scenario, coord, nu, delta, n, rule):
 
 
 def test_grid_guards_match_point_messages():
-    sc, params, E, psi = _settings("gaussian-mass", 0.5, -1, 0, "ene1")
+    sc, params, E, psi = _solvable("gaussian-mass", 0.5, -1, 0, "ene1")
     system = sc.system(params)
     grid = np.array([0.5, 0.0, 1.5])
     for fn in (lambda x: dunkl_residual(system, psi, E, x),

@@ -316,6 +316,8 @@ def build_confluent_chain(family: Callable[[float, float], float],
     u_1 is the family at eps1; u_2 is its parametric derivative there
     (value and y-derivative channels), which solves the Jordan-chain
     equation exactly when the family solves the background equation.
+    The family is evaluated on the whole validation grid at once, so it
+    must accept arrays of y.
     """
     if order != 2:
         raise CapabilityError("only second-order confluent chains are supported")
@@ -333,8 +335,8 @@ def build_confluent_chain(family: Callable[[float, float], float],
         return parameter_derivative(family_dy, eps1, y, h_eps)
 
     grid = np.asarray(validation_grid, dtype=float)
-    scale1 = max(abs(u1(float(y))) for y in grid)
-    scale2 = max(abs(u2(float(y))) for y in grid)
+    scale1 = np.max(abs(u1(grid)))
+    scale2 = np.max(abs(u2(grid)))
     if scale2 < 1e-12 * max(scale1, 1.0):
         raise ConstructionError("family does not depend on eps: degenerate chain")
 

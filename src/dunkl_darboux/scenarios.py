@@ -323,23 +323,55 @@ def pdm_equivalence_nu(nu_bar: float, delta_bar: int, delta: int) -> float:
     return 1.5 * delta + 0.5 * math.sqrt(radicand)
 
 
+def _last_grid(evaluate):
+    """z -> evaluate(z).values for an ndarray z, reusing the last grid's values.
+
+    The key is a copy of the grid's dtype, shape and exact bytes (so
+    -0.0 is not 0.0, and a grid changed in place is evaluated afresh);
+    a grid that fails a guard is never stored.  Hits share one array,
+    so it is made read-only.
+    """
+    last_key = last_values = None
+
+    def get(z):
+        nonlocal last_key, last_values
+        key = (z.dtype.str, z.shape, z.tobytes())
+        if key != last_key:
+            values = evaluate(z).values
+            values.flags.writeable = False
+            last_key, last_values = key, values
+        return last_values
+
+    return get
+
+
 def _kummer(a: float, b: float):
-    """z -> M(a; b; z) for a float z, or elementwise for an ndarray z."""
+    """z -> M(a; b; z) for a float z, or elementwise for an ndarray z.
+
+    A float takes the scalar routine, with no memo.  An ndarray with the
+    same bytes as the previous one gets the previous values back, so the
+    solutions and chain members built on one closure share the factor.
+    """
+    grid = _last_grid(lambda z: kummer_m_grid(a, b, z))
 
     def m(z):
         if isinstance(z, np.ndarray):
-            return kummer_m_grid(a, b, z).values
+            return grid(z)
         return kummer_m(a, b, z).value
 
     return m
 
 
 def _laguerre(degree: float, alpha: float):
-    """z -> L_degree^alpha(z) for a float z, or elementwise for an ndarray z."""
+    """z -> L_degree^alpha(z) for a float z, or elementwise for an ndarray z.
+
+    Floats and ndarrays are handled as in ``_kummer``.
+    """
+    grid = _last_grid(lambda z: assoc_laguerre_grid(degree, alpha, z))
 
     def lag(z):
         if isinstance(z, np.ndarray):
-            return assoc_laguerre_grid(degree, alpha, z).values
+            return grid(z)
         return assoc_laguerre(degree, alpha, z).value
 
     return lag
@@ -499,23 +531,34 @@ def confluent_solution_family(E: float):
 
     Returns (value, y-derivative) callables of (eps, y), with y a float
     or an ndarray; the indices of the Laguerre factor vary smoothly
-    with eps.
+    with eps.  The two Laguerre factors are made once per eps, so both
+    callables share their last-grid memos at every probe eps.
     """
     beta = 1.0 / math.sqrt(E)
     c = 0.25 * E**1.5
 
+    factors = {}
+
+    def laguerre_pair(eps):
+        """(r1, L_d^alpha, L_{d-1}^{alpha+1}) at eps, made once per eps."""
+        pair = factors.get(eps)
+        if pair is None:
+            r1 = math.sqrt(1.0 - 4.0 * eps)
+            degree = -0.5 + c - 0.25 * r1
+            pair = factors[eps] = (r1, _laguerre(degree, 0.5 * r1),
+                                   _laguerre(degree - 1, 0.5 * r1 + 1.0))
+        return pair
+
     def family(eps, y):
-        r1 = math.sqrt(1.0 - 4.0 * eps)
-        degree = -0.5 + c - 0.25 * r1
+        r1, lag, _ = laguerre_pair(eps)
         z = beta * exp(2 * y)
-        return exp(-0.5 * z + 0.5 * r1 * y) * _laguerre(degree, 0.5 * r1)(z)
+        return exp(-0.5 * z + 0.5 * r1 * y) * lag(z)
 
     def family_dy(eps, y):
-        r1 = math.sqrt(1.0 - 4.0 * eps)
-        degree = -0.5 + c - 0.25 * r1
+        r1, lag, lower = laguerre_pair(eps)
         z = beta * exp(2 * y)
-        lz = _laguerre(degree, 0.5 * r1)(z)
-        lzp = -_laguerre(degree - 1, 0.5 * r1 + 1.0)(z)
+        lz = lag(z)
+        lzp = -lower(z)
         return (exp(-0.5 * z + 0.5 * r1 * y)
                 * ((0.5 * r1 - z) * lz + 2 * z * lzp))
 

@@ -108,6 +108,36 @@ def test_verify_fails_on_nan_mapped_solution(monkeypatch, capsys):
     assert checks["dunkl_residual"]["pass"] is True
 
 
+def test_reused_parser_matches_fresh_parser(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"params": {"nu": 0.5, "delta": -1, "rule": "ene0"}}))
+    sequence = [
+        ["spectrum", "--nu", "2.5", "--delta", "-1", "--rule", "ene1", "--n-max", "2"],
+        ["spectrum", "--nu", "2.5", "--delta", "-1", "--rule", "ene1"],  # --n-max 4
+        ["spectrum", "--bogus", "1"],
+        ["verify", "--scenario", "gaussian-mass", "--delta", "-1"],
+        ["spectrum", "--config", str(cfg)],
+        ["spectrum", "--nu", "1.5", "--delta", "1", "--rule", "ene0"],
+    ]
+
+    def outcome(argv):
+        code = run(argv)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    reused = [outcome(argv) for argv in sequence]
+    assert cli._PARSER is not None
+    fresh = []
+    for argv in sequence:
+        monkeypatch.setattr(cli, "_PARSER", None)
+        fresh.append(outcome(argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [EXIT_OK, EXIT_OK, EXIT_USAGE,
+                                               EXIT_USAGE, EXIT_OK, EXIT_OK]
+    assert len(reused[1][1].strip().split("\n")) == 6   # header + n = 0..4
+
+
 def test_tolerance_env_validation(monkeypatch):
     monkeypatch.setenv("DUNKL_DARBOUX_TOL", "not-a-number")
     with pytest.raises(UsageError):

@@ -192,8 +192,8 @@ def test_intertwining_confluent():
 def test_confluent_build_rejects_degenerate_family():
     form = _harmonic_oscillator_form()
     with pytest.raises(ConstructionError):
-        build_confluent_chain(lambda eps, y: math.exp(-0.5 * y * y),
-                              lambda eps, y: -y * math.exp(-0.5 * y * y),
+        build_confluent_chain(lambda eps, y: np.exp(-0.5 * y * y),
+                              lambda eps, y: -y * np.exp(-0.5 * y * y),
                               -1.0, form, 0.0, GRID)
 
 

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from dunkl_darboux.darboux import chain_residuals
+from dunkl_darboux import scenarios
+from dunkl_darboux.darboux import (chain_residuals, transformed_potential,
+                                   transformed_solution)
 from dunkl_darboux.errors import ContractError, DomainError
 from dunkl_darboux.model import DunklParams, dunkl_residual, modified_norm
 from dunkl_darboux.numerics import derivative
@@ -24,6 +26,7 @@ from dunkl_darboux.scenarios import (DUNKL_GRID, MAPPED_GRID,
                                      pdm_equivalence_nu, pipeline_hatpsi,
                                      pipeline_vhat, printed_bound_state,
                                      standard_chain_u12, standard_vhat_dE)
+from dunkl_darboux.specfun import assoc_laguerre, kummer_m
 
 NU_HALF_ODD = DunklParams(nu=0.5, delta=-1, mu=1)
 NU_HALF_EVEN = DunklParams(nu=0.5, delta=1, mu=1)
@@ -285,3 +288,64 @@ def test_pipeline_grid_equals_pointwise_bit_for_bit():
             assert isinstance(grid, np.ndarray)
             assert all(type(p) is float for p in points)
             assert bits(grid) == bits(points)
+
+
+def _count_grid_calls(monkeypatch) -> list:
+    """Record the parameters of every grid special-function call in scenarios."""
+    calls = []
+    for name in ("assoc_laguerre_grid", "kummer_m_grid"):
+        def counted(*args, _real=getattr(scenarios, name)):
+            calls.append(args[:-1])
+            return _real(*args)
+        monkeypatch.setattr(scenarios, name, counted)
+    return calls
+
+
+def test_chain_members_share_their_laguerre_factors(monkeypatch):
+    calls = _count_grid_calls(monkeypatch)
+    chain = standard_chain_u12(4.0, validate=False)
+    ys = np.linspace(-2.0, 1.0, 50)
+    transformed_potential(chain, ys)
+    # u1 and u1' share L_{c-1/2}^0, u2 and u2' share L_{c-1}^1
+    assert len(calls) == 4
+    transformed_solution(chain, mapped_initial_solution(TRANSFORM_PARAMS, 4.0), ys)
+    assert len(calls) == 6     # only phi's two factors are new
+
+
+@pytest.mark.parametrize("scenario", [ScenarioHarmonicEnergy(), ScenarioGaussianMass()])
+def test_relative_residual_evaluates_each_factor_once(monkeypatch, scenario):
+    calls = _count_grid_calls(monkeypatch)
+    if isinstance(scenario, ScenarioGaussianMass):
+        E = bound_state_energy(1, NU_HALF_ODD, "ene0")
+        system = scenario.system(NU_HALF_ODD)
+        psi = gaussian_solution_function(NU_HALF_ODD, E)
+    else:
+        E = bound_state_energy(1, TRANSFORM_PARAMS, "ene1")
+        system = scenario.system(TRANSFORM_PARAMS)
+        psi = harmonic_initial_solution_function(TRANSFORM_PARAMS, E)
+    dunkl_residual(system, psi, E, DUNKL_GRID, relative=True)
+    # f, f1 and f2 use three factors between them, each on one grid
+    assert len(calls) == 3
+    assert len(set(calls)) == 3
+
+
+@pytest.mark.parametrize("make, scalar", [
+    (lambda: scenarios._laguerre(0.7, 0.5), lambda z: assoc_laguerre(0.7, 0.5, z).value),
+    (lambda: scenarios._kummer(-0.3, 1.5), lambda z: kummer_m(-0.3, 1.5, z).value),
+])
+def test_factor_memo_keys_on_grid_bytes(monkeypatch, make, scalar):
+    calls = _count_grid_calls(monkeypatch)
+    factor = make()
+    z = np.linspace(0.0, 3.0, 7)
+    first = factor(z)
+    assert factor(z.copy()) is first and len(calls) == 1
+    with pytest.raises(ValueError):
+        first[0] = 1.0                       # shared result is read-only
+    z[3] = 5.0                               # the caller changes its grid in place
+    fresh = factor(z)
+    assert len(calls) == 2
+    assert fresh[3] == scalar(5.0) and first[3] == scalar(1.5)
+    factor(np.array([0.0]))
+    factor(np.array([-0.0]))                 # a different key
+    assert len(calls) == 4
+    assert factor(1.5) == scalar(1.5) and len(calls) == 4   # floats skip the memo

@@ -10,9 +10,9 @@ figure    emit the data series behind the documented figures 1-7
 
 All numeric output is deterministic for a given configuration: floats
 are formatted with 12 significant digits, CSV uses LF line endings, and
-JSON keys are sorted.  A JSON configuration file (--config) mirrors the
-RunConfig field names; explicit command-line flags override it.  The
-environment variable DUNKL_DARBOUX_TOL overrides the default
+JSON keys are sorted.  A JSON configuration file (--config), validated
+when read, holds the same settings as the flags; explicit flags override
+it.  The environment variable DUNKL_DARBOUX_TOL overrides the default
 verification tolerance.
 """
 
@@ -24,8 +24,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Callable, List, Optional, Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -35,15 +35,13 @@ from .libm import exp, power
 from .model import (DunklParams, dunkl_residual, modified_norm,
                     probability_density, sampled_parity_defect)
 from .numerics import derivative
-from .pointmap import energy_relation_residual, exp_map, induced_potential
+from .pointmap import energy_relation_residual, induced_potential
 from .scenarios import (ScenarioGaussianMass, ScenarioHarmonicEnergy,
                         ScenarioHarmonicEnergyPdm, bound_state_energy,
-                        confluent_chain, gaussian_solution_function,
-                        harmonic_initial_solution_function,
-                        mapped_initial_solution, pdm_equivalence_nu,
-                        pipeline_hatpsi, pipeline_vhat, printed_bound_state,
-                        standard_chain_order1, standard_chain_u12,
-                        standard_vhat_dE, SCENARIO_NAMES)
+                        confluent_chain, get_scenario, mapped_initial_solution,
+                        pdm_equivalence_nu, pipeline_hatpsi, pipeline_vhat,
+                        printed_bound_state, standard_chain_order1,
+                        standard_chain_u12, standard_vhat_dE, SCENARIO_NAMES)
 
 DEFAULT_TOL = 1e-6
 TOL_ENV_VAR = "DUNKL_DARBOUX_TOL"
@@ -59,7 +57,7 @@ EXIT_VERIFICATION = 2
 
 @dataclass
 class RunConfig:
-    """Flat view of the configuration groups a command runs from."""
+    """Settings a command runs from; the field names are also the flags' dests."""
 
     scenario: Optional[str] = None
     nu: Optional[float] = None
@@ -81,7 +79,28 @@ class UsageError(Exception):
     """Configuration or argument problem; maps to exit code 1."""
 
 
+# Section of the JSON config file -> {key: RunConfig field}; "" is the top
+# level.  Each value must fit its field's type (null leaves it unset).
+_FILE_KEYS = {
+    "": {"scenario": "scenario"},
+    "params": {"nu": "nu", "delta": "delta", "E": "energy", "n": "n", "rule": "rule"},
+    "grid": {"lo": "grid_lo", "hi": "grid_hi", "count": "grid_count"},
+    "chain": {"kind": "chain_kind", "order": "chain_order", "eps": "chain_eps"},
+    "output": {"format": "output_format", "path": "output_path"},
+}
+_KINDS = {str: "a string", float: "a number", int: "an integer",
+          List[float]: "a list of numbers"}
+
+
+def _fits(value, kind) -> bool:
+    if kind == List[float]:
+        return isinstance(value, list) and all(_fits(v, float) for v in value)
+    return (isinstance(value, (int, float) if kind is float else kind)
+            and not isinstance(value, bool))
+
+
 def _load_config_file(path: str) -> RunConfig:
+    """RunConfig from a JSON file laid out as ``_FILE_KEYS``, else UsageError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -89,42 +108,32 @@ def _load_config_file(path: str) -> RunConfig:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise UsageError("config file must contain a JSON object")
+    hints = get_type_hints(RunConfig)
     cfg = RunConfig()
-    cfg.scenario = raw.get("scenario")
-    params = raw.get("params", {})
-    cfg.nu = params.get("nu")
-    cfg.delta = params.get("delta")
-    cfg.energy = params.get("E")
-    cfg.n = params.get("n")
-    cfg.rule = params.get("rule")
-    grid = raw.get("grid", {})
-    cfg.grid_lo = grid.get("lo")
-    cfg.grid_hi = grid.get("hi")
-    cfg.grid_count = grid.get("count")
-    chain = raw.get("chain", {})
-    cfg.chain_kind = chain.get("kind")
-    cfg.chain_order = chain.get("order")
-    cfg.chain_eps = chain.get("eps")
-    output = raw.get("output", {})
-    cfg.output_format = output.get("format")
-    cfg.output_path = output.get("path")
+    for section, keys in _FILE_KEYS.items():
+        table = raw.get(section, {}) if section else raw
+        if not isinstance(table, dict):
+            raise UsageError(f"config: {section} must be an object")
+        for key, name in keys.items():
+            value = table.get(key)
+            kind = get_args(hints[name])[0]
+            if value is not None and not _fits(value, kind):
+                where = f"{section}.{key}" if section else key
+                raise UsageError(f"config: {where} must be {_KINDS[kind]}, "
+                                 f"got {value!r}")
+            setattr(cfg, name, value)
+    if cfg.output_format not in (None, "csv", "json"):
+        raise UsageError(f"config: output.format must be 'csv' or 'json', "
+                         f"got {cfg.output_format!r}")
     return cfg
 
 
 def _merge(config: RunConfig, args: argparse.Namespace) -> RunConfig:
     """Overlay explicitly given command-line values on the config file."""
-    pairs = (
-        ("scenario", "scenario"), ("nu", "nu"), ("delta", "delta"),
-        ("energy", "energy"), ("n", "n"), ("rule", "rule"),
-        ("grid_lo", "grid_lo"), ("grid_hi", "grid_hi"),
-        ("grid_count", "grid_count"), ("chain_kind", "kind"),
-        ("chain_order", "order"), ("output_format", "format"),
-        ("output_path", "out"),
-    )
-    for cfg_name, arg_name in pairs:
-        val = getattr(args, arg_name, None)
+    for f in fields(RunConfig):
+        val = getattr(args, f.name, None)
         if val is not None:
-            setattr(config, cfg_name, val)
+            setattr(config, f.name, val)
     return config
 
 
@@ -197,15 +206,12 @@ def _write_json(path: Optional[str], payload) -> None:
 
 def _emit_table(config: RunConfig, header: Sequence[str],
                 rows: Sequence[Sequence[float]]) -> None:
-    fmt = config.output_format or "csv"
-    if fmt == "csv":
-        _write_csv(config.output_path, header, rows)
-    elif fmt == "json":
+    if config.output_format == "json":
         payload = {"columns": list(header),
                    "rows": [[_fmt(v) for v in row] for row in rows]}
         _write_json(config.output_path, payload)
     else:
-        raise UsageError(f"unknown output format {fmt!r}")
+        _write_csv(config.output_path, header, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -257,81 +263,73 @@ def _worst(residuals: np.ndarray) -> float:
     return float(np.max(residuals))
 
 
-def _relative_dunkl_residual(system, psi, E: float, grid: np.ndarray) -> float:
-    return _worst(np.abs(dunkl_residual(system, psi, E, grid, relative=True)))
+def _resolve(config: RunConfig, lookup):
+    """(scenario, params, E) of a verify or density run.
 
-
-def _verify_gaussian(config: RunConfig, tol: float) -> VerificationReport:
+    ``lookup`` maps the scenario name to a scenario.  E is --energy, else
+    the n-th bound state's energy under --rule or the scenario's rule.
+    """
     params = DunklParams(nu=config.nu, delta=config.delta, mu=1)
+    scenario = lookup(config.scenario)
     n = config.n if config.n is not None else 0
-    rule = config.rule or "ene0"
     E = config.energy if config.energy is not None \
-        else bound_state_energy(n, params, rule)
-    scenario = ScenarioGaussianMass()
+        else bound_state_energy(n, params, config.rule or scenario.default_rule)
+    return scenario, params, E
+
+
+def _verify_solution(config: RunConfig, scenario, params: DunklParams, E: float,
+                     tol: float) -> VerificationReport:
+    """Checks of a scenario's closed-form psi.
+
+    The relative Dunkl residual and the parity defect on the grid, one
+    check of the scenario's own (the mapped standard-form equation for the
+    harmonic scenario, else a positive finite norm), then the
+    norm-preservation relation on that scenario's relation grid.
+    """
     system = scenario.system(params)
-    psi = gaussian_solution_function(params, E)
+    psi = scenario.solution(params, E)
     grid = _grid(config, 0.1, 4.0, 400)
     report = VerificationReport()
-    report.add("dunkl_residual", _relative_dunkl_residual(system, psi, E, grid), tol)
+    report.add("dunkl_residual",
+               _worst(np.abs(dunkl_residual(system, psi, E, grid, relative=True))), tol)
     report.add("parity_defect", sampled_parity_defect(psi, grid), tol)
-    norm = modified_norm(system, psi, E)
-    norm_ok = 0.0 if (norm.value > 0 and math.isfinite(norm.value)) else 1.0
-    report.add("norm_positive_finite", norm_ok, 0.5)
+    if isinstance(scenario, ScenarioHarmonicEnergy):
+        phi = mapped_initial_solution(params, E)
+        relation_grid = np.linspace(-2.0, 1.0, 100)
+        form = scenario.form(params)
+        second = derivative(phi.f1, relation_grid, 1)
+        potential_term = (phi.eps - form.u_e(E, relation_grid)) * phi.f(relation_grid)
+        scale = np.abs(second) + np.abs(potential_term)
+        worst = _worst(np.abs(second + potential_term) / np.maximum(scale, 1e-30))
+        report.add("mapped_equation_residual", worst, max(tol, 1e-6))
+    else:
+        norm = modified_norm(system, psi, E)
+        norm_ok = 0.0 if (norm.value > 0 and math.isfinite(norm.value)) else 1.0
+        report.add("norm_positive_finite", norm_ok, 0.5)
+        relation_grid = np.linspace(0.25, 4.0, 25)
     worst = _worst(np.abs(energy_relation_residual(
         scenario.coord(), scenario.mass(), scenario.potential(), params, E,
-        np.linspace(0.25, 4.0, 25))))
+        relation_grid)))
     report.add("norm_preservation_relation", worst, tol)
     return report
 
 
-def _verify_harmonic(config: RunConfig, tol: float) -> VerificationReport:
-    params = DunklParams(nu=config.nu, delta=config.delta, mu=1)
-    n = config.n if config.n is not None else 0
-    rule = config.rule or "ene1"
-    E = config.energy if config.energy is not None \
-        else bound_state_energy(n, params, rule)
-    scenario = ScenarioHarmonicEnergy()
-    system = scenario.system(params)
-    psi = harmonic_initial_solution_function(params, E)
-    grid = _grid(config, 0.1, 4.0, 400)
-    report = VerificationReport()
-    report.add("dunkl_residual", _relative_dunkl_residual(system, psi, E, grid), tol)
-    report.add("parity_defect", sampled_parity_defect(psi, grid), tol)
-    phi = mapped_initial_solution(params, E)
-    mapped_grid = np.linspace(-2.0, 1.0, 100)
-    form = scenario.form(params)
-    second = derivative(phi.f1, mapped_grid, 1)
-    potential_term = (phi.eps - form.u_e(E, mapped_grid)) * phi.f(mapped_grid)
-    scale = np.abs(second) + np.abs(potential_term)
-    worst = _worst(np.abs(second + potential_term) / np.maximum(scale, 1e-30))
-    report.add("mapped_equation_residual", worst, max(tol, 1e-6))
-    worst = _worst(np.abs(energy_relation_residual(
-        scenario.coord(), scenario.mass(), scenario.potential(), params, E,
-        mapped_grid)))
-    report.add("norm_preservation_relation", worst, tol)
-    return report
-
-
-def _verify_pdm(config: RunConfig, tol: float) -> VerificationReport:
+def _verify_pdm(params: DunklParams, E: float, tol: float) -> VerificationReport:
     """Equivalence of the PDM route with the constant-mass route.
 
-    The flags carry the constant-mass parameters (nu-bar, delta-bar);
+    ``params`` carries the constant-mass parameters (nu-bar, delta-bar);
     the PDM deformation parameter is the redefined one with the same
     reflection sign.
     """
-    nu_bar, delta_bar = config.nu, config.delta
+    nu_bar, delta_bar = params.nu, params.delta
     delta = delta_bar
     nu = pdm_equivalence_nu(nu_bar, delta_bar, delta)
-    E = config.energy if config.energy is not None else bound_state_energy(
-        config.n if config.n is not None else 0,
-        DunklParams(nu=nu_bar, delta=delta_bar, mu=1), config.rule or "ene1")
     harm = ScenarioHarmonicEnergy()
     pdm = ScenarioHarmonicEnergyPdm()
-    coord = exp_map()
+    coord = pdm.coord()
     ys = np.linspace(-2.0, 1.0, 100)
     report = VerificationReport()
-    u_harm = induced_potential(coord, harm.mass(), harm.potential(),
-                               DunklParams(nu=nu_bar, delta=delta_bar, mu=1), E, ys)
+    u_harm = induced_potential(coord, harm.mass(), harm.potential(), params, E, ys)
     u_pdm = induced_potential(coord, pdm.mass(), pdm.potential(),
                               DunklParams(nu=nu, delta=delta, mu=1), E, ys)
     worst = _worst(np.abs(u_harm - u_pdm) / np.maximum(1.0, np.abs(u_harm)))
@@ -347,15 +345,11 @@ def _verify_pdm(config: RunConfig, tol: float) -> VerificationReport:
 def cmd_verify(config: RunConfig) -> int:
     _require(config, "scenario", "nu", "delta")
     tol = _tolerance()
-    if config.scenario == "gaussian-mass":
-        report = _verify_gaussian(config, tol)
-    elif config.scenario == "harmonic-energy":
-        report = _verify_harmonic(config, tol)
-    elif config.scenario == "harmonic-energy-pdm":
-        report = _verify_pdm(config, tol)
+    scenario, params, E = _resolve(config, get_scenario)
+    if scenario.solution is None:
+        report = _verify_pdm(params, E, tol)
     else:
-        raise UsageError(f"unknown scenario {config.scenario!r}; "
-                         f"known: {sorted(SCENARIO_NAMES)}")
+        report = _verify_solution(config, scenario, params, E, tol)
     if config.output_format == "json":
         _write_json(config.output_path, report.as_dict())
     else:
@@ -378,29 +372,23 @@ def cmd_spectrum(config: RunConfig, n_max: int) -> int:
     return EXIT_OK
 
 
+def _density_scenario(name: str):
+    """The named scenario if it has a closed-form psi, else UsageError."""
+    scenario = get_scenario(name) if name in SCENARIO_NAMES else None
+    if scenario is None or scenario.solution is None:
+        raise UsageError(f"density: unsupported scenario {name!r}")
+    return scenario
+
+
 def cmd_density(config: RunConfig) -> int:
     _require(config, "scenario", "nu", "delta")
-    params = DunklParams(nu=config.nu, delta=config.delta, mu=1)
-    n = config.n if config.n is not None else 0
-    if config.scenario == "gaussian-mass":
-        rule = config.rule or "ene0"
-        scenario = ScenarioGaussianMass()
-        E = config.energy if config.energy is not None \
-            else bound_state_energy(n, params, rule)
-        psi = gaussian_solution_function(params, E)
-    elif config.scenario == "harmonic-energy":
-        rule = config.rule or "ene1"
-        scenario = ScenarioHarmonicEnergy()
-        E = config.energy if config.energy is not None \
-            else bound_state_energy(n, params, rule)
-        psi = harmonic_initial_solution_function(params, E)
-    else:
-        raise UsageError(f"density: unsupported scenario {config.scenario!r}")
+    scenario, params, E = _resolve(config, _density_scenario)
+    psi = scenario.solution(params, E)
     system = scenario.system(params)
     grid = _grid(config, 0.1, 4.0, 400)
     rows = _rows(grid, probability_density(system, psi, E, grid))
     norm = modified_norm(system, psi, E)
-    if (config.output_format or "csv") == "json":
+    if config.output_format == "json":
         payload = {"columns": ["x", "density"],
                    "rows": [[_fmt(v) for v in row] for row in rows],
                    "norm": _fmt(norm.value),
@@ -467,9 +455,6 @@ def cmd_darboux(config: RunConfig) -> int:
 #   7  initial potential and confluent-chain transformed potentials
 #      (delta = -1, nu = 5/2)
 
-FIGURE_NUMBERS = (1, 2, 3, 4, 5, 6, 7)
-
-
 def _figure_states(delta: int) -> list:
     return [printed_bound_state(n, delta) for n in (0, 1, 2)]
 
@@ -522,21 +507,12 @@ def _potential_rows(config: RunConfig, chain_at: Callable[[float], DarbouxChain]
     return ["x", "v_initial", "v_hat_0", "v_hat_1", "v_hat_2"], _rows(*columns)
 
 
-def _figure_3(config: RunConfig):
-    return _potential_rows(config, lambda E: standard_chain_u12(E, validate=False))
-
-
-def _transformed_states(config: RunConfig, params: DunklParams,
-                        energies: Sequence[float]):
-    """Grid and the standard-chain Psi-hat column at each energy."""
+def _figure_hat(config: RunConfig, nu: float, delta: int, density: bool):
+    """Figures 4-6: standard-chain Psi-hat or its density (nu, delta: defaults)."""
+    params, energies = _transform_settings(config, nu, delta)
     xs = _grid(config, 0.2, 3.0, 300)
-    return xs, [pipeline_hatpsi(params, E, standard_chain_u12(E, validate=False), xs)
-                for E in energies]
-
-
-def _figure_45(config: RunConfig, density: bool):
-    params, energies = _transform_settings(config, 2.5, -1)
-    xs, states = _transformed_states(config, params, energies)
+    states = [pipeline_hatpsi(params, E, standard_chain_u12(E, validate=False), xs)
+              for E in energies]
     if not density:
         return ["x", "psi_hat_0", "psi_hat_1", "psi_hat_2"], _rows(xs, *states)
     # Densities are normalized on the emitted grid (trapezoid rule over
@@ -550,29 +526,25 @@ def _figure_45(config: RunConfig, density: bool):
     return ["x", "p_hat_0", "p_hat_1", "p_hat_2"], _rows(xs, *columns)
 
 
-def _figure_6(config: RunConfig):
-    params, energies = _transform_settings(config, 3.5, 1)
-    xs, states = _transformed_states(config, params, energies)
-    return ["x", "psi_hat_0", "psi_hat_1", "psi_hat_2"], _rows(xs, *states)
+# Figure number -> builder of (header, rows) from the run configuration.
+_FIGURES = {
+    1: _figure_1,
+    2: _figure_2,
+    3: lambda config: _potential_rows(
+        config, lambda E: standard_chain_u12(E, validate=False)),
+    4: lambda config: _figure_hat(config, 2.5, -1, density=True),
+    5: lambda config: _figure_hat(config, 2.5, -1, density=False),
+    6: lambda config: _figure_hat(config, 3.5, 1, density=False),
+    7: lambda config: _potential_rows(config, confluent_chain),
+}
 
-
-def _figure_7(config: RunConfig):
-    return _potential_rows(config, confluent_chain)
+FIGURE_NUMBERS = tuple(_FIGURES)
 
 
 def cmd_figure(config: RunConfig, number: int) -> int:
-    builders = {
-        1: lambda: _figure_1(config),
-        2: lambda: _figure_2(config),
-        3: lambda: _figure_3(config),
-        4: lambda: _figure_45(config, density=True),
-        5: lambda: _figure_45(config, density=False),
-        6: lambda: _figure_6(config),
-        7: lambda: _figure_7(config),
-    }
-    if number not in builders:
+    if number not in _FIGURES:
         raise UsageError(f"figure number must be one of {FIGURE_NUMBERS}")
-    header, rows = builders[number]()
+    header, rows = _FIGURES[number](config)
     for row in rows:
         for v in row:
             if not math.isfinite(v):
@@ -601,8 +573,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--grid-lo", type=float, dest="grid_lo")
     parser.add_argument("--grid-hi", type=float, dest="grid_hi")
     parser.add_argument("--grid-count", type=int, dest="grid_count")
-    parser.add_argument("--format", choices=("csv", "json"))
-    parser.add_argument("--out", help="output path (default: stdout)")
+    parser.add_argument("--format", choices=("csv", "json"), dest="output_format")
+    parser.add_argument("--out", dest="output_path", metavar="OUT",
+                        help="output path (default: stdout)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -624,8 +597,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("darboux", help="run a transformation chain")
-    p.add_argument("--kind", choices=("standard", "confluent"))
-    p.add_argument("--order", type=int)
+    p.add_argument("--kind", choices=("standard", "confluent"), dest="chain_kind")
+    p.add_argument("--order", type=int, dest="chain_order", metavar="ORDER")
     _add_common(p)
 
     p = sub.add_parser("figure", help="emit data series for a figure")
@@ -660,10 +633,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "figure":
             return cmd_figure(config, args.number)
         raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DunklDarbouxError as exc:
+    except (UsageError, DunklDarbouxError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

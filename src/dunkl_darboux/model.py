@@ -137,24 +137,6 @@ def dunkl_apply(f: ParityFunction, x: float, params: DunklParams) -> float:
     return f.f1(x) + (params.nu / x) * (1 - f.parity) * f.f(x)
 
 
-def dunkl_apply_function(f: ParityFunction, params: DunklParams) -> ParityFunction:
-    """The deformed derivative of f as a function with its own parity.
-
-    Applying D flips parity; the derivative channel of the result needs
-    the second derivative of f.
-    """
-    nu = params.nu
-    c = nu * (1 - f.parity)
-
-    def val(x: float) -> float:
-        return f.f1(x) + c * f.f(x) / x
-
-    def d1(x: float) -> float:
-        return f.second_derivative(x) + c * (f.f1(x) / x - f.f(x) / x**2)
-
-    return ParityFunction(f=val, f1=d1, parity=-f.parity)
-
-
 def _any_zero(x) -> bool:
     """x == 0 for a float, or at any entry of an ndarray."""
     return bool(np.any(x == 0)) if isinstance(x, np.ndarray) else x == 0
@@ -225,15 +207,14 @@ def probability_density(system: DunklSystem, psi: ParityFunction, E: float, x):
     return amp2 * abs(x) ** w * (1.0 - system.potential.dv_dE(E, x))
 
 
-def modified_norm(system: DunklSystem, psi: ParityFunction, E: float,
-                  decay_scale: float = 1.0) -> QuadratureResult:
+def modified_norm(system: DunklSystem, psi: ParityFunction, E: float) -> QuadratureResult:
     """Norm integral of the modified density over the real line."""
     def integrand(x: float) -> float:
         if x == 0.0:
             return 0.0
         return probability_density(system, psi, E, x)
 
-    return integrate_real_line(integrand, decay_scale=decay_scale)
+    return integrate_real_line(integrand)
 
 
 def sampled_parity_defect(f: ParityFunction, xs) -> float:

@@ -58,13 +58,6 @@ def _check_finite(val, node, what: str):
     return val
 
 
-def _sample(f: Callable[[float], float], node: float) -> float:
-    val = f(node)
-    if not math.isfinite(val):
-        raise EvaluationError(f"non-finite sample at {node}", node=node)
-    return val
-
-
 # Sample offsets of each central stencil, in units of the step.
 _SHIFTS = {1: (1, -1), 2: (1, 0, -1), 3: (2, 1, -1, -2)}
 
@@ -103,7 +96,8 @@ def derivative(f: Callable[[float], float], y, order: int, h=None):
         for step in steps:
             s = {}
             for k in shifts:
-                s[k] = _sample(f, y + k * step if k else y)
+                node = y + k * step if k else y
+                s[k] = _check_finite(f(node), node, "sample at ")
             samples.append(s)
     coarse = _stencil(order, samples[0], steps[0])
     fine = _stencil(order, samples[1], steps[1])
@@ -129,7 +123,7 @@ def parameter_derivative(family: Callable[[float, float], float], eps0: float, y
     return (8 * (samples[1] - samples[-1]) - (samples[2] - samples[-2])) / (12 * h_eps)
 
 
-def integrate_real_line(f: Callable[[float], float], decay_scale: float = 1.0) -> QuadratureResult:
+def integrate_real_line(f: Callable[[float], float]) -> QuadratureResult:
     """Integral of f over the whole real line.
 
     Assumes Gaussian-type decay outside a finite core (the caller's
@@ -138,8 +132,6 @@ def integrate_real_line(f: Callable[[float], float], decay_scale: float = 1.0) -
     """
     from scipy import integrate as _integrate
 
-    if decay_scale <= 0:
-        raise DomainError("integrate_real_line: decay_scale must be positive")
     counter = {"n": 0}
 
     def wrapped(x: float) -> float:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable
 
 import numpy as np
 
@@ -40,7 +40,6 @@ class CoordinateChange:
     d2: Callable[[float], float]
     d3: Callable[[float], float]
     y_of_x: Callable[[float], float]
-    domain_y: Tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -70,7 +69,6 @@ def sqrt_map() -> CoordinateChange:
         d2=lambda y: -0.25 * power(y, -1.5),
         d3=lambda y: 0.375 * power(y, -2.5),
         y_of_x=lambda x: x * x,
-        domain_y=(0.0, math.inf),
     )
 
 
@@ -82,18 +80,6 @@ def exp_map() -> CoordinateChange:
         d2=exp,
         d3=exp,
         y_of_x=log,
-        domain_y=(-math.inf, math.inf),
-    )
-
-
-def identity_map() -> CoordinateChange:
-    return CoordinateChange(
-        x_of_y=lambda y: y,
-        d1=lambda y: 1.0,
-        d2=lambda y: 0.0,
-        d3=lambda y: 0.0,
-        y_of_x=lambda x: x,
-        domain_y=(-math.inf, math.inf),
     )
 
 

@@ -38,8 +38,6 @@ from .pointmap import CoordinateChange, SchrodingerForm, exp_map, sqrt_map
 from .specfun import (assoc_laguerre, assoc_laguerre_grid, bessel_i, kummer_m,
                       kummer_m_grid)
 
-SCENARIO_NAMES = ("gaussian-mass", "harmonic-energy", "harmonic-energy-pdm")
-
 # Validation grids: cover the figures' visible support while staying
 # clear of x = 0 and the Wronskian tails.
 DUNKL_GRID = np.linspace(0.1, 4.0, 400)
@@ -89,6 +87,7 @@ class ScenarioGaussianMass:
 
     p: float = 1.0
     q: float = 1.0
+    default_rule = "ene0"
 
     def mass(self) -> MassProfile:
         p, q = self.p, self.q
@@ -117,6 +116,9 @@ class ScenarioGaussianMass:
         if params.mu != 1:
             raise ContractError("gaussian-mass scenario requires even mass parity")
         return DunklSystem(params=params, mass=self.mass(), potential=self.potential())
+
+    def solution(self, params: DunklParams, E: float) -> ParityFunction:
+        return gaussian_solution_function(params, E)
 
 
 def gaussian_admissible(params: DunklParams) -> bool:
@@ -267,6 +269,8 @@ def parity_exponent(params: DunklParams) -> ParityClassification:
 class ScenarioHarmonicEnergy:
     """Constant mass 1/2 with the energy-scaled harmonic potential x^2/E."""
 
+    default_rule = "ene1"
+
     def mass(self) -> MassProfile:
         return MassProfile(m=lambda x: 0.5, m1=lambda x: 0.0,
                            m2=lambda x: 0.0, parity=1)
@@ -283,6 +287,9 @@ class ScenarioHarmonicEnergy:
     def system(self, params: DunklParams) -> DunklSystem:
         return DunklSystem(params=params, mass=self.mass(), potential=self.potential())
 
+    def solution(self, params: DunklParams, E: float) -> ParityFunction:
+        return harmonic_initial_solution_function(params, E)
+
     @staticmethod
     def mapped_potential(E: float, y):
         """U_E(y) of the mapped standard form (note the 1/E on e^{4y})."""
@@ -295,7 +302,14 @@ class ScenarioHarmonicEnergy:
 
 @dataclass(frozen=True)
 class ScenarioHarmonicEnergyPdm:
-    """m = x^2/2 realization of the same mapped potential."""
+    """m = x^2/2 realization of the same mapped potential.
+
+    It has no closed-form psi of its own: it is checked against the
+    constant-mass route.
+    """
+
+    default_rule = "ene1"
+    solution = None
 
     def mass(self) -> MassProfile:
         return MassProfile(m=lambda x: 0.5 * x * x, m1=lambda x: x,
@@ -428,10 +442,6 @@ def harmonic_initial_solution_function(params: DunklParams, E: float) -> ParityF
             g2(x) - 2 * beta * x * g1(x) + (beta * beta * x * x - beta) * g(x))
 
     return _parity_extend(core, core1, core2, params.delta)
-
-
-def harmonic_initial_solution(params: DunklParams, E: float, x: float) -> float:
-    return harmonic_initial_solution_function(params, E).f(x)
 
 
 def mapped_initial_solution(params: DunklParams, E: float) -> OdeSolution:
@@ -568,8 +578,7 @@ def confluent_solution_family(E: float):
 def confluent_chain(E: float, eps1: float = CONFLUENT_EPS1) -> DarbouxChain:
     """Order-2 confluent chain seeded by the parametric solution family."""
     family, family_dy = confluent_solution_family(E)
-    background = ScenarioHarmonicEnergy().form(DunklParams(nu=0.0, delta=1, mu=1))
-    return build_confluent_chain(family, family_dy, eps1, background, E,
+    return build_confluent_chain(family, family_dy, eps1, _chain_background(), E,
                                  validation_grid=np.linspace(-2.0, 1.0, 25))
 
 
@@ -646,25 +655,26 @@ def pipeline_vhat(E: float, chain: DarbouxChain, x):
     return hatv_from_ue(E, lambda y: transformed_potential(chain, y), 0.5, 0.0, x)
 
 
-def standard_vhat(E: float, x):
-    """V-hat at energy E for the standard chain (chain rebuilt per call)."""
-    return pipeline_vhat(E, standard_chain_u12(E, validate=False), x)
-
-
 def standard_vhat_dE(E: float, x):
-    """dV-hat/dE, rebuilding the chain at each of the four probe energies."""
-    return parameter_derivative(lambda e, xx: standard_vhat(e, xx), E, x,
-                                h_eps=1e-4 * max(1.0, abs(E)))
+    """dV-hat/dE of the standard chain, rebuilt at each of the four probe energies."""
+    return parameter_derivative(
+        lambda e, xx: pipeline_vhat(e, standard_chain_u12(e, validate=False), xx),
+        E, x, h_eps=1e-4 * max(1.0, abs(E)))
 
 
+# Scenario registry: each has mass(), potential(), coord(), system(params),
+# a ``default_rule`` of its energies and ``solution(params, E)`` (or None).
 _SCENARIOS = {
     "gaussian-mass": ScenarioGaussianMass,
     "harmonic-energy": ScenarioHarmonicEnergy,
     "harmonic-energy-pdm": ScenarioHarmonicEnergyPdm,
 }
 
+SCENARIO_NAMES = tuple(_SCENARIOS)
+
 
 def get_scenario(name: str):
+    """A new instance of the named scenario; DomainError for an unknown name."""
     try:
         return _SCENARIOS[name]()
     except KeyError:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import dunkl_darboux
-from dunkl_darboux import cli
+from dunkl_darboux import cli, scenarios
 from dunkl_darboux.cli import (EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION,
                                RunConfig, UsageError, _fmt, _grid, _merge,
                                _tolerance, run)
@@ -74,13 +74,13 @@ def test_verify_fails_on_nan_psi_at_interior_node(monkeypatch, capsys):
     # A NaN residual at one node must print nan and FAIL; a running
     # max(worst, r) from 0.0 would drop it and report PASS.
     node = np.linspace(0.1, 4.0, 400)[200]
-    real = cli.harmonic_initial_solution_function
+    real = scenarios.harmonic_initial_solution_function
 
     def broken(params, E):
         psi = real(params, E)
         return replace(psi, f=_nan_at(psi.f, node))
 
-    monkeypatch.setattr(cli, "harmonic_initial_solution_function", broken)
+    monkeypatch.setattr(scenarios, "harmonic_initial_solution_function", broken)
     code = run(["verify", "--scenario", "harmonic-energy",
                 "--nu", "2.5", "--delta", "-1"])
     out = capsys.readouterr().out
@@ -268,6 +268,47 @@ def test_config_file_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2]")
     assert run(["spectrum", "--config", str(bad)]) == EXIT_USAGE
+
+
+_GAUSSIAN = ["--scenario", "gaussian-mass", "--nu", "0.5", "--delta", "-1"]
+
+
+@pytest.mark.parametrize("command, raw, message", [
+    (["spectrum"], {"params": [1, 2]}, "config: params must be an object"),
+    (["spectrum"], {"params": {"nu": "abc", "delta": -1, "rule": "ene0"}},
+     "config: params.nu must be a number, got 'abc'"),
+    (["verify"] + _GAUSSIAN, {"grid": {"count": 2.5}},
+     "config: grid.count must be an integer, got 2.5"),
+    (["darboux", "--kind", "confluent"], {"chain": {"eps": -3.0}},
+     "config: chain.eps must be a list of numbers, got -3.0"),
+    (["verify"] + _GAUSSIAN, {"output": {"format": "xml"}},
+     "config: output.format must be 'csv' or 'json', got 'xml'"),
+    (["density"] + _GAUSSIAN, {"output": {"format": "xml"}},
+     "config: output.format must be 'csv' or 'json', got 'xml'"),
+], ids=["params-list", "nu-string", "count-float", "eps-number", "verify-xml",
+        "density-xml"])
+def test_malformed_config_is_a_usage_error(tmp_path, capsys, command, raw, message):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(raw))
+    assert run(command + ["--config", str(cfg)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_scenario_dispatch_messages(tmp_path, capsys):
+    cfg = tmp_path / "nope.json"
+    cfg.write_text(json.dumps({"scenario": "nope", "params": {"nu": 0.5, "delta": -1}}))
+    assert run(["verify", "--config", str(cfg)]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: unknown scenario 'nope'; known: "
+        "['gaussian-mass', 'harmonic-energy', 'harmonic-energy-pdm']\n")
+    assert run(["density", "--config", str(cfg)]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: density: unsupported scenario 'nope'\n"
+    assert run(["density", "--scenario", "harmonic-energy-pdm",
+                "--nu", "2.5", "--delta", "-1"]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: density: unsupported scenario 'harmonic-energy-pdm'\n")
 
 
 def test_grid_validation():

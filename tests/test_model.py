@@ -16,8 +16,7 @@ from dunkl_darboux.errors import ContractError, DomainError
 from dunkl_darboux.libm import exp
 from dunkl_darboux.model import (DunklParams, DunklSystem, EnergyPotential,
                                  MassProfile, ParityFunction, admissible,
-                                 dunkl_apply, dunkl_apply_function,
-                                 dunkl_residual, modified_norm,
+                                 dunkl_apply, dunkl_residual, modified_norm,
                                  probability_density, sampled_parity_defect,
                                  weight_exponent)
 
@@ -97,21 +96,6 @@ def test_dunkl_apply_even_reduces_to_derivative():
     params = DunklParams(nu=0.7, delta=1, mu=1)
     for x in (0.5, 1.3, -2.0):
         assert dunkl_apply(f, x, params) == pytest.approx(f.f1(x))
-
-
-def test_dunkl_apply_function_parity_flip_and_nesting():
-    params = DunklParams(nu=0.7, delta=-1, mu=1)
-    f = _smooth_state(-1)
-    df = dunkl_apply_function(f, params)
-    assert df.parity == 1
-    ddf = dunkl_apply_function(df, params)
-    assert ddf.parity == -1
-    # nesting consistency: (D^2 f)(x) from the function view equals the
-    # direct evaluation of D applied to D f
-    for x in (0.4, 1.1, 2.3):
-        assert ddf.f(x) == pytest.approx(dunkl_apply(df, x, params), rel=1e-8)
-    # parity of the derivative channel is respected on the other branch
-    assert df.f(-1.1) == pytest.approx(df.f(1.1), rel=1e-12)
 
 
 def test_residual_specialization_odd_mass():

@@ -9,8 +9,7 @@ from dunkl_darboux.errors import DomainError
 from dunkl_darboux.model import DunklParams
 from dunkl_darboux.numerics import derivative
 from dunkl_darboux.pointmap import (energy_relation_residual, exp_map,
-                                    forward_map, identity_map,
-                                    induced_potential, inverse_map,
+                                    forward_map, induced_potential, inverse_map,
                                     prefactor_exponent, sqrt_map)
 from dunkl_darboux.scenarios import (ScenarioGaussianMass,
                                      ScenarioHarmonicEnergy,
@@ -20,7 +19,7 @@ from dunkl_darboux.scenarios import (ScenarioGaussianMass,
 
 
 def test_coordinate_change_derivative_consistency():
-    for coord in (sqrt_map(), exp_map(), identity_map()):
+    for coord in (sqrt_map(), exp_map()):
         for y in (0.5, 1.3, 2.2):
             assert derivative(coord.x_of_y, y, 1) == pytest.approx(
                 coord.d1(y), rel=1e-7)

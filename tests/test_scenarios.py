@@ -9,7 +9,8 @@ from dunkl_darboux import scenarios
 from dunkl_darboux.darboux import (chain_residuals, transformed_potential,
                                    transformed_solution)
 from dunkl_darboux.errors import ContractError, DomainError
-from dunkl_darboux.model import DunklParams, dunkl_residual, modified_norm
+from dunkl_darboux.model import (DunklParams, ParityFunction, dunkl_residual,
+                                 modified_norm)
 from dunkl_darboux.numerics import derivative
 from dunkl_darboux.scenarios import (DUNKL_GRID, MAPPED_GRID,
                                      ScenarioGaussianMass,
@@ -202,6 +203,17 @@ def test_scenario_registry():
     assert isinstance(get_scenario("harmonic-energy-pdm"), ScenarioHarmonicEnergyPdm)
     with pytest.raises(DomainError):
         get_scenario("missing")
+    assert [get_scenario(name).default_rule for name in scenarios.SCENARIO_NAMES] \
+        == ["ene0", "ene1", "ene1"]
+    for name, nu in (("gaussian-mass", 0.5), ("harmonic-energy", 2.5)):
+        for delta in (-1, 1):
+            params = DunklParams(nu=nu, delta=delta, mu=1)
+            scenario = get_scenario(name)
+            E = bound_state_energy(0, params, scenario.default_rule)
+            psi = scenario.solution(params, E)
+            assert isinstance(psi, ParityFunction)
+            assert psi.parity == delta
+    assert get_scenario("harmonic-energy-pdm").solution is None
 
 
 def test_closed_form_hatpsi_small_x_and_parity():

@@ -48,9 +48,21 @@ PARITY_EVEN = "even"
 PARITY_NONE = "no admissible parity"
 
 
+def _four_nu_squared(nu: float) -> float:
+    """4 nu^2, or a DomainError once it overflows (|nu| above about 6.7e153)."""
+    try:
+        value = 4.0 * nu**2
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise DomainError(f"nu = {nu:g} is out of range: |nu| must be below "
+                          f"about 6.7e153, where 4 nu^2 overflows")
+    return value
+
+
 def discriminant_root(params: DunklParams) -> float:
     """sqrt(1 - 4 delta nu + 4 nu^2), the recurring index combination."""
-    return math.sqrt(1.0 - 4.0 * params.delta * params.nu + 4.0 * params.nu**2)
+    return math.sqrt(1.0 - 4.0 * params.delta * params.nu + _four_nu_squared(params.nu))
 
 
 def monomial_exponent(params: DunklParams) -> float:
@@ -333,7 +345,7 @@ def pdm_equivalence_nu(nu_bar: float, delta_bar: int, delta: int) -> float:
 
     Chosen so 3 delta nu - nu^2 equals delta_bar nu_bar - nu_bar^2.
     """
-    radicand = 9.0 - 4.0 * delta_bar * nu_bar + 4.0 * nu_bar**2
+    radicand = 9.0 - 4.0 * delta_bar * nu_bar + _four_nu_squared(nu_bar)
     return 1.5 * delta + 0.5 * math.sqrt(radicand)
 
 

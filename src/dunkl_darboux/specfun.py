@@ -12,7 +12,13 @@ take scalar parameters and an ndarray of arguments and return a
 ``SpecialGrid``; each entry equals the scalar routine's value and error
 estimate at that point bit for bit.  The grid series is one cumulative
 product over a (terms x points) factor matrix, stopped per point by the
-scalar rule and summed per point with ``math.fsum``.
+scalar rule.  The scalar series is summed with ``math.fsum``, the
+correctly rounded sum; the grid series gets the same bits from an exact
+summation of all points at once (``_fsum_columns``), which hands only the
+points it cannot certify (zero or subnormal sums, near-ties, overflow,
+non-finite terms) to ``math.fsum``.  A series that has not met its stop
+rule within ``KUMMER_MAX_TERMS`` terms raises ``AccuracyError`` on both
+paths instead of returning a partial sum.
 
 The e^z factor of the reflected branch goes through ``libm.exp``, the
 scalar libm routine per element: numpy's vectorised exp can differ from
@@ -30,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import AccuracyError, DomainError
 from .libm import exp
 
 # Direct summation of the 1F1 series alternates for negative arguments
@@ -52,6 +58,10 @@ _EPS = 2.2204460492503131e-16
 _SERIES_BLOCK = 48
 # k ** 0.5 for every possible series length k, as the scalar series computes it.
 _SQRT_COUNT = np.array([k ** 0.5 for k in range(KUMMER_MAX_TERMS + 2)])
+_NOT_CONVERGED = f"kummer_m: series not converged within {KUMMER_MAX_TERMS} terms"
+# Largest m * peak (m terms of magnitude at most peak) for which no
+# partial sum of the exact summation or of fsum can overflow.
+_FSUM_SAFE = 2.0 ** 1021
 
 
 @dataclass(frozen=True)
@@ -139,6 +149,8 @@ def _kummer_series(a: float, b: float, z: float) -> SpecialValue:
         peak = max(peak, abs(term))
         if abs(term) < 1e-18 * peak and k > 2:
             break
+    else:
+        raise AccuracyError(_NOT_CONVERGED)
     value = math.fsum(terms)
     # Truncation bound from the last term plus rounding at the series peak.
     est = abs(terms[-1]) + _EPS * peak * len(terms) ** 0.5
@@ -185,7 +197,7 @@ def _kummer_series_grid(a: float, b: float, z: np.ndarray):
     terms[k, i] is term k at point i, built by the scalar recurrence
     term_{k+1} = term_k * ((a+k) z / ((b+k)(k+1))) as a cumulative
     product, block by block for the points that have not stopped.
-    Terms past a point's stop are zeroed, which leaves its fsum exact.
+    Terms past a point's stop are zeroed, which leaves its sum exact.
     """
     n = z.size
     terms = np.empty((KUMMER_MAX_TERMS + 1, n))
@@ -212,12 +224,68 @@ def _kummer_series_grid(a: float, b: float, z: np.ndarray):
             last[active[hit]] = k0 + 1 + first[hit]
             active = active[~hit]
             k0 += len(ks)
-    width = last.max() + 1 if n else 0
-    kept = np.where(np.arange(width)[:, None] <= last, terms[:width], 0.0)
-    values = np.fromiter(map(math.fsum, kept.T.tolist()), dtype=float, count=n)
+    if active.size:
+        raise AccuracyError(_NOT_CONVERGED)
+    kept = terms[:last.max(initial=0) + 1]
+    kept[np.arange(len(kept))[:, None] > last] = 0.0
     # Truncation bound from the last term plus rounding at the series peak.
     est = np.abs(terms[last, np.arange(n)]) + _EPS * peak * _SQRT_COUNT[last + 1]
-    return values, est
+    return _fsum_columns(kept, peak), est
+
+
+def _fsum_columns(x: np.ndarray, peak: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of every column of the (rows >= 1, points) array x, bit for bit.
+
+    peak[j] must be at least max |x[:, j]|.  A pairwise TwoSum tree
+    (Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26 (2005) 1955) turns each
+    column into hi plus the exact rounding errors e of its additions, so
+    the column sum S equals hi + sum(e) exactly.  res = fl(hi + fl(sum(e)))
+    is then the correctly rounded S, which is what fsum returns, whenever
+    res's TwoSum remainder r plus the bound 2 m eps sum|e| on the error of
+    fl(sum(e)) stays below half the gap from res to its neighbour towards
+    zero (the smaller gap).  Zero and subnormal results never pass: half
+    their gap rounds to zero.  Every column that fails the test --
+    non-finite terms or results, a peak large enough for fsum's partial
+    sums to overflow, zeros and near-ties -- is summed by fsum itself,
+    which also keeps its exceptions.
+    """
+    m, n = x.shape
+    # err[0] holds every e and err[1] its |e|, so that one reduction
+    # gives both sum(e) and sum|e|.
+    err = np.empty((2, m - 1, n))
+    virtual = np.empty((m // 2, n))
+    level, k = x, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(level) > 1:
+            rows = len(level)
+            h = rows // 2
+            a, b, e, v = level[:h], level[h:2 * h], err[0, k:k + h], virtual[:h]
+            sums = np.empty((h + rows % 2, n))
+            if rows % 2:
+                sums[h] = level[-1]
+            s = np.add(a, b, sums[:h])
+            # TwoSum: v = s - a is the part of b that s holds, and
+            # e = (a - (s - v)) + (b - v) = a + b - s exactly.
+            np.subtract(s, a, v)
+            np.subtract(s, v, e)
+            np.subtract(a, e, e)
+            np.subtract(b, v, v)
+            np.add(e, v, e)
+            level, k = sums, k + h
+        hi = level[0]
+        np.abs(err[0], err[1])
+        t, bound = err.sum(axis=1)
+        bound *= 2 * m * _EPS
+        res = hi + t
+        v = res - hi
+        r = (hi - (res - v)) + (t - v)
+        # m * peak bounds every partial sum, here and inside fsum.
+        ok = ((np.abs(r) + bound < 0.5 * np.abs(res - np.nextafter(res, 0.0)))
+              & (peak < _FSUM_SAFE / m))
+    if np.count_nonzero(ok) < n:
+        bad = (~ok).nonzero()[0]
+        res[bad] = [math.fsum(x[:, j].tolist()) for j in bad]
+    return res
 
 
 def _laguerre_prefactor(degree: float, alpha: float) -> float:

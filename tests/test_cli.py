@@ -160,6 +160,31 @@ def test_unknown_flag_exit_code(capsys):
     assert run(["spectrum", "--bogus", "1"]) == EXIT_USAGE
 
 
+def test_unconverged_series_is_an_error(capsys):
+    # the grid reaches x = 25, where the Laguerre series in z = 496 has
+    # not converged after its 600-term budget; it used to print PASS
+    code = run(["verify", "--scenario", "harmonic-energy", "--nu", "0.5",
+                "--delta", "1", "--grid-hi", "25"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == "error: kummer_m: series not converged within 600 terms\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--nu", "1e300", "--delta", "1", "--rule", "ene0"],
+    ["verify", "--scenario", "harmonic-energy-pdm", "--nu", "1e200", "--delta", "-1"],
+])
+def test_overflowing_nu_is_a_domain_error(argv, capsys):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    nu = float(argv[argv.index("--nu") + 1])
+    assert captured.err.startswith(f"error: nu = {nu:g} is out of range")
+    assert "Traceback" not in captured.err
+
+
 def test_bad_figure_number(capsys):
     code = run(["figure", "9", "--nu", "2.5", "--delta", "-1"])
     assert code == EXIT_USAGE

@@ -185,6 +185,20 @@ def test_pdm_equivalence_nu_values():
     assert pdm_equivalence_nu(2.5, -1, -1) == pytest.approx(want, rel=1e-13)
 
 
+def test_nu_formulas_reject_overflowing_nu():
+    # 4 nu^2 overflows above |nu| ~ 6.7e153: a domain error, not OverflowError
+    for nu in (1e300, -1e200, 7e153):
+        with pytest.raises(DomainError, match="out of range"):
+            discriminant_root(DunklParams(nu=nu, delta=1, mu=1))
+        with pytest.raises(DomainError, match="out of range"):
+            pdm_equivalence_nu(nu, -1, -1)
+    # just below the limit both formulas still give today's finite values
+    nu = 6.7e153
+    assert discriminant_root(DunklParams(nu=nu, delta=1, mu=1)) == math.sqrt(
+        1.0 - 4.0 * nu + 4.0 * nu**2)
+    assert math.isfinite(pdm_equivalence_nu(nu, -1, -1))
+
+
 def test_pdm_equivalence_constant_term():
     rng = np.random.default_rng(5)
     for _ in range(20):

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import special as sp
 
-from dunkl_darboux.errors import DomainError
-from dunkl_darboux.specfun import (KUMMER_Z_MAX, assoc_laguerre,
+from dunkl_darboux import specfun
+from dunkl_darboux.errors import AccuracyError, DomainError, DunklDarbouxError
+from dunkl_darboux.specfun import (KUMMER_Z_MAX, _fsum_columns, assoc_laguerre,
                                    assoc_laguerre_grid, bessel_i, kummer_m,
                                    kummer_m_grid)
 
@@ -174,9 +175,10 @@ def _pointwise(fn, p, q, zs):
 def _assert_grid_matches_scalar(fn, grid_fn, p, q, zs):
     try:
         want = _pointwise(fn, p, q, zs)
-    except DomainError:
-        with pytest.raises(DomainError):
+    except DunklDarbouxError as exc:
+        with pytest.raises(type(exc)) as grid:
             grid_fn(p, q, np.array(zs))
+        assert str(grid.value) == str(exc)
         return
     got = grid_fn(p, q, np.array(zs))
     assert _bits(got.values) == _bits(want[0])
@@ -185,7 +187,8 @@ def _assert_grid_matches_scalar(fn, grid_fn, p, q, zs):
 
 # Arguments cover the series (z >= -1), reflected (z < -1) and polynomial
 # (nonpositive integer a) branches; one example in ten adds a point
-# outside the |z| range guard or puts b (alpha + 1) on a pole.
+# outside the |z| range guard, points whose series do not converge in
+# their term budget, or puts b (alpha + 1) on a pole.
 _ZS = st.lists(st.one_of(st.floats(-60.0, 60.0), st.floats(-1.5, -0.5),
                          st.sampled_from([0.0, -1.0])), min_size=1, max_size=25)
 
@@ -195,7 +198,7 @@ def _rarely(common, rare):
     return st.integers(0, 9).flatmap(lambda k: st.just(rare) if k == 0 else common)
 
 
-_OUTSIDE = _rarely(st.just([]), [KUMMER_Z_MAX + 5.0])
+_OUTSIDE = _rarely(_rarely(st.just([]), [KUMMER_Z_MAX + 5.0]), [-650.0, 650.0])
 
 
 @settings(max_examples=150, deadline=None)
@@ -224,3 +227,120 @@ def test_grid_range_guard_matches_scalar_message():
     assert str(grid.value) == str(scalar.value)
     # the terminating polynomial has no range restriction on either path
     assert kummer_m_grid(-2.0, 1.2, zs).values[-1] == kummer_m(-2.0, 1.2, float(zs[-1])).value
+
+
+def test_unconverged_series_raises_on_both_paths():
+    # At |z| ~ 500 the terms are still well above 1e-18 of the peak when
+    # the 600-term budget runs out: no partial sum is returned
+    for z in (496.0, -650.0):
+        with pytest.raises(AccuracyError) as scalar:
+            kummer_m(0.3, 1.5, z)
+        with pytest.raises(AccuracyError) as grid:
+            kummer_m_grid(0.3, 1.5, np.array([1.0, z]))
+        assert str(grid.value) == str(scalar.value)
+        assert "not converged" in str(scalar.value)
+
+
+# Exact column sums: _fsum_columns must equal math.fsum of every column
+# bit for bit, exceptions included.
+
+def _fsum_or_error(column):
+    try:
+        return math.fsum(column)
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+def _assert_columns_match_fsum(x):
+    x = np.asarray(x, dtype=float)
+    want = [_fsum_or_error(col) for col in x.T.tolist()]
+    errors = [w for w in want if isinstance(w, type)]
+    with np.errstate(invalid="ignore"):
+        peak = np.abs(x).max(axis=0, initial=0.0)
+    if errors:
+        with pytest.raises(errors[0]):
+            _fsum_columns(x, peak)
+        return
+    got = _fsum_columns(x, peak)
+    assert _bits(got) == _bits(want)
+
+
+def _tie_columns():
+    """Columns whose sum is, or lies just beside, a halfway point."""
+    half = 2.0 ** -53
+    columns = [[1.0, half, 0.0, 0.0], [1.0, -half, 0.0, 0.0], [1.0, 3 * half, 0.0, 0.0],
+               [3.0, half, 0.0, 0.0], [1.0, half, half ** 3, 0.0],
+               [0.5, half / 2, -half ** 3, 0.0],
+               # just below 1, where the gap to the next float down is half
+               # the gap up: the tree's hi + sum(e) is a tie, the sum is not
+               [1.0, -half / 2, -half ** 2 / 4, 0.0], [3.0, half * 2, half ** 2 / 8, 0.0]]
+    return np.array(columns).T
+
+
+_FSUM_CASES = {
+    # peak 1, sum down to about 1e-14 of it
+    "cancellation": np.array([[1.0, -1.0, 0.5, 1.0], [-1.0 + 3e-14, 1.0 - 1e-14, -0.5, -1.0],
+                              [1e-30, 2e-30, 7e-15, 1e-14], [0.0, 0.0, 0.0, 0.0]]),
+    "magnitudes": np.array([[1e300, 1e-300, -1e300, 1e-300],
+                            [1.0, 1e300, 1e-300, -1e-300],
+                            [-1e300, -1e300, 1e300, 5e-324]]),
+    "exact-zero": np.array([[0.0, -0.0, 1.0, -0.0], [0.0, -0.0, -1.0, 0.0]]),
+    "ties": _tie_columns(),
+    "subnormal": np.array([[5e-324, -5e-324, 2.0 ** -1030], [5e-324, 1e-323, 2.0 ** -1060]]),
+    "inf-nan": np.array([[math.inf, 1.0, math.nan, -math.inf], [1.0, math.inf, 1.0, 2.0]]),
+    "one-row": np.array([[1.5, -0.0, 0.0, 2.0 ** -1074, 1e308]]),
+    "empty-grid": np.empty((1, 0)),
+    "near-max": np.array([[1e308, 1e308], [-1e308, 1e308], [1e308, -1e308]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FSUM_CASES))
+def test_fsum_columns_explicit_cases(name):
+    _assert_columns_match_fsum(_FSUM_CASES[name])
+
+
+def test_fsum_columns_raises_as_fsum():
+    # fsum's intermediate overflow depends on its left-to-right partials:
+    # here 1e308 + 1e308 overflows, while the tree adds 1e308 to -1e308
+    # and to 0 and never does
+    with pytest.raises(OverflowError):
+        _fsum_columns(np.array([[1e308], [1e308], [-1e308], [0.0]]), np.array([1e308]))
+    with pytest.raises(ValueError):
+        _fsum_columns(np.array([[math.inf], [-math.inf]]), np.array([math.inf]))
+
+
+def _fallbacks(monkeypatch, x):
+    """How many columns of x _fsum_columns hands to math.fsum."""
+    calls = []
+    fsum = math.fsum
+    monkeypatch.setattr(specfun.math, "fsum", lambda values: calls.append(1) or fsum(values))
+    _fsum_columns(x, np.abs(x).max(axis=0))
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_fsum_columns_certifies_most_and_falls_back_on_the_rest(monkeypatch):
+    x = np.random.default_rng(3).standard_normal((40, 200))
+    _assert_columns_match_fsum(x)
+    # a few columns whose hi + sum(e) is a float tie cannot be certified
+    assert _fallbacks(monkeypatch, x) < 20
+    assert _fallbacks(monkeypatch, _tie_columns()) > 0
+
+
+_COLUMN = st.lists(st.one_of(st.floats(-1e300, 1e300), st.floats(-1.0, 1.0),
+                             st.sampled_from([0.0, -0.0, 2.0 ** -53, 2.0 ** -1074])),
+                   min_size=1, max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(columns=st.lists(_COLUMN, min_size=1, max_size=8), cancel=st.booleans(),
+       rows=st.integers(1, 12))
+def test_fsum_columns_equals_fsum_bit_for_bit(columns, cancel, rows):
+    x = np.zeros((rows, len(columns)))
+    for j, col in enumerate(columns):
+        col = col[:rows]
+        x[:len(col), j] = col
+        if cancel and len(col) < rows:
+            # the last row cancels the column's sum up to its rounding
+            x[-1, j] = -math.fsum(col)
+    _assert_columns_match_fsum(x)

@@ -143,22 +143,29 @@ def _any_zero(x) -> bool:
 
 
 def _residual_terms(system: DunklSystem, psi: ParityFunction, E: float, x):
+    """The three terms of the residual; non-finite grid entries stay silent.
+
+    On a grid an overflowing or underflowing term gives inf or NaN (a
+    squared mass that underflows to 0 divides by zero), which the
+    residual reports; numpy's warnings for it are not emitted.
+    """
     nu, delta, mu = system.params.nu, system.params.delta, system.params.mu
     m = system.mass.m(x)
     m1 = system.mass.m1(x)
     if _any_zero(m):
         raise DomainError("dunkl_residual: mass vanishes at evaluation point")
-    kin = psi.second_derivative(x) / (2 * m)
-    m_sq = power(m, 2)
-    x_sq = power(x, 2)
-    coeff1 = (-m1 / (2 * m_sq) + nu / (m * x) - nu * delta / (2 * m * x)
-              + nu * delta / (2 * mu * m * x))
-    coeff0 = (-nu / (2 * m * x_sq) - nu * m1 / (2 * m_sq * x)
-              + nu * delta / (2 * m * x_sq) + nu * delta * m1 / (2 * m_sq * x)
-              + nu**2 / (2 * m * x_sq) - nu**2 * delta / (2 * m * x_sq)
-              + nu**2 * delta / (2 * mu * m * x_sq) - nu**2 / (2 * mu * m * x_sq)
-              + E - system.potential.v(E, x))
-    return kin, coeff1 * psi.f1(x), coeff0 * psi.f(x)
+    with np.errstate(all="ignore"):
+        kin = psi.second_derivative(x) / (2 * m)
+        m_sq = power(m, 2)
+        x_sq = power(x, 2)
+        coeff1 = (-m1 / (2 * m_sq) + nu / (m * x) - nu * delta / (2 * m * x)
+                  + nu * delta / (2 * mu * m * x))
+        coeff0 = (-nu / (2 * m * x_sq) - nu * m1 / (2 * m_sq * x)
+                  + nu * delta / (2 * m * x_sq) + nu * delta * m1 / (2 * m_sq * x)
+                  + nu**2 / (2 * m * x_sq) - nu**2 * delta / (2 * m * x_sq)
+                  + nu**2 * delta / (2 * mu * m * x_sq) - nu**2 / (2 * mu * m * x_sq)
+                  + E - system.potential.v(E, x))
+        return kin, coeff1 * psi.f1(x), coeff0 * psi.f(x)
 
 
 def dunkl_residual(system: DunklSystem, psi: ParityFunction, E: float, x,
@@ -204,7 +211,7 @@ def probability_density(system: DunklSystem, psi: ParityFunction, E: float, x):
         return density
     if amp2 == 0.0:
         return 0.0
-    return amp2 * abs(x) ** w * (1.0 - system.potential.dv_dE(E, x))
+    return amp2 * power(abs(x), w) * (1.0 - system.potential.dv_dE(E, x))
 
 
 def modified_norm(system: DunklSystem, psi: ParityFunction, E: float) -> QuadratureResult:

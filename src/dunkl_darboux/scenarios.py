@@ -29,7 +29,7 @@ import numpy as np
 from .darboux import (DarbouxChain, KIND_STANDARD, OdeSolution,
                       build_confluent_chain, transformed_potential,
                       transformed_solution, validate_chain)
-from .errors import ContractError, DomainError, SingularityError
+from .errors import ContractError, DomainError, DunklDarbouxError, SingularityError
 from .libm import exp, log, power
 from .model import (DunklParams, DunklSystem, EnergyPotential, MassProfile,
                     ParityFunction)
@@ -349,24 +349,40 @@ def pdm_equivalence_nu(nu_bar: float, delta_bar: int, delta: int) -> float:
     return 1.5 * delta + 0.5 * math.sqrt(radicand)
 
 
-def _last_grid(evaluate):
-    """z -> evaluate(z).values for an ndarray z, reusing the last grid's values.
+def _last_grid(evaluate, count: int = 1):
+    """(i, z) -> row i of evaluate(rows, z) for an ndarray z, reusing the last grid's rows.
 
-    The key is a copy of the grid's dtype, shape and exact bytes (so
-    -0.0 is not 0.0, and a grid changed in place is evaluated afresh);
-    a grid that fails a guard is never stored.  Hits share one array,
-    so it is made read-only.
+    evaluate(rows, z) returns the values of the listed rows on z, one
+    row each.  A new grid gets all ``count`` rows in one call.  If that
+    call raises a package error, only the requested row is evaluated,
+    so each row raises its own error when it is read, as separate calls
+    would.  The key is a copy of the grid's dtype, shape and exact bytes
+    (so -0.0 is not 0.0, and a grid changed in place is evaluated
+    afresh); a grid that fails a guard is never stored.  Hits share one
+    array, so it is made read-only.
     """
-    last_key = last_values = None
+    last_key, last_rows = None, [None] * count
 
-    def get(z):
-        nonlocal last_key, last_values
+    def get(i, z):
+        nonlocal last_key, last_rows
         key = (z.dtype.str, z.shape, z.tobytes())
-        if key != last_key:
-            values = evaluate(z).values
-            values.flags.writeable = False
-            last_key, last_values = key, values
-        return last_values
+        fresh = key != last_key
+        if not fresh and last_rows[i] is not None:
+            return last_rows[i]
+        wanted = range(count) if fresh else (i,)
+        try:
+            values = evaluate(wanted, z)
+        except DunklDarbouxError:
+            if len(wanted) == 1:
+                raise
+            wanted = (i,)
+            values = evaluate(wanted, z)
+        values.flags.writeable = False
+        if fresh:
+            last_key, last_rows = key, [None] * count
+        for j, row in zip(wanted, values):
+            last_rows[j] = row
+        return last_rows[i]
 
     return get
 
@@ -378,33 +394,61 @@ def _kummer(a: float, b: float):
     same bytes as the previous one gets the previous values back, so the
     solutions and chain members built on one closure share the factor.
     """
-    grid = _last_grid(lambda z: kummer_m_grid(a, b, z))
+    grid = _last_grid(lambda rows, z: kummer_m_grid(a, b, z).values[None])
 
     def m(z):
         if isinstance(z, np.ndarray):
-            return grid(z)
+            return grid(0, z)
         return kummer_m(a, b, z).value
 
     return m
 
 
-def _laguerre(degree: float, alpha: float):
-    """z -> L_degree^alpha(z) for a float z, or elementwise for an ndarray z.
+def _laguerre_rows(*rows):
+    """One closure z -> L_degree^alpha(z) per (degree, alpha) row.
 
-    Floats and ndarrays are handled as in ``_kummer``.
+    A float z takes the scalar routine, with no memo.  On an ndarray the
+    first closure called evaluates every row in one
+    ``assoc_laguerre_grid`` call, and the others then reuse it on the
+    same grid (see ``_last_grid``), so rows belong together only when
+    every caller reads all of them on each grid.
     """
-    grid = _last_grid(lambda z: assoc_laguerre_grid(degree, alpha, z))
+    def evaluate(wanted, z):
+        return assoc_laguerre_grid(tuple(rows[j][0] for j in wanted),
+                                   tuple(rows[j][1] for j in wanted), z).values
 
-    def lag(z):
-        if isinstance(z, np.ndarray):
-            return grid(z)
-        return assoc_laguerre(degree, alpha, z).value
+    grid = _last_grid(evaluate, len(rows))
 
-    return lag
+    def row(i):
+        degree, alpha = rows[i]
+
+        def lag(z):
+            if isinstance(z, np.ndarray):
+                return grid(i, z)
+            return assoc_laguerre(degree, alpha, z).value
+
+        return lag
+
+    return [row(i) for i in range(len(rows))]
+
+
+def _laguerre(degree: float, alpha: float):
+    """z -> L_degree^alpha(z), a factor of its own."""
+    return _laguerre_rows((degree, alpha))[0]
+
+
+def _laguerre_pair(degree: float, alpha: float):
+    """L and L' in the argument, via dL_d^a/dz = -L_{d-1}^{a+1}, evaluated together."""
+    lag, lower = _laguerre_rows((degree, alpha), (degree - 1, alpha + 1))
+
+    def up(z):
+        return -lower(z)
+
+    return lag, up
 
 
 def _laguerre_trio(degree: float, alpha: float):
-    """L, L', L'' in the argument, via dL_d^a/dz = -L_{d-1}^{a+1}."""
+    """L, L', L'' in the argument, each evaluated only where it is read."""
     lower = _laguerre(degree - 1, alpha + 1)
 
     def up(z):
@@ -467,7 +511,7 @@ def mapped_initial_solution(params: DunklParams, E: float) -> OdeSolution:
     beta = 1.0 / math.sqrt(E)
     alpha = 0.5 * r
     degree = -0.5 + 0.25 * E**1.5 - 0.25 * r
-    u, up, _ = _laguerre_trio(degree, alpha)
+    u, up = _laguerre_pair(degree, alpha)
 
     def phi(y):
         z = beta * exp(2 * y)
@@ -491,8 +535,8 @@ def _standard_chain_functions(E: float):
     """
     beta = 1.0 / math.sqrt(E)
     c = 0.25 * E**1.5
-    u, up, _ = _laguerre_trio(c - 0.5, 0.0)
-    v, vp, _ = _laguerre_trio(c - 1.0, 1.0)
+    u, up = _laguerre_pair(c - 0.5, 0.0)
+    v, vp = _laguerre_pair(c - 1.0, 1.0)
 
     def u1(y):
         z = beta * exp(2 * y)
@@ -562,13 +606,11 @@ def confluent_solution_family(E: float):
     factors = {}
 
     def laguerre_pair(eps):
-        """(r1, L_d^alpha, L_{d-1}^{alpha+1}) at eps, made once per eps."""
+        """(r1, L_d^alpha, L') at eps, made once per eps."""
         pair = factors.get(eps)
         if pair is None:
             r1 = math.sqrt(1.0 - 4.0 * eps)
-            degree = -0.5 + c - 0.25 * r1
-            pair = factors[eps] = (r1, _laguerre(degree, 0.5 * r1),
-                                   _laguerre(degree - 1, 0.5 * r1 + 1.0))
+            pair = factors[eps] = (r1, *_laguerre_pair(-0.5 + c - 0.25 * r1, 0.5 * r1))
         return pair
 
     def family(eps, y):
@@ -577,10 +619,10 @@ def confluent_solution_family(E: float):
         return exp(-0.5 * z + 0.5 * r1 * y) * lag(z)
 
     def family_dy(eps, y):
-        r1, lag, lower = laguerre_pair(eps)
+        r1, lag, up = laguerre_pair(eps)
         z = beta * exp(2 * y)
         lz = lag(z)
-        lzp = -lower(z)
+        lzp = up(z)
         return (exp(-0.5 * z + 0.5 * r1 * y)
                 * ((0.5 * r1 - z) * lz + 2 * z * lzp))
 

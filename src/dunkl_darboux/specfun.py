@@ -10,15 +10,26 @@ conservative absolute error estimate.
 return a ``SpecialValue``.  ``kummer_m_grid`` and ``assoc_laguerre_grid``
 take scalar parameters and an ndarray of arguments and return a
 ``SpecialGrid``; each entry equals the scalar routine's value and error
-estimate at that point bit for bit.  The grid series is one cumulative
-product over a (terms x points) factor matrix, stopped per point by the
+estimate at that point bit for bit.  ``assoc_laguerre_grid`` also takes
+sequences of degrees and alphas and then returns one row per pair, all
+series rows evaluated together.
+
+The grid series is one cumulative product over a (terms x columns)
+ratio matrix, one column per row and point, stopped per column by the
 scalar rule.  The scalar series is summed with ``math.fsum``, the
-correctly rounded sum; the grid series gets the same bits from an exact
-summation of all points at once (``_fsum_columns``), which hands only the
-points it cannot certify (zero or subnormal sums, near-ties, overflow,
-non-finite terms) to ``math.fsum``.  A series that has not met its stop
-rule within ``KUMMER_MAX_TERMS`` terms raises ``AccuracyError`` on both
-paths instead of returning a partial sum.
+correctly rounded sum; the grid series gets the same bits from one
+error-free extraction of all columns at once (``_fsum_columns``, after
+Rump, Ogita & Oishi 2008): the terms are split at a power of two sigma
+above the column peak into high parts whose sum is exact and low parts
+whose floating-point sum has a rigorous error bound.  Their sum is
+kept only where a rounding test certifies that it is the correctly
+rounded column sum; the columns it cannot certify (zero or subnormal
+sums, near-ties, a sigma or partial sum that could overflow or
+underflow, non-finite terms) go to ``math.fsum`` itself.  A series that
+has not met its stop rule within ``KUMMER_MAX_TERMS`` terms raises
+``AccuracyError`` on both paths instead of returning a partial sum, and
+a terminating polynomial of degree above ``KUMMER_MAX_TERMS`` is
+refused with a ``DomainError`` before its coefficients are built.
 
 The e^z factor of the reflected branch goes through ``libm.exp``, the
 scalar libm routine per element: numpy's vectorised exp can differ from
@@ -53,15 +64,25 @@ BESSEL_SERIES_CUTOFF = 18.0
 BESSEL_Z_MAX = 600.0
 
 _EPS = 2.2204460492503131e-16
-# Terms added per cumulative-product block of the grid series; points
-# still unconverged after a block continue in the next one.
+# Terms of the grid series: every column gets the first block (most
+# stop within it: median 25 terms on the benchmark workloads); columns
+# still unconverged after a block continue in blocks of the second size.
+_FIRST_BLOCK = 32
 _SERIES_BLOCK = 48
+# Series index k and k + 1 as floats, and the term index, for every possible term.
+_K = np.arange(KUMMER_MAX_TERMS, dtype=float)
+_K1 = _K + 1.0
+_TERM_INDEX = np.arange(KUMMER_MAX_TERMS + 1)[:, None]
 # k ** 0.5 for every possible series length k, as the scalar series computes it.
 _SQRT_COUNT = np.array([k ** 0.5 for k in range(KUMMER_MAX_TERMS + 2)])
 _NOT_CONVERGED = f"kummer_m: series not converged within {KUMMER_MAX_TERMS} terms"
 # Largest m * peak (m terms of magnitude at most peak) for which no
 # partial sum of the exact summation or of fsum can overflow.
 _FSUM_SAFE = 2.0 ** 1021
+# Exponent range of the extraction's sigma in which eps sigma is a
+# normal number and sigma + x (|x| < sigma / 4) cannot overflow.
+_SIGMA_MIN_EXP = -970
+_SIGMA_MAX_EXP = 1023
 
 
 @dataclass(frozen=True)
@@ -86,9 +107,9 @@ class SpecialGrid:
     est_abs_errors: np.ndarray
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise DomainError("special function value is not finite")
-        if np.any(self.est_abs_errors < 0):
+        if (self.est_abs_errors < 0).any():
             raise DomainError("error estimate must be nonnegative")
 
 
@@ -126,7 +147,14 @@ def kummer_m(a: float, b: float, z: float) -> SpecialValue:
 
 
 def _kummer_polynomial(n: int, b: float, z):
-    """M(-n; b; z) for a float z, or elementwise for an ndarray z."""
+    """M(-n; b; z) for a float z, or elementwise for an ndarray z.
+
+    Degrees above ``KUMMER_MAX_TERMS`` are refused before any
+    coefficient is built, as a series that long would be.
+    """
+    if n > KUMMER_MAX_TERMS:
+        raise DomainError(f"kummer_m: polynomial degree {n:g} exceeds the limit "
+                          f"of {KUMMER_MAX_TERMS}")
     # Coefficients c_k = (-n)_k / ((b)_k k!), summed by Horner's rule.
     coeffs = [1.0]
     c = 1.0
@@ -167,121 +195,169 @@ def kummer_m_grid(a: float, b: float, z: np.ndarray) -> SpecialGrid:
     for name, val in (("a", a), ("b", b)):
         if not math.isfinite(val):
             raise DomainError(f"kummer_m: argument {name} is not finite")
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise DomainError("kummer_m: argument z is not finite")
-    if _is_nonpositive_integer(b):
-        raise DomainError("kummer_m: b must not be a nonpositive integer")
-    if _is_nonpositive_integer(a):
-        n = int(-a)
-        acc = _kummer_polynomial(n, b, z)
-        return SpecialGrid(acc, (n + 1) * _EPS * np.maximum(1.0, np.abs(acc)))
-    if np.any(np.abs(z) > KUMMER_Z_MAX):
-        raise DomainError(f"kummer_m: |z| exceeds supported range {KUMMER_Z_MAX}")
-    low = z < KUMMER_SERIES_Z_MIN
-    if not low.any():
-        return SpecialGrid(*_kummer_series_grid(a, b, z))
-    values = np.empty_like(z)
-    est = np.empty_like(z)
-    inner_value, inner_est = _kummer_series_grid(b - a, b, -z[low])
-    scale = exp(z[low])
-    values[low] = scale * inner_value
-    est[low] = scale * inner_est + _EPS * np.abs(scale * inner_value)
-    high = ~low
-    values[high], est[high] = _kummer_series_grid(a, b, z[high])
-    return SpecialGrid(values, est)
+    values, est = _kummer_rows([a], [b], z)
+    return SpecialGrid(values[0], est[0])
 
 
-def _kummer_series_grid(a: float, b: float, z: np.ndarray):
-    """``_kummer_series`` per point: (values, error estimates) arrays.
+def _kummer_rows(a: list, b: list, z: np.ndarray):
+    """M(a[i]; b[i]; z) for every row i: (values, estimates), each (rows, *z.shape).
 
-    terms[k, i] is term k at point i, built by the scalar recurrence
-    term_{k+1} = term_k * ((a+k) z / ((b+k)(k+1))) as a cumulative
-    product, block by block for the points that have not stopped.
-    Terms past a point's stop are zeroed, which leaves its sum exact.
+    Each row takes the branch, checks and error messages of
+    ``kummer_m``; the series rows are evaluated together, in one call of
+    the series kernel.  z must be finite; the result is not validated.
     """
-    n = z.size
-    terms = np.empty((KUMMER_MAX_TERMS + 1, n))
+    rows = []      # (values, estimates) of a polynomial row, None for a series row
+    for ai, bi in zip(a, b):
+        if _is_nonpositive_integer(bi):
+            raise DomainError("kummer_m: b must not be a nonpositive integer")
+        if _is_nonpositive_integer(ai):
+            n = int(-ai)
+            acc = _kummer_polynomial(n, bi, z)
+            rows.append((acc, (n + 1) * _EPS * np.maximum(1.0, np.abs(acc))))
+        else:
+            rows.append(None)
+    series = [i for i, row in enumerate(rows) if row is None]
+    if series:
+        if (np.abs(z) > KUMMER_Z_MAX).any():
+            raise DomainError(f"kummer_m: |z| exceeds supported range {KUMMER_Z_MAX}")
+        sa = np.array([a[i] for i in series])[:, None]
+        sb = np.array([b[i] for i in series])[:, None]
+        flat = z.reshape(-1)
+        low = flat < KUMMER_SERIES_Z_MIN
+        if low.any():
+            # M(a; b; z) = e^z M(b - a; b; -z) at the low points.
+            sa = np.where(low, sb - sa, sa)
+            flat = np.where(low, -flat, flat)
+        values, est = _kummer_series_grid(sa, sb, flat)
+        if low.any():
+            scale = exp(z.reshape(-1)[low])
+            est[:, low] = scale * est[:, low] + _EPS * np.abs(scale * values[:, low])
+            values[:, low] *= scale
+        shape = (len(series),) + z.shape
+        if len(series) == len(rows):
+            return values.reshape(shape), est.reshape(shape)
+        for j, i in enumerate(series):
+            rows[i] = values[j].reshape(z.shape), est[j].reshape(z.shape)
+    shape = (len(rows),) + z.shape
+    return (np.array([row[0] for row in rows]).reshape(shape),
+            np.array([row[1] for row in rows]).reshape(shape))
+
+
+def _series_ratios(ks: slice, a, b, z, out=None):
+    """term_{k+1} / term_k = (a + k) z / ((b + k)(k + 1)) for k in ks, down axis 0.
+
+    Computed in the scalar series' operation order; a and b broadcast
+    against z along the remaining axes.
+    """
+    shape = (-1,) + (1,) * max(np.ndim(z), np.ndim(a))
+    k = _K[ks].reshape(shape)
+    out = np.multiply(k + a, z, out=out)
+    out /= (k + b) * _K1[ks].reshape(shape)
+    return out
+
+
+def _kummer_series_grid(a: np.ndarray, b: np.ndarray, z: np.ndarray):
+    """``_kummer_series`` per column: (values, error estimates), each (rows, points).
+
+    Column (i, j) is the series of M(a[i, j]; b[i]; z[j]): a has shape
+    (rows, 1) or (rows, points), b (rows, 1), z (points,).  terms[k, c]
+    is term k of column c, built by the scalar recurrence as a
+    cumulative product: the first ``_FIRST_BLOCK`` ratios of all columns
+    in place in the term buffer, then blocks of ``_SERIES_BLOCK`` for the
+    columns that have not stopped.  Terms past a column's stop are
+    zeroed, which leaves its sum exact.
+    """
+    rows, n = a.shape[0], z.shape[0]
+    size = rows * n
+    cols = np.arange(size)
+    terms = np.empty((KUMMER_MAX_TERMS + 1, size))
     terms[0] = 1.0
-    peak = np.ones(n)
-    last = np.full(n, KUMMER_MAX_TERMS)   # index of the last term summed
-    active = np.arange(n)
-    k0 = 0
+    head = terms[:_FIRST_BLOCK + 1]
     with np.errstate(over="ignore", invalid="ignore"):
+        first = head[1:].reshape(_FIRST_BLOCK, rows, n)
+        np.cumprod(_series_ratios(slice(0, _FIRST_BLOCK), a, b, z, out=first),
+                   axis=0, out=first)
+        mag = np.abs(head)
+        running = np.fmax.accumulate(mag, axis=0)    # term 0 = 1 starts the peak
+        # Stop at the first term k + 1 with k > 2 below 1e-18 of the peak.
+        stops = mag[4:] < running[4:] * 1e-18
+        last = stops.argmax(axis=0) + 4
+        hit = stops[last - 4, cols]
+        last[~hit] = _FIRST_BLOCK
+        peak = running[last, cols]
+        active = (~hit).nonzero()[0]
+        if active.size:
+            a_cols = np.broadcast_to(a, (rows, n)).reshape(-1)
+            b_cols = np.repeat(b[:, 0], n)
+            z_cols = np.tile(z, rows)
+        k0 = _FIRST_BLOCK
         while active.size and k0 < KUMMER_MAX_TERMS:
-            ks = np.arange(k0, min(k0 + _SERIES_BLOCK, KUMMER_MAX_TERMS))
-            factors = (np.multiply.outer(a + ks, z[active])
-                       / ((b + ks) * (ks + 1))[:, None])
+            ks = slice(k0, min(k0 + _SERIES_BLOCK, KUMMER_MAX_TERMS))
+            factors = _series_ratios(ks, a_cols[active], b_cols[active], z_cols[active])
             factors[0] *= terms[k0, active]
             block = np.cumprod(factors, axis=0)
-            size = np.abs(block)
-            block_peak = np.fmax(np.fmax.accumulate(size, axis=0), peak[active])
-            stops = (size < 1e-18 * block_peak) & (ks > 2)[:, None]
-            terms[k0 + 1:k0 + 1 + len(ks), active] = block
+            mag = np.abs(block)
+            block_peak = np.fmax(np.fmax.accumulate(mag, axis=0), peak[active])
+            stops = mag < 1e-18 * block_peak
+            terms[ks.start + 1:ks.stop + 1, active] = block
             hit = stops.any(axis=0)
             first = stops.argmax(axis=0)
             peak[active] = np.where(hit, block_peak[first, np.arange(active.size)],
                                     block_peak[-1])
             last[active[hit]] = k0 + 1 + first[hit]
             active = active[~hit]
-            k0 += len(ks)
+            k0 = ks.stop
     if active.size:
         raise AccuracyError(_NOT_CONVERGED)
     kept = terms[:last.max(initial=0) + 1]
-    kept[np.arange(len(kept))[:, None] > last] = 0.0
+    np.putmask(kept, _TERM_INDEX[:len(kept)] > last, 0.0)
     # Truncation bound from the last term plus rounding at the series peak.
-    est = np.abs(terms[last, np.arange(n)]) + _EPS * peak * _SQRT_COUNT[last + 1]
-    return _fsum_columns(kept, peak), est
+    est = np.abs(terms[last, cols]) + _EPS * peak * _SQRT_COUNT[last + 1]
+    return _fsum_columns(kept, peak).reshape(rows, n), est.reshape(rows, n)
 
 
 def _fsum_columns(x: np.ndarray, peak: np.ndarray) -> np.ndarray:
     """``math.fsum`` of every column of the (rows >= 1, points) array x, bit for bit.
 
-    peak[j] must be at least max |x[:, j]|.  A pairwise TwoSum tree
-    (Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26 (2005) 1955) turns each
-    column into hi plus the exact rounding errors e of its additions, so
-    the column sum S equals hi + sum(e) exactly.  res = fl(hi + fl(sum(e)))
-    is then the correctly rounded S, which is what fsum returns, whenever
-    res's TwoSum remainder r plus the bound 2 m eps sum|e| on the error of
-    fl(sum(e)) stays below half the gap from res to its neighbour towards
-    zero (the smaller gap).  Zero and subnormal results never pass: half
-    their gap rounds to zero.  Every column that fails the test --
-    non-finite terms or results, a peak large enough for fsum's partial
-    sums to overflow, zeros and near-ties -- is summed by fsum itself,
-    which also keeps its exceptions.
+    peak[j] must be at least max |x[:, j]|.  One error-free extraction
+    (ExtractVector of Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31 (2008)
+    189) splits each column at sigma = 2^M 2^ceil(log2 peak), with
+    2^M >= m + 2 for m rows: q = fl(sigma + x) - sigma and p = x - q are
+    exact, every q is a multiple of eps sigma / 2 below sigma / 2^M, so
+    tau = sum(q) is exact in any order, and the column sum S equals
+    tau + sum(p).  res = fl(tau + fl(sum(p))) is then the correctly
+    rounded S, which is what fsum returns, whenever res's TwoSum
+    remainder r plus the bound 2 m eps sum|p| on the error of fl(sum(p))
+    stays below half the gap from res to its neighbour towards zero (the
+    smaller gap).  Zero and subnormal results never pass: half their gap
+    rounds to zero.  Every column that fails the test -- non-finite
+    terms or results, a peak large enough for fsum's partial sums or
+    sigma to overflow, a sigma so small that eps sigma is subnormal,
+    zeros and near-ties -- is summed by fsum itself, which also keeps
+    its exceptions.
     """
     m, n = x.shape
-    # err[0] holds every e and err[1] its |e|, so that one reduction
-    # gives both sum(e) and sum|e|.
-    err = np.empty((2, m - 1, n))
-    virtual = np.empty((m // 2, n))
-    level, k = x, 0
+    exponent = np.frexp(peak)[1] + (m + 1).bit_length()   # peak < 2^frexp exponent
+    # parts[0] holds every q, parts[1] every p and parts[2] its |p|, so
+    # that one reduction gives tau, sum(p) and sum|p|.
+    parts = np.empty((3, m, n))
     with np.errstate(over="ignore", invalid="ignore"):
-        while len(level) > 1:
-            rows = len(level)
-            h = rows // 2
-            a, b, e, v = level[:h], level[h:2 * h], err[0, k:k + h], virtual[:h]
-            sums = np.empty((h + rows % 2, n))
-            if rows % 2:
-                sums[h] = level[-1]
-            s = np.add(a, b, sums[:h])
-            # TwoSum: v = s - a is the part of b that s holds, and
-            # e = (a - (s - v)) + (b - v) = a + b - s exactly.
-            np.subtract(s, a, v)
-            np.subtract(s, v, e)
-            np.subtract(a, e, e)
-            np.subtract(b, v, v)
-            np.add(e, v, e)
-            level, k = sums, k + h
-        hi = level[0]
-        np.abs(err[0], err[1])
-        t, bound = err.sum(axis=1)
+        sigma = np.ldexp(1.0, exponent)
+        q = np.add(x, sigma, out=parts[0])
+        q -= sigma
+        np.subtract(x, q, out=parts[1])
+        np.abs(parts[1], out=parts[2])
+        tau, t, bound = parts.sum(axis=1)
         bound *= 2 * m * _EPS
-        res = hi + t
-        v = res - hi
-        r = (hi - (res - v)) + (t - v)
+        res = tau + t
+        v = res - tau
+        r = (tau - (res - v)) + (t - v)
         # m * peak bounds every partial sum, here and inside fsum.
         ok = ((np.abs(r) + bound < 0.5 * np.abs(res - np.nextafter(res, 0.0)))
-              & (peak < _FSUM_SAFE / m))
+              & (peak < _FSUM_SAFE / m)
+              & (exponent >= _SIGMA_MIN_EXP) & (exponent <= _SIGMA_MAX_EXP))
     if np.count_nonzero(ok) < n:
         bad = (~ok).nonzero()[0]
         res[bad] = [math.fsum(x[:, j].tolist()) for j in bad]
@@ -296,7 +372,7 @@ def _laguerre_prefactor(degree: float, alpha: float) -> float:
         lg_den2, sign_den2 = math.lgamma(alpha + 1.0), _gamma_sign(alpha + 1.0)
     except ValueError as exc:
         raise DomainError(f"assoc_laguerre: Gamma pole in prefactor: {exc}") from exc
-    return sign_num * sign_den1 * sign_den2 * math.exp(lg_num - lg_den1 - lg_den2)
+    return sign_num * sign_den1 * sign_den2 * exp(lg_num - lg_den1 - lg_den2)
 
 
 def assoc_laguerre(degree: float, alpha: float, z: float) -> SpecialValue:
@@ -320,25 +396,46 @@ def assoc_laguerre(degree: float, alpha: float, z: float) -> SpecialValue:
     return SpecialValue(value, est)
 
 
-def assoc_laguerre_grid(degree: float, alpha: float, z: np.ndarray) -> SpecialGrid:
+def assoc_laguerre_grid(degree, alpha, z: np.ndarray) -> SpecialGrid:
     """``assoc_laguerre`` at every entry of the ndarray z.
 
-    The Gamma-ratio prefactor is computed once per call.
+    degree and alpha are floats, or equal-length sequences of floats:
+    one row of values per (degree, alpha) pair, shape (rows, *z.shape),
+    with the series rows summed in one call of the series kernel.  Each
+    row passes the checks of ``assoc_laguerre``, stage by stage, and
+    the Gamma-ratio prefactor is computed once per row.  A call with
+    several rows raises the first error any row meets.
     """
     z = np.asarray(z, dtype=float)
-    for name, val in (("degree", degree), ("alpha", alpha)):
-        if not math.isfinite(val):
-            raise DomainError(f"assoc_laguerre: argument {name} is not finite")
-    if not np.all(np.isfinite(z)):
+    single = np.ndim(degree) == 0
+    rows = ([(float(degree), float(alpha))] if single
+            else list(zip(map(float, degree), map(float, alpha))))
+    for d, al in rows:
+        for name, val in (("degree", d), ("alpha", al)):
+            if not math.isfinite(val):
+                raise DomainError(f"assoc_laguerre: argument {name} is not finite")
+    if not np.isfinite(z).all():
         raise DomainError("assoc_laguerre: argument z is not finite")
-    if _is_nonpositive_integer(alpha + 1.0):
-        raise DomainError("assoc_laguerre: alpha+1 must not be a nonpositive integer")
-    if _is_nonpositive_integer(degree + 1.0):
-        return SpecialGrid(np.zeros_like(z), np.zeros_like(z))
-    prefactor = _laguerre_prefactor(degree, alpha)
-    hyp = kummer_m_grid(-degree, alpha + 1.0, z)
-    values = prefactor * hyp.values
-    est = abs(prefactor) * hyp.est_abs_errors + _EPS * np.abs(values)
+    live, prefactors = [], []
+    for i, (d, al) in enumerate(rows):
+        if _is_nonpositive_integer(al + 1.0):
+            raise DomainError("assoc_laguerre: alpha+1 must not be a nonpositive integer")
+        # At a Gamma(degree+1) pole the row vanishes identically.
+        if not _is_nonpositive_integer(d + 1.0):
+            live.append(i)
+            prefactors.append(_laguerre_prefactor(d, al))
+    hyp, hyp_est = _kummer_rows([-rows[i][0] for i in live],
+                                [rows[i][1] + 1.0 for i in live], z)
+    scale = np.array(prefactors).reshape((-1,) + (1,) * z.ndim)
+    values = scale * hyp
+    est = np.abs(scale) * hyp_est + _EPS * np.abs(values)
+    if len(live) < len(rows):
+        live_values, live_est = values, est
+        values = np.zeros((len(rows),) + z.shape)
+        est = np.zeros_like(values)
+        values[live], est[live] = live_values, live_est
+    if single:
+        values, est = values[0], est[0]
     return SpecialGrid(values, est)
 
 

@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -183,6 +185,59 @@ def test_overflowing_nu_is_a_domain_error(argv, capsys):
     nu = float(argv[argv.index("--nu") + 1])
     assert captured.err.startswith(f"error: nu = {nu:g} is out of range")
     assert "Traceback" not in captured.err
+
+
+# Commands whose closed forms overflow from about nu = 400 (the first
+# nu at which each failed), each at that nu and beyond.
+_OVERFLOW_COMMANDS = [
+    (["verify", "--scenario", "gaussian-mass", "--delta", "1"], 400),
+    (["density", "--scenario", "gaussian-mass", "--delta", "1"], 400),
+    (["density", "--scenario", "harmonic-energy", "--delta", "-1"], 400),
+    (["darboux"], 400),
+    (["verify", "--scenario", "harmonic-energy", "--delta", "1"], 1000),
+    (["figure", "5"], 1000),
+]
+
+
+@pytest.mark.parametrize("argv, nu", [
+    (argv, nu) for argv, first in _OVERFLOW_COMMANDS for nu in (400, 1000, 1e6, 1e150)
+    if nu >= first
+    # here psi underflows on the whole grid: a zero density, exit 0
+    and not (argv[0] == "density" and argv[2] == "harmonic-energy" and nu == 1e150)
+])
+def test_overflow_is_a_domain_error(argv, nu, capsys):
+    code = run(argv + ["--nu", f"{nu:g}"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("kind", ["standard", "confluent"])
+def test_huge_polynomial_degree_is_refused_at_once(kind, capsys):
+    # nu = 1e150 makes the chain's Laguerre degree an integer near 5e149
+    start = time.monotonic()
+    code = run(["darboux", "--kind", kind, "--nu", "1e150"])
+    elapsed = time.monotonic() - start
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.err.startswith("error: kummer_m: polynomial degree ")
+    assert "exceeds the limit of 600" in captured.err
+    assert elapsed < 1.0
+
+
+def test_nan_residual_prints_no_warning(capsys):
+    # The squared Gaussian mass underflows near x = 19.3: the residual is
+    # NaN and the check fails, without numpy warnings on stderr
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["verify", "--scenario", "gaussian-mass", "--nu", "0.5",
+                    "--delta", "1", "--grid-hi", "19.5"])
+    captured = capsys.readouterr()
+    assert code == EXIT_VERIFICATION
+    assert "FAIL  dunkl_residual: max residual nan" in captured.out
+    assert "Warning" not in captured.err
+    assert not caught
 
 
 def test_bad_figure_number(capsys):

@@ -332,10 +332,48 @@ def test_chain_members_share_their_laguerre_factors(monkeypatch):
     chain = standard_chain_u12(4.0, validate=False)
     ys = np.linspace(-2.0, 1.0, 50)
     transformed_potential(chain, ys)
-    # u1 and u1' share L_{c-1/2}^0, u2 and u2' share L_{c-1}^1
-    assert len(calls) == 4
+    # u1 and u1' share L_{c-1/2}^0 and L_{c-3/2}^1, evaluated as one pair;
+    # u2 and u2' share the pair L_{c-1}^1, L_{c-2}^2
+    assert len(calls) == 2
     transformed_solution(chain, mapped_initial_solution(TRANSFORM_PARAMS, 4.0), ys)
-    assert len(calls) == 6     # only phi's two factors are new
+    assert len(calls) == 3     # only phi's pair of factors is new
+
+
+def test_laguerre_pair_evaluates_both_rows_in_one_call(monkeypatch):
+    calls = _count_grid_calls(monkeypatch)
+    lag, up = scenarios._laguerre_pair(1.7, 0.5)
+    z = np.linspace(0.0, 3.0, 9)
+    values, slopes = lag(z), up(z)
+    assert calls == [((1.7, 0.7), (0.5, 1.5))]
+    assert lag(z.copy()) is values and _bits(up(z)) == _bits(slopes)
+    assert len(calls) == 1                                   # both rows memoised
+    assert _bits(values) == _bits([assoc_laguerre(1.7, 0.5, v).value for v in z])
+    assert _bits(slopes) == _bits([-assoc_laguerre(0.7, 1.5, v).value for v in z])
+    assert lag(1.5) == assoc_laguerre(1.7, 0.5, 1.5).value and len(calls) == 1
+
+
+@pytest.mark.parametrize("first", ["lag", "up"])
+def test_laguerre_pair_raises_each_row_error_when_read(monkeypatch, first):
+    # L_601^0 is refused (polynomial degree above the limit), while its
+    # partner L_600^1 is not: reading either row must behave as if the
+    # rows were separate factors, in either order
+    calls = _count_grid_calls(monkeypatch)
+    lag, up = scenarios._laguerre_pair(601.0, 0.0)
+    z = np.array([0.1, 0.2])
+    want = [-assoc_laguerre(600.0, 1.0, v).value for v in z]
+    if first == "up":
+        assert _bits(up(z)) == _bits(want)
+    with pytest.raises(DomainError, match="polynomial degree 601 exceeds"):
+        lag(z)
+    assert _bits(up(z)) == _bits(want)
+    # a failed joint call stores nothing, so the grid is tried jointly
+    # again until a row of it succeeds alone
+    rows = [len(c[0]) for c in calls]
+    assert rows == ([2, 1, 1] if first == "up" else [2, 1, 2, 1])
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
 
 
 @pytest.mark.parametrize("scenario", [ScenarioHarmonicEnergy(), ScenarioGaussianMass()])

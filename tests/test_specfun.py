@@ -218,6 +218,66 @@ def test_laguerre_grid_equals_scalar_bit_for_bit(degree, alpha, zs, outside):
                                 zs + outside)
 
 
+@settings(max_examples=150, deadline=None)
+@given(degree=st.one_of(st.floats(-6.0, 16.0), st.integers(-4, 12).map(float)),
+       alpha=_rarely(st.floats(-0.95, 6.0), -2.0),
+       zs=_ZS, outside=_OUTSIDE)
+def test_laguerre_rows_equal_single_rows_bit_for_bit(degree, alpha, zs, outside):
+    # The pair a closure evaluates together: L_d^a and L_{d-1}^{a+1}
+    rows = ((degree, alpha), (degree - 1.0, alpha + 1.0))
+    z = np.array(zs + outside)
+    singles = []
+    for d, al in rows:
+        try:
+            singles.append(assoc_laguerre_grid(d, al, z))
+        except DunklDarbouxError as exc:
+            singles.append(exc)
+    errors = {str(single) for single in singles if isinstance(single, Exception)}
+    if errors:
+        with pytest.raises(DunklDarbouxError) as joint:
+            assoc_laguerre_grid(*zip(*rows), z)
+        assert str(joint.value) in errors
+        return
+    joint = assoc_laguerre_grid(*zip(*rows), z)
+    assert joint.values.shape == joint.est_abs_errors.shape == (2, len(z))
+    for i, single in enumerate(singles):
+        assert _bits(joint.values[i]) == _bits(single.values)
+        assert _bits(joint.est_abs_errors[i]) == _bits(single.est_abs_errors)
+
+
+@pytest.mark.parametrize("rows", [
+    ((2.0, 0.5), (1.0, 1.5)),       # two polynomials
+    ((2.5, 0.5), (2.0, 1.5)),       # a series and a polynomial
+    ((0.0, 0.5), (-1.0, 1.5)),      # a polynomial and a Gamma-pole zero row
+    ((1.3, 0.5), (0.3, 1.5), (-0.7, 2.5)),
+])
+def test_laguerre_rows_mix_branches(rows):
+    z = np.array([-3.0, -1.0, 0.0, 0.4, 7.5])
+    joint = assoc_laguerre_grid(*zip(*rows), z)
+    for i, (d, al) in enumerate(rows):
+        single = assoc_laguerre_grid(d, al, z)
+        assert _bits(joint.values[i]) == _bits(single.values)
+        assert _bits(joint.est_abs_errors[i]) == _bits(single.est_abs_errors)
+
+
+@pytest.mark.parametrize("degree", [601.0, 5e149])
+def test_polynomial_degree_limit_on_both_paths(degree):
+    # refused before any coefficient is built, with the same message
+    z = np.array([0.1, 0.5])
+    with pytest.raises(DomainError) as scalar:
+        kummer_m(-degree, 1.5, 0.5)
+    with pytest.raises(DomainError) as grid:
+        kummer_m_grid(-degree, 1.5, z)
+    assert str(grid.value) == str(scalar.value)
+    assert f"exceeds the limit of {specfun.KUMMER_MAX_TERMS}" in str(scalar.value)
+    with pytest.raises(DomainError) as lag_grid:
+        assoc_laguerre_grid(degree, 0.0, z)
+    assert str(lag_grid.value) == str(scalar.value)
+    # the polynomial at the limit is still evaluated, as its series would be
+    assert _bits(kummer_m_grid(-600.0, 1.5, z).values) == _bits(
+        [kummer_m(-600.0, 1.5, float(v)).value for v in z])
+
+
 def test_grid_range_guard_matches_scalar_message():
     zs = np.array([0.5, 2.0, KUMMER_Z_MAX + 1.0])
     with pytest.raises(DomainError) as scalar:
@@ -291,6 +351,11 @@ _FSUM_CASES = {
     "one-row": np.array([[1.5, -0.0, 0.0, 2.0 ** -1074, 1e308]]),
     "empty-grid": np.empty((1, 0)),
     "near-max": np.array([[1e308, 1e308], [-1e308, 1e308], [1e308, -1e308]]),
+    # peaks on both sides of the extraction's guards: eps sigma just
+    # normal or subnormal, sigma + x just finite or overflowing
+    "sigma-range": np.array([[2.0 ** -975, 3 * 2.0 ** -968, 2.0 ** 1017, -2.0 ** 1020],
+                             [2.0 ** -1020, 2.0 ** -1000, 2.0 ** 960, 2.0 ** 1000],
+                             [-2.0 ** -1060, 2.0 ** -1074, -1.0, 2.0 ** 900]]),
 }
 
 

@@ -30,7 +30,7 @@ from typing import Callable, List, Optional, Sequence, get_args, get_type_hints
 import numpy as np
 
 from .darboux import DarbouxChain, transformed_potential, transformed_solution
-from .errors import DunklDarbouxError
+from .errors import DomainError, DunklDarbouxError
 from .libm import exp, power
 from .model import (DunklParams, dunkl_residual, modified_norm,
                     probability_density, sampled_parity_defect)
@@ -332,7 +332,8 @@ def _verify_pdm(params: DunklParams, E: float, tol: float) -> VerificationReport
     u_harm = induced_potential(coord, harm.mass(), harm.potential(), params, E, ys)
     u_pdm = induced_potential(coord, pdm.mass(), pdm.potential(),
                               DunklParams(nu=nu, delta=delta, mu=1), E, ys)
-    worst = _worst(np.abs(u_harm - u_pdm) / np.maximum(1.0, np.abs(u_harm)))
+    with np.errstate(all="ignore"):     # inf - inf is NaN: the check fails
+        worst = _worst(np.abs(u_harm - u_pdm) / np.maximum(1.0, np.abs(u_harm)))
     report.add("induced_potential_match", worst, tol)
     # The redefined nu is fixed by matching the mapped constant term:
     # 3 delta nu - nu^2 (PDM) against delta_bar nu_bar - nu_bar^2.
@@ -388,6 +389,9 @@ def cmd_density(config: RunConfig) -> int:
     grid = _grid(config, 0.1, 4.0, 400)
     rows = _rows(grid, probability_density(system, psi, E, grid))
     norm = modified_norm(system, psi, E)
+    if norm.value == 0.0:
+        raise DomainError("density: psi underflows to 0 on the whole line, "
+                          "so its norm is 0")
     if config.output_format == "json":
         payload = {"columns": ["x", "density"],
                    "rows": [[_fmt(v) for v in row] for row in rows],
@@ -461,30 +465,23 @@ def _figure_states(delta: int) -> list:
 
 def _figure_1(config: RunConfig):
     grid = _grid(config, -3.0, 3.0, 400)
-    states = _figure_states(1)
-    rows = [[float(x)] + [s.f(float(x)) for s in states] for x in grid]
-    return ["x", "psi0", "psi1", "psi2"], rows
+    columns = [s.f(grid) for s in _figure_states(1)]
+    return ["x", "psi0", "psi1", "psi2"], _rows(grid, *columns)
 
 
 def _figure_2(config: RunConfig):
     grid = _grid(config, -3.0, 3.0, 400)
     params = DunklParams(nu=0.5, delta=-1, mu=1)
     system = ScenarioGaussianMass().system(params)
-    states = _figure_states(-1)
-    energies = [bound_state_energy(n, params, "ene0") for n in (0, 1, 2)]
-    norms = [modified_norm(system, s, E).value
-             for s, E in zip(states, energies)]
-    rows = []
-    for x in grid:
-        x = float(x)
-        row = [x]
-        if x == 0.0:
-            row += [0.0, 0.0, 0.0]
-        else:
-            row += [probability_density(system, s, E, x) / nrm
-                    for s, E, nrm in zip(states, energies, norms)]
-        rows.append(row)
-    return ["x", "p0", "p1", "p2"], rows
+    live = grid != 0.0      # the density is 0 at x = 0, outside the domain
+    columns = [grid]
+    for n, psi in enumerate(_figure_states(-1)):
+        E = bound_state_energy(n, params, "ene0")
+        density = np.zeros_like(grid)
+        density[live] = (probability_density(system, psi, E, grid[live])
+                         / modified_norm(system, psi, E).value)
+        columns.append(density)
+    return ["x", "p0", "p1", "p2"], _rows(*columns)
 
 
 def _transform_settings(config: RunConfig, default_nu: float,

@@ -233,7 +233,8 @@ def transformed_potential(chain: DarbouxChain, y, w_floor: float = DEFAULT_W_FLO
         scale = (np.maximum(np.maximum(abs(v1), abs(g1)), 1.0)
                  * np.maximum(np.maximum(abs(v2), abs(g2)), 1.0))
     _below_floor(w, w_floor * scale, y)
-    return u - 2.0 * (wpp * w - wp * wp) / (w * w)
+    with np.errstate(all="ignore"):     # overflow stays inf/NaN, reported downstream
+        return u - 2.0 * (wpp * w - wp * wp) / (w * w)
 
 
 def transformed_solution(chain: DarbouxChain, phi: OdeSolution, y,
@@ -280,15 +281,18 @@ def chain_residuals(chain: DarbouxChain, grid, h: float = 5e-4) -> np.ndarray:
     """
     grid = np.asarray(grid, dtype=float)
     u = chain.potential(grid)
+    # Every member is read on the grid before any stencil samples its
+    # derivative off the grid, so memoised factors are not evaluated twice.
+    values = [f(grid) for f, _ in chain.funcs]
     out = np.zeros(len(chain.funcs))
-    for j, (f, d) in enumerate(chain.funcs):
+    for j, (_, d) in enumerate(chain.funcs):
         eps = chain.eps[j] if chain.kind == KIND_STANDARD else chain.eps[0]
         second = derivative(d, grid, 1, h)
-        term = (eps - u) * f(grid)
+        term = (eps - u) * values[j]
         res = second + term
         scale = abs(second) + abs(term)
         if chain.kind == KIND_CONFLUENT and j > 0:
-            prev = chain.funcs[j - 1][0](grid)
+            prev = values[j - 1]
             res = res + prev
             scale = scale + abs(prev)
         out[j] = np.fmax.reduce(abs(res) / np.maximum(scale, 1e-30), initial=0.0)

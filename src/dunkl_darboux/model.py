@@ -186,13 +186,17 @@ def dunkl_residual(system: DunklSystem, psi: ParityFunction, E: float, x,
         return res
     scale = abs(kin) + abs(t1) + abs(t0)
     if isinstance(res, np.ndarray):
-        return np.divide(res, scale, out=res.copy(), where=scale > 0)
+        with np.errstate(all="ignore"):     # inf / inf is NaN: the check fails
+            return np.divide(res, scale, out=res.copy(), where=scale > 0)
     return res / scale if scale > 0 else res
 
 
 def probability_density(system: DunklSystem, psi: ParityFunction, E: float, x):
-    """Modified probability density |psi|^2 |x|^w (1 - dV/dE)."""
-    # The quadrature integrand of every norm: the float path stays lean.
+    """Modified probability density |psi|^2 |x|^w (1 - dV/dE).
+
+    On an ndarray it is the integrand of ``modified_norm``, which calls
+    it on all the nodes of a quadrature level at once.
+    """
     grid = isinstance(x, np.ndarray)
     if np.any(x == 0) if grid else x == 0:
         raise DomainError("probability_density: x = 0 is outside the domain")
@@ -216,12 +220,7 @@ def probability_density(system: DunklSystem, psi: ParityFunction, E: float, x):
 
 def modified_norm(system: DunklSystem, psi: ParityFunction, E: float) -> QuadratureResult:
     """Norm integral of the modified density over the real line."""
-    def integrand(x: float) -> float:
-        if x == 0.0:
-            return 0.0
-        return probability_density(system, psi, E, x)
-
-    return integrate_real_line(integrand)
+    return integrate_real_line(lambda x: probability_density(system, psi, E, x))
 
 
 def sampled_parity_defect(f: ParityFunction, xs) -> float:

@@ -138,19 +138,20 @@ def induced_potential(coord: CoordinateChange, mass: MassProfile,
     v = potential.v(E, x)
     xp2 = xp * xp
     x_sq = power(x, 2)
-    return (E
-            - 2 * E * m * xp2
-            + 2 * m * v * xp2
-            - delta * nu * xp2 / (2 * x_sq)
-            - delta * nu * xp2 / (2 * mu * x_sq)
-            + nu**2 * xp2 / (2 * x_sq)
-            + nu**2 * xp2 / (2 * mu * x_sq)
-            - delta * nu * m1 * xp2 / (2 * m * x)
-            - delta * nu * m1 * xp2 / (2 * mu * m * x)
-            + 3 * power(m1, 2) * xp2 / (4 * m * m)
-            - m2 * xp2 / (2 * m)
-            + 3 * power(xpp, 2) / (4 * xp2)
-            - xppp / (2 * xp))
+    with np.errstate(all="ignore"):     # overflow stays inf/NaN for the caller
+        return (E
+                - 2 * E * m * xp2
+                + 2 * m * v * xp2
+                - delta * nu * xp2 / (2 * x_sq)
+                - delta * nu * xp2 / (2 * mu * x_sq)
+                + nu**2 * xp2 / (2 * x_sq)
+                + nu**2 * xp2 / (2 * mu * x_sq)
+                - delta * nu * m1 * xp2 / (2 * m * x)
+                - delta * nu * m1 * xp2 / (2 * mu * m * x)
+                + 3 * power(m1, 2) * xp2 / (4 * m * m)
+                - m2 * xp2 / (2 * m)
+                + 3 * power(xpp, 2) / (4 * xp2)
+                - xppp / (2 * xp))
 
 
 def energy_relation_residual(coord: CoordinateChange, mass: MassProfile,

@@ -224,7 +224,10 @@ _PRINTED_STATES = {
 
 
 def printed_bound_state(n: int, delta: int) -> ParityFunction:
-    """The six explicitly printed bound states at nu = 1/2 (poly x gaussian)."""
+    """The six explicitly printed bound states at nu = 1/2 (poly x gaussian).
+
+    f, f1 and f2 accept a float or an ndarray of x.
+    """
     try:
         coeffs = _PRINTED_STATES[(delta, n)]
     except KeyError:
@@ -234,13 +237,13 @@ def printed_bound_state(n: int, delta: int) -> ParityFunction:
     ddpoly = dpoly.deriv()
 
     def f(x):
-        return math.exp(-x * x) * poly(x)
+        return exp(-x * x) * poly(x)
 
     def f1(x):
-        return math.exp(-x * x) * (dpoly(x) - 2 * x * poly(x))
+        return exp(-x * x) * (dpoly(x) - 2 * x * poly(x))
 
     def f2(x):
-        return math.exp(-x * x) * (ddpoly(x) - 4 * x * dpoly(x) + (4 * x * x - 2) * poly(x))
+        return exp(-x * x) * (ddpoly(x) - 4 * x * dpoly(x) + (4 * x * x - 2) * poly(x))
 
     return ParityFunction(f=f, f1=f1, f2=f2, parity=delta)
 

@@ -202,7 +202,7 @@ _OVERFLOW_COMMANDS = [
 @pytest.mark.parametrize("argv, nu", [
     (argv, nu) for argv, first in _OVERFLOW_COMMANDS for nu in (400, 1000, 1e6, 1e150)
     if nu >= first
-    # here psi underflows on the whole grid: a zero density, exit 0
+    # here psi underflows on the whole line: see test_density_refuses_a_zero_norm
     and not (argv[0] == "density" and argv[2] == "harmonic-energy" and nu == 1e150)
 ])
 def test_overflow_is_a_domain_error(argv, nu, capsys):
@@ -224,6 +224,35 @@ def test_huge_polynomial_degree_is_refused_at_once(kind, capsys):
     assert captured.err.startswith("error: kummer_m: polynomial degree ")
     assert "exceeds the limit of 600" in captured.err
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("delta, nu", [(-1, 1e150), (-1, 6e153), (1, 6e153)])
+def test_density_refuses_a_zero_norm(delta, nu, capsys):
+    # psi underflows on the whole line, so the density and its norm are 0
+    code = run(["density", "--scenario", "harmonic-energy", "--delta", str(delta),
+                "--nu", f"{nu:g}"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == ("error: density: psi underflows to 0 on the whole line, "
+                            "so its norm is 0\n")
+
+
+# Commands whose float overflow numpy used to report as a RuntimeWarning
+# on stderr: each keeps its exit code and output with warnings as errors.
+@pytest.mark.parametrize("argv, code, stream, start", [
+    (["darboux", "--nu", "1e6"], EXIT_USAGE, "err",
+     "error: exp(5025.1241321172565): result overflows"),
+    (["verify", "--scenario", "harmonic-energy-pdm", "--nu", "6e153", "--delta", "1"],
+     EXIT_VERIFICATION, "out", "FAIL  induced_potential_match: max residual nan"),
+    (["verify", "--scenario", "gaussian-mass", "--nu", "6e153", "--delta", "-1"],
+     EXIT_USAGE, "err", "error: power(1.024848391894543, 1.1999999999999999e+154)"),
+])
+def test_overflow_raises_no_numpy_warning(argv, code, stream, start, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == code
+    assert getattr(capsys.readouterr(), stream).startswith(start)
 
 
 def test_nan_residual_prints_no_warning(capsys):
@@ -436,8 +465,8 @@ def test_verify_json_report(capsys):
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
-    # scipy.integrate is imported by the first norm integral, so commands
-    # that compute no norm start without paying for it
+    # The package needs no scipy: importing the CLI loads none of it, and
+    # the norm commands run with every scipy import made to fail.
     src = str(Path(dunkl_darboux.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -445,3 +474,13 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=60, check=True)
     assert proc.stdout.strip() == "False"
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from dunkl_darboux.cli import run\n"
+            "codes = [run(['density', '--scenario', 'gaussian-mass', '--nu', '0.5',\n"
+            "              '--delta', '-1']), run(['figure', '2'])]\n"
+            "print(codes, sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60, check=True)
+    assert proc.stdout.splitlines()[-1] == "[0, 0] ['scipy']"
+    assert proc.stderr.startswith("norm = 2 (estimated error ")

@@ -63,7 +63,7 @@ def test_parameter_derivative_polynomial_exact():
 
 
 def test_gaussian_integral():
-    res = integrate_real_line(lambda x: math.exp(-x * x))
+    res = integrate_real_line(lambda x: np.exp(-x * x))
     assert res.value == pytest.approx(math.sqrt(math.pi), abs=1e-9)
     assert res.est_abs_error < 1e-8
     assert res.n_evals > 0
@@ -71,18 +71,67 @@ def test_gaussian_integral():
 
 def test_weighted_gaussian_integral():
     # int |x| e^{-x^2} dx = 1
-    res = integrate_real_line(lambda x: abs(x) * math.exp(-x * x))
+    res = integrate_real_line(lambda x: np.abs(x) * np.exp(-x * x))
     assert res.value == pytest.approx(1.0, abs=1e-9)
 
 
 def test_integrate_flags_nonfinite():
     with pytest.raises(EvaluationError):
-        integrate_real_line(lambda x: math.inf)
+        integrate_real_line(lambda x: np.full_like(x, np.inf))
 
 
 def test_integrate_nonconvergent_raises_accuracy():
     with pytest.raises(AccuracyError):
-        integrate_real_line(lambda x: math.cos(x) / (1.0 + abs(x)) ** 0.6)
+        integrate_real_line(lambda x: np.cos(x) / (1.0 + np.abs(x)) ** 0.6)
+
+
+def test_integrate_refuses_to_truncate_at_the_window_edge():
+    # The integral is pi, but the algebraic tail is not negligible at x = 298.
+    with pytest.raises(AccuracyError, match="window truncates"):
+        integrate_real_line(lambda x: 1.0 / (1.0 + x * x))
+    # Smooth, but e^{-298/100} at the window's end is far from negligible.
+    with pytest.raises(AccuracyError, match="window truncates"):
+        integrate_real_line(lambda x: np.exp(-np.abs(x) / 100.0))
+
+
+def test_integrate_flags_disagreeing_step_sizes():
+    # A narrow spike: the two step sizes sample it differently.
+    with pytest.raises(AccuracyError, match="did not converge"):
+        integrate_real_line(lambda x: np.exp(-((x - 3.0) * 40.0) ** 2))
+
+
+def test_integrate_evaluates_the_far_nodes_first():
+    calls = []
+
+    def f(x):
+        calls.append(x.copy())
+        if np.any(np.abs(x) > 100.0):
+            raise DomainError("far tail")
+        return np.exp(-x * x)
+
+    with pytest.raises(DomainError, match="far tail"):
+        integrate_real_line(f)
+    assert len(calls) == 1
+    assert calls[0][0] == -calls[0][1] < -297.0 and calls[0].size == 2
+    # On success: one more call on all other nodes, each node once,
+    # none at 0, mirrored about 0.
+    calls.clear()
+    res = integrate_real_line(lambda x: calls.append(x.copy()) or np.exp(-x * x))
+    assert [c.size for c in calls] == [2, res.n_evals - 2]
+    nodes = np.concatenate(calls)
+    assert np.unique(nodes).size == nodes.size and not np.any(nodes == 0.0)
+    assert sorted(nodes.tolist()) == sorted((-nodes).tolist())
+
+
+def test_integrate_error_estimate_is_an_upper_bound():
+    # Closed forms: int x^2 e^{-x^2} = sqrt(pi)/2, int e^{-x^2/8} = sqrt(8 pi),
+    # int |x|^3 e^{-x^2} = 1.
+    cases = ((lambda x: x * x * np.exp(-x * x), math.sqrt(math.pi) / 2),
+             (lambda x: np.exp(-x * x / 8.0), math.sqrt(8.0 * math.pi)),
+             (lambda x: np.abs(x) ** 3 * np.exp(-x * x), 1.0))
+    for f, exact in cases:
+        res = integrate_real_line(f)
+        assert abs(res.value - exact) <= res.est_abs_error <= 1e-12 * exact
 
 
 def test_quadrature_result_validation():

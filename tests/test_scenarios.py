@@ -339,6 +339,23 @@ def test_chain_members_share_their_laguerre_factors(monkeypatch):
     assert len(calls) == 3     # only phi's pair of factors is new
 
 
+def test_confluent_build_evaluates_each_eps_once_on_its_grid(monkeypatch):
+    # u1 reads the family at eps1 and u2 at four stencil eps; the scale
+    # check and chain_residuals read all five on the 25-point validation
+    # grid, where each eps pair of Laguerre rows must be evaluated once
+    grids = []
+    real = scenarios.assoc_laguerre_grid
+
+    def counted(degree, alpha, z):
+        grids.append((degree, alpha, z.size))
+        return real(degree, alpha, z)
+
+    monkeypatch.setattr(scenarios, "assoc_laguerre_grid", counted)
+    confluent_chain(4.0)
+    on_grid = [(degree, alpha) for degree, alpha, size in grids if size == 25]
+    assert len(on_grid) == 5 and len(set(on_grid)) == 5
+
+
 def test_laguerre_pair_evaluates_both_rows_in_one_call(monkeypatch):
     calls = _count_grid_calls(monkeypatch)
     lag, up = scenarios._laguerre_pair(1.7, 0.5)

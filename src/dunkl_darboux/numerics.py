@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -123,38 +124,71 @@ def parameter_derivative(family: Callable[[float, float], float], eps0: float, y
     return (8 * (samples[1] - samples[-1]) - (samples[2] - samples[-2])) / (12 * h_eps)
 
 
-# Exp-sinh nodes x = exp(pi/2 sinh t) of one half line, t = k h on
-# [-4, 2]: x runs from 2.4e-19 to 297.9, past the point where a
-# Gaussian-decaying density has underflowed to exactly 0.  Nodes and
-# weights h dx/dt come from the scalar libm routines, so they are the
-# same bits on every machine.
+# Exp-sinh nodes x = exp(pi/2 sinh t) of one half line, t on [-4, 2]:
+# x runs from 2.4e-19 to 297.9, past the point where a Gaussian-decaying
+# density has underflowed to exactly 0.  Nodes and weights h dx/dt come
+# from the scalar libm routines, so they are the same bits on every
+# machine.
 QUAD_STEP = 1.0 / 64
-_T = [k * QUAD_STEP for k in range(-256, 129)]
-_NODES = np.array([math.exp(0.5 * math.pi * math.sinh(t)) for t in _T])
-_WEIGHTS = np.array([QUAD_STEP * 0.5 * math.pi * math.cosh(t) * x
-                     for t, x in zip(_T, _NODES)])
+# Halving stops here: each halving doubles the nodes, and a step of
+# 1/1024 resolves a peak e^{-((x - c)/0.5)^2} out to c = 30 (not 60),
+# past the peaks near x = sqrt(nu) < 11 of every density whose
+# |x|^(2 nu) factor does not overflow.
+QUAD_MIN_STEP = 1.0 / 1024
+_T_LO, _T_HI = -4, 2
+
+
+def _exp_sinh(ks, step):
+    """Nodes and weights of one half line at t = k step, k in ks."""
+    ts = [k * step for k in ks]
+    nodes = [math.exp(0.5 * math.pi * math.sinh(t)) for t in ts]
+    weights = [step * 0.5 * math.pi * math.cosh(t) * x for t, x in zip(ts, nodes)]
+    return np.array(nodes), np.array(weights)
+
+
+_NODES, _WEIGHTS = _exp_sinh(range(_T_LO * 64, _T_HI * 64 + 1), QUAD_STEP)
+
+
+@lru_cache(maxsize=None)
+def _added_nodes(step):
+    """The nodes and weights that the step ``step`` adds to the step 2 step."""
+    n = round(1 / step)
+    return _exp_sinh(range(_T_LO * n + 1, _T_HI * n, 2), step)
+
+
 # Allowance, relative to the sum of |terms|, for the integrand's own
-# rounding, which the difference of the two step sizes cannot see once
-# they agree to the last bits.
+# rounding, which the difference of two step sizes cannot see once
+# they agree to the last bits.  It is measured, not derived: over the
+# norms of tests/test_norm_oracle.py the rounding error of the weighted
+# sum of densities is at most 5.9e-15 = 2^-47.3 of the sum of |terms|.
+# An integrand that rounds worse than this can get too small an estimate.
 QUAD_ROUNDING = 2.0 ** -44
+
+
+def _fold(f, nodes):
+    """f on -nodes and on nodes, in one call: (values on -nodes, on nodes)."""
+    x = np.concatenate([-nodes, nodes])
+    neg, pos = np.split(_check_finite(f(x), x, "integrand at "), 2)
+    return neg, pos
 
 
 def integrate_real_line(f: Callable[[np.ndarray], np.ndarray]) -> QuadratureResult:
     """Integral over the real line of f, which maps an ndarray of x elementwise.
 
-    Each half line is integrated by the exp-sinh trapezoid rule at steps
-    1/64 and 1/32 in t; their difference estimates the error.  f is
-    called first on the two outermost nodes, +-297.9, alone, so an
-    integrand that fails far out fails on two nodes; then once on all
-    the other nodes.  The integrand must be negligible at both ends of
-    the window, which is never truncated silently.
+    Each half line is integrated by the exp-sinh trapezoid rule, first
+    at steps 1/32 and 1/64 in t; while two successive steps differ by
+    more than the tolerance the step is halved, down to 1/1024, reusing
+    every node already evaluated.  The last difference estimates the
+    error.  f is called first on the two outermost nodes, +-297.9,
+    alone, so an integrand that fails far out fails on two nodes; then
+    once on all the other nodes of step 1/64, and once on the nodes each
+    halving adds.  The integrand must be negligible at both ends of the
+    window, which is never truncated silently.
     """
-    outer = np.array([-_NODES[-1], _NODES[-1]])
-    far = _check_finite(f(outer), outer, "integrand at ")
-    inner = np.concatenate([-_NODES[:-1], _NODES[:-1]])
-    body = _check_finite(f(inner), inner, "integrand at ")
-    neg, pos = np.split(body, 2)
-    terms = _WEIGHTS * np.append(neg + pos, far[0] + far[1])
+    far_neg, far_pos = _fold(f, _NODES[-1:])
+    neg, pos = _fold(f, _NODES[:-1])
+    n_evals = 2 * _NODES.size
+    terms = _WEIGHTS * np.append(neg + pos, far_neg + far_pos)
     listed = terms.tolist()
     total = math.fsum(listed)
     coarse = 2.0 * math.fsum(listed[::2])
@@ -162,16 +196,28 @@ def integrate_real_line(f: Callable[[np.ndarray], np.ndarray]) -> QuadratureResu
     # |integrand in t| at the window's ends: it bounds what lies beyond
     # them for anything that decays at least like e^{-|t|} there.
     ends = float(_WEIGHTS[0] * (abs(neg[0]) + abs(pos[0]))
-                 + _WEIGHTS[-1] * (abs(far[0]) + abs(far[1]))) / QUAD_STEP
+                 + _WEIGHTS[-1] * (abs(far_neg[0]) + abs(far_pos[0]))) / QUAD_STEP
     if ends > QUAD_TOL * scale:
         raise AccuracyError(f"quadrature window truncates the integrand: "
                             f"{ends:.3g} at its ends", best_estimate=total)
+    step = QUAD_STEP
     diff = abs(total - coarse)
-    if diff > QUAD_TOL * scale:
-        raise AccuracyError(f"quadrature did not converge: steps 1/32 and 1/64 "
-                            f"differ by {diff:.3g}", best_estimate=total)
-    err = diff + ends + QUAD_ROUNDING * float(np.abs(terms).sum())
+    while diff > QUAD_TOL * scale:
+        if step == QUAD_MIN_STEP:
+            raise AccuracyError(f"quadrature did not converge: steps 1/{round(0.5 / step)} "
+                                f"and 1/{round(1 / step)} differ by {diff:.3g}",
+                                best_estimate=total)
+        step /= 2
+        nodes, weights = _added_nodes(step)
+        neg, pos = _fold(f, nodes)
+        n_evals += 2 * nodes.size
+        # Halving the old terms is exact: they now carry the weight of the new step.
+        listed = [v * 0.5 for v in listed] + (weights * (neg + pos)).tolist()
+        coarse, total = total, math.fsum(listed)
+        scale = max(1.0, abs(total))
+        diff = abs(total - coarse)
+    err = diff + ends + QUAD_ROUNDING * float(np.abs(listed).sum())
     if err > 1e-9 * scale:
         raise AccuracyError("quadrature error estimate above tolerance",
                             best_estimate=total)
-    return QuadratureResult(total, err, far.size + body.size)
+    return QuadratureResult(total, err, n_evals)

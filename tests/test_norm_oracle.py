@@ -6,7 +6,11 @@ with mpmath's quadrature, so it shares no code with the package.  The
 cases are every norm that the verify-sweep benchmark computes
 successfully (gaussian-mass under ene0, and the two harmonic-energy
 ene1 states whose Laguerre degree is an integer) plus the three printed
-states of figure 2.
+states of figure 2.  Larger nu moves the density's peak out to
+x ~ sqrt(nu) and narrows it in the quadrature variable, so the large-nu
+cases reach the finer steps of the rule: gaussian-mass up to nu = 119,
+the last nu before x^(2 nu) overflows at a node where psi has not yet
+underflowed, and harmonic-energy states up to nu = 16.
 """
 
 import pytest
@@ -14,7 +18,9 @@ import pytest
 mpmath = pytest.importorskip("mpmath")
 mp = mpmath.mp
 
-from dunkl_darboux.model import DunklParams, modified_norm  # noqa: E402
+from dunkl_darboux.model import (DunklParams, modified_norm,  # noqa: E402
+                                 probability_density)
+from dunkl_darboux.numerics import _NODES, _WEIGHTS, QUAD_ROUNDING  # noqa: E402
 from dunkl_darboux.scenarios import (ScenarioGaussianMass,  # noqa: E402
                                      ScenarioHarmonicEnergy,
                                      bound_state_energy, printed_bound_state)
@@ -22,6 +28,9 @@ from dunkl_darboux.scenarios import (ScenarioGaussianMass,  # noqa: E402
 GAUSSIAN_CASES = [(nu, delta, n) for nu in (0.5, 1.5, 2.5) for delta in (-1, 1)
                   for n in (0, 1)]
 HARMONIC_CASES = [(0.5, -1, 0), (1.5, 1, 0)]
+LARGE_NU_GAUSSIAN_CASES = [(nu, delta, 0) for nu in (10, 50, 100, 119) for delta in (-1, 1)] \
+    + [(50, -1, 1), (100, 1, 1)]
+LARGE_NU_HARMONIC_CASES = [(11, -1, 2), (12, 1, 2), (15, -1, 0), (16, 1, 0)]
 
 
 def _root(nu, delta):
@@ -30,10 +39,10 @@ def _root(nu, delta):
 
 def _half_line(density):
     """2 int_0^inf density: every density here is even in x."""
-    return 2 * mp.quad(density, [0, 1, 2, 4, 8, 16, mp.inf])
+    return 2 * mp.quad(density, [0, 1, 2, 4, 6, 8, 10, 12, 16, 24, mp.inf])
 
 
-def _gaussian_oracle(nu, delta, n):
+def _gaussian_density(nu, delta, n):
     # psi = e^{-x^2} x^s M(a; b; x^2), 1 - dV/dE = 2 e^{x^2}, w = 2 nu
     nu = mp.mpf(nu)
     r = _root(nu, delta)
@@ -41,11 +50,11 @@ def _gaussian_oracle(nu, delta, n):
     E = n + (1 + delta * nu) / 2 + r / 4
     a = mp.mpf(0.5) - E + delta * nu / 2 + r / 4
     b = 1 + r / 2
-    return _half_line(lambda x: 2 * x ** (2 * s + 2 * nu) * mp.exp(-x * x)
+    return lambda x: (2 * x ** (2 * s + 2 * nu) * mp.exp(-x * x)
                       * mp.hyp1f1(a, b, x * x) ** 2)
 
 
-def _harmonic_oracle(nu, delta, n):
+def _harmonic_density(nu, delta, n):
     # psi = e^{-x^2/(2 sqrt E)} x^s L_d^alpha(x^2/sqrt E), 1 - dV/dE = 1 + x^2/E^2
     nu = mp.mpf(nu)
     r = _root(nu, delta)
@@ -57,7 +66,7 @@ def _harmonic_oracle(nu, delta, n):
     assert abs(degree - n) < mp.mpf(10) ** -25
     degree = n
     beta = 1 / mp.sqrt(E)
-    return _half_line(lambda x: x ** (2 * s + 2 * nu) * mp.exp(-beta * x * x)
+    return lambda x: (x ** (2 * s + 2 * nu) * mp.exp(-beta * x * x)
                       * mp.laguerre(degree, r / 2, beta * x * x) ** 2
                       * (1 + x * x / (E * E)))
 
@@ -81,22 +90,22 @@ def _thirty_digits():
         yield
 
 
-@pytest.mark.parametrize("nu, delta, n", GAUSSIAN_CASES)
+@pytest.mark.parametrize("nu, delta, n", GAUSSIAN_CASES + LARGE_NU_GAUSSIAN_CASES)
 def test_gaussian_mass_norm_matches_mpmath(nu, delta, n):
     scenario = ScenarioGaussianMass()
     params = DunklParams(nu=nu, delta=delta, mu=1)
     E = bound_state_energy(n, params, "ene0")
     res = modified_norm(scenario.system(params), scenario.solution(params, E), E)
-    _assert_matches(res, _gaussian_oracle(nu, delta, n))
+    _assert_matches(res, _half_line(_gaussian_density(nu, delta, n)))
 
 
-@pytest.mark.parametrize("nu, delta, n", HARMONIC_CASES)
+@pytest.mark.parametrize("nu, delta, n", HARMONIC_CASES + LARGE_NU_HARMONIC_CASES)
 def test_harmonic_energy_norm_matches_mpmath(nu, delta, n):
     scenario = ScenarioHarmonicEnergy()
     params = DunklParams(nu=nu, delta=delta, mu=1)
     E = bound_state_energy(n, params, "ene1")
     res = modified_norm(scenario.system(params), scenario.solution(params, E), E)
-    _assert_matches(res, _harmonic_oracle(nu, delta, n))
+    _assert_matches(res, _half_line(_harmonic_density(nu, delta, n)))
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])
@@ -106,3 +115,22 @@ def test_figure_2_norms_match_mpmath(n):
     res = modified_norm(ScenarioGaussianMass().system(params),
                         printed_bound_state(n, -1), E)
     _assert_matches(res, _printed_oracle(n))
+
+
+@pytest.mark.parametrize("scenario, rule, exact, nu, delta, n",
+                         [(ScenarioGaussianMass(), "ene0", _gaussian_density) + case
+                          for case in LARGE_NU_GAUSSIAN_CASES]
+                         + [(ScenarioHarmonicEnergy(), "ene1", _harmonic_density) + case
+                            for case in HARMONIC_CASES + LARGE_NU_HARMONIC_CASES])
+def test_density_rounding_is_within_the_quadrature_allowance(scenario, rule, exact,
+                                                             nu, delta, n):
+    # The quadrature's error estimate allows QUAD_ROUNDING sum|terms| for
+    # the integrand's own rounding.  Measured on the step-1/64 nodes, the
+    # rounding error of the weighted sum stays a factor 8 below it.
+    params = DunklParams(nu=nu, delta=delta, mu=1)
+    E = bound_state_energy(n, params, rule)
+    got = probability_density(scenario.system(params), scenario.solution(params, E),
+                              E, _NODES)
+    ref = [exact(nu, delta, n)(mp.mpf(x)) for x in _NODES.tolist()]
+    error = mp.fsum(w * abs(g - r) for w, g, r in zip(_WEIGHTS.tolist(), got.tolist(), ref))
+    assert error <= QUAD_ROUNDING / 8 * mp.fsum(w * r for w, r in zip(_WEIGHTS.tolist(), ref))

@@ -95,9 +95,27 @@ def test_integrate_refuses_to_truncate_at_the_window_edge():
 
 
 def test_integrate_flags_disagreeing_step_sizes():
-    # A narrow spike: the two step sizes sample it differently.
-    with pytest.raises(AccuracyError, match="did not converge"):
-        integrate_real_line(lambda x: np.exp(-((x - 3.0) * 40.0) ** 2))
+    # Oscillation with period 0.006: no step down to 1/1024 resolves it.
+    with pytest.raises(AccuracyError, match="did not converge: steps 1/512 and 1/1024"):
+        integrate_real_line(lambda x: np.cos(1000.0 * x) * np.exp(-x * x))
+
+
+def test_integrate_halves_the_step_until_two_steps_agree():
+    # A narrow spike that steps 1/32 and 1/64 sample differently; each
+    # halving evaluates only the nodes it adds, each node once.
+    calls = []
+
+    def spike(x):
+        calls.append(x.copy())
+        return np.exp(-((x - 3.0) * 40.0) ** 2)
+
+    res = integrate_real_line(spike)
+    assert abs(res.value - math.sqrt(math.pi) / 40.0) <= res.est_abs_error <= 1e-13
+    sizes = [c.size for c in calls]
+    assert sizes[:2] == [2, 768] and len(sizes) > 2
+    assert sizes[2:] == [768 * 2 ** k for k in range(len(sizes) - 2)]
+    nodes = np.concatenate(calls)
+    assert res.n_evals == nodes.size == np.unique(nodes).size
 
 
 def test_integrate_evaluates_the_far_nodes_first():

@@ -148,6 +148,8 @@ def _grid(config: RunConfig, lo: float, hi: float, count: int) -> np.ndarray:
     lo = config.grid_lo if config.grid_lo is not None else lo
     hi = config.grid_hi if config.grid_hi is not None else hi
     count = config.grid_count if config.grid_count is not None else count
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise UsageError("grid: lo and hi must be finite")
     if not (lo < hi):
         raise UsageError("grid: lo must be less than hi")
     if count < 2:
@@ -163,8 +165,8 @@ def _tolerance() -> float:
         tol = float(raw)
     except ValueError as exc:
         raise UsageError(f"{TOL_ENV_VAR} must be a number, got {raw!r}") from exc
-    if tol <= 0:
-        raise UsageError(f"{TOL_ENV_VAR} must be positive")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise UsageError(f"{TOL_ENV_VAR} must be a positive finite number, got {raw!r}")
     return tol
 
 

@@ -175,12 +175,9 @@ def _scale(cols: list):
 
 def _below_floor(w, floor, y) -> None:
     low = abs(w) < floor
-    if isinstance(low, np.ndarray):
-        if low.any():
-            at = float(np.broadcast_to(y, low.shape)[low][0])
-            raise SingularityError(f"Wronskian below floor at y={at}")
-    elif low:
-        raise SingularityError(f"Wronskian below floor at y={y}")
+    if np.any(low):
+        at = float(np.broadcast_to(y, np.shape(low))[low][0])
+        raise SingularityError(f"Wronskian below floor at y={at}")
 
 
 def wronskian(chain: DarbouxChain, y, include: Optional[OdeSolution] = None):
@@ -254,7 +251,7 @@ def transformed_solution(chain: DarbouxChain, phi: OdeSolution, y,
 def transform(chain: DarbouxChain, phi: OdeSolution, grid) -> DarbouxOutput:
     """Bundle the transformation as callables and record the Wronskian floor."""
     grid = np.asarray(grid, dtype=float)
-    floor = min(abs(wronskian(chain, float(t))) for t in grid)
+    floor = float(np.min(abs(wronskian(chain, grid))))
     if floor <= 0:
         raise SingularityError("Wronskian vanishes on the requested domain")
     return DarbouxOutput(

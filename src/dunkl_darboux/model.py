@@ -13,13 +13,12 @@ assumption, not a detected property.  The domain is the punctured line;
 evaluation at x = 0 is rejected rather than regularized.
 
 ``dunkl_residual`` and ``probability_density`` take a float or an
-ndarray of x: floats in, floats out, with no NumPy call on the float
-path.  An ndarray is evaluated as one grid, so the functions of the
-system and of psi must then accept it too, and every entry equals the
-per-float call bit for bit (powers go through ``libm.power``).  A grid
-is rejected, with the per-point message, if any of its points fails a
-guard.  ``sampled_parity_defect`` evaluates f on all its samples at
-once.
+ndarray of x: floats in, floats out.  An ndarray is evaluated as one
+grid, so the functions of the system and of psi must then accept it
+too, and every entry equals the per-float call bit for bit (powers go
+through ``libm.power``).  The guards are ``np.any`` tests, which reject
+a grid, with the per-point message, if any of its points fails.
+``sampled_parity_defect`` evaluates f on all its samples at once.
 """
 
 from __future__ import annotations
@@ -137,11 +136,6 @@ def dunkl_apply(f: ParityFunction, x: float, params: DunklParams) -> float:
     return f.f1(x) + (params.nu / x) * (1 - f.parity) * f.f(x)
 
 
-def _any_zero(x) -> bool:
-    """x == 0 for a float, or at any entry of an ndarray."""
-    return bool(np.any(x == 0)) if isinstance(x, np.ndarray) else x == 0
-
-
 def _residual_terms(system: DunklSystem, psi: ParityFunction, E: float, x):
     """The three terms of the residual; non-finite grid entries stay silent.
 
@@ -152,7 +146,7 @@ def _residual_terms(system: DunklSystem, psi: ParityFunction, E: float, x):
     nu, delta, mu = system.params.nu, system.params.delta, system.params.mu
     m = system.mass.m(x)
     m1 = system.mass.m1(x)
-    if _any_zero(m):
+    if np.any(m == 0):
         raise DomainError("dunkl_residual: mass vanishes at evaluation point")
     with np.errstate(all="ignore"):
         kin = psi.second_derivative(x) / (2 * m)
@@ -176,7 +170,7 @@ def dunkl_residual(system: DunklSystem, psi: ParityFunction, E: float, x,
     the sum of the magnitudes of the three contributing terms (where
     that sum is positive).
     """
-    if _any_zero(x):
+    if np.any(x == 0):
         raise DomainError("dunkl_residual: x = 0 is outside the domain")
     if psi.parity != system.params.delta:
         raise ContractError("dunkl_residual: solution parity must match delta")

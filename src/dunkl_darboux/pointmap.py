@@ -9,10 +9,10 @@ the error budget.
 
 The maps of ``sqrt_map`` and ``exp_map``, ``induced_potential`` and
 ``energy_relation_residual`` take a float or an ndarray of y: floats
-in, floats out, with no NumPy call on the float path.  An ndarray is
-evaluated as one grid (the mass and potential must then accept it
-too), every entry equals the per-float call bit for bit, and the grid
-is rejected, with the per-point message, if any point fails a guard.
+in, floats out.  An ndarray is evaluated as one grid (the mass and
+potential must then accept it too), every entry equals the per-float
+call bit for bit, and the guards are ``np.any`` tests, which reject the
+grid, with the per-point message, if any point fails.
 """
 
 from __future__ import annotations
@@ -122,12 +122,10 @@ def induced_potential(coord: CoordinateChange, mass: MassProfile,
     geometric and mass-gradient term is written out explicitly.
     """
     x = coord.x_of_y(y)
-    grid = isinstance(x, np.ndarray)
-    if (np.any(np.abs(x) < COORD_SINGULARITY_GUARD) if grid
-            else abs(x) < COORD_SINGULARITY_GUARD):
+    if np.any(abs(x) < COORD_SINGULARITY_GUARD):
         raise DomainError("induced_potential: too close to the coordinate singularity")
     xp = coord.d1(y)
-    if np.any(xp == 0) if grid else (xp == 0):
+    if np.any(xp == 0):
         raise DomainError("induced_potential: coordinate change not invertible here")
     xpp = coord.d2(y)
     xppp = coord.d3(y)

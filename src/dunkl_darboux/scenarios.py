@@ -15,7 +15,9 @@ Three named scenarios are exposed:
 Energies always come from the quantization rules, never hard-coded, so
 parameter sweeps stay consistent.  Closed forms carry analytic first
 and second derivatives, built from the contiguous-derivative identities
-of the Kummer and Laguerre functions.
+of the Kummer and Laguerre functions.  Their Kummer and Laguerre
+factors go through ``_last_grid``, which evaluates a float as a
+one-point grid and remembers the last grid's values.
 """
 
 from __future__ import annotations
@@ -33,10 +35,9 @@ from .errors import ContractError, DomainError, DunklDarbouxError, SingularityEr
 from .libm import exp, log, power
 from .model import (DunklParams, DunklSystem, EnergyPotential, MassProfile,
                     ParityFunction)
-from .numerics import parameter_derivative
+from .numerics import DEFAULT_PARAM_STEP_SCALE, parameter_derivative
 from .pointmap import CoordinateChange, SchrodingerForm, exp_map, sqrt_map
-from .specfun import (assoc_laguerre, assoc_laguerre_grid, bessel_i, kummer_m,
-                      kummer_m_grid)
+from .specfun import assoc_laguerre_grid, bessel_i, kummer_m, kummer_m_grid
 
 # Validation grids: cover the figures' visible support while staying
 # clear of x = 0 and the Wronskian tails.
@@ -353,20 +354,21 @@ def pdm_equivalence_nu(nu_bar: float, delta_bar: int, delta: int) -> float:
 
 
 def _last_grid(evaluate, count: int = 1):
-    """(i, z) -> row i of evaluate(rows, z) for an ndarray z, reusing the last grid's rows.
+    """(i, z) -> row i of evaluate(rows, z), reusing the last grid's rows.
 
-    evaluate(rows, z) returns the values of the listed rows on z, one
-    row each.  A new grid gets all ``count`` rows in one call.  If that
-    call raises a package error, only the requested row is evaluated,
-    so each row raises its own error when it is read, as separate calls
-    would.  The key is a copy of the grid's dtype, shape and exact bytes
-    (so -0.0 is not 0.0, and a grid changed in place is evaluated
-    afresh); a grid that fails a guard is never stored.  Hits share one
-    array, so it is made read-only.
+    evaluate(rows, z) returns the values of the listed rows on the
+    ndarray z, one row each.  A float z is the one-point grid [z], and
+    its row entry comes back as a float.  A new grid gets all ``count``
+    rows in one call.  If that call raises a package error, only the
+    requested row is evaluated, so each row raises its own error when it
+    is read, as separate calls would.  The key is a copy of the grid's
+    dtype, shape and exact bytes (so -0.0 is not 0.0, and a grid changed
+    in place is evaluated afresh); a grid that fails a guard is never
+    stored.  Hits share one array, so it is made read-only.
     """
     last_key, last_rows = None, [None] * count
 
-    def get(i, z):
+    def on_grid(i, z):
         nonlocal last_key, last_rows
         key = (z.dtype.str, z.shape, z.tobytes())
         fresh = key != last_key
@@ -387,52 +389,37 @@ def _last_grid(evaluate, count: int = 1):
             last_rows[j] = row
         return last_rows[i]
 
+    # Not recursive: a closure that calls itself is a reference cycle,
+    # which would keep every memo alive until the cyclic collector runs.
+    def get(i, z):
+        if isinstance(z, np.ndarray):
+            return on_grid(i, z)
+        return float(on_grid(i, np.array([z], dtype=float))[0])
+
     return get
 
 
 def _kummer(a: float, b: float):
-    """z -> M(a; b; z) for a float z, or elementwise for an ndarray z.
-
-    A float takes the scalar routine, with no memo.  An ndarray with the
-    same bytes as the previous one gets the previous values back, so the
-    solutions and chain members built on one closure share the factor.
-    """
+    """z -> M(a; b; z) for a float or an ndarray z, memoised by ``_last_grid``."""
     grid = _last_grid(lambda rows, z: kummer_m_grid(a, b, z).values[None])
-
-    def m(z):
-        if isinstance(z, np.ndarray):
-            return grid(0, z)
-        return kummer_m(a, b, z).value
-
-    return m
+    return lambda z: grid(0, z)
 
 
 def _laguerre_rows(*rows):
     """One closure z -> L_degree^alpha(z) per (degree, alpha) row.
 
-    A float z takes the scalar routine, with no memo.  On an ndarray the
-    first closure called evaluates every row in one
-    ``assoc_laguerre_grid`` call, and the others then reuse it on the
-    same grid (see ``_last_grid``), so rows belong together only when
-    every caller reads all of them on each grid.
+    The first closure called on a grid (a float z is a one-point grid)
+    evaluates every row in one ``assoc_laguerre_grid`` call, and the
+    others then reuse it on the same grid (see ``_last_grid``), so rows
+    belong together only when every caller reads all of them on each
+    grid.
     """
     def evaluate(wanted, z):
         return assoc_laguerre_grid(tuple(rows[j][0] for j in wanted),
                                    tuple(rows[j][1] for j in wanted), z).values
 
     grid = _last_grid(evaluate, len(rows))
-
-    def row(i):
-        degree, alpha = rows[i]
-
-        def lag(z):
-            if isinstance(z, np.ndarray):
-                return grid(i, z)
-            return assoc_laguerre(degree, alpha, z).value
-
-        return lag
-
-    return [row(i) for i in range(len(rows))]
+    return [lambda z, i=i: grid(i, z) for i in range(len(rows))]
 
 
 def _laguerre(degree: float, alpha: float):
@@ -634,9 +621,16 @@ def confluent_solution_family(E: float):
 
 def confluent_chain(E: float, eps1: float = CONFLUENT_EPS1) -> DarbouxChain:
     """Order-2 confluent chain seeded by the parametric solution family."""
+    h_eps = DEFAULT_PARAM_STEP_SCALE * max(1.0, abs(eps1))
+    if not eps1 + 2 * h_eps <= 0.25:
+        raise DomainError(f"confluent chain: eps = {eps1:g} is out of range: it must be "
+                          f"finite and at most {0.25 - 2 * DEFAULT_PARAM_STEP_SCALE:g}, as u2 "
+                          f"samples the family two stencil steps above it and sqrt(1 - 4 eps) "
+                          f"is real up to 1/4")
     family, family_dy = confluent_solution_family(E)
     return build_confluent_chain(family, family_dy, eps1, _chain_background(), E,
-                                 validation_grid=np.linspace(-2.0, 1.0, 25))
+                                 validation_grid=np.linspace(-2.0, 1.0, 25),
+                                 h_eps=h_eps)
 
 
 # ---------------------------------------------------------------------------

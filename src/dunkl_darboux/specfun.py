@@ -6,34 +6,30 @@ modified Bessel functions I0 and I1.  All routines are self-contained
 double-precision evaluations; each returns the value together with a
 conservative absolute error estimate.
 
-``kummer_m``, ``assoc_laguerre`` and ``bessel_i`` take Python floats and
-return a ``SpecialValue``.  ``kummer_m_grid`` and ``assoc_laguerre_grid``
-take scalar parameters and an ndarray of arguments and return a
-``SpecialGrid``; each entry equals the scalar routine's value and error
-estimate at that point bit for bit.  ``assoc_laguerre_grid`` also takes
-sequences of degrees and alphas and then returns one row per pair, all
-series rows evaluated together.
+``kummer_m_grid`` and ``assoc_laguerre_grid`` take scalar parameters
+and an ndarray of arguments and return a ``SpecialGrid``;
+``assoc_laguerre_grid`` also takes sequences of degrees and alphas and
+then returns one row per pair.  ``kummer_m`` and ``assoc_laguerre`` are
+one-point calls of them that return a ``SpecialValue``, so each branch,
+check and error message has one implementation.  ``bessel_i`` is scalar.
 
-The grid series is one cumulative product over a (terms x columns)
-ratio matrix, one column per row and point, stopped per column by the
-scalar rule.  The scalar series is summed with ``math.fsum``, the
-correctly rounded sum; the grid series gets the same bits from one
-error-free extraction of all columns at once (``_fsum_columns``, after
-Rump, Ogita & Oishi 2008): the terms are split at a power of two sigma
-above the column peak into high parts whose sum is exact and low parts
-whose floating-point sum has a rigorous error bound.  Their sum is
-kept only where a rounding test certifies that it is the correctly
-rounded column sum; the columns it cannot certify (zero or subnormal
-sums, near-ties, a sigma or partial sum that could overflow or
-underflow, non-finite terms) go to ``math.fsum`` itself.  A series that
-has not met its stop rule within ``KUMMER_MAX_TERMS`` terms raises
-``AccuracyError`` on both paths instead of returning a partial sum, and
-a terminating polynomial of degree above ``KUMMER_MAX_TERMS`` is
-refused with a ``DomainError`` before its coefficients are built.
+The Kummer series of a point is term_0 = 1, term_{k+1} = term_k (a + k)
+z / ((b + k)(k + 1)), stopped at the first term_{k+1} with k > 2 below
+1e-18 of the largest term so far; its value is the correctly rounded
+sum of the terms, which is what ``math.fsum`` returns.  All columns
+(one per row and point) are one cumulative product over a (terms x
+columns) ratio matrix, summed by one error-free extraction
+(``_fsum_columns``) that hands the columns it cannot certify to
+``math.fsum`` itself.  A series that has not met its stop rule within
+``KUMMER_MAX_TERMS`` terms raises ``AccuracyError`` instead of returning
+a partial sum, and a terminating polynomial of degree above
+``KUMMER_MAX_TERMS`` is refused with a ``DomainError`` before its
+coefficients are built.
 
 The e^z factor of the reflected branch goes through ``libm.exp``, the
 scalar libm routine per element: numpy's vectorised exp can differ from
-it in the last ulp, which would break that equality.
+it in the last ulp, and the values would then depend on the hardware
+and on how many points share a call.
 
 The Tricomi function U (second-kind confluent hypergeometric) is
 intentionally not implemented: bounded solutions discard it, so only
@@ -73,7 +69,7 @@ _SERIES_BLOCK = 48
 _K = np.arange(KUMMER_MAX_TERMS, dtype=float)
 _K1 = _K + 1.0
 _TERM_INDEX = np.arange(KUMMER_MAX_TERMS + 1)[:, None]
-# k ** 0.5 for every possible series length k, as the scalar series computes it.
+# k ** 0.5 (libm pow, as a float ** computes it) for every possible series length k.
 _SQRT_COUNT = np.array([k ** 0.5 for k in range(KUMMER_MAX_TERMS + 2)])
 _NOT_CONVERGED = f"kummer_m: series not converged within {KUMMER_MAX_TERMS} terms"
 # Largest m * peak (m terms of magnitude at most peak) for which no
@@ -117,6 +113,10 @@ def _is_nonpositive_integer(x: float) -> bool:
     return x <= 0 and x == math.floor(x)
 
 
+def _one_point(grid: SpecialGrid) -> SpecialValue:
+    return SpecialValue(float(grid.values[0]), float(grid.est_abs_errors[0]))
+
+
 def kummer_m(a: float, b: float, z: float) -> SpecialValue:
     """Confluent hypergeometric function M(a; b; z) = 1F1(a; b; z).
 
@@ -125,29 +125,11 @@ def kummer_m(a: float, b: float, z: float) -> SpecialValue:
     ``KUMMER_SERIES_Z_MIN`` the identity M(a;b;z) = e^z M(b-a;b;-z)
     routes the evaluation through a non-alternating series.
     """
-    for name, val in (("a", a), ("b", b), ("z", z)):
-        if not math.isfinite(val):
-            raise DomainError(f"kummer_m: argument {name} is not finite")
-    if _is_nonpositive_integer(b):
-        raise DomainError("kummer_m: b must not be a nonpositive integer")
-    if _is_nonpositive_integer(a):
-        # Terminating series: the polynomial has no argument restriction
-        # (beyond overflow, caught by the finiteness contract).
-        n = int(-a)
-        acc = _kummer_polynomial(n, b, z)
-        return SpecialValue(acc, (n + 1) * _EPS * max(1.0, abs(acc)))
-    if abs(z) > KUMMER_Z_MAX:
-        raise DomainError(f"kummer_m: |z| exceeds supported range {KUMMER_Z_MAX}")
-    if z < KUMMER_SERIES_Z_MIN:
-        inner = _kummer_series(b - a, b, -z)
-        scale = math.exp(z)
-        return SpecialValue(scale * inner.value,
-                            scale * inner.est_abs_error + _EPS * abs(scale * inner.value))
-    return _kummer_series(a, b, z)
+    return _one_point(kummer_m_grid(a, b, np.array([z], dtype=float)))
 
 
-def _kummer_polynomial(n: int, b: float, z):
-    """M(-n; b; z) for a float z, or elementwise for an ndarray z.
+def _kummer_polynomial(n: int, b: float, z: np.ndarray) -> np.ndarray:
+    """M(-n; b; z) elementwise.
 
     Degrees above ``KUMMER_MAX_TERMS`` are refused before any
     coefficient is built, as a series that long would be.
@@ -162,34 +144,16 @@ def _kummer_polynomial(n: int, b: float, z):
         c *= (-n + k) / ((b + k) * (k + 1))
         coeffs.append(c)
     acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * z + c
+    with np.errstate(over="ignore", invalid="ignore"):  # SpecialGrid refuses inf/NaN
+        for c in reversed(coeffs):
+            acc = acc * z + c
     return acc
-
-
-def _kummer_series(a: float, b: float, z: float) -> SpecialValue:
-    term = 1.0
-    terms = [term]
-    peak = 1.0
-    for k in range(KUMMER_MAX_TERMS):
-        term *= (a + k) * z / ((b + k) * (k + 1))
-        terms.append(term)
-        peak = max(peak, abs(term))
-        if abs(term) < 1e-18 * peak and k > 2:
-            break
-    else:
-        raise AccuracyError(_NOT_CONVERGED)
-    value = math.fsum(terms)
-    # Truncation bound from the last term plus rounding at the series peak.
-    est = abs(terms[-1]) + _EPS * peak * len(terms) ** 0.5
-    return SpecialValue(value, est)
 
 
 def kummer_m_grid(a: float, b: float, z: np.ndarray) -> SpecialGrid:
     """``kummer_m`` at every entry of the ndarray z (scalar a and b).
 
-    Same branches, checks and error messages as the scalar routine; the
-    |z| range guard rejects the whole grid if any point is outside it.
+    The |z| range guard rejects the whole grid if any point is outside it.
     """
     z = np.asarray(z, dtype=float)
     for name, val in (("a", a), ("b", b)):
@@ -204,9 +168,9 @@ def kummer_m_grid(a: float, b: float, z: np.ndarray) -> SpecialGrid:
 def _kummer_rows(a: list, b: list, z: np.ndarray):
     """M(a[i]; b[i]; z) for every row i: (values, estimates), each (rows, *z.shape).
 
-    Each row takes the branch, checks and error messages of
-    ``kummer_m``; the series rows are evaluated together, in one call of
-    the series kernel.  z must be finite; the result is not validated.
+    Each row takes its own branch (polynomial or series); the series rows
+    are evaluated together, in one call of the series kernel.  z must be
+    finite; the result is not validated.
     """
     rows = []      # (values, estimates) of a polynomial row, None for a series row
     for ai, bi in zip(a, b):
@@ -248,8 +212,8 @@ def _kummer_rows(a: list, b: list, z: np.ndarray):
 def _series_ratios(ks: slice, a, b, z, out=None):
     """term_{k+1} / term_k = (a + k) z / ((b + k)(k + 1)) for k in ks, down axis 0.
 
-    Computed in the scalar series' operation order; a and b broadcast
-    against z along the remaining axes.
+    Computed in the order of the module docstring's recurrence; a and b
+    broadcast against z along the remaining axes.
     """
     shape = (-1,) + (1,) * max(np.ndim(z), np.ndim(a))
     k = _K[ks].reshape(shape)
@@ -259,11 +223,11 @@ def _series_ratios(ks: slice, a, b, z, out=None):
 
 
 def _kummer_series_grid(a: np.ndarray, b: np.ndarray, z: np.ndarray):
-    """``_kummer_series`` per column: (values, error estimates), each (rows, points).
+    """The Kummer series per column: (values, error estimates), each (rows, points).
 
     Column (i, j) is the series of M(a[i, j]; b[i]; z[j]): a has shape
     (rows, 1) or (rows, points), b (rows, 1), z (points,).  terms[k, c]
-    is term k of column c, built by the scalar recurrence as a
+    is term k of column c, built by the series recurrence as a
     cumulative product: the first ``_FIRST_BLOCK`` ratios of all columns
     in place in the term buffer, then blocks of ``_SERIES_BLOCK`` for the
     columns that have not stopped.  Terms past a column's stop are
@@ -381,19 +345,7 @@ def assoc_laguerre(degree: float, alpha: float, z: float) -> SpecialValue:
     Evaluated through L_n^a(z) = binom(n+a, n) * M(-n; a+1; z), with the
     binomial extended to real degree by Gamma-function ratios.
     """
-    for name, val in (("degree", degree), ("alpha", alpha), ("z", z)):
-        if not math.isfinite(val):
-            raise DomainError(f"assoc_laguerre: argument {name} is not finite")
-    if _is_nonpositive_integer(alpha + 1.0):
-        raise DomainError("assoc_laguerre: alpha+1 must not be a nonpositive integer")
-    if _is_nonpositive_integer(degree + 1.0):
-        # Gamma(degree+1) pole: the prefactor vanishes identically.
-        return SpecialValue(0.0, 0.0)
-    prefactor = _laguerre_prefactor(degree, alpha)
-    hyp = kummer_m(-degree, alpha + 1.0, z)
-    value = prefactor * hyp.value
-    est = abs(prefactor) * hyp.est_abs_error + _EPS * abs(value)
-    return SpecialValue(value, est)
+    return _one_point(assoc_laguerre_grid(degree, alpha, np.array([z], dtype=float)))
 
 
 def assoc_laguerre_grid(degree, alpha, z: np.ndarray) -> SpecialGrid:
@@ -427,8 +379,9 @@ def assoc_laguerre_grid(degree, alpha, z: np.ndarray) -> SpecialGrid:
     hyp, hyp_est = _kummer_rows([-rows[i][0] for i in live],
                                 [rows[i][1] + 1.0 for i in live], z)
     scale = np.array(prefactors).reshape((-1,) + (1,) * z.ndim)
-    values = scale * hyp
-    est = np.abs(scale) * hyp_est + _EPS * np.abs(values)
+    with np.errstate(over="ignore", invalid="ignore"):  # SpecialGrid refuses inf/NaN
+        values = scale * hyp
+        est = np.abs(scale) * hyp_est + _EPS * np.abs(values)
     if len(live) < len(rows):
         live_values, live_est = values, est
         values = np.zeros((len(rows),) + z.shape)

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, formats, determinism, config."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -147,6 +148,13 @@ def test_tolerance_env_validation(monkeypatch):
     monkeypatch.setenv("DUNKL_DARBOUX_TOL", "-1")
     with pytest.raises(UsageError):
         _tolerance()
+    # nan would fail every check and inf would pass every one
+    for raw in ("nan", "inf", "-inf"):
+        monkeypatch.setenv("DUNKL_DARBOUX_TOL", raw)
+        with pytest.raises(UsageError, match="must be a positive finite number"):
+            _tolerance()
+        assert run(["verify", "--scenario", "gaussian-mass", "--nu", "0.5",
+                    "--delta", "-1"]) == EXIT_USAGE
     monkeypatch.delenv("DUNKL_DARBOUX_TOL")
     assert _tolerance() == 1e-6
 
@@ -420,11 +428,41 @@ def test_scenario_dispatch_messages(tmp_path, capsys):
         "error: density: unsupported scenario 'harmonic-energy-pdm'\n")
 
 
-def test_grid_validation():
+def test_grid_validation(tmp_path, capsys):
     with pytest.raises(UsageError):
         _grid(RunConfig(grid_lo=2.0, grid_hi=1.0), 0.0, 1.0, 10)
     with pytest.raises(UsageError):
         _grid(RunConfig(grid_count=1), 0.0, 1.0, 10)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(UsageError, match="grid: lo and hi must be finite"):
+            _grid(RunConfig(grid_hi=bad), 0.0, 1.0, 10)
+        with pytest.raises(UsageError, match="grid: lo and hi must be finite"):
+            _grid(RunConfig(grid_lo=bad), 0.0, 1.0, 10)
+    # from the flag, and from a config file (JSON 1e400 parses to inf)
+    cfg = tmp_path / "grid.json"
+    cfg.write_text('{"grid": {"hi": 1e400}}')
+    for command in (["density", "--scenario", "gaussian-mass", "--nu", "0.5",
+                     "--delta", "1"], ["darboux"], ["figure", "1"]):
+        for extra in (["--grid-hi", "inf"], ["--config", str(cfg)]):
+            assert run(command + extra) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: grid: lo and hi must be finite\n"
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.25, 0.24999])
+def test_confluent_eps_above_quarter_is_a_domain_error(tmp_path, capsys, eps):
+    # sqrt(1 - 4 eps) is real up to eps = 1/4, and the eps stencil of u2
+    # samples the family two steps of 1e-5 above the chain's eps
+    cfg = tmp_path / "chain.json"
+    cfg.write_text(json.dumps({"chain": {"kind": "confluent", "eps": [eps]}}))
+    assert run(["darboux", "--config", str(cfg)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: confluent chain: eps = {eps:g} is out of range: it must be finite "
+        f"and at most 0.24998, as u2 samples the family two stencil steps above it "
+        f"and sqrt(1 - 4 eps) is real up to 1/4\n")
 
 
 def test_merge_precedence():

@@ -1,6 +1,8 @@
 """Worked solvable systems: closed forms, spectra, parity, equivalences."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -366,7 +368,11 @@ def test_laguerre_pair_evaluates_both_rows_in_one_call(monkeypatch):
     assert len(calls) == 1                                   # both rows memoised
     assert _bits(values) == _bits([assoc_laguerre(1.7, 0.5, v).value for v in z])
     assert _bits(slopes) == _bits([-assoc_laguerre(0.7, 1.5, v).value for v in z])
-    assert lag(1.5) == assoc_laguerre(1.7, 0.5, 1.5).value and len(calls) == 1
+    # a float is a one-point grid through the same memo: both rows at once
+    assert lag(1.5) == assoc_laguerre(1.7, 0.5, 1.5).value and len(calls) == 2
+    assert calls[1] == ((1.7, 0.7), (0.5, 1.5))
+    assert up(1.5) == -assoc_laguerre(0.7, 1.5, 1.5).value and len(calls) == 2
+    assert type(lag(1.5)) is float and len(calls) == 2
 
 
 @pytest.mark.parametrize("first", ["lag", "up"])
@@ -429,4 +435,26 @@ def test_factor_memo_keys_on_grid_bytes(monkeypatch, make, scalar):
     factor(np.array([0.0]))
     factor(np.array([-0.0]))                 # a different key
     assert len(calls) == 4
-    assert factor(1.5) == scalar(1.5) and len(calls) == 4   # floats skip the memo
+    # a float is the one-point grid [z], keyed and memoised like any grid
+    assert factor(1.5) == scalar(1.5) and len(calls) == 5
+    assert type(factor(1.5)) is float and len(calls) == 5
+    assert factor(np.array([1.5]))[0] == scalar(1.5) and len(calls) == 5
+    assert factor(0.0) == scalar(0.0) and len(calls) == 6
+
+
+@pytest.mark.parametrize("make", [lambda: scenarios._laguerre_pair(1.7, 0.5)[0],
+                                  lambda: scenarios._kummer(-0.3, 1.5)])
+def test_factor_memo_is_freed_with_its_closure(make):
+    # refcounting alone must free a closure's memo: one kept in a
+    # reference cycle waits for the cyclic collector, so the memos of
+    # every chain built by a command would pile up in memory
+    gc.disable()
+    try:
+        factor = make()
+        assert factor(1.5) == factor(1.5)
+        values = weakref.ref(factor(np.linspace(0.0, 3.0, 7)))
+        assert values() is not None         # held by the memo
+        del factor
+        assert values() is None
+    finally:
+        gc.enable()

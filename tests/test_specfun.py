@@ -161,7 +161,86 @@ def test_error_estimates_are_conservative():
         assert abs(res.value - sp.hyp1f1(a, b, z)) <= 1e3 * res.est_abs_error + 1e-14
 
 
-# Grid evaluation: every entry must equal the scalar routine bit for bit.
+# Grid evaluation: every entry must equal the scalar reference route
+# below bit for bit.  The reference evaluates one point at a time: the
+# Kummer series by its term recurrence, summed by math.fsum, and the
+# same branches, checks and error messages as the package.  It shares
+# no code with the grid kernel; the public float routines are one-point
+# grids and must equal it too.
+
+_EPS = 2.0 ** -52
+
+
+def _is_nonpositive_integer(x):
+    return x <= 0 and x == math.floor(x)
+
+
+def _reference_series(a, b, z):
+    term = 1.0
+    terms = [term]
+    peak = 1.0
+    for k in range(specfun.KUMMER_MAX_TERMS):
+        term *= (a + k) * z / ((b + k) * (k + 1))
+        terms.append(term)
+        peak = max(peak, abs(term))
+        if abs(term) < 1e-18 * peak and k > 2:
+            break
+    else:
+        raise AccuracyError(f"kummer_m: series not converged within "
+                            f"{specfun.KUMMER_MAX_TERMS} terms")
+    # Truncation bound from the last term plus rounding at the series peak.
+    return math.fsum(terms), abs(terms[-1]) + _EPS * peak * len(terms) ** 0.5
+
+
+def _reference_polynomial(n, b, z):
+    if n > specfun.KUMMER_MAX_TERMS:
+        raise DomainError(f"kummer_m: polynomial degree {n:g} exceeds the limit "
+                          f"of {specfun.KUMMER_MAX_TERMS}")
+    coeffs = [1.0]
+    c = 1.0
+    for k in range(n):
+        c *= (-n + k) / ((b + k) * (k + 1))
+        coeffs.append(c)
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
+
+
+def _reference_kummer_m(a, b, z):
+    for name, val in (("a", a), ("b", b), ("z", z)):
+        if not math.isfinite(val):
+            raise DomainError(f"kummer_m: argument {name} is not finite")
+    if _is_nonpositive_integer(b):
+        raise DomainError("kummer_m: b must not be a nonpositive integer")
+    if _is_nonpositive_integer(a):
+        n = int(-a)
+        acc = _reference_polynomial(n, b, z)
+        return specfun.SpecialValue(acc, (n + 1) * _EPS * max(1.0, abs(acc)))
+    if abs(z) > KUMMER_Z_MAX:
+        raise DomainError(f"kummer_m: |z| exceeds supported range {KUMMER_Z_MAX}")
+    if z < specfun.KUMMER_SERIES_Z_MIN:
+        value, est = _reference_series(b - a, b, -z)
+        scale = math.exp(z)
+        return specfun.SpecialValue(scale * value,
+                                    scale * est + _EPS * abs(scale * value))
+    return specfun.SpecialValue(*_reference_series(a, b, z))
+
+
+def _reference_assoc_laguerre(degree, alpha, z):
+    for name, val in (("degree", degree), ("alpha", alpha), ("z", z)):
+        if not math.isfinite(val):
+            raise DomainError(f"assoc_laguerre: argument {name} is not finite")
+    if _is_nonpositive_integer(alpha + 1.0):
+        raise DomainError("assoc_laguerre: alpha+1 must not be a nonpositive integer")
+    if _is_nonpositive_integer(degree + 1.0):
+        return specfun.SpecialValue(0.0, 0.0)
+    prefactor = specfun._laguerre_prefactor(degree, alpha)
+    hyp = _reference_kummer_m(-degree, alpha + 1.0, z)
+    value = prefactor * hyp.value
+    return specfun.SpecialValue(value, abs(prefactor) * hyp.est_abs_error
+                                + _EPS * abs(value))
+
 
 def _bits(values):
     return np.asarray(values, dtype=float).view(np.uint64).tolist()
@@ -172,17 +251,24 @@ def _pointwise(fn, p, q, zs):
     return [r.value for r in results], [r.est_abs_error for r in results]
 
 
-def _assert_grid_matches_scalar(fn, grid_fn, p, q, zs):
+def _assert_grid_matches_reference(reference, fn, grid_fn, p, q, zs):
+    """grid_fn on zs, and fn at each point, equal the reference route bit for bit."""
     try:
-        want = _pointwise(fn, p, q, zs)
+        want = _pointwise(reference, p, q, zs)
     except DunklDarbouxError as exc:
         with pytest.raises(type(exc)) as grid:
             grid_fn(p, q, np.array(zs))
         assert str(grid.value) == str(exc)
+        with pytest.raises(type(exc)) as scalar:
+            _pointwise(fn, p, q, zs)
+        assert str(scalar.value) == str(exc)
         return
     got = grid_fn(p, q, np.array(zs))
     assert _bits(got.values) == _bits(want[0])
     assert _bits(got.est_abs_errors) == _bits(want[1])
+    scalar = _pointwise(fn, p, q, zs)
+    assert _bits(scalar[0]) == _bits(want[0])
+    assert _bits(scalar[1]) == _bits(want[1])
 
 
 # Arguments cover the series (z >= -1), reflected (z < -1) and polynomial
@@ -206,7 +292,8 @@ _OUTSIDE = _rarely(_rarely(st.just([]), [KUMMER_Z_MAX + 5.0]), [-650.0, 650.0])
        b=_rarely(st.floats(0.05, 20.0), -2.0),
        zs=_ZS, outside=_OUTSIDE)
 def test_kummer_grid_equals_scalar_bit_for_bit(a, b, zs, outside):
-    _assert_grid_matches_scalar(kummer_m, kummer_m_grid, a, b, zs + outside)
+    _assert_grid_matches_reference(_reference_kummer_m, kummer_m, kummer_m_grid,
+                                   a, b, zs + outside)
 
 
 @settings(max_examples=150, deadline=None)
@@ -214,8 +301,8 @@ def test_kummer_grid_equals_scalar_bit_for_bit(a, b, zs, outside):
        alpha=_rarely(st.floats(-0.95, 6.0), -2.0),
        zs=_ZS, outside=_OUTSIDE)
 def test_laguerre_grid_equals_scalar_bit_for_bit(degree, alpha, zs, outside):
-    _assert_grid_matches_scalar(assoc_laguerre, assoc_laguerre_grid, degree, alpha,
-                                zs + outside)
+    _assert_grid_matches_reference(_reference_assoc_laguerre, assoc_laguerre,
+                                   assoc_laguerre_grid, degree, alpha, zs + outside)
 
 
 @settings(max_examples=150, deadline=None)
@@ -265,7 +352,7 @@ def test_polynomial_degree_limit_on_both_paths(degree):
     # refused before any coefficient is built, with the same message
     z = np.array([0.1, 0.5])
     with pytest.raises(DomainError) as scalar:
-        kummer_m(-degree, 1.5, 0.5)
+        _reference_kummer_m(-degree, 1.5, 0.5)
     with pytest.raises(DomainError) as grid:
         kummer_m_grid(-degree, 1.5, z)
     assert str(grid.value) == str(scalar.value)
@@ -275,18 +362,19 @@ def test_polynomial_degree_limit_on_both_paths(degree):
     assert str(lag_grid.value) == str(scalar.value)
     # the polynomial at the limit is still evaluated, as its series would be
     assert _bits(kummer_m_grid(-600.0, 1.5, z).values) == _bits(
-        [kummer_m(-600.0, 1.5, float(v)).value for v in z])
+        [_reference_kummer_m(-600.0, 1.5, float(v)).value for v in z])
 
 
 def test_grid_range_guard_matches_scalar_message():
     zs = np.array([0.5, 2.0, KUMMER_Z_MAX + 1.0])
     with pytest.raises(DomainError) as scalar:
-        kummer_m(0.3, 1.2, float(zs[-1]))
+        _reference_kummer_m(0.3, 1.2, float(zs[-1]))
     with pytest.raises(DomainError) as grid:
         kummer_m_grid(0.3, 1.2, zs)
     assert str(grid.value) == str(scalar.value)
     # the terminating polynomial has no range restriction on either path
-    assert kummer_m_grid(-2.0, 1.2, zs).values[-1] == kummer_m(-2.0, 1.2, float(zs[-1])).value
+    assert (kummer_m_grid(-2.0, 1.2, zs).values[-1]
+            == _reference_kummer_m(-2.0, 1.2, float(zs[-1])).value)
 
 
 def test_unconverged_series_raises_on_both_paths():
@@ -294,7 +382,7 @@ def test_unconverged_series_raises_on_both_paths():
     # the 600-term budget runs out: no partial sum is returned
     for z in (496.0, -650.0):
         with pytest.raises(AccuracyError) as scalar:
-            kummer_m(0.3, 1.5, z)
+            _reference_kummer_m(0.3, 1.5, z)
         with pytest.raises(AccuracyError) as grid:
             kummer_m_grid(0.3, 1.5, np.array([1.0, z]))
         assert str(grid.value) == str(scalar.value)

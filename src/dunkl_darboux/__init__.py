@@ -1,8 +1,8 @@
 """Solvable reflection-deformed Schrodinger systems via point and Darboux transformations."""
 
 from .model import (DunklParams, DunklSystem, EnergyPotential, MassProfile,
-                    ParityFunction, admissible, dunkl_apply, dunkl_residual,
-                    modified_norm, probability_density, weight_exponent)
+                    ParityFunction, dunkl_residual, modified_norm,
+                    probability_density, weight_exponent)
 from .pointmap import (CoordinateChange, SchrodingerForm, forward_map,
                        induced_potential, inverse_map)
 from .darboux import (DarbouxChain, DarbouxOutput, OdeSolution,

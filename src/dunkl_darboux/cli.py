@@ -431,9 +431,9 @@ def cmd_darboux(config: RunConfig) -> int:
     n = config.n if config.n is not None else 0
     E = config.energy if config.energy is not None \
         else bound_state_energy(n, params, config.rule or "ene1")
+    ys = _grid(config, -2.0, 1.0, 200)
     chain = _build_chain(config, E)
     phi = mapped_initial_solution(params, E)
-    ys = _grid(config, -2.0, 1.0, 200)
     xs = exp(ys)
     u_hat = transformed_potential(chain, ys)
     phi_hat = transformed_solution(chain, phi, ys)

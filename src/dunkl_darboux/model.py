@@ -2,11 +2,11 @@
 
 A system couples a reflection-deformed derivative (deformation nu,
 solution parity delta, mass parity mu) with a position-dependent mass
-and an energy-dependent potential.  The module provides the operator
-action on parity eigenfunctions, the residual of the expanded governing
-equation, the weight exponent of the underlying Hilbert space, and the
-modified probability density / norm that account for the energy
-dependence of the potential through the factor 1 - dV/dE.
+and an energy-dependent potential.  The module provides the residual
+of the expanded governing equation, the weight exponent of the
+underlying Hilbert space, and the modified probability density / norm
+that account for the energy dependence of the potential through the
+factor 1 - dV/dE.
 
 Parity is carried as explicit metadata on functions: it is a modeling
 assumption, not a detected property.  The domain is the punctured line;
@@ -32,11 +32,6 @@ import numpy as np
 from .errors import ContractError, DomainError
 from .libm import power
 from .numerics import QuadratureResult, derivative, integrate_real_line
-
-ADMISSIBLE_OK = "ok"
-ADMISSIBLE_CASE_BY_CASE = "requires_case_analysis"
-ADMISSIBLE_REJECTED = "rejected"
-
 
 @dataclass(frozen=True)
 class DunklParams:
@@ -111,29 +106,6 @@ def weight_exponent(params: DunklParams) -> float:
     """Exponent of |x| in the weight function of the Hilbert space."""
     nu, delta, mu = params.nu, params.delta, params.mu
     return 2 * nu - delta * nu + delta * nu / mu
-
-
-def admissible(params: DunklParams, energy_dependent: bool) -> str:
-    """Normalizability gate for the weight exponent.
-
-    With an energy-independent potential the exponent must exceed -1;
-    an energy-dependent potential can create or remove singularities,
-    so admissibility must be settled per scenario.
-    """
-    if energy_dependent:
-        return ADMISSIBLE_CASE_BY_CASE
-    return ADMISSIBLE_OK if weight_exponent(params) > -1 else ADMISSIBLE_REJECTED
-
-
-def dunkl_apply(f: ParityFunction, x: float, params: DunklParams) -> float:
-    """Action of the deformed derivative on a parity eigenfunction.
-
-    The reflection term is resolved through the parity eigenvalue:
-    D f = f' + (nu/x) (1 - parity) f.
-    """
-    if x == 0:
-        raise DomainError("dunkl_apply: x = 0 is outside the domain")
-    return f.f1(x) + (params.nu / x) * (1 - f.parity) * f.f(x)
 
 
 def _residual_terms(system: DunklSystem, psi: ParityFunction, E: float, x):

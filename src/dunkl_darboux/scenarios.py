@@ -13,15 +13,17 @@ Three named scenarios are exposed:
   the deformation parameter.
 
 Energies always come from the quantization rules, never hard-coded, so
-parameter sweeps stay consistent.  Closed forms carry analytic first
-and second derivatives, built from the contiguous-derivative identities
-of the Kummer and Laguerre functions.  Their Kummer and Laguerre
-factors go through ``_last_grid``, which evaluates a float as a
-one-point grid and remembers the last grid's values.
+parameter sweeps stay consistent.  Each family of closed forms is
+written once, with analytic derivatives from the contiguous-derivative
+identities of the Kummer and Laguerre functions: ``_decaying_state``
+for the x-space bound states, ``_mapped_family`` for the mapped-coordinate
+solutions.  Their factors go through ``_last_grid``, which evaluates a
+float as a one-point grid and remembers the last grid's values.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -71,12 +73,39 @@ def monomial_exponent(params: DunklParams) -> float:
     return 0.5 - params.nu + 0.5 * discriminant_root(params)
 
 
-def _parity_extend(core, core1, core2, delta: int) -> ParityFunction:
-    """Extend a half-line closed form to the punctured line by parity.
+def _decaying_state(s: float, scale: float, decay: float, u, up, upp,
+                    delta: int) -> ParityFunction:
+    """e^{-decay x^2/2} x^s F(scale x^2) on x > 0, extended by parity delta.
 
-    The extended functions take a float or an ndarray of x; on an
-    ndarray the core is evaluated once, on the reflected grid.
+    u, up and upp are F, F' and F'' in their argument.  Both scenarios'
+    bound states take this form: gaussian-mass with scale 1 and decay 2,
+    harmonic-energy with scale = decay = 1/sqrt(E).  f, f1 and f2 take a
+    float or an ndarray of x; on an ndarray the half-line form is
+    evaluated once, on the reflected grid.
     """
+
+    def g(x):
+        return power(x, s) * u(scale * x * x)
+
+    def g1(x):
+        z = scale * x * x
+        return s * power(x, s - 1) * u(z) + 2 * scale * power(x, s + 1) * up(z)
+
+    def g2(x):
+        z = scale * x * x
+        return (s * (s - 1) * power(x, s - 2) * u(z)
+                + (4 * s + 2) * scale * power(x, s) * up(z)
+                + 4 * scale * scale * power(x, s + 2) * upp(z))
+
+    def core(x):
+        return exp(-0.5 * decay * x * x) * g(x)
+
+    def core1(x):
+        return exp(-0.5 * decay * x * x) * (g1(x) - decay * x * g(x))
+
+    def core2(x):
+        return exp(-0.5 * decay * x * x) * (
+            g2(x) - 2 * decay * x * g1(x) + (decay * decay * x * x - decay) * g(x))
 
     def extend(fn, sign):
         def ext(x):
@@ -164,27 +193,7 @@ def gaussian_solution_function(params: DunklParams, E: float) -> ParityFunction:
     def upp(z):
         return (a * (a + 1)) / (b * (b + 1)) * u_next2(z)
 
-    def g(x):
-        return power(x, s) * u(x * x)
-
-    def g1(x):
-        return s * power(x, s - 1) * u(x * x) + 2 * power(x, s + 1) * up(x * x)
-
-    def g2(x):
-        return (s * (s - 1) * power(x, s - 2) * u(x * x)
-                + (4 * s + 2) * power(x, s) * up(x * x)
-                + 4 * power(x, s + 2) * upp(x * x))
-
-    def core(x):
-        return exp(-x * x) * g(x)
-
-    def core1(x):
-        return exp(-x * x) * (g1(x) - 2 * x * g(x))
-
-    def core2(x):
-        return exp(-x * x) * (g2(x) - 4 * x * g1(x) + (4 * x * x - 2) * g(x))
-
-    return _parity_extend(core, core1, core2, params.delta)
+    return _decaying_state(s, 1.0, 2.0, u, up, upp, params.delta)
 
 
 def gaussian_solution(params: DunklParams, E: float, x: float,
@@ -270,10 +279,10 @@ class ParityClassification:
 def parity_exponent(params: DunklParams) -> ParityClassification:
     """Parity of the closed forms, set by the leading monomial exponent."""
     value = monomial_exponent(params)
-    if params.delta == -1:
-        label = PARITY_ODD if params.nu > -0.5 else PARITY_NONE
+    if not gaussian_admissible(params):
+        label = PARITY_NONE
     else:
-        label = PARITY_EVEN if params.nu >= 0.5 else PARITY_NONE
+        label = PARITY_ODD if params.delta == -1 else PARITY_EVEN
     return ParityClassification(exponent=value, classification=label)
 
 
@@ -458,50 +467,21 @@ def harmonic_initial_solution_function(params: DunklParams, E: float) -> ParityF
     if E <= 0:
         raise DomainError("harmonic_initial_solution: E must be positive")
     r = discriminant_root(params)
-    s = monomial_exponent(params)
     beta = 1.0 / math.sqrt(E)
-    alpha = 0.5 * r
-    degree = -0.5 + 0.25 * E**1.5 - 0.25 * r
-    u, up, upp = _laguerre_trio(degree, alpha)
-
-    def g(x):
-        return power(x, s) * u(beta * x * x)
-
-    def g1(x):
-        return (s * power(x, s - 1) * u(beta * x * x)
-                + 2 * beta * power(x, s + 1) * up(beta * x * x))
-
-    def g2(x):
-        z = beta * x * x
-        return (s * (s - 1) * power(x, s - 2) * u(z)
-                + (4 * s + 2) * beta * power(x, s) * up(z)
-                + 4 * beta * beta * power(x, s + 2) * upp(z))
-
-    def core(x):
-        return exp(-0.5 * beta * x * x) * g(x)
-
-    def core1(x):
-        return exp(-0.5 * beta * x * x) * (g1(x) - beta * x * g(x))
-
-    def core2(x):
-        return exp(-0.5 * beta * x * x) * (
-            g2(x) - 2 * beta * x * g1(x) + (beta * beta * x * x - beta) * g(x))
-
-    return _parity_extend(core, core1, core2, params.delta)
+    u, up, upp = _laguerre_trio(-0.5 + 0.25 * E**1.5 - 0.25 * r, 0.5 * r)
+    return _decaying_state(monomial_exponent(params), beta, beta, u, up, upp,
+                           params.delta)
 
 
-def mapped_initial_solution(params: DunklParams, E: float) -> OdeSolution:
-    """The initial solution in mapped coordinates, with spectral parameter.
+def _mapped_family(E: float, r: float):
+    """(Phi, Phi') of the mapped solution with index r, on one Laguerre pair.
 
-    Phi(y) = e^{-z/2 + (r/2) y} L_d^alpha(z), z = e^{2y}/sqrt(E);
-    its parameter is the Dunkl constant delta nu - nu^2.  Phi and Phi'
-    accept a float or an ndarray of y.
+    Phi(y) = e^{-z/2 + (r/2) y} L_d^{r/2}(z), z = e^{2y}/sqrt(E),
+    d = -1/2 + E^{3/2}/4 - r/4, solves the mapped equation at spectral
+    parameter (1 - r^2)/4.  Phi and Phi' accept a float or an ndarray of y.
     """
-    r = discriminant_root(params)
     beta = 1.0 / math.sqrt(E)
-    alpha = 0.5 * r
-    degree = -0.5 + 0.25 * E**1.5 - 0.25 * r
-    u, up = _laguerre_pair(degree, alpha)
+    u, up = _laguerre_pair(-0.5 + 0.25 * E**1.5 - 0.25 * r, 0.5 * r)
 
     def phi(y):
         z = beta * exp(2 * y)
@@ -511,6 +491,16 @@ def mapped_initial_solution(params: DunklParams, E: float) -> OdeSolution:
         z = beta * exp(2 * y)
         return exp(-0.5 * z + 0.5 * r * y) * ((0.5 * r - z) * u(z) + 2 * z * up(z))
 
+    return phi, phi1
+
+
+def mapped_initial_solution(params: DunklParams, E: float) -> OdeSolution:
+    """The initial solution in mapped coordinates, with spectral parameter.
+
+    The mapped family at r = sqrt(1 - 4 delta nu + 4 nu^2); its parameter
+    is the Dunkl constant delta nu - nu^2.
+    """
+    phi, phi1 = _mapped_family(E, discriminant_root(params))
     eps = params.delta * params.nu - params.nu**2
     return OdeSolution(f=phi, f1=phi1, eps=eps)
 
@@ -519,14 +509,16 @@ STANDARD_CHAIN_EPS = (0.25, -0.75)
 
 
 def _standard_chain_functions(E: float):
-    """The two closed-form chain members at eps = 1/4 and -3/4.
+    """The two closed-form chain members at eps = 1/4 and -3/4 (r = 0, 2).
 
     Each member and its derivative accept a float or an ndarray of y.
+    u2 is the mapped family at r = 2.  u1 is the family at r = 0, but u1'
+    keeps the form z (2 L' - L) e^{-z/2}: the family's (r/2 - z) L + 2 z L'
+    rounds differently, and where Phi is u2 (delta nu - nu^2 = -3/4) the
+    transformed state is pure rounding noise that any change would move.
     """
     beta = 1.0 / math.sqrt(E)
-    c = 0.25 * E**1.5
-    u, up = _laguerre_pair(c - 0.5, 0.0)
-    v, vp = _laguerre_pair(c - 1.0, 1.0)
+    u, up = _laguerre_pair(0.25 * E**1.5 - 0.5, 0.0)
 
     def u1(y):
         z = beta * exp(2 * y)
@@ -536,47 +528,33 @@ def _standard_chain_functions(E: float):
         z = beta * exp(2 * y)
         return exp(-0.5 * z) * z * (2 * up(z) - u(z))
 
-    def u2(y):
-        z = beta * exp(2 * y)
-        return exp(y - 0.5 * z) * v(z)
-
-    def u2p(y):
-        z = beta * exp(2 * y)
-        return exp(y - 0.5 * z) * ((1.0 - z) * v(z) + 2 * z * vp(z))
-
-    return (u1, u1p), (u2, u2p)
+    return (u1, u1p), _mapped_family(E, 2.0)
 
 
 def _chain_background() -> SchrodingerForm:
-    return ScenarioHarmonicEnergy().form(DunklParams(nu=0.0, delta=1, mu=1))
+    return SchrodingerForm(u_e=ScenarioHarmonicEnergy.mapped_potential)
+
+
+def _standard_chain(E: float, order: int, validate: bool, name: str) -> DarbouxChain:
+    """The standard chain on the first ``order`` closed-form members."""
+    if E <= 0:
+        raise DomainError(f"{name}: E must be positive")
+    chain = DarbouxChain(kind=KIND_STANDARD, funcs=_standard_chain_functions(E)[:order],
+                         eps=STANDARD_CHAIN_EPS[:order], background=_chain_background(),
+                         energy=E)
+    if validate:
+        validate_chain(chain, np.linspace(-2.0, 1.0, 40), 1e-7)
+    return chain
 
 
 def standard_chain_u12(E: float, validate: bool = True) -> DarbouxChain:
     """The order-2 standard chain at transformation energies (1/4, -3/4)."""
-    if E <= 0:
-        raise DomainError("standard_chain_u12: E must be positive")
-    pair1, pair2 = _standard_chain_functions(E)
-    chain = DarbouxChain(kind=KIND_STANDARD, funcs=(pair1, pair2),
-                         eps=STANDARD_CHAIN_EPS,
-                         background=_chain_background(),
-                         energy=E)
-    if validate:
-        validate_chain(chain, np.linspace(-2.0, 1.0, 40), 1e-7)
-    return chain
+    return _standard_chain(E, 2, validate, "standard_chain_u12")
 
 
 def standard_chain_order1(E: float, validate: bool = True) -> DarbouxChain:
     """The order-1 standard chain using only the eps = 1/4 member."""
-    if E <= 0:
-        raise DomainError("standard_chain_order1: E must be positive")
-    pair1, _ = _standard_chain_functions(E)
-    chain = DarbouxChain(kind=KIND_STANDARD, funcs=(pair1,),
-                         eps=STANDARD_CHAIN_EPS[:1],
-                         background=_chain_background(),
-                         energy=E)
-    if validate:
-        validate_chain(chain, np.linspace(-2.0, 1.0, 40), 1e-7)
-    return chain
+    return _standard_chain(E, 1, validate, "standard_chain_order1")
 
 
 CONFLUENT_EPS1 = -2.0
@@ -586,37 +564,14 @@ def confluent_solution_family(E: float):
     """Parametric solution family of the mapped equation, in eps.
 
     Returns (value, y-derivative) callables of (eps, y), with y a float
-    or an ndarray; the indices of the Laguerre factor vary smoothly
-    with eps.  The two Laguerre factors are made once per eps, so both
-    callables share their last-grid memos at every probe eps.
+    or an ndarray: the mapped family at r = sqrt(1 - 4 eps).  Its member
+    at each eps is made once, so both callables share its Laguerre memo.
     """
-    beta = 1.0 / math.sqrt(E)
-    c = 0.25 * E**1.5
+    @functools.cache
+    def member(eps):
+        return _mapped_family(E, math.sqrt(1.0 - 4.0 * eps))
 
-    factors = {}
-
-    def laguerre_pair(eps):
-        """(r1, L_d^alpha, L') at eps, made once per eps."""
-        pair = factors.get(eps)
-        if pair is None:
-            r1 = math.sqrt(1.0 - 4.0 * eps)
-            pair = factors[eps] = (r1, *_laguerre_pair(-0.5 + c - 0.25 * r1, 0.5 * r1))
-        return pair
-
-    def family(eps, y):
-        r1, lag, _ = laguerre_pair(eps)
-        z = beta * exp(2 * y)
-        return exp(-0.5 * z + 0.5 * r1 * y) * lag(z)
-
-    def family_dy(eps, y):
-        r1, lag, up = laguerre_pair(eps)
-        z = beta * exp(2 * y)
-        lz = lag(z)
-        lzp = up(z)
-        return (exp(-0.5 * z + 0.5 * r1 * y)
-                * ((0.5 * r1 - z) * lz + 2 * z * lzp))
-
-    return family, family_dy
+    return (lambda eps, y: member(eps)[0](y)), (lambda eps, y: member(eps)[1](y))
 
 
 def confluent_chain(E: float, eps1: float = CONFLUENT_EPS1) -> DarbouxChain:

@@ -450,6 +450,22 @@ def test_grid_validation(tmp_path, capsys):
             assert captured.err == "error: grid: lo and hi must be finite\n"
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--grid-hi", "inf"], "grid: lo and hi must be finite"),
+    (["--grid-count", "1"], "grid: count must be at least 2"),
+])
+def test_darboux_checks_grid_before_building_chain(monkeypatch, capsys, extra, message):
+    # a bad grid is reported without building (or validating) the chain
+    def unreachable(*args, **kwargs):
+        raise AssertionError("chain built before the grid was checked")
+
+    monkeypatch.setattr(cli, "confluent_chain", unreachable)
+    assert run(["darboux", "--kind", "confluent"] + extra) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("eps", [1.0, 0.25, 0.24999])
 def test_confluent_eps_above_quarter_is_a_domain_error(tmp_path, capsys, eps):
     # sqrt(1 - 4 eps) is real up to eps = 1/4, and the eps stencil of u2

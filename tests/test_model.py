@@ -1,4 +1,4 @@
-"""Deformed-derivative action, governing-equation residuals, densities.
+"""Governing-equation residuals, weight exponent, densities and norms.
 
 The residual of the general expanded equation is cross-checked against
 independently coded specializations: odd mass parity, even mass parity,
@@ -15,10 +15,9 @@ import pytest
 from dunkl_darboux.errors import ContractError, DomainError
 from dunkl_darboux.libm import exp
 from dunkl_darboux.model import (DunklParams, DunklSystem, EnergyPotential,
-                                 MassProfile, ParityFunction, admissible,
-                                 dunkl_apply, dunkl_residual, modified_norm,
-                                 probability_density, sampled_parity_defect,
-                                 weight_exponent)
+                                 MassProfile, ParityFunction, dunkl_residual,
+                                 modified_norm, probability_density,
+                                 sampled_parity_defect, weight_exponent)
 
 
 def _odd_mass_residual(m, m1, v, nu, delta, E, psi, x):
@@ -72,30 +71,6 @@ def test_weight_exponent():
     assert weight_exponent(DunklParams(nu=1.0, delta=-1, mu=-1)) == pytest.approx(4.0)
     assert weight_exponent(DunklParams(nu=0.5, delta=-1, mu=1)) == pytest.approx(1.0)
     assert weight_exponent(DunklParams(nu=0.5, delta=1, mu=1)) == pytest.approx(1.0)
-
-
-def test_admissible_gate():
-    ok = DunklParams(nu=0.5, delta=-1, mu=1)
-    bad = DunklParams(nu=-2.0, delta=1, mu=1)
-    assert admissible(ok, energy_dependent=False) == "ok"
-    assert admissible(bad, energy_dependent=False) == "rejected"
-    assert admissible(ok, energy_dependent=True) == "requires_case_analysis"
-
-
-def test_dunkl_apply_direct_formula():
-    # odd f(x) = x: D f = f' + (2 nu / x) f = 1 + 2 nu
-    f = ParityFunction(f=lambda x: x, f1=lambda x: 1.0, parity=-1)
-    got = dunkl_apply(f, 2.0, DunklParams(nu=0.5, delta=-1, mu=1))
-    assert got == pytest.approx(2.0)
-    with pytest.raises(DomainError):
-        dunkl_apply(f, 0.0, DunklParams(nu=0.5, delta=-1, mu=1))
-
-
-def test_dunkl_apply_even_reduces_to_derivative():
-    f = _smooth_state(1)
-    params = DunklParams(nu=0.7, delta=1, mu=1)
-    for x in (0.5, 1.3, -2.0):
-        assert dunkl_apply(f, x, params) == pytest.approx(f.f1(x))
 
 
 def test_residual_specialization_odd_mass():

@@ -20,7 +20,9 @@ from dunkl_darboux.scenarios import (DUNKL_GRID, MAPPED_GRID,
                                      ScenarioHarmonicEnergyPdm,
                                      bound_state_energy,
                                      closed_form_hatpsi_E4, closed_form_hatv4,
-                                     confluent_chain, discriminant_root,
+                                     confluent_chain,
+                                     confluent_solution_family,
+                                     discriminant_root,
                                      gaussian_solution,
                                      gaussian_solution_function, get_scenario,
                                      harmonic_initial_solution_function,
@@ -339,6 +341,24 @@ def test_chain_members_share_their_laguerre_factors(monkeypatch):
     assert len(calls) == 2
     transformed_solution(chain, mapped_initial_solution(TRANSFORM_PARAMS, 4.0), ys)
     assert len(calls) == 3     # only phi's pair of factors is new
+
+
+@pytest.mark.parametrize("E", [4.0, 12.0 ** (2.0 / 3.0)])
+def test_standard_members_and_phi_are_the_mapped_family(E):
+    # u1, u2 and u2' are the confluent family at eps = 1/4 and -3/4
+    # (r = 0 and 2), and Phi at (nu, delta) = (3/2, +1), where
+    # delta nu - nu^2 = -3/4, is u2: all bit for bit, floats included
+    (u1, _), (u2, u2p) = scenarios._standard_chain_functions(E)
+    family, family_dy = confluent_solution_family(E)
+    phi = mapped_initial_solution(DunklParams(nu=1.5, delta=1, mu=1), E)
+    assert phi.eps == -0.75
+    ys = np.linspace(-2.0, 1.0, 41)
+    pairs = [(u1, lambda y: family(0.25, y)), (u2, lambda y: family(-0.75, y)),
+             (u2p, lambda y: family_dy(-0.75, y)), (phi.f, u2), (phi.f1, u2p)]
+    for got, want in pairs:
+        assert _bits(got(ys)) == _bits(want(ys))
+        assert (_bits([got(float(y)) for y in ys[::8]])
+                == _bits([want(float(y)) for y in ys[::8]]))
 
 
 def test_confluent_build_evaluates_each_eps_once_on_its_grid(monkeypatch):

@@ -324,6 +324,18 @@ def _verify_pdm(params: DunklParams, E: float, tol: float) -> VerificationReport
     reflection sign.
     """
     nu_bar, delta_bar = params.nu, params.delta
+    if not E > 0:
+        raise DomainError(f"harmonic-energy-pdm: E = {E:g} is out of range: both "
+                          f"potentials divide by E, which must be positive")
+    # The redefined nu is fixed by matching the mapped constant term:
+    # 3 delta nu - nu^2 (PDM) against delta_bar nu_bar - nu_bar^2.
+    const_bar = delta_bar * nu_bar - nu_bar**2
+    if math.ulp(const_bar) >= 1.0:
+        raise DomainError(f"harmonic-energy-pdm: nu = {nu_bar:g} is out of range: the "
+                          f"nu^2 terms of both induced potentials (about "
+                          f"{abs(const_bar):.3g}) cancel every O(1) digit, so the "
+                          f"route comparison would compare nothing; |nu| must be "
+                          f"below about 6.7e7")
     delta = delta_bar
     nu = pdm_equivalence_nu(nu_bar, delta_bar, delta)
     harm = ScenarioHarmonicEnergy()
@@ -337,9 +349,6 @@ def _verify_pdm(params: DunklParams, E: float, tol: float) -> VerificationReport
     with np.errstate(all="ignore"):     # inf - inf is NaN: the check fails
         worst = _worst(np.abs(u_harm - u_pdm) / np.maximum(1.0, np.abs(u_harm)))
     report.add("induced_potential_match", worst, tol)
-    # The redefined nu is fixed by matching the mapped constant term:
-    # 3 delta nu - nu^2 (PDM) against delta_bar nu_bar - nu_bar^2.
-    const_bar = delta_bar * nu_bar - nu_bar**2
     defect = abs((3.0 * delta * nu - nu**2) - const_bar) / max(1.0, abs(const_bar))
     report.add("constant_term_identity", defect, max(tol, 1e-10))
     return report

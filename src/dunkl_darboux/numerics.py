@@ -4,7 +4,12 @@ Step-size defaults balance truncation against rounding at double
 precision; every stencil applies one Richardson extrapolation step.
 ``derivative`` and ``parameter_derivative`` accept an ndarray of points
 as well as a float and then work elementwise, equal to the per-point
-calls bit for bit.
+calls bit for bit.  ``parameter_derivative`` has two users: the
+confluent chain, whose u2 is the eps-derivative of the solution family
+(``darboux.build_confluent_chain``), and
+``pointmap.energy_relation_residual``, where the numerical dU/dE is the
+independent side of the check.  Figure 4's dV-hat/dE is analytic
+(``scenarios.standard_vhat_dE``).
 
 Quadrature over the real line uses the double-exponential (exp-sinh)
 rule of Takahasi & Mori, Publ. RIMS 9 (1974) 721, and Mori & Sugihara,

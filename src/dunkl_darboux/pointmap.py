@@ -133,10 +133,10 @@ def induced_potential(coord: CoordinateChange, mass: MassProfile,
     m1 = mass.m1(x)
     m2 = mass.m2(x)
     nu, delta, mu = params.nu, params.delta, params.mu
-    v = potential.v(E, x)
     xp2 = xp * xp
     x_sq = power(x, 2)
     with np.errstate(all="ignore"):     # overflow stays inf/NaN for the caller
+        v = potential.v(E, x)
         return (E
                 - 2 * E * m * xp2
                 + 2 * m * v * xp2

@@ -37,7 +37,7 @@ from .errors import ContractError, DomainError, DunklDarbouxError, SingularityEr
 from .libm import exp, log, power
 from .model import (DunklParams, DunklSystem, EnergyPotential, MassProfile,
                     ParityFunction)
-from .numerics import DEFAULT_PARAM_STEP_SCALE, parameter_derivative
+from .numerics import DEFAULT_PARAM_STEP_SCALE
 from .pointmap import CoordinateChange, SchrodingerForm, exp_map, sqrt_map
 from .specfun import assoc_laguerre_grid, bessel_i, kummer_m, kummer_m_grid
 
@@ -661,11 +661,61 @@ def pipeline_vhat(E: float, chain: DarbouxChain, x):
     return hatv_from_ue(E, lambda y: transformed_potential(chain, y), 0.5, 0.0, x)
 
 
+def _member_dE(E: float, r: float, z, lag, lag_dd):
+    """(v, v', dv/dE, dv'/dE) of the mapped-family member with index r, at fixed y.
+
+    The member is taken without its factor e^{-z/2 + (r/2) y}: v = L(z),
+    v' = (r/2 - z) L + 2 z L', with L = L_d^{r/2}, L' = -L_{d-1}^{r/2+1},
+    z = e^{2y}/sqrt(E) and d = -1/2 + E^{3/2}/4 - r/4, so dz/dE = -z/(2E)
+    and dd/dE = (3/8) sqrt(E).  lag and lag_dd hold the rows L_d^{r/2},
+    L_{d-1}^{r/2+1} and their degree derivatives.  L'' is eliminated by
+    the Laguerre equation z L'' = (z - r/2 - 1) L' - d L.
+    """
+    alpha = 0.5 * r
+    d = -0.5 + 0.25 * E**1.5 - 0.25 * r
+    z_e, d_e = -z / (2.0 * E), 0.375 * math.sqrt(E)
+    lag1, lag1_dd = -lag[1], -lag_dd[1]             # L' and its degree derivative
+    return (lag[0], (alpha - z) * lag[0] + 2.0 * z * lag1,
+            z_e * lag1 + d_e * lag_dd[0],
+            z_e * ((z - alpha) * lag1 - (2.0 * d + 1.0) * lag[0])
+            + d_e * ((alpha - z) * lag_dd[0] + 2.0 * z * lag1_dd))
+
+
 def standard_vhat_dE(E: float, x):
-    """dV-hat/dE of the standard chain, rebuilt at each of the four probe energies."""
-    return parameter_derivative(
-        lambda e, xx: pipeline_vhat(e, standard_chain_u12(e, validate=False), xx),
-        E, x, h_eps=1e-4 * max(1.0, abs(E)))
+    """dV-hat/dE of the order-2 standard chain, in closed form.
+
+    V-hat = E - x^-2 (1/4 - U-hat(log x)) gives dV-hat/dE = 1 + x^-2
+    dU-hat/dE, and dU/dE = -e^{2y} - e^{4y}/E^2 cancels the 1:
+    dV-hat/dE = -x^2/E^2 - 2 x^-2 dQ/dE, Q = (W'' W - W'^2)/W^2.  dQ/dE
+    follows from the product rule on W = v1 v2' - v1' v2, W' = de v1 v2
+    and W'' = de (v1' v2 + v1 v2'), de = 1 the chain's eps gap, with
+    the members' E-derivatives from ``_member_dE``.  Q does not change
+    when a member is multiplied by any factor, E-dependent or not, so the
+    members' exponential factors are left out.  Both members' four
+    Laguerre rows and their degree derivatives come from one kernel call
+    at z = x^2/sqrt(E).  x is a float or an ndarray of positive points.
+    """
+    if E <= 0:
+        raise DomainError("standard_vhat_dE: E must be positive")
+    if np.any(x <= 0):
+        raise DomainError("standard_vhat_dE: x must be positive")
+    xs = x if isinstance(x, np.ndarray) else np.array([x], dtype=float)
+    z = (1.0 / math.sqrt(E)) * (xs * xs)
+    degrees = [-0.5 + 0.25 * E**1.5 - 0.25 * r - k for r in (0.0, 2.0) for k in (0.0, 1.0)]
+    lag, lag_dd = assoc_laguerre_grid(degrees, [0.0, 1.0, 1.0, 2.0], z,
+                                      degree_derivative=True)
+    v1, g1, dv1, dg1 = _member_dE(E, 0.0, z, lag.values[:2], lag_dd.values[:2])
+    v2, g2, dv2, dg2 = _member_dE(E, 2.0, z, lag.values[2:], lag_dd.values[2:])
+    de = STANDARD_CHAIN_EPS[0] - STANDARD_CHAIN_EPS[1]
+    with np.errstate(all="ignore"):     # a vanishing W stays inf/NaN for the caller
+        w = v1 * g2 - g1 * v2
+        wp, wpp = de * v1 * v2, de * (g1 * v2 + v1 * g2)
+        rel = (dv1 * g2 + v1 * dg2 - dg1 * v2 - g1 * dv2) / w
+        dwp = de * (dv1 * v2 + v1 * dv2)
+        dwpp = de * (dg1 * v2 + g1 * dv2 + dv1 * g2 + v1 * dg2)
+        dq = (dwpp - wpp * rel - 2.0 * (wp / w) * (dwp - wp * rel)) / w
+        out = -xs * xs / (E * E) - 2.0 * dq / (xs * xs)
+    return out if isinstance(x, np.ndarray) else float(out[0])
 
 
 # Scenario registry: each has mass(), potential(), coord(), system(params),

@@ -26,6 +26,22 @@ a partial sum, and a terminating polynomial of degree above
 ``KUMMER_MAX_TERMS`` is refused with a ``DomainError`` before its
 coefficients are built.
 
+``assoc_laguerre_grid(..., degree_derivative=True)`` also returns
+d/d(degree) of every row, built from the same term matrix: the
+prefactor contributes psi(degree + alpha + 1) - psi(degree + 1)
+(``_digamma_difference``, DLMF 5.5.2 and 5.11.2), and dM/da of the
+series (Ancarani & Gasaneo, J. Math. Phys. 49 (2008) 063508) has term
+k equal to term_k H_k, H_k = sum_{j<k} 1/(a + j).  These rows are
+summed by ``_fsum_columns`` as the values are, so a grid still equals
+its one-point calls bit for bit, and they are computed only when asked
+for.  Their series has its own stop rule, the first k > 3 with
+|term_k| A_k at most 1e-18 of the largest |term_j| A_j so far,
+A_k = sum_{j<k} 1/|a + j|: near an integer degree the terms past it are
+about 1e-16 of the peak while H_k is about 1e16, so the value's rule
+would stop the derivative early.  At an integer degree n, where the
+value is a polynomial, the derivative is still a series: its terms
+past n drop the vanishing factor a + n and carry the multiplier 1.
+
 The e^z factor of the reflected branch goes through ``libm.exp``, the
 scalar libm routine per element: numpy's vectorised exp can differ from
 it in the last ulp, and the values would then depend on the hardware
@@ -165,12 +181,15 @@ def kummer_m_grid(a: float, b: float, z: np.ndarray) -> SpecialGrid:
     return SpecialGrid(values[0], est[0])
 
 
-def _kummer_rows(a: list, b: list, z: np.ndarray):
+def _kummer_rows(a: list, b: list, z: np.ndarray, da: bool = False):
     """M(a[i]; b[i]; z) for every row i: (values, estimates), each (rows, *z.shape).
 
     Each row takes its own branch (polynomial or series); the series rows
-    are evaluated together, in one call of the series kernel.  z must be
-    finite; the result is not validated.
+    are evaluated together, in one call of the series kernel.  With da,
+    the a-derivatives and their estimates follow, from one kernel call
+    over all rows (a polynomial's derivative is a series), and z must be
+    at least ``KUMMER_SERIES_Z_MIN``.  z must be finite; the result is
+    not validated.
     """
     rows = []      # (values, estimates) of a polynomial row, None for a series row
     for ai, bi in zip(a, b):
@@ -182,7 +201,7 @@ def _kummer_rows(a: list, b: list, z: np.ndarray):
             rows.append((acc, (n + 1) * _EPS * np.maximum(1.0, np.abs(acc))))
         else:
             rows.append(None)
-    series = [i for i, row in enumerate(rows) if row is None]
+    series = [i for i, row in enumerate(rows) if row is None or da]
     if series:
         if (np.abs(z) > KUMMER_Z_MAX).any():
             raise DomainError(f"kummer_m: |z| exceeds supported range {KUMMER_Z_MAX}")
@@ -190,39 +209,53 @@ def _kummer_rows(a: list, b: list, z: np.ndarray):
         sb = np.array([b[i] for i in series])[:, None]
         flat = z.reshape(-1)
         low = flat < KUMMER_SERIES_Z_MIN
-        if low.any():
-            # M(a; b; z) = e^z M(b - a; b; -z) at the low points.
-            sa = np.where(low, sb - sa, sa)
-            flat = np.where(low, -flat, flat)
-        values, est = _kummer_series_grid(sa, sb, flat)
-        if low.any():
-            scale = exp(z.reshape(-1)[low])
-            est[:, low] = scale * est[:, low] + _EPS * np.abs(scale * values[:, low])
-            values[:, low] *= scale
+        if da:
+            if low.any():
+                raise DomainError(f"kummer_m: the a-derivative needs z >= "
+                                  f"{KUMMER_SERIES_Z_MIN:g}")
+            values, est, *slopes = _kummer_series_grid(sa, sb, flat, da=True)
+        else:
+            if low.any():
+                # M(a; b; z) = e^z M(b - a; b; -z) at the low points.
+                sa = np.where(low, sb - sa, sa)
+                flat = np.where(low, -flat, flat)
+            values, est = _kummer_series_grid(sa, sb, flat)
+            if low.any():
+                scale = exp(z.reshape(-1)[low])
+                est[:, low] = scale * est[:, low] + _EPS * np.abs(scale * values[:, low])
+                values[:, low] *= scale
         shape = (len(series),) + z.shape
-        if len(series) == len(rows):
+        if da:
+            slopes = [part.reshape(shape) for part in slopes]
+        elif len(series) == len(rows):
             return values.reshape(shape), est.reshape(shape)
         for j, i in enumerate(series):
-            rows[i] = values[j].reshape(z.shape), est[j].reshape(z.shape)
+            if rows[i] is None:
+                rows[i] = values[j].reshape(z.shape), est[j].reshape(z.shape)
     shape = (len(rows),) + z.shape
-    return (np.array([row[0] for row in rows]).reshape(shape),
-            np.array([row[1] for row in rows]).reshape(shape))
+    values = np.array([row[0] for row in rows]).reshape(shape)
+    est = np.array([row[1] for row in rows]).reshape(shape)
+    return (values, est, *slopes) if da else (values, est)
 
 
-def _series_ratios(ks: slice, a, b, z, out=None):
+def _series_ratios(ks: slice, a, b, z, out=None, removed: bool = False):
     """term_{k+1} / term_k = (a + k) z / ((b + k)(k + 1)) for k in ks, down axis 0.
 
     Computed in the order of the module docstring's recurrence; a and b
-    broadcast against z along the remaining axes.
+    broadcast against z along the remaining axes.  With removed, a factor
+    a + k = 0 (a = -k, a polynomial) is replaced by 1.
     """
     shape = (-1,) + (1,) * max(np.ndim(z), np.ndim(a))
     k = _K[ks].reshape(shape)
-    out = np.multiply(k + a, z, out=out)
+    num = k + a
+    if removed:
+        num = np.where(num == 0.0, 1.0, num)
+    out = np.multiply(num, z, out=out)
     out /= (k + b) * _K1[ks].reshape(shape)
     return out
 
 
-def _kummer_series_grid(a: np.ndarray, b: np.ndarray, z: np.ndarray):
+def _kummer_series_grid(a: np.ndarray, b: np.ndarray, z: np.ndarray, da: bool = False):
     """The Kummer series per column: (values, error estimates), each (rows, points).
 
     Column (i, j) is the series of M(a[i, j]; b[i]; z[j]): a has shape
@@ -232,16 +265,24 @@ def _kummer_series_grid(a: np.ndarray, b: np.ndarray, z: np.ndarray):
     in place in the term buffer, then blocks of ``_SERIES_BLOCK`` for the
     columns that have not stopped.  Terms past a column's stop are
     zeroed, which leaves its sum exact.
+
+    With da, the a-derivatives of the columns and their estimates follow
+    (see ``_a_derivative``).  A column whose a is a nonpositive integer
+    then has no value of its own: the caller takes it from the polynomial.
     """
     rows, n = a.shape[0], z.shape[0]
     size = rows * n
     cols = np.arange(size)
-    terms = np.empty((KUMMER_MAX_TERMS + 1, size))
+    # A derivative call has the most columns of its run; a buffer for
+    # every possible term would be its largest allocation, and the
+    # allocator would keep its pages.  It starts with the first two
+    # blocks' rows, which hold most series, and grows if need be.
+    terms = np.empty(((_FIRST_BLOCK + _SERIES_BLOCK if da else KUMMER_MAX_TERMS) + 1, size))
     terms[0] = 1.0
     head = terms[:_FIRST_BLOCK + 1]
     with np.errstate(over="ignore", invalid="ignore"):
         first = head[1:].reshape(_FIRST_BLOCK, rows, n)
-        np.cumprod(_series_ratios(slice(0, _FIRST_BLOCK), a, b, z, out=first),
+        np.cumprod(_series_ratios(slice(0, _FIRST_BLOCK), a, b, z, out=first, removed=da),
                    axis=0, out=first)
         mag = np.abs(head)
         running = np.fmax.accumulate(mag, axis=0)    # term 0 = 1 starts the peak
@@ -251,6 +292,8 @@ def _kummer_series_grid(a: np.ndarray, b: np.ndarray, z: np.ndarray):
         hit = stops[last - 4, cols]
         last[~hit] = _FIRST_BLOCK
         peak = running[last, cols]
+        if da:       # polynomial columns: their values come from the polynomial
+            hit |= np.repeat(((a <= 0) & (a == np.floor(a)))[:, 0], n)
         active = (~hit).nonzero()[0]
         if active.size:
             a_cols = np.broadcast_to(a, (rows, n)).reshape(-1)
@@ -265,6 +308,7 @@ def _kummer_series_grid(a: np.ndarray, b: np.ndarray, z: np.ndarray):
             mag = np.abs(block)
             block_peak = np.fmax(np.fmax.accumulate(mag, axis=0), peak[active])
             stops = mag < 1e-18 * block_peak
+            terms = _room(terms, ks.stop + 1)
             terms[ks.start + 1:ks.stop + 1, active] = block
             hit = stops.any(axis=0)
             first = stops.argmax(axis=0)
@@ -275,11 +319,86 @@ def _kummer_series_grid(a: np.ndarray, b: np.ndarray, z: np.ndarray):
             k0 = ks.stop
     if active.size:
         raise AccuracyError(_NOT_CONVERGED)
+    if da:           # before the terms past each value stop are zeroed
+        slopes = [part.reshape(rows, n) for part in _a_derivative(terms, last, a, b, z)]
     kept = terms[:last.max(initial=0) + 1]
     np.putmask(kept, _TERM_INDEX[:len(kept)] > last, 0.0)
     # Truncation bound from the last term plus rounding at the series peak.
     est = np.abs(terms[last, cols]) + _EPS * peak * _SQRT_COUNT[last + 1]
-    return _fsum_columns(kept, peak).reshape(rows, n), est.reshape(rows, n)
+    values, est = _fsum_columns(kept, peak).reshape(rows, n), est.reshape(rows, n)
+    return (values, est, *slopes) if da else (values, est)
+
+
+def _room(terms: np.ndarray, count: int) -> np.ndarray:
+    """terms if it has count rows, else a copy with a row for every possible term."""
+    if count <= len(terms):
+        return terms
+    grown = np.empty((KUMMER_MAX_TERMS + 1, terms.shape[1]))
+    grown[:len(terms)] = terms
+    return grown
+
+
+def _a_derivative(terms: np.ndarray, last: np.ndarray, a: np.ndarray, b: np.ndarray,
+                  z: np.ndarray):
+    """d/da of the series of every column: (values, error estimates), each (rows * points,).
+
+    terms holds the terms of column (i, j) = i * points + j up to the end
+    of the block in which its value series stopped (at index last); a and
+    b have shape (rows, 1), z (points,).  The terms, multipliers and stop
+    rule are those of the module docstring; A_k bounds |H_k| and, unlike
+    H_k, never passes through zero.  Columns whose derivative needs more
+    terms than their value get them here, by the same recurrence.
+    """
+    rows, n = a.shape[0], z.shape[0]
+    size = rows * n
+    cols = np.arange(size)
+    row = cols // n
+    # Index of the last term built: the end of the block that holds last.
+    built = np.minimum(_FIRST_BLOCK - (_FIRST_BLOCK - last) // _SERIES_BLOCK * _SERIES_BLOCK,
+                       KUMMER_MAX_TERMS)
+    # H_k and A_k of every row (columns) for every term index k (rows).
+    with np.errstate(divide="ignore"):
+        inv = 1.0 / (_K[:, None] + a[:, 0])
+    h_sum = np.zeros((KUMMER_MAX_TERMS + 1, rows))
+    a_sum = np.zeros_like(h_sum)
+    np.cumsum(inv, axis=0, out=h_sum[1:])
+    np.cumsum(np.abs(inv), axis=0, out=a_sum[1:])
+    past = _TERM_INDEX > np.where((a[:, 0] <= 0) & (a[:, 0] == np.floor(a[:, 0])),
+                                  -a[:, 0], np.inf)
+    np.putmask(h_sum, past, 1.0)
+    np.putmask(a_sum, past, 1.0)
+    dpeak = np.zeros(size)
+    dlast = np.zeros(size, dtype=int)
+    active = cols
+    lo, hi = 0, _FIRST_BLOCK + 1                     # term indices of a block
+    with np.errstate(over="ignore", invalid="ignore"):
+        while active.size and lo <= KUMMER_MAX_TERMS:
+            grow = active[built[active] < hi - 1]
+            if grow.size:
+                factors = _series_ratios(slice(lo - 1, hi - 1), a[row[grow], 0],
+                                         b[row[grow], 0], z[grow % n], removed=True)
+                factors[0] *= terms[lo - 1, grow]
+                terms = _room(terms, hi)
+                terms[lo:hi, grow] = np.cumprod(factors, axis=0)
+                built[grow] = hi - 1
+            mag = np.abs(terms[lo:hi, active]) * a_sum[lo:hi][:, row[active]]
+            running = np.fmax(np.fmax.accumulate(mag, axis=0), dpeak[active])
+            stops = mag <= running * 1e-18
+            stops[:max(0, 4 - lo)] = False           # terms 0-3
+            hit = stops.any(axis=0)
+            first = stops.argmax(axis=0)
+            dpeak[active] = np.where(hit, running[first, np.arange(active.size)], running[-1])
+            dlast[active[hit]] = lo + first[hit]
+            active = active[~hit]
+            lo, hi = hi, min(hi + _SERIES_BLOCK, KUMMER_MAX_TERMS + 1)
+    if active.size:
+        raise AccuracyError(_NOT_CONVERGED)
+    count = dlast.max(initial=0) + 1
+    kept = (terms[:count].reshape(count, rows, n) * h_sum[:count, :, None]).reshape(count, size)
+    np.putmask(kept, _TERM_INDEX[:count] > dlast, 0.0)
+    # H_k adds one rounding per index, so the rounding grows with the count.
+    est = np.abs(kept[dlast, cols]) + _EPS * dpeak * (dlast + 1)
+    return _fsum_columns(kept, dpeak), est
 
 
 def _fsum_columns(x: np.ndarray, peak: np.ndarray) -> np.ndarray:
@@ -329,14 +448,48 @@ def _fsum_columns(x: np.ndarray, peak: np.ndarray) -> np.ndarray:
 
 
 def _laguerre_prefactor(degree: float, alpha: float) -> float:
-    """binom(degree+alpha, degree) by Gamma-function ratios."""
+    """binom(degree+alpha, degree) by Gamma-function ratios.
+
+    At a pole of Gamma(degree + 1), where the binomial vanishes, this is
+    its degree derivative instead: 1/Gamma(x) has slope (-1)^m m! at
+    x = -m.
+    """
     try:
         lg_num, sign_num = math.lgamma(degree + alpha + 1.0), _gamma_sign(degree + alpha + 1.0)
-        lg_den1, sign_den1 = math.lgamma(degree + 1.0), _gamma_sign(degree + 1.0)
+        if _is_nonpositive_integer(degree + 1.0):
+            m = -(degree + 1.0)
+            lg_den1, sign_den1 = -math.lgamma(m + 1.0), (-1.0 if m % 2 else 1.0)
+        else:
+            lg_den1, sign_den1 = math.lgamma(degree + 1.0), _gamma_sign(degree + 1.0)
         lg_den2, sign_den2 = math.lgamma(alpha + 1.0), _gamma_sign(alpha + 1.0)
     except ValueError as exc:
         raise DomainError(f"assoc_laguerre: Gamma pole in prefactor: {exc}") from exc
     return sign_num * sign_den1 * sign_den2 * exp(lg_num - lg_den1 - lg_den2)
+
+
+def _digamma_tail(x: float) -> float:
+    """ln x - 1/(2x) - psi(x): the asymptotic series (DLMF 5.11.2) through its x^-14 term."""
+    w = 1.0 / (x * x)
+    return w * (1 / 12 - w * (1 / 120 - w * (1 / 252 - w * (1 / 240 - w * (
+        1 / 132 - w * (691 / 32760 - w / 12))))))
+
+
+def _digamma_difference(x: float, alpha: float) -> float:
+    """psi(x + alpha) - psi(x) for real x and x + alpha off the poles.
+
+    The recurrence psi(x) = psi(x + 1) - 1/x (DLMF 5.5.2) lifts both
+    arguments together until both are at least 10, adding 1/x -
+    1/(x + alpha) = alpha / (x (x + alpha)) at each step; there the
+    asymptotic series (DLMF 5.11.2), through its x^-14 term, is within
+    1e-16 of psi.  Taking the difference term by term keeps it accurate
+    where the two psi values nearly cancel; it is 0 for alpha = 0.
+    """
+    total = 0.0
+    while min(x, x + alpha) < 10.0:
+        total += alpha / (x * (x + alpha))
+        x += 1.0
+    return (total + math.log1p(alpha / x) + 0.5 * alpha / (x * (x + alpha))
+            - (_digamma_tail(x + alpha) - _digamma_tail(x)))
 
 
 def assoc_laguerre(degree: float, alpha: float, z: float) -> SpecialValue:
@@ -348,7 +501,7 @@ def assoc_laguerre(degree: float, alpha: float, z: float) -> SpecialValue:
     return _one_point(assoc_laguerre_grid(degree, alpha, np.array([z], dtype=float)))
 
 
-def assoc_laguerre_grid(degree, alpha, z: np.ndarray) -> SpecialGrid:
+def assoc_laguerre_grid(degree, alpha, z: np.ndarray, degree_derivative: bool = False):
     """``assoc_laguerre`` at every entry of the ndarray z.
 
     degree and alpha are floats, or equal-length sequences of floats:
@@ -357,6 +510,13 @@ def assoc_laguerre_grid(degree, alpha, z: np.ndarray) -> SpecialGrid:
     row passes the checks of ``assoc_laguerre``, stage by stage, and
     the Gamma-ratio prefactor is computed once per row.  A call with
     several rows raises the first error any row meets.
+
+    With degree_derivative, the result is a pair of ``SpecialGrid``s:
+    the values and, row for row, d/d(degree) of L_degree^alpha, which is
+    binom(degree + alpha, degree) [(psi(degree + alpha + 1) -
+    psi(degree + 1)) M - dM/da] at a = -degree, b = alpha + 1 (at a
+    Gamma(degree + 1) pole, the binomial's slope times M).  z must then
+    be at least ``KUMMER_SERIES_Z_MIN``.
     """
     z = np.asarray(z, dtype=float)
     single = np.ndim(degree) == 0
@@ -373,15 +533,26 @@ def assoc_laguerre_grid(degree, alpha, z: np.ndarray) -> SpecialGrid:
         if _is_nonpositive_integer(al + 1.0):
             raise DomainError("assoc_laguerre: alpha+1 must not be a nonpositive integer")
         # At a Gamma(degree+1) pole the row vanishes identically.
-        if not _is_nonpositive_integer(d + 1.0):
+        if degree_derivative or not _is_nonpositive_integer(d + 1.0):
             live.append(i)
             prefactors.append(_laguerre_prefactor(d, al))
-    hyp, hyp_est = _kummer_rows([-rows[i][0] for i in live],
-                                [rows[i][1] + 1.0 for i in live], z)
-    scale = np.array(prefactors).reshape((-1,) + (1,) * z.ndim)
+    hyp, hyp_est, *dhyp = _kummer_rows([-rows[i][0] for i in live],
+                                       [rows[i][1] + 1.0 for i in live], z, degree_derivative)
+    shape = (-1,) + (1,) * z.ndim
+    scale = np.array(prefactors).reshape(shape)
     with np.errstate(over="ignore", invalid="ignore"):  # SpecialGrid refuses inf/NaN
         values = scale * hyp
         est = np.abs(scale) * hyp_est + _EPS * np.abs(values)
+        if degree_derivative:
+            # Per row: derivative = scale (c_m M + c_da dM/da).
+            pole = np.array([_is_nonpositive_integer(d + 1.0) for d, _ in rows])
+            c_m = np.array([1.0 if p else _digamma_difference(d + 1.0, al)
+                            for p, (d, al) in zip(pole, rows)]).reshape(shape)
+            c_da = np.where(pole, 0.0, -1.0).reshape(shape)
+            dvalues = scale * (c_m * hyp + c_da * dhyp[0])
+            dest = (np.abs(scale) * (np.abs(c_m) * hyp_est + np.abs(c_da) * dhyp[1])
+                    + _EPS * np.abs(dvalues))
+            values[pole], est[pole] = 0.0, 0.0
     if len(live) < len(rows):
         live_values, live_est = values, est
         values = np.zeros((len(rows),) + z.shape)
@@ -389,6 +560,10 @@ def assoc_laguerre_grid(degree, alpha, z: np.ndarray) -> SpecialGrid:
         values[live], est[live] = live_values, live_est
     if single:
         values, est = values[0], est[0]
+    if degree_derivative:
+        if single:
+            dvalues, dest = dvalues[0], dest[0]
+        return SpecialGrid(values, est), SpecialGrid(dvalues, dest)
     return SpecialGrid(values, est)
 
 

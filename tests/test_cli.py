@@ -251,7 +251,8 @@ def test_density_refuses_a_zero_norm(delta, nu, capsys):
 @pytest.mark.parametrize("argv, code, stream, start", [
     (["darboux", "--nu", "1e6"], EXIT_USAGE, "err",
      "error: exp(5025.1241321172565): result overflows"),
-    (["verify", "--scenario", "harmonic-energy-pdm", "--nu", "6e153", "--delta", "1"],
+    (["verify", "--scenario", "harmonic-energy-pdm", "--nu", "2.5", "--delta", "1",
+      "--energy", "1e-310"],
      EXIT_VERIFICATION, "out", "FAIL  induced_potential_match: max residual nan"),
     (["verify", "--scenario", "gaussian-mass", "--nu", "6e153", "--delta", "-1"],
      EXIT_USAGE, "err", "error: power(1.024848391894543, 1.1999999999999999e+154)"),
@@ -261,6 +262,69 @@ def test_overflow_raises_no_numpy_warning(argv, code, stream, start, capsys):
         warnings.simplefilter("error")
         assert run(argv) == code
     assert getattr(capsys.readouterr(), stream).startswith(start)
+
+
+@pytest.mark.parametrize("argv", [
+    ["density", "--scenario", "harmonic-energy", "--nu", "120", "--delta", "1",
+     "--rule", "ene0", "--grid-count", "9"],
+    ["verify", "--scenario", "gaussian-mass", "--nu", "1e3", "--delta", "-1",
+     "--rule", "ene0", "--grid-hi", "25", "--grid-count", "9"],
+])
+def test_model_overflow_prints_only_the_error(argv):
+    # The density's |x|^w product overflows and the residual's terms add
+    # to inf - inf before each command's error: with numpy warnings
+    # shown, as a user sees them, stderr holds the one error line
+    src = str(Path(dunkl_darboux.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, warnings\n"
+            "warnings.simplefilter('default')\n"
+            "from dunkl_darboux.cli import run\n"
+            "sys.exit(run(sys.argv[1:]))\n")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--nu", "1e150", "--delta", "-1", "--rule", "ene0"],    # E cancels to exactly 0
+    ["--nu", "2.5", "--delta", "1", "--energy", "0"],
+    ["--nu", "2.5", "--delta", "1", "--energy", "-3"],
+])
+def test_pdm_refuses_nonpositive_energy(argv, capsys):
+    code = run(["verify", "--scenario", "harmonic-energy-pdm", *argv])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    energy = "-3" if "-3" in argv else "0"
+    assert captured.err == (f"error: harmonic-energy-pdm: E = {energy} is out of range: "
+                            f"both potentials divide by E, which must be positive\n")
+
+
+@pytest.mark.parametrize("nu, refused", [
+    (2.0 ** 26 - 1, False), (-(2.0 ** 26 - 1), False),
+    (2.0 ** 26 + 1, True), (-(2.0 ** 26 + 1), True), (1e150, True), (6e153, True),
+])
+def test_pdm_refuses_nu_whose_squares_cancel_every_digit(nu, refused, capsys):
+    # Past |nu| = 2^26 the nu^2 terms of both induced potentials are at
+    # least 2^52, so their ulp is 1 and every O(1) term is lost: the
+    # comparison used to PASS with a residual of 0 at nu = 1e150
+    code = run(["verify", "--scenario", "harmonic-energy-pdm", "--nu", repr(nu),
+                "--delta", "1"])
+    captured = capsys.readouterr()
+    if refused:
+        assert code == EXIT_USAGE and captured.out == ""
+        assert captured.err.startswith(f"error: harmonic-energy-pdm: nu = {nu:g} is out of "
+                                       f"range: the nu^2 terms of both induced potentials")
+        assert captured.err.endswith("cancel every O(1) digit, so the route comparison "
+                                     "would compare nothing; |nu| must be below about 6.7e7\n")
+        assert captured.err.count("\n") == 1
+    else:
+        assert code in (EXIT_OK, EXIT_VERIFICATION) and captured.err == ""
+        assert "induced_potential_match" in captured.out
 
 
 def test_nan_residual_prints_no_warning(capsys):

@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from dunkl_darboux import scenarios
+from dunkl_darboux import cli, scenarios
 from dunkl_darboux.darboux import (chain_residuals, transformed_potential,
                                    transformed_solution)
 from dunkl_darboux.errors import ContractError, DomainError
@@ -324,9 +324,9 @@ def _count_grid_calls(monkeypatch) -> list:
     """Record the parameters of every grid special-function call in scenarios."""
     calls = []
     for name in ("assoc_laguerre_grid", "kummer_m_grid"):
-        def counted(*args, _real=getattr(scenarios, name)):
+        def counted(*args, _real=getattr(scenarios, name), **kwargs):
             calls.append(args[:-1])
-            return _real(*args)
+            return _real(*args, **kwargs)
         monkeypatch.setattr(scenarios, name, counted)
     return calls
 
@@ -341,6 +341,24 @@ def test_chain_members_share_their_laguerre_factors(monkeypatch):
     assert len(calls) == 2
     transformed_solution(chain, mapped_initial_solution(TRANSFORM_PARAMS, 4.0), ys)
     assert len(calls) == 3     # only phi's pair of factors is new
+
+
+def test_figure_4_kernel_calls_and_chain_builds(monkeypatch, capsys):
+    # per energy: the chain's two Laguerre pairs and Phi's pair for
+    # Psi-hat, and one call for the four rows of dV-hat/dE with their
+    # degree derivatives; one chain build per energy
+    calls = _count_grid_calls(monkeypatch)
+    builds = []
+
+    def counted(E, validate=True, _real=scenarios.standard_chain_u12):
+        builds.append(E)
+        return _real(E, validate)
+
+    monkeypatch.setattr(cli, "standard_chain_u12", counted)
+    assert cli.run(["figure", "4", "--grid-count", "50"]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert len(calls) == 12
+    assert len(builds) == 3
 
 
 @pytest.mark.parametrize("E", [4.0, 12.0 ** (2.0 / 3.0)])

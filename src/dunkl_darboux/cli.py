@@ -29,14 +29,14 @@ from typing import Callable, List, Optional, Sequence, get_args, get_type_hints
 
 import numpy as np
 
-from .darboux import DarbouxChain, transformed_potential, transformed_solution
+from .darboux import (DarbouxChain, KIND_STANDARD, chain_residuals,
+                      transformed_potential, transformed_solution)
 from .errors import DomainError, DunklDarbouxError
 from .libm import exp, power
 from .model import (DunklParams, dunkl_residual, modified_norm,
                     probability_density, sampled_parity_defect)
-from .numerics import derivative
 from .pointmap import energy_relation_residual, induced_potential
-from .scenarios import (ScenarioGaussianMass, ScenarioHarmonicEnergy,
+from .scenarios import (CONFLUENT_EPS1, ScenarioGaussianMass, ScenarioHarmonicEnergy,
                         ScenarioHarmonicEnergyPdm, bound_state_energy,
                         confluent_chain, get_scenario, mapped_initial_solution,
                         pdm_equivalence_nu, pipeline_hatpsi, pipeline_vhat,
@@ -154,7 +154,10 @@ def _grid(config: RunConfig, lo: float, hi: float, count: int) -> np.ndarray:
         raise UsageError("grid: lo must be less than hi")
     if count < 2:
         raise UsageError("grid: count must be at least 2")
-    return np.linspace(lo, hi, count)
+    try:
+        return np.linspace(lo, hi, count)
+    except (ValueError, MemoryError) as exc:
+        raise UsageError(f"grid: count is too large: {exc}") from None
 
 
 def _tolerance() -> float:
@@ -298,12 +301,10 @@ def _verify_solution(config: RunConfig, scenario, params: DunklParams, E: float,
     if isinstance(scenario, ScenarioHarmonicEnergy):
         phi = mapped_initial_solution(params, E)
         relation_grid = np.linspace(-2.0, 1.0, 100)
-        form = scenario.form(params)
-        second = derivative(phi.f1, relation_grid, 1)
-        potential_term = (phi.eps - form.u_e(E, relation_grid)) * phi.f(relation_grid)
-        scale = np.abs(second) + np.abs(potential_term)
-        worst = _worst(np.abs(second + potential_term) / np.maximum(scale, 1e-30))
-        report.add("mapped_equation_residual", worst, max(tol, 1e-6))
+        chain = DarbouxChain(kind=KIND_STANDARD, funcs=((phi.f, phi.f1),), eps=(phi.eps,),
+                             background=scenario.form(params), energy=E)
+        report.add("mapped_equation_residual",
+                   _worst(chain_residuals(chain, relation_grid, h=None)), max(tol, 1e-6))
     else:
         norm = modified_norm(system, psi, E)
         norm_ok = 0.0 if (norm.value > 0 and math.isfinite(norm.value)) else 1.0
@@ -428,7 +429,7 @@ def _build_chain(config: RunConfig, E: float) -> DarbouxChain:
     if kind == "confluent":
         if order != 2:
             raise UsageError("confluent chains are constructible at order 2")
-        eps1 = config.chain_eps[0] if config.chain_eps else -2.0
+        eps1 = config.chain_eps[0] if config.chain_eps else CONFLUENT_EPS1
         return confluent_chain(E, eps1=eps1)
     raise UsageError(f"unknown chain kind {kind!r}")
 

@@ -5,9 +5,12 @@ second or higher derivatives of the transformation functions.  All
 rows beyond the first derivative are reduced through the governing
 equation, so closed-form (u, u') pairs keep the determinants exact in
 their inputs.  Matrices are at most 3 x 3 (an order-2 chain plus the
-transformed solution) and use explicit determinant formulas; U-hat and
-W' are analytic for chains of order 1 and 2, and higher orders raise
-``CapabilityError``.
+transformed solution) and use explicit determinant formulas.  W' and
+W'' come from one Abel reduction of the chain equations (``_abel``),
+which both U-hat and ``wronskian_first_derivative`` use; it covers
+chains of order 1 and 2, and higher orders raise ``CapabilityError``.
+``chain_residuals`` is the one residual routine of standard-form
+equations.
 
 ``wronskian``, ``wronskian_first_derivative``, ``transformed_potential``
 and ``transformed_solution`` take a float or an ndarray of points y and
@@ -26,7 +29,6 @@ import numpy as np
 
 from .errors import (CapabilityError, ConstructionError, DomainError,
                      SingularityError)
-from .libm import power
 from .numerics import derivative, parameter_derivative
 from .pointmap import SchrodingerForm
 
@@ -187,55 +189,50 @@ def wronskian(chain: DarbouxChain, y, include: Optional[OdeSolution] = None):
     return _det(_columns(chain, y, include))
 
 
-def wronskian_first_derivative(chain: DarbouxChain, y):
-    """W'(y) from the Abel-type reduction (chains of order 1 and 2)."""
-    if chain.order == 1:
-        return chain.funcs[0][1](y)
-    if chain.order == 2:
-        (f1, d1), (f2, d2) = chain.funcs
-        if chain.kind == KIND_STANDARD:
-            return (chain.eps[0] - chain.eps[1]) * f1(y) * f2(y)
-        return -power(f1(y), 2)
-    raise CapabilityError(f"W' is supported for chains of order 1 and 2, not {chain.order}")
+def _abel(chain: DarbouxChain, y, u):
+    """(W, W', W'', floor scale) of a chain of order 1 or 2 at y, where U(y) = u.
 
-
-def transformed_potential(chain: DarbouxChain, y, w_floor: float = DEFAULT_W_FLOOR):
-    """U-hat(y) = U(y) - 2 (log W)''.
-
-    W' and W'' are analytic for orders <= 2 (Abel reduction of the
-    chain equations); higher orders raise ``CapabilityError``.
+    Order 1: W' = u1', W'' = (U - eps1) u1.  Order 2: W' = (eps1 - eps2)
+    u1 u2 and W'' = (eps1 - eps2)(u1' u2 + u1 u2') (standard), W' = -u1^2
+    and W'' = -2 u1 u1' (confluent).  The scale is the product over
+    members of max(|u|, |u'|, 1).
     """
     n = chain.order
-    if n > 2:
-        raise CapabilityError(f"U-hat is supported for chains of order up to 2, not {n}")
-    u = chain.potential(y)
-    if n == 0:
-        return u
     if n == 1:
         f, d = chain.funcs[0]
         w, wp = f(y), d(y)
-        wpp = (u - chain.eps[0]) * w
-        scale = np.maximum(np.maximum(abs(w), abs(wp)), 1.0)
+        return w, wp, (u - chain.eps[0]) * w, np.maximum(np.maximum(abs(w), abs(wp)), 1.0)
+    if n != 2:
+        raise CapabilityError(f"W' and W'' are supported for chains of order 1 and 2, not {n}")
+    (f1, d1), (f2, d2) = chain.funcs
+    v1, v2, g1, g2 = f1(y), f2(y), d1(y), d2(y)
+    if chain.kind == KIND_STANDARD:
+        de = chain.eps[0] - chain.eps[1]
+        wp, wpp = de * v1 * v2, de * (g1 * v2 + v1 * g2)
     else:
-        (f1, d1), (f2, d2) = chain.funcs
-        v1, v2, g1, g2 = f1(y), f2(y), d1(y), d2(y)
-        w = v1 * g2 - g1 * v2
-        if chain.kind == KIND_STANDARD:
-            de = chain.eps[0] - chain.eps[1]
-            wp = de * v1 * v2
-            wpp = de * (g1 * v2 + v1 * g2)
-        else:
-            wp = -v1 * v1
-            wpp = -2.0 * v1 * g1
-        scale = (np.maximum(np.maximum(abs(v1), abs(g1)), 1.0)
-                 * np.maximum(np.maximum(abs(v2), abs(g2)), 1.0))
-    _below_floor(w, w_floor * scale, y)
+        wp, wpp = -v1 * v1, -2.0 * v1 * g1
+    scale = (np.maximum(np.maximum(abs(v1), abs(g1)), 1.0)
+             * np.maximum(np.maximum(abs(v2), abs(g2)), 1.0))
+    return v1 * g2 - g1 * v2, wp, wpp, scale
+
+
+def wronskian_first_derivative(chain: DarbouxChain, y):
+    """W'(y) from the Abel reduction (chains of order 1 and 2)."""
+    return _abel(chain, y, chain.potential(y))[1]
+
+
+def transformed_potential(chain: DarbouxChain, y):
+    """U-hat(y) = U(y) - 2 (log W)'', with W' and W'' from ``_abel``."""
+    u = chain.potential(y)
+    if chain.order == 0:
+        return u
+    w, wp, wpp, scale = _abel(chain, y, u)
+    _below_floor(w, DEFAULT_W_FLOOR * scale, y)
     with np.errstate(all="ignore"):     # overflow stays inf/NaN, reported downstream
         return u - 2.0 * (wpp * w - wp * wp) / (w * w)
 
 
-def transformed_solution(chain: DarbouxChain, phi: OdeSolution, y,
-                         w_floor: float = DEFAULT_W_FLOOR):
+def transformed_solution(chain: DarbouxChain, phi: OdeSolution, y):
     """Phi-hat(y) = W(u_1..u_n, Phi) / W(u_1..u_n).
 
     The chain functions are evaluated once: the denominator matrix is
@@ -244,7 +241,7 @@ def transformed_solution(chain: DarbouxChain, phi: OdeSolution, y,
     cols = _columns(chain, y, phi)
     block = [col[:chain.order] for col in cols[:-1]]
     den = _det(block) if block else 1.0
-    _below_floor(den, w_floor * _scale(block), y)
+    _below_floor(den, DEFAULT_W_FLOOR * _scale(block), y)
     return _det(cols) / den
 
 
@@ -262,19 +259,20 @@ def transform(chain: DarbouxChain, phi: OdeSolution, grid) -> DarbouxOutput:
 
 
 def intertwining_residual(chain: DarbouxChain, output: DarbouxOutput,
-                          e_eff: float, y: float, h: float = 1e-3) -> float:
-    """Residual of the transformed equation at y (stencil second derivative)."""
-    phh = derivative(output.phi_hat, y, 2, h)
+                          e_eff: float, y: float) -> float:
+    """Residual of the transformed equation at y (stencil second derivative, step 1e-3)."""
+    phh = derivative(output.phi_hat, y, 2, 1e-3)
     return phh + (e_eff - output.u_hat(y)) * output.phi_hat(y)
 
 
-def chain_residuals(chain: DarbouxChain, grid, h: float = 5e-4) -> np.ndarray:
-    """Max-normalized residuals of the chain equations on a grid.
+def chain_residuals(chain: DarbouxChain, grid, h: Optional[float] = 5e-4) -> np.ndarray:
+    """Max-normalized residuals of the chain equations on a grid (NaN if any is NaN).
 
     Standard: u_j'' + (eps_j - U) u_j.  Confluent: the Jordan-chain
     system with inhomogeneity -u_{j-1}.  Second derivatives come from
-    stencils on the first-derivative channel.  The chain functions are
-    evaluated on the whole grid at once.
+    stencils of step h (None: ``numerics.default_step``) on the
+    first-derivative channel.  The chain functions are evaluated on the
+    whole grid at once.
     """
     grid = np.asarray(grid, dtype=float)
     u = chain.potential(grid)
@@ -285,20 +283,21 @@ def chain_residuals(chain: DarbouxChain, grid, h: float = 5e-4) -> np.ndarray:
     for j, (_, d) in enumerate(chain.funcs):
         eps = chain.eps[j] if chain.kind == KIND_STANDARD else chain.eps[0]
         second = derivative(d, grid, 1, h)
-        term = (eps - u) * values[j]
-        res = second + term
-        scale = abs(second) + abs(term)
-        if chain.kind == KIND_CONFLUENT and j > 0:
-            prev = values[j - 1]
-            res = res + prev
-            scale = scale + abs(prev)
-        out[j] = np.fmax.reduce(abs(res) / np.maximum(scale, 1e-30), initial=0.0)
+        with np.errstate(all="ignore"):     # inf - inf and inf / inf are NaN: the check fails
+            term = (eps - u) * values[j]
+            res = second + term
+            scale = abs(second) + abs(term)
+            if chain.kind == KIND_CONFLUENT and j > 0:
+                prev = values[j - 1]
+                res = res + prev
+                scale = scale + abs(prev)
+            out[j] = np.max(abs(res) / np.maximum(scale, 1e-30), initial=0.0)
     return out
 
 
 def validate_chain(chain: DarbouxChain, grid, tol: float) -> None:
     res = chain_residuals(chain, grid)
-    if np.any(res > tol):
+    if not np.all(res <= tol):
         raise ConstructionError(
             f"chain residuals {res} exceed tolerance {tol}")
 
@@ -308,20 +307,17 @@ def build_confluent_chain(family: Callable[[float, float], float],
                           eps1: float,
                           background: SchrodingerForm,
                           energy: float,
-                          validation_grid,
-                          order: int = 2,
-                          h_eps: Optional[float] = None,
-                          residual_tol: float = 1e-5) -> DarbouxChain:
-    """Confluent chain from a parametric solution family.
+                          validation_grid) -> DarbouxChain:
+    """Order-2 confluent chain from a parametric solution family.
 
     u_1 is the family at eps1; u_2 is its parametric derivative there
-    (value and y-derivative channels), which solves the Jordan-chain
-    equation exactly when the family solves the background equation.
-    The family is evaluated on the whole validation grid at once, so it
-    must accept arrays of y.
+    (value and y-derivative channels, ``numerics.parameter_derivative``),
+    which solves the Jordan-chain equation exactly when the family
+    solves the background equation.  The family is evaluated on the
+    whole validation grid at once, so it must accept arrays of y.  The
+    chain is refused unless its residuals are at most 1e-7 (u_1) and
+    1e-5 (u_2).
     """
-    if order != 2:
-        raise CapabilityError("only second-order confluent chains are supported")
 
     def u1(y: float) -> float:
         return family(eps1, y)
@@ -330,10 +326,10 @@ def build_confluent_chain(family: Callable[[float, float], float],
         return family_dy(eps1, y)
 
     def u2(y: float) -> float:
-        return parameter_derivative(family, eps1, y, h_eps)
+        return parameter_derivative(family, eps1, y)
 
     def u2p(y: float) -> float:
-        return parameter_derivative(family_dy, eps1, y, h_eps)
+        return parameter_derivative(family_dy, eps1, y)
 
     grid = np.asarray(validation_grid, dtype=float)
     scale1 = np.max(abs(u1(grid)))
@@ -344,7 +340,7 @@ def build_confluent_chain(family: Callable[[float, float], float],
     chain = DarbouxChain(kind=KIND_CONFLUENT, funcs=((u1, u1p), (u2, u2p)),
                          eps=(eps1,), background=background, energy=energy)
     res = chain_residuals(chain, grid)
-    if res[0] > 1e-7 or res[1] > residual_tol:
+    if not (res[0] <= 1e-7 and res[1] <= 1e-5):
         raise ConstructionError(
-            f"confluent chain residuals {res} exceed tolerances (1e-7, {residual_tol})")
+            f"confluent chain residuals {res} exceed tolerances (1e-7, 1e-05)")
     return chain

@@ -108,13 +108,21 @@ def weight_exponent(params: DunklParams) -> float:
     return 2 * nu - delta * nu + delta * nu / mu
 
 
-def _residual_terms(system: DunklSystem, psi: ParityFunction, E: float, x):
-    """The three terms of the residual; non-finite grid entries stay silent.
+def dunkl_residual(system: DunklSystem, psi: ParityFunction, E: float, x,
+                   relative: bool = False):
+    """Residual of the expanded governing equation at x (zero on solutions).
 
-    On a grid an overflowing or underflowing term gives inf or NaN (a
-    squared mass that underflows to 0 divides by zero), which the
-    residual reports; numpy's warnings for it are not emitted.
+    With ``relative=True`` the residual is divided by the local scale,
+    the sum of the magnitudes of the three contributing terms (where
+    that sum is positive).  On a grid an overflowing or underflowing
+    term gives inf or NaN (a squared mass that underflows to 0 divides
+    by zero), and so does inf - inf or inf / inf; the residual reports
+    it, and numpy's warnings for it are not emitted.
     """
+    if np.any(x == 0):
+        raise DomainError("dunkl_residual: x = 0 is outside the domain")
+    if psi.parity != system.params.delta:
+        raise ContractError("dunkl_residual: solution parity must match delta")
     nu, delta, mu = system.params.nu, system.params.delta, system.params.mu
     m = system.mass.m(x)
     m1 = system.mass.m1(x)
@@ -131,31 +139,14 @@ def _residual_terms(system: DunklSystem, psi: ParityFunction, E: float, x):
                   + nu**2 / (2 * m * x_sq) - nu**2 * delta / (2 * m * x_sq)
                   + nu**2 * delta / (2 * mu * m * x_sq) - nu**2 / (2 * mu * m * x_sq)
                   + E - system.potential.v(E, x))
-        return kin, coeff1 * psi.f1(x), coeff0 * psi.f(x)
-
-
-def dunkl_residual(system: DunklSystem, psi: ParityFunction, E: float, x,
-                   relative: bool = False):
-    """Residual of the expanded governing equation at x (zero on solutions).
-
-    With ``relative=True`` the residual is divided by the local scale,
-    the sum of the magnitudes of the three contributing terms (where
-    that sum is positive).
-    """
-    if np.any(x == 0):
-        raise DomainError("dunkl_residual: x = 0 is outside the domain")
-    if psi.parity != system.params.delta:
-        raise ContractError("dunkl_residual: solution parity must match delta")
-    kin, t1, t0 = _residual_terms(system, psi, E, x)
-    with np.errstate(all="ignore"):     # inf - inf is NaN: the check fails
+        t1, t0 = coeff1 * psi.f1(x), coeff0 * psi.f(x)
         res = kin + t1 + t0
-    if not relative:
-        return res
-    scale = abs(kin) + abs(t1) + abs(t0)
-    if isinstance(res, np.ndarray):
-        with np.errstate(all="ignore"):     # inf / inf is NaN: the check fails
+        if not relative:
+            return res
+        scale = abs(kin) + abs(t1) + abs(t0)
+        if isinstance(res, np.ndarray):
             return np.divide(res, scale, out=res.copy(), where=scale > 0)
-    return res / scale if scale > 0 else res
+        return res / scale if scale > 0 else res
 
 
 def probability_density(system: DunklSystem, psi: ParityFunction, E: float, x):

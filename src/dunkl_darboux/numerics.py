@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -65,27 +65,25 @@ def _check_finite(val, node, what: str):
 
 
 # Sample offsets of each central stencil, in units of the step.
-_SHIFTS = {1: (1, -1), 2: (1, 0, -1), 3: (2, 1, -1, -2)}
+_SHIFTS = {1: (1, -1), 2: (1, 0, -1)}
 
 
 def _stencil(order: int, s, step):
     """Central difference from the samples s[k] = f(y + k step)."""
     if order == 1:
         return (s[1] - s[-1]) / (2 * step)
-    if order == 2:
-        return (s[1] - 2 * s[0] + s[-1]) / power(step, 2)
-    return (s[2] - 2 * s[1] + 2 * s[-1] - s[-2]) / (2 * power(step, 3))
+    return (s[1] - 2 * s[0] + s[-1]) / power(step, 2)
 
 
 def derivative(f: Callable[[float], float], y, order: int, h=None):
-    """Central-difference derivative of the given order (1..3).
+    """Central-difference derivative of order 1 or 2, the orders in use.
 
     One Richardson extrapolation step is applied, giving O(h^4)
-    truncation for orders 1 and 2.  For an ndarray y (h a float or an
-    array of per-point steps), f must work elementwise: it is called
-    once, on the stencil nodes of all points together.
+    truncation.  For an ndarray y (h a float or an array of per-point
+    steps), f must work elementwise: it is called once, on the stencil
+    nodes of all points together.
     """
-    if order not in (1, 2, 3):
+    if order not in (1, 2):
         raise DomainError(f"derivative: unsupported order {order}")
     if h is None:
         h = default_step(y)
@@ -110,18 +108,20 @@ def derivative(f: Callable[[float], float], y, order: int, h=None):
     return (4 * fine - coarse) / 3
 
 
-def parameter_derivative(family: Callable[[float, float], float], eps0: float, y,
-                         h_eps: Optional[float] = None):
+def default_param_step(eps0: float) -> float:
+    """The step of ``parameter_derivative`` at eps0."""
+    return DEFAULT_PARAM_STEP_SCALE * max(1.0, abs(eps0))
+
+
+def parameter_derivative(family: Callable[[float, float], float], eps0: float, y):
     """d/d(eps) of family(eps, y) at eps0, by a 4-point central stencil.
 
-    The 4-point rule is the Richardson extrapolation of the 2-point
-    central difference, with O(h^4) truncation error.  y may be an
-    ndarray; family then gets the whole array at each probe eps.
+    The 4-point rule, of step ``default_param_step(eps0)``, is the
+    Richardson extrapolation of the 2-point central difference, with
+    O(h^4) truncation error.  y may be an ndarray; family then gets the
+    whole array at each probe eps.
     """
-    if h_eps is None:
-        h_eps = DEFAULT_PARAM_STEP_SCALE * max(1.0, abs(eps0))
-    if h_eps <= 0:
-        raise DomainError("parameter_derivative: step must be positive")
+    h_eps = default_param_step(eps0)
     samples = {}
     for k in (-2, -1, 1, 2):
         eps = eps0 + k * h_eps

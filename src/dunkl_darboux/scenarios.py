@@ -37,14 +37,13 @@ from .errors import ContractError, DomainError, DunklDarbouxError, SingularityEr
 from .libm import exp, log, power
 from .model import (DunklParams, DunklSystem, EnergyPotential, MassProfile,
                     ParityFunction)
-from .numerics import DEFAULT_PARAM_STEP_SCALE
+from .numerics import DEFAULT_PARAM_STEP_SCALE, default_param_step
 from .pointmap import CoordinateChange, SchrodingerForm, exp_map, sqrt_map
 from .specfun import assoc_laguerre_grid, bessel_i, kummer_m, kummer_m_grid
 
 # Validation grids: cover the figures' visible support while staying
 # clear of x = 0 and the Wronskian tails.
 DUNKL_GRID = np.linspace(0.1, 4.0, 400)
-MAPPED_GRID = np.linspace(-2.0, 1.0, 400)
 
 PARITY_ODD = "odd"
 PARITY_EVEN = "even"
@@ -263,10 +262,13 @@ def bound_state_energy(n: int, params: DunklParams, rule: str) -> float:
     if n < 0 or n != int(n):
         raise DomainError("bound_state_energy: n must be a nonnegative integer")
     r = discriminant_root(params)
-    if rule == "ene0":
-        return n + 0.5 * (1.0 + params.delta * params.nu) + 0.25 * r
-    if rule == "ene1":
-        return (4.0 * n + 2.0 + r) ** (2.0 / 3.0)
+    try:        # an int n converts to float here
+        if rule == "ene0":
+            return n + 0.5 * (1.0 + params.delta * params.nu) + 0.25 * r
+        if rule == "ene1":
+            return (4.0 * n + 2.0 + r) ** (2.0 / 3.0)
+    except OverflowError:
+        raise DomainError("bound_state_energy: n is out of range (above 1.8e308)") from None
     raise DomainError(f"bound_state_energy: unknown rule {rule!r}")
 
 
@@ -456,6 +458,15 @@ def _laguerre_trio(degree: float, alpha: float):
     return _laguerre(degree, alpha), up, _laguerre(degree - 2, alpha + 2)
 
 
+def _mapped_degree(E: float, r: float) -> float:
+    """-1/2 + E^{3/2}/4 - r/4, the Laguerre degree of the mapped family with index r."""
+    try:
+        return -0.5 + 0.25 * E**1.5 - 0.25 * r
+    except OverflowError:
+        raise DomainError(f"E = {E:g} is out of range: E^1.5 overflows above about "
+                          f"3e205") from None
+
+
 def harmonic_initial_solution_function(params: DunklParams, E: float) -> ParityFunction:
     """Initial closed-form solution of the harmonic-energy scenario.
 
@@ -468,7 +479,7 @@ def harmonic_initial_solution_function(params: DunklParams, E: float) -> ParityF
         raise DomainError("harmonic_initial_solution: E must be positive")
     r = discriminant_root(params)
     beta = 1.0 / math.sqrt(E)
-    u, up, upp = _laguerre_trio(-0.5 + 0.25 * E**1.5 - 0.25 * r, 0.5 * r)
+    u, up, upp = _laguerre_trio(_mapped_degree(E, r), 0.5 * r)
     return _decaying_state(monomial_exponent(params), beta, beta, u, up, upp,
                            params.delta)
 
@@ -481,7 +492,7 @@ def _mapped_family(E: float, r: float):
     parameter (1 - r^2)/4.  Phi and Phi' accept a float or an ndarray of y.
     """
     beta = 1.0 / math.sqrt(E)
-    u, up = _laguerre_pair(-0.5 + 0.25 * E**1.5 - 0.25 * r, 0.5 * r)
+    u, up = _laguerre_pair(_mapped_degree(E, r), 0.5 * r)
 
     def phi(y):
         z = beta * exp(2 * y)
@@ -518,7 +529,7 @@ def _standard_chain_functions(E: float):
     transformed state is pure rounding noise that any change would move.
     """
     beta = 1.0 / math.sqrt(E)
-    u, up = _laguerre_pair(0.25 * E**1.5 - 0.5, 0.0)
+    u, up = _laguerre_pair(_mapped_degree(E, 0.0), 0.0)
 
     def u1(y):
         z = beta * exp(2 * y)
@@ -576,16 +587,17 @@ def confluent_solution_family(E: float):
 
 def confluent_chain(E: float, eps1: float = CONFLUENT_EPS1) -> DarbouxChain:
     """Order-2 confluent chain seeded by the parametric solution family."""
-    h_eps = DEFAULT_PARAM_STEP_SCALE * max(1.0, abs(eps1))
+    h_eps = default_param_step(eps1)
     if not eps1 + 2 * h_eps <= 0.25:
         raise DomainError(f"confluent chain: eps = {eps1:g} is out of range: it must be "
                           f"finite and at most {0.25 - 2 * DEFAULT_PARAM_STEP_SCALE:g}, as u2 "
                           f"samples the family two stencil steps above it and sqrt(1 - 4 eps) "
                           f"is real up to 1/4")
+    if E <= 0:
+        raise DomainError("confluent_chain: E must be positive")
     family, family_dy = confluent_solution_family(E)
     return build_confluent_chain(family, family_dy, eps1, _chain_background(), E,
-                                 validation_grid=np.linspace(-2.0, 1.0, 25),
-                                 h_eps=h_eps)
+                                 validation_grid=np.linspace(-2.0, 1.0, 25))
 
 
 # ---------------------------------------------------------------------------
@@ -672,7 +684,7 @@ def _member_dE(E: float, r: float, z, lag, lag_dd):
     the Laguerre equation z L'' = (z - r/2 - 1) L' - d L.
     """
     alpha = 0.5 * r
-    d = -0.5 + 0.25 * E**1.5 - 0.25 * r
+    d = _mapped_degree(E, r)
     z_e, d_e = -z / (2.0 * E), 0.375 * math.sqrt(E)
     lag1, lag1_dd = -lag[1], -lag_dd[1]             # L' and its degree derivative
     return (lag[0], (alpha - z) * lag[0] + 2.0 * z * lag1,
@@ -701,7 +713,7 @@ def standard_vhat_dE(E: float, x):
         raise DomainError("standard_vhat_dE: x must be positive")
     xs = x if isinstance(x, np.ndarray) else np.array([x], dtype=float)
     z = (1.0 / math.sqrt(E)) * (xs * xs)
-    degrees = [-0.5 + 0.25 * E**1.5 - 0.25 * r - k for r in (0.0, 2.0) for k in (0.0, 1.0)]
+    degrees = [_mapped_degree(E, r) - k for r in (0.0, 2.0) for k in (0.0, 1.0)]
     lag, lag_dd = assoc_laguerre_grid(degrees, [0.0, 1.0, 1.0, 2.0], z,
                                       degree_derivative=True)
     v1, g1, dv1, dg1 = _member_dE(E, 0.0, z, lag.values[:2], lag_dd.values[:2])

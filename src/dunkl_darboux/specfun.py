@@ -14,17 +14,18 @@ one-point calls of them that return a ``SpecialValue``, so each branch,
 check and error message has one implementation.  ``bessel_i`` is scalar.
 
 The Kummer series of a point is term_0 = 1, term_{k+1} = term_k (a + k)
-z / ((b + k)(k + 1)), stopped at the first term_{k+1} with k > 2 below
-1e-18 of the largest term so far; its value is the correctly rounded
-sum of the terms, which is what ``math.fsum`` returns.  All columns
+z / ((b + k)(k + 1)), and its value is the correctly rounded sum of the
+terms up to its stop, which is what ``math.fsum`` returns.  All columns
 (one per row and point) are one cumulative product over a (terms x
-columns) ratio matrix, summed by one error-free extraction
-(``_fsum_columns``) that hands the columns it cannot certify to
-``math.fsum`` itself.  A series that has not met its stop rule within
-``KUMMER_MAX_TERMS`` terms raises ``AccuracyError`` instead of returning
-a partial sum, and a terminating polynomial of degree above
-``KUMMER_MAX_TERMS`` is refused with a ``DomainError`` before its
-coefficients are built.
+columns) ratio matrix, grown in blocks by one loop, and summed by one
+error-free extraction (``_fsum_columns``) that hands the columns it
+cannot certify to ``math.fsum`` itself.  After each block one scan
+(``_stop_scan``) applies the stop rules; the value's stops at the first
+term k > 3 below 1e-18 of the largest term so far.  A series that has
+not met its rules within ``KUMMER_MAX_TERMS`` terms raises
+``AccuracyError`` instead of returning a partial sum, and a terminating
+polynomial of degree above ``KUMMER_MAX_TERMS`` is refused with a
+``DomainError`` before its coefficients are built.
 
 ``assoc_laguerre_grid(..., degree_derivative=True)`` also returns
 d/d(degree) of every row, built from the same term matrix: the
@@ -34,9 +35,9 @@ series (Ancarani & Gasaneo, J. Math. Phys. 49 (2008) 063508) has term
 k equal to term_k H_k, H_k = sum_{j<k} 1/(a + j).  These rows are
 summed by ``_fsum_columns`` as the values are, so a grid still equals
 its one-point calls bit for bit, and they are computed only when asked
-for.  Their series has its own stop rule, the first k > 3 with
-|term_k| A_k at most 1e-18 of the largest |term_j| A_j so far,
-A_k = sum_{j<k} 1/|a + j|: near an integer degree the terms past it are
+for.  Their stop rule, the scan's second, is the first k > 3 with
+|term_k| A_k at most 1e-18 of the largest |term_j| A_j so far, A_k =
+sum_{j<k} 1/|a + j|: near an integer degree the terms past it are
 about 1e-16 of the peak while H_k is about 1e16, so the value's rule
 would stop the derivative early.  At an integer degree n, where the
 value is a polynomial, the derivative is still a series: its terms
@@ -263,11 +264,11 @@ def _kummer_series_grid(a: np.ndarray, b: np.ndarray, z: np.ndarray, da: bool = 
     is term k of column c, built by the series recurrence as a
     cumulative product: the first ``_FIRST_BLOCK`` ratios of all columns
     in place in the term buffer, then blocks of ``_SERIES_BLOCK`` for the
-    columns that have not stopped.  Terms past a column's stop are
-    zeroed, which leaves its sum exact.
+    columns that have not met every stop rule they need.  Terms past a
+    column's stop are zeroed, which leaves its sum exact.
 
-    With da, the a-derivatives of the columns and their estimates follow
-    (see ``_a_derivative``).  A column whose a is a nonpositive integer
+    With da (a of shape (rows, 1)), the a-derivatives (sums of term_k H_k)
+    and their estimates follow.  A column whose a is a nonpositive integer
     then has no value of its own: the caller takes it from the polynomial.
     """
     rows, n = a.shape[0], z.shape[0]
@@ -279,54 +280,106 @@ def _kummer_series_grid(a: np.ndarray, b: np.ndarray, z: np.ndarray, da: bool = 
     # blocks' rows, which hold most series, and grows if need be.
     terms = np.empty(((_FIRST_BLOCK + _SERIES_BLOCK if da else KUMMER_MAX_TERMS) + 1, size))
     terms[0] = 1.0
-    head = terms[:_FIRST_BLOCK + 1]
+    # Per stop rule: each column's last term and peak, the open columns,
+    # and the weights of the magnitudes (A_k per term and row, or None).
+    last, peak = np.empty(size, dtype=int), np.empty(size)
+    rules = [[last, peak, cols, None]]
+    if da:
+        # H_k and A_k of every row (columns) for every term index k (rows);
+        # past a polynomial's degree n the terms carry the multiplier 1.
+        poly = (a[:, 0] <= 0) & (a[:, 0] == np.floor(a[:, 0]))
+        with np.errstate(divide="ignore"):
+            inv = 1.0 / (_K[:, None] + a[:, 0])
+        h_sum = np.zeros((KUMMER_MAX_TERMS + 1, rows))
+        a_sum = np.zeros_like(h_sum)
+        np.cumsum(inv, axis=0, out=h_sum[1:])
+        np.cumsum(np.abs(inv), axis=0, out=a_sum[1:])
+        past = _TERM_INDEX > np.where(poly, -a[:, 0], np.inf)
+        np.putmask(h_sum, past, 1.0)
+        np.putmask(a_sum, past, 1.0)
+        poly_cols = np.repeat(poly, n)
+        last[poly_cols], peak[poly_cols] = 0, 1.0      # term 0 alone: not summed for use
+        rules[0][2] = cols[~poly_cols]
+        dlast, dpeak = np.zeros(size, dtype=int), np.zeros(size)
+        rules.append([dlast, dpeak, cols, a_sum])
     with np.errstate(over="ignore", invalid="ignore"):
-        first = head[1:].reshape(_FIRST_BLOCK, rows, n)
-        np.cumprod(_series_ratios(slice(0, _FIRST_BLOCK), a, b, z, out=first, removed=da),
-                   axis=0, out=first)
-        mag = np.abs(head)
-        running = np.fmax.accumulate(mag, axis=0)    # term 0 = 1 starts the peak
-        # Stop at the first term k + 1 with k > 2 below 1e-18 of the peak.
-        stops = mag[4:] < running[4:] * 1e-18
-        last = stops.argmax(axis=0) + 4
-        hit = stops[last - 4, cols]
-        last[~hit] = _FIRST_BLOCK
-        peak = running[last, cols]
-        if da:       # polynomial columns: their values come from the polynomial
-            hit |= np.repeat(((a <= 0) & (a == np.floor(a)))[:, 0], n)
-        active = (~hit).nonzero()[0]
-        if active.size:
-            a_cols = np.broadcast_to(a, (rows, n)).reshape(-1)
-            b_cols = np.repeat(b[:, 0], n)
-            z_cols = np.tile(z, rows)
-        k0 = _FIRST_BLOCK
-        while active.size and k0 < KUMMER_MAX_TERMS:
+        head = terms[1:_FIRST_BLOCK + 1].reshape(_FIRST_BLOCK, rows, n)
+        np.cumprod(_series_ratios(slice(0, _FIRST_BLOCK), a, b, z, out=head, removed=da),
+                   axis=0, out=head)
+        lo, block, active = 0, terms[:_FIRST_BLOCK + 1], cols
+        while True:
+            mag = np.abs(block)
+            for rule in rules:
+                stop, top, open_, weight = rule
+                part = mag if open_ is active else mag[:, active.searchsorted(open_)]
+                if weight is not None:
+                    part = part * weight[lo:lo + len(part)][:, open_ // n]
+                rule[2] = _stop_scan(part, lo, stop, top, open_, weight is None)
+            active = rules[0][2]
+            if da:      # the union of both rules' open columns (np.union1d sorts: slow)
+                open_any = np.zeros(size, dtype=bool)
+                open_any[rules[0][2]] = open_any[rules[1][2]] = True
+                active = open_any.nonzero()[0]
+            k0 = lo + len(block) - 1                  # the last term built
+            if not active.size or k0 == KUMMER_MAX_TERMS:
+                break
+            if lo == 0:
+                a_cols = np.broadcast_to(a, (rows, n)).reshape(-1)
+                b_cols = np.repeat(b[:, 0], n)
+                z_cols = np.tile(z, rows)
             ks = slice(k0, min(k0 + _SERIES_BLOCK, KUMMER_MAX_TERMS))
-            factors = _series_ratios(ks, a_cols[active], b_cols[active], z_cols[active])
+            factors = _series_ratios(ks, a_cols[active], b_cols[active], z_cols[active],
+                                     removed=da)
             factors[0] *= terms[k0, active]
             block = np.cumprod(factors, axis=0)
-            mag = np.abs(block)
-            block_peak = np.fmax(np.fmax.accumulate(mag, axis=0), peak[active])
-            stops = mag < 1e-18 * block_peak
             terms = _room(terms, ks.stop + 1)
             terms[ks.start + 1:ks.stop + 1, active] = block
-            hit = stops.any(axis=0)
-            first = stops.argmax(axis=0)
-            peak[active] = np.where(hit, block_peak[first, np.arange(active.size)],
-                                    block_peak[-1])
-            last[active[hit]] = k0 + 1 + first[hit]
-            active = active[~hit]
-            k0 = ks.stop
-    if active.size:
-        raise AccuracyError(_NOT_CONVERGED)
-    if da:           # before the terms past each value stop are zeroed
-        slopes = [part.reshape(rows, n) for part in _a_derivative(terms, last, a, b, z)]
+            lo = ks.start + 1
+        del mag, part, block        # the last block's, freed before the sums allocate theirs
+        if active.size:
+            raise AccuracyError(_NOT_CONVERGED)
+        if da:       # before the terms past each value stop are zeroed
+            count = dlast.max(initial=0) + 1
+            kept = (terms[:count].reshape(count, rows, n)
+                    * h_sum[:count, :, None]).reshape(count, size)
+            np.putmask(kept, _TERM_INDEX[:count] > dlast, 0.0)
+            # H_k adds one rounding per index, so the rounding grows with the count.
+            dest = np.abs(kept[dlast, cols]) + _EPS * dpeak * (dlast + 1)
+            slopes = _fsum_columns(kept, dpeak).reshape(rows, n), dest.reshape(rows, n)
     kept = terms[:last.max(initial=0) + 1]
     np.putmask(kept, _TERM_INDEX[:len(kept)] > last, 0.0)
     # Truncation bound from the last term plus rounding at the series peak.
     est = np.abs(terms[last, cols]) + _EPS * peak * _SQRT_COUNT[last + 1]
     values, est = _fsum_columns(kept, peak).reshape(rows, n), est.reshape(rows, n)
     return (values, est, *slopes) if da else (values, est)
+
+
+def _stop_scan(mag: np.ndarray, lo: int, stop: np.ndarray, top: np.ndarray,
+               open_: np.ndarray, strict: bool) -> np.ndarray:
+    """One stop rule on one block of the columns open_; returns those still open.
+
+    mag[j, c] is the magnitude of term lo + j of column open_[c] (times
+    A_k for the derivative rule), and top holds each column's largest
+    magnitude before the block.  A column stops at its first term k > 3
+    below 1e-18 of the largest magnitude so far, its own included
+    (strict), or at most that (not strict).  stop and top get that k and
+    that largest magnitude; a column that has not stopped gets the
+    block's last term and the largest magnitude up to it.
+    """
+    running = np.fmax.accumulate(mag, axis=0)
+    if lo:
+        np.fmax(running, top[open_], out=running)
+    skip = max(0, 4 - lo)
+    limit = running[skip:] * 1e-18
+    stops = mag[skip:] < limit if strict else mag[skip:] <= limit
+    first = stops.argmax(axis=0)
+    index = np.arange(len(open_))
+    going = ~stops[first, index]
+    first += skip
+    first[going] = len(mag) - 1
+    stop[open_] = first + lo
+    top[open_] = running[first, index]
+    return open_[going]
 
 
 def _room(terms: np.ndarray, count: int) -> np.ndarray:
@@ -336,69 +389,6 @@ def _room(terms: np.ndarray, count: int) -> np.ndarray:
     grown = np.empty((KUMMER_MAX_TERMS + 1, terms.shape[1]))
     grown[:len(terms)] = terms
     return grown
-
-
-def _a_derivative(terms: np.ndarray, last: np.ndarray, a: np.ndarray, b: np.ndarray,
-                  z: np.ndarray):
-    """d/da of the series of every column: (values, error estimates), each (rows * points,).
-
-    terms holds the terms of column (i, j) = i * points + j up to the end
-    of the block in which its value series stopped (at index last); a and
-    b have shape (rows, 1), z (points,).  The terms, multipliers and stop
-    rule are those of the module docstring; A_k bounds |H_k| and, unlike
-    H_k, never passes through zero.  Columns whose derivative needs more
-    terms than their value get them here, by the same recurrence.
-    """
-    rows, n = a.shape[0], z.shape[0]
-    size = rows * n
-    cols = np.arange(size)
-    row = cols // n
-    # Index of the last term built: the end of the block that holds last.
-    built = np.minimum(_FIRST_BLOCK - (_FIRST_BLOCK - last) // _SERIES_BLOCK * _SERIES_BLOCK,
-                       KUMMER_MAX_TERMS)
-    # H_k and A_k of every row (columns) for every term index k (rows).
-    with np.errstate(divide="ignore"):
-        inv = 1.0 / (_K[:, None] + a[:, 0])
-    h_sum = np.zeros((KUMMER_MAX_TERMS + 1, rows))
-    a_sum = np.zeros_like(h_sum)
-    np.cumsum(inv, axis=0, out=h_sum[1:])
-    np.cumsum(np.abs(inv), axis=0, out=a_sum[1:])
-    past = _TERM_INDEX > np.where((a[:, 0] <= 0) & (a[:, 0] == np.floor(a[:, 0])),
-                                  -a[:, 0], np.inf)
-    np.putmask(h_sum, past, 1.0)
-    np.putmask(a_sum, past, 1.0)
-    dpeak = np.zeros(size)
-    dlast = np.zeros(size, dtype=int)
-    active = cols
-    lo, hi = 0, _FIRST_BLOCK + 1                     # term indices of a block
-    with np.errstate(over="ignore", invalid="ignore"):
-        while active.size and lo <= KUMMER_MAX_TERMS:
-            grow = active[built[active] < hi - 1]
-            if grow.size:
-                factors = _series_ratios(slice(lo - 1, hi - 1), a[row[grow], 0],
-                                         b[row[grow], 0], z[grow % n], removed=True)
-                factors[0] *= terms[lo - 1, grow]
-                terms = _room(terms, hi)
-                terms[lo:hi, grow] = np.cumprod(factors, axis=0)
-                built[grow] = hi - 1
-            mag = np.abs(terms[lo:hi, active]) * a_sum[lo:hi][:, row[active]]
-            running = np.fmax(np.fmax.accumulate(mag, axis=0), dpeak[active])
-            stops = mag <= running * 1e-18
-            stops[:max(0, 4 - lo)] = False           # terms 0-3
-            hit = stops.any(axis=0)
-            first = stops.argmax(axis=0)
-            dpeak[active] = np.where(hit, running[first, np.arange(active.size)], running[-1])
-            dlast[active[hit]] = lo + first[hit]
-            active = active[~hit]
-            lo, hi = hi, min(hi + _SERIES_BLOCK, KUMMER_MAX_TERMS + 1)
-    if active.size:
-        raise AccuracyError(_NOT_CONVERGED)
-    count = dlast.max(initial=0) + 1
-    kept = (terms[:count].reshape(count, rows, n) * h_sum[:count, :, None]).reshape(count, size)
-    np.putmask(kept, _TERM_INDEX[:count] > dlast, 0.0)
-    # H_k adds one rounding per index, so the rounding grows with the count.
-    est = np.abs(kept[dlast, cols]) + _EPS * dpeak * (dlast + 1)
-    return _fsum_columns(kept, dpeak), est
 
 
 def _fsum_columns(x: np.ndarray, peak: np.ndarray) -> np.ndarray:
@@ -464,6 +454,9 @@ def _laguerre_prefactor(degree: float, alpha: float) -> float:
         lg_den2, sign_den2 = math.lgamma(alpha + 1.0), _gamma_sign(alpha + 1.0)
     except ValueError as exc:
         raise DomainError(f"assoc_laguerre: Gamma pole in prefactor: {exc}") from exc
+    except OverflowError:
+        raise DomainError(f"assoc_laguerre: degree {degree:g} is out of range: "
+                          f"lgamma overflows in the prefactor") from None
     return sign_num * sign_den1 * sign_den2 * exp(lg_num - lg_den1 - lg_den2)
 
 

@@ -221,6 +221,35 @@ def test_overflow_is_a_domain_error(argv, nu, capsys):
     assert "Traceback" not in captured.err
 
 
+_HUGE_N = "1" + "0" * 400      # too large for a float
+_HARMONIC = ["--scenario", "harmonic-energy", "--nu", "2.5", "--delta", "-1"]
+
+
+@pytest.mark.parametrize("argv, start", [
+    (["darboux", "--energy", "1e300"], "error: E = 1e+300 is out of range"),
+    (["darboux", "--kind", "confluent", "--energy", "1e250"], "error: E = 1e+250 is out of range"),
+    (["verify", *_HARMONIC, "--energy", "1e300"], "error: E = 1e+300 is out of range"),
+    (["density", *_HARMONIC, "--energy", "1e300"], "error: E = 1e+300 is out of range"),
+    # E^1.5 fits, but lgamma of the Laguerre degree overflows
+    (["darboux", "--energy", "3e205"], "error: assoc_laguerre: degree 4.10792e+307 is out"),
+    (["darboux", "--kind", "confluent", "--energy", "0"],
+     "error: confluent_chain: E must be positive"),
+    (["darboux", "--n", _HUGE_N], "error: bound_state_energy: n is out of range"),
+    (["verify", "--scenario", "gaussian-mass", "--nu", "0.5", "--delta", "1", "--n", _HUGE_N],
+     "error: bound_state_energy: n is out of range"),
+    (["density", *_HARMONIC, "--n", _HUGE_N], "error: bound_state_energy: n is out of range"),
+    # numpy refuses the size before allocating anything
+    (["darboux", "--grid-count", "100000000000000000000"], "error: grid: count is too large"),
+])
+def test_out_of_range_flags_are_refused(argv, start, capsys):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.startswith(start)
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("kind", ["standard", "confluent"])
 def test_huge_polynomial_degree_is_refused_at_once(kind, capsys):
     # nu = 1e150 makes the chain's Laguerre degree an integer near 5e149

@@ -1,6 +1,7 @@
 """Darboux chains: Wronskians, Abel identities, intertwining."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -195,6 +196,50 @@ def test_confluent_build_rejects_degenerate_family():
         build_confluent_chain(lambda eps, y: np.exp(-0.5 * y * y),
                               lambda eps, y: -y * np.exp(-0.5 * y * y),
                               -1.0, form, 0.0, GRID)
+
+
+def _free_form():
+    """U(y) = 0: u'' + eps u = 0 is solved by e^{sqrt(-eps) y} for eps < 0."""
+    return SchrodingerForm(u_e=lambda E, y: np.zeros_like(y))
+
+
+def _nan_at_zero(value, y):
+    return np.where(y == 0.0, np.nan, value)
+
+
+def test_confluent_build_refuses_a_nan_member():
+    # u1 is NaN at y = 0, a GRID point, and the stencil probes of u2 are
+    # finite; with the NaN dropped the residuals read [3.8e-13, 3.8e-8]
+    # and the chain was accepted
+    def family(eps, y):
+        value = np.exp(np.sqrt(-eps) * y)
+        return _nan_at_zero(value, y) if eps == -1.0 else value
+
+    def family_dy(eps, y):
+        return np.sqrt(-eps) * np.exp(np.sqrt(-eps) * y)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConstructionError, match="nan"):
+            build_confluent_chain(family, family_dy, -1.0, _free_form(), 0.0, GRID)
+        build_confluent_chain(lambda eps, y: np.exp(np.sqrt(-eps) * y), family_dy,
+                              -1.0, _free_form(), 0.0, GRID)
+
+
+def test_validate_chain_refuses_a_nan_member():
+    # u'' + (eps - y^2) u = 0 at eps = 1 and 3, with u1 NaN at y = 0
+    u1 = lambda y: _nan_at_zero(np.exp(-0.5 * y * y), y)
+    u1p = lambda y: -y * np.exp(-0.5 * y * y)
+    u2 = lambda y: y * np.exp(-0.5 * y * y)
+    u2p = lambda y: (1 - y * y) * np.exp(-0.5 * y * y)
+    chain = DarbouxChain(kind="standard", funcs=((u1, u1p), (u2, u2p)), eps=(1.0, 3.0),
+                         background=_harmonic_oscillator_form(), energy=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = chain_residuals(chain, GRID)
+        assert np.isnan(res[0]) and res[1] < 1e-8
+        with pytest.raises(ConstructionError, match="nan"):
+            validate_chain(chain, GRID, 1e-7)
 
 
 def test_matrix_size_cap():

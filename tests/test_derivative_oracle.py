@@ -119,7 +119,7 @@ def test_derivative_rows_run_only_when_asked(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("degree derivative computed")
 
-    monkeypatch.setattr(specfun, "_a_derivative", refuse)
+    monkeypatch.setattr(specfun, "_digamma_difference", refuse)
     for argv in (["darboux", "--grid-count", "30"],
                  ["darboux", "--kind", "confluent", "--grid-count", "30"],
                  ["verify", "--scenario", "harmonic-energy", "--nu", "2.5", "--delta", "-1"],

@@ -20,14 +20,10 @@ def test_second_derivative():
     assert derivative(math.exp, 0.3, 2) == pytest.approx(math.exp(0.3), abs=1e-6)
 
 
-def test_third_derivative():
-    # d^3/dx^3 sin x at 0 is -1
-    assert derivative(math.sin, 0.0, 3, 1e-2) == pytest.approx(-1.0, abs=1e-6)
-
-
 def test_derivative_rejects_bad_order_and_step():
-    with pytest.raises(DomainError):
-        derivative(math.sin, 0.0, 4)
+    for order in (0, 3):
+        with pytest.raises(DomainError):
+            derivative(math.sin, 0.0, order)
     with pytest.raises(DomainError):
         derivative(math.sin, 0.0, 1, h=-1.0)
 
@@ -41,7 +37,7 @@ def test_derivatives_on_ndarray_equal_pointwise_bit_for_bit():
     # f must be elementwise: libm.exp is, and agrees with math.exp per element
     ys = np.linspace(-2.0, 3.0, 11)
     bits = lambda v: np.asarray(v, dtype=float).view(np.uint64).tolist()
-    for order, h in ((1, None), (2, None), (3, 1e-2), (1, 1e-3)):
+    for order, h in ((1, None), (2, None), (2, 1e-2), (1, 1e-3)):
         grid = derivative(exp, ys, order, h)
         assert bits(grid) == bits([derivative(math.exp, float(y), order, h) for y in ys])
     grid = parameter_derivative(lambda eps, y: exp(eps * y), 0.3, ys)

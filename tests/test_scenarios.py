@@ -14,7 +14,7 @@ from dunkl_darboux.errors import ContractError, DomainError
 from dunkl_darboux.model import (DunklParams, ParityFunction, dunkl_residual,
                                  modified_norm)
 from dunkl_darboux.numerics import derivative
-from dunkl_darboux.scenarios import (DUNKL_GRID, MAPPED_GRID,
+from dunkl_darboux.scenarios import (DUNKL_GRID,
                                      ScenarioGaussianMass,
                                      ScenarioHarmonicEnergy,
                                      ScenarioHarmonicEnergyPdm,
@@ -36,6 +36,8 @@ from dunkl_darboux.specfun import assoc_laguerre, kummer_m
 NU_HALF_ODD = DunklParams(nu=0.5, delta=-1, mu=1)
 NU_HALF_EVEN = DunklParams(nu=0.5, delta=1, mu=1)
 TRANSFORM_PARAMS = DunklParams(nu=2.5, delta=-1, mu=1)
+# The figures' y range in mapped coordinates.
+MAPPED_GRID = np.linspace(-2.0, 1.0, 400)
 
 
 def test_discriminant_root_and_exponent():

@@ -302,7 +302,7 @@ def _verify_solution(config: RunConfig, scenario, params: DunklParams, E: float,
         phi = mapped_initial_solution(params, E)
         relation_grid = np.linspace(-2.0, 1.0, 100)
         chain = DarbouxChain(kind=KIND_STANDARD, funcs=((phi.f, phi.f1),), eps=(phi.eps,),
-                             background=scenario.form(params), energy=E)
+                             background=scenario.form(), energy=E)
         report.add("mapped_equation_residual",
                    _worst(chain_residuals(chain, relation_grid, h=None)), max(tol, 1e-6))
     else:

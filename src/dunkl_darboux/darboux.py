@@ -10,7 +10,8 @@ W'' come from one Abel reduction of the chain equations (``_abel``),
 which both U-hat and ``wronskian_first_derivative`` use; it covers
 chains of order 1 and 2, and higher orders raise ``CapabilityError``.
 ``chain_residuals`` is the one residual routine of standard-form
-equations.
+equations, and ``validate_chain`` the one refusal on it.  The chains
+themselves are built in ``scenarios``, where their family lives.
 
 ``wronskian``, ``wronskian_first_derivative``, ``transformed_potential``
 and ``transformed_solution`` take a float or an ndarray of points y and
@@ -29,7 +30,7 @@ import numpy as np
 
 from .errors import (CapabilityError, ConstructionError, DomainError,
                      SingularityError)
-from .numerics import derivative, parameter_derivative
+from .numerics import derivative
 from .pointmap import SchrodingerForm
 
 MAX_MATRIX_SIZE = 3
@@ -295,52 +296,9 @@ def chain_residuals(chain: DarbouxChain, grid, h: Optional[float] = 5e-4) -> np.
     return out
 
 
-def validate_chain(chain: DarbouxChain, grid, tol: float) -> None:
+def validate_chain(chain: DarbouxChain, grid, tol) -> None:
+    """ConstructionError unless every residual is at most tol (a float, or one per member)."""
     res = chain_residuals(chain, grid)
     if not np.all(res <= tol):
         raise ConstructionError(
             f"chain residuals {res} exceed tolerance {tol}")
-
-
-def build_confluent_chain(family: Callable[[float, float], float],
-                          family_dy: Callable[[float, float], float],
-                          eps1: float,
-                          background: SchrodingerForm,
-                          energy: float,
-                          validation_grid) -> DarbouxChain:
-    """Order-2 confluent chain from a parametric solution family.
-
-    u_1 is the family at eps1; u_2 is its parametric derivative there
-    (value and y-derivative channels, ``numerics.parameter_derivative``),
-    which solves the Jordan-chain equation exactly when the family
-    solves the background equation.  The family is evaluated on the
-    whole validation grid at once, so it must accept arrays of y.  The
-    chain is refused unless its residuals are at most 1e-7 (u_1) and
-    1e-5 (u_2).
-    """
-
-    def u1(y: float) -> float:
-        return family(eps1, y)
-
-    def u1p(y: float) -> float:
-        return family_dy(eps1, y)
-
-    def u2(y: float) -> float:
-        return parameter_derivative(family, eps1, y)
-
-    def u2p(y: float) -> float:
-        return parameter_derivative(family_dy, eps1, y)
-
-    grid = np.asarray(validation_grid, dtype=float)
-    scale1 = np.max(abs(u1(grid)))
-    scale2 = np.max(abs(u2(grid)))
-    if scale2 < 1e-12 * max(scale1, 1.0):
-        raise ConstructionError("family does not depend on eps: degenerate chain")
-
-    chain = DarbouxChain(kind=KIND_CONFLUENT, funcs=((u1, u1p), (u2, u2p)),
-                         eps=(eps1,), background=background, energy=energy)
-    res = chain_residuals(chain, grid)
-    if not (res[0] <= 1e-7 and res[1] <= 1e-5):
-        raise ConstructionError(
-            f"confluent chain residuals {res} exceed tolerances (1e-7, 1e-05)")
-    return chain

@@ -149,6 +149,29 @@ def dunkl_residual(system: DunklSystem, psi: ParityFunction, E: float, x,
         return res / scale if scale > 0 else res
 
 
+def _weighted_amplitude(val, ax, w: float):
+    """val^2 ax^w (ax > 0), elementwise; (|val| ax^(w/2))^2 where ax^w alone overflows.
+
+    Only those change form (gaussian-mass from nu = 119.8), so the others
+    keep their bits.  Where ax^(w/2) overflows too, ax^w's DomainError is raised.
+    """
+    try:
+        return val * val * power(ax, w)
+    except DomainError as exc:
+        overflow = exc
+    out = []
+    for v, a in zip(np.atleast_1d(val).tolist(), np.atleast_1d(ax).tolist()):
+        try:
+            out.append(v * v * a ** w)
+        except OverflowError:
+            try:
+                half = abs(v) * a ** (0.5 * w)
+            except OverflowError:
+                raise overflow from None
+            out.append(half * half)
+    return np.array(out) if isinstance(ax, np.ndarray) else out[0]
+
+
 def probability_density(system: DunklSystem, psi: ParityFunction, E: float, x):
     """Modified probability density |psi|^2 |x|^w (1 - dV/dE).
 
@@ -169,12 +192,12 @@ def probability_density(system: DunklSystem, psi: ParityFunction, E: float, x):
         xs = x[live]
         density = np.zeros_like(amp2)
         with np.errstate(all="ignore"):     # an overflow stays inf for the caller
-            density[live] = (amp2[live] * power(np.abs(xs), w)
+            density[live] = (_weighted_amplitude(val[live], np.abs(xs), w)
                              * (1.0 - system.potential.dv_dE(E, xs)))
         return density
     if amp2 == 0.0:
         return 0.0
-    return amp2 * power(abs(x), w) * (1.0 - system.potential.dv_dE(E, x))
+    return _weighted_amplitude(val, abs(x), w) * (1.0 - system.potential.dv_dE(E, x))
 
 
 def modified_norm(system: DunklSystem, psi: ParityFunction, E: float) -> QuadratureResult:

@@ -5,8 +5,9 @@ precision; every stencil applies one Richardson extrapolation step.
 ``derivative`` and ``parameter_derivative`` accept an ndarray of points
 as well as a float and then work elementwise, equal to the per-point
 calls bit for bit.  ``parameter_derivative`` has two users: the
-confluent chain, whose u2 is the eps-derivative of the solution family
-(``darboux.build_confluent_chain``), and
+confluent chain, whose u2 is the eps-derivative of the mapped family
+(``scenarios.confluent_chain``, which builds the members at
+``parameter_probes`` itself), and
 ``pointmap.energy_relation_residual``, where the numerical dU/dE is the
 independent side of the check.  Figure 4's dV-hat/dE is analytic
 (``scenarios.standard_vhat_dE``).
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -113,19 +113,26 @@ def default_param_step(eps0: float) -> float:
     return DEFAULT_PARAM_STEP_SCALE * max(1.0, abs(eps0))
 
 
+# Probe offsets of the eps stencil, in units of its step.
+PARAM_STENCIL_OFFSETS = (-2, -1, 1, 2)
+
+
+def parameter_probes(eps0: float) -> list:
+    """The eps at which ``parameter_derivative`` samples its family, in offset order."""
+    return [eps0 + k * default_param_step(eps0) for k in PARAM_STENCIL_OFFSETS]
+
+
 def parameter_derivative(family: Callable[[float, float], float], eps0: float, y):
     """d/d(eps) of family(eps, y) at eps0, by a 4-point central stencil.
 
     The 4-point rule, of step ``default_param_step(eps0)``, is the
     Richardson extrapolation of the 2-point central difference, with
-    O(h^4) truncation error.  y may be an ndarray; family then gets the
-    whole array at each probe eps.
+    O(h^4) truncation error.  family is called at ``parameter_probes(eps0)``,
+    with y; an ndarray y is passed whole at each probe eps.
     """
     h_eps = default_param_step(eps0)
-    samples = {}
-    for k in (-2, -1, 1, 2):
-        eps = eps0 + k * h_eps
-        samples[k] = _check_finite(family(eps, y), eps, "family sample at eps=")
+    samples = {k: _check_finite(family(eps, y), eps, "family sample at eps=")
+               for k, eps in zip(PARAM_STENCIL_OFFSETS, parameter_probes(eps0))}
     return (8 * (samples[1] - samples[-1]) - (samples[2] - samples[-2])) / (12 * h_eps)
 
 
@@ -152,20 +159,23 @@ def _exp_sinh(ks, step):
 
 
 _NODES, _WEIGHTS = _exp_sinh(range(_T_LO * 64, _T_HI * 64 + 1), QUAD_STEP)
+_ADDED = {}     # step -> the nodes and weights it adds, made on first use
 
 
-@lru_cache(maxsize=None)
 def _added_nodes(step):
     """The nodes and weights that the step ``step`` adds to the step 2 step."""
-    n = round(1 / step)
-    return _exp_sinh(range(_T_LO * n + 1, _T_HI * n, 2), step)
+    if step not in _ADDED:
+        n = round(1 / step)
+        _ADDED[step] = _exp_sinh(range(_T_LO * n + 1, _T_HI * n, 2), step)
+    return _ADDED[step]
 
 
 # Allowance, relative to the sum of |terms|, for the integrand's own
 # rounding, which the difference of two step sizes cannot see once
 # they agree to the last bits.  It is measured, not derived: over the
 # norms of tests/test_norm_oracle.py the rounding error of the weighted
-# sum of densities is at most 5.9e-15 = 2^-47.3 of the sum of |terms|.
+# sum of densities is at most 5.9e-15 = 2^-47.3 of the sum of |terms|,
+# except gaussian-mass near nu = 170 (2^-46.9), where it grows with nu.
 # An integrand that rounds worse than this can get too small an estimate.
 QUAD_ROUNDING = 2.0 ** -44
 
@@ -175,6 +185,14 @@ def _fold(f, nodes):
     x = np.concatenate([-nodes, nodes])
     neg, pos = np.split(_check_finite(f(x), x, "integrand at "), 2)
     return neg, pos
+
+
+def _fsum(terms: list) -> float:
+    """math.fsum, or a DomainError where its exact partial sums overflow."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        raise DomainError("quadrature: the integral overflows the float range") from None
 
 
 def integrate_real_line(f: Callable[[np.ndarray], np.ndarray]) -> QuadratureResult:
@@ -195,8 +213,8 @@ def integrate_real_line(f: Callable[[np.ndarray], np.ndarray]) -> QuadratureResu
     n_evals = 2 * _NODES.size
     terms = _WEIGHTS * np.append(neg + pos, far_neg + far_pos)
     listed = terms.tolist()
-    total = math.fsum(listed)
-    coarse = 2.0 * math.fsum(listed[::2])
+    total = _fsum(listed)
+    coarse = 2.0 * _fsum(listed[::2])
     scale = max(1.0, abs(total))
     # |integrand in t| at the window's ends: it bounds what lies beyond
     # them for anything that decays at least like e^{-|t|} there.
@@ -218,7 +236,7 @@ def integrate_real_line(f: Callable[[np.ndarray], np.ndarray]) -> QuadratureResu
         n_evals += 2 * nodes.size
         # Halving the old terms is exact: they now carry the weight of the new step.
         listed = [v * 0.5 for v in listed] + (weights * (neg + pos)).tolist()
-        coarse, total = total, math.fsum(listed)
+        coarse, total = total, _fsum(listed)
         scale = max(1.0, abs(total))
         diff = abs(total - coarse)
     err = diff + ends + QUAD_ROUNDING * float(np.abs(listed).sum())

@@ -44,15 +44,9 @@ class CoordinateChange:
 
 @dataclass(frozen=True)
 class SchrodingerForm:
-    """Standard-form potential U(E, y) plus the constant spectral shift.
-
-    ``epsilon_shift`` is the Dunkl-parameter constant that plays the
-    role of the spectral parameter when the chain setting applies,
-    else 0.
-    """
+    """Standard-form potential U(E, y) of phi'' + (eps - U) phi = 0."""
 
     u_e: Callable[[float, float], float]
-    epsilon_shift: float = 0.0
 
 
 def _sqrt(y):
@@ -164,5 +158,6 @@ def energy_relation_residual(coord: CoordinateChange, mass: MassProfile,
     du_dE = parameter_derivative(
         lambda e, yy: induced_potential(coord, mass, potential, params, e, yy), E, y)
     x = coord.x_of_y(y)
-    rhs = 2 * mass.m(x) * power(coord.d1(y), 2) * (1.0 - potential.dv_dE(E, x))
-    return (1.0 - du_dE) - rhs
+    with np.errstate(all="ignore"):     # E * E may underflow to 0: inf fails the check
+        rhs = 2 * mass.m(x) * power(coord.d1(y), 2) * (1.0 - potential.dv_dE(E, x))
+        return (1.0 - du_dE) - rhs

@@ -18,26 +18,26 @@ written once, with analytic derivatives from the contiguous-derivative
 identities of the Kummer and Laguerre functions: ``_decaying_state``
 for the x-space bound states, ``_mapped_family`` for the mapped-coordinate
 solutions.  Their factors go through ``_last_grid``, which evaluates a
-float as a one-point grid and remembers the last grid's values.
+float as a one-point grid and remembers the last grid's values.  The
+Darboux chains are built here too, on members of ``_mapped_family``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .darboux import (DarbouxChain, KIND_STANDARD, OdeSolution,
-                      build_confluent_chain, transformed_potential,
-                      transformed_solution, validate_chain)
-from .errors import ContractError, DomainError, DunklDarbouxError, SingularityError
+from .darboux import (DarbouxChain, KIND_CONFLUENT, KIND_STANDARD, OdeSolution,
+                      transformed_potential, transformed_solution, validate_chain)
+from .errors import (ConstructionError, ContractError, DomainError, DunklDarbouxError,
+                     SingularityError)
 from .libm import exp, log, power
 from .model import (DunklParams, DunklSystem, EnergyPotential, MassProfile,
                     ParityFunction)
-from .numerics import DEFAULT_PARAM_STEP_SCALE, default_param_step
+from .numerics import (DEFAULT_PARAM_STEP_SCALE, PARAM_STENCIL_OFFSETS,
+                       parameter_derivative, parameter_probes)
 from .pointmap import CoordinateChange, SchrodingerForm, exp_map, sqrt_map
 from .specfun import assoc_laguerre_grid, bessel_i, kummer_m, kummer_m_grid
 
@@ -322,9 +322,9 @@ class ScenarioHarmonicEnergy:
         """U_E(y) of the mapped standard form (note the 1/E on e^{4y})."""
         return 0.25 - E * exp(2 * y) + exp(4 * y) / E
 
-    def form(self, params: DunklParams) -> SchrodingerForm:
-        eps = params.delta * params.nu - params.nu**2
-        return SchrodingerForm(u_e=self.mapped_potential, epsilon_shift=eps)
+    @staticmethod
+    def form() -> SchrodingerForm:      # the background of every chain
+        return SchrodingerForm(u_e=ScenarioHarmonicEnergy.mapped_potential)
 
 
 @dataclass(frozen=True)
@@ -484,25 +484,35 @@ def harmonic_initial_solution_function(params: DunklParams, E: float) -> ParityF
                            params.delta)
 
 
-def _mapped_family(E: float, r: float):
-    """(Phi, Phi') of the mapped solution with index r, on one Laguerre pair.
+def _mapped_family(E: float, *rs: float) -> list:
+    """[(Phi, Phi'), ...] of the mapped solutions with indices rs, on one Laguerre group.
 
     Phi(y) = e^{-z/2 + (r/2) y} L_d^{r/2}(z), z = e^{2y}/sqrt(E),
     d = -1/2 + E^{3/2}/4 - r/4, solves the mapped equation at spectral
-    parameter (1 - r^2)/4.  Phi and Phi' accept a float or an ndarray of y.
+    parameter (1 - r^2)/4.  The rows L and L_{d-1}^{r/2+1} = -L' of all
+    members are one ``_laguerre_rows`` group, so the members belong
+    together only when every caller reads all of them on each grid.
+    Phi and Phi' accept a float or an ndarray of y.
     """
     beta = 1.0 / math.sqrt(E)
-    u, up = _laguerre_pair(_mapped_degree(E, r), 0.5 * r)
+    rows = []
+    for r in rs:
+        degree = _mapped_degree(E, r)
+        rows += [(degree, 0.5 * r), (degree - 1, 0.5 * r + 1)]
+    lags = _laguerre_rows(*rows)
 
-    def phi(y):
-        z = beta * exp(2 * y)
-        return exp(-0.5 * z + 0.5 * r * y) * u(z)
+    def member(r, u, lower):
+        def phi(y):
+            z = beta * exp(2 * y)
+            return exp(-0.5 * z + 0.5 * r * y) * u(z)
 
-    def phi1(y):
-        z = beta * exp(2 * y)
-        return exp(-0.5 * z + 0.5 * r * y) * ((0.5 * r - z) * u(z) + 2 * z * up(z))
+        def phi1(y):
+            z = beta * exp(2 * y)
+            return exp(-0.5 * z + 0.5 * r * y) * ((0.5 * r - z) * u(z) - 2 * z * lower(z))
 
-    return phi, phi1
+        return phi, phi1
+
+    return [member(r, lags[2 * i], lags[2 * i + 1]) for i, r in enumerate(rs)]
 
 
 def mapped_initial_solution(params: DunklParams, E: float) -> OdeSolution:
@@ -511,7 +521,7 @@ def mapped_initial_solution(params: DunklParams, E: float) -> OdeSolution:
     The mapped family at r = sqrt(1 - 4 delta nu + 4 nu^2); its parameter
     is the Dunkl constant delta nu - nu^2.
     """
-    phi, phi1 = _mapped_family(E, discriminant_root(params))
+    (phi, phi1), = _mapped_family(E, discriminant_root(params))
     eps = params.delta * params.nu - params.nu**2
     return OdeSolution(f=phi, f1=phi1, eps=eps)
 
@@ -539,11 +549,7 @@ def _standard_chain_functions(E: float):
         z = beta * exp(2 * y)
         return exp(-0.5 * z) * z * (2 * up(z) - u(z))
 
-    return (u1, u1p), _mapped_family(E, 2.0)
-
-
-def _chain_background() -> SchrodingerForm:
-    return SchrodingerForm(u_e=ScenarioHarmonicEnergy.mapped_potential)
+    return (u1, u1p), _mapped_family(E, 2.0)[0]
 
 
 def _standard_chain(E: float, order: int, validate: bool, name: str) -> DarbouxChain:
@@ -551,8 +557,8 @@ def _standard_chain(E: float, order: int, validate: bool, name: str) -> DarbouxC
     if E <= 0:
         raise DomainError(f"{name}: E must be positive")
     chain = DarbouxChain(kind=KIND_STANDARD, funcs=_standard_chain_functions(E)[:order],
-                         eps=STANDARD_CHAIN_EPS[:order], background=_chain_background(),
-                         energy=E)
+                         eps=STANDARD_CHAIN_EPS[:order],
+                         background=ScenarioHarmonicEnergy.form(), energy=E)
     if validate:
         validate_chain(chain, np.linspace(-2.0, 1.0, 40), 1e-7)
     return chain
@@ -571,33 +577,41 @@ def standard_chain_order1(E: float, validate: bool = True) -> DarbouxChain:
 CONFLUENT_EPS1 = -2.0
 
 
-def confluent_solution_family(E: float):
-    """Parametric solution family of the mapped equation, in eps.
-
-    Returns (value, y-derivative) callables of (eps, y), with y a float
-    or an ndarray: the mapped family at r = sqrt(1 - 4 eps).  Its member
-    at each eps is made once, so both callables share its Laguerre memo.
-    """
-    @functools.cache
-    def member(eps):
-        return _mapped_family(E, math.sqrt(1.0 - 4.0 * eps))
-
-    return (lambda eps, y: member(eps)[0](y)), (lambda eps, y: member(eps)[1](y))
-
-
 def confluent_chain(E: float, eps1: float = CONFLUENT_EPS1) -> DarbouxChain:
-    """Order-2 confluent chain seeded by the parametric solution family."""
-    h_eps = default_param_step(eps1)
-    if not eps1 + 2 * h_eps <= 0.25:
+    """Order-2 confluent chain: u1 is the mapped family at eps1, u2 its eps-derivative.
+
+    The family at eps is the mapped solution with r = sqrt(1 - 4 eps),
+    and u2 is ``numerics.parameter_derivative`` of its value and
+    y-derivative.  u1 and the members at the stencil's probes are one
+    ``_mapped_family`` call, ten Laguerre rows in one kernel call per
+    grid.  Refused if u2 vanishes on the validation grid, or unless the
+    residuals there are at most 1e-7 (u1) and 1e-5 (u2).
+    """
+    probes = parameter_probes(eps1)
+    if not probes[-1] <= 0.25:      # the highest probe: the offsets ascend
+        top = 0.25 - PARAM_STENCIL_OFFSETS[-1] * DEFAULT_PARAM_STEP_SCALE
         raise DomainError(f"confluent chain: eps = {eps1:g} is out of range: it must be "
-                          f"finite and at most {0.25 - 2 * DEFAULT_PARAM_STEP_SCALE:g}, as u2 "
-                          f"samples the family two stencil steps above it and sqrt(1 - 4 eps) "
-                          f"is real up to 1/4")
+                          f"finite and at most {top:g}, as u2 samples the family two "
+                          f"stencil steps above it and sqrt(1 - 4 eps) is real up to 1/4")
     if E <= 0:
         raise DomainError("confluent_chain: E must be positive")
-    family, family_dy = confluent_solution_family(E)
-    return build_confluent_chain(family, family_dy, eps1, _chain_background(), E,
-                                 validation_grid=np.linspace(-2.0, 1.0, 25))
+    members = _mapped_family(E, *(math.sqrt(1.0 - 4.0 * eps) for eps in [eps1] + probes))
+    (u1, u1p), probed = members[0], dict(zip(probes, members[1:]))
+
+    def u2(y):
+        return parameter_derivative(lambda eps, t: probed[eps][0](t), eps1, y)
+
+    def u2p(y):
+        return parameter_derivative(lambda eps, t: probed[eps][1](t), eps1, y)
+
+    grid = np.linspace(-2.0, 1.0, 25)
+    scale1 = np.max(abs(u1(grid)))
+    if np.max(abs(u2(grid))) < 1e-12 * max(scale1, 1.0):
+        raise ConstructionError("family does not depend on eps: degenerate chain")
+    chain = DarbouxChain(kind=KIND_CONFLUENT, funcs=((u1, u1p), (u2, u2p)), eps=(eps1,),
+                         background=ScenarioHarmonicEnergy.form(), energy=E)
+    validate_chain(chain, grid, (1e-7, 1e-5))
+    return chain
 
 
 # ---------------------------------------------------------------------------
@@ -646,17 +660,6 @@ def closed_form_hatv4(x: float) -> float:
     return (poly_i00 * i0 * i0 - cross * i0 * i1 + poly_i11 * i1 * i1) / den
 
 
-def hatv_from_ue(E: float, u_hat: Callable, p: float, q: float, x):
-    """Transformed potential in the original variable, from U-hat.
-
-    V-hat(x) = E - x^{-q-2} [(q+1)^2/(8p) - U-hat(log x)/(2p)].
-    """
-    if np.any(x <= 0):
-        raise DomainError("hatv_from_ue: x must be positive")
-    return E - power(x, -q - 2.0) * ((q + 1.0) ** 2 / (8.0 * p)
-                                     - u_hat(log(x)) / (2.0 * p))
-
-
 # The pipeline helpers below take x as a float or an ndarray; an ndarray
 # is evaluated as one grid and equals the per-float calls bit for bit.
 
@@ -669,8 +672,10 @@ def pipeline_hatpsi(params: DunklParams, E: float, chain: DarbouxChain, x):
 
 
 def pipeline_vhat(E: float, chain: DarbouxChain, x):
-    """Transformed potential in the original variable via the chain."""
-    return hatv_from_ue(E, lambda y: transformed_potential(chain, y), 0.5, 0.0, x)
+    """V-hat(x) = E - x^-2 (1/4 - U-hat(log x)): the chain's U-hat mapped back to x = e^y."""
+    if np.any(x <= 0):
+        raise DomainError("pipeline_vhat: x must be positive")
+    return E - power(x, -2.0) * (0.25 - transformed_potential(chain, log(x)))
 
 
 def _member_dE(E: float, r: float, z, lag, lag_dd):

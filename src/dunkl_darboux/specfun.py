@@ -274,11 +274,9 @@ def _kummer_series_grid(a: np.ndarray, b: np.ndarray, z: np.ndarray, da: bool = 
     rows, n = a.shape[0], z.shape[0]
     size = rows * n
     cols = np.arange(size)
-    # A derivative call has the most columns of its run; a buffer for
-    # every possible term would be its largest allocation, and the
-    # allocator would keep its pages.  It starts with the first two
-    # blocks' rows, which hold most series, and grows if need be.
-    terms = np.empty(((_FIRST_BLOCK + _SERIES_BLOCK if da else KUMMER_MAX_TERMS) + 1, size))
+    # Every call starts with the first two blocks' rows, which hold most
+    # series, and grows if need be: a row per possible term costs memory per column.
+    terms = np.empty((_FIRST_BLOCK + _SERIES_BLOCK + 1, size))
     terms[0] = 1.0
     # Per stop rule: each column's last term and peak, the open columns,
     # and the weights of the magnitudes (A_k per term and row, or None).

@@ -293,6 +293,19 @@ def test_overflow_raises_no_numpy_warning(argv, code, stream, start, capsys):
     assert getattr(capsys.readouterr(), stream).startswith(start)
 
 
+def _run_showing_warnings(argv) -> subprocess.CompletedProcess:
+    """The CLI in a fresh process with numpy warnings shown, as a user sees them."""
+    src = str(Path(dunkl_darboux.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, warnings\n"
+            "warnings.simplefilter('default')\n"
+            "from dunkl_darboux.cli import run\n"
+            "sys.exit(run(sys.argv[1:]))\n")
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, env=env, timeout=60)
+
+
 @pytest.mark.parametrize("argv", [
     ["density", "--scenario", "harmonic-energy", "--nu", "120", "--delta", "1",
      "--rule", "ene0", "--grid-count", "9"],
@@ -302,20 +315,40 @@ def test_overflow_raises_no_numpy_warning(argv, code, stream, start, capsys):
 def test_model_overflow_prints_only_the_error(argv):
     # The density's |x|^w product overflows and the residual's terms add
     # to inf - inf before each command's error: with numpy warnings
-    # shown, as a user sees them, stderr holds the one error line
-    src = str(Path(dunkl_darboux.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = ("import sys, warnings\n"
-            "warnings.simplefilter('default')\n"
-            "from dunkl_darboux.cli import run\n"
-            "sys.exit(run(sys.argv[1:]))\n")
-    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
-                          text=True, env=env, timeout=60)
+    # shown, stderr holds the one error line
+    proc = _run_showing_warnings(argv)
     assert proc.returncode == EXIT_USAGE
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_energy_relation_division_by_zero_prints_no_warning():
+    # E * E underflows to 0 in dV/dE = -x^2/E^2 of the norm-preservation
+    # relation: the check still fails with inf, and stderr stays empty
+    proc = _run_showing_warnings(["verify", "--scenario", "harmonic-energy", "--nu",
+                                  "2.5", "--delta", "-1", "--energy", "1e-300"])
+    assert proc.returncode == EXIT_VERIFICATION
+    assert "RuntimeWarning" not in proc.stderr and proc.stderr == ""
+    assert "FAIL  norm_preservation_relation: max residual inf" in proc.stdout
+
+
+@pytest.mark.parametrize("nu, delta, norm", [
+    ("120", "1", "1.2200589948e+198"),          # |x|^240 overflows at x = 19.29
+    ("170", "1", "1.11241848291e+306"),
+])
+def test_gaussian_mass_norm_past_the_weight_overflow(nu, delta, norm, capsys):
+    # the norms match mpmath (tests/test_norm_oracle.py)
+    assert run(["density", "--scenario", "gaussian-mass", "--nu", nu, "--delta", delta,
+                "--rule", "ene0", "--grid-count", "5"]) == EXIT_OK
+    assert capsys.readouterr().err.startswith(f"norm = {norm} (estimated error ")
+
+
+def test_gaussian_mass_norm_that_overflows_is_refused(capsys):
+    assert run(["density", "--scenario", "gaussian-mass", "--nu", "171", "--delta", "1",
+                "--rule", "ene0", "--grid-count", "5"]) == EXIT_USAGE
+    assert capsys.readouterr().err == ("error: quadrature: the integral overflows "
+                                       "the float range\n")
 
 
 @pytest.mark.parametrize("argv", [

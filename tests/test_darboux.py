@@ -6,8 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from dunkl_darboux.darboux import (DarbouxChain, OdeSolution,
-                                   build_confluent_chain, chain_residuals,
+from dunkl_darboux import scenarios
+from dunkl_darboux.darboux import (DarbouxChain, OdeSolution, chain_residuals,
                                    intertwining_residual, transform,
                                    transformed_potential,
                                    transformed_solution, validate_chain,
@@ -18,7 +18,6 @@ from dunkl_darboux.model import DunklParams
 from dunkl_darboux.numerics import derivative
 from dunkl_darboux.pointmap import SchrodingerForm
 from dunkl_darboux.scenarios import (ScenarioHarmonicEnergy, confluent_chain,
-                                     confluent_solution_family,
                                      mapped_initial_solution,
                                      standard_chain_order1, standard_chain_u12)
 
@@ -190,40 +189,38 @@ def test_intertwining_confluent():
         assert abs(res) < 1e-4 * max(scale, 1.0)
 
 
-def test_confluent_build_rejects_degenerate_family():
-    form = _harmonic_oscillator_form()
-    with pytest.raises(ConstructionError):
-        build_confluent_chain(lambda eps, y: np.exp(-0.5 * y * y),
-                              lambda eps, y: -y * np.exp(-0.5 * y * y),
-                              -1.0, form, 0.0, GRID)
+def _patch_family(monkeypatch, change):
+    """Make confluent_chain build its members from change(members, rs)."""
+    real = scenarios._mapped_family
+    monkeypatch.setattr(scenarios, "_mapped_family",
+                        lambda E, *rs: change(real(E, *rs), rs))
 
 
-def _free_form():
-    """U(y) = 0: u'' + eps u = 0 is solved by e^{sqrt(-eps) y} for eps < 0."""
-    return SchrodingerForm(u_e=lambda E, y: np.zeros_like(y))
+def test_confluent_build_rejects_degenerate_family(monkeypatch):
+    # every probe member is the member at eps1, so u2 is exactly 0
+    _patch_family(monkeypatch, lambda members, rs: [members[0]] * len(members))
+    with pytest.raises(ConstructionError, match="does not depend on eps"):
+        confluent_chain(4.0)
 
 
 def _nan_at_zero(value, y):
     return np.where(y == 0.0, np.nan, value)
 
 
-def test_confluent_build_refuses_a_nan_member():
-    # u1 is NaN at y = 0, a GRID point, and the stencil probes of u2 are
-    # finite; with the NaN dropped the residuals read [3.8e-13, 3.8e-8]
-    # and the chain was accepted
-    def family(eps, y):
-        value = np.exp(np.sqrt(-eps) * y)
-        return _nan_at_zero(value, y) if eps == -1.0 else value
-
-    def family_dy(eps, y):
-        return np.sqrt(-eps) * np.exp(np.sqrt(-eps) * y)
+def test_confluent_build_refuses_a_nan_member(monkeypatch):
+    # u1 is NaN at y = 0, a point of the validation grid, and the stencil
+    # probes of u2 are finite: the NaN residual must refuse the chain,
+    # which is accepted without it
+    def nan_u1(members, rs):
+        (u1, u1p), *probes = members
+        return [(lambda y: _nan_at_zero(u1(y), y), u1p), *probes]
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        confluent_chain(4.0)
+        _patch_family(monkeypatch, nan_u1)
         with pytest.raises(ConstructionError, match="nan"):
-            build_confluent_chain(family, family_dy, -1.0, _free_form(), 0.0, GRID)
-        build_confluent_chain(lambda eps, y: np.exp(np.sqrt(-eps) * y), family_dy,
-                              -1.0, _free_form(), 0.0, GRID)
+            confluent_chain(4.0)
 
 
 def test_validate_chain_refuses_a_nan_member():

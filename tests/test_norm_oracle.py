@@ -8,9 +8,11 @@ successfully (gaussian-mass under ene0, and the two harmonic-energy
 ene1 states whose Laguerre degree is an integer) plus the three printed
 states of figure 2.  Larger nu moves the density's peak out to
 x ~ sqrt(nu) and narrows it in the quadrature variable, so the large-nu
-cases reach the finer steps of the rule: gaussian-mass up to nu = 119,
-the last nu before x^(2 nu) overflows at a node where psi has not yet
-underflowed, and harmonic-energy states up to nu = 16.
+cases reach the finer steps of the rule: gaussian-mass up to nu = 170,
+the last nu whose norm is below the float range (from nu = 119.8,
+x^(2 nu) overflows at nodes where psi has not yet underflowed, and the
+density is taken in split form there), and harmonic-energy states up
+to nu = 16.
 """
 
 import pytest
@@ -30,6 +32,13 @@ GAUSSIAN_CASES = [(nu, delta, n) for nu in (0.5, 1.5, 2.5) for delta in (-1, 1)
 HARMONIC_CASES = [(0.5, -1, 0), (1.5, 1, 0)]
 LARGE_NU_GAUSSIAN_CASES = [(nu, delta, 0) for nu in (10, 50, 100, 119) for delta in (-1, 1)] \
     + [(50, -1, 1), (100, 1, 1)]
+# From nu = 119.8 x^(2 nu) overflows at nodes where psi survives.
+SPLIT_WEIGHT_GAUSSIAN_CASES = [(120, -1, 0), (120, 1, 0), (120, 1, 1), (150, 1, 0)]
+# The density's rounding grows with nu (e^{-x^2} at x^2 near 2 nu): at
+# nu = 170 it is 2^-46.9 of sum|terms|, inside the quadrature's 2^-44
+# allowance but not the factor 8 below it that the rounding test keeps,
+# so this case is checked against mpmath only.
+EDGE_GAUSSIAN_CASES = [(170, 1, 0)]
 LARGE_NU_HARMONIC_CASES = [(11, -1, 2), (12, 1, 2), (15, -1, 0), (16, 1, 0)]
 
 
@@ -90,7 +99,8 @@ def _thirty_digits():
         yield
 
 
-@pytest.mark.parametrize("nu, delta, n", GAUSSIAN_CASES + LARGE_NU_GAUSSIAN_CASES)
+@pytest.mark.parametrize("nu, delta, n", GAUSSIAN_CASES + LARGE_NU_GAUSSIAN_CASES
+                         + SPLIT_WEIGHT_GAUSSIAN_CASES + EDGE_GAUSSIAN_CASES)
 def test_gaussian_mass_norm_matches_mpmath(nu, delta, n):
     scenario = ScenarioGaussianMass()
     params = DunklParams(nu=nu, delta=delta, mu=1)
@@ -121,7 +131,9 @@ def test_figure_2_norms_match_mpmath(n):
                          [(ScenarioGaussianMass(), "ene0", _gaussian_density) + case
                           for case in LARGE_NU_GAUSSIAN_CASES]
                          + [(ScenarioHarmonicEnergy(), "ene1", _harmonic_density) + case
-                            for case in HARMONIC_CASES + LARGE_NU_HARMONIC_CASES])
+                            for case in HARMONIC_CASES + LARGE_NU_HARMONIC_CASES]
+                         + [(ScenarioGaussianMass(), "ene0", _gaussian_density) + case
+                            for case in SPLIT_WEIGHT_GAUSSIAN_CASES])
 def test_density_rounding_is_within_the_quadrature_allowance(scenario, rule, exact,
                                                              nu, delta, n):
     # The quadrature's error estimate allows QUAD_ROUNDING sum|terms| for

@@ -56,14 +56,15 @@ def test_induced_potential_matches_mapped_closed_form():
     # constant-mass harmonic scenario: U_E(y) up to the spectral shift
     scenario = ScenarioHarmonicEnergy()
     params = DunklParams(nu=2.5, delta=-1, mu=1)
-    form = scenario.form(params)
+    form = scenario.form()
+    eps = params.delta * params.nu - params.nu**2      # the Dunkl constant
     E = 4.0
     for y in np.linspace(-1.5, 0.8, 7):
         # the library convention embeds E: Phi'' + (E - U_ind) Phi = 0,
         # while the closed form uses Phi'' + (eps - U) Phi = 0
         u_ind = induced_potential(scenario.coord(), scenario.mass(),
                                   scenario.potential(), params, E, float(y))
-        want = form.u_e(E, float(y)) + E - form.epsilon_shift
+        want = form.u_e(E, float(y)) + E - eps
         assert u_ind == pytest.approx(want, rel=1e-12)
 
 

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from dunkl_darboux import cli, scenarios
-from dunkl_darboux.darboux import (chain_residuals, transformed_potential,
-                                   transformed_solution)
+from dunkl_darboux.darboux import (DarbouxChain, chain_residuals,
+                                   transformed_potential, transformed_solution)
 from dunkl_darboux.errors import ContractError, DomainError
 from dunkl_darboux.model import (DunklParams, ParityFunction, dunkl_residual,
                                  modified_norm)
@@ -21,12 +21,11 @@ from dunkl_darboux.scenarios import (DUNKL_GRID,
                                      bound_state_energy,
                                      closed_form_hatpsi_E4, closed_form_hatv4,
                                      confluent_chain,
-                                     confluent_solution_family,
                                      discriminant_root,
                                      gaussian_solution,
                                      gaussian_solution_function, get_scenario,
                                      harmonic_initial_solution_function,
-                                     hatv_from_ue, mapped_initial_solution,
+                                     mapped_initial_solution,
                                      monomial_exponent, parity_exponent,
                                      pdm_equivalence_nu, pipeline_hatpsi,
                                      pipeline_vhat, printed_bound_state,
@@ -153,7 +152,7 @@ def test_mapped_initial_solution_residual():
     E = 4.0
     phi = mapped_initial_solution(params, E)
     assert phi.eps == pytest.approx(-8.75)
-    form = ScenarioHarmonicEnergy().form(params)
+    form = ScenarioHarmonicEnergy.form()
     for y in MAPPED_GRID[::40]:
         second = derivative(phi.f1, float(y), 1, 1e-4)
         res = second + (phi.eps - form.u_e(E, float(y))) * phi.f(float(y))
@@ -262,21 +261,18 @@ def test_pipeline_matches_closed_forms():
             closed_form_hatv4(x), rel=1e-10)
 
 
-def test_hatv_from_ue_round_trip():
-    # empty-chain U gives back the original potential x^2 / E
+def test_pipeline_vhat_of_the_empty_chain_round_trip():
+    # the empty chain's U-hat is U itself: V-hat is the map's inverse of U
     E = 4.0
-    form = ScenarioHarmonicEnergy().form(DunklParams(nu=0.0, delta=1, mu=1))
-
-    def u_plus_shift(y):
-        # convert the spectral convention: U_eff = U + E - eps with the
-        # chain convention already folded into hatv_from_ue
-        return form.u_e(E, y)
-
+    form = ScenarioHarmonicEnergy.form()
+    empty = DarbouxChain(kind="standard", funcs=(), eps=(), background=form, energy=E)
     x = 1.3
-    got = hatv_from_ue(E, u_plus_shift, 0.5, 0.0, x)
-    # V(x) = E - 1/(4 x^2) + U(log x)/x^2 evaluates to x^2/E + E + 1/(4E x^2) - 1/(4x^2) ...
+    got = pipeline_vhat(E, empty, x)
+    # V(x) = E - 1/(4 x^2) + U(log x)/x^2, with U the mapped potential
     want = E - 1.0 / (4 * x * x) + form.u_e(E, math.log(x)) / (x * x)
     assert got == pytest.approx(want, rel=1e-13)
+    with pytest.raises(DomainError, match="pipeline_vhat: x must be positive"):
+        pipeline_vhat(E, empty, np.array([1.0, 0.0]))
 
 
 def test_transformed_solution_solves_transformed_dunkl_equation():
@@ -363,18 +359,33 @@ def test_figure_4_kernel_calls_and_chain_builds(monkeypatch, capsys):
     assert len(builds) == 3
 
 
+def test_confluent_darboux_and_figure_7_kernel_calls(monkeypatch, capsys):
+    # The confluent chain's ten Laguerre rows are one group.  darboux:
+    # the build reads it on the validation grid and on its stencil nodes,
+    # the chain on y and on log(e^y) (V-hat), plus Phi's pair; at most 8
+    # (the bound of exact-derivative work).  figure 7: three energies,
+    # each a build and V-hat on its grid, at most 15.
+    calls = _count_grid_calls(monkeypatch)
+    assert cli.run(["darboux", "--kind", "confluent"]) == cli.EXIT_OK
+    assert len(calls) == 5
+    calls.clear()
+    assert cli.run(["figure", "7", "--grid-count", "50"]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert len(calls) == 9
+    assert all(len(degrees) == 10 for degrees, _ in calls)
+
+
 @pytest.mark.parametrize("E", [4.0, 12.0 ** (2.0 / 3.0)])
 def test_standard_members_and_phi_are_the_mapped_family(E):
-    # u1, u2 and u2' are the confluent family at eps = 1/4 and -3/4
-    # (r = 0 and 2), and Phi at (nu, delta) = (3/2, +1), where
-    # delta nu - nu^2 = -3/4, is u2: all bit for bit, floats included
+    # u1, u2 and u2' are the mapped family at r = 0 and 2 (eps = 1/4 and
+    # -3/4), here built as one group, and Phi at (nu, delta) = (3/2, +1),
+    # where delta nu - nu^2 = -3/4, is u2: all bit for bit, floats included
     (u1, _), (u2, u2p) = scenarios._standard_chain_functions(E)
-    family, family_dy = confluent_solution_family(E)
+    (f0, _), (f2, f2p) = scenarios._mapped_family(E, 0.0, 2.0)
     phi = mapped_initial_solution(DunklParams(nu=1.5, delta=1, mu=1), E)
     assert phi.eps == -0.75
     ys = np.linspace(-2.0, 1.0, 41)
-    pairs = [(u1, lambda y: family(0.25, y)), (u2, lambda y: family(-0.75, y)),
-             (u2p, lambda y: family_dy(-0.75, y)), (phi.f, u2), (phi.f1, u2p)]
+    pairs = [(u1, f0), (u2, f2), (u2p, f2p), (phi.f, u2), (phi.f1, u2p)]
     for got, want in pairs:
         assert _bits(got(ys)) == _bits(want(ys))
         assert (_bits([got(float(y)) for y in ys[::8]])
@@ -383,8 +394,9 @@ def test_standard_members_and_phi_are_the_mapped_family(E):
 
 def test_confluent_build_evaluates_each_eps_once_on_its_grid(monkeypatch):
     # u1 reads the family at eps1 and u2 at four stencil eps; the scale
-    # check and chain_residuals read all five on the 25-point validation
-    # grid, where each eps pair of Laguerre rows must be evaluated once
+    # check and chain_residuals read all five members on the 25-point
+    # validation grid, and chain_residuals their derivatives on the 100
+    # stencil nodes: one call of all ten distinct rows per grid
     grids = []
     real = scenarios.assoc_laguerre_grid
 
@@ -394,8 +406,24 @@ def test_confluent_build_evaluates_each_eps_once_on_its_grid(monkeypatch):
 
     monkeypatch.setattr(scenarios, "assoc_laguerre_grid", counted)
     confluent_chain(4.0)
-    on_grid = [(degree, alpha) for degree, alpha, size in grids if size == 25]
-    assert len(on_grid) == 5 and len(set(on_grid)) == 5
+    assert [size for _, _, size in grids] == [25, 100]
+    for degree, alpha, _ in grids:
+        assert len(set(zip(degree, alpha))) == 10
+
+
+@pytest.mark.parametrize("E", [4.0, 12.0 ** (2.0 / 3.0)])
+def test_grouped_members_equal_single_members(E):
+    # one _mapped_family call for several indices (the confluent chain's
+    # members) equals a call per index, bit for bit, floats included
+    rs = [math.sqrt(1.0 - 4.0 * eps) for eps in (-2.0, -2.00004, -1.99996, 0.2, 0.24)]
+    grouped = scenarios._mapped_family(E, *rs)
+    ys = np.linspace(-2.0, 1.0, 41)
+    for r, (phi, phi1) in zip(rs, grouped):
+        (single, single1), = scenarios._mapped_family(E, r)
+        for got, want in ((phi, single), (phi1, single1)):
+            assert _bits(got(ys)) == _bits(want(ys))
+            assert (_bits([got(float(y)) for y in ys[::8]])
+                    == _bits([want(float(y)) for y in ys[::8]]))
 
 
 def test_laguerre_pair_evaluates_both_rows_in_one_call(monkeypatch):

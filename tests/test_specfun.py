@@ -377,6 +377,29 @@ def test_grid_range_guard_matches_scalar_message():
             == _reference_kummer_m(-2.0, 1.2, float(zs[-1])).value)
 
 
+@pytest.mark.parametrize("zs", [[100.0], [250.0], [390.0], [-250.0],
+                                [0.5, 100.0, 3.0, 250.0, -0.3, 390.0]])
+def test_grown_term_buffer_equals_reference_bit_for_bit(zs, monkeypatch):
+    # Every call starts with room for the first two blocks of terms
+    # (81); series at |z| of 100 and more need more and grow the buffer.
+    # In the mixed grid only some columns grow, the others stop early.
+    grown = []
+    real = specfun._room
+
+    def spy(terms, count):
+        out = real(terms, count)
+        grown.append(out is not terms)
+        return out
+
+    monkeypatch.setattr(specfun, "_room", spy)
+    for a, b in ((0.3, 1.5), (-2.7, 0.5), (5.2, 3.25)):
+        _assert_grid_matches_reference(_reference_kummer_m, kummer_m, kummer_m_grid,
+                                       a, b, zs)
+        _assert_grid_matches_reference(_reference_assoc_laguerre, assoc_laguerre,
+                                       assoc_laguerre_grid, -a, b - 1.0, zs)
+    assert any(grown)
+
+
 def test_unconverged_series_raises_on_both_paths():
     # At |z| ~ 500 the terms are still well above 1e-18 of the peak when
     # the 600-term budget runs out: no partial sum is returned

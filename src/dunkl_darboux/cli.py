@@ -19,7 +19,7 @@ verification tolerance.
 from __future__ import annotations
 
 import argparse
-import csv
+import itertools
 import json
 import math
 import os
@@ -32,7 +32,7 @@ import numpy as np
 from .darboux import (DarbouxChain, KIND_STANDARD, chain_residuals,
                       transformed_potential, transformed_solution)
 from .errors import DomainError, DunklDarbouxError
-from .libm import exp, power
+from .libm import exp, memo_scope, power
 from .model import (DunklParams, dunkl_residual, modified_norm,
                     probability_density, sampled_parity_defect)
 from .pointmap import energy_relation_residual, induced_potential
@@ -177,8 +177,12 @@ def _tolerance() -> float:
 # Output helpers
 # ---------------------------------------------------------------------------
 
+# Every printed float: 12 significant digits.
+_FLOAT = "%.12g"
+
+
 def _fmt(value: float) -> str:
-    return f"{value:.12g}"
+    return _FLOAT % value
 
 
 def _rows(*columns: np.ndarray) -> list:
@@ -190,11 +194,11 @@ def _write_csv(path: Optional[str], header: Sequence[str],
                rows: Sequence[Sequence[float]]) -> None:
     out = sys.stdout if path is None else open(path, "w", encoding="utf-8",
                                                newline="")
+    # One %-format over the whole table.
+    line = ",".join([_FLOAT] * len(header)) + "\n"
     try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        out.write(",".join(header) + "\n")
+        out.write((line * len(rows)) % tuple(itertools.chain.from_iterable(rows)))
     finally:
         if path is not None:
             out.close()
@@ -554,11 +558,8 @@ def cmd_figure(config: RunConfig, number: int) -> int:
     if number not in _FIGURES:
         raise UsageError(f"figure number must be one of {FIGURE_NUMBERS}")
     header, rows = _FIGURES[number](config)
-    for row in rows:
-        for v in row:
-            if not math.isfinite(v):
-                raise DunklDarbouxError(
-                    f"figure {number}: non-finite value in emitted series")
+    if not np.isfinite(rows).all():
+        raise DunklDarbouxError(f"figure {number}: non-finite value in emitted series")
     _emit_table(config, header, rows)
     return EXIT_OK
 
@@ -631,16 +632,19 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         config = _load_config_file(args.config) if getattr(args, "config", None) \
             else RunConfig()
         config = _merge(config, args)
-        if args.command == "verify":
-            return cmd_verify(config)
-        if args.command == "spectrum":
-            return cmd_spectrum(config, args.n_max)
-        if args.command == "density":
-            return cmd_density(config)
-        if args.command == "darboux":
-            return cmd_darboux(config)
-        if args.command == "figure":
-            return cmd_figure(config, args.number)
+        # The command's repeated elementwise exp/log/power evaluations
+        # share one result; the memo is dropped when the command ends.
+        with memo_scope():
+            if args.command == "verify":
+                return cmd_verify(config)
+            if args.command == "spectrum":
+                return cmd_spectrum(config, args.n_max)
+            if args.command == "density":
+                return cmd_density(config)
+            if args.command == "darboux":
+                return cmd_darboux(config)
+            if args.command == "figure":
+                return cmd_figure(config, args.number)
         raise UsageError(f"unknown command {args.command!r}")
     except (UsageError, DunklDarbouxError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,10 +11,24 @@ must reproduce the per-point float path bit for bit.
 Where the scalar routine fails (a result that overflows, the log of a
 nonpositive number, zero to a negative power), the helper raises a
 ``DomainError`` that names the function and the first failing argument.
+
+While a ``memo_scope()`` is open (``cli.run`` opens one around each
+command), the ndarray path evaluates each (function, extra arguments,
+input) once: the key is the function's name, its extra arguments and a
+copy of the input's dtype, shape and exact bytes, the rule of
+``scenarios._last_grid``, so -0.0 is not 0.0 and an array changed in
+place is evaluated afresh.  A hit returns the stored result itself, so
+results are stored read-only; an evaluation that raises stores nothing,
+and a float never reaches the memo.  The memo is one dict per scope, in
+a ``ContextVar``, and is dropped when the scope closes, so nothing
+outlives the command.  Outside a scope every call evaluates afresh and
+returns a new, writeable array.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import itertools
 import math
 
@@ -45,11 +59,39 @@ def _per_element(name, fn, x, *args):
     return values.reshape(x.shape)
 
 
+# The open scope's memo, key -> read-only result; None outside a scope.
+_MEMO = contextvars.ContextVar("libm_memo", default=None)
+
+
+@contextlib.contextmanager
+def memo_scope():
+    """Evaluate each ndarray (function, arguments, input) once within the block."""
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
+def _on_array(name, fn, x, *args):
+    """_per_element(name, fn, x, *args), looked up first in the open memo."""
+    memo = _MEMO.get()
+    if memo is None:
+        return _per_element(name, fn, x, *args)
+    key = (name, args, x.dtype.str, x.shape, x.tobytes())
+    values = memo.get(key)
+    if values is None:
+        values = _per_element(name, fn, x, *args)
+        values.flags.writeable = False
+        memo[key] = values
+    return values
+
+
 # Each helper tests for an ndarray itself, so a float costs one call.
 
 def exp(x):
     if isinstance(x, np.ndarray):
-        return _per_element("exp", math.exp, x)
+        return _on_array("exp", math.exp, x)
     try:
         return math.exp(x)
     except OverflowError as exc:
@@ -58,7 +100,7 @@ def exp(x):
 
 def log(x):
     if isinstance(x, np.ndarray):
-        return _per_element("log", math.log, x)
+        return _on_array("log", math.log, x)
     try:
         return math.log(x)
     except ValueError as exc:
@@ -68,7 +110,7 @@ def log(x):
 def power(x, p):
     """x ** p, for a scalar exponent p."""
     if isinstance(x, np.ndarray):
-        return _per_element("power", pow, x, p)
+        return _on_array("power", pow, x, p)
     try:
         return pow(x, p)
     except ArithmeticError as exc:

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dunkl_darboux
 from dunkl_darboux import cli, scenarios
@@ -620,6 +621,33 @@ def test_float_formatting():
     assert _fmt(0.75) == "0.75"
     assert _fmt(4.0) == "4"
     assert _fmt(12.0 ** (2.0 / 3.0)) == "5.24148278842"
+
+
+# The next three tests pin the table output to the per-value format
+# spelling f"{v:.12g}"; they hold for either way of writing the table.
+
+@settings(max_examples=2000, deadline=None)
+@given(st.floats() | st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308,
+                                      1.7976931348623157e308, math.inf, -math.inf]))
+def test_float_formatting_is_the_format_spec(v):
+    assert _fmt(v) == f"{v:.12g}"
+
+
+def test_csv_table(capsys):
+    rows = [[0.1, -0.0, 5e-324], [1e300, math.nan, -math.inf], [4.0, 1.0 / 3.0, -2.5e-7]]
+    cli._write_csv(None, ["a", "b", "c"], rows)
+    expected = "".join(",".join(f"{v:.12g}" for v in row) + "\n" for row in rows)
+    assert capsys.readouterr().out == "a,b,c\n" + expected
+    cli._write_csv(None, ["a", "b"], [])
+    assert capsys.readouterr().out == "a,b\n"
+
+
+def test_figure_refuses_non_finite_series(monkeypatch, capsys):
+    monkeypatch.setitem(cli._FIGURES, 1,
+                        lambda config: (["x", "y"], [[0.0, 1.0], [1.0, math.nan]]))
+    assert run(["figure", "1"]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", "error: figure 1: non-finite value in "
+                                       "emitted series\n")
 
 
 def test_json_table_sorted_keys(capsys):

@@ -1,17 +1,19 @@
 """Standard and confluent Darboux transformations on standard-form equations.
 
-The central engineering decision: Wronskian matrices never sample
-second or higher derivatives of the transformation functions.  All
-rows beyond the first derivative are reduced through the governing
-equation, so closed-form (u, u') pairs keep the determinants exact in
-their inputs.  Matrices are at most 3 x 3 (an order-2 chain plus the
-transformed solution) and use explicit determinant formulas.  W' and
-W'' come from one Abel reduction of the chain equations (``_abel``),
-which both U-hat and ``wronskian_first_derivative`` use; it covers
-chains of order 1 and 2, and higher orders raise ``CapabilityError``.
-``chain_residuals`` is the one residual routine of standard-form
-equations, and ``validate_chain`` the one refusal on it.  The chains
-themselves are built in ``scenarios``, where their family lives.
+The central engineering decision: Wronskians never sample second or
+higher derivatives of the transformation functions.  The program builds
+chains of order 1 and 2, and one routine (``_wronskian``) gives W, W'
+and W'' of a chain of order 0 to 2 from its members' closed-form
+(u, u') pairs: W' and W'' come from Abel's identity, and higher orders
+raise ``CapabilityError``.  The same routine gives the floor scale
+that U-hat and Phi-hat both apply, |W| < 1e-12 times the product over
+members of max(|u_j|, |u_j'|), which a rescaled member moves with W.
+The one matrix left is the 3 x 3 numerator of the order-2 Phi-hat,
+whose third row is reduced through the chain equation and which is
+expanded by an explicit cofactor formula.  ``chain_residuals`` is the
+one residual routine of standard-form equations, and ``validate_chain``
+the one refusal on it.  The chains themselves are built in
+``scenarios``, where their family lives.
 
 ``wronskian``, ``wronskian_first_derivative``, ``transformed_potential``
 and ``transformed_solution`` take a float or an ndarray of points y and
@@ -33,7 +35,6 @@ from .errors import (CapabilityError, ConstructionError, DomainError,
 from .numerics import derivative
 from .pointmap import SchrodingerForm
 
-MAX_MATRIX_SIZE = 3
 DEFAULT_W_FLOOR = 1e-12
 
 KIND_STANDARD = "standard"
@@ -94,36 +95,41 @@ class DarbouxOutput:
     wronskian_floor: float
 
 
-def _column(f0, f1, eps: float, u, nrows: int, lower=None) -> list:
-    """Derivative ladder d^r f for r < nrows, reduced via the ODE.
+def _read(chain: DarbouxChain, y):
+    """U(y), then [(u_j(y), u_j'(y)), ...] of the members in chain order."""
+    return chain.potential(y), [(f(y), d(y)) for f, d in chain.funcs]
 
-    ``lower`` is the value of the previous Jordan-chain member for the
-    confluent inhomogeneity; omitted for standard columns.
+
+def _wronskian(chain: DarbouxChain, u, members: list):
+    """(W, W', W'', floor scale) of a chain of order 0, 1 or 2 from its members at y.
+
+    U(y) = u, and ``members`` holds each member's (u_j, u_j') at y.
+    Order 0: W = 1.  Order 1: W = u1, W' = u1', W'' = (U - eps1) u1.
+    Order 2: W = u1 u2' - u1' u2 with, by Abel's identity, W' = (eps1 -
+    eps2) u1 u2 and W'' = (eps1 - eps2)(u1' u2 + u1 u2') (standard), or
+    W' = -u1^2 and W'' = -2 u1 u1' (confluent).  The scale is the product
+    over members of max(|u_j|, |u_j'|), a zero member counting as 1, so
+    the floor moves with W when a member is rescaled.
     """
-    col = [f0, f1]
-    if nrows >= 3:
-        d2 = (u - eps) * f0
-        if lower is not None:
-            d2 = d2 - lower
-        col.append(d2)
-    return col[:nrows]
-
-
-def _columns(chain: DarbouxChain, y, include: Optional[OdeSolution]) -> list:
-    """Columns of the Wronskian matrix of the chain (plus ``include``)."""
-    nrows = chain.order + (1 if include is not None else 0)
-    if nrows > MAX_MATRIX_SIZE:
-        raise CapabilityError(
-            f"Wronskian size {nrows} exceeds supported maximum {MAX_MATRIX_SIZE}")
-    u = chain.potential(y) if nrows >= 3 else None
-    cols = []
-    for j, (f, f1) in enumerate(chain.funcs):
-        eps = chain.eps[j] if chain.kind == KIND_STANDARD else chain.eps[0]
-        lower = cols[-1][0] if chain.kind == KIND_CONFLUENT and j > 0 else None
-        cols.append(_column(f(y), f1(y), eps, u, nrows, lower=lower))
-    if include is not None:
-        cols.append(_column(include.f(y), include.f1(y), include.eps, u, nrows))
-    return cols
+    n = len(members)
+    if n > 2:
+        raise CapabilityError(f"Wronskians are supported for chains of order 0 to 2, not {n}")
+    scale = 1.0
+    for v, g in members:
+        norm = np.maximum(abs(v), abs(g))
+        scale = scale * np.where(norm > 0, norm, 1.0)
+    if n == 0:
+        return 1.0, 0.0, 0.0, scale
+    if n == 1:
+        (w, wp), = members
+        return w, wp, (u - chain.eps[0]) * w, scale
+    (v1, g1), (v2, g2) = members
+    if chain.kind == KIND_STANDARD:
+        de = chain.eps[0] - chain.eps[1]
+        wp, wpp = de * v1 * v2, de * (g1 * v2 + v1 * g2)
+    else:
+        wp, wpp = -v1 * v1, -2.0 * v1 * g1
+    return v1 * g2 - g1 * v2, wp, wpp, scale
 
 
 def _minor(cols: list, r1: int, r2: int, c1: int, c2: int):
@@ -148,16 +154,7 @@ def _expand(cols: list, pivot: int):
 
 
 def _det(cols: list):
-    """Determinant of the matrix with the given columns (size 1 to 3).
-
-    The 3 x 3 case expands along the column of largest absolute sum,
-    chosen per point.
-    """
-    n = len(cols)
-    if n == 1:
-        return cols[0][0]
-    if n == 2:
-        return _minor(cols, 0, 1, 0, 1)
+    """3 x 3 determinant, expanded along the column of largest absolute sum per point."""
     sums = [(abs(c[0]) + abs(c[1])) + abs(c[2]) for c in cols]
     pivot = np.argmax(np.stack(sums), axis=0)
     if pivot.ndim == 0:
@@ -165,85 +162,56 @@ def _det(cols: list):
     return np.choose(pivot, [_expand(cols, p) for p in range(3)])
 
 
-def _scale(cols: list):
-    """Product over columns of their largest magnitude (1 for a zero column)."""
-    scale = 1.0
-    for col in cols:
-        norm = abs(col[0])
-        for entry in col[1:]:
-            norm = np.maximum(norm, abs(entry))
-        scale = scale * np.where(norm > 0, norm, 1.0)
-    return scale
-
-
-def _below_floor(w, floor, y) -> None:
-    low = abs(w) < floor
+def _below_floor(w, scale, y) -> None:
+    """SingularityError where |W| < DEFAULT_W_FLOOR * scale, naming the first such y."""
+    low = abs(w) < DEFAULT_W_FLOOR * scale
     if np.any(low):
         at = float(np.broadcast_to(y, np.shape(low))[low][0])
         raise SingularityError(f"Wronskian below floor at y={at}")
 
 
-def wronskian(chain: DarbouxChain, y, include: Optional[OdeSolution] = None):
-    """Wronskian of the chain functions (optionally with an extra solution)."""
-    if chain.order == 0 and include is None:
-        return 1.0
-    return _det(_columns(chain, y, include))
-
-
-def _abel(chain: DarbouxChain, y, u):
-    """(W, W', W'', floor scale) of a chain of order 1 or 2 at y, where U(y) = u.
-
-    Order 1: W' = u1', W'' = (U - eps1) u1.  Order 2: W' = (eps1 - eps2)
-    u1 u2 and W'' = (eps1 - eps2)(u1' u2 + u1 u2') (standard), W' = -u1^2
-    and W'' = -2 u1 u1' (confluent).  The scale is the product over
-    members of max(|u|, |u'|, 1).
-    """
-    n = chain.order
-    if n == 1:
-        f, d = chain.funcs[0]
-        w, wp = f(y), d(y)
-        return w, wp, (u - chain.eps[0]) * w, np.maximum(np.maximum(abs(w), abs(wp)), 1.0)
-    if n != 2:
-        raise CapabilityError(f"W' and W'' are supported for chains of order 1 and 2, not {n}")
-    (f1, d1), (f2, d2) = chain.funcs
-    v1, v2, g1, g2 = f1(y), f2(y), d1(y), d2(y)
-    if chain.kind == KIND_STANDARD:
-        de = chain.eps[0] - chain.eps[1]
-        wp, wpp = de * v1 * v2, de * (g1 * v2 + v1 * g2)
-    else:
-        wp, wpp = -v1 * v1, -2.0 * v1 * g1
-    scale = (np.maximum(np.maximum(abs(v1), abs(g1)), 1.0)
-             * np.maximum(np.maximum(abs(v2), abs(g2)), 1.0))
-    return v1 * g2 - g1 * v2, wp, wpp, scale
+def wronskian(chain: DarbouxChain, y):
+    """Wronskian of the chain functions (chains of order 0 to 2)."""
+    return _wronskian(chain, *_read(chain, y))[0]
 
 
 def wronskian_first_derivative(chain: DarbouxChain, y):
-    """W'(y) from the Abel reduction (chains of order 1 and 2)."""
-    return _abel(chain, y, chain.potential(y))[1]
+    """W'(y) from Abel's identity (chains of order 0 to 2)."""
+    return _wronskian(chain, *_read(chain, y))[1]
 
 
 def transformed_potential(chain: DarbouxChain, y):
-    """U-hat(y) = U(y) - 2 (log W)'', with W' and W'' from ``_abel``."""
-    u = chain.potential(y)
-    if chain.order == 0:
-        return u
-    w, wp, wpp, scale = _abel(chain, y, u)
-    _below_floor(w, DEFAULT_W_FLOOR * scale, y)
+    """U-hat(y) = U(y) - 2 (log W)'', with W, W' and W'' from ``_wronskian``."""
+    u, members = _read(chain, y)
+    w, wp, wpp, scale = _wronskian(chain, u, members)
+    _below_floor(w, scale, y)
     with np.errstate(all="ignore"):     # overflow stays inf/NaN, reported downstream
         return u - 2.0 * (wpp * w - wp * wp) / (w * w)
 
 
 def transformed_solution(chain: DarbouxChain, phi: OdeSolution, y):
-    """Phi-hat(y) = W(u_1..u_n, Phi) / W(u_1..u_n).
+    """Phi-hat(y) = W(u_1..u_n, Phi) / W(u_1..u_n), under the floor of U-hat.
 
-    The chain functions are evaluated once: the denominator matrix is
-    the leading block of the numerator matrix.
+    The order-2 numerator is the 3 x 3 determinant of the columns (u,
+    u', u''), with u'' reduced through the chain equation: (U - eps_j)
+    u_j, minus u_{j-1} for a confluent u_2.
     """
-    cols = _columns(chain, y, phi)
-    block = [col[:chain.order] for col in cols[:-1]]
-    den = _det(block) if block else 1.0
-    _below_floor(den, DEFAULT_W_FLOOR * _scale(block), y)
-    return _det(cols) / den
+    u, members = _read(chain, y)
+    v, g = phi.f(y), phi.f1(y)
+    w, _, _, scale = _wronskian(chain, u, members)
+    _below_floor(w, scale, y)
+    if chain.order == 0:
+        return v / w
+    if chain.order == 1:
+        (v1, g1), = members
+        return (v1 * g - v * g1) / w
+    (v1, g1), (v2, g2) = members
+    e1, e2 = chain.eps if chain.kind == KIND_STANDARD else chain.eps * 2
+    d2 = (u - e2) * v2
+    if chain.kind == KIND_CONFLUENT:
+        d2 = d2 - v1
+    cols = [[v1, g1, (u - e1) * v1], [v2, g2, d2], [v, g, (u - phi.eps) * v]]
+    return _det(cols) / w
 
 
 def transform(chain: DarbouxChain, phi: OdeSolution, grid) -> DarbouxOutput:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ContractError, DomainError
 from .libm import power
-from .numerics import QuadratureResult, derivative, integrate_real_line
+from .numerics import QuadratureResult, integrate_real_line
 
 @dataclass(frozen=True)
 class DunklParams:
@@ -72,7 +72,11 @@ class EnergyPotential:
 
 @dataclass(frozen=True)
 class ParityFunction:
-    """Function with definite parity; first derivative required, second optional."""
+    """Function with definite parity; first derivative required, second optional.
+
+    ``dunkl_residual`` needs the second derivative f2; the density and the
+    parity check read only f.
+    """
 
     f: Callable[[float], float]
     f1: Callable[[float], float]
@@ -82,11 +86,6 @@ class ParityFunction:
     def __post_init__(self):
         if self.parity not in (-1, 1):
             raise DomainError("ParityFunction: parity must be +-1")
-
-    def second_derivative(self, x: float) -> float:
-        if self.f2 is not None:
-            return self.f2(x)
-        return derivative(self.f1, x, 1)
 
 
 @dataclass(frozen=True)
@@ -123,13 +122,15 @@ def dunkl_residual(system: DunklSystem, psi: ParityFunction, E: float, x,
         raise DomainError("dunkl_residual: x = 0 is outside the domain")
     if psi.parity != system.params.delta:
         raise ContractError("dunkl_residual: solution parity must match delta")
+    if psi.f2 is None:
+        raise ContractError("dunkl_residual: psi needs its second derivative f2")
     nu, delta, mu = system.params.nu, system.params.delta, system.params.mu
     m = system.mass.m(x)
     m1 = system.mass.m1(x)
     if np.any(m == 0):
         raise DomainError("dunkl_residual: mass vanishes at evaluation point")
     with np.errstate(all="ignore"):
-        kin = psi.second_derivative(x) / (2 * m)
+        kin = psi.f2(x) / (2 * m)
         m_sq = power(m, 2)
         x_sq = power(x, 2)
         coeff1 = (-m1 / (2 * m_sq) + nu / (m * x) - nu * delta / (2 * m * x)

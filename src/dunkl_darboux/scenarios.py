@@ -2,7 +2,7 @@
 
 Three named scenarios are exposed:
 
-* ``gaussian-mass``      — Gaussian mass profile m = p e^{-q x^2} with an
+* ``gaussian-mass``      — Gaussian mass profile m = e^{-x^2} with an
   energy-dependent potential, mapped to standard form by x = sqrt(y);
   bound states in terms of the Kummer function.
 * ``harmonic-energy``    — constant mass 1/2 with V = x^2/E, mapped by
@@ -124,30 +124,25 @@ def _decaying_state(s: float, scale: float, decay: float, u, up, upp,
 
 @dataclass(frozen=True)
 class ScenarioGaussianMass:
-    """Gaussian mass profile with its energy-dependent companion potential."""
+    """Gaussian mass profile m = e^{-x^2} with its energy-dependent companion potential."""
 
-    p: float = 1.0
-    q: float = 1.0
     default_rule = "ene0"
 
     def mass(self) -> MassProfile:
-        p, q = self.p, self.q
-
         def m(x):
-            return p * exp(-q * x * x)
+            return exp(-x * x)
 
         return MassProfile(
             m=m,
-            m1=lambda x: -2 * q * x * m(x),
-            m2=lambda x: (4 * q * q * x * x - 2 * q) * m(x),
+            m1=lambda x: -2 * x * m(x),
+            m2=lambda x: (4 * x * x - 2) * m(x),
             parity=1,
         )
 
     def potential(self) -> EnergyPotential:
-        p, q = self.p, self.q
         return EnergyPotential(
-            v=lambda E, x: E - 2 * p * E * exp(q * x * x) - 0.5 * p * exp(q * x * x),
-            dv_dE=lambda E, x: 1.0 - 2 * p * exp(q * x * x),
+            v=lambda E, x: E - 2 * E * exp(x * x) - 0.5 * exp(x * x),
+            dv_dE=lambda E, x: 1.0 - 2 * exp(x * x),
         )
 
     def coord(self) -> CoordinateChange:
@@ -433,31 +428,6 @@ def _laguerre_rows(*rows):
     return [lambda z, i=i: grid(i, z) for i in range(len(rows))]
 
 
-def _laguerre(degree: float, alpha: float):
-    """z -> L_degree^alpha(z), a factor of its own."""
-    return _laguerre_rows((degree, alpha))[0]
-
-
-def _laguerre_pair(degree: float, alpha: float):
-    """L and L' in the argument, via dL_d^a/dz = -L_{d-1}^{a+1}, evaluated together."""
-    lag, lower = _laguerre_rows((degree, alpha), (degree - 1, alpha + 1))
-
-    def up(z):
-        return -lower(z)
-
-    return lag, up
-
-
-def _laguerre_trio(degree: float, alpha: float):
-    """L, L', L'' in the argument, each evaluated only where it is read."""
-    lower = _laguerre(degree - 1, alpha + 1)
-
-    def up(z):
-        return -lower(z)
-
-    return _laguerre(degree, alpha), up, _laguerre(degree - 2, alpha + 2)
-
-
 def _mapped_degree(E: float, r: float) -> float:
     """-1/2 + E^{3/2}/4 - r/4, the Laguerre degree of the mapped family with index r."""
     try:
@@ -479,7 +449,14 @@ def harmonic_initial_solution_function(params: DunklParams, E: float) -> ParityF
         raise DomainError("harmonic_initial_solution: E must be positive")
     r = discriminant_root(params)
     beta = 1.0 / math.sqrt(E)
-    u, up, upp = _laguerre_trio(_mapped_degree(E, r), 0.5 * r)
+    degree, alpha = _mapped_degree(E, r), 0.5 * r
+    # L, -L' = L_{d-1}^{a+1} and L'' = L_{d-2}^{a+2}, a factor each, so
+    # each is evaluated only where it is read (density reads only psi)
+    u, lower, upp = (_laguerre_rows((degree - k, alpha + k))[0] for k in range(3))
+
+    def up(z):
+        return -lower(z)
+
     return _decaying_state(monomial_exponent(params), beta, beta, u, up, upp,
                            params.delta)
 
@@ -539,15 +516,16 @@ def _standard_chain_functions(E: float):
     transformed state is pure rounding noise that any change would move.
     """
     beta = 1.0 / math.sqrt(E)
-    u, up = _laguerre_pair(_mapped_degree(E, 0.0), 0.0)
+    degree = _mapped_degree(E, 0.0)
+    lag, lower = _laguerre_rows((degree, 0.0), (degree - 1, 1.0))     # L, -L'
 
     def u1(y):
         z = beta * exp(2 * y)
-        return exp(-0.5 * z) * u(z)
+        return exp(-0.5 * z) * lag(z)
 
     def u1p(y):
         z = beta * exp(2 * y)
-        return exp(-0.5 * z) * z * (2 * up(z) - u(z))
+        return exp(-0.5 * z) * z * (2 * (-lower(z)) - lag(z))
 
     return (u1, u1p), _mapped_family(E, 2.0)[0]
 

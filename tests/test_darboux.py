@@ -66,14 +66,20 @@ def test_wronskian_order2_against_sampled_determinant():
         assert wronskian(chain, y) == pytest.approx(want, rel=1e-13)
 
 
+def _hermite_phi():
+    # the eps = 5 eigenfunction (2 y^2 - 1) e^{-y^2/2}
+    return OdeSolution(f=lambda y: math.exp(-0.5 * y * y) * (2 * y * y - 1),
+                       f1=lambda y: math.exp(-0.5 * y * y) * (5 * y - 2 * y**3),
+                       eps=5.0)
+
+
 def test_wronskian_order3_reduced_rows_against_stencil():
-    # third row built via the ODE must match direct differentiation
+    # Phi-hat W = W(u1, u2, Phi): its third row, built via the ODE, must
+    # match direct differentiation
     chain = _hermite_chain()
-    phi = OdeSolution(f=lambda y: math.exp(-0.5 * y * y) * (2 * y * y - 1),
-                      f1=lambda y: math.exp(-0.5 * y * y) * (5 * y - 2 * y**3),
-                      eps=5.0)
+    phi = _hermite_phi()
     for y in (-0.4, 0.5):
-        got = wronskian(chain, y, include=phi)
+        got = transformed_solution(chain, phi, y) * wronskian(chain, y)
         # direct determinant from stencil second derivatives
         rows = []
         funcs = [chain.funcs[0], chain.funcs[1], (phi.f, phi.f1)]
@@ -246,9 +252,27 @@ def test_matrix_size_cap():
                        funcs=chain.funcs + (f, f),
                        eps=(-1.0, -3.0, -5.0, -7.0),
                        background=chain.background, energy=0.0)
-    phi = OdeSolution(f=lambda y: 1.0, f1=lambda y: 0.0, eps=0.0)
     with pytest.raises(CapabilityError):
-        wronskian(big, 0.0, include=phi)
+        wronskian(big, 0.0)
+
+
+def test_floor_moves_with_rescaled_members():
+    # U-hat and Phi-hat do not change when a member is rescaled, and
+    # neither does their common floor: with both members of the Hermite
+    # chain scaled by 1e-8, W is about 1e-16 and both stay finite
+    chain = _hermite_chain()
+    scaled = DarbouxChain(kind="standard",
+                          funcs=tuple((lambda y, f=f: 1e-8 * f(y), lambda y, d=d: 1e-8 * d(y))
+                                      for f, d in chain.funcs),
+                          eps=chain.eps, background=chain.background, energy=0.0)
+    phi = _hermite_phi()
+    y = 0.3
+    assert abs(wronskian(scaled, y)) < 1e-12
+    u_hat = transformed_potential(scaled, y)
+    phi_hat = transformed_solution(scaled, phi, y)
+    assert math.isfinite(u_hat) and math.isfinite(phi_hat)
+    assert u_hat == pytest.approx(transformed_potential(chain, y), rel=1e-12)
+    assert phi_hat == pytest.approx(transformed_solution(chain, phi, y), rel=1e-12)
 
 
 def test_wronskian_floor_guard():

@@ -133,6 +133,29 @@ def test_residual_contracts():
         dunkl_residual(system, odd, 1.0, 0.0)
 
 
+def test_residual_refuses_psi_without_f2():
+    # the residual needs f2; without it, nothing is evaluated
+    calls = []
+
+    def record(name, value):
+        def fn(x):
+            calls.append(name)
+            return value
+        return fn
+
+    system = DunklSystem(
+        params=DunklParams(nu=0.5, delta=-1, mu=1),
+        mass=MassProfile(m=record("m", 1.0), m1=record("m1", 0.0),
+                         m2=record("m2", 0.0), parity=1),
+        potential=EnergyPotential(v=lambda e, x: 0.0, dv_dE=lambda e, x: 0.0))
+    psi = ParityFunction(f=record("f", 0.5), f1=record("f1", 1.0), parity=-1)
+    with pytest.raises(ContractError, match="second derivative f2"):
+        dunkl_residual(system, psi, 1.0, 0.5)
+    with pytest.raises(ContractError, match="second derivative f2"):
+        dunkl_residual(system, psi, 1.0, np.linspace(0.1, 2.0, 5), relative=True)
+    assert calls == []
+
+
 def test_system_mass_parity_contract():
     with pytest.raises(ContractError):
         DunklSystem(

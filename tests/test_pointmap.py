@@ -43,9 +43,9 @@ def test_prefactor_exponent():
 
 
 def test_induced_potential_spot_value():
-    # gaussian-mass settings p=q=1, nu=1/2, delta=-1, E=3/4, y=2: the
+    # gaussian-mass (m = e^{-x^2}), nu=1/2, delta=-1, E=3/4, y=2: the
     # induced potential collapses to E + 1/4 - (E + 1/4)/2 = 0.5
-    scenario = ScenarioGaussianMass(p=1.0, q=1.0)
+    scenario = ScenarioGaussianMass()
     params = DunklParams(nu=0.5, delta=-1, mu=1)
     got = induced_potential(scenario.coord(), scenario.mass(),
                             scenario.potential(), params, 0.75, 2.0)

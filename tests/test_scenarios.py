@@ -428,7 +428,8 @@ def test_grouped_members_equal_single_members(E):
 
 def test_laguerre_pair_evaluates_both_rows_in_one_call(monkeypatch):
     calls = _count_grid_calls(monkeypatch)
-    lag, up = scenarios._laguerre_pair(1.7, 0.5)
+    lag, lower = scenarios._laguerre_rows((1.7, 0.5), (0.7, 1.5))
+    up = lambda z: -lower(z)                # dL_d^a/dz = -L_{d-1}^{a+1}
     z = np.linspace(0.0, 3.0, 9)
     values, slopes = lag(z), up(z)
     assert calls == [((1.7, 0.7), (0.5, 1.5))]
@@ -449,7 +450,8 @@ def test_laguerre_pair_raises_each_row_error_when_read(monkeypatch, first):
     # partner L_600^1 is not: reading either row must behave as if the
     # rows were separate factors, in either order
     calls = _count_grid_calls(monkeypatch)
-    lag, up = scenarios._laguerre_pair(601.0, 0.0)
+    lag, lower = scenarios._laguerre_rows((601.0, 0.0), (600.0, 1.0))
+    up = lambda z: -lower(z)
     z = np.array([0.1, 0.2])
     want = [-assoc_laguerre(600.0, 1.0, v).value for v in z]
     if first == "up":
@@ -485,7 +487,7 @@ def test_relative_residual_evaluates_each_factor_once(monkeypatch, scenario):
 
 
 @pytest.mark.parametrize("make, scalar", [
-    (lambda: scenarios._laguerre(0.7, 0.5), lambda z: assoc_laguerre(0.7, 0.5, z).value),
+    (lambda: scenarios._laguerre_rows((0.7, 0.5))[0], lambda z: assoc_laguerre(0.7, 0.5, z).value),
     (lambda: scenarios._kummer(-0.3, 1.5), lambda z: kummer_m(-0.3, 1.5, z).value),
 ])
 def test_factor_memo_keys_on_grid_bytes(monkeypatch, make, scalar):
@@ -510,7 +512,7 @@ def test_factor_memo_keys_on_grid_bytes(monkeypatch, make, scalar):
     assert factor(0.0) == scalar(0.0) and len(calls) == 6
 
 
-@pytest.mark.parametrize("make", [lambda: scenarios._laguerre_pair(1.7, 0.5)[0],
+@pytest.mark.parametrize("make", [lambda: scenarios._laguerre_rows((1.7, 0.5), (0.7, 1.5))[0],
                                   lambda: scenarios._kummer(-0.3, 1.5)])
 def test_factor_memo_is_freed_with_its_closure(make):
     # refcounting alone must free a closure's memo: one kept in a

@@ -6,11 +6,11 @@ chains of order 1 and 2, and one routine (``_wronskian``) gives W, W'
 and W'' of a chain of order 0 to 2 from its members' closed-form
 (u, u') pairs: W' and W'' come from Abel's identity, and higher orders
 raise ``CapabilityError``.  The same routine gives the floor scale
-that U-hat and Phi-hat both apply, |W| < 1e-12 times the product over
-members of max(|u_j|, |u_j'|), which a rescaled member moves with W.
-The one matrix left is the 3 x 3 numerator of the order-2 Phi-hat,
-whose third row is reduced through the chain equation and which is
-expanded by an explicit cofactor formula.  ``chain_residuals`` is the
+that U-hat, Phi-hat and ``transform`` all apply, |W| < 1e-12 times the
+product over members of max(|u_j|, |u_j'|), which a rescaled member
+moves with W.  The one matrix left is the 3 x 3 numerator of the
+order-2 Phi-hat, whose third row is reduced through the chain equation
+and which is expanded by an explicit cofactor formula.  ``chain_residuals`` is the
 one residual routine of standard-form equations, and ``validate_chain``
 the one refusal on it.  The chains themselves are built in
 ``scenarios``, where their family lives.
@@ -20,7 +20,10 @@ and ``transformed_solution`` take a float or an ndarray of points y and
 pass it unchanged to the chain functions, so a float gives a float and
 an ndarray is evaluated elementwise, equal to the per-point calls bit
 for bit.  ``chain_residuals`` evaluates the chain functions on the
-whole grid it is given, so they must accept arrays there.
+whole grid it is given, so they must accept arrays there.  The routines
+that read several chain closures at the same points do so in one
+``libm.memo_scope``, so members that share special-function rows
+evaluate them once per grid.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import numpy as np
 
 from .errors import (CapabilityError, ConstructionError, DomainError,
                      SingularityError)
+from .libm import memo_scope
 from .numerics import derivative
 from .pointmap import SchrodingerForm
 
@@ -96,8 +100,9 @@ class DarbouxOutput:
 
 
 def _read(chain: DarbouxChain, y):
-    """U(y), then [(u_j(y), u_j'(y)), ...] of the members in chain order."""
-    return chain.potential(y), [(f(y), d(y)) for f, d in chain.funcs]
+    """U(y), then [(u_j(y), u_j'(y)), ...] of the members in chain order, in one memo scope."""
+    with memo_scope():
+        return chain.potential(y), [(f(y), d(y)) for f, d in chain.funcs]
 
 
 def _wronskian(chain: DarbouxChain, u, members: list):
@@ -196,8 +201,9 @@ def transformed_solution(chain: DarbouxChain, phi: OdeSolution, y):
     u', u''), with u'' reduced through the chain equation: (U - eps_j)
     u_j, minus u_{j-1} for a confluent u_2.
     """
-    u, members = _read(chain, y)
-    v, g = phi.f(y), phi.f1(y)
+    with memo_scope():
+        u, members = _read(chain, y)
+        v, g = phi.f(y), phi.f1(y)
     w, _, _, scale = _wronskian(chain, u, members)
     _below_floor(w, scale, y)
     if chain.order == 0:
@@ -215,9 +221,11 @@ def transformed_solution(chain: DarbouxChain, phi: OdeSolution, y):
 
 
 def transform(chain: DarbouxChain, phi: OdeSolution, grid) -> DarbouxOutput:
-    """Bundle the transformation as callables and record the Wronskian floor."""
+    """The transformation as callables, with min |W| on a grid that passes U-hat's floor."""
     grid = np.asarray(grid, dtype=float)
-    floor = float(np.min(abs(wronskian(chain, grid))))
+    w, _, _, scale = _wronskian(chain, *_read(chain, grid))
+    _below_floor(w, scale, grid)
+    floor = float(np.min(abs(w)))
     if floor <= 0:
         raise SingularityError("Wronskian vanishes on the requested domain")
     return DarbouxOutput(
@@ -230,8 +238,9 @@ def transform(chain: DarbouxChain, phi: OdeSolution, grid) -> DarbouxOutput:
 def intertwining_residual(chain: DarbouxChain, output: DarbouxOutput,
                           e_eff: float, y: float) -> float:
     """Residual of the transformed equation at y (stencil second derivative, step 1e-3)."""
-    phh = derivative(output.phi_hat, y, 2, 1e-3)
-    return phh + (e_eff - output.u_hat(y)) * output.phi_hat(y)
+    with memo_scope():
+        phh = derivative(output.phi_hat, y, 2, 1e-3)
+        return phh + (e_eff - output.u_hat(y)) * output.phi_hat(y)
 
 
 def chain_residuals(chain: DarbouxChain, grid, h: Optional[float] = 5e-4) -> np.ndarray:
@@ -244,14 +253,13 @@ def chain_residuals(chain: DarbouxChain, grid, h: Optional[float] = 5e-4) -> np.
     whole grid at once.
     """
     grid = np.asarray(grid, dtype=float)
-    u = chain.potential(grid)
-    # Every member is read on the grid before any stencil samples its
-    # derivative off the grid, so memoised factors are not evaluated twice.
-    values = [f(grid) for f, _ in chain.funcs]
+    with memo_scope():      # members that share factors read them once per grid
+        u = chain.potential(grid)
+        values = [f(grid) for f, _ in chain.funcs]
+        seconds = [derivative(d, grid, 1, h) for _, d in chain.funcs]
     out = np.zeros(len(chain.funcs))
-    for j, (_, d) in enumerate(chain.funcs):
+    for j, second in enumerate(seconds):
         eps = chain.eps[j] if chain.kind == KIND_STANDARD else chain.eps[0]
-        second = derivative(d, grid, 1, h)
         with np.errstate(all="ignore"):     # inf - inf and inf / inf are NaN: the check fails
             term = (eps - u) * values[j]
             res = second + term

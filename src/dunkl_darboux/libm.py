@@ -12,22 +12,25 @@ Where the scalar routine fails (a result that overflows, the log of a
 nonpositive number, zero to a negative power), the helper raises a
 ``DomainError`` that names the function and the first failing argument.
 
-While a ``memo_scope()`` is open (``cli.run`` opens one around each
-command), the ndarray path evaluates each (function, extra arguments,
-input) once: the key is the function's name, its extra arguments and a
-copy of the input's dtype, shape and exact bytes, the rule of
-``scenarios._last_grid``, so -0.0 is not 0.0 and an array changed in
-place is evaluated afresh.  A hit returns the stored result itself, so
-results are stored read-only; an evaluation that raises stores nothing,
-and a float never reaches the memo.  The memo is one dict per scope, in
-a ``ContextVar``, and is dropped when the scope closes, so nothing
-outlives the command.  Outside a scope every call evaluates afresh and
-returns a new, writeable array.
+While a ``memo_scope()`` is open, ``memoised(key, x, evaluate, *args)``
+returns evaluate(*args) once per (key, input): the input's key is a copy
+of x's dtype, shape and exact bytes, so -0.0 is not 0.0 and an array
+changed in place is evaluated afresh.  The ndarray path of exp, log and
+power goes through it keyed by (function name, extra arguments), and
+``scenarios`` stores its special-function row groups in it, so one
+memo serves every repeated evaluation.  A hit returns the stored result
+itself, so results are stored read-only; an evaluation that raises
+stores nothing, and a float never reaches the memo.  The memo is one
+dict per scope, in a ``ContextVar``.  A scope opened inside an open one
+joins it, and the outermost exit drops the dict, so nothing outlives
+the outermost scope: ``cli.run`` opens one per command, and the library
+entry points that read several closures at the same points open their
+own.  Outside a scope every call evaluates afresh and returns a new,
+writeable array.
 """
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
 import itertools
 import math
@@ -63,28 +66,41 @@ def _per_element(name, fn, x, *args):
 _MEMO = contextvars.ContextVar("libm_memo", default=None)
 
 
-@contextlib.contextmanager
-def memo_scope():
-    """Evaluate each ndarray (function, arguments, input) once within the block."""
-    token = _MEMO.set({})
-    try:
-        yield
-    finally:
-        _MEMO.reset(token)
+class memo_scope:
+    """Evaluate each ``memoised`` (key, input) once within the block.
+
+    Inside an open scope it joins that scope; only the outermost exit
+    drops the memo.  A plain class: a generator context manager costs
+    several times more per entry, and library calls enter one per read.
+    """
+
+    __slots__ = ("_token",)
+
+    def __enter__(self):
+        self._token = _MEMO.set({}) if _MEMO.get() is None else None
+
+    def __exit__(self, *exc):
+        if self._token is not None:
+            _MEMO.reset(self._token)
+
+
+def memoised(key, x, evaluate, *args):
+    """evaluate(*args), looked up first in the open memo under key and the ndarray x."""
+    memo = _MEMO.get()
+    if memo is None:
+        return evaluate(*args)
+    full = (key, x.dtype.str, x.shape, x.tobytes())
+    values = memo.get(full)
+    if values is None:
+        values = evaluate(*args)
+        values.flags.writeable = False
+        memo[full] = values
+    return values
 
 
 def _on_array(name, fn, x, *args):
-    """_per_element(name, fn, x, *args), looked up first in the open memo."""
-    memo = _MEMO.get()
-    if memo is None:
-        return _per_element(name, fn, x, *args)
-    key = (name, args, x.dtype.str, x.shape, x.tobytes())
-    values = memo.get(key)
-    if values is None:
-        values = _per_element(name, fn, x, *args)
-        values.flags.writeable = False
-        memo[key] = values
-    return values
+    """_per_element(name, fn, x, *args) through ``memoised``."""
+    return memoised((name, args), x, _per_element, name, fn, x, *args)
 
 
 # Each helper tests for an ndarray itself, so a float costs one call.

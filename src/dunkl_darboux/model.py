@@ -30,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ContractError, DomainError
-from .libm import power
+from .libm import memo_scope, power
 from .numerics import QuadratureResult, integrate_real_line
 
 @dataclass(frozen=True)
@@ -129,7 +129,7 @@ def dunkl_residual(system: DunklSystem, psi: ParityFunction, E: float, x,
     m1 = system.mass.m1(x)
     if np.any(m == 0):
         raise DomainError("dunkl_residual: mass vanishes at evaluation point")
-    with np.errstate(all="ignore"):
+    with memo_scope(), np.errstate(all="ignore"):     # f, f1 and f2 share their factors
         kin = psi.f2(x) / (2 * m)
         m_sq = power(m, 2)
         x_sq = power(x, 2)

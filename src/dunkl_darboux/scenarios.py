@@ -17,9 +17,11 @@ parameter sweeps stay consistent.  Each family of closed forms is
 written once, with analytic derivatives from the contiguous-derivative
 identities of the Kummer and Laguerre functions: ``_decaying_state``
 for the x-space bound states, ``_mapped_family`` for the mapped-coordinate
-solutions.  Their factors go through ``_last_grid``, which evaluates a
-float as a one-point grid and remembers the last grid's values.  The
-Darboux chains are built here too, on members of ``_mapped_family``.
+solutions.  Their Kummer and Laguerre factors are row groups
+(``_row_group``) that evaluate a float as a one-point grid and are
+stored in ``libm``'s memo, so within a memo scope each group is
+evaluated once per grid.  The Darboux chains are built here too, on
+members of ``_mapped_family``.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .darboux import (DarbouxChain, KIND_CONFLUENT, KIND_STANDARD, OdeSolution,
                       transformed_potential, transformed_solution, validate_chain)
 from .errors import (ConstructionError, ContractError, DomainError, DunklDarbouxError,
                      SingularityError)
-from .libm import exp, log, power
+from .libm import exp, log, memoised, memo_scope, power
 from .model import (DunklParams, DunklSystem, EnergyPotential, MassProfile,
                     ParityFunction)
 from .numerics import (DEFAULT_PARAM_STEP_SCALE, PARAM_STENCIL_OFFSETS,
@@ -326,8 +328,8 @@ class ScenarioHarmonicEnergy:
 class ScenarioHarmonicEnergyPdm:
     """m = x^2/2 realization of the same mapped potential.
 
-    It has no closed-form psi of its own: it is checked against the
-    constant-mass route.
+    It has no closed-form psi of its own, and so no ``system``: it is
+    checked against the constant-mass route.
     """
 
     default_rule = "ene1"
@@ -346,9 +348,6 @@ class ScenarioHarmonicEnergyPdm:
     def coord(self) -> CoordinateChange:
         return exp_map()
 
-    def system(self, params: DunklParams) -> DunklSystem:
-        return DunklSystem(params=params, mass=self.mass(), potential=self.potential())
-
 
 def pdm_equivalence_nu(nu_bar: float, delta_bar: int, delta: int) -> float:
     """Deformation parameter making the PDM route match the constant-mass one.
@@ -359,73 +358,51 @@ def pdm_equivalence_nu(nu_bar: float, delta_bar: int, delta: int) -> float:
     return 1.5 * delta + 0.5 * math.sqrt(radicand)
 
 
-def _last_grid(evaluate, count: int = 1):
-    """(i, z) -> row i of evaluate(rows, z), reusing the last grid's rows.
+def _row_group(kernel, rows) -> list:
+    """One closure z -> row i of kernel(rows, z) per row, the group read through ``memoised``.
 
-    evaluate(rows, z) returns the values of the listed rows on the
-    ndarray z, one row each.  A float z is the one-point grid [z], and
-    its row entry comes back as a float.  A new grid gets all ``count``
-    rows in one call.  If that call raises a package error, only the
-    requested row is evaluated, so each row raises its own error when it
-    is read, as separate calls would.  The key is a copy of the grid's
-    dtype, shape and exact bytes (so -0.0 is not 0.0, and a grid changed
-    in place is evaluated afresh); a grid that fails a guard is never
-    stored.  Hits share one array, so it is made read-only.
+    kernel(rows, z) gives the listed rows on the ndarray z; a float z is
+    the one-point grid [z] and gets a float back.  The key is (kernel,
+    rows), so within a memo scope every closure over the same rows
+    shares one kernel call per grid; rows belong together only when
+    every caller reads all of them on each grid.  If the group call
+    raises a package error, the row being read is evaluated alone, as
+    the one-row group, so each row raises its own error when read.
     """
-    last_key, last_rows = None, [None] * count
-
-    def on_grid(i, z):
-        nonlocal last_key, last_rows
-        key = (z.dtype.str, z.shape, z.tobytes())
-        fresh = key != last_key
-        if not fresh and last_rows[i] is not None:
-            return last_rows[i]
-        wanted = range(count) if fresh else (i,)
+    def read(i, z):
+        grid = z if isinstance(z, np.ndarray) else np.array([z], dtype=float)
         try:
-            values = evaluate(wanted, z)
+            values = memoised((kernel, rows), grid, kernel, rows, grid)
         except DunklDarbouxError:
-            if len(wanted) == 1:
+            if len(rows) == 1:
                 raise
-            wanted = (i,)
-            values = evaluate(wanted, z)
-        values.flags.writeable = False
-        if fresh:
-            last_key, last_rows = key, [None] * count
-        for j, row in zip(wanted, values):
-            last_rows[j] = row
-        return last_rows[i]
+            alone = rows[i:i + 1]
+            values, i = memoised((kernel, alone), grid, kernel, alone, grid), 0
+        return values[i] if grid is z else float(values[i][0])
 
-    # Not recursive: a closure that calls itself is a reference cycle,
-    # which would keep every memo alive until the cyclic collector runs.
-    def get(i, z):
-        if isinstance(z, np.ndarray):
-            return on_grid(i, z)
-        return float(on_grid(i, np.array([z], dtype=float))[0])
+    return [lambda z, i=i: read(i, z) for i in range(len(rows))]
 
-    return get
+
+def _kummer_values(rows, z):
+    """M(a; b; z) as a one-row group, rows = ((a, b),)."""
+    (a, b), = rows
+    return kummer_m_grid(a, b, z).values[None]
+
+
+def _laguerre_values(rows, z):
+    """L_degree^alpha(z) per (degree, alpha) row, in one kernel call."""
+    degrees, alphas = zip(*rows)
+    return assoc_laguerre_grid(degrees, alphas, z).values
 
 
 def _kummer(a: float, b: float):
-    """z -> M(a; b; z) for a float or an ndarray z, memoised by ``_last_grid``."""
-    grid = _last_grid(lambda rows, z: kummer_m_grid(a, b, z).values[None])
-    return lambda z: grid(0, z)
+    """z -> M(a; b; z) for a float or an ndarray z, one ``_row_group`` row."""
+    return _row_group(_kummer_values, ((a, b),))[0]
 
 
 def _laguerre_rows(*rows):
-    """One closure z -> L_degree^alpha(z) per (degree, alpha) row.
-
-    The first closure called on a grid (a float z is a one-point grid)
-    evaluates every row in one ``assoc_laguerre_grid`` call, and the
-    others then reuse it on the same grid (see ``_last_grid``), so rows
-    belong together only when every caller reads all of them on each
-    grid.
-    """
-    def evaluate(wanted, z):
-        return assoc_laguerre_grid(tuple(rows[j][0] for j in wanted),
-                                   tuple(rows[j][1] for j in wanted), z).values
-
-    grid = _last_grid(evaluate, len(rows))
-    return [lambda z, i=i: grid(i, z) for i in range(len(rows))]
+    """One closure z -> L_degree^alpha(z) per (degree, alpha) row, one ``_row_group``."""
+    return _row_group(_laguerre_values, rows)
 
 
 def _mapped_degree(E: float, r: float) -> float:
@@ -583,12 +560,13 @@ def confluent_chain(E: float, eps1: float = CONFLUENT_EPS1) -> DarbouxChain:
         return parameter_derivative(lambda eps, t: probed[eps][1](t), eps1, y)
 
     grid = np.linspace(-2.0, 1.0, 25)
-    scale1 = np.max(abs(u1(grid)))
-    if np.max(abs(u2(grid))) < 1e-12 * max(scale1, 1.0):
-        raise ConstructionError("family does not depend on eps: degenerate chain")
     chain = DarbouxChain(kind=KIND_CONFLUENT, funcs=((u1, u1p), (u2, u2p)), eps=(eps1,),
                          background=ScenarioHarmonicEnergy.form(), energy=E)
-    validate_chain(chain, grid, (1e-7, 1e-5))
+    with memo_scope():      # the scale check and the validation share the family's rows
+        scale1 = np.max(abs(u1(grid)))
+        if np.max(abs(u2(grid))) < 1e-12 * max(scale1, 1.0):
+            raise ConstructionError("family does not depend on eps: degenerate chain")
+        validate_chain(chain, grid, (1e-7, 1e-5))
     return chain
 
 
@@ -713,8 +691,9 @@ def standard_vhat_dE(E: float, x):
     return out if isinstance(x, np.ndarray) else float(out[0])
 
 
-# Scenario registry: each has mass(), potential(), coord(), system(params),
-# a ``default_rule`` of its energies and ``solution(params, E)`` (or None).
+# Scenario registry: each has mass(), potential(), coord(), a
+# ``default_rule`` of its energies and ``solution(params, E)``, or None;
+# those with a solution also have system(params).
 _SCENARIOS = {
     "gaussian-mass": ScenarioGaussianMass,
     "harmonic-energy": ScenarioHarmonicEnergy,

@@ -9,9 +9,10 @@ conservative absolute error estimate.
 ``kummer_m_grid`` and ``assoc_laguerre_grid`` take scalar parameters
 and an ndarray of arguments and return a ``SpecialGrid``;
 ``assoc_laguerre_grid`` also takes sequences of degrees and alphas and
-then returns one row per pair.  ``kummer_m`` and ``assoc_laguerre`` are
-one-point calls of them that return a ``SpecialValue``, so each branch,
-check and error message has one implementation.  ``bessel_i`` is scalar.
+then returns one row per pair.  ``kummer_m`` is a one-point call of
+``kummer_m_grid`` that returns a ``SpecialValue``, so each branch, check
+and error message has one implementation.  ``bessel_i`` is scalar and
+refuses |z| from ``BESSEL_SERIES_CUTOFF`` on.
 
 The Kummer series of a point is term_0 = 1, term_{k+1} = term_k (a + k)
 z / ((b + k)(k + 1)), and its value is the correctly rounded sum of the
@@ -70,11 +71,9 @@ KUMMER_SERIES_Z_MIN = -1.0
 KUMMER_Z_MAX = 700.0
 KUMMER_MAX_TERMS = 600
 
-# I0/I1 seam between ascending series and asymptotic expansion.  At 18
-# the optimally truncated asymptotic tail is below 1e-14 relative, so
-# both branches agree to better than 1e-12.
+# I0/I1 come from their ascending series, which serves |z| below this;
+# the only callers, the E = 4 closed forms, pass z = x^2/4.
 BESSEL_SERIES_CUTOFF = 18.0
-BESSEL_Z_MAX = 600.0
 
 _EPS = 2.2204460492503131e-16
 # Terms of the grid series: every column gets the first block (most
@@ -130,10 +129,6 @@ def _is_nonpositive_integer(x: float) -> bool:
     return x <= 0 and x == math.floor(x)
 
 
-def _one_point(grid: SpecialGrid) -> SpecialValue:
-    return SpecialValue(float(grid.values[0]), float(grid.est_abs_errors[0]))
-
-
 def kummer_m(a: float, b: float, z: float) -> SpecialValue:
     """Confluent hypergeometric function M(a; b; z) = 1F1(a; b; z).
 
@@ -142,7 +137,8 @@ def kummer_m(a: float, b: float, z: float) -> SpecialValue:
     ``KUMMER_SERIES_Z_MIN`` the identity M(a;b;z) = e^z M(b-a;b;-z)
     routes the evaluation through a non-alternating series.
     """
-    return _one_point(kummer_m_grid(a, b, np.array([z], dtype=float)))
+    grid = kummer_m_grid(a, b, np.array([z], dtype=float))
+    return SpecialValue(float(grid.values[0]), float(grid.est_abs_errors[0]))
 
 
 def _kummer_polynomial(n: int, b: float, z: np.ndarray) -> np.ndarray:
@@ -483,24 +479,17 @@ def _digamma_difference(x: float, alpha: float) -> float:
             - (_digamma_tail(x + alpha) - _digamma_tail(x)))
 
 
-def assoc_laguerre(degree: float, alpha: float, z: float) -> SpecialValue:
-    """Associated Laguerre function L_degree^alpha(z) for real degree.
+def assoc_laguerre_grid(degree, alpha, z: np.ndarray, degree_derivative: bool = False):
+    """Associated Laguerre function L_degree^alpha(z), real degree, at every entry of z.
 
     Evaluated through L_n^a(z) = binom(n+a, n) * M(-n; a+1; z), with the
-    binomial extended to real degree by Gamma-function ratios.
-    """
-    return _one_point(assoc_laguerre_grid(degree, alpha, np.array([z], dtype=float)))
-
-
-def assoc_laguerre_grid(degree, alpha, z: np.ndarray, degree_derivative: bool = False):
-    """``assoc_laguerre`` at every entry of the ndarray z.
-
-    degree and alpha are floats, or equal-length sequences of floats:
-    one row of values per (degree, alpha) pair, shape (rows, *z.shape),
-    with the series rows summed in one call of the series kernel.  Each
-    row passes the checks of ``assoc_laguerre``, stage by stage, and
-    the Gamma-ratio prefactor is computed once per row.  A call with
-    several rows raises the first error any row meets.
+    binomial extended to real degree by Gamma-function ratios.  z is an
+    ndarray; degree and alpha are floats, or equal-length sequences of
+    floats: one row of values per (degree, alpha) pair, shape (rows,
+    *z.shape), with the series rows summed in one call of the series
+    kernel.  Each row passes the same checks, stage by stage, and the
+    Gamma-ratio prefactor is computed once per row.  A call with several
+    rows raises the first error any row meets.
 
     With degree_derivative, the result is a pair of ``SpecialGrid``s:
     the values and, row for row, d/d(degree) of L_degree^alpha, which is
@@ -570,22 +559,18 @@ def _gamma_sign(x: float) -> float:
 def bessel_i(order: int, z: float) -> SpecialValue:
     """Modified Bessel function of the first kind, I0 or I1.
 
-    Ascending power series below ``BESSEL_SERIES_CUTOFF`` (all terms
-    positive, no cancellation), asymptotic expansion above it.
+    Ascending power series (all terms positive, no cancellation), which
+    serves |z| below ``BESSEL_SERIES_CUTOFF``; larger |z| is refused.
     """
     if order not in (0, 1):
         raise DomainError(f"bessel_i: unsupported order {order}")
     if not math.isfinite(z):
         raise DomainError("bessel_i: z is not finite")
-    if abs(z) > BESSEL_Z_MAX:
-        raise DomainError(f"bessel_i: |z| exceeds supported range {BESSEL_Z_MAX}")
-
+    if abs(z) >= BESSEL_SERIES_CUTOFF:
+        raise DomainError(f"bessel_i: |z| = {abs(z):g} is out of range: the series "
+                          f"serves |z| < BESSEL_SERIES_CUTOFF = {BESSEL_SERIES_CUTOFF:g}")
     sign = -1.0 if (z < 0 and order == 1) else 1.0
-    az = abs(z)
-    if az < BESSEL_SERIES_CUTOFF:
-        res = _bessel_series(order, az)
-    else:
-        res = _bessel_asymptotic(order, az)
+    res = _bessel_series(order, abs(z))
     return SpecialValue(sign * res.value, res.est_abs_error)
 
 
@@ -598,26 +583,5 @@ def _bessel_series(order: int, z: float) -> SpecialValue:
         k += 1
         term *= q / (k * (k + order))
         terms.append(term)
-        if k > 200:
-            break
     value = math.fsum(terms)
     return SpecialValue(value, abs(term) + _EPS * value * len(terms) ** 0.5)
-
-
-def _bessel_asymptotic(order: int, z: float) -> SpecialValue:
-    # I_nu(z) ~ e^z / sqrt(2 pi z) * sum_k (-1)^k a_k(nu) / z^k,
-    # a_k = prod_{j=1..k} (4 nu^2 - (2j-1)^2) / (8 k!) ... truncated at
-    # the smallest term.
-    mu = 4.0 * order * order
-    term = 1.0
-    total = term
-    smallest = abs(term)
-    for k in range(1, 60):
-        term *= -(mu - (2 * k - 1) ** 2) / (8.0 * k * z)
-        if abs(term) > smallest:
-            break
-        smallest = abs(term)
-        total += term
-    scale = math.exp(z) / math.sqrt(2.0 * math.pi * z)
-    value = scale * total
-    return SpecialValue(value, scale * smallest + _EPS * abs(value))

@@ -286,3 +286,20 @@ def test_wronskian_floor_guard():
     phi = OdeSolution(f=lambda y: 1.0, f1=lambda y: 0.0, eps=0.0)
     with pytest.raises(SingularityError):
         transformed_solution(chain, phi, 0.5)
+
+
+def test_transform_applies_the_relative_floor():
+    # W = y - (y + 1e-13) = -1e-13 is nonzero on the whole grid, but below
+    # the floor 1e-12 * max(|u1|, |u1'|) max(|u2|, |u2'|) = 1e-12 that
+    # u_hat and phi_hat apply: transform refuses the grid itself, rather
+    # than return callables that refuse every point
+    form = _harmonic_oscillator_form()
+    u = (lambda y: y, lambda y: 1.0)
+    v = (lambda y: y + 1e-13, lambda y: 1.0)
+    chain = DarbouxChain(kind="standard", funcs=(u, v), eps=(1.0, 2.0),
+                         background=form, energy=0.0)
+    phi = OdeSolution(f=lambda y: 1.0, f1=lambda y: 0.0, eps=0.0)
+    with pytest.raises(SingularityError, match="below floor at y=0.5"):
+        transform(chain, phi, np.linspace(0.5, 1.0, 11))
+    with pytest.raises(SingularityError):
+        transformed_potential(chain, 0.7)

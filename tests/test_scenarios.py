@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from dunkl_darboux import cli, scenarios
+from dunkl_darboux import cli, libm, scenarios
 from dunkl_darboux.darboux import (DarbouxChain, chain_residuals,
                                    transformed_potential, transformed_solution)
 from dunkl_darboux.errors import ContractError, DomainError
@@ -30,7 +30,14 @@ from dunkl_darboux.scenarios import (DUNKL_GRID,
                                      pdm_equivalence_nu, pipeline_hatpsi,
                                      pipeline_vhat, printed_bound_state,
                                      standard_chain_u12, standard_vhat_dE)
-from dunkl_darboux.specfun import assoc_laguerre, kummer_m
+from dunkl_darboux.libm import memo_scope
+from dunkl_darboux.specfun import assoc_laguerre_grid, kummer_m
+
+
+def _laguerre(degree, alpha, z):
+    """L_degree^alpha(z) at a float z, a one-point grid call of the kernel."""
+    return float(assoc_laguerre_grid(degree, alpha, np.array([z], dtype=float)).values[0])
+
 
 NU_HALF_ODD = DunklParams(nu=0.5, delta=-1, mu=1)
 NU_HALF_EVEN = DunklParams(nu=0.5, delta=1, mu=1)
@@ -333,12 +340,13 @@ def test_chain_members_share_their_laguerre_factors(monkeypatch):
     calls = _count_grid_calls(monkeypatch)
     chain = standard_chain_u12(4.0, validate=False)
     ys = np.linspace(-2.0, 1.0, 50)
-    transformed_potential(chain, ys)
-    # u1 and u1' share L_{c-1/2}^0 and L_{c-3/2}^1, evaluated as one pair;
-    # u2 and u2' share the pair L_{c-1}^1, L_{c-2}^2
-    assert len(calls) == 2
-    transformed_solution(chain, mapped_initial_solution(TRANSFORM_PARAMS, 4.0), ys)
-    assert len(calls) == 3     # only phi's pair of factors is new
+    with memo_scope():
+        transformed_potential(chain, ys)
+        # u1 and u1' share L_{c-1/2}^0 and L_{c-3/2}^1, evaluated as one pair;
+        # u2 and u2' share the pair L_{c-1}^1, L_{c-2}^2
+        assert len(calls) == 2
+        transformed_solution(chain, mapped_initial_solution(TRANSFORM_PARAMS, 4.0), ys)
+        assert len(calls) == 3     # only phi's pair of factors is new
 
 
 def test_figure_4_kernel_calls_and_chain_builds(monkeypatch, capsys):
@@ -431,17 +439,21 @@ def test_laguerre_pair_evaluates_both_rows_in_one_call(monkeypatch):
     lag, lower = scenarios._laguerre_rows((1.7, 0.5), (0.7, 1.5))
     up = lambda z: -lower(z)                # dL_d^a/dz = -L_{d-1}^{a+1}
     z = np.linspace(0.0, 3.0, 9)
-    values, slopes = lag(z), up(z)
-    assert calls == [((1.7, 0.7), (0.5, 1.5))]
-    assert lag(z.copy()) is values and _bits(up(z)) == _bits(slopes)
-    assert len(calls) == 1                                   # both rows memoised
-    assert _bits(values) == _bits([assoc_laguerre(1.7, 0.5, v).value for v in z])
-    assert _bits(slopes) == _bits([-assoc_laguerre(0.7, 1.5, v).value for v in z])
-    # a float is a one-point grid through the same memo: both rows at once
-    assert lag(1.5) == assoc_laguerre(1.7, 0.5, 1.5).value and len(calls) == 2
-    assert calls[1] == ((1.7, 0.7), (0.5, 1.5))
-    assert up(1.5) == -assoc_laguerre(0.7, 1.5, 1.5).value and len(calls) == 2
-    assert type(lag(1.5)) is float and len(calls) == 2
+    with memo_scope():
+        values, slopes = lag(z), up(z)
+        assert calls == [((1.7, 0.7), (0.5, 1.5))]
+        assert lag(z.copy()).base is values.base and _bits(up(z)) == _bits(slopes)
+        assert len(calls) == 1                               # both rows memoised
+        assert _bits(values) == _bits([_laguerre(1.7, 0.5, v) for v in z])
+        assert _bits(slopes) == _bits([-_laguerre(0.7, 1.5, v) for v in z])
+        # a float is a one-point grid through the same memo: both rows at once
+        assert lag(1.5) == _laguerre(1.7, 0.5, 1.5) and len(calls) == 2
+        assert calls[1] == ((1.7, 0.7), (0.5, 1.5))
+        assert up(1.5) == -_laguerre(0.7, 1.5, 1.5) and len(calls) == 2
+        assert type(lag(1.5)) is float and len(calls) == 2
+    # outside a scope every read evaluates the group afresh
+    lag(z)
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("first", ["lag", "up"])
@@ -453,16 +465,17 @@ def test_laguerre_pair_raises_each_row_error_when_read(monkeypatch, first):
     lag, lower = scenarios._laguerre_rows((601.0, 0.0), (600.0, 1.0))
     up = lambda z: -lower(z)
     z = np.array([0.1, 0.2])
-    want = [-assoc_laguerre(600.0, 1.0, v).value for v in z]
-    if first == "up":
+    want = [-_laguerre(600.0, 1.0, v) for v in z]
+    with memo_scope():
+        if first == "up":
+            assert _bits(up(z)) == _bits(want)
+        with pytest.raises(DomainError, match="polynomial degree 601 exceeds"):
+            lag(z)
         assert _bits(up(z)) == _bits(want)
-    with pytest.raises(DomainError, match="polynomial degree 601 exceeds"):
-        lag(z)
-    assert _bits(up(z)) == _bits(want)
-    # a failed joint call stores nothing, so the grid is tried jointly
-    # again until a row of it succeeds alone
+    # a failed joint call stores nothing, so every read tries the pair
+    # jointly again; a row that succeeds alone is stored as its own group
     rows = [len(c[0]) for c in calls]
-    assert rows == ([2, 1, 1] if first == "up" else [2, 1, 2, 1])
+    assert rows == ([2, 1, 2, 1, 2] if first == "up" else [2, 1, 2, 1])
 
 
 def _bits(values):
@@ -487,44 +500,80 @@ def test_relative_residual_evaluates_each_factor_once(monkeypatch, scenario):
 
 
 @pytest.mark.parametrize("make, scalar", [
-    (lambda: scenarios._laguerre_rows((0.7, 0.5))[0], lambda z: assoc_laguerre(0.7, 0.5, z).value),
+    (lambda: scenarios._laguerre_rows((0.7, 0.5))[0], lambda z: _laguerre(0.7, 0.5, z)),
     (lambda: scenarios._kummer(-0.3, 1.5), lambda z: kummer_m(-0.3, 1.5, z).value),
 ])
 def test_factor_memo_keys_on_grid_bytes(monkeypatch, make, scalar):
     calls = _count_grid_calls(monkeypatch)
     factor = make()
     z = np.linspace(0.0, 3.0, 7)
-    first = factor(z)
-    assert factor(z.copy()) is first and len(calls) == 1
-    with pytest.raises(ValueError):
-        first[0] = 1.0                       # shared result is read-only
-    z[3] = 5.0                               # the caller changes its grid in place
-    fresh = factor(z)
-    assert len(calls) == 2
-    assert fresh[3] == scalar(5.0) and first[3] == scalar(1.5)
-    factor(np.array([0.0]))
-    factor(np.array([-0.0]))                 # a different key
-    assert len(calls) == 4
-    # a float is the one-point grid [z], keyed and memoised like any grid
-    assert factor(1.5) == scalar(1.5) and len(calls) == 5
-    assert type(factor(1.5)) is float and len(calls) == 5
-    assert factor(np.array([1.5]))[0] == scalar(1.5) and len(calls) == 5
-    assert factor(0.0) == scalar(0.0) and len(calls) == 6
+    with memo_scope():
+        first = factor(z)
+        assert factor(z.copy()).base is first.base and len(calls) == 1
+        with pytest.raises(ValueError):
+            first[0] = 1.0                   # shared result is read-only
+        z[3] = 5.0                           # the caller changes its grid in place
+        fresh = factor(z)
+        assert len(calls) == 2
+        assert fresh[3] == scalar(5.0) and first[3] == scalar(1.5)
+        factor(np.array([0.0]))
+        factor(np.array([-0.0]))             # a different key
+        assert len(calls) == 4
+        # a float is the one-point grid [z], keyed and memoised like any grid
+        assert factor(1.5) == scalar(1.5) and len(calls) == 5
+        assert type(factor(1.5)) is float and len(calls) == 5
+        assert factor(np.array([1.5]))[0] == scalar(1.5) and len(calls) == 5
+        assert factor(0.0) == scalar(0.0) and len(calls) == 5     # [0.0] is stored
+    assert factor(0.0) == scalar(0.0) and len(calls) == 6         # the scope is closed
 
 
 @pytest.mark.parametrize("make", [lambda: scenarios._laguerre_rows((1.7, 0.5), (0.7, 1.5))[0],
                                   lambda: scenarios._kummer(-0.3, 1.5)])
 def test_factor_memo_is_freed_with_its_closure(make):
-    # refcounting alone must free a closure's memo: one kept in a
-    # reference cycle waits for the cyclic collector, so the memos of
-    # every chain built by a command would pile up in memory
+    # nothing outlives the scope: refcounting alone frees the stored row
+    # groups when the outermost scope closes, while the closure lives on
+    # (a memo kept in a reference cycle would wait for the cyclic
+    # collector, and the groups of a command would pile up in memory)
     gc.disable()
     try:
         factor = make()
-        assert factor(1.5) == factor(1.5)
-        values = weakref.ref(factor(np.linspace(0.0, 3.0, 7)))
-        assert values() is not None         # held by the memo
-        del factor
+        with memo_scope():
+            assert factor(1.5) == factor(1.5)
+            values = weakref.ref(factor(np.linspace(0.0, 3.0, 7)).base)
+            assert values() is not None     # held by the memo
         assert values() is None
+        assert factor(1.5) == factor(1.5)
     finally:
         gc.enable()
+
+
+def test_closures_over_the_same_rows_share_one_call_per_grid(monkeypatch):
+    # the memo is keyed by the rows, not by the closure: two families
+    # built apart read one group, and a float reads the one-point grid
+    calls = _count_grid_calls(monkeypatch)
+    (phi, phi1), = scenarios._mapped_family(4.0, 2.0)
+    (psi, psi1), = scenarios._mapped_family(4.0, 2.0)
+    ys = np.linspace(-2.0, 1.0, 9)
+    with memo_scope():
+        assert _bits(phi(ys)) == _bits(psi(ys)) and len(calls) == 1
+        assert _bits(psi1(ys)) == _bits(phi1(ys)) and len(calls) == 1
+        assert phi(0.5) == psi(0.5) and psi1(0.5) == phi1(0.5) and len(calls) == 2
+        first, second = scenarios._kummer(-0.3, 1.5), scenarios._kummer(-0.3, 1.5)
+        assert _bits(first(ys)) == _bits(second(ys)) and len(calls) == 3
+
+
+def test_nested_scope_joins_the_outer_one(monkeypatch):
+    calls = _count_grid_calls(monkeypatch)
+    chain = standard_chain_u12(4.0, validate=False)
+    ys = np.linspace(-2.0, 1.0, 50)
+    with memo_scope():
+        outer = libm._MEMO.get()
+        transformed_potential(chain, ys)            # _read opens a nested scope
+        assert libm._MEMO.get() is outer and len(calls) == 2
+        with memo_scope():
+            assert libm._MEMO.get() is outer
+            transformed_potential(chain, ys)
+        assert libm._MEMO.get() is outer and len(calls) == 2
+    assert libm._MEMO.get() is None
+    transformed_potential(chain, ys)                 # a new scope evaluates afresh
+    assert len(calls) == 4

@@ -293,16 +293,21 @@ def _verify_solution(config: RunConfig, scenario, params: DunklParams, E: float,
     The relative Dunkl residual and the parity defect on the grid, one
     check of the scenario's own (the mapped standard-form equation for the
     harmonic scenario, else a positive finite norm), then the
-    norm-preservation relation on that scenario's relation grid.
+    norm-preservation relation on that scenario's relation grid.  The
+    norm is computed before any grid work, so a psi that its quadrature
+    refuses stops the command after the two far nodes; the report keeps
+    the order above.
     """
     system = scenario.system(params)
     psi = scenario.solution(params, E)
     grid = _grid(config, 0.1, 4.0, 400)
+    harmonic = isinstance(scenario, ScenarioHarmonicEnergy)
+    norm = None if harmonic else modified_norm(system, psi, E)
     report = VerificationReport()
     report.add("dunkl_residual",
                _worst(np.abs(dunkl_residual(system, psi, E, grid, relative=True))), tol)
     report.add("parity_defect", sampled_parity_defect(psi, grid), tol)
-    if isinstance(scenario, ScenarioHarmonicEnergy):
+    if harmonic:
         phi = mapped_initial_solution(params, E)
         relation_grid = np.linspace(-2.0, 1.0, 100)
         chain = DarbouxChain(kind=KIND_STANDARD, funcs=((phi.f, phi.f1),), eps=(phi.eps,),
@@ -310,7 +315,6 @@ def _verify_solution(config: RunConfig, scenario, params: DunklParams, E: float,
         report.add("mapped_equation_residual",
                    _worst(chain_residuals(chain, relation_grid, h=None)), max(tol, 1e-6))
     else:
-        norm = modified_norm(system, psi, E)
         norm_ok = 0.0 if (norm.value > 0 and math.isfinite(norm.value)) else 1.0
         report.add("norm_positive_finite", norm_ok, 0.5)
         relation_grid = np.linspace(0.25, 4.0, 25)
@@ -398,16 +402,22 @@ def _density_scenario(name: str):
 
 
 def cmd_density(config: RunConfig) -> int:
+    """The density of psi on the grid; its norm on stderr (or in the JSON).
+
+    The norm comes first: a psi that its quadrature refuses stops the
+    command after the two far nodes, and a norm of 0 is refused before
+    the grid is evaluated.
+    """
     _require(config, "scenario", "nu", "delta")
     scenario, params, E = _resolve(config, _density_scenario)
     psi = scenario.solution(params, E)
     system = scenario.system(params)
     grid = _grid(config, 0.1, 4.0, 400)
-    rows = _rows(grid, probability_density(system, psi, E, grid))
     norm = modified_norm(system, psi, E)
     if norm.value == 0.0:
         raise DomainError("density: psi underflows to 0 on the whole line, "
                           "so its norm is 0")
+    rows = _rows(grid, probability_density(system, psi, E, grid))
     if config.output_format == "json":
         payload = {"columns": ["x", "density"],
                    "rows": [[_fmt(v) for v in row] for row in rows],

@@ -170,7 +170,9 @@ def gaussian_solution_function(params: DunklParams, E: float) -> ParityFunction:
 
     e^{-x^2} x^s M(a; b; x^2) with analytic derivatives via the Kummer
     contiguous rule dM/dz = (a/b) M(a+1; b+1; z).  f, f1 and f2 accept
-    a float or an ndarray of x.
+    a float or an ndarray of x.  A derivative whose coefficient is
+    exactly 0 (a = 0, or a = -1 for the second) never reads its Kummer
+    factor; see ``_times_factor``.
     """
     if not gaussian_admissible(params):
         raise ContractError(f"(delta, nu) = ({params.delta}, {params.nu}) not admissible")
@@ -178,18 +180,22 @@ def gaussian_solution_function(params: DunklParams, E: float) -> ParityFunction:
     s = monomial_exponent(params)
     a = 0.5 - E + 0.5 * params.delta * params.nu + 0.25 * r
     b = 1.0 + 0.5 * r
+    up = _times_factor(a / b, a + 1, b + 1)
+    upp = _times_factor((a * (a + 1)) / (b * (b + 1)), a + 2, b + 2)
+    return _decaying_state(s, 1.0, 2.0, _kummer(a, b), up, upp, params.delta)
 
-    u = _kummer(a, b)
-    u_next = _kummer(a + 1, b + 1)
-    u_next2 = _kummer(a + 2, b + 2)
 
-    def up(z):
-        return (a / b) * u_next(z)
+def _times_factor(coef: float, a: float, b: float):
+    """z -> coef M(a; b; z), with M not read when coef is exactly 0.
 
-    def upp(z):
-        return (a * (a + 1)) / (b * (b + 1)) * u_next2(z)
-
-    return _decaying_state(s, 1.0, 2.0, u, up, upp, params.delta)
+    coef is 0 only at a = 1 or 2 here; with b > 0 and z = x^2 >= 0,
+    M > 0, so the product is the zero of coef's sign.  That zero is
+    returned, a float for a float z.
+    """
+    if coef != 0.0:
+        factor = _kummer(a, b)
+        return lambda z: coef * factor(z)
+    return lambda z: coef * (np.zeros_like(z) if isinstance(z, np.ndarray) else 0.0)
 
 
 def gaussian_solution(params: DunklParams, E: float, x: float,
@@ -358,6 +364,18 @@ def pdm_equivalence_nu(nu_bar: float, delta_bar: int, delta: int) -> float:
     return 1.5 * delta + 0.5 * math.sqrt(radicand)
 
 
+# Stored in the memo for a row group whose joint kernel call raised a package error.
+_GROUP_FAILED = np.empty(0)
+
+
+def _joint(kernel, rows, grid):
+    """kernel(rows, grid), or _GROUP_FAILED if it raises a package error."""
+    try:
+        return kernel(rows, grid)
+    except DunklDarbouxError:
+        return _GROUP_FAILED
+
+
 def _row_group(kernel, rows) -> list:
     """One closure z -> row i of kernel(rows, z) per row, the group read through ``memoised``.
 
@@ -367,15 +385,15 @@ def _row_group(kernel, rows) -> list:
     shares one kernel call per grid; rows belong together only when
     every caller reads all of them on each grid.  If the group call
     raises a package error, the row being read is evaluated alone, as
-    the one-row group, so each row raises its own error when read.
+    the one-row group, so each row raises its own error when read; the
+    failure is stored, so within the scope later reads of the group on
+    that grid go straight to their row alone.
     """
     def read(i, z):
         grid = z if isinstance(z, np.ndarray) else np.array([z], dtype=float)
-        try:
-            values = memoised((kernel, rows), grid, kernel, rows, grid)
-        except DunklDarbouxError:
-            if len(rows) == 1:
-                raise
+        values = _GROUP_FAILED if len(rows) == 1 else \
+            memoised((kernel, rows), grid, _joint, kernel, rows, grid)
+        if values is _GROUP_FAILED:
             alone = rows[i:i + 1]
             values, i = memoised((kernel, alone), grid, kernel, alone, grid), 0
         return values[i] if grid is z else float(values[i][0])

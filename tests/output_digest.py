@@ -40,6 +40,7 @@ REFUSALS = [
     ["density", "--scenario", "gaussian-mass", "--nu", "200", "--delta", "1"],
     ["density", "--scenario", "gaussian-mass", "--nu", "250", "--delta", "1"],
     ["density", "--scenario", "harmonic-energy", "--nu", "400", "--delta", "-1"],
+    ["density", "--scenario", "harmonic-energy", "--nu", "512", "--delta", "-1"],
     ["darboux", "--nu", "400"],
     ["verify", "--scenario", "harmonic-energy", "--nu", "1000", "--delta", "1"],
     ["figure", "5", "--nu", "1000"],
@@ -59,6 +60,10 @@ REFUSALS = [
      "--grid-hi", "19.5"],
     ["verify", "--scenario", "gaussian-mass", "--nu", "0.5", "--delta", "-1",
      "--grid-lo", "27", "--grid-hi", "28"],
+    ["verify", "--scenario", "gaussian-mass", "--nu", "0.5", "--delta", "-1",
+     "--grid-hi", "22"],
+    ["verify", "--scenario", "gaussian-mass", "--nu", "0.5", "--delta", "-1",
+     "--rule", "ene1", "--grid-lo", "0"],
 ]
 
 

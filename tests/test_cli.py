@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dunkl_darboux
-from dunkl_darboux import cli, scenarios
+from dunkl_darboux import cli, scenarios, specfun
 from dunkl_darboux.cli import (EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION,
                                RunConfig, UsageError, _fmt, _grid, _merge,
                                _tolerance, run)
@@ -274,6 +274,66 @@ def test_density_refuses_a_zero_norm(delta, nu, capsys):
     assert captured.out == ""
     assert captured.err == ("error: density: psi underflows to 0 on the whole line, "
                             "so its norm is 0\n")
+
+
+def _special_function_sizes(monkeypatch) -> list:
+    """The number of points of every grid special-function call in scenarios."""
+    sizes = []
+    for name in ("assoc_laguerre_grid", "kummer_m_grid"):
+        def counted(*args, _real=getattr(scenarios, name), **kwargs):
+            sizes.append(np.size(args[-1]))
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(scenarios, name, counted)
+    return sizes
+
+
+@pytest.mark.parametrize("argv", [
+    ["density", "--scenario", "harmonic-energy", "--nu", "2.5", "--delta", "-1",
+     "--rule", "ene0"],
+    ["verify", "--scenario", "gaussian-mass", "--nu", "0.5", "--delta", "-1",
+     "--rule", "ene1"],
+])
+def test_refused_norm_stops_before_the_grid(argv, monkeypatch, capsys):
+    # psi is beyond the Kummer |z| range at the norm's two far nodes,
+    # +-297.9, which are evaluated first: the grid is never evaluated
+    sizes = _special_function_sizes(monkeypatch)
+    assert run(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: kummer_m: |z| exceeds supported range 700.0\n"
+    assert sizes and max(sizes) <= 2
+
+
+# verify reports of the ene0 gaussian-mass states with a zero Kummer coefficient
+_ZERO_COEFFICIENT_REPORTS = {
+    ("-1", "0"): ("2.38365450367e-16", "3.07562864066e-11"),
+    ("-1", "1"): ("2.91508488341e-16", "5.43609601777e-11"),
+    ("1", "0"): ("2.77555756156e-16", "9.36686284092e-11"),
+    ("1", "1"): ("2.42138067445e-16", "8.81961170762e-11"),
+}
+
+
+@pytest.mark.parametrize("delta, n", list(_ZERO_COEFFICIENT_REPORTS))
+def test_zero_kummer_coefficient_reads_no_series(delta, n, monkeypatch, capsys):
+    # a = -n: the derivative factors with coefficient a or a (a + 1) are
+    # exactly 0 and are never read, and M(-n; b; z) is a polynomial
+    series = []
+
+    def counted(*args, _real=specfun._kummer_series_grid, **kwargs):
+        series.append(args)
+        return _real(*args, **kwargs)
+
+    monkeypatch.setattr(specfun, "_kummer_series_grid", counted)
+    assert run(["verify", "--scenario", "gaussian-mass", "--nu", "0.5", "--delta", delta,
+                "--n", n, "--rule", "ene0"]) == EXIT_OK
+    residual, relation = _ZERO_COEFFICIENT_REPORTS[(delta, n)]
+    assert capsys.readouterr().out == (
+        f"PASS  dunkl_residual: max residual {residual} (tolerance 1e-06)\n"
+        "PASS  parity_defect: max residual 0 (tolerance 1e-06)\n"
+        "PASS  norm_positive_finite: max residual 0 (tolerance 0.5)\n"
+        f"PASS  norm_preservation_relation: max residual {relation} (tolerance 1e-06)\n"
+        "overall: PASS\n")
+    assert series == []
 
 
 # Commands whose float overflow numpy used to report as a RuntimeWarning

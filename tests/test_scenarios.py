@@ -472,21 +472,37 @@ def test_laguerre_pair_raises_each_row_error_when_read(monkeypatch, first):
         with pytest.raises(DomainError, match="polynomial degree 601 exceeds"):
             lag(z)
         assert _bits(up(z)) == _bits(want)
-    # a failed joint call stores nothing, so every read tries the pair
-    # jointly again; a row that succeeds alone is stored as its own group
+    # the failed joint call is tried once per scope and grid: later reads
+    # go straight to their row alone, and a row that succeeds alone is
+    # stored as its own group
     rows = [len(c[0]) for c in calls]
-    assert rows == ([2, 1, 2, 1, 2] if first == "up" else [2, 1, 2, 1])
+    assert rows == [2, 1, 1]
 
 
 def _bits(values):
     return np.asarray(values, dtype=float).view(np.uint64).tolist()
 
 
+@pytest.mark.parametrize("coef", [0.0, -0.0, 0.4])
+def test_derivative_factor_keeps_the_product_bits(monkeypatch, coef):
+    # a zero coefficient skips its factor and returns the product's zero,
+    # sign included; a float z still gets a Python float
+    calls = _count_grid_calls(monkeypatch)
+    factor = scenarios._kummer(1.0, 2.5)
+    scaled = scenarios._times_factor(coef, 1.0, 2.5)
+    z = np.linspace(0.0, 9.0, 7)
+    assert _bits(scaled(z)) == _bits(coef * factor(z))
+    value = scaled(2.0)
+    assert type(value) is float and _bits([value]) == _bits([coef * factor(2.0)])
+    assert len(calls) == (2 if coef == 0.0 else 4)
+
+
 @pytest.mark.parametrize("scenario", [ScenarioHarmonicEnergy(), ScenarioGaussianMass()])
 def test_relative_residual_evaluates_each_factor_once(monkeypatch, scenario):
     calls = _count_grid_calls(monkeypatch)
     if isinstance(scenario, ScenarioGaussianMass):
-        E = bound_state_energy(1, NU_HALF_ODD, "ene0")
+        # n = 2: a = -2, so no Kummer coefficient is 0 and none is skipped
+        E = bound_state_energy(2, NU_HALF_ODD, "ene0")
         system = scenario.system(NU_HALF_ODD)
         psi = gaussian_solution_function(NU_HALF_ODD, E)
     else:

@@ -29,10 +29,10 @@ from typing import Callable, List, Optional, Sequence, get_args, get_type_hints
 
 import numpy as np
 
-from .darboux import (DarbouxChain, KIND_STANDARD, chain_residuals,
+from .darboux import (DarbouxChain, KIND_STANDARD, OdeSolution, chain_residuals,
                       transformed_potential, transformed_solution)
 from .errors import DomainError, DunklDarbouxError
-from .libm import exp, memo_scope, power
+from .libm import exp, log, memo_scope, power
 from .model import (DunklParams, dunkl_residual, modified_norm,
                     probability_density, sampled_parity_defect)
 from .pointmap import energy_relation_residual, induced_potential
@@ -448,7 +448,37 @@ def _build_chain(config: RunConfig, E: float) -> DarbouxChain:
     raise UsageError(f"unknown chain kind {kind!r}")
 
 
+def _chain_columns(E: float, chain: DarbouxChain, phi: OdeSolution, ys: np.ndarray,
+                   xs: np.ndarray):
+    """(U-hat, Phi-hat, V-hat) of ``cmd_darboux``, from one grid (see there)."""
+    try:
+        ln_x = log(xs)
+        moved = ln_x != ys
+        grid = np.concatenate([ys, ln_x[moved]])
+        u_grid = transformed_potential(chain, grid)
+        phi_hat = transformed_solution(chain, phi, grid)[:ys.size]
+        u_ln = u_grid[:ys.size].copy()
+        u_ln[moved] = u_grid[ys.size:]
+        v_hat = E - power(xs, -2.0) * (0.25 - u_ln)
+        return u_grid[:ys.size], phi_hat, v_hat
+    except DunklDarbouxError:
+        return (transformed_potential(chain, ys), transformed_solution(chain, phi, ys),
+                pipeline_vhat(E, chain, xs))
+
+
 def cmd_darboux(config: RunConfig) -> int:
+    """The chain's U-hat and Phi-hat on the y grid, V-hat and Psi-hat at x = e^y.
+
+    The chain is read on one grid: y followed by the points of ln(x)
+    that differ from y (one rounding of e^y moves about a third of
+    them).  U-hat and Phi-hat are evaluated on it once each, and V-hat =
+    E - x^-2 (1/4 - U-hat(ln x)) takes U-hat from the same result.  The
+    routines are elementwise, so the columns equal
+    ``transformed_potential(chain, y)``, ``transformed_solution(chain,
+    phi, y)`` and ``pipeline_vhat(E, chain, x)`` bit for bit.  The one
+    grid can meet refusals in another order than those three calls, so
+    on a refusal the three calls run and their outcome stands.
+    """
     nu = config.nu if config.nu is not None else 2.5
     delta = config.delta if config.delta is not None else -1
     params = DunklParams(nu=nu, delta=delta, mu=1)
@@ -459,9 +489,7 @@ def cmd_darboux(config: RunConfig) -> int:
     chain = _build_chain(config, E)
     phi = mapped_initial_solution(params, E)
     xs = exp(ys)
-    u_hat = transformed_potential(chain, ys)
-    phi_hat = transformed_solution(chain, phi, ys)
-    v_hat = pipeline_vhat(E, chain, xs)
+    u_hat, phi_hat, v_hat = _chain_columns(E, chain, phi, ys, xs)
     psi_hat = power(xs, 0.5 - params.nu) * phi_hat
     rows = _rows(ys, xs, u_hat, v_hat, phi_hat, psi_hat)
     _emit_table(config, ["y", "x", "u_hat", "v_hat", "phi_hat", "psi_hat"], rows)

@@ -184,19 +184,18 @@ def probability_density(system: DunklSystem, psi: ParityFunction, E: float, x):
         raise DomainError("probability_density: x = 0 is outside the domain")
     w = weight_exponent(system.params)
     val = psi.f(x)
-    amp2 = val * val
     # Far tail: the amplitude underflows before any growing factor of
     # the energy derivative can overflow; the density is zero there,
     # and dV/dE is evaluated only where the amplitude survives.
     if grid:
-        live = amp2 != 0.0
-        xs = x[live]
-        density = np.zeros_like(amp2)
         with np.errstate(all="ignore"):     # an overflow stays inf for the caller
+            live = val * val != 0.0
+            xs = x[live]
+            density = np.zeros_like(val)
             density[live] = (_weighted_amplitude(val[live], np.abs(xs), w)
                              * (1.0 - system.potential.dv_dE(E, xs)))
         return density
-    if amp2 == 0.0:
+    if val * val == 0.0:
         return 0.0
     return _weighted_amplitude(val, abs(x), w) * (1.0 - system.potential.dv_dE(E, x))
 

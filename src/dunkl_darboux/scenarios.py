@@ -456,35 +456,43 @@ def harmonic_initial_solution_function(params: DunklParams, E: float) -> ParityF
                            params.delta)
 
 
-def _mapped_family(E: float, *rs: float) -> list:
-    """[(Phi, Phi'), ...] of the mapped solutions with indices rs, on one Laguerre group.
+def _family_lags(E: float, *rs: float) -> list:
+    """Closures of L_d^{r/2} and L_{d-1}^{r/2+1} = -L' per index r, one ``_laguerre_rows`` group.
 
-    Phi(y) = e^{-z/2 + (r/2) y} L_d^{r/2}(z), z = e^{2y}/sqrt(E),
-    d = -1/2 + E^{3/2}/4 - r/4, solves the mapped equation at spectral
-    parameter (1 - r^2)/4.  The rows L and L_{d-1}^{r/2+1} = -L' of all
-    members are one ``_laguerre_rows`` group, so the members belong
-    together only when every caller reads all of them on each grid.
-    Phi and Phi' accept a float or an ndarray of y.
+    The members over one group belong together only when every caller
+    reads all of them on each grid.
     """
-    beta = 1.0 / math.sqrt(E)
     rows = []
     for r in rs:
         degree = _mapped_degree(E, r)
         rows += [(degree, 0.5 * r), (degree - 1, 0.5 * r + 1)]
-    lags = _laguerre_rows(*rows)
+    return _laguerre_rows(*rows)
 
-    def member(r, u, lower):
-        def phi(y):
-            z = beta * exp(2 * y)
-            return exp(-0.5 * z + 0.5 * r * y) * u(z)
 
-        def phi1(y):
-            z = beta * exp(2 * y)
-            return exp(-0.5 * z + 0.5 * r * y) * ((0.5 * r - z) * u(z) - 2 * z * lower(z))
+def _family_member(E: float, r: float, u, lower):
+    """(Phi, Phi') of the mapped family at index r, on its two closures of ``_family_lags``.
 
-        return phi, phi1
+    Phi(y) = e^{-z/2 + (r/2) y} L_d^{r/2}(z), z = e^{2y}/sqrt(E),
+    d = -1/2 + E^{3/2}/4 - r/4, solves the mapped equation at spectral
+    parameter (1 - r^2)/4.  Phi and Phi' accept a float or an ndarray of y.
+    """
+    beta = 1.0 / math.sqrt(E)
 
-    return [member(r, lags[2 * i], lags[2 * i + 1]) for i, r in enumerate(rs)]
+    def phi(y):
+        z = beta * exp(2 * y)
+        return exp(-0.5 * z + 0.5 * r * y) * u(z)
+
+    def phi1(y):
+        z = beta * exp(2 * y)
+        return exp(-0.5 * z + 0.5 * r * y) * ((0.5 * r - z) * u(z) - 2 * z * lower(z))
+
+    return phi, phi1
+
+
+def _mapped_family(E: float, *rs: float) -> list:
+    """[(Phi, Phi'), ...] of the mapped family at indices rs, on one ``_family_lags`` group."""
+    lags = _family_lags(E, *rs)
+    return [_family_member(E, r, lags[2 * i], lags[2 * i + 1]) for i, r in enumerate(rs)]
 
 
 def mapped_initial_solution(params: DunklParams, E: float) -> OdeSolution:
@@ -501,18 +509,20 @@ def mapped_initial_solution(params: DunklParams, E: float) -> OdeSolution:
 STANDARD_CHAIN_EPS = (0.25, -0.75)
 
 
-def _standard_chain_functions(E: float):
-    """The two closed-form chain members at eps = 1/4 and -3/4 (r = 0, 2).
+def _standard_chain_functions(E: float, order: int) -> tuple:
+    """The first ``order`` closed-form chain members, at eps = 1/4 and -3/4 (r = 0, 2).
 
     Each member and its derivative accept a float or an ndarray of y.
-    u2 is the mapped family at r = 2.  u1 is the family at r = 0, but u1'
-    keeps the form z (2 L' - L) e^{-z/2}: the family's (r/2 - z) L + 2 z L'
-    rounds differently, and where Phi is u2 (delta nu - nu^2 = -3/4) the
+    The members' rows are one ``_family_lags`` group, so a chain reads
+    one kernel call per grid.  u2 is the mapped family at
+    r = 2.  u1 is the family at r = 0, but u1' keeps the form
+    z (2 L' - L) e^{-z/2}: the family's (r/2 - z) L + 2 z L' rounds
+    differently, and where Phi is u2 (delta nu - nu^2 = -3/4) the
     transformed state is pure rounding noise that any change would move.
     """
     beta = 1.0 / math.sqrt(E)
-    degree = _mapped_degree(E, 0.0)
-    lag, lower = _laguerre_rows((degree, 0.0), (degree - 1, 1.0))     # L, -L'
+    lags = _family_lags(E, *(0.0, 2.0)[:order])
+    lag, lower = lags[:2]                                   # L, -L'
 
     def u1(y):
         z = beta * exp(2 * y)
@@ -522,14 +532,16 @@ def _standard_chain_functions(E: float):
         z = beta * exp(2 * y)
         return exp(-0.5 * z) * z * (2 * (-lower(z)) - lag(z))
 
-    return (u1, u1p), _mapped_family(E, 2.0)[0]
+    if order == 1:
+        return ((u1, u1p),)
+    return (u1, u1p), _family_member(E, 2.0, *lags[2:])
 
 
 def _standard_chain(E: float, order: int, validate: bool, name: str) -> DarbouxChain:
     """The standard chain on the first ``order`` closed-form members."""
     if E <= 0:
         raise DomainError(f"{name}: E must be positive")
-    chain = DarbouxChain(kind=KIND_STANDARD, funcs=_standard_chain_functions(E)[:order],
+    chain = DarbouxChain(kind=KIND_STANDARD, funcs=_standard_chain_functions(E, order),
                          eps=STANDARD_CHAIN_EPS[:order],
                          background=ScenarioHarmonicEnergy.form(), energy=E)
     if validate:

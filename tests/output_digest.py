@@ -9,6 +9,7 @@ Runs ``dunkl_darboux.cli.run(argv)`` in-process, from CHECKOUT's ``src``
   ``bench/workloads.py``,
 - figures 1-7 and the ``darboux`` kinds at their defaults,
 - the refusal examples of the README's "Parameter ranges",
+- ``darboux`` edge grids, where the order of the chain's refusals shows,
 
 and prints one ``<sha256>  <argv>`` line per command.  The digest covers
 the exit code (or the type and message of an exception that escapes
@@ -66,6 +67,22 @@ REFUSALS = [
      "--rule", "ene1", "--grid-lo", "0"],
 ]
 
+# darboux grids at the edges of its range: x = e^y underflowing to 0 or
+# x^-2 overflowing, a Wronskian floor inside the grid, and grids whose
+# points of ln(x) differ from y.
+EDGES = [
+    ["darboux", "--kind", "standard", "--grid-lo", "-800", "--grid-hi", "1",
+     "--grid-count", "5"],
+    ["darboux", "--kind", "confluent", "--grid-lo", "-800", "--grid-hi", "1",
+     "--grid-count", "5"],
+    ["darboux", "--energy", "0.3", "--grid-lo", "-2", "--grid-hi", "3",
+     "--grid-count", "200"],
+    ["darboux", "--kind", "confluent", "--energy", "50", "--grid-lo", "-2",
+     "--grid-hi", "2", "--grid-count", "100"],
+    ["darboux", "--kind", "standard", "--order", "1", "--grid-lo", "-3",
+     "--grid-hi", "3", "--grid-count", "301"],
+]
+
 
 def digest(cli, argv) -> str:
     """SHA-256 of the exit code (or escaped exception), stdout and stderr."""
@@ -89,7 +106,7 @@ def main(argv) -> int:
                          f"not {root / 'src'}")
     commands = [argv for name in ("figures", "chains", "verify-sweep")
                 for argv in workloads.population(name)]
-    for command in commands + DEFAULTS + REFUSALS:
+    for command in commands + DEFAULTS + REFUSALS + EDGES:
         print(f"{digest(cli, command)}  {shlex.join(command)}")
     return 0
 

@@ -5,9 +5,11 @@ in-process through ``cli.run`` and judges each with the benchmark's own
 reference check (``bench/check.py``): an op must agree with
 ``bench/reference`` to the check's tolerance, or fail where the
 reference failed.  A kernel change that moves a printed digit fails
-here, in the test suite, and not only in a benchmark run.  The bench
-modules are loaded from their files without writing bytecode, so
-nothing is written under ``bench/``.
+here, in the test suite, and not only in a benchmark run.  The
+``darboux`` ops, and edge grids of their chain configurations, must
+also print what the three-grid route of the public routines prints.
+The bench modules are loaded from their files without writing
+bytecode, so nothing is written under ``bench/``.
 """
 
 import contextlib
@@ -21,6 +23,8 @@ from pathlib import Path
 import pytest
 
 from dunkl_darboux import cli
+from dunkl_darboux.darboux import transformed_potential, transformed_solution
+from dunkl_darboux.scenarios import pipeline_vhat
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -65,3 +69,35 @@ def test_benchmark_ops_match_their_references(workload):
         outcomes.setdefault(verdict, []).append(key)
     assert not outcomes.get("mismatch"), outcomes["mismatch"][:5]
     assert set(outcomes) <= {"ok", "expected_failure"}
+
+
+def _three_grids(E, chain, phi, ys, xs):
+    """cli._chain_columns as three public calls: U-hat and Phi-hat on y, V-hat at x."""
+    return (transformed_potential(chain, ys), transformed_solution(chain, phi, ys),
+            pipeline_vhat(E, chain, xs))
+
+
+# Grids whose ends refuse (x = e^y underflowing to 0, x^-2 overflowing, a
+# Wronskian floor, the Kummer |z| range, a refused confluent build) or
+# move many points of ln(x) off y, per chain configuration of ``chains``.
+_EDGE_GRIDS = [["--grid-lo", "-800", "--grid-hi", "1", "--grid-count", "5"],
+               ["--grid-lo", "-400", "--grid-hi", "-300", "--grid-count", "3"],
+               ["--grid-lo", "-3", "--grid-hi", "3", "--grid-count", "301"],
+               ["--energy", "0.3", "--grid-lo", "-2", "--grid-hi", "3",
+                "--grid-count", "200"],
+               ["--energy", "50", "--grid-lo", "-2", "--grid-hi", "2",
+                "--grid-count", "100"]]
+
+
+def test_darboux_one_grid_equals_three_grids(monkeypatch):
+    # cmd_darboux reads the chain on one grid, y joined with the points of
+    # ln(e^y) that differ from y; every printed byte and every refusal
+    # must be those of the three-grid route
+    edges = [["darboux", "--kind", kind, "--order", str(order), *grid]
+             for kind, order in workloads.CHAIN_CONFIGS for grid in _EDGE_GRIDS]
+    ops = workloads.population("chains") + edges
+    one_grid = [_run_op(argv) for argv in ops]
+    monkeypatch.setattr(cli, "_chain_columns", _three_grids)
+    for argv, got in zip(ops, one_grid):
+        assert got == _run_op(argv), workloads.op_key(argv)
+    assert sum(rc == cli.EXIT_OK for rc, *_ in one_grid) > len(one_grid) // 2

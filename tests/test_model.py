@@ -182,6 +182,26 @@ def test_probability_density_worked_value():
         probability_density(system, psi, E, 0.0)
 
 
+def test_probability_density_of_an_overflowing_psi_warns_nothing():
+    # at nu = 169 the harmonic-energy psi exceeds 1.3e154 on the grid, so
+    # psi^2 overflows: the grid must give what the per-point calls give,
+    # inf (NaN at 0 * inf), with no RuntimeWarning
+    import warnings
+
+    from dunkl_darboux.scenarios import ScenarioHarmonicEnergy, bound_state_energy
+    params = DunklParams(nu=169.0, delta=1, mu=1)
+    scenario = ScenarioHarmonicEnergy()
+    E = bound_state_energy(0, params, "ene0")
+    system, psi = scenario.system(params), scenario.solution(params, E)
+    xs = np.linspace(0.1, 4.0, 9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = probability_density(system, psi, E, xs)
+        points = [probability_density(system, psi, E, float(x)) for x in xs]
+    assert np.isinf(grid).sum() >= 1
+    assert grid.view(np.uint64).tolist() == np.array(points).view(np.uint64).tolist()
+
+
 def test_modified_norm_ground_state():
     # analytic value: 2 (weighted Gaussian moments)
     from dunkl_darboux.scenarios import (ScenarioGaussianMass,

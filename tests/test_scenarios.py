@@ -342,15 +342,15 @@ def test_chain_members_share_their_laguerre_factors(monkeypatch):
     ys = np.linspace(-2.0, 1.0, 50)
     with memo_scope():
         transformed_potential(chain, ys)
-        # u1 and u1' share L_{c-1/2}^0 and L_{c-3/2}^1, evaluated as one pair;
-        # u2 and u2' share the pair L_{c-1}^1, L_{c-2}^2
-        assert len(calls) == 2
+        # u1 and u1' read L_{c-1/2}^0 and L_{c-3/2}^1, u2 and u2' the pair
+        # L_{c-1}^1, L_{c-2}^2: the chain's four rows are one group
+        assert len(calls) == 1 and len(calls[0][0]) == 4
         transformed_solution(chain, mapped_initial_solution(TRANSFORM_PARAMS, 4.0), ys)
-        assert len(calls) == 3     # only phi's pair of factors is new
+        assert len(calls) == 2     # only phi's pair of factors is new
 
 
 def test_figure_4_kernel_calls_and_chain_builds(monkeypatch, capsys):
-    # per energy: the chain's two Laguerre pairs and Phi's pair for
+    # per energy: the chain's four Laguerre rows and Phi's pair for
     # Psi-hat, and one call for the four rows of dV-hat/dE with their
     # degree derivatives; one chain build per energy
     calls = _count_grid_calls(monkeypatch)
@@ -363,19 +363,19 @@ def test_figure_4_kernel_calls_and_chain_builds(monkeypatch, capsys):
     monkeypatch.setattr(cli, "standard_chain_u12", counted)
     assert cli.run(["figure", "4", "--grid-count", "50"]) == cli.EXIT_OK
     capsys.readouterr()
-    assert len(calls) == 12
+    assert len(calls) == 9
     assert len(builds) == 3
 
 
 def test_confluent_darboux_and_figure_7_kernel_calls(monkeypatch, capsys):
     # The confluent chain's ten Laguerre rows are one group.  darboux:
     # the build reads it on the validation grid and on its stencil nodes,
-    # the chain on y and on log(e^y) (V-hat), plus Phi's pair; at most 8
-    # (the bound of exact-derivative work).  figure 7: three energies,
-    # each a build and V-hat on its grid, at most 15.
+    # the chain on y joined with log(e^y) (V-hat), plus Phi's pair; at
+    # most 8 (the bound of exact-derivative work).  figure 7: three
+    # energies, each a build and V-hat on its grid, at most 15.
     calls = _count_grid_calls(monkeypatch)
     assert cli.run(["darboux", "--kind", "confluent"]) == cli.EXIT_OK
-    assert len(calls) == 5
+    assert len(calls) == 4
     calls.clear()
     assert cli.run(["figure", "7", "--grid-count", "50"]) == cli.EXIT_OK
     capsys.readouterr()
@@ -383,12 +383,23 @@ def test_confluent_darboux_and_figure_7_kernel_calls(monkeypatch, capsys):
     assert all(len(degrees) == 10 for degrees, _ in calls)
 
 
+@pytest.mark.parametrize("order, rows", [(1, [2, 2]), (2, [4, 2])])
+def test_standard_darboux_kernel_calls(order, rows, monkeypatch, capsys):
+    # the chain's rows (two per member) on y joined with log(e^y), then
+    # Phi's pair on the same grid: U-hat, Phi-hat and V-hat in two calls
+    calls = _count_grid_calls(monkeypatch)
+    argv = ["darboux", "--kind", "standard", "--order", str(order)]
+    assert cli.run(argv) == cli.EXIT_OK
+    capsys.readouterr()
+    assert [len(degrees) for degrees, _ in calls] == rows
+
+
 @pytest.mark.parametrize("E", [4.0, 12.0 ** (2.0 / 3.0)])
 def test_standard_members_and_phi_are_the_mapped_family(E):
     # u1, u2 and u2' are the mapped family at r = 0 and 2 (eps = 1/4 and
     # -3/4), here built as one group, and Phi at (nu, delta) = (3/2, +1),
     # where delta nu - nu^2 = -3/4, is u2: all bit for bit, floats included
-    (u1, _), (u2, u2p) = scenarios._standard_chain_functions(E)
+    (u1, _), (u2, u2p) = scenarios._standard_chain_functions(E, 2)
     (f0, _), (f2, f2p) = scenarios._mapped_family(E, 0.0, 2.0)
     phi = mapped_initial_solution(DunklParams(nu=1.5, delta=1, mu=1), E)
     assert phi.eps == -0.75
@@ -585,11 +596,11 @@ def test_nested_scope_joins_the_outer_one(monkeypatch):
     with memo_scope():
         outer = libm._MEMO.get()
         transformed_potential(chain, ys)            # _read opens a nested scope
-        assert libm._MEMO.get() is outer and len(calls) == 2
+        assert libm._MEMO.get() is outer and len(calls) == 1
         with memo_scope():
             assert libm._MEMO.get() is outer
             transformed_potential(chain, ys)
-        assert libm._MEMO.get() is outer and len(calls) == 2
+        assert libm._MEMO.get() is outer and len(calls) == 1
     assert libm._MEMO.get() is None
     transformed_potential(chain, ys)                 # a new scope evaluates afresh
-    assert len(calls) == 4
+    assert len(calls) == 2

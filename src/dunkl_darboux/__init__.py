@@ -6,8 +6,8 @@ from .model import (DunklParams, DunklSystem, EnergyPotential, MassProfile,
 from .pointmap import (CoordinateChange, SchrodingerForm, forward_map,
                        induced_potential, inverse_map)
 from .darboux import (DarbouxChain, DarbouxOutput, OdeSolution,
-                      intertwining_residual, transformed_potential,
-                      transformed_solution, wronskian)
+                      intertwining_residual, transformed_pair,
+                      transformed_potential, transformed_solution, wronskian)
 from .scenarios import (bound_state_energy, gaussian_solution, get_scenario,
                         parity_exponent, pdm_equivalence_nu)
 

@@ -15,12 +15,14 @@ one residual routine of standard-form equations, and ``validate_chain``
 the one refusal on it.  The chains themselves are built in
 ``scenarios``, where their family lives.
 
-``wronskian``, ``wronskian_first_derivative``, ``transformed_potential``
-and ``transformed_solution`` take a float or an ndarray of points y and
-pass it unchanged to the chain functions, so a float gives a float and
-an ndarray is evaluated elementwise, equal to the per-point calls bit
-for bit.  ``chain_residuals`` evaluates the chain functions on the
-whole grid it is given, so they must accept arrays there.  The routines
+``wronskian``, ``wronskian_first_derivative``, ``transformed_potential``,
+``transformed_solution`` and ``transformed_pair`` (U-hat and Phi-hat
+from one read of the chain, for callers that need both) take a float
+or an ndarray of points y and pass it unchanged to the chain
+functions, so a float gives a float and an ndarray is evaluated
+elementwise, equal to the per-point calls bit for bit.
+``chain_residuals`` evaluates the chain functions on the whole grid it
+is given, so they must accept arrays there.  The routines
 that read several chain closures at the same points do so in one
 ``libm.memo_scope``, so members that share special-function rows
 evaluate them once per grid.
@@ -185,27 +187,33 @@ def wronskian_first_derivative(chain: DarbouxChain, y):
     return _wronskian(chain, *_read(chain, y))[1]
 
 
-def transformed_potential(chain: DarbouxChain, y):
-    """U-hat(y) = U(y) - 2 (log W)'', with W, W' and W'' from ``_wronskian``."""
-    u, members = _read(chain, y)
+def _checked_read(chain: DarbouxChain, y, phi: Optional[OdeSolution] = None):
+    """One read of the chain (and of phi) at y, under the floor of U-hat and Phi-hat.
+
+    Returns U(y), the members' (u_j, u_j') at y, (Phi, Phi') at y (None
+    without phi) and (W, W', W'') from ``_wronskian``.
+    """
+    with memo_scope():
+        u, members = _read(chain, y)
+        solution = None if phi is None else (phi.f(y), phi.f1(y))
     w, wp, wpp, scale = _wronskian(chain, u, members)
     _below_floor(w, scale, y)
+    return u, members, solution, (w, wp, wpp)
+
+
+def _potential_hat(u, w, wp, wpp):
+    """U-hat = U - 2 (log W)'' = U - 2 (W'' W - W'^2) / W^2."""
     with np.errstate(all="ignore"):     # overflow stays inf/NaN, reported downstream
         return u - 2.0 * (wpp * w - wp * wp) / (w * w)
 
 
-def transformed_solution(chain: DarbouxChain, phi: OdeSolution, y):
-    """Phi-hat(y) = W(u_1..u_n, Phi) / W(u_1..u_n), under the floor of U-hat.
+def _solution_hat(chain: DarbouxChain, phi_eps: float, u, members: list, w, v, g):
+    """Phi-hat = W(u_1..u_n, Phi) / W from the chain read at y, Phi = v and Phi' = g there.
 
     The order-2 numerator is the 3 x 3 determinant of the columns (u,
     u', u''), with u'' reduced through the chain equation: (U - eps_j)
     u_j, minus u_{j-1} for a confluent u_2.
     """
-    with memo_scope():
-        u, members = _read(chain, y)
-        v, g = phi.f(y), phi.f1(y)
-    w, _, _, scale = _wronskian(chain, u, members)
-    _below_floor(w, scale, y)
     if chain.order == 0:
         return v / w
     if chain.order == 1:
@@ -216,15 +224,38 @@ def transformed_solution(chain: DarbouxChain, phi: OdeSolution, y):
     d2 = (u - e2) * v2
     if chain.kind == KIND_CONFLUENT:
         d2 = d2 - v1
-    cols = [[v1, g1, (u - e1) * v1], [v2, g2, d2], [v, g, (u - phi.eps) * v]]
+    cols = [[v1, g1, (u - e1) * v1], [v2, g2, d2], [v, g, (u - phi_eps) * v]]
     return _det(cols) / w
+
+
+def transformed_potential(chain: DarbouxChain, y):
+    """U-hat(y) = U(y) - 2 (log W)'', with W, W' and W'' from ``_wronskian``."""
+    u, _, _, wronskians = _checked_read(chain, y)
+    return _potential_hat(u, *wronskians)
+
+
+def transformed_solution(chain: DarbouxChain, phi: OdeSolution, y):
+    """Phi-hat(y) = W(u_1..u_n, Phi) / W(u_1..u_n), under the floor of U-hat."""
+    u, members, (v, g), (w, _, _) = _checked_read(chain, y, phi)
+    return _solution_hat(chain, phi.eps, u, members, w, v, g)
+
+
+def transformed_pair(chain: DarbouxChain, phi: OdeSolution, y):
+    """(U-hat(y), Phi-hat(y)) from one read of the chain and one Wronskian.
+
+    Equal to ``transformed_potential(chain, y)`` and
+    ``transformed_solution(chain, phi, y)`` bit for bit, and refused
+    where either is: the floor is the same.
+    """
+    u, members, (v, g), wronskians = _checked_read(chain, y, phi)
+    return (_potential_hat(u, *wronskians),
+            _solution_hat(chain, phi.eps, u, members, wronskians[0], v, g))
 
 
 def transform(chain: DarbouxChain, phi: OdeSolution, grid) -> DarbouxOutput:
     """The transformation as callables, with min |W| on a grid that passes U-hat's floor."""
     grid = np.asarray(grid, dtype=float)
-    w, _, _, scale = _wronskian(chain, *_read(chain, grid))
-    _below_floor(w, scale, grid)
+    _, _, _, (w, _, _) = _checked_read(chain, grid)
     floor = float(np.min(abs(w)))
     if floor <= 0:
         raise SingularityError("Wronskian vanishes on the requested domain")

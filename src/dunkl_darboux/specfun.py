@@ -22,7 +22,15 @@ columns) ratio matrix, grown in blocks by one loop, and summed by one
 error-free extraction (``_fsum_columns``) that hands the columns it
 cannot certify to ``math.fsum`` itself.  After each block one scan
 (``_stop_scan``) applies the stop rules; the value's stops at the first
-term k > 3 below 1e-18 of the largest term so far.  A series that has
+term k > 3 below 1e-18 of the largest term so far.  The first block is
+sized per call (``_first_block``): each row's series is probed on
+Python floats at the call's largest |z|, where it stops last, so the
+block holds the columns' terms and, on the benchmark workloads, no
+column needs a second block; narrow calls, one-point calls among them,
+skip the probe and take a fixed block.  Products and running peaks are
+built one row per ufunc call on wide blocks and by numpy's accumulate
+on narrow ones (``_accumulate``): the same operations in the same
+order, so block sizes and loops never change a bit.  A series that has
 not met its rules within ``KUMMER_MAX_TERMS`` terms raises
 ``AccuracyError`` instead of returning a partial sum, and a terminating
 polynomial of degree above ``KUMMER_MAX_TERMS`` is refused with a
@@ -80,14 +88,25 @@ _EPS = 2.2204460492503131e-16
 # still unconverged after a block continue in blocks of the second size.
 # On the benchmark workloads a series column stops at term 10 (figures,
 # chains) or 13 (verify-sweep) in the median and at 23, 20 or 40 at the
-# 90th percentile.  A first block of 16 or 12 terms measured slower on
-# all three (in-process passes): the columns past it pay a second-block
-# gather.
+# 90th percentile, so a fixed first block is too long for most calls and
+# too short for some.  A call of at least _PROBE_POINTS points sizes its
+# first block with ``_first_block`` instead, to at most _MAX_FIRST_BLOCK
+# terms (the buffer's first two blocks), and narrower calls, one-point
+# calls among them, take _FIRST_BLOCK, for which the probe costs more
+# than the rows it saves (_PROBE_POINTS must be at least 1: the probe
+# needs a point).
 _FIRST_BLOCK = 32
 _SERIES_BLOCK = 48
+_MAX_FIRST_BLOCK = _FIRST_BLOCK + _SERIES_BLOCK
+_PROBE_POINTS = 8
+# From this many columns, running products and peaks are built row by
+# row (``_accumulate``): numpy's accumulate along axis 0 is a scalar
+# loop, slower than one call per row from about 150-250 columns on.
+_ROW_LOOP_COLUMNS = 200
 # Series index k and k + 1 as floats, and the term index, for every possible term.
 _K = np.arange(KUMMER_MAX_TERMS, dtype=float)
 _K1 = _K + 1.0
+_K_FIRST = _K[:_MAX_FIRST_BLOCK].tolist()      # the probe's k, as Python floats
 _TERM_INDEX = np.arange(KUMMER_MAX_TERMS + 1)[:, None]
 # k ** 0.5 (libm pow, as a float ** computes it) for every possible series length k.
 _SQRT_COUNT = np.array([k ** 0.5 for k in range(KUMMER_MAX_TERMS + 2)])
@@ -256,16 +275,72 @@ def _series_ratios(ks: slice, a, b, z, out=None, removed: bool = False):
     return out
 
 
+def _accumulate(ufunc, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """ufunc.accumulate(x, axis=0, out=out) for a 2-D x; out may be x.
+
+    From ``_ROW_LOOP_COLUMNS`` columns on, one ufunc call per row
+    (out[j] = ufunc(out[j - 1], x[j])): the same operations in the same
+    order, so the same bits, and faster than numpy's scalar loop there.
+    """
+    if x.shape[1] < _ROW_LOOP_COLUMNS:
+        return ufunc.accumulate(x, axis=0, out=out)
+    out[0] = x[0]
+    for j in range(1, len(x)):
+        ufunc(out[j - 1], x[j], out=out[j])
+    return out
+
+
+def _series_stop(a: float, b: float, z: float) -> int:
+    """The value stop of the series of M(a; b; z), or ``_MAX_FIRST_BLOCK`` if later.
+
+    The kernel's recurrence (``_series_ratios``) and value stop rule
+    (``_stop_scan``) on Python floats, which round as float64 does.
+    """
+    term = peak = 1.0
+    for k in _K_FIRST:
+        term *= (k + a) * z / ((k + b) * (k + 1.0))
+        mag = term if term >= 0.0 else -term
+        if mag > peak:
+            peak = mag
+        elif k >= 3.0 and mag < peak * 1e-18:
+            return int(k) + 1
+    return _MAX_FIRST_BLOCK
+
+
+def _first_block(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> int:
+    """Ratios in the first block of ``_kummer_series_grid`` (arguments as there).
+
+    Each row's series is run at the point of largest |z|, with that
+    point's a, and the block holds one term past the latest stop, at
+    most ``_MAX_FIRST_BLOCK`` terms.  For fixed a and b the stop index
+    does not decrease as |z| grows (every ratio |term_k / term_j|, j < k,
+    grows with |z|), so the block holds every column of a row whose a is
+    the same at all points, up to rounding ties; a column that runs on
+    takes the continuation blocks.  Calls of fewer than ``_PROBE_POINTS``
+    points take ``_FIRST_BLOCK``.
+    """
+    if z.shape[0] < _PROBE_POINTS:
+        return _FIRST_BLOCK
+    far = int(np.abs(z).argmax())
+    a_far = a[:, min(far, a.shape[1] - 1)].tolist()
+    z_far = float(z[far])
+    last = max(_series_stop(ai, bi, z_far) for ai, bi in zip(a_far, b[:, 0].tolist()))
+    return min(last + 1, _MAX_FIRST_BLOCK)
+
+
 def _kummer_series_grid(a: np.ndarray, b: np.ndarray, z: np.ndarray, da: bool = False):
     """The Kummer series per column: (values, error estimates), each (rows, points).
 
     Column (i, j) is the series of M(a[i, j]; b[i]; z[j]): a has shape
     (rows, 1) or (rows, points), b (rows, 1), z (points,).  terms[k, c]
     is term k of column c, built by the series recurrence as a
-    cumulative product: the first ``_FIRST_BLOCK`` ratios of all columns
-    in place in the term buffer, then blocks of ``_SERIES_BLOCK`` for the
-    columns that have not met every stop rule they need.  Terms past a
-    column's stop are zeroed, which leaves its sum exact.
+    cumulative product (``_accumulate``): the first block's ratios of
+    all columns in place in the term buffer, as many as ``_first_block``
+    gives, then blocks of ``_SERIES_BLOCK`` for the columns that have not
+    met every stop rule they need.  Terms past a column's stop are
+    zeroed, which leaves its sum exact.  The block sizes decide only
+    which products are computed, never their values, so a column's bits
+    do not depend on them.
 
     With da (a of shape (rows, 1)), the a-derivatives (sums of term_k H_k)
     and their estimates follow.  A column whose a is a nonpositive integer
@@ -276,7 +351,7 @@ def _kummer_series_grid(a: np.ndarray, b: np.ndarray, z: np.ndarray, da: bool = 
     cols = np.arange(size)
     # Every call starts with the first two blocks' rows, which hold most
     # series, and grows if need be: a row per possible term costs memory per column.
-    terms = np.empty((_FIRST_BLOCK + _SERIES_BLOCK + 1, size))
+    terms = np.empty((_MAX_FIRST_BLOCK + 1, size))
     terms[0] = 1.0
     # Per stop rule: each column's last term and peak, the open columns,
     # and the weights of the magnitudes (A_k per term and row, or None).
@@ -301,10 +376,12 @@ def _kummer_series_grid(a: np.ndarray, b: np.ndarray, z: np.ndarray, da: bool = 
         dlast, dpeak = np.zeros(size, dtype=int), np.zeros(size)
         rules.append([dlast, dpeak, cols, a_sum])
     with np.errstate(over="ignore", invalid="ignore"):
-        head = terms[1:_FIRST_BLOCK + 1].reshape(_FIRST_BLOCK, rows, n)
-        np.cumprod(_series_ratios(slice(0, _FIRST_BLOCK), a, b, z, out=head, removed=da),
-                   axis=0, out=head)
-        lo, block, active = 0, terms[:_FIRST_BLOCK + 1], cols
+        first = _first_block(a, b, z)
+        head = terms[1:first + 1]
+        _series_ratios(slice(0, first), a, b, z, out=head.reshape(first, rows, n),
+                       removed=da)
+        _accumulate(np.multiply, head, head)
+        lo, block, active = 0, terms[:first + 1], cols
         while True:
             mag = np.abs(block)
             for rule in rules:
@@ -329,7 +406,7 @@ def _kummer_series_grid(a: np.ndarray, b: np.ndarray, z: np.ndarray, da: bool = 
             factors = _series_ratios(ks, a_cols[active], b_cols[active], z_cols[active],
                                      removed=da)
             factors[0] *= terms[k0, active]
-            block = np.cumprod(factors, axis=0)
+            block = _accumulate(np.multiply, factors, factors)
             terms = _room(terms, ks.stop + 1)
             terms[ks.start + 1:ks.stop + 1, active] = block
             lo = ks.start + 1
@@ -364,7 +441,7 @@ def _stop_scan(mag: np.ndarray, lo: int, stop: np.ndarray, top: np.ndarray,
     that largest magnitude; a column that has not stopped gets the
     block's last term and the largest magnitude up to it.
     """
-    running = np.fmax.accumulate(mag, axis=0)
+    running = _accumulate(np.fmax, mag, np.empty_like(mag))
     if lo:
         np.fmax(running, top[open_], out=running)
     skip = max(0, 4 - lo)

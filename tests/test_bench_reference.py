@@ -7,7 +7,9 @@ reference check (``bench/check.py``): an op must agree with
 reference failed.  A kernel change that moves a printed digit fails
 here, in the test suite, and not only in a benchmark run.  The
 ``darboux`` ops, and edge grids of their chain configurations, must
-also print what the three-grid route of the public routines prints.
+also print what the three-grid route of the public routines prints,
+and ``transformed_pair`` must return there what ``transformed_potential``
+and ``transformed_solution`` return.
 The bench modules are loaded from their files without writing
 bytecode, so nothing is written under ``bench/``.
 """
@@ -22,8 +24,11 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
 from dunkl_darboux import cli
 from dunkl_darboux.darboux import transformed_potential, transformed_solution
+from dunkl_darboux.errors import DunklDarbouxError
 from dunkl_darboux.scenarios import pipeline_vhat
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -101,3 +106,39 @@ def test_darboux_one_grid_equals_three_grids(monkeypatch):
     for argv, got in zip(ops, one_grid):
         assert got == _run_op(argv), workloads.op_key(argv)
     assert sum(rc == cli.EXIT_OK for rc, *_ in one_grid) > len(one_grid) // 2
+
+
+def _outcome(call):
+    """The arrays call() returns, as bits, or the type and message of its package error."""
+    try:
+        return [np.asarray(part, dtype=float).view(np.uint64).tolist() for part in call()]
+    except DunklDarbouxError as exc:
+        return type(exc), str(exc)
+
+
+def test_transformed_pair_equals_the_two_routines(monkeypatch):
+    # On every grid cmd_darboux reads (the chains population and the edge
+    # grids of its chain configurations), transformed_pair returns what
+    # transformed_potential and transformed_solution return, bit for bit,
+    # and refuses with the error of the first of them that refuses
+    real = cli.transformed_pair
+    compared = []
+
+    def spy(chain, phi, y):
+        pair = _outcome(lambda: real(chain, phi, y))
+        potential = _outcome(lambda: [transformed_potential(chain, y)])
+        solution = _outcome(lambda: [transformed_solution(chain, phi, y)])
+        if isinstance(potential, list) and isinstance(solution, list):
+            compared.append(pair == potential + solution)
+        else:
+            compared.append(pair == (potential if isinstance(potential, tuple)
+                                     else solution))
+        return real(chain, phi, y)
+
+    monkeypatch.setattr(cli, "transformed_pair", spy)
+    edges = [["darboux", "--kind", kind, "--order", str(order), *grid]
+             for kind, order in workloads.CHAIN_CONFIGS for grid in _EDGE_GRIDS]
+    for argv in workloads.population("chains") + edges:
+        _run_op(argv)
+    assert len(compared) > len(workloads.population("chains"))
+    assert all(compared)

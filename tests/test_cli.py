@@ -653,6 +653,36 @@ def test_darboux_checks_grid_before_building_chain(monkeypatch, capsys, extra, m
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("kind, order", [("standard", 1), ("standard", 2),
+                                         ("confluent", 2)])
+def test_darboux_reads_each_member_once(monkeypatch, capsys, kind, order):
+    # cmd_darboux takes U-hat and Phi-hat from one read of the chain: each
+    # member closure (u_j and u_j') is called once, on the one grid of
+    # the command, after the chain is built
+    reads = []
+    real_build = cli._build_chain
+
+    def counted(fn, key):
+        def read(y):
+            reads.append((key, np.shape(y)))
+            return fn(y)
+        return read
+
+    def build(config, E):
+        chain = real_build(config, E)
+        funcs = tuple((counted(f, (j, "u")), counted(d, (j, "u'")))
+                      for j, (f, d) in enumerate(chain.funcs))
+        return replace(chain, funcs=funcs)
+
+    monkeypatch.setattr(cli, "_build_chain", build)
+    assert run(["darboux", "--kind", kind, "--order", str(order),
+                "--grid-count", "60"]) == EXIT_OK
+    capsys.readouterr()
+    keys = [key for key, _ in reads]
+    assert sorted(keys) == sorted((j, part) for j in range(order) for part in ("u", "u'"))
+    assert len({shape for _, shape in reads}) == 1
+
+
 @pytest.mark.parametrize("eps", [1.0, 0.25, 0.24999])
 def test_confluent_eps_above_quarter_is_a_domain_error(tmp_path, capsys, eps):
     # sqrt(1 - 4 eps) is real up to eps = 1/4, and the eps stencil of u2

@@ -9,7 +9,7 @@ import pytest
 from dunkl_darboux import scenarios
 from dunkl_darboux.darboux import (DarbouxChain, OdeSolution, chain_residuals,
                                    intertwining_residual, transform,
-                                   transformed_potential,
+                                   transformed_pair, transformed_potential,
                                    transformed_solution, validate_chain,
                                    wronskian, wronskian_first_derivative)
 from dunkl_darboux.errors import (CapabilityError, ConstructionError,
@@ -303,3 +303,36 @@ def test_transform_applies_the_relative_floor():
         transform(chain, phi, np.linspace(0.5, 1.0, 11))
     with pytest.raises(SingularityError):
         transformed_potential(chain, 0.7)
+
+
+def test_transformed_pair_refuses_below_floor_as_the_two_routines():
+    # W = -1e-13 is below the floor 1e-12 on the whole grid: the pair
+    # raises the error type and message that both routines raise
+    form = _harmonic_oscillator_form()
+    chain = DarbouxChain(kind="standard", funcs=((lambda y: y, lambda y: 1.0 + 0.0 * y),
+                                                 (lambda y: y + 1e-13, lambda y: 1.0 + 0.0 * y)),
+                         eps=(1.0, 2.0), background=form, energy=0.0)
+    phi = OdeSolution(f=lambda y: 1.0 + 0.0 * y, f1=lambda y: 0.0 * y, eps=0.0)
+    grid = np.linspace(0.5, 1.0, 11)
+    errors = []
+    for call in (lambda: transformed_pair(chain, phi, grid),
+                 lambda: transformed_potential(chain, grid),
+                 lambda: transformed_solution(chain, phi, grid)):
+        with pytest.raises(SingularityError) as exc:
+            call()
+        errors.append((type(exc.value), str(exc.value)))
+    assert errors[0] == errors[1] == errors[2]
+    assert errors[0][1] == "Wronskian below floor at y=0.5"
+
+
+@pytest.mark.parametrize("build", [standard_chain_order1, standard_chain_u12,
+                                   confluent_chain])
+def test_transformed_pair_equals_the_two_routines_bit_for_bit(build):
+    E = 4.0
+    chain = build(E) if build is confluent_chain else build(E, validate=False)
+    phi = mapped_initial_solution(DunklParams(nu=2.5, delta=-1, mu=1), E)
+    u_hat, phi_hat = transformed_pair(chain, phi, GRID)
+    assert u_hat.tobytes() == transformed_potential(chain, GRID).tobytes()
+    assert phi_hat.tobytes() == transformed_solution(chain, phi, GRID).tobytes()
+    assert (transformed_pair(chain, phi, 0.25)
+            == (transformed_potential(chain, 0.25), transformed_solution(chain, phi, 0.25)))

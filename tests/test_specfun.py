@@ -387,23 +387,93 @@ def test_grid_range_guard_matches_scalar_message():
                                 [0.5, 100.0, 3.0, 250.0, -0.3, 390.0]])
 def test_grown_term_buffer_equals_reference_bit_for_bit(zs, monkeypatch):
     # Every call starts with room for the first two blocks of terms
-    # (81); series at |z| of 100 and more need more and grow the buffer.
-    # In the mixed grid only some columns grow, the others stop early.
-    grown = []
+    # (81); series at |z| of 100 and more need more and grow the buffer
+    # in the continuation blocks.  The first block is forced to 5 terms,
+    # then sized by the probe on every grid (it stops at its 80-term cap
+    # here).  In the mixed grid only some columns grow, the others stop
+    # early.
     real = specfun._room
+    for setting in ({"_first_block": lambda a, b, z: 5}, {"_PROBE_POINTS": 1}):
+        grown = []
 
-    def spy(terms, count):
-        out = real(terms, count)
-        grown.append(out is not terms)
-        return out
+        def spy(terms, count):
+            out = real(terms, count)
+            grown.append(out is not terms)
+            return out
 
-    monkeypatch.setattr(specfun, "_room", spy)
-    for a, b in ((0.3, 1.5), (-2.7, 0.5), (5.2, 3.25)):
-        _assert_grid_matches_reference(_reference_kummer_m, kummer_m, kummer_m_grid,
-                                       a, b, zs)
-        _assert_grid_matches_reference(_reference_assoc_laguerre, _laguerre,
-                                       assoc_laguerre_grid, -a, b - 1.0, zs)
-    assert any(grown)
+        with monkeypatch.context() as mp:
+            mp.setattr(specfun, "_room", spy)
+            for name, value in setting.items():
+                mp.setattr(specfun, name, value)
+            for a, b in ((0.3, 1.5), (-2.7, 0.5), (5.2, 3.25)):
+                _assert_grid_matches_reference(_reference_kummer_m, kummer_m,
+                                               kummer_m_grid, a, b, zs)
+                _assert_grid_matches_reference(_reference_assoc_laguerre, _laguerre,
+                                               assoc_laguerre_grid, -a, b - 1.0, zs)
+        assert any(grown)
+
+
+def _kummer_rows_outcome(a, b, z, da):
+    """The arrays of ``_kummer_rows`` as bits, or the type and message of its error."""
+    try:
+        return [_bits(part) for part in specfun._kummer_rows(a, b, z, da)]
+    except DunklDarbouxError as exc:
+        return type(exc), str(exc)
+
+
+# Kernel settings that must not change a bit: the first block sized by
+# the probe (run on every grid) or forced to 5 terms, with products and
+# peaks built row by row everywhere, and the fixed 32-term first block
+# with numpy's accumulate everywhere.
+_BLOCK_SETTINGS = [
+    {"_PROBE_POINTS": 1, "_ROW_LOOP_COLUMNS": 0},
+    {"_first_block": lambda a, b, z: 5, "_ROW_LOOP_COLUMNS": 0},
+    {"_first_block": lambda a, b, z: 32, "_ROW_LOOP_COLUMNS": 10 ** 9},
+]
+
+
+@settings(max_examples=120, deadline=None)
+@given(rows=st.lists(st.tuples(st.one_of(st.floats(-20.0, 20.0),
+                                         st.integers(-12, 0).map(float)),
+                               st.floats(0.05, 20.0)), min_size=1, max_size=3),
+       zs=st.lists(st.one_of(st.floats(-60.0, 60.0), st.floats(-1.5, -0.5),
+                             st.floats(-0.01, 0.01)), max_size=25),
+       far=st.integers(0, 9).flatmap(lambda k: st.just([]) if k else st.floats(
+           300.0, 520.0).flatmap(lambda r: st.sampled_from([[r], [-r]]))),
+       da=st.booleans())
+def test_first_block_size_changes_no_bit(rows, zs, far, da):
+    # Polynomial and series rows, reflected points (z < -1), empty and
+    # one-point grids, and one example in ten with a far point (|z| from
+    # 300 to 520: the probe stops at its cap, and from about 496 the
+    # series does not converge): values, estimates, a-derivative rows
+    # and errors are the same under every setting.
+    a, b = [list(col) for col in zip(*rows)]
+    z = np.array(zs + far)
+    outcomes = []
+    for setting in _BLOCK_SETTINGS:
+        with pytest.MonkeyPatch.context() as mp:
+            for name, value in setting.items():
+                mp.setattr(specfun, name, value)
+            outcomes.append(_kummer_rows_outcome(a, b, z, da))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+def test_probe_sizes_the_first_block_to_the_far_column():
+    # At |z| = 12 the series of M(0.3; 1.5; z) stops at term 50, so the
+    # block holds 51 terms; a one-point call keeps the fixed block, and
+    # the block never exceeds the buffer's first two blocks.
+    a, b = np.array([[0.3]]), np.array([[1.5]])
+    z = np.linspace(0.0, 12.0, 9)
+    stop = specfun._series_stop(0.3, 1.5, 12.0)
+    assert specfun._first_block(a, b, z) == stop + 1
+    assert specfun._first_block(a, b, z[-1:]) == specfun._FIRST_BLOCK
+    assert specfun._first_block(a, b, 40.0 * z) == specfun._MAX_FIRST_BLOCK
+    # stop is the kernel's own: the columns at and below |z| = 12 stop by it
+    mag = np.abs(np.cumprod(np.r_[1.0, specfun._series_ratios(
+        slice(0, stop), 0.3, 1.5, 12.0)]))
+    running = np.fmax.accumulate(mag)
+    assert mag[stop] < 1e-18 * running[stop]
+    assert not (mag[4:stop] < 1e-18 * running[4:stop]).any()
 
 
 def test_unconverged_series_raises_on_both_paths():

@@ -30,7 +30,7 @@ from typing import Callable, List, Optional, Sequence, get_args, get_type_hints
 import numpy as np
 
 from .darboux import (DarbouxChain, KIND_STANDARD, OdeSolution, chain_residuals,
-                      transformed_pair, transformed_potential, transformed_solution)
+                      transformed_pair)
 from .errors import DomainError, DunklDarbouxError
 from .libm import exp, log, memo_scope, power
 from .model import (DunklParams, dunkl_residual, modified_norm,
@@ -452,36 +452,30 @@ def _chain_columns(E: float, chain: DarbouxChain, phi: OdeSolution, ys: np.ndarr
                    xs: np.ndarray):
     """(U-hat, Phi-hat, V-hat) of ``cmd_darboux``, from one ``transformed_pair`` call.
 
-    The call reads the chain once, on the joined grid (see there); a
-    refusal runs the three public calls instead.
+    The call reads the chain once, on y followed by the points of ln(x)
+    that differ from y.
     """
-    try:
-        ln_x = log(xs)
-        moved = ln_x != ys
-        grid = np.concatenate([ys, ln_x[moved]])
-        u_grid, phi_grid = transformed_pair(chain, phi, grid)
-        u_ln = u_grid[:ys.size].copy()
-        u_ln[moved] = u_grid[ys.size:]
-        v_hat = E - power(xs, -2.0) * (0.25 - u_ln)
-        return u_grid[:ys.size], phi_grid[:ys.size], v_hat
-    except DunklDarbouxError:
-        return (transformed_potential(chain, ys), transformed_solution(chain, phi, ys),
-                pipeline_vhat(E, chain, xs))
+    ln_x = log(xs)
+    moved = ln_x != ys
+    grid = np.concatenate([ys, ln_x[moved]])
+    u_grid, phi_grid = transformed_pair(chain, phi, grid)
+    u_ln = u_grid[:ys.size].copy()
+    u_ln[moved] = u_grid[ys.size:]
+    v_hat = E - power(xs, -2.0) * (0.25 - u_ln)
+    return u_grid[:ys.size], phi_grid[:ys.size], v_hat
 
 
 def cmd_darboux(config: RunConfig) -> int:
     """The chain's U-hat and Phi-hat on the y grid, V-hat and Psi-hat at x = e^y.
 
-    The chain is read on one grid: y followed by the points of ln(x)
-    that differ from y (one rounding of e^y moves about a third of
-    them).  ``transformed_pair`` gives U-hat and Phi-hat on it from one
-    read of the chain, and V-hat = E - x^-2 (1/4 - U-hat(ln x)) takes
-    U-hat from the same result.  The routines are elementwise, so the
-    columns equal ``transformed_potential(chain, y)``,
+    A y whose x = e^y underflows to 0 is refused.  Otherwise the chain
+    is read on one grid, y followed by the points of ln(x) that differ
+    from y (one rounding of e^y moves about a third of them), by one
+    ``transformed_pair`` call, and V-hat = E - x^-2 (1/4 - U-hat(ln x))
+    takes U-hat from the same result.  The routines are elementwise, so
+    the columns equal ``transformed_potential(chain, y)``,
     ``transformed_solution(chain, phi, y)`` and ``pipeline_vhat(E,
-    chain, x)`` bit for bit.  The one grid can meet refusals in another
-    order than those three calls, so on a refusal the three calls run
-    and their outcome stands.
+    chain, x)`` bit for bit; a refusal is the first this read meets.
     """
     nu = config.nu if config.nu is not None else 2.5
     delta = config.delta if config.delta is not None else -1
@@ -493,6 +487,8 @@ def cmd_darboux(config: RunConfig) -> int:
     chain = _build_chain(config, E)
     phi = mapped_initial_solution(params, E)
     xs = exp(ys)
+    if not xs.all():
+        raise DomainError(f"darboux: x = e^y underflows to 0 at y={float(ys[xs == 0.0][0])}")
     u_hat, phi_hat, v_hat = _chain_columns(E, chain, phi, ys, xs)
     psi_hat = power(xs, 0.5 - params.nu) * phi_hat
     rows = _rows(ys, xs, u_hat, v_hat, phi_hat, psi_hat)

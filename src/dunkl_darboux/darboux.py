@@ -8,12 +8,12 @@ and W'' of a chain of order 0 to 2 from its members' closed-form
 raise ``CapabilityError``.  The same routine gives the floor scale
 that U-hat, Phi-hat and ``transform`` all apply, |W| < 1e-12 times the
 product over members of max(|u_j|, |u_j'|), which a rescaled member
-moves with W.  The one matrix left is the 3 x 3 numerator of the
-order-2 Phi-hat, whose third row is reduced through the chain equation
-and which is expanded by an explicit cofactor formula.  ``chain_residuals`` is the
-one residual routine of standard-form equations, and ``validate_chain``
-the one refusal on it.  The chains themselves are built in
-``scenarios``, where their family lives.
+moves with W, and W = 0 also where that product underflows.  The one
+matrix left is the 3 x 3 numerator of the order-2 Phi-hat, whose third
+row is reduced through the chain equation and expanded by an explicit
+cofactor formula.  ``chain_residuals`` is the one residual routine of
+standard-form equations, and ``validate_chain`` the one refusal on it.
+The chains themselves are built in ``scenarios``, where their family lives.
 
 ``wronskian``, ``wronskian_first_derivative``, ``transformed_potential``,
 ``transformed_solution`` and ``transformed_pair`` (U-hat and Phi-hat
@@ -170,8 +170,8 @@ def _det(cols: list):
 
 
 def _below_floor(w, scale, y) -> None:
-    """SingularityError where |W| < DEFAULT_W_FLOOR * scale, naming the first such y."""
-    low = abs(w) < DEFAULT_W_FLOOR * scale
+    """SingularityError naming the first y where W = 0 or |W| < DEFAULT_W_FLOOR * scale."""
+    low = (w == 0.0) | (abs(w) < DEFAULT_W_FLOOR * scale)
     if np.any(low):
         at = float(np.broadcast_to(y, np.shape(low))[low][0])
         raise SingularityError(f"Wronskian below floor at y={at}")
@@ -256,13 +256,10 @@ def transform(chain: DarbouxChain, phi: OdeSolution, grid) -> DarbouxOutput:
     """The transformation as callables, with min |W| on a grid that passes U-hat's floor."""
     grid = np.asarray(grid, dtype=float)
     _, _, _, (w, _, _) = _checked_read(chain, grid)
-    floor = float(np.min(abs(w)))
-    if floor <= 0:
-        raise SingularityError("Wronskian vanishes on the requested domain")
     return DarbouxOutput(
         phi_hat=lambda t: transformed_solution(chain, phi, t),
         u_hat=lambda t: transformed_potential(chain, t),
-        wronskian_floor=floor,
+        wronskian_floor=float(np.min(abs(w))),
     )
 
 

@@ -33,8 +33,7 @@ import numpy as np
 
 from .darboux import (DarbouxChain, KIND_CONFLUENT, KIND_STANDARD, OdeSolution,
                       transformed_potential, transformed_solution, validate_chain)
-from .errors import (ConstructionError, ContractError, DomainError, DunklDarbouxError,
-                     SingularityError)
+from .errors import ConstructionError, ContractError, DomainError, SingularityError
 from .libm import exp, log, memoised, memo_scope, power
 from .model import (DunklParams, DunklSystem, EnergyPotential, MassProfile,
                     ParityFunction)
@@ -364,18 +363,6 @@ def pdm_equivalence_nu(nu_bar: float, delta_bar: int, delta: int) -> float:
     return 1.5 * delta + 0.5 * math.sqrt(radicand)
 
 
-# Stored in the memo for a row group whose joint kernel call raised a package error.
-_GROUP_FAILED = np.empty(0)
-
-
-def _joint(kernel, rows, grid):
-    """kernel(rows, grid), or _GROUP_FAILED if it raises a package error."""
-    try:
-        return kernel(rows, grid)
-    except DunklDarbouxError:
-        return _GROUP_FAILED
-
-
 def _row_group(kernel, rows) -> list:
     """One closure z -> row i of kernel(rows, z) per row, the group read through ``memoised``.
 
@@ -383,19 +370,12 @@ def _row_group(kernel, rows) -> list:
     the one-point grid [z] and gets a float back.  The key is (kernel,
     rows), so within a memo scope every closure over the same rows
     shares one kernel call per grid; rows belong together only when
-    every caller reads all of them on each grid.  If the group call
-    raises a package error, the row being read is evaluated alone, as
-    the one-row group, so each row raises its own error when read; the
-    failure is stored, so within the scope later reads of the group on
-    that grid go straight to their row alone.
+    every caller reads all of them on each grid.  A package error of
+    that call is raised by whichever row is read, and nothing is stored.
     """
     def read(i, z):
         grid = z if isinstance(z, np.ndarray) else np.array([z], dtype=float)
-        values = _GROUP_FAILED if len(rows) == 1 else \
-            memoised((kernel, rows), grid, _joint, kernel, rows, grid)
-        if values is _GROUP_FAILED:
-            alone = rows[i:i + 1]
-            values, i = memoised((kernel, alone), grid, kernel, alone, grid), 0
+        values = memoised((kernel, rows), grid, kernel, rows, grid)
         return values[i] if grid is z else float(values[i][0])
 
     return [lambda z, i=i: read(i, z) for i in range(len(rows))]

@@ -208,8 +208,8 @@ def _kummer_rows(a: list, b: list, z: np.ndarray, da: bool = False):
     are evaluated together, in one call of the series kernel.  With da,
     the a-derivatives and their estimates follow, from one kernel call
     over all rows (a polynomial's derivative is a series), and z must be
-    at least ``KUMMER_SERIES_Z_MIN``.  z must be finite; the result is
-    not validated.
+    at least ``KUMMER_SERIES_Z_MIN`` and no a subnormal.  z must be
+    finite; the result is not validated.
     """
     rows = []      # (values, estimates) of a polynomial row, None for a series row
     for ai, bi in zip(a, b):
@@ -233,6 +233,8 @@ def _kummer_rows(a: list, b: list, z: np.ndarray, da: bool = False):
             if low.any():
                 raise DomainError(f"kummer_m: the a-derivative needs z >= "
                                   f"{KUMMER_SERIES_Z_MIN:g}")
+            if ((sa != 0.0) & (np.abs(sa) < np.finfo(float).tiny)).any():   # 1/a overflows
+                raise DomainError("kummer_m: the a-derivative refuses a subnormal a")
             values, est, *slopes = _kummer_series_grid(sa, sb, flat, da=True)
         else:
             if low.any():

@@ -68,8 +68,9 @@ REFUSALS = [
 ]
 
 # darboux grids at the edges of its range: x = e^y underflowing to 0 or
-# x^-2 overflowing, a Wronskian floor inside the grid, and grids whose
-# points of ln(x) differ from y.
+# x^-2 overflowing, a Wronskian floor inside the grid (the confluent
+# -400..-300 grid, where W and the floor's scale are both 0), and grids
+# whose points of ln(x) differ from y.
 EDGES = [
     ["darboux", "--kind", "standard", "--grid-lo", "-800", "--grid-hi", "1",
      "--grid-count", "5"],
@@ -81,6 +82,10 @@ EDGES = [
      "--grid-hi", "2", "--grid-count", "100"],
     ["darboux", "--kind", "standard", "--order", "1", "--grid-lo", "-3",
      "--grid-hi", "3", "--grid-count", "301"],
+    ["darboux", "--kind", "confluent", "--grid-lo", "-400", "--grid-hi", "-300",
+     "--grid-count", "3"],
+    ["darboux", "--kind", "standard", "--grid-lo", "-750", "--grid-hi", "1",
+     "--grid-count", "5"],
 ]
 
 

@@ -8,7 +8,8 @@ reference failed.  A kernel change that moves a printed digit fails
 here, in the test suite, and not only in a benchmark run.  The
 ``darboux`` ops, and edge grids of their chain configurations, must
 also print what the three-grid route of the public routines prints,
-and ``transformed_pair`` must return there what ``transformed_potential``
+refusals included, each refusal as one error line, and
+``transformed_pair`` must return there what ``transformed_potential``
 and ``transformed_solution`` return.
 The bench modules are loaded from their files without writing
 bytecode, so nothing is written under ``bench/``.
@@ -86,6 +87,7 @@ def _three_grids(E, chain, phi, ys, xs):
 # Wronskian floor, the Kummer |z| range, a refused confluent build) or
 # move many points of ln(x) off y, per chain configuration of ``chains``.
 _EDGE_GRIDS = [["--grid-lo", "-800", "--grid-hi", "1", "--grid-count", "5"],
+               ["--grid-lo", "-750", "--grid-hi", "1", "--grid-count", "5"],
                ["--grid-lo", "-400", "--grid-hi", "-300", "--grid-count", "3"],
                ["--grid-lo", "-3", "--grid-hi", "3", "--grid-count", "301"],
                ["--energy", "0.3", "--grid-lo", "-2", "--grid-hi", "3",
@@ -97,13 +99,20 @@ _EDGE_GRIDS = [["--grid-lo", "-800", "--grid-hi", "1", "--grid-count", "5"],
 def test_darboux_one_grid_equals_three_grids(monkeypatch):
     # cmd_darboux reads the chain on one grid, y joined with the points of
     # ln(e^y) that differ from y; every printed byte and every refusal
-    # must be those of the three-grid route
+    # must be those of the three-grid route.  No op lets an exception (a
+    # numpy RuntimeWarning among them) escape cli.run, and each refusal
+    # exits 1 with one error line and no table.
     edges = [["darboux", "--kind", kind, "--order", str(order), *grid]
              for kind, order in workloads.CHAIN_CONFIGS for grid in _EDGE_GRIDS]
     ops = workloads.population("chains") + edges
     one_grid = [_run_op(argv) for argv in ops]
     monkeypatch.setattr(cli, "_chain_columns", _three_grids)
     for argv, got in zip(ops, one_grid):
+        rc, raised, out, err = got
+        assert raised is None, workloads.op_key(argv)
+        if rc != cli.EXIT_OK:
+            assert rc == cli.EXIT_USAGE and out == "", workloads.op_key(argv)
+            assert err.startswith("error: ") and err.count("\n") == 1, err
         assert got == _run_op(argv), workloads.op_key(argv)
     assert sum(rc == cli.EXIT_OK for rc, *_ in one_grid) > len(one_grid) // 2
 

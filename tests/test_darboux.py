@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dunkl_darboux import scenarios
+from dunkl_darboux import darboux, scenarios
 from dunkl_darboux.darboux import (DarbouxChain, OdeSolution, chain_residuals,
                                    intertwining_residual, transform,
                                    transformed_pair, transformed_potential,
@@ -323,6 +323,31 @@ def test_transformed_pair_refuses_below_floor_as_the_two_routines():
         errors.append((type(exc.value), str(exc.value)))
     assert errors[0] == errors[1] == errors[2]
     assert errors[0][1] == "Wronskian below floor at y=0.5"
+
+
+def test_zero_wronskian_is_refused_where_the_floor_scale_underflows():
+    # Far out on the confluent chain (here at E = 4, as in `darboux --kind
+    # confluent`) the members are so small that W and the floor's scale
+    # both underflow to 0, and 0 < 1e-12 * 0 is false: W = 0 itself is
+    # refused, before Phi-hat's 0/0 (a RuntimeWarning, an error here)
+    chain = confluent_chain(4.0)
+    phi = mapped_initial_solution(DunklParams(nu=2.5, delta=-1, mu=1), 4.0)
+    y = np.array([-400.0, -350.0, -300.0])
+    w, _, _, scale = darboux._wronskian(chain, *darboux._read(chain, y))
+    assert not np.any(w) and not np.any(scale)
+    for call in (lambda: transformed_pair(chain, phi, y),
+                 lambda: transformed_potential(chain, y),
+                 lambda: transformed_solution(chain, phi, y),
+                 lambda: transform(chain, phi, y)):
+        with pytest.raises(SingularityError, match=r"below floor at y=-400\.0$"):
+            call()
+    # the same with members of 1e-200: their product, the scale, is 0
+    form = _harmonic_oscillator_form()
+    tiny = (lambda t: 1e-200 * t, lambda t: 1e-200 + 0.0 * t)
+    dependent = DarbouxChain(kind="standard", funcs=(tiny, tiny), eps=(1.0, 2.0),
+                             background=form, energy=0.0)
+    with pytest.raises(SingularityError, match="below floor at y=0.5"):
+        transformed_potential(dependent, np.array([0.5, 1.0]))
 
 
 @pytest.mark.parametrize("build", [standard_chain_order1, standard_chain_u12,

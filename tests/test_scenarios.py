@@ -468,26 +468,22 @@ def test_laguerre_pair_evaluates_both_rows_in_one_call(monkeypatch):
 
 
 @pytest.mark.parametrize("first", ["lag", "up"])
-def test_laguerre_pair_raises_each_row_error_when_read(monkeypatch, first):
-    # L_601^0 is refused (polynomial degree above the limit), while its
-    # partner L_600^1 is not: reading either row must behave as if the
-    # rows were separate factors, in either order
+def test_laguerre_pair_raises_the_group_error_from_either_row(monkeypatch, first):
+    # L_601^0 is refused (polynomial degree above the limit), so the
+    # pair's one kernel call fails: reading either row, in either order,
+    # raises that call's error, and the failure is not stored, so each
+    # read calls the kernel again
     calls = _count_grid_calls(monkeypatch)
     lag, lower = scenarios._laguerre_rows((601.0, 0.0), (600.0, 1.0))
     up = lambda z: -lower(z)
+    reads = [up, lag, up] if first == "up" else [lag, up, lag]
     z = np.array([0.1, 0.2])
-    want = [-_laguerre(600.0, 1.0, v) for v in z]
     with memo_scope():
-        if first == "up":
-            assert _bits(up(z)) == _bits(want)
-        with pytest.raises(DomainError, match="polynomial degree 601 exceeds"):
-            lag(z)
-        assert _bits(up(z)) == _bits(want)
-    # the failed joint call is tried once per scope and grid: later reads
-    # go straight to their row alone, and a row that succeeds alone is
-    # stored as its own group
-    rows = [len(c[0]) for c in calls]
-    assert rows == [2, 1, 1]
+        for read in reads:
+            with pytest.raises(DomainError, match="polynomial degree 601 exceeds"):
+                read(z)
+        assert not libm._MEMO.get()
+    assert [len(c[0]) for c in calls] == [2, 2, 2]
 
 
 def _bits(values):

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import special as sp
 
 from dunkl_darboux import specfun
@@ -441,6 +441,9 @@ _BLOCK_SETTINGS = [
        far=st.integers(0, 9).flatmap(lambda k: st.just([]) if k else st.floats(
            300.0, 520.0).flatmap(lambda r: st.sampled_from([[r], [-r]]))),
        da=st.booleans())
+# a subnormal a: the a-derivative refuses it (its H_1 = 1/a overflows)
+@example(rows=[(5e-324, 1.0)], zs=[], far=[], da=True)
+@example(rows=[(5e-324, 1.0)], zs=[0.5], far=[], da=True)
 def test_first_block_size_changes_no_bit(rows, zs, far, da):
     # Polynomial and series rows, reflected points (z < -1), empty and
     # one-point grids, and one example in ten with a far point (|z| from
@@ -456,6 +459,21 @@ def test_first_block_size_changes_no_bit(rows, zs, far, da):
                 mp.setattr(specfun, name, value)
             outcomes.append(_kummer_rows_outcome(a, b, z, da))
     assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+def test_a_derivative_refuses_a_subnormal_a():
+    # For a subnormal a, H_1 = 1/a overflows (or a z rounds to fewer
+    # bits), so the derivative would be inf or inexact: it is refused.
+    # The smallest normal a still gives the derivative at a = 0, a
+    # polynomial row whose zero factor is removed.
+    z = np.array([0.5, 3.0])
+    for a in (5e-324, -1e-310, 2.0 ** -1023):
+        with pytest.raises(DomainError, match="a-derivative refuses a subnormal a"):
+            specfun._kummer_rows([a], [1.0], z, True)
+    at_zero = specfun._kummer_rows([0.0], [1.0], z, True)[2]
+    for a in (np.finfo(float).tiny, -np.finfo(float).tiny, 1e-300):
+        slope = specfun._kummer_rows([a], [1.0], z, True)[2]
+        assert np.allclose(slope, at_zero, rtol=1e-14, atol=0.0)
 
 
 def test_probe_sizes_the_first_block_to_the_far_column():

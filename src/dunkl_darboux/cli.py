@@ -10,10 +10,11 @@ figure    emit the data series behind the documented figures 1-7
 
 All numeric output is deterministic for a given configuration: floats
 are formatted with 12 significant digits, CSV uses LF line endings, and
-JSON keys are sorted.  A JSON configuration file (--config), validated
-when read, holds the same settings as the flags; explicit flags override
-it.  The environment variable DUNKL_DARBOUX_TOL overrides the default
-verification tolerance.
+JSON keys are sorted.  Each setting is declared once, in ``_SETTINGS``;
+a command takes --config and the flags of the settings it reads.  A JSON
+configuration file, validated when read, holds the same settings;
+explicit flags override it.  The environment variable DUNKL_DARBOUX_TOL
+overrides the default verification tolerance.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
-from typing import Callable, List, Optional, Sequence, get_args, get_type_hints
+from dataclasses import dataclass, field
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -52,55 +53,52 @@ EXIT_VERIFICATION = 2
 
 
 # ---------------------------------------------------------------------------
-# Configuration
+# Settings
 # ---------------------------------------------------------------------------
-
-@dataclass
-class RunConfig:
-    """Settings a command runs from; the field names are also the flags' dests."""
-
-    scenario: Optional[str] = None
-    nu: Optional[float] = None
-    delta: Optional[int] = None
-    energy: Optional[float] = None
-    n: Optional[int] = None
-    rule: Optional[str] = None
-    grid_lo: Optional[float] = None
-    grid_hi: Optional[float] = None
-    grid_count: Optional[int] = None
-    chain_kind: Optional[str] = None
-    chain_order: Optional[int] = None
-    chain_eps: Optional[List[float]] = None
-    output_format: Optional[str] = None
-    output_path: Optional[str] = None
-
 
 class UsageError(Exception):
     """Configuration or argument problem; maps to exit code 1."""
 
 
-# Section of the JSON config file -> {key: RunConfig field}; "" is the top
-# level.  Each value must fit its field's type (null leaves it unset).
-_FILE_KEYS = {
-    "": {"scenario": "scenario"},
-    "params": {"nu": "nu", "delta": "delta", "E": "energy", "n": "n", "rule": "rule"},
-    "grid": {"lo": "grid_lo", "hi": "grid_hi", "count": "grid_count"},
-    "chain": {"kind": "chain_kind", "order": "chain_order", "eps": "chain_eps"},
-    "output": {"format": "output_format", "path": "output_path"},
-}
-_KINDS = {str: "a string", float: "a number", int: "an integer",
-          List[float]: "a list of numbers"}
+_FORMATS = ("csv", "json")
+
+# Every setting, once: its name (the flag's dest), its config-file key
+# ("section.key", or a top-level key), its flag (None: config file only)
+# and the flag's add_argument options.  A config value must be of the
+# flag's type (a string where it has none), a list of them with nargs.
+_SETTINGS = (
+    ("scenario", "scenario", "--scenario", {"choices": SCENARIO_NAMES}),
+    ("nu", "params.nu", "--nu", {"type": float}),
+    ("delta", "params.delta", "--delta", {"type": int, "choices": (-1, 1)}),
+    ("energy", "params.E", "--energy", {"type": float, "help": "explicit energy E"}),
+    ("n", "params.n", "--n", {"type": int, "help": "quantum number"}),
+    ("rule", "params.rule", "--rule", {"choices": ("ene0", "ene1")}),
+    ("grid_lo", "grid.lo", "--grid-lo", {"type": float}),
+    ("grid_hi", "grid.hi", "--grid-hi", {"type": float}),
+    ("grid_count", "grid.count", "--grid-count", {"type": int}),
+    ("chain_kind", "chain.kind", "--kind", {"choices": ("standard", "confluent")}),
+    ("chain_order", "chain.order", "--order", {"type": int, "metavar": "ORDER"}),
+    ("chain_eps", "chain.eps", None, {"type": float, "nargs": "+"}),
+    ("output_format", "output.format", "--format", {"choices": _FORMATS}),
+    ("output_path", "output.path", "--out",
+     {"metavar": "OUT", "help": "output path (default: stdout)"}),
+)
+_FLAGS = {name: (flag, options) for name, _, flag, options in _SETTINGS}
+# The loader's view of each row: (section, key, name, type, list?).
+_FILE_ROWS = tuple((*key.rpartition(".")[::2], name, options.get("type", str),
+                    "nargs" in options) for name, key, _, options in _SETTINGS)
+_KINDS = {str: "a string", float: "a number", int: "an integer"}
 
 
-def _fits(value, kind) -> bool:
-    if kind == List[float]:
-        return isinstance(value, list) and all(_fits(v, float) for v in value)
+def _fits(value, kind, many: bool = False) -> bool:
+    if many:
+        return isinstance(value, list) and all(_fits(v, kind) for v in value)
     return (isinstance(value, (int, float) if kind is float else kind)
             and not isinstance(value, bool))
 
 
-def _load_config_file(path: str) -> RunConfig:
-    """RunConfig from a JSON file laid out as ``_FILE_KEYS``, else UsageError."""
+def _load_config_file(path: str) -> dict:
+    """{setting: value} of a JSON config file keyed as ``_SETTINGS``, else UsageError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -108,43 +106,54 @@ def _load_config_file(path: str) -> RunConfig:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise UsageError("config file must contain a JSON object")
-    hints = get_type_hints(RunConfig)
-    cfg = RunConfig()
-    for section, keys in _FILE_KEYS.items():
+    values = {}
+    for section, key, name, kind, many in _FILE_ROWS:
         table = raw.get(section, {}) if section else raw
         if not isinstance(table, dict):
             raise UsageError(f"config: {section} must be an object")
-        for key, name in keys.items():
-            value = table.get(key)
-            kind = get_args(hints[name])[0]
-            if value is not None and not _fits(value, kind):
-                where = f"{section}.{key}" if section else key
-                raise UsageError(f"config: {where} must be {_KINDS[kind]}, "
-                                 f"got {value!r}")
-            setattr(cfg, name, value)
-    if cfg.output_format not in (None, "csv", "json"):
+        value = values[name] = table.get(key)
+        if value is not None and not _fits(value, kind, many):
+            where = f"{section}.{key}" if section else key
+            what = f"a list of {_KINDS[kind].split()[1]}s" if many else _KINDS[kind]
+            raise UsageError(f"config: {where} must be {what}, got {value!r}")
+    if values["output_format"] not in (None, *_FORMATS):
         raise UsageError(f"config: output.format must be 'csv' or 'json', "
-                         f"got {cfg.output_format!r}")
-    return cfg
+                         f"got {values['output_format']!r}")
+    return values
 
 
-def _merge(config: RunConfig, args: argparse.Namespace) -> RunConfig:
-    """Overlay explicitly given command-line values on the config file."""
-    for f in fields(RunConfig):
-        val = getattr(args, f.name, None)
-        if val is not None:
-            setattr(config, f.name, val)
-    return config
+def _settings(args: argparse.Namespace) -> argparse.Namespace:
+    """``args`` with every setting set: its flag's value, else the config file's, else None."""
+    given = _load_config_file(args.config) if args.config else {}
+    for name in _FLAGS:
+        if getattr(args, name, None) is None:
+            setattr(args, name, given.get(name))
+    return args
 
 
-def _require(config: RunConfig, *names: str) -> None:
+def _require(config: argparse.Namespace, *names: str) -> None:
     for name in names:
         if getattr(config, name) is None:
             raise UsageError(f"missing required setting '{name}' "
                              f"(flag or config file)")
 
 
-def _grid(config: RunConfig, lo: float, hi: float, count: int) -> np.ndarray:
+def _params(config: argparse.Namespace, nu: Optional[float] = None,
+            delta: Optional[int] = None) -> DunklParams:
+    """DunklParams of --nu and --delta, else of the defaults ``nu`` and ``delta``."""
+    return DunklParams(nu=config.nu if config.nu is not None else nu,
+                       delta=config.delta if config.delta is not None else delta, mu=1)
+
+
+def _energy(config: argparse.Namespace, params: DunklParams, rule: str) -> float:
+    """--energy, else the energy of bound state --n (default 0) by --rule, else ``rule``."""
+    if config.energy is not None:
+        return config.energy
+    n = config.n if config.n is not None else 0
+    return bound_state_energy(n, params, config.rule or rule)
+
+
+def _grid(config: argparse.Namespace, lo: float, hi: float, count: int) -> np.ndarray:
     lo = config.grid_lo if config.grid_lo is not None else lo
     hi = config.grid_hi if config.grid_hi is not None else hi
     count = config.grid_count if config.grid_count is not None else count
@@ -154,6 +163,9 @@ def _grid(config: RunConfig, lo: float, hi: float, count: int) -> np.ndarray:
         raise UsageError("grid: lo must be less than hi")
     if count < 2:
         raise UsageError("grid: count must be at least 2")
+    if not math.isfinite(hi - lo):
+        raise UsageError(f"grid: the span hi - lo = {hi:g} - ({lo:g}) overflows "
+                         f"the float range")
     try:
         return np.linspace(lo, hi, count)
     except (ValueError, MemoryError) as exc:
@@ -190,22 +202,7 @@ def _rows(*columns: np.ndarray) -> list:
     return np.column_stack(columns).tolist()
 
 
-def _write_csv(path: Optional[str], header: Sequence[str],
-               rows: Sequence[Sequence[float]]) -> None:
-    out = sys.stdout if path is None else open(path, "w", encoding="utf-8",
-                                               newline="")
-    # One %-format over the whole table.
-    line = ",".join([_FLOAT] * len(header)) + "\n"
-    try:
-        out.write(",".join(header) + "\n")
-        out.write((line * len(rows)) % tuple(itertools.chain.from_iterable(rows)))
-    finally:
-        if path is not None:
-            out.close()
-
-
-def _write_json(path: Optional[str], payload) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _write(path: Optional[str], text: str) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
@@ -213,11 +210,25 @@ def _write_json(path: Optional[str], payload) -> None:
             fh.write(text)
 
 
-def _emit_table(config: RunConfig, header: Sequence[str],
-                rows: Sequence[Sequence[float]]) -> None:
+def _write_csv(path: Optional[str], header: Sequence[str],
+               rows: Sequence[Sequence[float]]) -> None:
+    # One %-format over the whole table.
+    line = ",".join([_FLOAT] * len(header)) + "\n"
+    _write(path, ",".join(header) + "\n"
+           + (line * len(rows)) % tuple(itertools.chain.from_iterable(rows)))
+
+
+def _write_json(path: Optional[str], payload) -> None:
+    _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _emit_table(config: argparse.Namespace, header: Sequence[str],
+                rows: Sequence[Sequence[float]], **extra: float) -> None:
+    """The table as CSV, or as JSON with the ``extra`` values beside it."""
     if config.output_format == "json":
         payload = {"columns": list(header),
                    "rows": [[_fmt(v) for v in row] for row in rows]}
+        payload.update((key, _fmt(v)) for key, v in extra.items())
         _write_json(config.output_path, payload)
     else:
         _write_csv(config.output_path, header, rows)
@@ -272,21 +283,15 @@ def _worst(residuals: np.ndarray) -> float:
     return float(np.max(residuals))
 
 
-def _resolve(config: RunConfig, lookup):
-    """(scenario, params, E) of a verify or density run.
-
-    ``lookup`` maps the scenario name to a scenario.  E is --energy, else
-    the n-th bound state's energy under --rule or the scenario's rule.
-    """
-    params = DunklParams(nu=config.nu, delta=config.delta, mu=1)
+def _resolve(config: argparse.Namespace, lookup):
+    """(scenario, params, E) of a verify or density run; ``lookup`` maps the
+    scenario name to a scenario, whose rule is E's default."""
+    params = _params(config)
     scenario = lookup(config.scenario)
-    n = config.n if config.n is not None else 0
-    E = config.energy if config.energy is not None \
-        else bound_state_energy(n, params, config.rule or scenario.default_rule)
-    return scenario, params, E
+    return scenario, params, _energy(config, params, scenario.default_rule)
 
 
-def _verify_solution(config: RunConfig, scenario, params: DunklParams, E: float,
+def _verify_solution(config: argparse.Namespace, scenario, params: DunklParams, E: float,
                      tol: float) -> VerificationReport:
     """Checks of a scenario's closed-form psi.
 
@@ -363,7 +368,7 @@ def _verify_pdm(params: DunklParams, E: float, tol: float) -> VerificationReport
     return report
 
 
-def cmd_verify(config: RunConfig) -> int:
+def cmd_verify(config: argparse.Namespace) -> int:
     _require(config, "scenario", "nu", "delta")
     tol = _tolerance()
     scenario, params, E = _resolve(config, get_scenario)
@@ -382,11 +387,11 @@ def cmd_verify(config: RunConfig) -> int:
 # Spectrum, density, darboux
 # ---------------------------------------------------------------------------
 
-def cmd_spectrum(config: RunConfig, n_max: int) -> int:
+def cmd_spectrum(config: argparse.Namespace, n_max: int) -> int:
     _require(config, "nu", "delta", "rule")
     if n_max < 0:
         raise UsageError("spectrum: --n-max must be nonnegative")
-    params = DunklParams(nu=config.nu, delta=config.delta, mu=1)
+    params = _params(config)
     rows = [[float(n), bound_state_energy(n, params, config.rule)]
             for n in range(n_max + 1)]
     _emit_table(config, ["n", "E"], rows)
@@ -401,7 +406,7 @@ def _density_scenario(name: str):
     return scenario
 
 
-def cmd_density(config: RunConfig) -> int:
+def cmd_density(config: argparse.Namespace) -> int:
     """The density of psi on the grid; its norm on stderr (or in the JSON).
 
     The norm comes first: a psi that its quadrature refuses stops the
@@ -418,20 +423,15 @@ def cmd_density(config: RunConfig) -> int:
         raise DomainError("density: psi underflows to 0 on the whole line, "
                           "so its norm is 0")
     rows = _rows(grid, probability_density(system, psi, E, grid))
-    if config.output_format == "json":
-        payload = {"columns": ["x", "density"],
-                   "rows": [[_fmt(v) for v in row] for row in rows],
-                   "norm": _fmt(norm.value),
-                   "norm_est_error": _fmt(norm.est_abs_error)}
-        _write_json(config.output_path, payload)
-    else:
-        _write_csv(config.output_path, ["x", "density"], rows)
+    _emit_table(config, ["x", "density"], rows, norm=norm.value,
+                norm_est_error=norm.est_abs_error)
+    if config.output_format != "json":
         print(f"norm = {_fmt(norm.value)} "
               f"(estimated error {_fmt(norm.est_abs_error)})", file=sys.stderr)
     return EXIT_OK
 
 
-def _build_chain(config: RunConfig, E: float) -> DarbouxChain:
+def _build_chain(config: argparse.Namespace, E: float) -> DarbouxChain:
     kind = config.chain_kind or "standard"
     order = config.chain_order if config.chain_order is not None else 2
     if kind == "standard":
@@ -465,7 +465,7 @@ def _chain_columns(E: float, chain: DarbouxChain, phi: OdeSolution, ys: np.ndarr
     return u_grid[:ys.size], phi_grid[:ys.size], v_hat
 
 
-def cmd_darboux(config: RunConfig) -> int:
+def cmd_darboux(config: argparse.Namespace) -> int:
     """The chain's U-hat and Phi-hat on the y grid, V-hat and Psi-hat at x = e^y.
 
     A y whose x = e^y underflows to 0 is refused.  Otherwise the chain
@@ -477,12 +477,8 @@ def cmd_darboux(config: RunConfig) -> int:
     ``transformed_solution(chain, phi, y)`` and ``pipeline_vhat(E,
     chain, x)`` bit for bit; a refusal is the first this read meets.
     """
-    nu = config.nu if config.nu is not None else 2.5
-    delta = config.delta if config.delta is not None else -1
-    params = DunklParams(nu=nu, delta=delta, mu=1)
-    n = config.n if config.n is not None else 0
-    E = config.energy if config.energy is not None \
-        else bound_state_energy(n, params, config.rule or "ene1")
+    params = _params(config, 2.5, -1)
+    E = _energy(config, params, "ene1")
     ys = _grid(config, -2.0, 1.0, 200)
     chain = _build_chain(config, E)
     phi = mapped_initial_solution(params, E)
@@ -517,13 +513,13 @@ def _figure_states(delta: int) -> list:
     return [printed_bound_state(n, delta) for n in (0, 1, 2)]
 
 
-def _figure_1(config: RunConfig):
+def _figure_1(config: argparse.Namespace):
     grid = _grid(config, -3.0, 3.0, 400)
     columns = [s.f(grid) for s in _figure_states(1)]
     return ["x", "psi0", "psi1", "psi2"], _rows(grid, *columns)
 
 
-def _figure_2(config: RunConfig):
+def _figure_2(config: argparse.Namespace):
     grid = _grid(config, -3.0, 3.0, 400)
     params = DunklParams(nu=0.5, delta=-1, mu=1)
     system = ScenarioGaussianMass().system(params)
@@ -538,18 +534,10 @@ def _figure_2(config: RunConfig):
     return ["x", "p0", "p1", "p2"], _rows(*columns)
 
 
-def _transform_settings(config: RunConfig, default_nu: float,
-                        default_delta: int):
-    nu = config.nu if config.nu is not None else default_nu
-    delta = config.delta if config.delta is not None else default_delta
-    params = DunklParams(nu=nu, delta=delta, mu=1)
-    energies = [bound_state_energy(n, params, "ene1") for n in (0, 1, 2)]
-    return params, energies
-
-
-def _potential_rows(config: RunConfig, chain_at: Callable[[float], DarbouxChain]):
+def _potential_rows(config: argparse.Namespace, chain_at: Callable[[float], DarbouxChain]):
     """Figures 3 and 7: initial potential and V-hat at the three energies."""
-    _, energies = _transform_settings(config, 2.5, -1)
+    params = _params(config, 2.5, -1)
+    energies = [bound_state_energy(n, params, "ene1") for n in (0, 1, 2)]
     xs = _grid(config, 0.2, 3.0, 300)
     # The initial potential is energy-scaled; the ground energy fixes
     # the displayed curve.
@@ -558,9 +546,10 @@ def _potential_rows(config: RunConfig, chain_at: Callable[[float], DarbouxChain]
     return ["x", "v_initial", "v_hat_0", "v_hat_1", "v_hat_2"], _rows(*columns)
 
 
-def _figure_hat(config: RunConfig, nu: float, delta: int, density: bool):
+def _figure_hat(config: argparse.Namespace, nu: float, delta: int, density: bool):
     """Figures 4-6: standard-chain Psi-hat or its density (nu, delta: defaults)."""
-    params, energies = _transform_settings(config, nu, delta)
+    params = _params(config, nu, delta)
+    energies = [bound_state_energy(n, params, "ene1") for n in (0, 1, 2)]
     xs = _grid(config, 0.2, 3.0, 300)
     states = [pipeline_hatpsi(params, E, standard_chain_u12(E, validate=False), xs)
               for E in energies]
@@ -592,7 +581,7 @@ _FIGURES = {
 FIGURE_NUMBERS = tuple(_FIGURES)
 
 
-def cmd_figure(config: RunConfig, number: int) -> int:
+def cmd_figure(config: argparse.Namespace, number: int) -> int:
     if number not in _FIGURES:
         raise UsageError(f"figure number must be one of {FIGURE_NUMBERS}")
     header, rows = _FIGURES[number](config)
@@ -611,48 +600,46 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON configuration file")
-    parser.add_argument("--nu", type=float)
-    parser.add_argument("--delta", type=int, choices=(-1, 1))
-    parser.add_argument("--energy", type=float, help="explicit energy E")
-    parser.add_argument("--n", type=int, help="quantum number")
-    parser.add_argument("--rule", choices=("ene0", "ene1"))
-    parser.add_argument("--grid-lo", type=float, dest="grid_lo")
-    parser.add_argument("--grid-hi", type=float, dest="grid_hi")
-    parser.add_argument("--grid-count", type=int, dest="grid_count")
-    parser.add_argument("--format", choices=("csv", "json"), dest="output_format")
-    parser.add_argument("--out", dest="output_path", metavar="OUT",
-                        help="output path (default: stdout)")
+_PARAMS = ("nu", "delta", "energy", "n", "rule")
+_GRID = ("grid_lo", "grid_hi", "grid_count")
+_OUTPUT = ("output_format", "output_path")
+
+# Command -> (help, its own arguments, the settings it reads, its run; the
+# command function is looked up when it runs).
+_COMMANDS = {
+    "verify": ("run the residual suite for a scenario", (),
+               ("scenario", *_PARAMS, *_GRID, *_OUTPUT), lambda c: cmd_verify(c)),
+    "spectrum": ("bound-state energy table",
+                 (("--n-max", {"type": int, "default": 4, "dest": "n_max"}),),
+                 ("nu", "delta", "rule", *_OUTPUT), lambda c: cmd_spectrum(c, c.n_max)),
+    "density": ("modified probability density + norm", (),
+                ("scenario", *_PARAMS, *_GRID, *_OUTPUT), lambda c: cmd_density(c)),
+    "darboux": ("run a transformation chain", (),
+                (*_PARAMS, *_GRID, "chain_kind", "chain_order", *_OUTPUT),
+                lambda c: cmd_darboux(c)),
+    "figure": ("emit data series for a figure", (("number", {"type": int}),),
+               ("nu", "delta", *_GRID, *_OUTPUT), lambda c: cmd_figure(c, c.number)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="dunkl-darboux",
+    """Each command takes its own arguments, --config and the flags of its settings.
+
+    Flags are taken only as spelled: a prefix would silently take another
+    flag of the command (spectrum's --n for --n-max).
+    """
+    parser = _Parser(prog="dunkl-darboux", allow_abbrev=False,
                      description="Solvable reflection-deformed Schrodinger "
                                  "systems: verification and data export.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify", help="run the residual suite for a scenario")
-    p.add_argument("--scenario", choices=SCENARIO_NAMES)
-    _add_common(p)
-
-    p = sub.add_parser("spectrum", help="bound-state energy table")
-    p.add_argument("--n-max", type=int, default=4, dest="n_max")
-    _add_common(p)
-
-    p = sub.add_parser("density", help="modified probability density + norm")
-    p.add_argument("--scenario", choices=SCENARIO_NAMES)
-    _add_common(p)
-
-    p = sub.add_parser("darboux", help="run a transformation chain")
-    p.add_argument("--kind", choices=("standard", "confluent"), dest="chain_kind")
-    p.add_argument("--order", type=int, dest="chain_order", metavar="ORDER")
-    _add_common(p)
-
-    p = sub.add_parser("figure", help="emit data series for a figure")
-    p.add_argument("number", type=int)
-    _add_common(p)
-
+    for command, (help_text, own, names, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
+        for flag, options in own:
+            p.add_argument(flag, **options)
+        p.add_argument("--config", help="JSON configuration file")
+        for name in names:
+            flag, options = _FLAGS[name]
+            p.add_argument(flag, dest=name, **options)
     return parser
 
 
@@ -666,24 +653,11 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     if _PARSER is None:
         _PARSER = build_parser()
     try:
-        args = _PARSER.parse_args(argv)
-        config = _load_config_file(args.config) if getattr(args, "config", None) \
-            else RunConfig()
-        config = _merge(config, args)
+        config = _settings(_PARSER.parse_args(argv))
         # The command's repeated elementwise exp/log/power evaluations
         # share one result; the memo is dropped when the command ends.
         with memo_scope():
-            if args.command == "verify":
-                return cmd_verify(config)
-            if args.command == "spectrum":
-                return cmd_spectrum(config, args.n_max)
-            if args.command == "density":
-                return cmd_density(config)
-            if args.command == "darboux":
-                return cmd_darboux(config)
-            if args.command == "figure":
-                return cmd_figure(config, args.number)
-        raise UsageError(f"unknown command {args.command!r}")
+            return _COMMANDS[config.command][3](config)
     except (UsageError, DunklDarbouxError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -10,6 +10,11 @@ Runs ``dunkl_darboux.cli.run(argv)`` in-process, from CHECKOUT's ``src``
 - figures 1-7 and the ``darboux`` kinds at their defaults,
 - the refusal examples of the README's "Parameter ranges",
 - ``darboux`` edge grids, where the order of the chain's refusals shows,
+- one command for each output path no command above reaches: ``spectrum``,
+  ``--format json`` of each table and report, and ``--config`` files,
+  valid and malformed (written to one fixed path under the system's
+  temporary directory, so each message is the same string on every
+  checkout),
 
 and prints one ``<sha256>  <argv>`` line per command.  The digest covers
 the exit code (or the type and message of an exception that escapes
@@ -27,6 +32,7 @@ import io
 import json
 import shlex
 import sys
+import tempfile
 from pathlib import Path
 
 DEFAULTS = ([["figure", str(n)] for n in range(1, 8)]
@@ -88,6 +94,68 @@ EDGES = [
      "--grid-count", "5"],
 ]
 
+# Output paths the lists above do not reach: spectrum, JSON tables and
+# reports, and the config loader.
+FORMATS = [
+    ["spectrum", "--nu", "2.5", "--delta", "-1", "--rule", "ene1", "--n-max", "4"],
+    ["spectrum", "--nu", "2.5", "--delta", "-1", "--rule", "ene1", "--n-max", "4",
+     "--format", "json"],
+    ["verify", "--scenario", "gaussian-mass", "--nu", "0.5", "--delta", "-1",
+     "--format", "json"],
+    ["verify", "--scenario", "harmonic-energy-pdm", "--nu", "2.5", "--delta", "-1",
+     "--format", "json"],
+    ["density", "--scenario", "gaussian-mass", "--nu", "0.5", "--delta", "-1",
+     "--grid-count", "20", "--format", "json"],
+    ["darboux", "--grid-count", "20", "--format", "json"],
+    ["figure", "3", "--grid-count", "20", "--format", "json"],
+]
+
+# A grid whose span hi - lo overflows, though both ends are finite.
+SPANS = [
+    ["darboux", "--grid-lo=-1.7e308", "--grid-hi=1.7e308", "--grid-count", "3"],
+    ["figure", "3", "--grid-lo=-1.7e308", "--grid-hi=1.7e308", "--grid-count", "3"],
+]
+
+# Config files by name: text, then the commands that read it.  A valid
+# file (with a flag over it, and keys the command does not read), then
+# one file per malformed-file message.
+CONFIG_DIR = Path(tempfile.gettempdir()) / "dunkl-darboux-digest"
+CONFIGS = {
+    "readme.json": ('{"scenario": "harmonic-energy", "params": {"nu": 2.5, "delta": -1, '
+                    '"rule": "ene1", "n": 0}, "grid": {"lo": 0.1, "hi": 4.0, "count": 400}, '
+                    '"output": {"format": "csv"}}',
+                    [["verify"], ["density", "--scenario", "gaussian-mass", "--rule", "ene0",
+                                  "--grid-count", "9"],
+                     ["spectrum", "--n-max", "2"], ["figure", "5", "--grid-count", "9"]]),
+    "chain.json": ('{"params": {"nu": 3.5, "delta": 1, "n": 1}, "grid": {"lo": -1, '
+                   '"hi": 1, "count": 50}, "chain": {"kind": "confluent", "order": 2, '
+                   '"eps": [0.2]}, "output": {"format": "json"}}',
+                   [["darboux", "--grid-count", "7"]]),
+    "missing.json": (None, [["spectrum"]]),
+    "syntax.json": ('{"params": ', [["spectrum"]]),
+    "list.json": ("[1, 2]", [["spectrum"]]),
+    "section.json": ('{"grid": 3}', [["figure", "1"]]),
+    "string.json": ('{"scenario": 1}', [["verify"]]),
+    "number.json": ('{"params": {"nu": "abc"}}', [["spectrum"]]),
+    "integer.json": ('{"grid": {"count": 2.5}}', [["darboux"]]),
+    "list-of-numbers.json": ('{"chain": {"eps": [0.2, true]}}', [["darboux"]]),
+    "format.json": ('{"output": {"format": "xml"}}', [["density"]]),
+}
+
+
+def config_commands() -> list:
+    """Write the files of ``CONFIGS`` (removing a missing one's) and list their commands."""
+    CONFIG_DIR.mkdir(exist_ok=True)
+    commands = []
+    for name, (text, argvs) in CONFIGS.items():
+        path = CONFIG_DIR / name
+        if text is None:
+            path.unlink(missing_ok=True)
+        else:
+            path.write_text(text, encoding="utf-8")
+        commands += [argv + ["--config", str(path)] for argv in argvs]
+    return commands
+
 
 def digest(cli, argv) -> str:
     """SHA-256 of the exit code (or escaped exception), stdout and stderr."""
@@ -111,7 +179,8 @@ def main(argv) -> int:
                          f"not {root / 'src'}")
     commands = [argv for name in ("figures", "chains", "verify-sweep")
                 for argv in workloads.population(name)]
-    for command in commands + DEFAULTS + REFUSALS + EDGES:
+    for command in commands + DEFAULTS + REFUSALS + EDGES + FORMATS + SPANS \
+            + config_commands():
         print(f"{digest(cli, command)}  {shlex.join(command)}")
     return 0
 

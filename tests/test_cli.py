@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, formats, determinism, config."""
 
+import argparse
 import json
 import math
 import os
@@ -17,8 +18,7 @@ from hypothesis import given, settings, strategies as st
 import dunkl_darboux
 from dunkl_darboux import cli, scenarios, specfun
 from dunkl_darboux.cli import (EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION,
-                               RunConfig, UsageError, _fmt, _grid, _merge,
-                               _tolerance, run)
+                               UsageError, _fmt, _grid, _settings, _tolerance, run)
 
 
 def test_spectrum_exact_values(capsys):
@@ -615,16 +615,21 @@ def test_scenario_dispatch_messages(tmp_path, capsys):
         "error: density: unsupported scenario 'harmonic-energy-pdm'\n")
 
 
+def _flags(**given) -> argparse.Namespace:
+    """The settings of a command given only these flags and no config file."""
+    return _settings(argparse.Namespace(config=None, **given))
+
+
 def test_grid_validation(tmp_path, capsys):
     with pytest.raises(UsageError):
-        _grid(RunConfig(grid_lo=2.0, grid_hi=1.0), 0.0, 1.0, 10)
+        _grid(_flags(grid_lo=2.0, grid_hi=1.0), 0.0, 1.0, 10)
     with pytest.raises(UsageError):
-        _grid(RunConfig(grid_count=1), 0.0, 1.0, 10)
+        _grid(_flags(grid_count=1), 0.0, 1.0, 10)
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(UsageError, match="grid: lo and hi must be finite"):
-            _grid(RunConfig(grid_hi=bad), 0.0, 1.0, 10)
+            _grid(_flags(grid_hi=bad), 0.0, 1.0, 10)
         with pytest.raises(UsageError, match="grid: lo and hi must be finite"):
-            _grid(RunConfig(grid_lo=bad), 0.0, 1.0, 10)
+            _grid(_flags(grid_lo=bad), 0.0, 1.0, 10)
     # from the flag, and from a config file (JSON 1e400 parses to inf)
     cfg = tmp_path / "grid.json"
     cfg.write_text('{"grid": {"hi": 1e400}}')
@@ -635,6 +640,23 @@ def test_grid_validation(tmp_path, capsys):
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == "error: grid: lo and hi must be finite\n"
+
+
+@pytest.mark.parametrize("command", [["darboux"], ["figure", "3"]])
+def test_grid_whose_span_overflows_is_refused(command, capsys):
+    # Both ends are finite but hi - lo is not: np.linspace used to warn
+    # "overflow encountered in subtract", and with warnings as errors the
+    # warning escaped run
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(command + ["--grid-lo=-1.7e308", "--grid-hi=1.7e308",
+                              "--grid-count", "3"]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", "error: grid: the span hi - lo = 1.7e+308 - "
+                                       "(-1.7e+308) overflows the float range\n")
+    with pytest.raises(UsageError, match="overflows the float range"):
+        _grid(_flags(grid_lo=-1e308, grid_hi=1e308), 0.0, 1.0, 2)
+    assert _grid(_flags(grid_lo=-8e307, grid_hi=8e307), 0.0, 1.0, 3).tolist() == [
+        -8e307, 0.0, 8e307]
 
 
 @pytest.mark.parametrize("extra, message", [
@@ -698,13 +720,70 @@ def test_confluent_eps_above_quarter_is_a_domain_error(tmp_path, capsys, eps):
         f"and sqrt(1 - 4 eps) is real up to 1/4\n")
 
 
-def test_merge_precedence():
-    import argparse
-    cfg = RunConfig(nu=1.0, delta=-1)
-    ns = argparse.Namespace(nu=2.0)
-    merged = _merge(cfg, ns)
-    assert merged.nu == 2.0
-    assert merged.delta == -1
+def test_flags_override_config_settings(tmp_path, capsys):
+    # Each setting is the flag's value, else the config file's, else the
+    # command's default: here grid.count against --grid-count and
+    # chain.kind against --kind, with chain.order from the file throughout.
+    cfg = tmp_path / "chain.json"
+    cfg.write_text(json.dumps({"grid": {"count": 5}, "chain": {"kind": "confluent",
+                                                               "order": 2}}))
+
+    def output(*argv):
+        assert run(["darboux", *argv]) == EXIT_OK
+        return capsys.readouterr().out
+
+    from_file = output("--config", str(cfg))
+    assert from_file == output("--grid-count", "5", "--kind", "confluent")
+    assert len(from_file.splitlines()) == 6
+    overridden = output("--config", str(cfg), "--grid-count", "7", "--kind", "standard")
+    assert overridden == output("--grid-count", "7", "--kind", "standard")
+    assert overridden != output("--grid-count", "7", "--kind", "confluent")
+    assert output("--config", str(cfg), "--kind", "standard") == output(
+        "--grid-count", "5", "--kind", "standard")
+
+
+# Each flag with a valid value, and the commands that read its setting.
+_FLAG_VALUES = {
+    "--scenario": ("gaussian-mass", {"verify", "density"}),
+    "--nu": ("2.5", {"verify", "spectrum", "density", "darboux", "figure"}),
+    "--delta": ("-1", {"verify", "spectrum", "density", "darboux", "figure"}),
+    "--energy": ("4", {"verify", "density", "darboux"}),
+    "--n": ("1", {"verify", "density", "darboux"}),
+    "--rule": ("ene1", {"verify", "spectrum", "density", "darboux"}),
+    "--grid-lo": ("0.5", {"verify", "density", "darboux", "figure"}),
+    "--grid-hi": ("1.5", {"verify", "density", "darboux", "figure"}),
+    "--grid-count": ("5", {"verify", "density", "darboux", "figure"}),
+    "--kind": ("standard", {"darboux"}),
+    "--order": ("1", {"darboux"}),
+    "--format": ("json", {"verify", "spectrum", "density", "darboux", "figure"}),
+    "--out": ("out.csv", {"verify", "spectrum", "density", "darboux", "figure"}),
+}
+_COMMAND_ARGS = {"verify": [], "spectrum": [], "density": [], "darboux": [],
+                 "figure": ["3"]}
+
+
+@pytest.mark.parametrize("command, flag", [(command, flag) for command in _COMMAND_ARGS
+                                           for flag in _FLAG_VALUES])
+def test_each_command_takes_exactly_the_flags_it_reads(command, flag, capsys):
+    value, readers = _FLAG_VALUES[flag]
+    argv = [command, *_COMMAND_ARGS[command], flag, value]
+    if command in readers:
+        name, options = next((name, options) for name, _, f, options in cli._SETTINGS
+                             if f == flag)
+        parsed = _settings(cli.build_parser().parse_args(argv))
+        assert getattr(parsed, name) == options.get("type", str)(value)
+        return
+    assert run(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: unrecognized arguments: {flag} {value}\n"
+
+
+def test_a_flag_prefix_is_not_taken_for_another_flag(capsys):
+    # spectrum has --n-max but no --n: the prefix is refused, not read as --n-max
+    assert run(["spectrum", "--nu", "2.5", "--delta", "-1", "--rule", "ene1",
+                "--n", "1"]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", "error: unrecognized arguments: --n 1\n")
 
 
 def test_float_formatting():

@@ -26,12 +26,12 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .darboux import (DarbouxChain, KIND_STANDARD, OdeSolution, chain_residuals,
-                      transformed_pair)
+from .darboux import (DarbouxChain, KIND_CONFLUENT, KIND_STANDARD, OdeSolution,
+                      chain_residuals, transformed_pair)
 from .errors import DomainError, DunklDarbouxError
 from .libm import exp, log, memo_scope, power
 from .model import (DunklParams, dunkl_residual, modified_norm,
@@ -41,8 +41,8 @@ from .scenarios import (CONFLUENT_EPS1, ScenarioGaussianMass, ScenarioHarmonicEn
                         ScenarioHarmonicEnergyPdm, bound_state_energy,
                         confluent_chain, get_scenario, mapped_initial_solution,
                         pdm_equivalence_nu, pipeline_hatpsi, pipeline_vhat,
-                        printed_bound_state, standard_chain_order1,
-                        standard_chain_u12, standard_vhat_dE, SCENARIO_NAMES)
+                        printed_bound_state, seeded_chain, standard_chain_u12,
+                        standard_vhat_dE, SCENARIO_NAMES)
 
 DEFAULT_TOL = 1e-6
 TOL_ENV_VAR = "DUNKL_DARBOUX_TOL"
@@ -97,12 +97,21 @@ def _fits(value, kind, many: bool = False) -> bool:
             and not isinstance(value, bool))
 
 
+def _beyond_float(value) -> bool:
+    """True for an int that no float holds: JSON integers have no size limit."""
+    try:
+        float(value)
+    except OverflowError:
+        return True
+    return False
+
+
 def _load_config_file(path: str) -> dict:
     """{setting: value} of a JSON config file keyed as ``_SETTINGS``, else UsageError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:    # ValueError: bad UTF-8, JSON or integer
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise UsageError("config file must contain a JSON object")
@@ -112,10 +121,15 @@ def _load_config_file(path: str) -> dict:
         if not isinstance(table, dict):
             raise UsageError(f"config: {section} must be an object")
         value = values[name] = table.get(key)
-        if value is not None and not _fits(value, kind, many):
-            where = f"{section}.{key}" if section else key
+        if value is None:
+            continue
+        where = f"{section}.{key}" if section else key
+        if not _fits(value, kind, many):
             what = f"a list of {_KINDS[kind].split()[1]}s" if many else _KINDS[kind]
             raise UsageError(f"config: {where} must be {what}, got {value!r}")
+        if kind is float and any(map(_beyond_float, value if many else [value])):
+            raise UsageError(f"config: {where} must be a number in the float range, "
+                             f"below about 1.8e308 in magnitude")
     if values["output_format"] not in (None, *_FORMATS):
         raise UsageError(f"config: output.format must be 'csv' or 'json', "
                          f"got {values['output_format']!r}")
@@ -205,9 +219,12 @@ def _rows(*columns: np.ndarray) -> list:
 def _write(path: Optional[str], text: str) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _write_csv(path: Optional[str], header: Sequence[str],
@@ -431,20 +448,20 @@ def cmd_density(config: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _build_chain(config: argparse.Namespace, E: float) -> DarbouxChain:
+def _build_chain(config: argparse.Namespace, params: DunklParams,
+                 E: float) -> Tuple[DarbouxChain, OdeSolution]:
+    """The command's chain and its seed Phi, read together (``seeded_chain``)."""
     kind = config.chain_kind or "standard"
     order = config.chain_order if config.chain_order is not None else 2
     if kind == "standard":
-        if order == 2:
-            return standard_chain_u12(E, validate=False)
-        if order == 1:
-            return standard_chain_order1(E, validate=False)
-        raise UsageError("standard chains are constructible at orders 1 and 2")
+        if order not in (1, 2):
+            raise UsageError("standard chains are constructible at orders 1 and 2")
+        return seeded_chain(params, E, KIND_STANDARD, order)
     if kind == "confluent":
         if order != 2:
             raise UsageError("confluent chains are constructible at order 2")
         eps1 = config.chain_eps[0] if config.chain_eps else CONFLUENT_EPS1
-        return confluent_chain(E, eps1=eps1)
+        return seeded_chain(params, E, KIND_CONFLUENT, eps1=eps1)
     raise UsageError(f"unknown chain kind {kind!r}")
 
 
@@ -480,8 +497,7 @@ def cmd_darboux(config: argparse.Namespace) -> int:
     params = _params(config, 2.5, -1)
     E = _energy(config, params, "ene1")
     ys = _grid(config, -2.0, 1.0, 200)
-    chain = _build_chain(config, E)
-    phi = mapped_initial_solution(params, E)
+    chain, phi = _build_chain(config, params, E)
     xs = exp(ys)
     if not xs.all():
         raise DomainError(f"darboux: x = e^y underflows to 0 at y={float(ys[xs == 0.0][0])}")
@@ -551,17 +567,22 @@ def _figure_hat(config: argparse.Namespace, nu: float, delta: int, density: bool
     params = _params(config, nu, delta)
     energies = [bound_state_energy(n, params, "ene1") for n in (0, 1, 2)]
     xs = _grid(config, 0.2, 3.0, 300)
-    states = [pipeline_hatpsi(params, E, standard_chain_u12(E, validate=False), xs)
-              for E in energies]
+    states = []
+    for E in energies:      # the chain and Phi read one kernel call per grid
+        chain, phi = seeded_chain(params, E)
+        states.append(pipeline_hatpsi(params, E, chain, xs, phi))
     if not density:
         return ["x", "psi_hat_0", "psi_hat_1", "psi_hat_2"], _rows(xs, *states)
     # Densities are normalized on the emitted grid (trapezoid rule over
     # the symmetric extension), which is the display contract.
     columns = []
-    for E, psi in zip(energies, states):
+    for n, (E, psi) in enumerate(zip(energies, states)):
         raw = (power(psi, 2) * power(xs, 2.0 * params.nu)
                * (1.0 - standard_vhat_dE(E, xs)))
         weight = 2.0 * np.trapezoid(raw, xs)
+        if weight == 0.0:
+            raise DomainError(f"figure 4: the density of psi_hat_{n} integrates to 0 "
+                              f"on the grid, so it cannot be normalized")
         columns.append(raw / weight)
     return ["x", "p_hat_0", "p_hat_1", "p_hat_2"], _rows(xs, *columns)
 

@@ -21,13 +21,18 @@ solutions.  Their Kummer and Laguerre factors are row groups
 (``_row_group``) that evaluate a float as a one-point grid and are
 stored in ``libm``'s memo, so within a memo scope each group is
 evaluated once per grid.  The Darboux chains are built here too, on
-members of ``_mapped_family``.
+members of ``_mapped_family``.  A group holds the rows that every
+caller reads together: a chain's members, and with them the seed Phi
+that the chain transforms, itself a member of the same family
+(``seeded_chain``, which ``darboux`` and figures 4-6 read in one kernel
+call per grid).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -366,19 +371,25 @@ def pdm_equivalence_nu(nu_bar: float, delta_bar: int, delta: int) -> float:
 def _row_group(kernel, rows) -> list:
     """One closure z -> row i of kernel(rows, z) per row, the group read through ``memoised``.
 
-    kernel(rows, z) gives the listed rows on the ndarray z; a float z is
-    the one-point grid [z] and gets a float back.  The key is (kernel,
-    rows), so within a memo scope every closure over the same rows
-    shares one kernel call per grid; rows belong together only when
-    every caller reads all of them on each grid.  A package error of
-    that call is raised by whichever row is read, and nothing is stored.
+    kernel(unique, z) gives the group's distinct rows on the ndarray z, a
+    row listed twice being one row of the call; a float z is the
+    one-point grid [z] and gets a float back.  The key is (kernel,
+    unique), so within a memo scope every closure over the same rows
+    shares one kernel call per grid.  Rows belong together only when
+    every caller reads all of them on each grid: a chain's members, and
+    with them the seed Phi that the chain transforms (``seeded_chain``).
+    A kernel row does not depend on the rows beside it, so grouping
+    never changes a bit.  A package error of that call is raised by
+    whichever row is read, and nothing is stored.
     """
+    unique = tuple(dict.fromkeys(rows))
+
     def read(i, z):
         grid = z if isinstance(z, np.ndarray) else np.array([z], dtype=float)
-        values = memoised((kernel, rows), grid, kernel, rows, grid)
+        values = memoised((kernel, unique), grid, kernel, unique, grid)
         return values[i] if grid is z else float(values[i][0])
 
-    return [lambda z, i=i: read(i, z) for i in range(len(rows))]
+    return [lambda z, i=unique.index(row): read(i, z) for row in rows]
 
 
 def _kummer_values(rows, z):
@@ -436,17 +447,30 @@ def harmonic_initial_solution_function(params: DunklParams, E: float) -> ParityF
                            params.delta)
 
 
-def _family_lags(E: float, *rs: float) -> list:
-    """Closures of L_d^{r/2} and L_{d-1}^{r/2+1} = -L' per index r, one ``_laguerre_rows`` group.
-
-    The members over one group belong together only when every caller
-    reads all of them on each grid.
-    """
+def _family_rows(E: float, *rs: float) -> list:
+    """(degree, alpha) of L_d^{r/2} and L_{d-1}^{r/2+1} = -L' per index r of the mapped family."""
     rows = []
     for r in rs:
         degree = _mapped_degree(E, r)
         rows += [(degree, 0.5 * r), (degree - 1, 0.5 * r + 1)]
-    return _laguerre_rows(*rows)
+    return rows
+
+
+def _family_lags(E: float, rows: list, seed: Optional[DunklParams] = None) -> tuple:
+    """(closures of ``rows``, Phi): one ``_laguerre_rows`` group and the seed's Phi.
+
+    Without a seed, Phi is None.  With one, the group also holds Phi's
+    two rows, the mapped family at r = discriminant_root(seed), after
+    ``rows``, and Phi is that member as an ``OdeSolution`` whose spectral
+    parameter is the Dunkl constant delta nu - nu^2.  The caller computes
+    ``rows`` before r, so their refusals come first.
+    """
+    if seed is None:
+        return _laguerre_rows(*rows), None
+    r = discriminant_root(seed)
+    lags = _laguerre_rows(*rows, *_family_rows(E, r))
+    phi, phi1 = _family_member(E, r, *lags[-2:])
+    return lags, OdeSolution(f=phi, f1=phi1, eps=seed.delta * seed.nu - seed.nu**2)
 
 
 def _family_member(E: float, r: float, u, lower):
@@ -469,39 +493,36 @@ def _family_member(E: float, r: float, u, lower):
     return phi, phi1
 
 
-def _mapped_family(E: float, *rs: float) -> list:
-    """[(Phi, Phi'), ...] of the mapped family at indices rs, on one ``_family_lags`` group."""
-    lags = _family_lags(E, *rs)
-    return [_family_member(E, r, lags[2 * i], lags[2 * i + 1]) for i, r in enumerate(rs)]
+def _mapped_family(E: float, rs: Sequence[float], lags: list) -> list:
+    """[(Phi, Phi'), ...] at indices rs, on ``lags``, two ``_family_lags`` closures per index."""
+    return [_family_member(E, r, *lags[2 * i:2 * i + 2]) for i, r in enumerate(rs)]
 
 
 def mapped_initial_solution(params: DunklParams, E: float) -> OdeSolution:
     """The initial solution in mapped coordinates, with spectral parameter.
 
     The mapped family at r = sqrt(1 - 4 delta nu + 4 nu^2); its parameter
-    is the Dunkl constant delta nu - nu^2.
+    is the Dunkl constant delta nu - nu^2.  ``seeded_chain`` gives the
+    same Phi in a chain's group.
     """
-    (phi, phi1), = _mapped_family(E, discriminant_root(params))
-    eps = params.delta * params.nu - params.nu**2
-    return OdeSolution(f=phi, f1=phi1, eps=eps)
+    return _family_lags(E, [], params)[1]
 
 
 STANDARD_CHAIN_EPS = (0.25, -0.75)
 
 
-def _standard_chain_functions(E: float, order: int) -> tuple:
-    """The first ``order`` closed-form chain members, at eps = 1/4 and -3/4 (r = 0, 2).
+def _standard_chain_functions(E: float, lags: list) -> tuple:
+    """The chain members on ``lags``, the family's closures at r = 0 (and r = 2).
 
-    Each member and its derivative accept a float or an ndarray of y.
-    The members' rows are one ``_family_lags`` group, so a chain reads
-    one kernel call per grid.  u2 is the mapped family at
-    r = 2.  u1 is the family at r = 0, but u1' keeps the form
-    z (2 L' - L) e^{-z/2}: the family's (r/2 - z) L + 2 z L' rounds
-    differently, and where Phi is u2 (delta nu - nu^2 = -3/4) the
-    transformed state is pure rounding noise that any change would move.
+    Two closures give the order-1 chain, four the order-2 one, at eps =
+    1/4 (and -3/4).  Each member and its derivative accept a float or an
+    ndarray of y.  u2 is the mapped family at r = 2.  u1 is the family
+    at r = 0, but u1' keeps the form z (2 L' - L) e^{-z/2}: the family's
+    (r/2 - z) L + 2 z L' rounds differently, and where Phi is u2
+    (delta nu - nu^2 = -3/4) the transformed state is pure rounding
+    noise that any change would move.
     """
     beta = 1.0 / math.sqrt(E)
-    lags = _family_lags(E, *(0.0, 2.0)[:order])
     lag, lower = lags[:2]                                   # L, -L'
 
     def u1(y):
@@ -512,45 +533,51 @@ def _standard_chain_functions(E: float, order: int) -> tuple:
         z = beta * exp(2 * y)
         return exp(-0.5 * z) * z * (2 * (-lower(z)) - lag(z))
 
-    if order == 1:
+    if len(lags) == 2:
         return ((u1, u1p),)
     return (u1, u1p), _family_member(E, 2.0, *lags[2:])
 
 
-def _standard_chain(E: float, order: int, validate: bool, name: str) -> DarbouxChain:
-    """The standard chain on the first ``order`` closed-form members."""
+def _standard_chain(E: float, order: int, validate: bool, name: str,
+                    seed: Optional[DunklParams] = None) -> tuple:
+    """(chain, Phi): the standard chain on the first ``order`` closed-form members.
+
+    The members' rows are one group, joined by the seed's Phi as
+    ``_family_lags`` says (Phi is None without a seed), so the chain and
+    Phi read one kernel call per grid.
+    """
     if E <= 0:
         raise DomainError(f"{name}: E must be positive")
-    chain = DarbouxChain(kind=KIND_STANDARD, funcs=_standard_chain_functions(E, order),
+    lags, phi = _family_lags(E, _family_rows(E, *(0.0, 2.0)[:order]), seed)
+    chain = DarbouxChain(kind=KIND_STANDARD,
+                         funcs=_standard_chain_functions(E, lags[:2 * order]),
                          eps=STANDARD_CHAIN_EPS[:order],
                          background=ScenarioHarmonicEnergy.form(), energy=E)
     if validate:
         validate_chain(chain, np.linspace(-2.0, 1.0, 40), 1e-7)
-    return chain
+    return chain, phi
 
 
 def standard_chain_u12(E: float, validate: bool = True) -> DarbouxChain:
     """The order-2 standard chain at transformation energies (1/4, -3/4)."""
-    return _standard_chain(E, 2, validate, "standard_chain_u12")
+    return _standard_chain(E, 2, validate, "standard_chain_u12")[0]
 
 
 def standard_chain_order1(E: float, validate: bool = True) -> DarbouxChain:
     """The order-1 standard chain using only the eps = 1/4 member."""
-    return _standard_chain(E, 1, validate, "standard_chain_order1")
+    return _standard_chain(E, 1, validate, "standard_chain_order1")[0]
 
 
 CONFLUENT_EPS1 = -2.0
 
 
-def confluent_chain(E: float, eps1: float = CONFLUENT_EPS1) -> DarbouxChain:
-    """Order-2 confluent chain: u1 is the mapped family at eps1, u2 its eps-derivative.
+def _confluent_chain(E: float, eps1: float, seed: Optional[DunklParams] = None) -> tuple:
+    """(chain, Phi): the confluent chain of ``confluent_chain``, and the seed's Phi or None.
 
-    The family at eps is the mapped solution with r = sqrt(1 - 4 eps),
-    and u2 is ``numerics.parameter_derivative`` of its value and
-    y-derivative.  u1 and the members at the stencil's probes are one
-    ``_mapped_family`` call, ten Laguerre rows in one kernel call per
-    grid.  Refused if u2 vanishes on the validation grid, or unless the
-    residuals there are at most 1e-7 (u1) and 1e-5 (u2).
+    The chain is validated on its own group.  With a seed, the chain
+    returned is the same closed forms on that group joined by Phi's
+    rows (``_family_lags``): the validation reads no row of Phi, and
+    refuses as ``confluent_chain`` does, before r is computed.
     """
     probes = parameter_probes(eps1)
     if not probes[-1] <= 0.25:      # the highest probe: the offsets ascend
@@ -560,24 +587,64 @@ def confluent_chain(E: float, eps1: float = CONFLUENT_EPS1) -> DarbouxChain:
                           f"stencil steps above it and sqrt(1 - 4 eps) is real up to 1/4")
     if E <= 0:
         raise DomainError("confluent_chain: E must be positive")
-    members = _mapped_family(E, *(math.sqrt(1.0 - 4.0 * eps) for eps in [eps1] + probes))
-    (u1, u1p), probed = members[0], dict(zip(probes, members[1:]))
+    rs = [math.sqrt(1.0 - 4.0 * eps) for eps in [eps1] + probes]
+    rows = _family_rows(E, *rs)
 
-    def u2(y):
-        return parameter_derivative(lambda eps, t: probed[eps][0](t), eps1, y)
+    def chain_on(lags):
+        (u1, u1p), *members = _mapped_family(E, rs, lags)
+        probed = dict(zip(probes, members))
 
-    def u2p(y):
-        return parameter_derivative(lambda eps, t: probed[eps][1](t), eps1, y)
+        def u2(y):
+            return parameter_derivative(lambda eps, t: probed[eps][0](t), eps1, y)
 
+        def u2p(y):
+            return parameter_derivative(lambda eps, t: probed[eps][1](t), eps1, y)
+
+        return DarbouxChain(kind=KIND_CONFLUENT, funcs=((u1, u1p), (u2, u2p)), eps=(eps1,),
+                            background=ScenarioHarmonicEnergy.form(), energy=E)
+
+    chain = chain_on(_family_lags(E, rows)[0])
+    (u1, _), (u2, _) = chain.funcs
     grid = np.linspace(-2.0, 1.0, 25)
-    chain = DarbouxChain(kind=KIND_CONFLUENT, funcs=((u1, u1p), (u2, u2p)), eps=(eps1,),
-                         background=ScenarioHarmonicEnergy.form(), energy=E)
     with memo_scope():      # the scale check and the validation share the family's rows
         scale1 = np.max(abs(u1(grid)))
         if np.max(abs(u2(grid))) < 1e-12 * max(scale1, 1.0):
             raise ConstructionError("family does not depend on eps: degenerate chain")
         validate_chain(chain, grid, (1e-7, 1e-5))
-    return chain
+    if seed is None:
+        return chain, None
+    lags, phi = _family_lags(E, rows, seed)
+    return chain_on(lags), phi
+
+
+def confluent_chain(E: float, eps1: float = CONFLUENT_EPS1) -> DarbouxChain:
+    """Order-2 confluent chain: u1 is the mapped family at eps1, u2 its eps-derivative.
+
+    The family at eps is the mapped solution with r = sqrt(1 - 4 eps),
+    and u2 is ``numerics.parameter_derivative`` of its value and
+    y-derivative.  u1 and the members at the stencil's probes are one
+    group, ten Laguerre rows in one kernel call per grid.  Refused if u2
+    vanishes on the validation grid, or unless the residuals there are
+    at most 1e-7 (u1) and 1e-5 (u2).
+    """
+    return _confluent_chain(E, eps1)[0]
+
+
+def seeded_chain(params: DunklParams, E: float, kind: str = KIND_STANDARD, order: int = 2,
+                 eps1: float = CONFLUENT_EPS1) -> tuple:
+    """(chain, Phi) of a transformation, read together: one kernel call per grid.
+
+    The chain is the unvalidated standard chain of ``order`` (1 or 2) or
+    the confluent chain at eps1 (order 2); Phi is the seed
+    ``mapped_initial_solution(params, E)``, whose two Laguerre rows join
+    the chain's group (a row that is also a member's is read once).  Both
+    equal what their public builders give, bit for bit, and the refusals
+    come in the same order: the chain's, then Phi's.
+    """
+    if kind == KIND_CONFLUENT:
+        return _confluent_chain(E, eps1, params)
+    name = "standard_chain_u12" if order == 2 else "standard_chain_order1"
+    return _standard_chain(E, order, False, name, params)
 
 
 # ---------------------------------------------------------------------------
@@ -629,11 +696,17 @@ def closed_form_hatv4(x: float) -> float:
 # The pipeline helpers below take x as a float or an ndarray; an ndarray
 # is evaluated as one grid and equals the per-float calls bit for bit.
 
-def pipeline_hatpsi(params: DunklParams, E: float, chain: DarbouxChain, x):
-    """Transformed bound state in the original variable (x > 0 branch)."""
+def pipeline_hatpsi(params: DunklParams, E: float, chain: DarbouxChain, x,
+                    phi: Optional[OdeSolution] = None):
+    """Transformed bound state in the original variable (x > 0 branch).
+
+    phi is the seed, ``mapped_initial_solution(params, E)`` unless given
+    (``seeded_chain`` gives it with the chain).
+    """
     if np.any(x <= 0):
         raise DomainError("pipeline_hatpsi: x must be positive")
-    phi = mapped_initial_solution(params, E)
+    if phi is None:
+        phi = mapped_initial_solution(params, E)
     return power(x, 0.5 - params.nu) * transformed_solution(chain, phi, log(x))
 
 

@@ -15,6 +15,8 @@ Runs ``dunkl_darboux.cli.run(argv)`` in-process, from CHECKOUT's ``src``
   valid and malformed (written to one fixed path under the system's
   temporary directory, so each message is the same string on every
   checkout),
+- an ``--out`` path that cannot be opened, and a ``figure 4`` grid whose
+  density cannot be normalized,
 
 and prints one ``<sha256>  <argv>`` line per command.  The digest covers
 the exit code (or the type and message of an exception that escapes
@@ -140,7 +142,18 @@ CONFIGS = {
     "integer.json": ('{"grid": {"count": 2.5}}', [["darboux"]]),
     "list-of-numbers.json": ('{"chain": {"eps": [0.2, true]}}', [["darboux"]]),
     "format.json": ('{"output": {"format": "xml"}}', [["density"]]),
+    "grid-hi-range.json": ('{"grid": {"hi": 1' + "0" * 400 + '}}', [["figure", "1"]]),
+    "nu-range.json": ('{"params": {"nu": 1' + "0" * 400 + '}}', [["darboux"]]),
+    "long-integer.json": ('{"grid": {"count": 1' + "0" * 5000 + '}}', [["figure", "1"]]),
+    "not-utf8.json": ("\udcff{}", [["figure", "1"]]),
 }
+
+# An --out path whose directory does not exist, and a figure 4 grid on
+# which a density integrates to 0.
+REFUSED_OUTPUTS = [
+    ["figure", "1", "--grid-count", "5", "--out", str(CONFIG_DIR / "missing" / "x.csv")],
+    ["figure", "4", "--nu", "-0.5", "--delta", "1", "--grid-count", "2"],
+]
 
 
 def config_commands() -> list:
@@ -152,7 +165,7 @@ def config_commands() -> list:
         if text is None:
             path.unlink(missing_ok=True)
         else:
-            path.write_text(text, encoding="utf-8")
+            path.write_text(text, encoding="utf-8", errors="surrogateescape")
         commands += [argv + ["--config", str(path)] for argv in argvs]
     return commands
 
@@ -180,7 +193,7 @@ def main(argv) -> int:
     commands = [argv for name in ("figures", "chains", "verify-sweep")
                 for argv in workloads.population(name)]
     for command in commands + DEFAULTS + REFUSALS + EDGES + FORMATS + SPANS \
-            + config_commands():
+            + config_commands() + REFUSED_OUTPUTS:
         print(f"{digest(cli, command)}  {shlex.join(command)}")
     return 0
 

@@ -10,7 +10,9 @@ here, in the test suite, and not only in a benchmark run.  The
 also print what the three-grid route of the public routines prints,
 refusals included, each refusal as one error line, and
 ``transformed_pair`` must return there what ``transformed_potential``
-and ``transformed_solution`` return.
+and ``transformed_solution`` return.  The chain and seed Phi that
+``darboux`` and figures 4-6 read as one group must equal, bit for bit,
+the public builders' chain and Phi read apart.
 The bench modules are loaded from their files without writing
 bytecode, so nothing is written under ``bench/``.
 """
@@ -28,9 +30,15 @@ import pytest
 import numpy as np
 
 from dunkl_darboux import cli
-from dunkl_darboux.darboux import transformed_potential, transformed_solution
+from dunkl_darboux.darboux import (transformed_pair, transformed_potential,
+                                   transformed_solution)
 from dunkl_darboux.errors import DunklDarbouxError
-from dunkl_darboux.scenarios import pipeline_vhat
+from dunkl_darboux.libm import memo_scope
+from dunkl_darboux.model import DunklParams
+from dunkl_darboux.scenarios import (bound_state_energy, confluent_chain,
+                                     mapped_initial_solution, pipeline_hatpsi,
+                                     pipeline_vhat, seeded_chain, standard_chain_order1,
+                                     standard_chain_u12)
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -117,6 +125,10 @@ def test_darboux_one_grid_equals_three_grids(monkeypatch):
     assert sum(rc == cli.EXIT_OK for rc, *_ in one_grid) > len(one_grid) // 2
 
 
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
 def _outcome(call):
     """The arrays call() returns, as bits, or the type and message of its package error."""
     try:
@@ -151,3 +163,48 @@ def test_transformed_pair_equals_the_two_routines(monkeypatch):
         _run_op(argv)
     assert len(compared) > len(workloads.population("chains"))
     assert all(compared)
+
+
+# (kind, order, nu, delta, n) of every chains op, with figures 4-6 at
+# their defaults (standard order 2; (5/2, -1) and (7/2, +1), n = 0-2).
+# (3/2, +1) is the case where Phi is u2.
+_SEEDED_CASES = sorted(
+    {(kind, order, nu, delta, n) for kind, order in workloads.CHAIN_CONFIGS
+     for nu in workloads.CHAIN_NUS for delta in workloads.DELTAS
+     for n in workloads.CHAIN_NS}
+    | {("standard", 2, nu, delta, n) for nu, delta in ((2.5, -1), (3.5, 1))
+       for n in (0, 1, 2)})
+_OLD_BUILDERS = {("standard", 1): lambda E: standard_chain_order1(E, False),
+                 ("standard", 2): lambda E: standard_chain_u12(E, False),
+                 ("confluent", 2): confluent_chain}
+
+
+def _seeded_bits(params, E, chain, phi, phi_given):
+    """Bits of every closure of (chain, Phi), on a grid and at floats, and of
+    their transformed pair and Psi-hat, read in a memo scope of their own."""
+    ys = np.linspace(-2.0, 1.0, 31)
+    xs = np.linspace(0.2, 3.0, 31)
+    bits = []
+    with memo_scope():
+        for fn in [fn for pair in (*chain.funcs, (phi.f, phi.f1)) for fn in pair]:
+            bits += [_bits(fn(ys)), _bits([fn(float(y)) for y in ys[::6]])]
+        bits.append(_bits(transformed_pair(chain, phi, ys)))
+        bits.append(_bits(pipeline_hatpsi(params, E, chain, xs,
+                                          phi if phi_given else None)))
+    return bits
+
+
+@pytest.mark.parametrize("kind, order, nu, delta, n", _SEEDED_CASES)
+def test_seeded_chain_equals_chain_and_phi_built_apart(kind, order, nu, delta, n):
+    # The (chain, Phi) of one group equals the public builder's chain and
+    # mapped_initial_solution's Phi, each on a group of its own: every
+    # closure bit for bit, floats included, on the darboux and figure
+    # grids, and so do cmd_darboux's pair and Psi-hat of figures 4-6.
+    params = DunklParams(nu=nu, delta=delta, mu=1)
+    E = bound_state_energy(n, params, "ene1")
+    chain, phi = seeded_chain(params, E, kind, order)
+    old_chain, old_phi = _OLD_BUILDERS[kind, order](E), mapped_initial_solution(params, E)
+    assert (chain.kind, chain.eps, chain.energy, phi.eps) == (
+        old_chain.kind, old_chain.eps, old_chain.energy, old_phi.eps)
+    assert (_seeded_bits(params, E, chain, phi, True)
+            == _seeded_bits(params, E, old_chain, old_phi, False))

@@ -600,6 +600,64 @@ def test_malformed_config_is_a_usage_error(tmp_path, capsys, command, raw, messa
     assert captured.err == f"error: {message}\n"
 
 
+_BEYOND_FLOAT = 10 ** 400
+
+
+@pytest.mark.parametrize("command, raw, key", [
+    (["figure", "1"], {"grid": {"hi": _BEYOND_FLOAT}}, "grid.hi"),
+    (["darboux"], {"params": {"nu": _BEYOND_FLOAT}}, "params.nu"),
+    (["darboux", "--kind", "confluent"], {"chain": {"eps": [-2, -_BEYOND_FLOAT]}},
+     "chain.eps"),
+], ids=["grid-hi", "nu", "eps"])
+def test_config_integer_beyond_the_float_range_is_refused(tmp_path, capsys, command,
+                                                          raw, key):
+    # a JSON integer has no size limit; one that no float holds used to
+    # escape run as OverflowError where the setting was first used
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps(raw))
+    assert run(command + ["--config", str(cfg)]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"error: config: {key} must be a number in the "
+                                       f"float range, below about 1.8e308 in magnitude\n")
+
+
+@pytest.mark.parametrize("content, reason", [
+    (b'{"grid": {"count": 1' + b"0" * 5000 + b"}}", "Exceeds the limit (4300 digits)"),
+    (b'\xff{"grid": {}}', "'utf-8' codec can't decode byte 0xff"),
+], ids=["long-integer", "not-utf8"])
+def test_unreadable_config_is_a_usage_error(tmp_path, capsys, content, reason):
+    # an integer too long for int() and a file that is not UTF-8 raise
+    # ValueErrors that are not JSONDecodeErrors; they used to escape run
+    cfg = tmp_path / "bad.json"
+    cfg.write_bytes(content)
+    assert run(["figure", "1", "--config", str(cfg)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: cannot read config {cfg}: {reason}")
+
+
+@pytest.mark.parametrize("name", ["missing/x.csv", "."])
+def test_unwritable_output_path_is_refused(tmp_path, capsys, name):
+    # an --out path that cannot be opened (no such directory, or a
+    # directory) used to escape run as an OSError
+    path = tmp_path / name
+    assert run(["figure", "1", "--grid-count", "5", "--out", str(path)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: cannot write {path}: ")
+
+
+def test_figure_4_density_that_integrates_to_zero_is_refused(capsys):
+    # At (nu, delta) = (-1/2, +1) Phi is u2, so Psi-hat is rounding noise
+    # and on two points exactly 0: the normalization divided 0 by 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["figure", "4", "--nu", "-0.5", "--delta", "1",
+                    "--grid-count", "2"]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", "error: figure 4: the density of psi_hat_0 "
+                                       "integrates to 0 on the grid, so it cannot be "
+                                       "normalized\n")
+
+
 def test_scenario_dispatch_messages(tmp_path, capsys):
     cfg = tmp_path / "nope.json"
     cfg.write_text(json.dumps({"scenario": "nope", "params": {"nu": 0.5, "delta": -1}}))
@@ -668,7 +726,7 @@ def test_darboux_checks_grid_before_building_chain(monkeypatch, capsys, extra, m
     def unreachable(*args, **kwargs):
         raise AssertionError("chain built before the grid was checked")
 
-    monkeypatch.setattr(cli, "confluent_chain", unreachable)
+    monkeypatch.setattr(cli, "seeded_chain", unreachable)
     assert run(["darboux", "--kind", "confluent"] + extra) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -678,9 +736,10 @@ def test_darboux_checks_grid_before_building_chain(monkeypatch, capsys, extra, m
 @pytest.mark.parametrize("kind, order", [("standard", 1), ("standard", 2),
                                          ("confluent", 2)])
 def test_darboux_reads_each_member_once(monkeypatch, capsys, kind, order):
-    # cmd_darboux takes U-hat and Phi-hat from one read of the chain: each
-    # member closure (u_j and u_j') is called once, on the one grid of
-    # the command, after the chain is built
+    # cmd_darboux takes U-hat and Phi-hat from one read of the chain and
+    # its seed Phi: each member closure (u_j and u_j') and Phi and Phi'
+    # are called once, on the one grid of the command, after the chain is
+    # built
     reads = []
     real_build = cli._build_chain
 
@@ -690,18 +749,21 @@ def test_darboux_reads_each_member_once(monkeypatch, capsys, kind, order):
             return fn(y)
         return read
 
-    def build(config, E):
-        chain = real_build(config, E)
+    def build(config, params, E):
+        chain, phi = real_build(config, params, E)
         funcs = tuple((counted(f, (j, "u")), counted(d, (j, "u'")))
                       for j, (f, d) in enumerate(chain.funcs))
-        return replace(chain, funcs=funcs)
+        return (replace(chain, funcs=funcs),
+                replace(phi, f=counted(phi.f, ("phi", "u")),
+                        f1=counted(phi.f1, ("phi", "u'"))))
 
     monkeypatch.setattr(cli, "_build_chain", build)
     assert run(["darboux", "--kind", kind, "--order", str(order),
                 "--grid-count", "60"]) == EXIT_OK
     capsys.readouterr()
     keys = [key for key, _ in reads]
-    assert sorted(keys) == sorted((j, part) for j in range(order) for part in ("u", "u'"))
+    assert sorted(keys, key=str) == sorted(
+        [(j, part) for j in [*range(order), "phi"] for part in ("u", "u'")], key=str)
     assert len({shape for _, shape in reads}) == 1
 
 

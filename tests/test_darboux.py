@@ -199,7 +199,7 @@ def _patch_family(monkeypatch, change):
     """Make confluent_chain build its members from change(members, rs)."""
     real = scenarios._mapped_family
     monkeypatch.setattr(scenarios, "_mapped_family",
-                        lambda E, *rs: change(real(E, *rs), rs))
+                        lambda E, rs, lags: change(real(E, rs, lags), rs))
 
 
 def test_confluent_build_rejects_degenerate_family(monkeypatch):

@@ -349,33 +349,50 @@ def test_chain_members_share_their_laguerre_factors(monkeypatch):
         assert len(calls) == 2     # only phi's pair of factors is new
 
 
-def test_figure_4_kernel_calls_and_chain_builds(monkeypatch, capsys):
-    # per energy: the chain's four Laguerre rows and Phi's pair for
-    # Psi-hat, and one call for the four rows of dV-hat/dE with their
-    # degree derivatives; one chain build per energy
-    calls = _count_grid_calls(monkeypatch)
+def _count_builds(monkeypatch) -> list:
+    """Record the energy of every (chain, Phi) build of cli."""
     builds = []
 
-    def counted(E, validate=True, _real=scenarios.standard_chain_u12):
+    def counted(params, E, *args, _real=scenarios.seeded_chain, **kwargs):
         builds.append(E)
-        return _real(E, validate)
+        return _real(params, E, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "standard_chain_u12", counted)
+    monkeypatch.setattr(cli, "seeded_chain", counted)
+    return builds
+
+
+def test_figure_4_kernel_calls_and_chain_builds(monkeypatch, capsys):
+    # per energy: the chain's four Laguerre rows joined by Phi's pair for
+    # Psi-hat, and one call for the four rows of dV-hat/dE with their
+    # degree derivatives; one (chain, Phi) build per energy
+    calls = _count_grid_calls(monkeypatch)
+    builds = _count_builds(monkeypatch)
     assert cli.run(["figure", "4", "--grid-count", "50"]) == cli.EXIT_OK
     capsys.readouterr()
-    assert len(calls) == 9
+    assert len(calls) == 6
+    assert len(builds) == 3
+
+
+@pytest.mark.parametrize("number", ["5", "6"])
+def test_figures_5_and_6_kernel_calls(number, monkeypatch, capsys):
+    # per energy, one call: the chain's four rows joined by Phi's pair
+    calls = _count_grid_calls(monkeypatch)
+    builds = _count_builds(monkeypatch)
+    assert cli.run(["figure", number, "--grid-count", "50"]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert [len(degrees) for degrees, _ in calls] == [6, 6, 6]
     assert len(builds) == 3
 
 
 def test_confluent_darboux_and_figure_7_kernel_calls(monkeypatch, capsys):
     # The confluent chain's ten Laguerre rows are one group.  darboux:
     # the build reads it on the validation grid and on its stencil nodes,
-    # the chain on y joined with log(e^y) (V-hat), plus Phi's pair; at
-    # most 8 (the bound of exact-derivative work).  figure 7: three
-    # energies, each a build and V-hat on its grid, at most 15.
+    # then the chain joined by Phi's pair on y joined with log(e^y)
+    # (V-hat); at most 8 (the bound of exact-derivative work).  figure 7:
+    # three energies, each a build and V-hat on its grid, at most 15.
     calls = _count_grid_calls(monkeypatch)
     assert cli.run(["darboux", "--kind", "confluent"]) == cli.EXIT_OK
-    assert len(calls) == 4
+    assert [len(degrees) for degrees, _ in calls] == [10, 10, 12]
     calls.clear()
     assert cli.run(["figure", "7", "--grid-count", "50"]) == cli.EXIT_OK
     capsys.readouterr()
@@ -383,10 +400,10 @@ def test_confluent_darboux_and_figure_7_kernel_calls(monkeypatch, capsys):
     assert all(len(degrees) == 10 for degrees, _ in calls)
 
 
-@pytest.mark.parametrize("order, rows", [(1, [2, 2]), (2, [4, 2])])
+@pytest.mark.parametrize("order, rows", [(1, [4]), (2, [6])])
 def test_standard_darboux_kernel_calls(order, rows, monkeypatch, capsys):
-    # the chain's rows (two per member) on y joined with log(e^y), then
-    # Phi's pair on the same grid: U-hat, Phi-hat and V-hat in two calls
+    # the chain's rows (two per member) and Phi's pair, one group, on y
+    # joined with log(e^y): U-hat, Phi-hat and V-hat in one call
     calls = _count_grid_calls(monkeypatch)
     argv = ["darboux", "--kind", "standard", "--order", str(order)]
     assert cli.run(argv) == cli.EXIT_OK
@@ -394,16 +411,27 @@ def test_standard_darboux_kernel_calls(order, rows, monkeypatch, capsys):
     assert [len(degrees) for degrees, _ in calls] == rows
 
 
+def _family(E, *rs):
+    """[(Phi, Phi'), ...] of the mapped family at indices rs, as one group."""
+    lags, _ = scenarios._family_lags(E, scenarios._family_rows(E, *rs))
+    return scenarios._mapped_family(E, rs, lags)
+
+
 @pytest.mark.parametrize("E", [4.0, 12.0 ** (2.0 / 3.0)])
-def test_standard_members_and_phi_are_the_mapped_family(E):
+def test_standard_members_and_phi_are_the_mapped_family(E, monkeypatch):
     # u1, u2 and u2' are the mapped family at r = 0 and 2 (eps = 1/4 and
-    # -3/4), here built as one group, and Phi at (nu, delta) = (3/2, +1),
-    # where delta nu - nu^2 = -3/4, is u2: all bit for bit, floats included
-    (u1, _), (u2, u2p) = scenarios._standard_chain_functions(E, 2)
-    (f0, _), (f2, f2p) = scenarios._mapped_family(E, 0.0, 2.0)
-    phi = mapped_initial_solution(DunklParams(nu=1.5, delta=1, mu=1), E)
+    # -3/4), and Phi at (nu, delta) = (3/2, +1), where delta nu - nu^2 =
+    # -3/4, is u2: all bit for bit, floats included.  Joined with the
+    # chain, Phi's rows are u2's, so the group's call reads four rows.
+    calls = _count_grid_calls(monkeypatch)
+    chain, phi = scenarios.seeded_chain(DunklParams(nu=1.5, delta=1, mu=1), E)
+    (u1, _), (u2, u2p) = chain.funcs
+    (f0, _), (f2, f2p) = _family(E, 0.0, 2.0)
     assert phi.eps == -0.75
     ys = np.linspace(-2.0, 1.0, 41)
+    with memo_scope():
+        transformed_solution(chain, phi, ys)
+    assert [len(degrees) for degrees, _ in calls] == [4]
     pairs = [(u1, f0), (u2, f2), (u2p, f2p), (phi.f, u2), (phi.f1, u2p)]
     for got, want in pairs:
         assert _bits(got(ys)) == _bits(want(ys))
@@ -432,13 +460,13 @@ def test_confluent_build_evaluates_each_eps_once_on_its_grid(monkeypatch):
 
 @pytest.mark.parametrize("E", [4.0, 12.0 ** (2.0 / 3.0)])
 def test_grouped_members_equal_single_members(E):
-    # one _mapped_family call for several indices (the confluent chain's
-    # members) equals a call per index, bit for bit, floats included
+    # one group for several indices (the confluent chain's members)
+    # equals a group per index, bit for bit, floats included
     rs = [math.sqrt(1.0 - 4.0 * eps) for eps in (-2.0, -2.00004, -1.99996, 0.2, 0.24)]
-    grouped = scenarios._mapped_family(E, *rs)
+    grouped = _family(E, *rs)
     ys = np.linspace(-2.0, 1.0, 41)
     for r, (phi, phi1) in zip(rs, grouped):
-        (single, single1), = scenarios._mapped_family(E, r)
+        (single, single1), = _family(E, r)
         for got, want in ((phi, single), (phi1, single1)):
             assert _bits(got(ys)) == _bits(want(ys))
             assert (_bits([got(float(y)) for y in ys[::8]])
@@ -574,8 +602,8 @@ def test_closures_over_the_same_rows_share_one_call_per_grid(monkeypatch):
     # the memo is keyed by the rows, not by the closure: two families
     # built apart read one group, and a float reads the one-point grid
     calls = _count_grid_calls(monkeypatch)
-    (phi, phi1), = scenarios._mapped_family(4.0, 2.0)
-    (psi, psi1), = scenarios._mapped_family(4.0, 2.0)
+    (phi, phi1), = _family(4.0, 2.0)
+    (psi, psi1), = _family(4.0, 2.0)
     ys = np.linspace(-2.0, 1.0, 9)
     with memo_scope():
         assert _bits(phi(ys)) == _bits(psi(ys)) and len(calls) == 1

@@ -30,7 +30,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .darboux import (DarbouxChain, KIND_CONFLUENT, KIND_STANDARD, OdeSolution,
+from .darboux import (DarbouxChain, KIND_STANDARD, OdeSolution,
                       chain_residuals, transformed_pair)
 from .errors import DomainError, DunklDarbouxError
 from .libm import exp, log, memo_scope, power
@@ -451,18 +451,9 @@ def cmd_density(config: argparse.Namespace) -> int:
 def _build_chain(config: argparse.Namespace, params: DunklParams,
                  E: float) -> Tuple[DarbouxChain, OdeSolution]:
     """The command's chain and its seed Phi, read together (``seeded_chain``)."""
-    kind = config.chain_kind or "standard"
-    order = config.chain_order if config.chain_order is not None else 2
-    if kind == "standard":
-        if order not in (1, 2):
-            raise UsageError("standard chains are constructible at orders 1 and 2")
-        return seeded_chain(params, E, KIND_STANDARD, order)
-    if kind == "confluent":
-        if order != 2:
-            raise UsageError("confluent chains are constructible at order 2")
-        eps1 = config.chain_eps[0] if config.chain_eps else CONFLUENT_EPS1
-        return seeded_chain(params, E, KIND_CONFLUENT, eps1=eps1)
-    raise UsageError(f"unknown chain kind {kind!r}")
+    return seeded_chain(params, E, config.chain_kind or KIND_STANDARD,
+                        config.chain_order if config.chain_order is not None else 2,
+                        config.chain_eps[0] if config.chain_eps else CONFLUENT_EPS1)
 
 
 def _chain_columns(E: float, chain: DarbouxChain, phi: OdeSolution, ys: np.ndarray,
@@ -577,8 +568,13 @@ def _figure_hat(config: argparse.Namespace, nu: float, delta: int, density: bool
     # the symmetric extension), which is the display contract.
     columns = []
     for n, (E, psi) in enumerate(zip(energies, states)):
-        raw = (power(psi, 2) * power(xs, 2.0 * params.nu)
-               * (1.0 - standard_vhat_dE(E, xs)))
+        raw = power(psi, 2) * power(xs, 2.0 * params.nu)
+        dv_de = standard_vhat_dE(E, xs)
+        bad = ~np.isfinite(dv_de)       # where W underflows, and psi-hat is 0
+        if bad.any():
+            raise DomainError(f"figure 4: dV-hat/dE of p_hat_{n} is not finite at "
+                              f"x={float(xs[bad][0])}")
+        raw = raw * (1.0 - dv_de)
         weight = 2.0 * np.trapezoid(raw, xs)
         if weight == 0.0:
             raise DomainError(f"figure 4: the density of psi_hat_{n} integrates to 0 "

@@ -21,11 +21,13 @@ solutions.  Their Kummer and Laguerre factors are row groups
 (``_row_group``) that evaluate a float as a one-point grid and are
 stored in ``libm``'s memo, so within a memo scope each group is
 evaluated once per grid.  The Darboux chains are built here too, on
-members of ``_mapped_family``.  A group holds the rows that every
-caller reads together: a chain's members, and with them the seed Phi
-that the chain transforms, itself a member of the same family
-(``seeded_chain``, which ``darboux`` and figures 4-6 read in one kernel
-call per grid).
+members of ``_mapped_family``, by one builder, ``seeded_chain``.  A
+group holds the rows that every caller reads together: a chain's
+members, and with them the seed Phi that the chain transforms, itself a
+member of the same family.  Each chain is built once, on the group it
+is read from, so ``darboux`` and figures 4-6 read the chain and Phi in
+one kernel call per grid; each of the confluent ``darboux``'s three
+calls (validation grid, stencil nodes, command grid) reads 12 rows.
 """
 
 from __future__ import annotations
@@ -416,6 +418,8 @@ def _laguerre_rows(*rows):
 
 def _mapped_degree(E: float, r: float) -> float:
     """-1/2 + E^{3/2}/4 - r/4, the Laguerre degree of the mapped family with index r."""
+    if not math.isfinite(E):
+        raise DomainError(f"E = {E:g} is not finite")
     try:
         return -0.5 + 0.25 * E**1.5 - 0.25 * r
     except OverflowError:
@@ -447,28 +451,24 @@ def harmonic_initial_solution_function(params: DunklParams, E: float) -> ParityF
                            params.delta)
 
 
-def _family_rows(E: float, *rs: float) -> list:
-    """(degree, alpha) of L_d^{r/2} and L_{d-1}^{r/2+1} = -L' per index r of the mapped family."""
-    rows = []
-    for r in rs:
-        degree = _mapped_degree(E, r)
-        rows += [(degree, 0.5 * r), (degree - 1, 0.5 * r + 1)]
-    return rows
+def _family_lags(E: float, rs: Sequence[float], seed: Optional[DunklParams] = None) -> tuple:
+    """(closures, Phi): L_d^{r/2} and L_{d-1}^{r/2+1} = -L' per index r of rs, one group.
 
-
-def _family_lags(E: float, rows: list, seed: Optional[DunklParams] = None) -> tuple:
-    """(closures of ``rows``, Phi): one ``_laguerre_rows`` group and the seed's Phi.
-
-    Without a seed, Phi is None.  With one, the group also holds Phi's
-    two rows, the mapped family at r = discriminant_root(seed), after
-    ``rows``, and Phi is that member as an ``OdeSolution`` whose spectral
-    parameter is the Dunkl constant delta nu - nu^2.  The caller computes
-    ``rows`` before r, so their refusals come first.
+    Without a seed, Phi is None.  With one, the ``_laguerre_rows`` group
+    also holds Phi's two rows, the mapped family at r =
+    discriminant_root(seed), after those of rs (which are formed, and
+    refused, first), and Phi is that member as an ``OdeSolution`` whose
+    spectral parameter is the Dunkl constant delta nu - nu^2.
     """
+    def pair(r):
+        degree = _mapped_degree(E, r)
+        return [(degree, 0.5 * r), (degree - 1, 0.5 * r + 1)]
+
+    rows = [row for r in rs for row in pair(r)]
     if seed is None:
         return _laguerre_rows(*rows), None
     r = discriminant_root(seed)
-    lags = _laguerre_rows(*rows, *_family_rows(E, r))
+    lags = _laguerre_rows(*rows, *pair(r))
     phi, phi1 = _family_member(E, r, *lags[-2:])
     return lags, OdeSolution(f=phi, f1=phi1, eps=seed.delta * seed.nu - seed.nu**2)
 
@@ -511,140 +511,119 @@ def mapped_initial_solution(params: DunklParams, E: float) -> OdeSolution:
 STANDARD_CHAIN_EPS = (0.25, -0.75)
 
 
-def _standard_chain_functions(E: float, lags: list) -> tuple:
-    """The chain members on ``lags``, the family's closures at r = 0 (and r = 2).
+def _standard_u1p(E: float, lag, lower):
+    """u1' = z (2 L' - L) e^{-z/2} of the standard chain, on the closures L and -L' at r = 0.
 
-    Two closures give the order-1 chain, four the order-2 one, at eps =
-    1/4 (and -3/4).  Each member and its derivative accept a float or an
-    ndarray of y.  u2 is the mapped family at r = 2.  u1 is the family
-    at r = 0, but u1' keeps the form z (2 L' - L) e^{-z/2}: the family's
-    (r/2 - z) L + 2 z L' rounds differently, and where Phi is u2
-    (delta nu - nu^2 = -3/4) the transformed state is pure rounding
-    noise that any change would move.
+    u1 is the mapped family at r = 0, but u1' keeps this form: the
+    family's (r/2 - z) L + 2 z L' rounds differently, and where Phi is u2
+    (delta nu - nu^2 = -3/4) the transformed state is pure rounding noise
+    that any change would move.
     """
     beta = 1.0 / math.sqrt(E)
-    lag, lower = lags[:2]                                   # L, -L'
-
-    def u1(y):
-        z = beta * exp(2 * y)
-        return exp(-0.5 * z) * lag(z)
 
     def u1p(y):
         z = beta * exp(2 * y)
         return exp(-0.5 * z) * z * (2 * (-lower(z)) - lag(z))
 
-    if len(lags) == 2:
-        return ((u1, u1p),)
-    return (u1, u1p), _family_member(E, 2.0, *lags[2:])
+    return u1p
 
 
-def _standard_chain(E: float, order: int, validate: bool, name: str,
-                    seed: Optional[DunklParams] = None) -> tuple:
-    """(chain, Phi): the standard chain on the first ``order`` closed-form members.
-
-    The members' rows are one group, joined by the seed's Phi as
-    ``_family_lags`` says (Phi is None without a seed), so the chain and
-    Phi read one kernel call per grid.
-    """
-    if E <= 0:
-        raise DomainError(f"{name}: E must be positive")
-    lags, phi = _family_lags(E, _family_rows(E, *(0.0, 2.0)[:order]), seed)
-    chain = DarbouxChain(kind=KIND_STANDARD,
-                         funcs=_standard_chain_functions(E, lags[:2 * order]),
-                         eps=STANDARD_CHAIN_EPS[:order],
-                         background=ScenarioHarmonicEnergy.form(), energy=E)
+def _validated(chain: DarbouxChain, validate: bool) -> DarbouxChain:
+    """The standard chain, refused unless its residuals are at most 1e-7 when validate is set."""
     if validate:
         validate_chain(chain, np.linspace(-2.0, 1.0, 40), 1e-7)
-    return chain, phi
+    return chain
 
 
 def standard_chain_u12(E: float, validate: bool = True) -> DarbouxChain:
     """The order-2 standard chain at transformation energies (1/4, -3/4)."""
-    return _standard_chain(E, 2, validate, "standard_chain_u12")[0]
+    return _validated(seeded_chain(None, E, KIND_STANDARD, 2)[0], validate)
 
 
 def standard_chain_order1(E: float, validate: bool = True) -> DarbouxChain:
     """The order-1 standard chain using only the eps = 1/4 member."""
-    return _standard_chain(E, 1, validate, "standard_chain_order1")[0]
+    return _validated(seeded_chain(None, E, KIND_STANDARD, 1)[0], validate)
 
 
 CONFLUENT_EPS1 = -2.0
 
 
-def _confluent_chain(E: float, eps1: float, seed: Optional[DunklParams] = None) -> tuple:
-    """(chain, Phi): the confluent chain of ``confluent_chain``, and the seed's Phi or None.
-
-    The chain is validated on its own group.  With a seed, the chain
-    returned is the same closed forms on that group joined by Phi's
-    rows (``_family_lags``): the validation reads no row of Phi, and
-    refuses as ``confluent_chain`` does, before r is computed.
-    """
-    probes = parameter_probes(eps1)
-    if not probes[-1] <= 0.25:      # the highest probe: the offsets ascend
-        top = 0.25 - PARAM_STENCIL_OFFSETS[-1] * DEFAULT_PARAM_STEP_SCALE
-        raise DomainError(f"confluent chain: eps = {eps1:g} is out of range: it must be "
-                          f"finite and at most {top:g}, as u2 samples the family two "
-                          f"stencil steps above it and sqrt(1 - 4 eps) is real up to 1/4")
-    if E <= 0:
-        raise DomainError("confluent_chain: E must be positive")
-    rs = [math.sqrt(1.0 - 4.0 * eps) for eps in [eps1] + probes]
-    rows = _family_rows(E, *rs)
-
-    def chain_on(lags):
-        (u1, u1p), *members = _mapped_family(E, rs, lags)
-        probed = dict(zip(probes, members))
-
-        def u2(y):
-            return parameter_derivative(lambda eps, t: probed[eps][0](t), eps1, y)
-
-        def u2p(y):
-            return parameter_derivative(lambda eps, t: probed[eps][1](t), eps1, y)
-
-        return DarbouxChain(kind=KIND_CONFLUENT, funcs=((u1, u1p), (u2, u2p)), eps=(eps1,),
-                            background=ScenarioHarmonicEnergy.form(), energy=E)
-
-    chain = chain_on(_family_lags(E, rows)[0])
-    (u1, _), (u2, _) = chain.funcs
-    grid = np.linspace(-2.0, 1.0, 25)
-    with memo_scope():      # the scale check and the validation share the family's rows
-        scale1 = np.max(abs(u1(grid)))
-        if np.max(abs(u2(grid))) < 1e-12 * max(scale1, 1.0):
-            raise ConstructionError("family does not depend on eps: degenerate chain")
-        validate_chain(chain, grid, (1e-7, 1e-5))
-    if seed is None:
-        return chain, None
-    lags, phi = _family_lags(E, rows, seed)
-    return chain_on(lags), phi
-
-
 def confluent_chain(E: float, eps1: float = CONFLUENT_EPS1) -> DarbouxChain:
     """Order-2 confluent chain: u1 is the mapped family at eps1, u2 its eps-derivative.
 
-    The family at eps is the mapped solution with r = sqrt(1 - 4 eps),
-    and u2 is ``numerics.parameter_derivative`` of its value and
-    y-derivative.  u1 and the members at the stencil's probes are one
-    group, ten Laguerre rows in one kernel call per grid.  Refused if u2
-    vanishes on the validation grid, or unless the residuals there are
-    at most 1e-7 (u1) and 1e-5 (u2).
+    Validated as ``seeded_chain`` says, on its ten Laguerre rows.
     """
-    return _confluent_chain(E, eps1)[0]
+    return seeded_chain(None, E, KIND_CONFLUENT, 2, eps1)[0]
 
 
-def seeded_chain(params: DunklParams, E: float, kind: str = KIND_STANDARD, order: int = 2,
-                 eps1: float = CONFLUENT_EPS1) -> tuple:
-    """(chain, Phi) of a transformation, read together: one kernel call per grid.
+# (kind, order) of each chain built here -> the public builder its E refusal names
+_CHAINS = {(KIND_STANDARD, 1): "standard_chain_order1",
+           (KIND_STANDARD, 2): "standard_chain_u12",
+           (KIND_CONFLUENT, 2): "confluent_chain"}
 
-    The chain is the unvalidated standard chain of ``order`` (1 or 2) or
-    the confluent chain at eps1 (order 2); Phi is the seed
-    ``mapped_initial_solution(params, E)``, whose two Laguerre rows join
-    the chain's group (a row that is also a member's is read once).  Both
-    equal what their public builders give, bit for bit, and the refusals
-    come in the same order: the chain's, then Phi's.
+
+def seeded_chain(params: Optional[DunklParams], E: float, kind: str = KIND_STANDARD,
+                 order: int = 2, eps1: float = CONFLUENT_EPS1) -> tuple:
+    """(chain, Phi): the one builder of the chains, each built once, with its seed.
+
+    The chain is the unvalidated standard chain of ``order`` 1 or 2 (the
+    mapped family at r = 0 and 2, eps = 1/4 and -3/4), or the confluent
+    chain at eps1 (order 2): u1 is the family at eps1, the family at eps
+    having r = sqrt(1 - 4 eps), and u2 is ``numerics.parameter_derivative``
+    of its value and y-derivative, on the members at the stencil's four
+    probes.  Any other kind or order is refused.  Phi is the seed
+    ``mapped_initial_solution(params, E)``, or None when params is None,
+    and its two rows join the chain's group (``_family_lags``), so the
+    chain and Phi read one kernel call per grid, bit for bit as each
+    would read alone.  The confluent chain is validated on that group:
+    it is refused if u2 vanishes on a 25-point grid, or unless the
+    residuals there are at most 1e-7 (u1) and 1e-5 (u2).  The build-time
+    refusals (kind and order, eps1, E <= 0, the family degree) come
+    before Phi's nu; a kernel refusal is the first the group's call meets.
     """
+    name = _CHAINS.get((kind, order))
+    if name is None:
+        if kind == KIND_STANDARD:
+            raise DomainError("standard chains are constructible at orders 1 and 2")
+        if kind == KIND_CONFLUENT:
+            raise DomainError("confluent chains are constructible at order 2")
+        raise DomainError(f"unknown chain kind {kind!r}")
+    if kind == KIND_STANDARD:
+        rs, eps = (0.0, 2.0)[:order], STANDARD_CHAIN_EPS[:order]
+    else:
+        probes = parameter_probes(eps1)
+        if not probes[-1] <= 0.25:      # the highest probe: the offsets ascend
+            top = 0.25 - PARAM_STENCIL_OFFSETS[-1] * DEFAULT_PARAM_STEP_SCALE
+            raise DomainError(f"confluent chain: eps = {eps1:g} is out of range: it must be "
+                              f"finite and at most {top:g}, as u2 samples the family two "
+                              f"stencil steps above it and sqrt(1 - 4 eps) is real up to 1/4")
+        rs, eps = [math.sqrt(1.0 - 4.0 * e) for e in [eps1] + probes], (eps1,)
+    if E <= 0:
+        raise DomainError(f"{name}: E must be positive")
+    lags, phi = _family_lags(E, rs, params)
+    (u1, u1p), *members = _mapped_family(E, rs, lags)
+    if kind == KIND_STANDARD:
+        funcs = ((u1, _standard_u1p(E, *lags[:2])), *members)
+    else:
+        probed = dict(zip(probes, members))
+
+        def u2(y):
+            return parameter_derivative(lambda e, t: probed[e][0](t), eps1, y)
+
+        def u2p(y):
+            return parameter_derivative(lambda e, t: probed[e][1](t), eps1, y)
+
+        funcs = ((u1, u1p), (u2, u2p))
+    chain = DarbouxChain(kind=kind, funcs=funcs, eps=eps,
+                         background=ScenarioHarmonicEnergy.form(), energy=E)
     if kind == KIND_CONFLUENT:
-        return _confluent_chain(E, eps1, params)
-    name = "standard_chain_u12" if order == 2 else "standard_chain_order1"
-    return _standard_chain(E, order, False, name, params)
+        grid = np.linspace(-2.0, 1.0, 25)
+        with memo_scope():      # the scale check and the validation share the group's rows
+            scale1 = np.max(abs(u1(grid)))
+            if np.max(abs(u2(grid))) < 1e-12 * max(scale1, 1.0):
+                raise ConstructionError("family does not depend on eps: degenerate chain")
+            validate_chain(chain, grid, (1e-7, 1e-5))
+    return chain, phi
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,8 @@ Runs ``dunkl_darboux.cli.run(argv)`` in-process, from CHECKOUT's ``src``
   checkout),
 - an ``--out`` path that cannot be opened, and a ``figure 4`` grid whose
   density cannot be normalized,
+- a non-finite E or dV-hat/dE, and a confluent refusal met by the
+  validation of the chain joined by Phi's rows,
 
 and prints one ``<sha256>  <argv>`` line per command.  The digest covers
 the exit code (or the type and message of an exception that escapes
@@ -155,6 +157,17 @@ REFUSED_OUTPUTS = [
     ["figure", "4", "--nu", "-0.5", "--delta", "1", "--grid-count", "2"],
 ]
 
+# A non-finite E on a grid where U_E(y) made inf * 0, a figure 4 grid
+# where dV-hat/dE is not finite, and a confluent E whose first refusal is
+# one of Phi's rows.
+NON_FINITE = [
+    ["darboux", "--energy", "inf", "--grid-lo", "-400", "--grid-hi", "-300",
+     "--grid-count", "3"],
+    ["figure", "4", "--nu", "1.5", "--delta", "-1", "--grid-lo", "1e-300",
+     "--grid-hi", "1e-299", "--grid-count", "3"],
+    ["darboux", "--kind", "confluent", "--energy", "1e10"],
+]
+
 
 def config_commands() -> list:
     """Write the files of ``CONFIGS`` (removing a missing one's) and list their commands."""
@@ -193,7 +206,7 @@ def main(argv) -> int:
     commands = [argv for name in ("figures", "chains", "verify-sweep")
                 for argv in workloads.population(name)]
     for command in commands + DEFAULTS + REFUSALS + EDGES + FORMATS + SPANS \
-            + config_commands() + REFUSED_OUTPUTS:
+            + config_commands() + REFUSED_OUTPUTS + NON_FINITE:
         print(f"{digest(cli, command)}  {shlex.join(command)}")
     return 0
 

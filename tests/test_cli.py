@@ -241,6 +241,9 @@ _HARMONIC = ["--scenario", "harmonic-energy", "--nu", "2.5", "--delta", "-1"]
     (["density", *_HARMONIC, "--n", _HUGE_N], "error: bound_state_energy: n is out of range"),
     # numpy refuses the size before allocating anything
     (["darboux", "--grid-count", "100000000000000000000"], "error: grid: count is too large"),
+    (["darboux", "--order", "3"], "error: standard chains are constructible at orders 1 and 2"),
+    (["darboux", "--kind", "confluent", "--order", "1"],
+     "error: confluent chains are constructible at order 2"),
 ])
 def test_out_of_range_flags_are_refused(argv, start, capsys):
     code = run(argv)
@@ -656,6 +659,37 @@ def test_figure_4_density_that_integrates_to_zero_is_refused(capsys):
     assert capsys.readouterr() == ("", "error: figure 4: the density of psi_hat_0 "
                                        "integrates to 0 on the grid, so it cannot be "
                                        "normalized\n")
+
+
+def test_figure_4_refuses_a_dvhat_de_that_is_not_finite(capsys):
+    # Near x = 1e-300 the Wronskian of dV-hat/dE underflows, so it is NaN
+    # (n = 0, 1) or -inf (n = 2) where Psi-hat is 0: the density's 0 * inf
+    # escaped run as a RuntimeWarning with warnings as errors
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["figure", "4", "--nu", "1.5", "--delta", "-1", "--grid-lo", "1e-300",
+                    "--grid-hi", "1e-299", "--grid-count", "3"]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", "error: figure 4: dV-hat/dE of p_hat_0 is not "
+                                       "finite at x=1e-300\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["darboux", "--energy", "inf", "--grid-lo", "-400", "--grid-hi", "-300",
+     "--grid-count", "3"],
+    ["darboux", "--energy", "nan"],
+    ["darboux", "--kind", "confluent", "--energy", "inf"],
+    ["verify", *_HARMONIC, "--energy", "inf"],
+    ["density", *_HARMONIC, "--energy", "nan"],
+])
+def test_energy_that_is_not_finite_is_refused_before_any_read(argv, capsys):
+    # The family degree refuses E by name: on the far darboux grid the
+    # chain's U_E(y) = 1/4 - E e^{2y} + e^{4y}/E made inf * 0 before any
+    # kernel call, which escaped run as a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == EXIT_USAGE
+    energy = argv[argv.index("--energy") + 1]
+    assert capsys.readouterr() == ("", f"error: E = {energy} is not finite\n")
 
 
 def test_scenario_dispatch_messages(tmp_path, capsys):

@@ -386,13 +386,14 @@ def test_figures_5_and_6_kernel_calls(number, monkeypatch, capsys):
 
 def test_confluent_darboux_and_figure_7_kernel_calls(monkeypatch, capsys):
     # The confluent chain's ten Laguerre rows are one group.  darboux:
-    # the build reads it on the validation grid and on its stencil nodes,
-    # then the chain joined by Phi's pair on y joined with log(e^y)
-    # (V-hat); at most 8 (the bound of exact-derivative work).  figure 7:
-    # three energies, each a build and V-hat on its grid, at most 15.
+    # the chain is built once, joined by Phi's pair, and that group is
+    # read on the validation grid, on its stencil nodes and on y joined
+    # with log(e^y) (V-hat); at most 8 (the bound of exact-derivative
+    # work).  figure 7: three energies, each a build and V-hat on its
+    # grid, at most 15.
     calls = _count_grid_calls(monkeypatch)
     assert cli.run(["darboux", "--kind", "confluent"]) == cli.EXIT_OK
-    assert [len(degrees) for degrees, _ in calls] == [10, 10, 12]
+    assert [len(degrees) for degrees, _ in calls] == [12, 12, 12]
     calls.clear()
     assert cli.run(["figure", "7", "--grid-count", "50"]) == cli.EXIT_OK
     capsys.readouterr()
@@ -411,9 +412,24 @@ def test_standard_darboux_kernel_calls(order, rows, monkeypatch, capsys):
     assert [len(degrees) for degrees, _ in calls] == rows
 
 
+@pytest.mark.parametrize("kind, order, message", [
+    ("standard", 0, "standard chains are constructible at orders 1 and 2"),
+    ("standard", 3, "standard chains are constructible at orders 1 and 2"),
+    ("confluent", 7, "confluent chains are constructible at order 2"),
+    ("bogus", 2, "unknown chain kind 'bogus'"),
+])
+def test_seeded_chain_refuses_kinds_and_orders_it_does_not_build(kind, order, message):
+    # order 0 and 3 used to fail inside the build (ValueError, TypeError),
+    # 'bogus' built a standard chain and a confluent chain ignored order 7
+    for params in (None, TRANSFORM_PARAMS):
+        with pytest.raises(DomainError) as refused:
+            scenarios.seeded_chain(params, 4.0, kind, order)
+        assert str(refused.value) == message
+
+
 def _family(E, *rs):
     """[(Phi, Phi'), ...] of the mapped family at indices rs, as one group."""
-    lags, _ = scenarios._family_lags(E, scenarios._family_rows(E, *rs))
+    lags, _ = scenarios._family_lags(E, rs)
     return scenarios._mapped_family(E, rs, lags)
 
 

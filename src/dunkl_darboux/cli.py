@@ -287,12 +287,12 @@ class VerificationReport:
             ],
         }
 
-    def print_text(self) -> None:
-        for c in self.checks:
-            status = "PASS" if c.passed else "FAIL"
-            print(f"{status}  {c.name}: max residual {_fmt(c.max_residual)} "
-                  f"(tolerance {_fmt(c.tolerance)})")
-        print("overall:", "PASS" if self.overall_pass else "FAIL")
+    def as_text(self) -> str:
+        lines = [f"{'PASS' if c.passed else 'FAIL'}  {c.name}: max residual "
+                 f"{_fmt(c.max_residual)} (tolerance {_fmt(c.tolerance)})"
+                 for c in self.checks]
+        lines.append(f"overall: {'PASS' if self.overall_pass else 'FAIL'}")
+        return "\n".join(lines) + "\n"
 
 
 def _worst(residuals: np.ndarray) -> float:
@@ -355,7 +355,9 @@ def _verify_pdm(params: DunklParams, E: float, tol: float) -> VerificationReport
     reflection sign.
     """
     nu_bar, delta_bar = params.nu, params.delta
-    if not E > 0:
+    if not math.isfinite(E):
+        raise DomainError(f"E = {E:g} is not finite")
+    if E <= 0:
         raise DomainError(f"harmonic-energy-pdm: E = {E:g} is out of range: both "
                           f"potentials divide by E, which must be positive")
     # The redefined nu is fixed by matching the mapped constant term:
@@ -396,7 +398,7 @@ def cmd_verify(config: argparse.Namespace) -> int:
     if config.output_format == "json":
         _write_json(config.output_path, report.as_dict())
     else:
-        report.print_text()
+        _write(config.output_path, report.as_text())
     return EXIT_OK if report.overall_pass else EXIT_VERIFICATION
 
 

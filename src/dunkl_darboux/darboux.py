@@ -35,7 +35,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import (CapabilityError, ConstructionError, DomainError,
+from .errors import (CapabilityError, ConstructionError, DomainError, EvaluationError,
                      SingularityError)
 from .libm import memo_scope
 from .numerics import derivative
@@ -116,27 +116,29 @@ def _wronskian(chain: DarbouxChain, u, members: list):
     eps2) u1 u2 and W'' = (eps1 - eps2)(u1' u2 + u1 u2') (standard), or
     W' = -u1^2 and W'' = -2 u1 u1' (confluent).  The scale is the product
     over members of max(|u_j|, |u_j'|), a zero member counting as 1, so
-    the floor moves with W when a member is rescaled.
+    the floor moves with W when a member is rescaled.  A product that
+    overflows is inf or NaN, which ``_checked_read`` refuses.
     """
     n = len(members)
     if n > 2:
         raise CapabilityError(f"Wronskians are supported for chains of order 0 to 2, not {n}")
-    scale = 1.0
-    for v, g in members:
-        norm = np.maximum(abs(v), abs(g))
-        scale = scale * np.where(norm > 0, norm, 1.0)
-    if n == 0:
-        return 1.0, 0.0, 0.0, scale
-    if n == 1:
-        (w, wp), = members
-        return w, wp, (u - chain.eps[0]) * w, scale
-    (v1, g1), (v2, g2) = members
-    if chain.kind == KIND_STANDARD:
-        de = chain.eps[0] - chain.eps[1]
-        wp, wpp = de * v1 * v2, de * (g1 * v2 + v1 * g2)
-    else:
-        wp, wpp = -v1 * v1, -2.0 * v1 * g1
-    return v1 * g2 - g1 * v2, wp, wpp, scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = 1.0
+        for v, g in members:
+            norm = np.maximum(abs(v), abs(g))
+            scale = scale * np.where(norm > 0, norm, 1.0)
+        if n == 0:
+            return 1.0, 0.0, 0.0, scale
+        if n == 1:
+            (w, wp), = members
+            return w, wp, (u - chain.eps[0]) * w, scale
+        (v1, g1), (v2, g2) = members
+        if chain.kind == KIND_STANDARD:
+            de = chain.eps[0] - chain.eps[1]
+            wp, wpp = de * v1 * v2, de * (g1 * v2 + v1 * g2)
+        else:
+            wp, wpp = -v1 * v1, -2.0 * v1 * g1
+        return v1 * g2 - g1 * v2, wp, wpp, scale
 
 
 def _minor(cols: list, r1: int, r2: int, c1: int, c2: int):
@@ -169,12 +171,11 @@ def _det(cols: list):
     return np.choose(pivot, [_expand(cols, p) for p in range(3)])
 
 
-def _below_floor(w, scale, y) -> None:
-    """SingularityError naming the first y where W = 0 or |W| < DEFAULT_W_FLOOR * scale."""
-    low = (w == 0.0) | (abs(w) < DEFAULT_W_FLOOR * scale)
-    if np.any(low):
-        at = float(np.broadcast_to(y, np.shape(low))[low][0])
-        raise SingularityError(f"Wronskian below floor at y={at}")
+def _refuse(bad, y, error, text: str) -> None:
+    """Raise error(text) naming the first y where bad holds, if it holds anywhere."""
+    if np.any(bad):
+        at = float(np.broadcast_to(y, np.shape(bad))[bad][0])
+        raise error(f"{text} at y={at}")
 
 
 def wronskian(chain: DarbouxChain, y):
@@ -190,14 +191,19 @@ def wronskian_first_derivative(chain: DarbouxChain, y):
 def _checked_read(chain: DarbouxChain, y, phi: Optional[OdeSolution] = None):
     """One read of the chain (and of phi) at y, under the floor of U-hat and Phi-hat.
 
-    Returns U(y), the members' (u_j, u_j') at y, (Phi, Phi') at y (None
-    without phi) and (W, W', W'') from ``_wronskian``.
+    A W, W' or W'' that is not finite is refused by name, then a W = 0 or
+    |W| < DEFAULT_W_FLOOR * scale, each at its first y.  Returns U(y), the
+    members' (u_j, u_j') at y, (Phi, Phi') at y (None without phi) and
+    (W, W', W'') from ``_wronskian``.
     """
     with memo_scope():
         u, members = _read(chain, y)
         solution = None if phi is None else (phi.f(y), phi.f1(y))
     w, wp, wpp, scale = _wronskian(chain, u, members)
-    _below_floor(w, scale, y)
+    for name, part in (("W", w), ("W'", wp), ("W''", wpp)):
+        _refuse(~np.isfinite(part), y, EvaluationError, f"Wronskian {name} is not finite")
+    _refuse((w == 0.0) | (abs(w) < DEFAULT_W_FLOOR * scale), y, SingularityError,
+            "Wronskian below floor")
     return u, members, solution, (w, wp, wpp)
 
 

@@ -18,19 +18,20 @@ The Kummer series of a point is term_0 = 1, term_{k+1} = term_k (a + k)
 z / ((b + k)(k + 1)), and its value is the correctly rounded sum of the
 terms up to its stop, which is what ``math.fsum`` returns.  All columns
 (one per row and point) are one cumulative product over a (terms x
-columns) ratio matrix, grown in blocks by one loop, and summed by one
+columns) ratio matrix, built in one block from term 0, and summed by one
 error-free extraction (``_fsum_columns``) that hands the columns it
-cannot certify to ``math.fsum`` itself.  After each block one scan
-(``_stop_scan``) applies the stop rules; the value's stops at the first
-term k > 3 below 1e-18 of the largest term so far.  The first block is
-sized per call (``_first_block``): each row's series is probed on
-Python floats at the call's largest |z|, where it stops last, so the
-block holds the columns' terms and, on the benchmark workloads, no
-column needs a second block; narrow calls, one-point calls among them,
-skip the probe and take a fixed block.  Products and running peaks are
-built one row per ufunc call on wide blocks and by numpy's accumulate
-on narrow ones (``_accumulate``): the same operations in the same
-order, so block sizes and loops never change a bit.  A series that has
+cannot certify to ``math.fsum`` itself.  One scan per stop rule
+(``_stop_scan``) then finds each column's stop; the value's is the first
+term k > 3 below 1e-18 of the largest term so far.  The block is sized
+per call (``_first_block``): each row's series is probed on Python
+floats at the call's largest |z|, where it stops last, so the block
+holds every column's terms.  A column still open after it (a rounding
+tie, a reflected point whose a differs from the far point's, or an
+a-derivative that stops after its value) has the call rebuilt once with
+every possible term.  Products and running peaks are built one row per
+ufunc call on wide blocks and by numpy's accumulate on narrow ones
+(``_accumulate``): the same operations in the same order, so the block
+size and the loops never change a bit.  A series that has
 not met its rules within ``KUMMER_MAX_TERMS`` terms raises
 ``AccuracyError`` instead of returning a partial sum, and a terminating
 polynomial of degree above ``KUMMER_MAX_TERMS`` is refused with a
@@ -84,21 +85,6 @@ KUMMER_MAX_TERMS = 600
 BESSEL_SERIES_CUTOFF = 18.0
 
 _EPS = 2.2204460492503131e-16
-# Terms of the grid series: every column gets the first block; columns
-# still unconverged after a block continue in blocks of the second size.
-# On the benchmark workloads a series column stops at term 10 (figures,
-# chains) or 13 (verify-sweep) in the median and at 23, 20 or 40 at the
-# 90th percentile, so a fixed first block is too long for most calls and
-# too short for some.  A call of at least _PROBE_POINTS points sizes its
-# first block with ``_first_block`` instead, to at most _MAX_FIRST_BLOCK
-# terms (the buffer's first two blocks), and narrower calls, one-point
-# calls among them, take _FIRST_BLOCK, for which the probe costs more
-# than the rows it saves (_PROBE_POINTS must be at least 1: the probe
-# needs a point).
-_FIRST_BLOCK = 32
-_SERIES_BLOCK = 48
-_MAX_FIRST_BLOCK = _FIRST_BLOCK + _SERIES_BLOCK
-_PROBE_POINTS = 8
 # From this many columns, running products and peaks are built row by
 # row (``_accumulate``): numpy's accumulate along axis 0 is a scalar
 # loop, slower than one call per row from about 150-250 columns on.
@@ -106,7 +92,7 @@ _ROW_LOOP_COLUMNS = 200
 # Series index k and k + 1 as floats, and the term index, for every possible term.
 _K = np.arange(KUMMER_MAX_TERMS, dtype=float)
 _K1 = _K + 1.0
-_K_FIRST = _K[:_MAX_FIRST_BLOCK].tolist()      # the probe's k, as Python floats
+_K_LIST = _K.tolist()      # the probe's k, as Python floats
 _TERM_INDEX = np.arange(KUMMER_MAX_TERMS + 1)[:, None]
 # k ** 0.5 (libm pow, as a float ** computes it) for every possible series length k.
 _SQRT_COUNT = np.array([k ** 0.5 for k in range(KUMMER_MAX_TERMS + 2)])
@@ -292,42 +278,48 @@ def _accumulate(ufunc, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _series_stop(a: float, b: float, z: float) -> int:
-    """The value stop of the series of M(a; b; z), or ``_MAX_FIRST_BLOCK`` if later.
+def _series_stop(a: float, b: float, z: float, removed: bool = False) -> int:
+    """The value stop of the series of M(a; b; z), or ``KUMMER_MAX_TERMS`` if later.
 
-    The kernel's recurrence (``_series_ratios``) and value stop rule
-    (``_stop_scan``) on Python floats, which round as float64 does.
+    The kernel's recurrence (``_series_ratios``, removed as there) and
+    value stop rule (``_stop_scan``) on Python floats, which round as
+    float64 does.
     """
     term = peak = 1.0
-    for k in _K_FIRST:
-        term *= (k + a) * z / ((k + b) * (k + 1.0))
+    for k in _K_LIST:
+        num = k + a
+        if removed and num == 0.0:
+            num = 1.0
+        term *= num * z / ((k + b) * (k + 1.0))
         mag = term if term >= 0.0 else -term
         if mag > peak:
             peak = mag
         elif k >= 3.0 and mag < peak * 1e-18:
             return int(k) + 1
-    return _MAX_FIRST_BLOCK
+    return KUMMER_MAX_TERMS
 
 
-def _first_block(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> int:
-    """Ratios in the first block of ``_kummer_series_grid`` (arguments as there).
+def _first_block(a: np.ndarray, b: np.ndarray, z: np.ndarray, da: bool = False) -> int:
+    """Ratios in the first pass's block of ``_kummer_series_grid`` (arguments as there).
 
     Each row's series is run at the point of largest |z|, with that
     point's a, and the block holds one term past the latest stop, at
-    most ``_MAX_FIRST_BLOCK`` terms.  For fixed a and b the stop index
+    most ``KUMMER_MAX_TERMS`` terms.  For fixed a and b the stop index
     does not decrease as |z| grows (every ratio |term_k / term_j|, j < k,
     grows with |z|), so the block holds every column of a row whose a is
-    the same at all points, up to rounding ties; a column that runs on
-    takes the continuation blocks.  Calls of fewer than ``_PROBE_POINTS``
-    points take ``_FIRST_BLOCK``.
+    the same at all points, up to rounding ties.  With da a polynomial's
+    series runs on past its degree, as its a-derivative does.  An empty
+    grid takes 4, so that the scan has a row for the first possible
+    stop, term 4.
     """
-    if z.shape[0] < _PROBE_POINTS:
-        return _FIRST_BLOCK
+    if not z.size:
+        return 4
     far = int(np.abs(z).argmax())
     a_far = a[:, min(far, a.shape[1] - 1)].tolist()
     z_far = float(z[far])
-    last = max(_series_stop(ai, bi, z_far) for ai, bi in zip(a_far, b[:, 0].tolist()))
-    return min(last + 1, _MAX_FIRST_BLOCK)
+    last = max(_series_stop(ai, bi, z_far, da)
+               for ai, bi in zip(a_far, b[:, 0].tolist()))
+    return min(last + 1, KUMMER_MAX_TERMS)
 
 
 def _kummer_series_grid(a: np.ndarray, b: np.ndarray, z: np.ndarray, da: bool = False):
@@ -336,13 +328,12 @@ def _kummer_series_grid(a: np.ndarray, b: np.ndarray, z: np.ndarray, da: bool = 
     Column (i, j) is the series of M(a[i, j]; b[i]; z[j]): a has shape
     (rows, 1) or (rows, points), b (rows, 1), z (points,).  terms[k, c]
     is term k of column c, built by the series recurrence as a
-    cumulative product (``_accumulate``): the first block's ratios of
-    all columns in place in the term buffer, as many as ``_first_block``
-    gives, then blocks of ``_SERIES_BLOCK`` for the columns that have not
-    met every stop rule they need.  Terms past a column's stop are
-    zeroed, which leaves its sum exact.  The block sizes decide only
-    which products are computed, never their values, so a column's bits
-    do not depend on them.
+    cumulative product (``_accumulate``) of as many ratios as
+    ``_first_block`` gives, or of ``KUMMER_MAX_TERMS`` if a column has
+    not met every stop rule it needs within them.  Terms past a column's
+    stop are zeroed, which leaves its sum exact.  The block size decides
+    only which products are computed, never their values, so a column's
+    bits do not depend on it.
 
     With da (a of shape (rows, 1)), the a-derivatives (sums of term_k H_k)
     and their estimates follow.  A column whose a is a nonpositive integer
@@ -351,14 +342,10 @@ def _kummer_series_grid(a: np.ndarray, b: np.ndarray, z: np.ndarray, da: bool = 
     rows, n = a.shape[0], z.shape[0]
     size = rows * n
     cols = np.arange(size)
-    # Every call starts with the first two blocks' rows, which hold most
-    # series, and grows if need be: a row per possible term costs memory per column.
-    terms = np.empty((_MAX_FIRST_BLOCK + 1, size))
-    terms[0] = 1.0
-    # Per stop rule: each column's last term and peak, the open columns,
-    # and the weights of the magnitudes (A_k per term and row, or None).
+    # Per stop rule: each column's last term and peak, the columns it
+    # scans, and the weights of the magnitudes (A_k per term and row, or None).
     last, peak = np.empty(size, dtype=int), np.empty(size)
-    rules = [[last, peak, cols, None]]
+    rules = [(last, peak, cols, None)]
     if da:
         # H_k and A_k of every row (columns) for every term index k (rows);
         # past a polynomial's degree n the terms carry the multiplier 1.
@@ -374,46 +361,27 @@ def _kummer_series_grid(a: np.ndarray, b: np.ndarray, z: np.ndarray, da: bool = 
         np.putmask(a_sum, past, 1.0)
         poly_cols = np.repeat(poly, n)
         last[poly_cols], peak[poly_cols] = 0, 1.0      # term 0 alone: not summed for use
-        rules[0][2] = cols[~poly_cols]
-        dlast, dpeak = np.zeros(size, dtype=int), np.zeros(size)
-        rules.append([dlast, dpeak, cols, a_sum])
+        dlast, dpeak = np.empty(size, dtype=int), np.empty(size)
+        rules = [(last, peak, cols[~poly_cols], None), (dlast, dpeak, cols, a_sum)]
     with np.errstate(over="ignore", invalid="ignore"):
-        first = _first_block(a, b, z)
-        head = terms[1:first + 1]
-        _series_ratios(slice(0, first), a, b, z, out=head.reshape(first, rows, n),
-                       removed=da)
-        _accumulate(np.multiply, head, head)
-        lo, block, active = 0, terms[:first + 1], cols
-        while True:
-            mag = np.abs(block)
-            for rule in rules:
-                stop, top, open_, weight = rule
-                part = mag if open_ is active else mag[:, active.searchsorted(open_)]
+        for count in (_first_block(a, b, z, da), KUMMER_MAX_TERMS):
+            terms = np.empty((count + 1, size))
+            terms[0] = 1.0
+            head = terms[1:]
+            _series_ratios(slice(0, count), a, b, z, out=head.reshape(count, rows, n),
+                           removed=da)
+            _accumulate(np.multiply, head, head)
+            mag = np.abs(terms)
+            going = []
+            for stop, top, scanned, weight in rules:
+                part = mag if scanned is cols else mag[:, scanned]
                 if weight is not None:
-                    part = part * weight[lo:lo + len(part)][:, open_ // n]
-                rule[2] = _stop_scan(part, lo, stop, top, open_, weight is None)
-            active = rules[0][2]
-            if da:      # the union of both rules' open columns (np.union1d sorts: slow)
-                open_any = np.zeros(size, dtype=bool)
-                open_any[rules[0][2]] = open_any[rules[1][2]] = True
-                active = open_any.nonzero()[0]
-            k0 = lo + len(block) - 1                  # the last term built
-            if not active.size or k0 == KUMMER_MAX_TERMS:
+                    part = part * weight[:count + 1][:, scanned // n]
+                going.append(_stop_scan(part, stop, top, scanned, weight is None))
+            if not any(going) or count == KUMMER_MAX_TERMS:
                 break
-            if lo == 0:
-                a_cols = np.broadcast_to(a, (rows, n)).reshape(-1)
-                b_cols = np.repeat(b[:, 0], n)
-                z_cols = np.tile(z, rows)
-            ks = slice(k0, min(k0 + _SERIES_BLOCK, KUMMER_MAX_TERMS))
-            factors = _series_ratios(ks, a_cols[active], b_cols[active], z_cols[active],
-                                     removed=da)
-            factors[0] *= terms[k0, active]
-            block = _accumulate(np.multiply, factors, factors)
-            terms = _room(terms, ks.stop + 1)
-            terms[ks.start + 1:ks.stop + 1, active] = block
-            lo = ks.start + 1
-        del mag, part, block        # the last block's, freed before the sums allocate theirs
-        if active.size:
+        del mag, part       # freed before the sums allocate theirs
+        if any(going):
             raise AccuracyError(_NOT_CONVERGED)
         if da:       # before the terms past each value stop are zeroed
             count = dlast.max(initial=0) + 1
@@ -431,41 +399,28 @@ def _kummer_series_grid(a: np.ndarray, b: np.ndarray, z: np.ndarray, da: bool = 
     return (values, est, *slopes) if da else (values, est)
 
 
-def _stop_scan(mag: np.ndarray, lo: int, stop: np.ndarray, top: np.ndarray,
-               open_: np.ndarray, strict: bool) -> np.ndarray:
-    """One stop rule on one block of the columns open_; returns those still open.
+def _stop_scan(mag: np.ndarray, stop: np.ndarray, top: np.ndarray,
+               scanned: np.ndarray, strict: bool) -> bool:
+    """One stop rule on the columns scanned; True if any has not stopped.
 
-    mag[j, c] is the magnitude of term lo + j of column open_[c] (times
-    A_k for the derivative rule), and top holds each column's largest
-    magnitude before the block.  A column stops at its first term k > 3
+    mag[k, c] is the magnitude of term k of column scanned[c] (times A_k
+    for the derivative rule).  A column stops at its first term k > 3
     below 1e-18 of the largest magnitude so far, its own included
     (strict), or at most that (not strict).  stop and top get that k and
-    that largest magnitude; a column that has not stopped gets the
-    block's last term and the largest magnitude up to it.
+    that largest magnitude; a column that has not stopped gets the last
+    term and the largest magnitude up to it.
     """
     running = _accumulate(np.fmax, mag, np.empty_like(mag))
-    if lo:
-        np.fmax(running, top[open_], out=running)
-    skip = max(0, 4 - lo)
-    limit = running[skip:] * 1e-18
-    stops = mag[skip:] < limit if strict else mag[skip:] <= limit
+    limit = running[4:] * 1e-18
+    stops = mag[4:] < limit if strict else mag[4:] <= limit
     first = stops.argmax(axis=0)
-    index = np.arange(len(open_))
+    index = np.arange(len(scanned))
     going = ~stops[first, index]
-    first += skip
+    first += 4
     first[going] = len(mag) - 1
-    stop[open_] = first + lo
-    top[open_] = running[first, index]
-    return open_[going]
-
-
-def _room(terms: np.ndarray, count: int) -> np.ndarray:
-    """terms if it has count rows, else a copy with a row for every possible term."""
-    if count <= len(terms):
-        return terms
-    grown = np.empty((KUMMER_MAX_TERMS + 1, terms.shape[1]))
-    grown[:len(terms)] = terms
-    return grown
+    stop[scanned] = first
+    top[scanned] = running[first, index]
+    return going.any()
 
 
 def _fsum_columns(x: np.ndarray, peak: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ Runs ``dunkl_darboux.cli.run(argv)`` in-process, from CHECKOUT's ``src``
   checkout),
 - an ``--out`` path that cannot be opened, and a ``figure 4`` grid whose
   density cannot be normalized,
-- a non-finite E or dV-hat/dE, and a confluent refusal met by the
+- a non-finite E, dV-hat/dE or Wronskian, and a confluent refusal met by the
   validation of the chain joined by Phi's rows,
 
 and prints one ``<sha256>  <argv>`` line per command.  The digest covers
@@ -158,14 +158,19 @@ REFUSED_OUTPUTS = [
 ]
 
 # A non-finite E on a grid where U_E(y) made inf * 0, a figure 4 grid
-# where dV-hat/dE is not finite, and a confluent E whose first refusal is
-# one of Phi's rows.
+# where dV-hat/dE is not finite, a confluent E whose first refusal is
+# one of Phi's rows, a figure 3 grid whose Wronskian overflows, and a
+# non-finite E on the PDM route.
 NON_FINITE = [
     ["darboux", "--energy", "inf", "--grid-lo", "-400", "--grid-hi", "-300",
      "--grid-count", "3"],
     ["figure", "4", "--nu", "1.5", "--delta", "-1", "--grid-lo", "1e-300",
      "--grid-hi", "1e-299", "--grid-count", "3"],
     ["darboux", "--kind", "confluent", "--energy", "1e10"],
+    ["figure", "3", "--nu", "1000", "--delta", "-1", "--grid-lo", "10", "--grid-hi", "50",
+     "--grid-count", "5"],
+    ["verify", "--scenario", "harmonic-energy-pdm", "--nu", "2.5", "--delta", "-1",
+     "--energy", "inf"],
 ]
 
 

@@ -680,16 +680,49 @@ def test_figure_4_refuses_a_dvhat_de_that_is_not_finite(capsys):
     ["darboux", "--kind", "confluent", "--energy", "inf"],
     ["verify", *_HARMONIC, "--energy", "inf"],
     ["density", *_HARMONIC, "--energy", "nan"],
+    ["verify", "--scenario", "harmonic-energy-pdm", "--nu", "2.5", "--delta", "-1",
+     "--energy", "inf"],
+    ["verify", "--scenario", "harmonic-energy-pdm", "--nu", "2.5", "--delta", "-1",
+     "--energy", "nan"],
 ])
 def test_energy_that_is_not_finite_is_refused_before_any_read(argv, capsys):
     # The family degree refuses E by name: on the far darboux grid the
     # chain's U_E(y) = 1/4 - E e^{2y} + e^{4y}/E made inf * 0 before any
-    # kernel call, which escaped run as a RuntimeWarning
+    # kernel call, which escaped run as a RuntimeWarning.  The PDM route
+    # forms no degree and refuses E with the same text: it reported
+    # E = inf as a failed check (max residual nan, exit 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run(argv) == EXIT_USAGE
     energy = argv[argv.index("--energy") + 1]
     assert capsys.readouterr() == ("", f"error: E = {energy} is not finite\n")
+
+
+@pytest.mark.parametrize("delta", ["-1", "1"])
+def test_wronskian_that_is_not_finite_is_refused(delta, capsys):
+    # At nu = 1000 the chain's members overflow each other's products at
+    # x = 50: the floor's scale and W were inf and inf - inf, which
+    # escaped run as a RuntimeWarning with warnings as errors
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["figure", "3", "--nu", "1000", "--delta", delta, "--grid-lo", "10",
+                    "--grid-hi", "50", "--grid-count", "5"]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", "error: Wronskian W is not finite at "
+                                       "y=3.912023005428146\n")
+
+
+@pytest.mark.parametrize("grid_hi, code", [("4", EXIT_OK), ("22", EXIT_VERIFICATION)])
+def test_verify_text_report_goes_to_out(grid_hi, code, tmp_path, capsys):
+    # the text report went to stdout whatever --out said, and no file was written
+    argv = ["verify", "--scenario", "gaussian-mass", "--nu", "0.5", "--delta", "-1",
+            "--grid-hi", grid_hi]
+    assert run(argv) == code
+    report = capsys.readouterr().out
+    path = tmp_path / "verify.txt"
+    assert run(argv + ["--out", str(path)]) == code
+    assert capsys.readouterr() == ("", "")
+    assert path.read_text(encoding="utf-8") == report
+    assert report.endswith("overall: PASS\n" if code == EXIT_OK else "overall: FAIL\n")
 
 
 def test_scenario_dispatch_messages(tmp_path, capsys):

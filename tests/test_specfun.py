@@ -386,23 +386,21 @@ def test_grid_range_guard_matches_scalar_message():
 @pytest.mark.parametrize("zs", [[100.0], [250.0], [390.0], [-250.0],
                                 [0.5, 100.0, 3.0, 250.0, -0.3, 390.0]])
 def test_grown_term_buffer_equals_reference_bit_for_bit(zs, monkeypatch):
-    # Every call starts with room for the first two blocks of terms
-    # (81); series at |z| of 100 and more need more and grow the buffer
-    # in the continuation blocks.  The first block is forced to 5 terms,
-    # then sized by the probe on every grid (it stops at its 80-term cap
-    # here).  In the mixed grid only some columns grow, the others stop
-    # early.
-    real = specfun._room
-    for setting in ({"_first_block": lambda a, b, z: 5}, {"_PROBE_POINTS": 1}):
-        grown = []
+    # Series at |z| of 100 and more need well over 80 terms.  With the
+    # block forced to 5 terms every call is rebuilt with every possible
+    # term; the probe sizes the block to the far column's stop on every
+    # grid.  In the mixed grid only some columns need the long block,
+    # the others stop early.
+    real = specfun._series_ratios
+    for setting in ({"_first_block": lambda *args: 5}, {}):
+        counts = []
 
-        def spy(terms, count):
-            out = real(terms, count)
-            grown.append(out is not terms)
-            return out
+        def spy(ks, *args, **kwargs):
+            counts.append(ks.stop)
+            return real(ks, *args, **kwargs)
 
         with monkeypatch.context() as mp:
-            mp.setattr(specfun, "_room", spy)
+            mp.setattr(specfun, "_series_ratios", spy)
             for name, value in setting.items():
                 mp.setattr(specfun, name, value)
             for a, b in ((0.3, 1.5), (-2.7, 0.5), (5.2, 3.25)):
@@ -410,7 +408,9 @@ def test_grown_term_buffer_equals_reference_bit_for_bit(zs, monkeypatch):
                                                kummer_m_grid, a, b, zs)
                 _assert_grid_matches_reference(_reference_assoc_laguerre, _laguerre,
                                                assoc_laguerre_grid, -a, b - 1.0, zs)
-        assert any(grown)
+        assert max(counts) > 80
+        if setting:
+            assert specfun.KUMMER_MAX_TERMS in counts
 
 
 def _kummer_rows_outcome(a, b, z, da):
@@ -421,14 +421,16 @@ def _kummer_rows_outcome(a, b, z, da):
         return type(exc), str(exc)
 
 
-# Kernel settings that must not change a bit: the first block sized by
-# the probe (run on every grid) or forced to 5 terms, with products and
-# peaks built row by row everywhere, and the fixed 32-term first block
-# with numpy's accumulate everywhere.
+# Kernel settings that must not change a bit: the block sized by the
+# probe, forced to 5 terms (rebuilt with every possible term when a
+# column runs on) or forced to every possible term, each with products
+# and peaks built row by row everywhere and by numpy's accumulate
+# everywhere.
 _BLOCK_SETTINGS = [
-    {"_PROBE_POINTS": 1, "_ROW_LOOP_COLUMNS": 0},
-    {"_first_block": lambda a, b, z: 5, "_ROW_LOOP_COLUMNS": 0},
-    {"_first_block": lambda a, b, z: 32, "_ROW_LOOP_COLUMNS": 10 ** 9},
+    dict(block, _ROW_LOOP_COLUMNS=columns)
+    for block in ({}, {"_first_block": lambda *args: 5},
+                  {"_first_block": lambda *args: specfun.KUMMER_MAX_TERMS})
+    for columns in (0, 10 ** 9)
 ]
 
 
@@ -447,8 +449,8 @@ _BLOCK_SETTINGS = [
 def test_first_block_size_changes_no_bit(rows, zs, far, da):
     # Polynomial and series rows, reflected points (z < -1), empty and
     # one-point grids, and one example in ten with a far point (|z| from
-    # 300 to 520: the probe stops at its cap, and from about 496 the
-    # series does not converge): values, estimates, a-derivative rows
+    # 300 to 520: the series runs to hundreds of terms, and from about
+    # 496 it does not converge): values, estimates, a-derivative rows
     # and errors are the same under every setting.
     a, b = [list(col) for col in zip(*rows)]
     z = np.array(zs + far)
@@ -458,7 +460,7 @@ def test_first_block_size_changes_no_bit(rows, zs, far, da):
             for name, value in setting.items():
                 mp.setattr(specfun, name, value)
             outcomes.append(_kummer_rows_outcome(a, b, z, da))
-    assert outcomes[0] == outcomes[1] == outcomes[2]
+    assert all(outcome == outcomes[0] for outcome in outcomes)
 
 
 def test_a_derivative_refuses_a_subnormal_a():
@@ -477,21 +479,28 @@ def test_a_derivative_refuses_a_subnormal_a():
 
 
 def test_probe_sizes_the_first_block_to_the_far_column():
-    # At |z| = 12 the series of M(0.3; 1.5; z) stops at term 50, so the
-    # block holds 51 terms; a one-point call keeps the fixed block, and
-    # the block never exceeds the buffer's first two blocks.
+    # At |z| = 12 the series of M(0.3; 1.5; z) stops at term 54, so the
+    # block holds one term more, on a one-point call too; at |z| = 100
+    # it stops at term 203, and the block is still sized to its stop.
     a, b = np.array([[0.3]]), np.array([[1.5]])
-    z = np.linspace(0.0, 12.0, 9)
-    stop = specfun._series_stop(0.3, 1.5, 12.0)
-    assert specfun._first_block(a, b, z) == stop + 1
-    assert specfun._first_block(a, b, z[-1:]) == specfun._FIRST_BLOCK
-    assert specfun._first_block(a, b, 40.0 * z) == specfun._MAX_FIRST_BLOCK
-    # stop is the kernel's own: the columns at and below |z| = 12 stop by it
-    mag = np.abs(np.cumprod(np.r_[1.0, specfun._series_ratios(
-        slice(0, stop), 0.3, 1.5, 12.0)]))
-    running = np.fmax.accumulate(mag)
-    assert mag[stop] < 1e-18 * running[stop]
-    assert not (mag[4:stop] < 1e-18 * running[4:stop]).any()
+    for far in (12.0, 100.0):
+        z = np.linspace(0.0, far, 9)
+        stop = specfun._series_stop(0.3, 1.5, far)
+        assert specfun._first_block(a, b, z) == stop + 1
+        assert specfun._first_block(a, b, z[-1:]) == stop + 1
+        # stop is the kernel's own: the columns at and below |z| = far stop by it
+        mag = np.abs(np.cumprod(np.r_[1.0, specfun._series_ratios(
+            slice(0, stop), 0.3, 1.5, far)]))
+        running = np.fmax.accumulate(mag)
+        assert mag[stop] < 1e-18 * running[stop]
+        assert not (mag[4:stop] < 1e-18 * running[4:stop]).any()
+    assert stop > 80
+    # M(-3; 1.5; z) ends at term 3, but with da the probe runs on past
+    # it, as the a-derivative's terms do, so that row needs no rebuild
+    poly = np.array([[-3.0]])
+    assert specfun._first_block(poly, b, z) == 5
+    assert specfun._first_block(poly, b, z, da=True) == specfun._series_stop(
+        -3.0, 1.5, 100.0, removed=True) + 1 > 80
 
 
 def test_unconverged_series_raises_on_both_paths():

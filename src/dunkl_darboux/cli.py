@@ -26,12 +26,12 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .darboux import (DarbouxChain, KIND_STANDARD, OdeSolution,
-                      chain_residuals, transformed_pair)
+from .darboux import (DarbouxChain, KIND_CONFLUENT, KIND_STANDARD, OdeSolution,
+                      chain_residuals, residual_grids, transformed_pair)
 from .errors import DomainError, DunklDarbouxError
 from .libm import exp, log, memo_scope, power
 from .model import (DunklParams, dunkl_residual, modified_norm,
@@ -39,9 +39,9 @@ from .model import (DunklParams, dunkl_residual, modified_norm,
 from .pointmap import energy_relation_residual, induced_potential
 from .scenarios import (CONFLUENT_EPS1, ScenarioGaussianMass, ScenarioHarmonicEnergy,
                         ScenarioHarmonicEnergyPdm, bound_state_energy,
-                        confluent_chain, get_scenario, mapped_initial_solution,
+                        get_scenario, mapped_initial_solution,
                         pdm_equivalence_nu, pipeline_hatpsi, pipeline_vhat,
-                        printed_bound_state, seeded_chain, standard_chain_u12,
+                        printed_bound_state, seeded_chain,
                         standard_vhat_dE, SCENARIO_NAMES)
 
 DEFAULT_TOL = 1e-6
@@ -330,8 +330,8 @@ def _verify_solution(config: argparse.Namespace, scenario, params: DunklParams, 
                _worst(np.abs(dunkl_residual(system, psi, E, grid, relative=True))), tol)
     report.add("parity_defect", sampled_parity_defect(psi, grid), tol)
     if harmonic:
-        phi = mapped_initial_solution(params, E)
         relation_grid = np.linspace(-2.0, 1.0, 100)
+        phi = mapped_initial_solution(params, E, residual_grids(relation_grid, None))
         chain = DarbouxChain(kind=KIND_STANDARD, funcs=((phi.f, phi.f1),), eps=(phi.eps,),
                              background=scenario.form(), energy=E)
         report.add("mapped_equation_residual",
@@ -379,8 +379,11 @@ def _verify_pdm(params: DunklParams, E: float, tol: float) -> VerificationReport
     u_harm = induced_potential(coord, harm.mass(), harm.potential(), params, E, ys)
     u_pdm = induced_potential(coord, pdm.mass(), pdm.potential(),
                               DunklParams(nu=nu, delta=delta, mu=1), E, ys)
-    with np.errstate(all="ignore"):     # inf - inf is NaN: the check fails
-        worst = _worst(np.abs(u_harm - u_pdm) / np.maximum(1.0, np.abs(u_harm)))
+    if not (np.isfinite(u_harm).all() and np.isfinite(u_pdm).all()):
+        raise DomainError(f"harmonic-energy-pdm: E = {E:g} is out of range: the induced "
+                          f"potentials, with terms E e^(2y) and e^(4y)/E, overflow on the "
+                          f"comparison grid y in [-2, 1]")
+    worst = _worst(np.abs(u_harm - u_pdm) / np.maximum(1.0, np.abs(u_harm)))
     report.add("induced_potential_match", worst, tol)
     defect = abs((3.0 * delta * nu - nu**2) - const_bar) / max(1.0, abs(const_bar))
     report.add("constant_term_identity", defect, max(tol, 1e-10))
@@ -450,24 +453,29 @@ def cmd_density(config: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _build_chain(config: argparse.Namespace, params: DunklParams,
-                 E: float) -> Tuple[DarbouxChain, OdeSolution]:
-    """The command's chain and its seed Phi, read together (``seeded_chain``)."""
+def _build_chain(config: argparse.Namespace, params: DunklParams, E: float,
+                 grid: np.ndarray) -> Tuple[DarbouxChain, OdeSolution]:
+    """The command's chain and its seed Phi, their rows read ahead on grid (``seeded_chain``)."""
     return seeded_chain(params, E, config.chain_kind or KIND_STANDARD,
                         config.chain_order if config.chain_order is not None else 2,
-                        config.chain_eps[0] if config.chain_eps else CONFLUENT_EPS1)
+                        config.chain_eps[0] if config.chain_eps else CONFLUENT_EPS1, [grid])
+
+
+def _joined_grid(ys: np.ndarray, xs: np.ndarray):
+    """(grid, moved): y followed by the points of ln(x) that differ from y, and where."""
+    ln_x = log(xs)
+    moved = ln_x != ys
+    return np.concatenate([ys, ln_x[moved]]), moved
 
 
 def _chain_columns(E: float, chain: DarbouxChain, phi: OdeSolution, ys: np.ndarray,
                    xs: np.ndarray):
     """(U-hat, Phi-hat, V-hat) of ``cmd_darboux``, from one ``transformed_pair`` call.
 
-    The call reads the chain once, on y followed by the points of ln(x)
-    that differ from y.
+    The call reads the chain on ``_joined_grid(ys, xs)``, whose kernel
+    rows the command's build read ahead.
     """
-    ln_x = log(xs)
-    moved = ln_x != ys
-    grid = np.concatenate([ys, ln_x[moved]])
+    grid, moved = _joined_grid(ys, xs)
     u_grid, phi_grid = transformed_pair(chain, phi, grid)
     u_ln = u_grid[:ys.size].copy()
     u_ln[moved] = u_grid[ys.size:]
@@ -478,22 +486,24 @@ def _chain_columns(E: float, chain: DarbouxChain, phi: OdeSolution, ys: np.ndarr
 def cmd_darboux(config: argparse.Namespace) -> int:
     """The chain's U-hat and Phi-hat on the y grid, V-hat and Psi-hat at x = e^y.
 
-    A y whose x = e^y underflows to 0 is refused.  Otherwise the chain
-    is read on one grid, y followed by the points of ln(x) that differ
-    from y (one rounding of e^y moves about a third of them), by one
-    ``transformed_pair`` call, and V-hat = E - x^-2 (1/4 - U-hat(ln x))
-    takes U-hat from the same result.  The routines are elementwise, so
-    the columns equal ``transformed_potential(chain, y)``,
+    A y whose x = e^y underflows to 0 is refused, before the chain is
+    built.  Otherwise the chain is read on one grid, y followed by the
+    points of ln(x) that differ from y (one rounding of e^y moves about a
+    third of them), by one ``transformed_pair`` call, and V-hat = E - x^-2
+    (1/4 - U-hat(ln x)) takes U-hat from the same result.  The build reads
+    the chain's kernel rows ahead on that grid, with a confluent chain's
+    validation grids, in the command's one kernel call.  The routines are elementwise, so the
+    columns equal ``transformed_potential(chain, y)``,
     ``transformed_solution(chain, phi, y)`` and ``pipeline_vhat(E,
     chain, x)`` bit for bit; a refusal is the first this read meets.
     """
     params = _params(config, 2.5, -1)
     E = _energy(config, params, "ene1")
     ys = _grid(config, -2.0, 1.0, 200)
-    chain, phi = _build_chain(config, params, E)
     xs = exp(ys)
     if not xs.all():
         raise DomainError(f"darboux: x = e^y underflows to 0 at y={float(ys[xs == 0.0][0])}")
+    chain, phi = _build_chain(config, params, E, _joined_grid(ys, xs)[0])
     u_hat, phi_hat, v_hat = _chain_columns(E, chain, phi, ys, xs)
     psi_hat = power(xs, 0.5 - params.nu) * phi_hat
     rows = _rows(ys, xs, u_hat, v_hat, phi_hat, psi_hat)
@@ -543,15 +553,22 @@ def _figure_2(config: argparse.Namespace):
     return ["x", "p0", "p1", "p2"], _rows(*columns)
 
 
-def _potential_rows(config: argparse.Namespace, chain_at: Callable[[float], DarbouxChain]):
-    """Figures 3 and 7: initial potential and V-hat at the three energies."""
+def _potential_rows(config: argparse.Namespace, kind: str):
+    """Figures 3 and 7: initial potential and V-hat at the three energies.
+
+    Each energy's chain (order 2, of ``kind``) is built and read on ln(x)
+    in one kernel call; a grid with x <= 0 is read by ``pipeline_vhat``,
+    which refuses it after the build.
+    """
     params = _params(config, 2.5, -1)
     energies = [bound_state_energy(n, params, "ene1") for n in (0, 1, 2)]
     xs = _grid(config, 0.2, 3.0, 300)
+    grids = [log(xs)] if xs[0] > 0 else []      # the grid ascends
     # The initial potential is energy-scaled; the ground energy fixes
     # the displayed curve.
     columns = [xs, xs * xs / energies[0]]
-    columns += [pipeline_vhat(E, chain_at(E), xs) for E in energies]
+    columns += [pipeline_vhat(E, seeded_chain(None, E, kind, grids=grids)[0], xs)
+                for E in energies]
     return ["x", "v_initial", "v_hat_0", "v_hat_1", "v_hat_2"], _rows(*columns)
 
 
@@ -589,12 +606,11 @@ def _figure_hat(config: argparse.Namespace, nu: float, delta: int, density: bool
 _FIGURES = {
     1: _figure_1,
     2: _figure_2,
-    3: lambda config: _potential_rows(
-        config, lambda E: standard_chain_u12(E, validate=False)),
+    3: lambda config: _potential_rows(config, KIND_STANDARD),
     4: lambda config: _figure_hat(config, 2.5, -1, density=True),
     5: lambda config: _figure_hat(config, 2.5, -1, density=False),
     6: lambda config: _figure_hat(config, 3.5, 1, density=False),
-    7: lambda config: _potential_rows(config, confluent_chain),
+    7: lambda config: _potential_rows(config, KIND_CONFLUENT),
 }
 
 FIGURE_NUMBERS = tuple(_FIGURES)

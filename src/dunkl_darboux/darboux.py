@@ -38,7 +38,7 @@ import numpy as np
 from .errors import (CapabilityError, ConstructionError, DomainError, EvaluationError,
                      SingularityError)
 from .libm import memo_scope
-from .numerics import derivative
+from .numerics import derivative, stencil_nodes
 from .pointmap import SchrodingerForm
 
 DEFAULT_W_FLOOR = 1e-12
@@ -218,20 +218,23 @@ def _solution_hat(chain: DarbouxChain, phi_eps: float, u, members: list, w, v, g
 
     The order-2 numerator is the 3 x 3 determinant of the columns (u,
     u', u''), with u'' reduced through the chain equation: (U - eps_j)
-    u_j, minus u_{j-1} for a confluent u_2.
+    u_j, minus u_{j-1} for a confluent u_2.  A product that overflows,
+    in the pivot the determinant takes or in one it drops, stays inf or
+    NaN, as in U-hat.
     """
-    if chain.order == 0:
-        return v / w
-    if chain.order == 1:
-        (v1, g1), = members
-        return (v1 * g - v * g1) / w
-    (v1, g1), (v2, g2) = members
-    e1, e2 = chain.eps if chain.kind == KIND_STANDARD else chain.eps * 2
-    d2 = (u - e2) * v2
-    if chain.kind == KIND_CONFLUENT:
-        d2 = d2 - v1
-    cols = [[v1, g1, (u - e1) * v1], [v2, g2, d2], [v, g, (u - phi_eps) * v]]
-    return _det(cols) / w
+    with np.errstate(over="ignore", invalid="ignore"):
+        if chain.order == 0:
+            return v / w
+        if chain.order == 1:
+            (v1, g1), = members
+            return (v1 * g - v * g1) / w
+        (v1, g1), (v2, g2) = members
+        e1, e2 = chain.eps if chain.kind == KIND_STANDARD else chain.eps * 2
+        d2 = (u - e2) * v2
+        if chain.kind == KIND_CONFLUENT:
+            d2 = d2 - v1
+        cols = [[v1, g1, (u - e1) * v1], [v2, g2, d2], [v, g, (u - phi_eps) * v]]
+        return _det(cols) / w
 
 
 def transformed_potential(chain: DarbouxChain, y):
@@ -277,6 +280,12 @@ def intertwining_residual(chain: DarbouxChain, output: DarbouxOutput,
         return phh + (e_eff - output.u_hat(y)) * output.phi_hat(y)
 
 
+def residual_grids(grid: np.ndarray, h: Optional[float] = 5e-4) -> list:
+    """The grids ``chain_residuals(chain, grid, h)`` reads the chain on: the grid, then
+    the stencil nodes of its second derivatives (``numerics.stencil_nodes``)."""
+    return [grid, stencil_nodes(grid, 1, h)]
+
+
 def chain_residuals(chain: DarbouxChain, grid, h: Optional[float] = 5e-4) -> np.ndarray:
     """Max-normalized residuals of the chain equations on a grid (NaN if any is NaN).
 
@@ -284,7 +293,8 @@ def chain_residuals(chain: DarbouxChain, grid, h: Optional[float] = 5e-4) -> np.
     system with inhomogeneity -u_{j-1}.  Second derivatives come from
     stencils of step h (None: ``numerics.default_step``) on the
     first-derivative channel.  The chain functions are evaluated on the
-    whole grid at once.
+    whole grid at once, and their derivatives on all the stencil nodes at
+    once: the two ``residual_grids``, which a caller may have read ahead.
     """
     grid = np.asarray(grid, dtype=float)
     with memo_scope():      # members that share factors read them once per grid

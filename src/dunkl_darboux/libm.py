@@ -18,9 +18,12 @@ of x's dtype, shape and exact bytes, so -0.0 is not 0.0 and an array
 changed in place is evaluated afresh.  The ndarray path of exp, log and
 power goes through it keyed by (function name, extra arguments), and
 ``scenarios`` stores its special-function row groups in it, so one
-memo serves every repeated evaluation.  A hit returns the stored result
-itself, so results are stored read-only; an evaluation that raises
-stores nothing, and a float never reaches the memo.  The memo is one
+memo serves every repeated evaluation.  ``memoise_parts`` stores one
+evaluation on several inputs joined as the entry of each input, so a
+caller that knows the grids it will read pays one evaluation for all.
+A hit returns the stored result itself, so results are stored
+read-only; an evaluation that raises stores nothing, and a float never
+reaches the memo.  The memo is one
 dict per scope, in a ``ContextVar``.  A scope opened inside an open one
 joins it, and the outermost exit drops the dict, so nothing outlives
 the outermost scope: ``cli.run`` opens one per command, and the library
@@ -84,18 +87,37 @@ class memo_scope:
             _MEMO.reset(self._token)
 
 
+def _full_key(key, x) -> tuple:
+    return key, x.dtype.str, x.shape, x.tobytes()
+
+
 def memoised(key, x, evaluate, *args):
     """evaluate(*args), looked up first in the open memo under key and the ndarray x."""
     memo = _MEMO.get()
     if memo is None:
         return evaluate(*args)
-    full = (key, x.dtype.str, x.shape, x.tobytes())
+    full = _full_key(key, x)
     values = memo.get(full)
     if values is None:
         values = evaluate(*args)
         values.flags.writeable = False
         memo[full] = values
     return values
+
+
+def memoise_parts(key, parts, evaluate, *args) -> None:
+    """Store evaluate(*args, joined), joined the 1-D ndarrays of parts end to end, in the
+    open memo as each part's entry under key: its last axis runs over joined.  Outside a
+    scope nothing is evaluated."""
+    memo = _MEMO.get()
+    if memo is None or not parts:
+        return
+    values = evaluate(*args, np.concatenate(parts))
+    values.flags.writeable = False
+    start = 0
+    for part in parts:
+        memo[_full_key(key, part)] = values[..., start:start + part.size]
+        start += part.size
 
 
 def _on_array(name, fn, x, *args):

@@ -75,24 +75,38 @@ def _stencil(order: int, s, step):
     return (s[1] - 2 * s[0] + s[-1]) / power(step, 2)
 
 
-def derivative(f: Callable[[float], float], y, order: int, h=None):
-    """Central-difference derivative of order 1 or 2, the orders in use.
-
-    One Richardson extrapolation step is applied, giving O(h^4)
-    truncation.  For an ndarray y (h a float or an array of per-point
-    steps), f must work elementwise: it is called once, on the stencil
-    nodes of all points together.
-    """
+def _layout(y, order: int, h) -> tuple:
+    """(coarse and fine step, the nodes f is sampled at or None for a float y) of
+    ``derivative``, with its refusals of order and h."""
     if order not in (1, 2):
         raise DomainError(f"derivative: unsupported order {order}")
     if h is None:
         h = default_step(y)
     if np.any(h <= 0) if isinstance(h, np.ndarray) else h <= 0:
         raise DomainError("derivative: step must be positive")
-    shifts = _SHIFTS[order]
     steps = (h, h / 2)
-    if isinstance(y, np.ndarray):
-        nodes = np.concatenate([y + k * step if k else y for step in steps for k in shifts])
+    if not isinstance(y, np.ndarray):
+        return steps, None
+    return steps, np.concatenate([y + k * step if k else y for step in steps
+                                  for k in _SHIFTS[order]])
+
+
+def stencil_nodes(y: np.ndarray, order: int, h=None) -> np.ndarray:
+    """The points at which ``derivative(f, y, order, h)`` calls f, for an ndarray y."""
+    return _layout(y, order, h)[1]
+
+
+def derivative(f: Callable[[float], float], y, order: int, h=None):
+    """Central-difference derivative of order 1 or 2, the orders in use.
+
+    One Richardson extrapolation step is applied, giving O(h^4)
+    truncation.  For an ndarray y (h a float or an array of per-point
+    steps), f must work elementwise: it is called once, on the
+    ``stencil_nodes`` of all points together.
+    """
+    steps, nodes = _layout(y, order, h)
+    shifts = _SHIFTS[order]
+    if nodes is not None:
         parts = np.split(_check_finite(f(nodes), nodes, "sample at "), 2 * len(shifts))
         samples = [dict(zip(shifts, parts[i * len(shifts):])) for i in (0, 1)]
     else:

@@ -25,9 +25,12 @@ members of ``_mapped_family``, by one builder, ``seeded_chain``.  A
 group holds the rows that every caller reads together: a chain's
 members, and with them the seed Phi that the chain transforms, itself a
 member of the same family.  Each chain is built once, on the group it
-is read from, so ``darboux`` and figures 4-6 read the chain and Phi in
-one kernel call per grid; each of the confluent ``darboux``'s three
-calls (validation grid, stencil nodes, command grid) reads 12 rows.
+is read from, and the group is read ahead, in one kernel call, on every
+grid the chain will be read on: the confluent chain's validation grid,
+its stencil nodes and the grids the caller names.  So a ``darboux``
+(12 rows for a confluent chain) and each energy of figures 3-7 make one
+kernel call, and ``verify``'s mapped-equation check reads Phi ahead on
+its grid and stencil nodes, one call.
 """
 
 from __future__ import annotations
@@ -39,9 +42,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .darboux import (DarbouxChain, KIND_CONFLUENT, KIND_STANDARD, OdeSolution,
-                      transformed_potential, transformed_solution, validate_chain)
+                      residual_grids, transformed_potential, transformed_solution,
+                      validate_chain)
 from .errors import ConstructionError, ContractError, DomainError, SingularityError
-from .libm import exp, log, memoised, memo_scope, power
+from .libm import exp, log, memo_scope, memoise_parts, memoised, power
 from .model import (DunklParams, DunklSystem, EnergyPotential, MassProfile,
                     ParityFunction)
 from .numerics import (DEFAULT_PARAM_STEP_SCALE, PARAM_STENCIL_OFFSETS,
@@ -328,8 +332,13 @@ class ScenarioHarmonicEnergy:
 
     @staticmethod
     def mapped_potential(E: float, y):
-        """U_E(y) of the mapped standard form (note the 1/E on e^{4y})."""
-        return 0.25 - E * exp(2 * y) + exp(4 * y) / E
+        """U_E(y) of the mapped standard form (note the 1/E on e^{4y}).
+
+        A term that overflows (e^{4y}/E at a subnormal E) is inf, and U is
+        inf or NaN there, which the Wronskian and residual checks refuse.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            return 0.25 - E * exp(2 * y) + exp(4 * y) / E
 
     @staticmethod
     def form() -> SchrodingerForm:      # the background of every chain
@@ -370,7 +379,7 @@ def pdm_equivalence_nu(nu_bar: float, delta_bar: int, delta: int) -> float:
     return 1.5 * delta + 0.5 * math.sqrt(radicand)
 
 
-def _row_group(kernel, rows) -> list:
+def _row_group(kernel, rows, ahead=()) -> list:
     """One closure z -> row i of kernel(rows, z) per row, the group read through ``memoised``.
 
     kernel(unique, z) gives the group's distinct rows on the ndarray z, a
@@ -382,9 +391,12 @@ def _row_group(kernel, rows) -> list:
     with them the seed Phi that the chain transforms (``seeded_chain``).
     A kernel row does not depend on the rows beside it, so grouping
     never changes a bit.  A package error of that call is raised by
-    whichever row is read, and nothing is stored.
+    whichever row is read, and nothing is stored.  The group is read on
+    each ndarray z of ``ahead`` now, in one kernel call, and stored in
+    the open memo (``libm.memoise_parts``), or not at all outside one.
     """
     unique = tuple(dict.fromkeys(rows))
+    memoise_parts((kernel, unique), ahead, kernel, unique)
 
     def read(i, z):
         grid = z if isinstance(z, np.ndarray) else np.array([z], dtype=float)
@@ -411,9 +423,9 @@ def _kummer(a: float, b: float):
     return _row_group(_kummer_values, ((a, b),))[0]
 
 
-def _laguerre_rows(*rows):
+def _laguerre_rows(*rows, ahead=()):
     """One closure z -> L_degree^alpha(z) per (degree, alpha) row, one ``_row_group``."""
-    return _row_group(_laguerre_values, rows)
+    return _row_group(_laguerre_values, rows, ahead)
 
 
 def _mapped_degree(E: float, r: float) -> float:
@@ -451,24 +463,36 @@ def harmonic_initial_solution_function(params: DunklParams, E: float) -> ParityF
                            params.delta)
 
 
-def _family_lags(E: float, rs: Sequence[float], seed: Optional[DunklParams] = None) -> tuple:
+def _mapped_z(E: float, y):
+    """z = e^{2y}/sqrt(E), the Laguerre argument of the mapped family at y."""
+    return (1.0 / math.sqrt(E)) * exp(2 * y)
+
+
+def _family_lags(E: float, rs: Sequence[float], seed: Optional[DunklParams] = None,
+                 grids: Sequence = ()) -> tuple:
     """(closures, Phi): L_d^{r/2} and L_{d-1}^{r/2+1} = -L' per index r of rs, one group.
 
     Without a seed, Phi is None.  With one, the ``_laguerre_rows`` group
     also holds Phi's two rows, the mapped family at r =
     discriminant_root(seed), after those of rs (which are formed, and
     refused, first), and Phi is that member as an ``OdeSolution`` whose
-    spectral parameter is the Dunkl constant delta nu - nu^2.
+    spectral parameter is the Dunkl constant delta nu - nu^2.  The group
+    is read ahead at z = ``_mapped_z(E, y)`` of each ndarray y of grids,
+    in one kernel call, into the open memo.
     """
     def pair(r):
         degree = _mapped_degree(E, r)
         return [(degree, 0.5 * r), (degree - 1, 0.5 * r + 1)]
 
     rows = [row for r in rs for row in pair(r)]
+    if seed is not None:
+        r = discriminant_root(seed)
+        rows += pair(r)
+    with np.errstate(over="ignore"):   # z = inf at a subnormal E: the kernel refuses it
+        ahead = [_mapped_z(E, y) for y in grids]
+    lags = _laguerre_rows(*rows, ahead=ahead)
     if seed is None:
-        return _laguerre_rows(*rows), None
-    r = discriminant_root(seed)
-    lags = _laguerre_rows(*rows, *pair(r))
+        return lags, None
     phi, phi1 = _family_member(E, r, *lags[-2:])
     return lags, OdeSolution(f=phi, f1=phi1, eps=seed.delta * seed.nu - seed.nu**2)
 
@@ -479,16 +503,19 @@ def _family_member(E: float, r: float, u, lower):
     Phi(y) = e^{-z/2 + (r/2) y} L_d^{r/2}(z), z = e^{2y}/sqrt(E),
     d = -1/2 + E^{3/2}/4 - r/4, solves the mapped equation at spectral
     parameter (1 - r^2)/4.  Phi and Phi' accept a float or an ndarray of y.
+    A product that overflows is inf or NaN, which the callers refuse.
     """
-    beta = 1.0 / math.sqrt(E)
-
     def phi(y):
-        z = beta * exp(2 * y)
-        return exp(-0.5 * z + 0.5 * r * y) * u(z)
+        z = _mapped_z(E, y)
+        scale, lag = exp(-0.5 * z + 0.5 * r * y), u(z)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return scale * lag
 
     def phi1(y):
-        z = beta * exp(2 * y)
-        return exp(-0.5 * z + 0.5 * r * y) * ((0.5 * r - z) * u(z) - 2 * z * lower(z))
+        z = _mapped_z(E, y)
+        scale, lag, low = exp(-0.5 * z + 0.5 * r * y), u(z), lower(z)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return scale * ((0.5 * r - z) * lag - 2 * z * low)
 
     return phi, phi1
 
@@ -498,14 +525,16 @@ def _mapped_family(E: float, rs: Sequence[float], lags: list) -> list:
     return [_family_member(E, r, *lags[2 * i:2 * i + 2]) for i, r in enumerate(rs)]
 
 
-def mapped_initial_solution(params: DunklParams, E: float) -> OdeSolution:
+def mapped_initial_solution(params: DunklParams, E: float, grids: Sequence = ()) -> OdeSolution:
     """The initial solution in mapped coordinates, with spectral parameter.
 
     The mapped family at r = sqrt(1 - 4 delta nu + 4 nu^2); its parameter
     is the Dunkl constant delta nu - nu^2.  ``seeded_chain`` gives the
-    same Phi in a chain's group.
+    same Phi in a chain's group.  Its rows are read ahead on grids, the
+    ndarrays of y a caller in an open memo scope will read, in one kernel
+    call (``_family_lags``).
     """
-    return _family_lags(E, [], params)[1]
+    return _family_lags(E, [], params, grids)[1]
 
 
 STANDARD_CHAIN_EPS = (0.25, -0.75)
@@ -519,10 +548,8 @@ def _standard_u1p(E: float, lag, lower):
     (delta nu - nu^2 = -3/4) the transformed state is pure rounding noise
     that any change would move.
     """
-    beta = 1.0 / math.sqrt(E)
-
     def u1p(y):
-        z = beta * exp(2 * y)
+        z = _mapped_z(E, y)
         return exp(-0.5 * z) * z * (2 * (-lower(z)) - lag(z))
 
     return u1p
@@ -556,6 +583,10 @@ def confluent_chain(E: float, eps1: float = CONFLUENT_EPS1) -> DarbouxChain:
     return seeded_chain(None, E, KIND_CONFLUENT, 2, eps1)[0]
 
 
+# The confluent chain's validation grid: its residuals are read here and
+# at the grid's stencil nodes (``residual_grids``).
+CONFLUENT_CHECK_GRID = np.linspace(-2.0, 1.0, 25)
+
 # (kind, order) of each chain built here -> the public builder its E refusal names
 _CHAINS = {(KIND_STANDARD, 1): "standard_chain_order1",
            (KIND_STANDARD, 2): "standard_chain_u12",
@@ -563,7 +594,7 @@ _CHAINS = {(KIND_STANDARD, 1): "standard_chain_order1",
 
 
 def seeded_chain(params: Optional[DunklParams], E: float, kind: str = KIND_STANDARD,
-                 order: int = 2, eps1: float = CONFLUENT_EPS1) -> tuple:
+                 order: int = 2, eps1: float = CONFLUENT_EPS1, grids: Sequence = ()) -> tuple:
     """(chain, Phi): the one builder of the chains, each built once, with its seed.
 
     The chain is the unvalidated standard chain of ``order`` 1 or 2 (the
@@ -575,11 +606,17 @@ def seeded_chain(params: Optional[DunklParams], E: float, kind: str = KIND_STAND
     ``mapped_initial_solution(params, E)``, or None when params is None,
     and its two rows join the chain's group (``_family_lags``), so the
     chain and Phi read one kernel call per grid, bit for bit as each
-    would read alone.  The confluent chain is validated on that group:
-    it is refused if u2 vanishes on a 25-point grid, or unless the
-    residuals there are at most 1e-7 (u1) and 1e-5 (u2).  The build-time
-    refusals (kind and order, eps1, E <= 0, the family degree) come
-    before Phi's nu; a kernel refusal is the first the group's call meets.
+    would read alone.  That group is read ahead in one kernel call, on
+    the confluent chain's validation grids
+    (``residual_grids(CONFLUENT_CHECK_GRID)``) and on each ndarray of
+    ``grids``, the y its caller will read the chain on: a caller in an
+    open memo scope (``cli.run`` opens one per command) then reads the
+    group from the memo, as the validation does.  The confluent chain is
+    refused if u2 vanishes on the 25-point grid, or unless the residuals
+    there are at most 1e-7 (u1) and 1e-5 (u2).  The build-time refusals
+    (kind and order, eps1, E <= 0, the family degree) come before Phi's
+    nu; a kernel refusal is the first the read-ahead meets, on any of its
+    grids, and comes before the validation's.
     """
     name = _CHAINS.get((kind, order))
     if name is None:
@@ -600,25 +637,26 @@ def seeded_chain(params: Optional[DunklParams], E: float, kind: str = KIND_STAND
         rs, eps = [math.sqrt(1.0 - 4.0 * e) for e in [eps1] + probes], (eps1,)
     if E <= 0:
         raise DomainError(f"{name}: E must be positive")
-    lags, phi = _family_lags(E, rs, params)
-    (u1, u1p), *members = _mapped_family(E, rs, lags)
-    if kind == KIND_STANDARD:
-        funcs = ((u1, _standard_u1p(E, *lags[:2])), *members)
-    else:
-        probed = dict(zip(probes, members))
+    checks = residual_grids(CONFLUENT_CHECK_GRID) if kind == KIND_CONFLUENT else []
+    with memo_scope():      # the scale check and the validation read the rows read ahead
+        lags, phi = _family_lags(E, rs, params, [*checks, *grids])
+        (u1, u1p), *members = _mapped_family(E, rs, lags)
+        if kind == KIND_STANDARD:
+            funcs = ((u1, _standard_u1p(E, *lags[:2])), *members)
+        else:
+            probed = dict(zip(probes, members))
 
-        def u2(y):
-            return parameter_derivative(lambda e, t: probed[e][0](t), eps1, y)
+            def u2(y):
+                return parameter_derivative(lambda e, t: probed[e][0](t), eps1, y)
 
-        def u2p(y):
-            return parameter_derivative(lambda e, t: probed[e][1](t), eps1, y)
+            def u2p(y):
+                return parameter_derivative(lambda e, t: probed[e][1](t), eps1, y)
 
-        funcs = ((u1, u1p), (u2, u2p))
-    chain = DarbouxChain(kind=kind, funcs=funcs, eps=eps,
-                         background=ScenarioHarmonicEnergy.form(), energy=E)
-    if kind == KIND_CONFLUENT:
-        grid = np.linspace(-2.0, 1.0, 25)
-        with memo_scope():      # the scale check and the validation share the group's rows
+            funcs = ((u1, u1p), (u2, u2p))
+        chain = DarbouxChain(kind=kind, funcs=funcs, eps=eps,
+                             background=ScenarioHarmonicEnergy.form(), energy=E)
+        if kind == KIND_CONFLUENT:
+            grid = CONFLUENT_CHECK_GRID
             scale1 = np.max(abs(u1(grid)))
             if np.max(abs(u2(grid))) < 1e-12 * max(scale1, 1.0):
                 raise ConstructionError("family does not depend on eps: degenerate chain")

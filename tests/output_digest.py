@@ -19,6 +19,9 @@ Runs ``dunkl_darboux.cli.run(argv)`` in-process, from CHECKOUT's ``src``
   density cannot be normalized,
 - a non-finite E, dV-hat/dE or Wronskian, and a confluent refusal met by the
   validation of the chain joined by Phi's rows,
+- commands whose float overflow numpy reported as a RuntimeWarning (a
+  Phi-hat determinant, the seed's product, U_E(y) at a subnormal E), and
+  the PDM route at a subnormal E,
 
 and prints one ``<sha256>  <argv>`` line per command.  The digest covers
 the exit code (or the type and message of an exception that escapes
@@ -174,6 +177,22 @@ NON_FINITE = [
 ]
 
 
+# Overflows that escaped as a RuntimeWarning: the nu = 250 confluent
+# Phi-hat determinant, the nu = 400 seed's e^{-z/2 + (r/2) y} L, and
+# U_E(y)'s e^{4y}/E at E = 1e-310; and the PDM route at E = 1e-310, which
+# reported its overflow as a failed check.
+OVERFLOWS = [
+    ["darboux", "--kind", "confluent", "--nu", "250", "--delta", "-1", "--energy", "4",
+     "--grid-hi", "3", "--grid-count", "25"],
+    ["verify", "--scenario", "harmonic-energy", "--nu", "400", "--delta", "1", "--n", "601",
+     "--grid-count", "7"],
+    ["darboux", "--nu", "170", "--delta", "-1", "--energy", "1e-310", "--grid-lo=-2",
+     "--grid-hi=25", "--grid-count", "2"],
+    ["verify", "--scenario", "harmonic-energy-pdm", "--nu", "2.5", "--delta", "1",
+     "--energy", "1e-310"],
+]
+
+
 def config_commands() -> list:
     """Write the files of ``CONFIGS`` (removing a missing one's) and list their commands."""
     CONFIG_DIR.mkdir(exist_ok=True)
@@ -211,7 +230,7 @@ def main(argv) -> int:
     commands = [argv for name in ("figures", "chains", "verify-sweep")
                 for argv in workloads.population(name)]
     for command in commands + DEFAULTS + REFUSALS + EDGES + FORMATS + SPANS \
-            + config_commands() + REFUSED_OUTPUTS + NON_FINITE:
+            + config_commands() + REFUSED_OUTPUTS + NON_FINITE + OVERFLOWS:
         print(f"{digest(cli, command)}  {shlex.join(command)}")
     return 0
 

@@ -98,8 +98,8 @@ def test_verify_fails_on_nan_mapped_solution(monkeypatch, capsys):
     node = np.linspace(-2.0, 1.0, 100)[40]
     real = cli.mapped_initial_solution
 
-    def broken(params, E):
-        phi = real(params, E)
+    def broken(params, E, *grids):
+        phi = real(params, E, *grids)
         return replace(phi, f=_nan_at(phi.f, node))
 
     monkeypatch.setattr(cli, "mapped_initial_solution", broken)
@@ -341,14 +341,27 @@ def test_zero_kummer_coefficient_reads_no_series(delta, n, monkeypatch, capsys):
 
 # Commands whose float overflow numpy used to report as a RuntimeWarning
 # on stderr: each keeps its exit code and output with warnings as errors.
+# The PDM route at E = 1e-310 reported the overflow as a failed check
+# (max residual nan, exit 2) and now refuses E by name.  The confluent
+# nu = 250 chain overflows its Phi-hat determinant at y = 3, the nu = 400
+# seed its product e^{-z/2 + (r/2) y} L, and U_E(y) its e^{4y}/E.
 @pytest.mark.parametrize("argv, code, stream, start", [
     (["darboux", "--nu", "1e6"], EXIT_USAGE, "err",
      "error: exp(5025.1241321172565): result overflows"),
     (["verify", "--scenario", "harmonic-energy-pdm", "--nu", "2.5", "--delta", "1",
       "--energy", "1e-310"],
-     EXIT_VERIFICATION, "out", "FAIL  induced_potential_match: max residual nan"),
+     EXIT_USAGE, "err", "error: harmonic-energy-pdm: E = 1e-310 is out of range: "),
     (["verify", "--scenario", "gaussian-mass", "--nu", "6e153", "--delta", "-1"],
      EXIT_USAGE, "err", "error: power(1.024848391894543, 1.1999999999999999e+154)"),
+    (["darboux", "--kind", "confluent", "--nu", "250", "--delta", "-1", "--energy", "4",
+      "--grid-hi", "3", "--grid-count", "25"],
+     EXIT_OK, "out", "y,x,u_hat,v_hat,phi_hat,psi_hat"),
+    (["verify", "--scenario", "harmonic-energy", "--nu", "400", "--delta", "1", "--n", "601",
+      "--grid-count", "7"],
+     EXIT_USAGE, "err", "error: non-finite sample at 0.09100909090909083"),
+    (["darboux", "--nu", "170", "--delta", "-1", "--energy", "1e-310", "--grid-lo=-2",
+      "--grid-hi=25", "--grid-count", "2"],
+     EXIT_USAGE, "err", "error: kummer_m: |z| exceeds supported range 700.0"),
 ])
 def test_overflow_raises_no_numpy_warning(argv, code, stream, start, capsys):
     with warnings.catch_warnings():
@@ -816,8 +829,8 @@ def test_darboux_reads_each_member_once(monkeypatch, capsys, kind, order):
             return fn(y)
         return read
 
-    def build(config, params, E):
-        chain, phi = real_build(config, params, E)
+    def build(config, params, E, grid):
+        chain, phi = real_build(config, params, E, grid)
         funcs = tuple((counted(f, (j, "u")), counted(d, (j, "u'")))
                       for j, (f, d) in enumerate(chain.funcs))
         return (replace(chain, funcs=funcs),

@@ -387,17 +387,16 @@ def test_figures_5_and_6_kernel_calls(number, monkeypatch, capsys):
 def test_confluent_darboux_and_figure_7_kernel_calls(monkeypatch, capsys):
     # The confluent chain's ten Laguerre rows are one group.  darboux:
     # the chain is built once, joined by Phi's pair, and that group is
-    # read on the validation grid, on its stencil nodes and on y joined
-    # with log(e^y) (V-hat); at most 8 (the bound of exact-derivative
-    # work).  figure 7: three energies, each a build and V-hat on its
-    # grid, at most 15.
+    # read once, on the validation grid, its stencil nodes and y joined
+    # with log(e^y) (V-hat) together.  figure 7: three energies, each a
+    # build read on its validation grids and log(x) together.
     calls = _count_grid_calls(monkeypatch)
     assert cli.run(["darboux", "--kind", "confluent"]) == cli.EXIT_OK
-    assert [len(degrees) for degrees, _ in calls] == [12, 12, 12]
+    assert [len(degrees) for degrees, _ in calls] == [12]
     calls.clear()
     assert cli.run(["figure", "7", "--grid-count", "50"]) == cli.EXIT_OK
     capsys.readouterr()
-    assert len(calls) == 9
+    assert len(calls) == 3
     assert all(len(degrees) == 10 for degrees, _ in calls)
 
 
@@ -459,7 +458,7 @@ def test_confluent_build_evaluates_each_eps_once_on_its_grid(monkeypatch):
     # u1 reads the family at eps1 and u2 at four stencil eps; the scale
     # check and chain_residuals read all five members on the 25-point
     # validation grid, and chain_residuals their derivatives on the 100
-    # stencil nodes: one call of all ten distinct rows per grid
+    # stencil nodes: one call of all ten distinct rows on both grids
     grids = []
     real = scenarios.assoc_laguerre_grid
 
@@ -469,7 +468,7 @@ def test_confluent_build_evaluates_each_eps_once_on_its_grid(monkeypatch):
 
     monkeypatch.setattr(scenarios, "assoc_laguerre_grid", counted)
     confluent_chain(4.0)
-    assert [size for _, _, size in grids] == [25, 100]
+    assert [size for _, _, size in grids] == [125]
     for degree, alpha, _ in grids:
         assert len(set(zip(degree, alpha))) == 10
 

@@ -41,8 +41,7 @@ from .scenarios import (CONFLUENT_EPS1, ScenarioGaussianMass, ScenarioHarmonicEn
                         ScenarioHarmonicEnergyPdm, bound_state_energy,
                         get_scenario, mapped_initial_solution,
                         pdm_equivalence_nu, pipeline_hatpsi, pipeline_vhat,
-                        printed_bound_state, seeded_chain,
-                        standard_vhat_dE, SCENARIO_NAMES)
+                        printed_bound_state, seeded_chain, SCENARIO_NAMES)
 
 DEFAULT_TOL = 1e-6
 TOL_ENV_VAR = "DUNKL_DARBOUX_TOL"
@@ -214,6 +213,20 @@ def _fmt(value: float) -> str:
 def _rows(*columns: np.ndarray) -> list:
     """Table rows (lists of Python floats) from equal-length columns."""
     return np.column_stack(columns).tolist()
+
+
+def _finite(what: str, header: Sequence[str], columns: Sequence[np.ndarray]) -> np.ndarray:
+    """The columns side by side, or a DomainError naming the first that is not finite.
+
+    The error gives that column's first such point on the first column, the grid.
+    """
+    table = np.column_stack(columns)
+    finite = np.isfinite(table)
+    if not finite.all():
+        col = int((~finite).any(axis=0).argmax())
+        raise DomainError(f"{what}: {header[col]} is not finite at "
+                          f"{header[0]}={float(table[(~finite[:, col]).argmax(), 0])}")
+    return table
 
 
 def _write(path: Optional[str], text: str) -> None:
@@ -506,8 +519,9 @@ def cmd_darboux(config: argparse.Namespace) -> int:
     chain, phi = _build_chain(config, params, E, _joined_grid(ys, xs)[0])
     u_hat, phi_hat, v_hat = _chain_columns(E, chain, phi, ys, xs)
     psi_hat = power(xs, 0.5 - params.nu) * phi_hat
-    rows = _rows(ys, xs, u_hat, v_hat, phi_hat, psi_hat)
-    _emit_table(config, ["y", "x", "u_hat", "v_hat", "phi_hat", "psi_hat"], rows)
+    header = ["y", "x", "u_hat", "v_hat", "phi_hat", "psi_hat"]
+    _emit_table(config, header,
+                _finite("darboux", header, [ys, xs, u_hat, v_hat, phi_hat, psi_hat]).tolist())
     return EXIT_OK
 
 
@@ -534,8 +548,9 @@ def _figure_states(delta: int) -> list:
 
 def _figure_1(config: argparse.Namespace):
     grid = _grid(config, -3.0, 3.0, 400)
-    columns = [s.f(grid) for s in _figure_states(1)]
-    return ["x", "psi0", "psi1", "psi2"], _rows(grid, *columns)
+    header = ["x", "psi0", "psi1", "psi2"]
+    columns = [grid] + [s.f(grid) for s in _figure_states(1)]
+    return header, _finite("figure 1: the grid is out of range", header, columns).tolist()
 
 
 def _figure_2(config: argparse.Namespace):
@@ -566,7 +581,11 @@ def _potential_rows(config: argparse.Namespace, kind: str):
     grids = [log(xs)] if xs[0] > 0 else []      # the grid ascends
     # The initial potential is energy-scaled; the ground energy fixes
     # the displayed curve.
-    columns = [xs, xs * xs / energies[0]]
+    with np.errstate(over="ignore"):
+        v_initial = xs * xs / energies[0]
+    _finite(f"figure {config.number}: the grid is out of range", ["x", "v_initial"],
+            [xs, v_initial])
+    columns = [xs, v_initial]
     columns += [pipeline_vhat(E, seeded_chain(None, E, kind, grids=grids)[0], xs)
                 for E in energies]
     return ["x", "v_initial", "v_hat_0", "v_hat_1", "v_hat_2"], _rows(*columns)
@@ -577,18 +596,19 @@ def _figure_hat(config: argparse.Namespace, nu: float, delta: int, density: bool
     params = _params(config, nu, delta)
     energies = [bound_state_energy(n, params, "ene1") for n in (0, 1, 2)]
     xs = _grid(config, 0.2, 3.0, 300)
-    states = []
-    for E in energies:      # the chain and Phi read one kernel call per grid
-        chain, phi = seeded_chain(params, E)
+    states, slopes = [], []
+    for E in energies:      # the chain, Phi and figure 4's dV-hat/dE read one kernel call
+        chain, phi, *vhat_dE = seeded_chain(params, E, slopes=density)
         states.append(pipeline_hatpsi(params, E, chain, xs, phi))
+        slopes += vhat_dE
     if not density:
         return ["x", "psi_hat_0", "psi_hat_1", "psi_hat_2"], _rows(xs, *states)
     # Densities are normalized on the emitted grid (trapezoid rule over
     # the symmetric extension), which is the display contract.
     columns = []
-    for n, (E, psi) in enumerate(zip(energies, states)):
+    for n, (psi, vhat_dE) in enumerate(zip(states, slopes)):
         raw = power(psi, 2) * power(xs, 2.0 * params.nu)
-        dv_de = standard_vhat_dE(E, xs)
+        dv_de = vhat_dE(xs)
         bad = ~np.isfinite(dv_de)       # where W underflows, and psi-hat is 0
         if bad.any():
             raise DomainError(f"figure 4: dV-hat/dE of p_hat_{n} is not finite at "

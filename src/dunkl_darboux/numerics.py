@@ -10,7 +10,7 @@ confluent chain, whose u2 is the eps-derivative of the mapped family
 ``parameter_probes`` itself), and
 ``pointmap.energy_relation_residual``, where the numerical dU/dE is the
 independent side of the check.  Figure 4's dV-hat/dE is analytic
-(``scenarios.standard_vhat_dE``).
+(``scenarios._vhat_dE``, on its chain's degree-derivative rows).
 
 Quadrature over the real line uses the double-exponential (exp-sinh)
 rule of Takahasi & Mori, Publ. RIMS 9 (1974) 721, and Mori & Sugihara,

@@ -30,7 +30,9 @@ grid the chain will be read on: the confluent chain's validation grid,
 its stencil nodes and the grids the caller names.  So a ``darboux``
 (12 rows for a confluent chain) and each energy of figures 3-7 make one
 kernel call, and ``verify``'s mapped-equation check reads Phi ahead on
-its grid and stencil nodes, one call.
+its grid and stencil nodes, one call.  Figure 4's group also holds the
+degree derivatives of the chain's rows, from the same call, and its
+dV-hat/dE (``_vhat_dE``) is formed from them.
 """
 
 from __future__ import annotations
@@ -248,7 +250,9 @@ _PRINTED_STATES = {
 def printed_bound_state(n: int, delta: int) -> ParityFunction:
     """The six explicitly printed bound states at nu = 1/2 (poly x gaussian).
 
-    f, f1 and f2 accept a float or an ndarray of x.
+    f, f1 and f2 accept a float or an ndarray of x.  Where x^2 or the
+    polynomial overflows (|x| from about 1e61 on), a value is 0 times
+    inf, NaN, which the callers refuse.
     """
     try:
         coeffs = _PRINTED_STATES[(delta, n)]
@@ -259,13 +263,16 @@ def printed_bound_state(n: int, delta: int) -> ParityFunction:
     ddpoly = dpoly.deriv()
 
     def f(x):
-        return exp(-x * x) * poly(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return exp(-x * x) * poly(x)
 
     def f1(x):
-        return exp(-x * x) * (dpoly(x) - 2 * x * poly(x))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return exp(-x * x) * (dpoly(x) - 2 * x * poly(x))
 
     def f2(x):
-        return exp(-x * x) * (ddpoly(x) - 4 * x * dpoly(x) + (4 * x * x - 2) * poly(x))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return exp(-x * x) * (ddpoly(x) - 4 * x * dpoly(x) + (4 * x * x - 2) * poly(x))
 
     return ParityFunction(f=f, f1=f1, f2=f2, parity=delta)
 
@@ -412,10 +419,23 @@ def _kummer_values(rows, z):
     return kummer_m_grid(a, b, z).values[None]
 
 
+# The tag of a Laguerre group row (degree, alpha, _SLOPE): d/d(degree) of L_degree^alpha.
+_SLOPE = "d/d(degree)"
+
+
 def _laguerre_values(rows, z):
-    """L_degree^alpha(z) per (degree, alpha) row, in one kernel call."""
-    degrees, alphas = zip(*rows)
-    return assoc_laguerre_grid(degrees, alphas, z).values
+    """L_degree^alpha(z) per (degree, alpha) row, in one kernel call.
+
+    A row (degree, alpha, ``_SLOPE``) is d/d(degree) L_degree^alpha(z),
+    derived from its (degree, alpha) row in the same call; such rows come
+    last, in the order of their (degree, alpha) rows.
+    """
+    if len(rows[-1]) == 2:      # no slope rows
+        return assoc_laguerre_grid(*zip(*rows), z).values
+    plain = [row for row in rows if len(row) == 2]
+    values, slopes = assoc_laguerre_grid(*zip(*plain), z, degree_derivative=[
+        row + (_SLOPE,) in rows for row in plain])
+    return np.concatenate([values.values, slopes.values])
 
 
 def _kummer(a: float, b: float):
@@ -469,16 +489,18 @@ def _mapped_z(E: float, y):
 
 
 def _family_lags(E: float, rs: Sequence[float], seed: Optional[DunklParams] = None,
-                 grids: Sequence = ()) -> tuple:
+                 grids: Sequence = (), slopes: bool = False) -> tuple:
     """(closures, Phi): L_d^{r/2} and L_{d-1}^{r/2+1} = -L' per index r of rs, one group.
 
     Without a seed, Phi is None.  With one, the ``_laguerre_rows`` group
     also holds Phi's two rows, the mapped family at r =
     discriminant_root(seed), after those of rs (which are formed, and
     refused, first), and Phi is that member as an ``OdeSolution`` whose
-    spectral parameter is the Dunkl constant delta nu - nu^2.  The group
-    is read ahead at z = ``_mapped_z(E, y)`` of each ndarray y of grids,
-    in one kernel call, into the open memo.
+    spectral parameter is the Dunkl constant delta nu - nu^2.  With
+    slopes, the group's last rows, and closures, are the degree
+    derivatives of the rows of rs, in their order, from the same kernel
+    call.  The group is read ahead at z = ``_mapped_z(E, y)`` of each
+    ndarray y of grids, in one kernel call, into the open memo.
     """
     def pair(r):
         degree = _mapped_degree(E, r)
@@ -488,12 +510,14 @@ def _family_lags(E: float, rs: Sequence[float], seed: Optional[DunklParams] = No
     if seed is not None:
         r = discriminant_root(seed)
         rows += pair(r)
+    if slopes:
+        rows += [row + (_SLOPE,) for row in rows[:2 * len(rs)]]
     with np.errstate(over="ignore"):   # z = inf at a subnormal E: the kernel refuses it
         ahead = [_mapped_z(E, y) for y in grids]
     lags = _laguerre_rows(*rows, ahead=ahead)
     if seed is None:
         return lags, None
-    phi, phi1 = _family_member(E, r, *lags[-2:])
+    phi, phi1 = _family_member(E, r, *lags[2 * len(rs):2 * len(rs) + 2])
     return lags, OdeSolution(f=phi, f1=phi1, eps=seed.delta * seed.nu - seed.nu**2)
 
 
@@ -594,7 +618,8 @@ _CHAINS = {(KIND_STANDARD, 1): "standard_chain_order1",
 
 
 def seeded_chain(params: Optional[DunklParams], E: float, kind: str = KIND_STANDARD,
-                 order: int = 2, eps1: float = CONFLUENT_EPS1, grids: Sequence = ()) -> tuple:
+                 order: int = 2, eps1: float = CONFLUENT_EPS1, grids: Sequence = (),
+                 slopes: bool = False) -> tuple:
     """(chain, Phi): the one builder of the chains, each built once, with its seed.
 
     The chain is the unvalidated standard chain of ``order`` 1 or 2 (the
@@ -617,6 +642,12 @@ def seeded_chain(params: Optional[DunklParams], E: float, kind: str = KIND_STAND
     (kind and order, eps1, E <= 0, the family degree) come before Phi's
     nu; a kernel refusal is the first the read-ahead meets, on any of its
     grids, and comes before the validation's.
+
+    With slopes (the order-2 standard chain only), the group also holds
+    the degree derivatives of the chain's four rows, and the result is
+    (chain, Phi, dV-hat/dE): x -> ``_vhat_dE`` at the points x > 0, read
+    at y = ln x from the group, so a caller that reads the chain on ln x
+    in an open memo scope pays no kernel call for it.
     """
     name = _CHAINS.get((kind, order))
     if name is None:
@@ -639,7 +670,7 @@ def seeded_chain(params: Optional[DunklParams], E: float, kind: str = KIND_STAND
         raise DomainError(f"{name}: E must be positive")
     checks = residual_grids(CONFLUENT_CHECK_GRID) if kind == KIND_CONFLUENT else []
     with memo_scope():      # the scale check and the validation read the rows read ahead
-        lags, phi = _family_lags(E, rs, params, [*checks, *grids])
+        lags, phi = _family_lags(E, rs, params, [*checks, *grids], slopes)
         (u1, u1p), *members = _mapped_family(E, rs, lags)
         if kind == KIND_STANDARD:
             funcs = ((u1, _standard_u1p(E, *lags[:2])), *members)
@@ -661,7 +692,14 @@ def seeded_chain(params: Optional[DunklParams], E: float, kind: str = KIND_STAND
             if np.max(abs(u2(grid))) < 1e-12 * max(scale1, 1.0):
                 raise ConstructionError("family does not depend on eps: degenerate chain")
             validate_chain(chain, grid, (1e-7, 1e-5))
-    return chain, phi
+    if not slopes:
+        return chain, phi
+
+    def vhat_dE(x):
+        z = _mapped_z(E, log(x))
+        return _vhat_dE(E, x, z, [f(z) for f in lags[:4]], [f(z) for f in lags[-4:]])
+
+    return chain, phi, vhat_dE
 
 
 # ---------------------------------------------------------------------------
@@ -754,8 +792,8 @@ def _member_dE(E: float, r: float, z, lag, lag_dd):
             + d_e * ((alpha - z) * lag_dd[0] + 2.0 * z * lag1_dd))
 
 
-def standard_vhat_dE(E: float, x):
-    """dV-hat/dE of the order-2 standard chain, in closed form.
+def _vhat_dE(E: float, x: np.ndarray, z: np.ndarray, lag, lag_dd) -> np.ndarray:
+    """dV-hat/dE of the order-2 standard chain at the points x > 0, z the members' z there.
 
     V-hat = E - x^-2 (1/4 - U-hat(log x)) gives dV-hat/dE = 1 + x^-2
     dU-hat/dE, and dU/dE = -e^{2y} - e^{4y}/E^2 cancels the 1:
@@ -764,9 +802,30 @@ def standard_vhat_dE(E: float, x):
     and W'' = de (v1' v2 + v1 v2'), de = 1 the chain's eps gap, with
     the members' E-derivatives from ``_member_dE``.  Q does not change
     when a member is multiplied by any factor, E-dependent or not, so the
-    members' exponential factors are left out.  Both members' four
-    Laguerre rows and their degree derivatives come from one kernel call
-    at z = x^2/sqrt(E).  x is a float or an ndarray of positive points.
+    members' exponential factors are left out.  lag and lag_dd hold the
+    chain's four Laguerre rows (r = 0, then r = 2, as ``_family_lags``
+    gives them) and their degree derivatives at z.
+    """
+    v1, g1, dv1, dg1 = _member_dE(E, 0.0, z, lag[:2], lag_dd[:2])
+    v2, g2, dv2, dg2 = _member_dE(E, 2.0, z, lag[2:], lag_dd[2:])
+    de = STANDARD_CHAIN_EPS[0] - STANDARD_CHAIN_EPS[1]
+    with np.errstate(all="ignore"):     # a vanishing W stays inf/NaN for the caller
+        w = v1 * g2 - g1 * v2
+        wp, wpp = de * v1 * v2, de * (g1 * v2 + v1 * g2)
+        rel = (dv1 * g2 + v1 * dg2 - dg1 * v2 - g1 * dv2) / w
+        dwp = de * (dv1 * v2 + v1 * dv2)
+        dwpp = de * (dg1 * v2 + g1 * dv2 + dv1 * g2 + v1 * dg2)
+        dq = (dwpp - wpp * rel - 2.0 * (wp / w) * (dwp - wp * rel)) / w
+        return -x * x / (E * E) - 2.0 * dq / (x * x)
+
+
+def standard_vhat_dE(E: float, x):
+    """dV-hat/dE of the order-2 standard chain (``_vhat_dE``), in closed form.
+
+    The chain's four Laguerre rows and their degree derivatives come from
+    one kernel call at z = x^2/sqrt(E).  x is a float or an ndarray of
+    positive points.  ``seeded_chain(..., slopes=True)`` gives the same
+    quantity from the chain's own read.
     """
     if E <= 0:
         raise DomainError("standard_vhat_dE: E must be positive")
@@ -777,17 +836,7 @@ def standard_vhat_dE(E: float, x):
     degrees = [_mapped_degree(E, r) - k for r in (0.0, 2.0) for k in (0.0, 1.0)]
     lag, lag_dd = assoc_laguerre_grid(degrees, [0.0, 1.0, 1.0, 2.0], z,
                                       degree_derivative=True)
-    v1, g1, dv1, dg1 = _member_dE(E, 0.0, z, lag.values[:2], lag_dd.values[:2])
-    v2, g2, dv2, dg2 = _member_dE(E, 2.0, z, lag.values[2:], lag_dd.values[2:])
-    de = STANDARD_CHAIN_EPS[0] - STANDARD_CHAIN_EPS[1]
-    with np.errstate(all="ignore"):     # a vanishing W stays inf/NaN for the caller
-        w = v1 * g2 - g1 * v2
-        wp, wpp = de * v1 * v2, de * (g1 * v2 + v1 * g2)
-        rel = (dv1 * g2 + v1 * dg2 - dg1 * v2 - g1 * dv2) / w
-        dwp = de * (dv1 * v2 + v1 * dv2)
-        dwpp = de * (dg1 * v2 + g1 * dv2 + dv1 * g2 + v1 * dg2)
-        dq = (dwpp - wpp * rel - 2.0 * (wp / w) * (dwp - wp * rel)) / w
-        out = -xs * xs / (E * E) - 2.0 * dq / (xs * xs)
+    out = _vhat_dE(E, xs, z, lag.values, lag_dd.values)
     return out if isinstance(x, np.ndarray) else float(out[0])
 
 

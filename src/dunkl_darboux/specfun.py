@@ -37,21 +37,26 @@ not met its rules within ``KUMMER_MAX_TERMS`` terms raises
 polynomial of degree above ``KUMMER_MAX_TERMS`` is refused with a
 ``DomainError`` before its coefficients are built.
 
-``assoc_laguerre_grid(..., degree_derivative=True)`` also returns
-d/d(degree) of every row, built from the same term matrix: the
-prefactor contributes psi(degree + alpha + 1) - psi(degree + 1)
-(``_digamma_difference``, DLMF 5.5.2 and 5.11.2), and dM/da of the
-series (Ancarani & Gasaneo, J. Math. Phys. 49 (2008) 063508) has term
-k equal to term_k H_k, H_k = sum_{j<k} 1/(a + j).  These rows are
-summed by ``_fsum_columns`` as the values are, so a grid still equals
-its one-point calls bit for bit, and they are computed only when asked
-for.  Their stop rule, the scan's second, is the first k > 3 with
-|term_k| A_k at most 1e-18 of the largest |term_j| A_j so far, A_k =
-sum_{j<k} 1/|a + j|: near an integer degree the terms past it are
-about 1e-16 of the peak while H_k is about 1e16, so the value's rule
-would stop the derivative early.  At an integer degree n, where the
-value is a polynomial, the derivative is still a series: its terms
-past n drop the vanishing factor a + n and carry the multiplier 1.
+``assoc_laguerre_grid(..., degree_derivative=...)`` also returns
+d/d(degree) of the rows it names (True for every row, or one bool per
+row), built from the same term matrix: the prefactor contributes
+psi(degree + alpha + 1) - psi(degree + 1) (``_digamma_difference``,
+DLMF 5.5.2 and 5.11.2), and dM/da of the series (Ancarani & Gasaneo,
+J. Math. Phys. 49 (2008) 063508) has term k equal to term_k H_k, H_k =
+sum_{j<k} 1/(a + j).  These rows are summed by ``_fsum_columns`` as
+the values are, so a grid still equals its one-point calls bit for
+bit.  The derivative work (H_k and A_k, ``_harmonic_sums``; the
+weighted stop scan; the H_k-weighted sums) runs on the derivative rows'
+columns alone: a value row keeps its terms and its value stop, so its
+bits and its cost are those of a call without derivatives, and a
+derivative row's bits are those of a call that derives every row.
+Their stop rule, the scan's second, is the first k > 3 with |term_k|
+A_k at most 1e-18 of the largest |term_j| A_j so far, A_k = sum_{j<k}
+1/|a + j|: near an integer degree the terms past it are about 1e-16 of
+the peak while H_k is about 1e16, so the value's rule would stop the
+derivative early.  At an integer degree n, where the value is a
+polynomial, the derivative is still a series: its terms past n drop
+the vanishing factor a + n and carry the multiplier 1.
 
 The e^z factor of the reflected branch goes through ``libm.exp``, the
 scalar libm routine per element: numpy's vectorised exp can differ from
@@ -187,16 +192,19 @@ def kummer_m_grid(a: float, b: float, z: np.ndarray) -> SpecialGrid:
     return SpecialGrid(values[0], est[0])
 
 
-def _kummer_rows(a: list, b: list, z: np.ndarray, da: bool = False):
+def _kummer_rows(a: list, b: list, z: np.ndarray, da=False):
     """M(a[i]; b[i]; z) for every row i: (values, estimates), each (rows, *z.shape).
 
     Each row takes its own branch (polynomial or series); the series rows
-    are evaluated together, in one call of the series kernel.  With da,
-    the a-derivatives and their estimates follow, from one kernel call
-    over all rows (a polynomial's derivative is a series), and z must be
-    at least ``KUMMER_SERIES_Z_MIN`` and no a subnormal.  z must be
-    finite; the result is not validated.
+    are evaluated together, in one call of the series kernel.  da is a
+    bool, or a sequence of one per row: the rows it sets are derivative
+    rows, and their a-derivatives and estimates follow, one row each in
+    row order, from the same kernel call (a polynomial's derivative is a
+    series).  With any derivative row, z must be at least
+    ``KUMMER_SERIES_Z_MIN``, and no derivative row's a may be subnormal.
+    z must be finite; the result is not validated.
     """
+    derive = [da] * len(a) if isinstance(da, bool) else list(da)
     rows = []      # (values, estimates) of a polynomial row, None for a series row
     for ai, bi in zip(a, b):
         if _is_nonpositive_integer(bi):
@@ -207,7 +215,7 @@ def _kummer_rows(a: list, b: list, z: np.ndarray, da: bool = False):
             rows.append((acc, (n + 1) * _EPS * np.maximum(1.0, np.abs(acc))))
         else:
             rows.append(None)
-    series = [i for i, row in enumerate(rows) if row is None or da]
+    series = [i for i, row in enumerate(rows) if row is None or derive[i]]
     if series:
         if (np.abs(z) > KUMMER_Z_MAX).any():
             raise DomainError(f"kummer_m: |z| exceeds supported range {KUMMER_Z_MAX}")
@@ -215,13 +223,15 @@ def _kummer_rows(a: list, b: list, z: np.ndarray, da: bool = False):
         sb = np.array([b[i] for i in series])[:, None]
         flat = z.reshape(-1)
         low = flat < KUMMER_SERIES_Z_MIN
-        if da:
+        if any(derive):
+            sd = np.array([derive[i] for i in series], dtype=bool)
             if low.any():
                 raise DomainError(f"kummer_m: the a-derivative needs z >= "
                                   f"{KUMMER_SERIES_Z_MIN:g}")
-            if ((sa != 0.0) & (np.abs(sa) < np.finfo(float).tiny)).any():   # 1/a overflows
+            if ((sa[sd] != 0.0) & (np.abs(sa[sd]) < np.finfo(float).tiny)).any():  # 1/a overflows
                 raise DomainError("kummer_m: the a-derivative refuses a subnormal a")
-            values, est, *slopes = _kummer_series_grid(sa, sb, flat, da=True)
+            values, est, *slopes = _kummer_series_grid(sa, sb, flat, sd)
+            slopes = [part.reshape((np.count_nonzero(sd),) + z.shape) for part in slopes]
         else:
             if low.any():
                 # M(a; b; z) = e^z M(b - a; b; -z) at the low points.
@@ -232,18 +242,16 @@ def _kummer_rows(a: list, b: list, z: np.ndarray, da: bool = False):
                 scale = exp(z.reshape(-1)[low])
                 est[:, low] = scale * est[:, low] + _EPS * np.abs(scale * values[:, low])
                 values[:, low] *= scale
-        shape = (len(series),) + z.shape
-        if da:
-            slopes = [part.reshape(shape) for part in slopes]
-        elif len(series) == len(rows):
-            return values.reshape(shape), est.reshape(shape)
+            if len(series) == len(rows):
+                shape = (len(series),) + z.shape
+                return values.reshape(shape), est.reshape(shape)
         for j, i in enumerate(series):
             if rows[i] is None:
                 rows[i] = values[j].reshape(z.shape), est[j].reshape(z.shape)
     shape = (len(rows),) + z.shape
     values = np.array([row[0] for row in rows]).reshape(shape)
     est = np.array([row[1] for row in rows]).reshape(shape)
-    return (values, est, *slopes) if da else (values, est)
+    return (values, est, *slopes) if any(derive) else (values, est)
 
 
 def _series_ratios(ks: slice, a, b, z, out=None, removed: bool = False):
@@ -322,7 +330,7 @@ def _first_block(a: np.ndarray, b: np.ndarray, z: np.ndarray, da: bool = False) 
     return min(last + 1, KUMMER_MAX_TERMS)
 
 
-def _kummer_series_grid(a: np.ndarray, b: np.ndarray, z: np.ndarray, da: bool = False):
+def _kummer_series_grid(a: np.ndarray, b: np.ndarray, z: np.ndarray, da=None):
     """The Kummer series per column: (values, error estimates), each (rows, points).
 
     Column (i, j) is the series of M(a[i, j]; b[i]; z[j]): a has shape
@@ -335,68 +343,85 @@ def _kummer_series_grid(a: np.ndarray, b: np.ndarray, z: np.ndarray, da: bool = 
     only which products are computed, never their values, so a column's
     bits do not depend on it.
 
-    With da (a of shape (rows, 1)), the a-derivatives (sums of term_k H_k)
-    and their estimates follow.  A column whose a is a nonpositive integer
-    then has no value of its own: the caller takes it from the polynomial.
+    da is None or a bool per row (a of shape (rows, 1)); the rows it sets
+    are derivative rows, and their a-derivatives (sums of term_k H_k) and
+    estimates follow, one row each.  H_k, A_k, the derivative stop scan
+    and the derivative sums run on those rows' columns alone, so a value
+    row costs and rounds as in a call without derivatives.  A derivative
+    row whose a is a nonpositive integer has no value of its own: the
+    caller takes it from the polynomial.
     """
     rows, n = a.shape[0], z.shape[0]
     size = rows * n
     cols = np.arange(size)
-    # Per stop rule: each column's last term and peak, the columns it
-    # scans, and the weights of the magnitudes (A_k per term and row, or None).
+    derived = np.flatnonzero(da) if da is not None else cols[:0]
+    # Each column's last term and peak: by the value's stop rule on the
+    # columns it scans (valued), and by the derivative's on the
+    # derivative rows' columns (dcols).
     last, peak = np.empty(size, dtype=int), np.empty(size)
-    rules = [(last, peak, cols, None)]
-    if da:
-        # H_k and A_k of every row (columns) for every term index k (rows);
-        # past a polynomial's degree n the terms carry the multiplier 1.
-        poly = (a[:, 0] <= 0) & (a[:, 0] == np.floor(a[:, 0]))
-        with np.errstate(divide="ignore"):
-            inv = 1.0 / (_K[:, None] + a[:, 0])
-        h_sum = np.zeros((KUMMER_MAX_TERMS + 1, rows))
-        a_sum = np.zeros_like(h_sum)
-        np.cumsum(inv, axis=0, out=h_sum[1:])
-        np.cumsum(np.abs(inv), axis=0, out=a_sum[1:])
-        past = _TERM_INDEX > np.where(poly, -a[:, 0], np.inf)
-        np.putmask(h_sum, past, 1.0)
-        np.putmask(a_sum, past, 1.0)
-        poly_cols = np.repeat(poly, n)
-        last[poly_cols], peak[poly_cols] = 0, 1.0      # term 0 alone: not summed for use
-        dlast, dpeak = np.empty(size, dtype=int), np.empty(size)
-        rules = [(last, peak, cols[~poly_cols], None), (dlast, dpeak, cols, a_sum)]
+    valued = cols
+    if derived.size:
+        ad = a[derived, 0]
+        poly = (ad <= 0) & (ad == np.floor(ad))
+        if poly.any():      # a polynomial's value is the caller's: term 0 alone, not summed for use
+            poly_cols = np.repeat(np.isin(np.arange(rows), derived[poly]), n)
+            last[poly_cols], peak[poly_cols] = 0, 1.0
+            valued = cols[~poly_cols]
+        dcols = np.arange(derived.size * n)
+        dlast, dpeak = np.empty_like(dcols), np.empty(dcols.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        for count in (_first_block(a, b, z, da), KUMMER_MAX_TERMS):
+        for count in (_first_block(a, b, z, derived.size > 0), KUMMER_MAX_TERMS):
             terms = np.empty((count + 1, size))
             terms[0] = 1.0
             head = terms[1:]
             _series_ratios(slice(0, count), a, b, z, out=head.reshape(count, rows, n),
-                           removed=da)
+                           removed=derived.size > 0)
             _accumulate(np.multiply, head, head)
             mag = np.abs(terms)
-            going = []
-            for stop, top, scanned, weight in rules:
-                part = mag if scanned is cols else mag[:, scanned]
-                if weight is not None:
-                    part = part * weight[:count + 1][:, scanned // n]
-                going.append(_stop_scan(part, stop, top, scanned, weight is None))
-            if not any(going) or count == KUMMER_MAX_TERMS:
+            part = mag if valued is cols else mag[:, valued]
+            going = _stop_scan(part, last, peak, valued, True)
+            if derived.size:
+                h_sum, a_sum = _harmonic_sums(ad, poly, count)
+                part = (mag.reshape(count + 1, rows, n)[:, derived]
+                        * a_sum[:, :, None]).reshape(count + 1, -1)
+                going |= _stop_scan(part, dlast, dpeak, dcols, False)
+            if not going or count == KUMMER_MAX_TERMS:
                 break
         del mag, part       # freed before the sums allocate theirs
-        if any(going):
+        if going:
             raise AccuracyError(_NOT_CONVERGED)
-        if da:       # before the terms past each value stop are zeroed
+        if derived.size:       # before the terms past each value stop are zeroed
             count = dlast.max(initial=0) + 1
-            kept = (terms[:count].reshape(count, rows, n)
-                    * h_sum[:count, :, None]).reshape(count, size)
+            kept = (terms[:count].reshape(count, rows, n)[:, derived]
+                    * h_sum[:count, :, None]).reshape(count, -1)
             np.putmask(kept, _TERM_INDEX[:count] > dlast, 0.0)
             # H_k adds one rounding per index, so the rounding grows with the count.
-            dest = np.abs(kept[dlast, cols]) + _EPS * dpeak * (dlast + 1)
-            slopes = _fsum_columns(kept, dpeak).reshape(rows, n), dest.reshape(rows, n)
+            dest = np.abs(kept[dlast, dcols]) + _EPS * dpeak * (dlast + 1)
+            shape = derived.size, n
+            slopes = _fsum_columns(kept, dpeak).reshape(shape), dest.reshape(shape)
     kept = terms[:last.max(initial=0) + 1]
     np.putmask(kept, _TERM_INDEX[:len(kept)] > last, 0.0)
     # Truncation bound from the last term plus rounding at the series peak.
     est = np.abs(terms[last, cols]) + _EPS * peak * _SQRT_COUNT[last + 1]
     values, est = _fsum_columns(kept, peak).reshape(rows, n), est.reshape(rows, n)
-    return (values, est, *slopes) if da else (values, est)
+    return (values, est, *slopes) if derived.size else (values, est)
+
+
+def _harmonic_sums(a: np.ndarray, poly: np.ndarray, count: int) -> np.ndarray:
+    """(H, A) of the a-derivative's terms 0 to count, each (count + 1, a.size).
+
+    H[k, i] = sum_{j<k} 1/(a[i] + j) and A[k, i] = sum_{j<k} 1/|a[i] +
+    j|; past a polynomial's degree n (poly[i], a[i] = -n) both are 1, the
+    multiplier its terms carry there.  Each is a running sum, so its first
+    rows do not depend on count.
+    """
+    with np.errstate(divide="ignore"):
+        inv = 1.0 / (_K[:count, None] + a)
+    sums = np.zeros((2, count + 1, a.size))
+    np.cumsum(inv, axis=0, out=sums[0, 1:])
+    np.cumsum(np.abs(inv), axis=0, out=sums[1, 1:])
+    np.copyto(sums, 1.0, where=_TERM_INDEX[:count + 1] > np.where(poly, -a, np.inf))
+    return sums
 
 
 def _stop_scan(mag: np.ndarray, stop: np.ndarray, top: np.ndarray,
@@ -517,7 +542,7 @@ def _digamma_difference(x: float, alpha: float) -> float:
             - (_digamma_tail(x + alpha) - _digamma_tail(x)))
 
 
-def assoc_laguerre_grid(degree, alpha, z: np.ndarray, degree_derivative: bool = False):
+def assoc_laguerre_grid(degree, alpha, z: np.ndarray, degree_derivative=False):
     """Associated Laguerre function L_degree^alpha(z), real degree, at every entry of z.
 
     Evaluated through L_n^a(z) = binom(n+a, n) * M(-n; a+1; z), with the
@@ -529,17 +554,22 @@ def assoc_laguerre_grid(degree, alpha, z: np.ndarray, degree_derivative: bool = 
     Gamma-ratio prefactor is computed once per row.  A call with several
     rows raises the first error any row meets.
 
-    With degree_derivative, the result is a pair of ``SpecialGrid``s:
-    the values and, row for row, d/d(degree) of L_degree^alpha, which is
+    degree_derivative is a bool, or a sequence of one per row.  With any
+    row set, the result is a pair of ``SpecialGrid``s: the values and, one
+    row per row set, in row order, d/d(degree) of L_degree^alpha, which is
     binom(degree + alpha, degree) [(psi(degree + alpha + 1) -
     psi(degree + 1)) M - dM/da] at a = -degree, b = alpha + 1 (at a
     Gamma(degree + 1) pole, the binomial's slope times M).  z must then
-    be at least ``KUMMER_SERIES_Z_MIN``.
+    be at least ``KUMMER_SERIES_Z_MIN``.  The value rows are those of a
+    call without derivatives, and each derivative row that of a call that
+    derives every row, bit for bit.
     """
     z = np.asarray(z, dtype=float)
     single = np.ndim(degree) == 0
     rows = ([(float(degree), float(alpha))] if single
             else list(zip(map(float, degree), map(float, alpha))))
+    derive = ([degree_derivative] * len(rows) if isinstance(degree_derivative, bool)
+              else list(degree_derivative))
     for d, al in rows:
         for name, val in (("degree", d), ("alpha", al)):
             if not math.isfinite(val):
@@ -551,24 +581,28 @@ def assoc_laguerre_grid(degree, alpha, z: np.ndarray, degree_derivative: bool = 
         if _is_nonpositive_integer(al + 1.0):
             raise DomainError("assoc_laguerre: alpha+1 must not be a nonpositive integer")
         # At a Gamma(degree+1) pole the row vanishes identically.
-        if degree_derivative or not _is_nonpositive_integer(d + 1.0):
+        if derive[i] or not _is_nonpositive_integer(d + 1.0):
             live.append(i)
             prefactors.append(_laguerre_prefactor(d, al))
     hyp, hyp_est, *dhyp = _kummer_rows([-rows[i][0] for i in live],
-                                       [rows[i][1] + 1.0 for i in live], z, degree_derivative)
+                                       [rows[i][1] + 1.0 for i in live], z,
+                                       [derive[i] for i in live])
     shape = (-1,) + (1,) * z.ndim
     scale = np.array(prefactors).reshape(shape)
     with np.errstate(over="ignore", invalid="ignore"):  # SpecialGrid refuses inf/NaN
         values = scale * hyp
         est = np.abs(scale) * hyp_est + _EPS * np.abs(values)
-        if degree_derivative:
-            # Per row: derivative = scale (c_m M + c_da dM/da).
-            pole = np.array([_is_nonpositive_integer(d + 1.0) for d, _ in rows])
-            c_m = np.array([1.0 if p else _digamma_difference(d + 1.0, al)
-                            for p, (d, al) in zip(pole, rows)]).reshape(shape)
-            c_da = np.where(pole, 0.0, -1.0).reshape(shape)
-            dvalues = scale * (c_m * hyp + c_da * dhyp[0])
-            dest = (np.abs(scale) * (np.abs(c_m) * hyp_est + np.abs(c_da) * dhyp[1])
+        if dhyp:
+            # Per derivative row: derivative = scale (c_m M + c_da dM/da).
+            pole = np.array([_is_nonpositive_integer(rows[i][0] + 1.0) for i in live])
+            derived = np.array([derive[i] for i in live], dtype=bool)
+            c_m = np.array([1.0 if p else _digamma_difference(rows[i][0] + 1.0, rows[i][1])
+                            for i, p in zip(np.array(live)[derived], pole[derived])])
+            c_m = c_m.reshape(shape)
+            c_da = np.where(pole[derived], 0.0, -1.0).reshape(shape)
+            dvalues = scale[derived] * (c_m * hyp[derived] + c_da * dhyp[0])
+            dest = (np.abs(scale[derived]) * (np.abs(c_m) * hyp_est[derived]
+                                              + np.abs(c_da) * dhyp[1])
                     + _EPS * np.abs(dvalues))
             values[pole], est[pole] = 0.0, 0.0
     if len(live) < len(rows):
@@ -578,7 +612,7 @@ def assoc_laguerre_grid(degree, alpha, z: np.ndarray, degree_derivative: bool = 
         values[live], est[live] = live_values, live_est
     if single:
         values, est = values[0], est[0]
-    if degree_derivative:
+    if dhyp:
         if single:
             dvalues, dest = dvalues[0], dest[0]
         return SpecialGrid(values, est), SpecialGrid(dvalues, dest)

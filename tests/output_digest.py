@@ -20,8 +20,8 @@ Runs ``dunkl_darboux.cli.run(argv)`` in-process, from CHECKOUT's ``src``
 - a non-finite E, dV-hat/dE or Wronskian, and a confluent refusal met by the
   validation of the chain joined by Phi's rows,
 - commands whose float overflow numpy reported as a RuntimeWarning (a
-  Phi-hat determinant, the seed's product, U_E(y) at a subnormal E), and
-  the PDM route at a subnormal E,
+  Phi-hat determinant, the seed's product, U_E(y) at a subnormal E, x^2
+  at a grid end near the float limit), and the PDM route at a subnormal E,
 
 and prints one ``<sha256>  <argv>`` line per command.  The digest covers
 the exit code (or the type and message of an exception that escapes
@@ -178,8 +178,10 @@ NON_FINITE = [
 
 
 # Overflows that escaped as a RuntimeWarning: the nu = 250 confluent
-# Phi-hat determinant, the nu = 400 seed's e^{-z/2 + (r/2) y} L, and
-# U_E(y)'s e^{4y}/E at E = 1e-310; and the PDM route at E = 1e-310, which
+# Phi-hat determinant (printed as nan), the nu = 400 seed's
+# e^{-z/2 + (r/2) y} L, U_E(y)'s e^{4y}/E at E = 1e-310, and x^2 at a grid
+# end near the float limit in figure 1's states and in the initial
+# potential of figures 3 and 7; and the PDM route at E = 1e-310, which
 # reported its overflow as a failed check.
 OVERFLOWS = [
     ["darboux", "--kind", "confluent", "--nu", "250", "--delta", "-1", "--energy", "4",
@@ -190,6 +192,9 @@ OVERFLOWS = [
      "--grid-hi=25", "--grid-count", "2"],
     ["verify", "--scenario", "harmonic-energy-pdm", "--nu", "2.5", "--delta", "1",
      "--energy", "1e-310"],
+    ["figure", "1", "--grid-lo=-1.7e+308", "--grid-hi=1", "--grid-count", "2"],
+    ["figure", "3", "--grid-hi=1.7e+308", "--grid-count", "2"],
+    ["figure", "7", "--grid-lo=-1.7e+308", "--grid-hi=1", "--grid-count", "2"],
 ]
 
 

@@ -343,8 +343,11 @@ def test_zero_kummer_coefficient_reads_no_series(delta, n, monkeypatch, capsys):
 # on stderr: each keeps its exit code and output with warnings as errors.
 # The PDM route at E = 1e-310 reported the overflow as a failed check
 # (max residual nan, exit 2) and now refuses E by name.  The confluent
-# nu = 250 chain overflows its Phi-hat determinant at y = 3, the nu = 400
-# seed its product e^{-z/2 + (r/2) y} L, and U_E(y) its e^{4y}/E.
+# nu = 250 chain overflows its Phi-hat determinant at y = 3, which
+# darboux printed as nan and now refuses by column; the nu = 400 seed
+# overflows its product e^{-z/2 + (r/2) y} L, and U_E(y) its e^{4y}/E.
+# At a grid end near the float limit, x^2 overflows in figure 1's states
+# and in the initial potential of figures 3 and 7, which refuse the grid.
 @pytest.mark.parametrize("argv, code, stream, start", [
     (["darboux", "--nu", "1e6"], EXIT_USAGE, "err",
      "error: exp(5025.1241321172565): result overflows"),
@@ -355,13 +358,22 @@ def test_zero_kummer_coefficient_reads_no_series(delta, n, monkeypatch, capsys):
      EXIT_USAGE, "err", "error: power(1.024848391894543, 1.1999999999999999e+154)"),
     (["darboux", "--kind", "confluent", "--nu", "250", "--delta", "-1", "--energy", "4",
       "--grid-hi", "3", "--grid-count", "25"],
-     EXIT_OK, "out", "y,x,u_hat,v_hat,phi_hat,psi_hat"),
+     EXIT_USAGE, "err", "error: darboux: phi_hat is not finite at y=3.0"),
     (["verify", "--scenario", "harmonic-energy", "--nu", "400", "--delta", "1", "--n", "601",
       "--grid-count", "7"],
      EXIT_USAGE, "err", "error: non-finite sample at 0.09100909090909083"),
     (["darboux", "--nu", "170", "--delta", "-1", "--energy", "1e-310", "--grid-lo=-2",
       "--grid-hi=25", "--grid-count", "2"],
      EXIT_USAGE, "err", "error: kummer_m: |z| exceeds supported range 700.0"),
+    (["figure", "1", "--grid-lo=-1.7e+308", "--grid-hi=1", "--grid-count", "2"],
+     EXIT_USAGE, "err",
+     "error: figure 1: the grid is out of range: psi1 is not finite at x=-1.7e+308"),
+    (["figure", "3", "--grid-hi=1.7e+308", "--grid-count", "2"],
+     EXIT_USAGE, "err",
+     "error: figure 3: the grid is out of range: v_initial is not finite at x=1.7e+308"),
+    (["figure", "7", "--grid-lo=-1.7e+308", "--grid-hi=1", "--grid-count", "2"],
+     EXIT_USAGE, "err",
+     "error: figure 7: the grid is out of range: v_initial is not finite at x=-1.7e+308"),
 ])
 def test_overflow_raises_no_numpy_warning(argv, code, stream, start, capsys):
     with warnings.catch_warnings():

@@ -5,7 +5,8 @@ call of the series kernel, on the confluent validation grid, that grid's
 stencil nodes and the grids its caller names; ``verify``'s mapped-equation
 check reads Phi ahead on its grid and stencil nodes.  The kernel is
 elementwise, so every member, residual and refusal must be what the
-reads one grid at a time give, bit for bit.
+reads one grid at a time give, bit for bit.  Figure 4 reads dV-hat/dE
+from the same call, which derives the chain's rows and no others.
 """
 
 import numpy as np
@@ -18,8 +19,9 @@ from dunkl_darboux.errors import DunklDarbouxError
 from dunkl_darboux.libm import memo_scope
 from dunkl_darboux.model import DunklParams
 from dunkl_darboux.scenarios import (CONFLUENT_CHECK_GRID, ScenarioHarmonicEnergy,
-                                     bound_state_energy, mapped_initial_solution,
-                                     seeded_chain)
+                                     _mapped_degree, bound_state_energy,
+                                     mapped_initial_solution, seeded_chain,
+                                     standard_vhat_dE)
 
 
 @pytest.fixture
@@ -43,11 +45,12 @@ def kernel_calls(monkeypatch):
     (["darboux", "--kind", "standard", "--order", "1"], 1),
     (["figure", "7"], 3),
     (["figure", "3"], 3),
+    (["figure", "4"], 3),
 ])
 def test_kernel_call_budget_per_command(argv, calls, kernel_calls, capsys):
     # a confluent darboux reads its 12 rows on the validation grid, its
-    # stencil nodes and y joined with ln(e^y) in one call; figures 3 and
-    # 7 make one call per energy
+    # stencil nodes and y joined with ln(e^y) in one call; figures 3, 4
+    # and 7 make one call per energy
     assert cli.run(argv) == cli.EXIT_OK
     capsys.readouterr()
     assert len(kernel_calls) == calls
@@ -69,6 +72,43 @@ def test_chain_residuals_check_makes_one_kernel_call(kernel_calls):
     kernel_calls.clear()
     seeded_chain(None, 4.0, KIND_CONFLUENT)
     assert kernel_calls == [125]
+
+
+def test_figure_4_derives_only_the_chain_rows(monkeypatch, capsys):
+    # one call per energy reads the chain's four rows and Phi's two, and
+    # derives the chain's four: d, d - 1 at r = 0 and at r = 2
+    calls = []
+    real = specfun._kummer_rows
+
+    def recorded(a, b, z, da=False):
+        calls.append((list(a), np.broadcast_to(da, len(a)).tolist()))
+        return real(a, b, z, da)
+
+    monkeypatch.setattr(specfun, "_kummer_rows", recorded)
+    assert cli.run(["figure", "4", "--grid-count", "50"]) == cli.EXIT_OK
+    capsys.readouterr()
+    params = DunklParams(nu=2.5, delta=-1, mu=1)
+    assert len(calls) == 3
+    for n, (a, da) in enumerate(calls):
+        E = bound_state_energy(n, params, "ene1")
+        chain = [-(_mapped_degree(E, r) - k) for r in (0.0, 2.0) for k in (0.0, 1.0)]
+        assert da == [True] * 4 + [False] * 2
+        assert a[:4] == chain
+
+
+def test_figure_4_vhat_dE_agrees_with_its_own_kernel_call():
+    # figure 4's dV-hat/dE reads the chain's rows at z = e^{2 ln x}/sqrt(E);
+    # standard_vhat_dE makes its own call at z = x^2/sqrt(E): they agree to
+    # rounding
+    params = DunklParams(nu=2.5, delta=-1, mu=1)
+    xs = np.linspace(0.2, 3.0, 300)
+    for n in (0, 1, 2):
+        E = bound_state_energy(n, params, "ene1")
+        with memo_scope():
+            vhat_dE = seeded_chain(params, E, slopes=True)[2]
+            got = vhat_dE(xs)
+        want = standard_vhat_dE(E, xs)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
 
 def _bits(values):

@@ -362,14 +362,14 @@ def _count_builds(monkeypatch) -> list:
 
 
 def test_figure_4_kernel_calls_and_chain_builds(monkeypatch, capsys):
-    # per energy: the chain's four Laguerre rows joined by Phi's pair for
-    # Psi-hat, and one call for the four rows of dV-hat/dE with their
-    # degree derivatives; one (chain, Phi) build per energy
+    # per energy, one call: the chain's four Laguerre rows joined by Phi's
+    # pair for Psi-hat, the chain's rows with their degree derivatives for
+    # dV-hat/dE; one (chain, Phi) build per energy
     calls = _count_grid_calls(monkeypatch)
     builds = _count_builds(monkeypatch)
     assert cli.run(["figure", "4", "--grid-count", "50"]) == cli.EXIT_OK
     capsys.readouterr()
-    assert len(calls) == 6
+    assert [len(degrees) for degrees, _ in calls] == [6, 6, 6]
     assert len(builds) == 3
 
 

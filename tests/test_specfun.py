@@ -13,6 +13,8 @@ from scipy import special as sp
 
 from dunkl_darboux import specfun
 from dunkl_darboux.errors import AccuracyError, DomainError, DunklDarbouxError
+from dunkl_darboux.model import DunklParams
+from dunkl_darboux.scenarios import _mapped_degree, bound_state_energy, discriminant_root
 from dunkl_darboux.specfun import (BESSEL_SERIES_CUTOFF, KUMMER_Z_MAX, _fsum_columns,
                                    assoc_laguerre_grid, bessel_i, kummer_m,
                                    kummer_m_grid)
@@ -461,6 +463,59 @@ def test_first_block_size_changes_no_bit(rows, zs, far, da):
                 mp.setattr(specfun, name, value)
             outcomes.append(_kummer_rows_outcome(a, b, z, da))
     assert all(outcome == outcomes[0] for outcome in outcomes)
+
+
+@settings(max_examples=120, deadline=None)
+@given(rows=st.lists(st.tuples(st.one_of(st.floats(-20.0, 20.0).filter(
+                                             lambda a: a == 0.0 or abs(a) > 1e-300),
+                                         st.integers(-12, 0).map(float),
+                                         st.integers(-12, 0).map(lambda n: n + 4e-16)),
+                               st.floats(0.05, 20.0), st.booleans()),
+                     min_size=1, max_size=6).filter(lambda rows: any(r[2] for r in rows)),
+       zs=st.lists(st.floats(-1.0, 60.0), max_size=25))
+def test_derivative_rows_per_row_change_no_bit(rows, zs):
+    # Value and derivative rows in one call, polynomial and near-integer
+    # a among them: the value rows are those of a call without
+    # derivatives, and the derivative rows those of a call that derives
+    # every row, bit for bit, estimates included.
+    a, b, da = [list(col) for col in zip(*rows)]
+    z = np.array(zs)
+    values, est, slopes, slope_est = specfun._kummer_rows(a, b, z, da)
+    plain = specfun._kummer_rows(a, b, z)
+    every = specfun._kummer_rows(a, b, z, True)
+    assert _bits(values) == _bits(plain[0]) and _bits(est) == _bits(plain[1])
+    assert _bits(slopes) == _bits(every[2][da])
+    assert _bits(slope_est) == _bits(every[3][da])
+
+
+def _chain_rows(nu, delta, n):
+    """E and (degree, alpha) of the order-2 standard chain's four rows and of Phi's two."""
+    params = DunklParams(nu=nu, delta=delta, mu=1)
+    E = bound_state_energy(n, params, "ene1")
+    rs = (0.0, 2.0, discriminant_root(params))
+    return E, [(_mapped_degree(E, r) - k, 0.5 * r + k) for r in rs for k in (0.0, 1.0)]
+
+
+@pytest.mark.parametrize("nu, delta, n", [(nu, delta, n) for nu in (1.5, 2.5, 3.5)
+                                          for delta in (-1, 1) for n in (0, 2)])
+def test_chain_rows_derived_per_row_change_no_bit(nu, delta, n):
+    # The chains population's rows, as figure 4 reads them: the chain's
+    # four rows derived (at nu = 2.5, delta = -1 the r = 2 degree is
+    # 0.9999999999999996 or 2.9999999999999996, a near-integer), Phi's two
+    # not; the rows (1 - 4e-16, 1) and (1, 1) join them as a near-integer
+    # and an integer degree derived, and (-1, 2), a Gamma pole, as a value.
+    E, rows = _chain_rows(nu, delta, n)
+    rows += [(1 - 4e-16, 1.0), (1.0, 1.0), (-1.0, 2.0)]
+    derive = [True] * 4 + [False] * 2 + [True, True, False]
+    degrees, alphas = zip(*rows)
+    z = np.exp(2.0 * np.linspace(np.log(0.2), np.log(3.0), 60)) / math.sqrt(E)
+    values, slopes = assoc_laguerre_grid(degrees, alphas, z, degree_derivative=derive)
+    plain = assoc_laguerre_grid(degrees, alphas, z)
+    every = assoc_laguerre_grid(degrees, alphas, z, degree_derivative=True)[1]
+    assert _bits(values.values) == _bits(plain.values)
+    assert _bits(values.est_abs_errors) == _bits(plain.est_abs_errors)
+    assert _bits(slopes.values) == _bits(every.values[derive])
+    assert _bits(slopes.est_abs_errors) == _bits(every.est_abs_errors[derive])
 
 
 def test_a_derivative_refuses_a_subnormal_a():

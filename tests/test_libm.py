@@ -127,8 +127,11 @@ def test_output_does_not_depend_on_the_scope(monkeypatch, capsys):
 # Command -> libm elements it evaluates (its distinct inputs' sizes).
 ELEMENT_CEILINGS = {
     ("figure", "7", "--grid-count", "50"): 2975,
-    ("darboux", "--kind", "confluent"): 4375,
+    ("darboux", "--kind", "confluent"): 3535,
     ("verify", "--scenario", "harmonic-energy", "--nu", "2.5", "--delta", "-1"): 3700,
+    ("verify", "--scenario", "gaussian-mass", "--nu", "0.5", "--delta", "-1"): 6349,
+    ("figure", "4", "--grid-count", "50"): 850,
+    ("darboux",): 1950,
 }
 
 

@@ -26,20 +26,19 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .darboux import (DarbouxChain, KIND_CONFLUENT, KIND_STANDARD, OdeSolution,
-                      chain_residuals, residual_grids, transformed_pair)
+                      transformed_pair, transformed_potential, transformed_solution)
 from .errors import DomainError, DunklDarbouxError
-from .libm import exp, log, memo_scope, power
-from .model import (DunklParams, dunkl_residual, modified_norm,
-                    probability_density, sampled_parity_defect)
+from .libm import exp, log, power
+from .model import DunklParams, modified_norm, probability_density, state_checks
 from .pointmap import energy_relation_residual, induced_potential
-from .scenarios import (CONFLUENT_EPS1, ScenarioGaussianMass, ScenarioHarmonicEnergy,
+from .scenarios import (CONFLUENT_EPS1, MappedGrid, ScenarioGaussianMass, ScenarioHarmonicEnergy,
                         ScenarioHarmonicEnergyPdm, bound_state_energy,
-                        get_scenario, mapped_initial_solution,
+                        get_scenario, mapped_equation_residual,
                         pdm_equivalence_nu, pipeline_hatpsi, pipeline_vhat,
                         printed_bound_state, seeded_chain, SCENARIO_NAMES)
 
@@ -339,16 +338,13 @@ def _verify_solution(config: argparse.Namespace, scenario, params: DunklParams, 
     harmonic = isinstance(scenario, ScenarioHarmonicEnergy)
     norm = None if harmonic else modified_norm(system, psi, E)
     report = VerificationReport()
-    report.add("dunkl_residual",
-               _worst(np.abs(dunkl_residual(system, psi, E, grid, relative=True))), tol)
-    report.add("parity_defect", sampled_parity_defect(psi, grid), tol)
+    residual, defect = state_checks(system, psi, E, grid)
+    report.add("dunkl_residual", _worst(np.abs(residual)), tol)
+    report.add("parity_defect", defect, tol)
     if harmonic:
         relation_grid = np.linspace(-2.0, 1.0, 100)
-        phi = mapped_initial_solution(params, E, residual_grids(relation_grid, None))
-        chain = DarbouxChain(kind=KIND_STANDARD, funcs=((phi.f, phi.f1),), eps=(phi.eps,),
-                             background=scenario.form(), energy=E)
         report.add("mapped_equation_residual",
-                   _worst(chain_residuals(chain, relation_grid, h=None)), max(tol, 1e-6))
+                   mapped_equation_residual(params, E, relation_grid), max(tol, 1e-6))
     else:
         norm_ok = 0.0 if (norm.value > 0 and math.isfinite(norm.value)) else 1.0
         report.add("norm_positive_finite", norm_ok, 0.5)
@@ -467,11 +463,12 @@ def cmd_density(config: argparse.Namespace) -> int:
 
 
 def _build_chain(config: argparse.Namespace, params: DunklParams, E: float,
-                 grid: np.ndarray) -> Tuple[DarbouxChain, OdeSolution]:
-    """The command's chain and its seed Phi, their rows read ahead on grid (``seeded_chain``)."""
+                 grid: np.ndarray) -> Tuple[DarbouxChain, OdeSolution, Callable]:
+    """The command's chain, its seed Phi and their reader on grid (``seeded_chain``)."""
     return seeded_chain(params, E, config.chain_kind or KIND_STANDARD,
                         config.chain_order if config.chain_order is not None else 2,
-                        config.chain_eps[0] if config.chain_eps else CONFLUENT_EPS1, [grid])
+                        config.chain_eps[0] if config.chain_eps else CONFLUENT_EPS1,
+                        [MappedGrid(grid)])
 
 
 def _joined_grid(ys: np.ndarray, xs: np.ndarray):
@@ -482,14 +479,14 @@ def _joined_grid(ys: np.ndarray, xs: np.ndarray):
 
 
 def _chain_columns(E: float, chain: DarbouxChain, phi: OdeSolution, ys: np.ndarray,
-                   xs: np.ndarray):
+                   xs: np.ndarray, read: Callable, moved: np.ndarray):
     """(U-hat, Phi-hat, V-hat) of ``cmd_darboux``, from one ``transformed_pair`` call.
 
-    The call reads the chain on ``_joined_grid(ys, xs)``, whose kernel
-    rows the command's build read ahead.
+    The call takes the chain's read on ``_joined_grid(ys, xs)``, whose
+    kernel rows the command's build read; moved marks the points of ln(x)
+    that differ from y.
     """
-    grid, moved = _joined_grid(ys, xs)
-    u_grid, phi_grid = transformed_pair(chain, phi, grid)
+    u_grid, phi_grid = transformed_pair(chain, phi, read())
     u_ln = u_grid[:ys.size].copy()
     u_ln[moved] = u_grid[ys.size:]
     v_hat = E - power(xs, -2.0) * (0.25 - u_ln)
@@ -504,9 +501,9 @@ def cmd_darboux(config: argparse.Namespace) -> int:
     points of ln(x) that differ from y (one rounding of e^y moves about a
     third of them), by one ``transformed_pair`` call, and V-hat = E - x^-2
     (1/4 - U-hat(ln x)) takes U-hat from the same result.  The build reads
-    the chain's kernel rows ahead on that grid, with a confluent chain's
-    validation grids, in the command's one kernel call.  The routines are elementwise, so the
-    columns equal ``transformed_potential(chain, y)``,
+    the chain's kernel rows on that grid, with a confluent chain's
+    validation grids, in the command's one kernel call.  The routines are
+    elementwise, so the columns equal ``transformed_potential(chain, y)``,
     ``transformed_solution(chain, phi, y)`` and ``pipeline_vhat(E,
     chain, x)`` bit for bit; a refusal is the first this read meets.
     """
@@ -516,8 +513,9 @@ def cmd_darboux(config: argparse.Namespace) -> int:
     xs = exp(ys)
     if not xs.all():
         raise DomainError(f"darboux: x = e^y underflows to 0 at y={float(ys[xs == 0.0][0])}")
-    chain, phi = _build_chain(config, params, E, _joined_grid(ys, xs)[0])
-    u_hat, phi_hat, v_hat = _chain_columns(E, chain, phi, ys, xs)
+    grid, moved = _joined_grid(ys, xs)
+    chain, phi, read = _build_chain(config, params, E, grid)
+    u_hat, phi_hat, v_hat = _chain_columns(E, chain, phi, ys, xs, read, moved)
     psi_hat = power(xs, 0.5 - params.nu) * phi_hat
     header = ["y", "x", "u_hat", "v_hat", "phi_hat", "psi_hat"]
     _emit_table(config, header,
@@ -572,22 +570,27 @@ def _potential_rows(config: argparse.Namespace, kind: str):
     """Figures 3 and 7: initial potential and V-hat at the three energies.
 
     Each energy's chain (order 2, of ``kind``) is built and read on ln(x)
-    in one kernel call; a grid with x <= 0 is read by ``pipeline_vhat``,
-    which refuses it after the build.
+    in one kernel call; V-hat is ``pipeline_vhat``'s, with x^-2 and the
+    factors of ln(x) free of E computed once.  A grid with x <= 0 is
+    refused by ``pipeline_vhat`` after the first build.
     """
     params = _params(config, 2.5, -1)
     energies = [bound_state_energy(n, params, "ene1") for n in (0, 1, 2)]
     xs = _grid(config, 0.2, 3.0, 300)
-    grids = [log(xs)] if xs[0] > 0 else []      # the grid ascends
+    grids = [MappedGrid(log(xs))] if xs[0] > 0 else []      # the grid ascends
     # The initial potential is energy-scaled; the ground energy fixes
     # the displayed curve.
     with np.errstate(over="ignore"):
         v_initial = xs * xs / energies[0]
     _finite(f"figure {config.number}: the grid is out of range", ["x", "v_initial"],
             [xs, v_initial])
-    columns = [xs, v_initial]
-    columns += [pipeline_vhat(E, seeded_chain(None, E, kind, grids=grids)[0], xs)
-                for E in energies]
+    columns, scale = [xs, v_initial], None
+    for E in energies:
+        chain, _, *read = seeded_chain(None, E, kind, grids=grids)
+        if not read:
+            pipeline_vhat(E, chain, xs)     # refuses x <= 0
+        scale = power(xs, -2.0) if scale is None else scale     # as pipeline_vhat, once
+        columns.append(E - scale * (0.25 - transformed_potential(chain, read[0]())))
     return ["x", "v_initial", "v_hat_0", "v_hat_1", "v_hat_2"], _rows(*columns)
 
 
@@ -596,29 +599,41 @@ def _figure_hat(config: argparse.Namespace, nu: float, delta: int, density: bool
     params = _params(config, nu, delta)
     energies = [bound_state_energy(n, params, "ene1") for n in (0, 1, 2)]
     xs = _grid(config, 0.2, 3.0, 300)
-    states, slopes = [], []
+    grids = [MappedGrid(log(xs))] if xs[0] > 0 else []      # the grid ascends
+    states, slopes, scale = [], [], None
     for E in energies:      # the chain, Phi and figure 4's dV-hat/dE read one kernel call
-        chain, phi, *vhat_dE = seeded_chain(params, E, slopes=density)
-        states.append(pipeline_hatpsi(params, E, chain, xs, phi))
-        slopes += vhat_dE
+        chain, phi, *read = seeded_chain(params, E, grids=grids, slopes=density and bool(grids))
+        if not read:
+            pipeline_hatpsi(params, E, chain, xs, phi)      # refuses x <= 0
+        scale = power(xs, 0.5 - params.nu) if scale is None else scale   # as pipeline_hatpsi
+        states.append(scale * transformed_solution(chain, phi, read[0]()))
+        slopes += read[1:]
     if not density:
         return ["x", "psi_hat_0", "psi_hat_1", "psi_hat_2"], _rows(xs, *states)
     # Densities are normalized on the emitted grid (trapezoid rule over
     # the symmetric extension), which is the display contract.
-    columns = []
+    columns, weight = [], None
     for n, (psi, vhat_dE) in enumerate(zip(states, slopes)):
-        raw = power(psi, 2) * power(xs, 2.0 * params.nu)
+        square = power(psi, 2)
+        weight = power(xs, 2.0 * params.nu) if weight is None else weight
+        with np.errstate(over="ignore", invalid="ignore"):      # refused below
+            raw = square * weight
         dv_de = vhat_dE(xs)
         bad = ~np.isfinite(dv_de)       # where W underflows, and psi-hat is 0
         if bad.any():
             raise DomainError(f"figure 4: dV-hat/dE of p_hat_{n} is not finite at "
                               f"x={float(xs[bad][0])}")
-        raw = raw * (1.0 - dv_de)
-        weight = 2.0 * np.trapezoid(raw, xs)
-        if weight == 0.0:
+        with np.errstate(over="ignore", invalid="ignore"):
+            raw = raw * (1.0 - dv_de)
+            total = 2.0 * np.trapezoid(raw, xs)
+        bad = ~np.isfinite(raw)
+        if bad.any() or not math.isfinite(total):
+            at = f"at x={float(xs[bad][0])}" if bad.any() else "in its normalization"
+            raise DomainError(f"figure 4: p_hat_{n} overflows {at}")
+        if total == 0.0:
             raise DomainError(f"figure 4: the density of psi_hat_{n} integrates to 0 "
                               f"on the grid, so it cannot be normalized")
-        columns.append(raw / weight)
+        columns.append(raw / total)
     return ["x", "p_hat_0", "p_hat_1", "p_hat_2"], _rows(xs, *columns)
 
 
@@ -709,10 +724,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         _PARSER = build_parser()
     try:
         config = _settings(_PARSER.parse_args(argv))
-        # The command's repeated elementwise exp/log/power evaluations
-        # share one result; the memo is dropped when the command ends.
-        with memo_scope():
-            return _COMMANDS[config.command][3](config)
+        return _COMMANDS[config.command][3](config)
     except (UsageError, DunklDarbouxError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

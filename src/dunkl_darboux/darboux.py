@@ -15,30 +15,31 @@ cofactor formula.  ``chain_residuals`` is the one residual routine of
 standard-form equations, and ``validate_chain`` the one refusal on it.
 The chains themselves are built in ``scenarios``, where their family lives.
 
-``wronskian``, ``wronskian_first_derivative``, ``transformed_potential``,
-``transformed_solution`` and ``transformed_pair`` (U-hat and Phi-hat
-from one read of the chain, for callers that need both) take a float
-or an ndarray of points y and pass it unchanged to the chain
-functions, so a float gives a float and an ndarray is evaluated
+A chain's members and a solution Phi are jets: each maps y to its (u, u')
+there, the factors they share computed once.  The routines work on a
+``ChainRead``, the arrays of one read of the chain (and of Phi) at the
+points y: U(y) and every (u_j, u_j').  ``wronskian``,
+``wronskian_first_derivative``, ``transformed_potential``,
+``transformed_solution`` and ``transformed_pair`` (U-hat and Phi-hat from
+one read, for callers that need both) take a float or an ndarray of
+points y, which they read the chain at (``read``), or a read the caller
+already has (``scenarios.seeded_chain`` gives one per grid of its one
+kernel call).  A float gives a float, and an ndarray is evaluated
 elementwise, equal to the per-point calls bit for bit.
-``chain_residuals`` evaluates the chain functions on the whole grid it
-is given, so they must accept arrays there.  The routines
-that read several chain closures at the same points do so in one
-``libm.memo_scope``, so members that share special-function rows
-evaluate them once per grid.
+``chain_residuals`` reads the chain on the whole grid it is given and
+its members' u' on the stencil nodes; ``residuals`` takes those arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .errors import (CapabilityError, ConstructionError, DomainError, EvaluationError,
                      SingularityError)
-from .libm import memo_scope
-from .numerics import derivative, stencil_nodes
+from .numerics import derivative, sampled_derivative, stencil_nodes
 from .pointmap import SchrodingerForm
 
 DEFAULT_W_FLOOR = 1e-12
@@ -49,25 +50,34 @@ KIND_CONFLUENT = "confluent"
 
 @dataclass(frozen=True)
 class OdeSolution:
-    """Solution of a standard-form equation: value, derivative, spectral parameter."""
+    """Solution of a standard-form equation: its jet y -> (phi, phi'), and its spectral parameter.
 
-    f: Callable[[float], float]
-    f1: Callable[[float], float]
+    f and f1 are views of the jet.
+    """
+
+    jet: Callable[[float], Tuple[float, float]]
     eps: float
+
+    def f(self, y):
+        return self.jet(y)[0]
+
+    def f1(self, y):
+        return self.jet(y)[1]
 
 
 @dataclass(frozen=True)
 class DarbouxChain:
     """Ordered transformation functions with their spectral parameters.
 
-    ``energy`` fixes the energy at which the background potential is
-    evaluated; the chain functions solve the background equation at
-    their ``eps`` parameters (standard) or form a Jordan chain at the
-    single eps (confluent).
+    Each member is a jet y -> (u_j, u_j'), and ``funcs`` holds their
+    views, (u_j, u_j') pairs of functions of y.  ``energy`` fixes the
+    energy at which the background potential is evaluated; the members
+    solve the background equation at their ``eps`` parameters (standard)
+    or form a Jordan chain at the single eps (confluent).
     """
 
     kind: str
-    funcs: Tuple[Tuple[Callable[[float], float], Callable[[float], float]], ...]
+    members: Tuple[Callable[[float], Tuple[float, float]], ...]
     eps: Tuple[float, ...]
     background: SchrodingerForm
     energy: float
@@ -76,7 +86,7 @@ class DarbouxChain:
         if self.kind not in (KIND_STANDARD, KIND_CONFLUENT):
             raise DomainError(f"DarbouxChain: unknown kind {self.kind!r}")
         if self.kind == KIND_STANDARD:
-            if len(self.eps) != len(self.funcs):
+            if len(self.eps) != len(self.members):
                 raise DomainError("DarbouxChain: one eps per function required")
             if len(set(self.eps)) != len(self.eps):
                 raise DomainError("DarbouxChain: standard eps must be pairwise distinct")
@@ -86,7 +96,11 @@ class DarbouxChain:
 
     @property
     def order(self) -> int:
-        return len(self.funcs)
+        return len(self.members)
+
+    @property
+    def funcs(self) -> tuple:
+        return tuple((lambda y, m=m: m(y)[0], lambda y, m=m: m(y)[1]) for m in self.members)
 
     def potential(self, y: float) -> float:
         return self.background.u_e(self.energy, y)
@@ -101,10 +115,23 @@ class DarbouxOutput:
     wronskian_floor: float
 
 
-def _read(chain: DarbouxChain, y):
-    """U(y), then [(u_j(y), u_j'(y)), ...] of the members in chain order, in one memo scope."""
-    with memo_scope():
-        return chain.potential(y), [(f(y), d(y)) for f, d in chain.funcs]
+class ChainRead(NamedTuple):
+    """A chain, and a solution Phi with it, read at the points y.
+
+    u is U(y) (None where it is not read), members holds each member's
+    (u_j, u_j') in chain order and solution (Phi, Phi'), or None.
+    """
+
+    y: object
+    u: object
+    members: list
+    solution: Optional[tuple] = None
+
+
+def read(chain: DarbouxChain, y, phi: Optional[OdeSolution] = None) -> ChainRead:
+    """The chain read at y: U, then each member's jet, then phi's (if given)."""
+    return ChainRead(y, chain.potential(y), [member(y) for member in chain.members],
+                     None if phi is None else phi.jet(y))
 
 
 def _wronskian(chain: DarbouxChain, u, members: list):
@@ -180,31 +207,28 @@ def _refuse(bad, y, error, text: str) -> None:
 
 def wronskian(chain: DarbouxChain, y):
     """Wronskian of the chain functions (chains of order 0 to 2)."""
-    return _wronskian(chain, *_read(chain, y))[0]
+    return _wronskian(chain, *read(chain, y)[1:3])[0]
 
 
 def wronskian_first_derivative(chain: DarbouxChain, y):
     """W'(y) from Abel's identity (chains of order 0 to 2)."""
-    return _wronskian(chain, *_read(chain, y))[1]
+    return _wronskian(chain, *read(chain, y)[1:3])[1]
 
 
 def _checked_read(chain: DarbouxChain, y, phi: Optional[OdeSolution] = None):
-    """One read of the chain (and of phi) at y, under the floor of U-hat and Phi-hat.
+    """The chain's read at y (``read``, with phi; or y itself, a ``ChainRead``) and (W, W', W'').
 
     A W, W' or W'' that is not finite is refused by name, then a W = 0 or
-    |W| < DEFAULT_W_FLOOR * scale, each at its first y.  Returns U(y), the
-    members' (u_j, u_j') at y, (Phi, Phi') at y (None without phi) and
-    (W, W', W'') from ``_wronskian``.
+    |W| < DEFAULT_W_FLOOR * scale, each at its first y: the floor of U-hat
+    and Phi-hat.
     """
-    with memo_scope():
-        u, members = _read(chain, y)
-        solution = None if phi is None else (phi.f(y), phi.f1(y))
-    w, wp, wpp, scale = _wronskian(chain, u, members)
+    at = y if isinstance(y, ChainRead) else read(chain, y, phi)
+    w, wp, wpp, scale = _wronskian(chain, at.u, at.members)
     for name, part in (("W", w), ("W'", wp), ("W''", wpp)):
-        _refuse(~np.isfinite(part), y, EvaluationError, f"Wronskian {name} is not finite")
-    _refuse((w == 0.0) | (abs(w) < DEFAULT_W_FLOOR * scale), y, SingularityError,
+        _refuse(~np.isfinite(part), at.y, EvaluationError, f"Wronskian {name} is not finite")
+    _refuse((w == 0.0) | (abs(w) < DEFAULT_W_FLOOR * scale), at.y, SingularityError,
             "Wronskian below floor")
-    return u, members, solution, (w, wp, wpp)
+    return at, (w, wp, wpp)
 
 
 def _potential_hat(u, w, wp, wpp):
@@ -239,14 +263,14 @@ def _solution_hat(chain: DarbouxChain, phi_eps: float, u, members: list, w, v, g
 
 def transformed_potential(chain: DarbouxChain, y):
     """U-hat(y) = U(y) - 2 (log W)'', with W, W' and W'' from ``_wronskian``."""
-    u, _, _, wronskians = _checked_read(chain, y)
-    return _potential_hat(u, *wronskians)
+    at, wronskians = _checked_read(chain, y)
+    return _potential_hat(at.u, *wronskians)
 
 
 def transformed_solution(chain: DarbouxChain, phi: OdeSolution, y):
     """Phi-hat(y) = W(u_1..u_n, Phi) / W(u_1..u_n), under the floor of U-hat."""
-    u, members, (v, g), (w, _, _) = _checked_read(chain, y, phi)
-    return _solution_hat(chain, phi.eps, u, members, w, v, g)
+    at, (w, _, _) = _checked_read(chain, y, phi)
+    return _solution_hat(chain, phi.eps, at.u, at.members, w, *at.solution)
 
 
 def transformed_pair(chain: DarbouxChain, phi: OdeSolution, y):
@@ -256,15 +280,15 @@ def transformed_pair(chain: DarbouxChain, phi: OdeSolution, y):
     ``transformed_solution(chain, phi, y)`` bit for bit, and refused
     where either is: the floor is the same.
     """
-    u, members, (v, g), wronskians = _checked_read(chain, y, phi)
-    return (_potential_hat(u, *wronskians),
-            _solution_hat(chain, phi.eps, u, members, wronskians[0], v, g))
+    at, wronskians = _checked_read(chain, y, phi)
+    return (_potential_hat(at.u, *wronskians),
+            _solution_hat(chain, phi.eps, at.u, at.members, wronskians[0], *at.solution))
 
 
 def transform(chain: DarbouxChain, phi: OdeSolution, grid) -> DarbouxOutput:
     """The transformation as callables, with min |W| on a grid that passes U-hat's floor."""
     grid = np.asarray(grid, dtype=float)
-    _, _, _, (w, _, _) = _checked_read(chain, grid)
+    _, (w, _, _) = _checked_read(chain, grid)
     return DarbouxOutput(
         phi_hat=lambda t: transformed_solution(chain, phi, t),
         u_hat=lambda t: transformed_potential(chain, t),
@@ -275,9 +299,8 @@ def transform(chain: DarbouxChain, phi: OdeSolution, grid) -> DarbouxOutput:
 def intertwining_residual(chain: DarbouxChain, output: DarbouxOutput,
                           e_eff: float, y: float) -> float:
     """Residual of the transformed equation at y (stencil second derivative, step 1e-3)."""
-    with memo_scope():
-        phh = derivative(output.phi_hat, y, 2, 1e-3)
-        return phh + (e_eff - output.u_hat(y)) * output.phi_hat(y)
+    phh = derivative(output.phi_hat, y, 2, 1e-3)
+    return phh + (e_eff - output.u_hat(y)) * output.phi_hat(y)
 
 
 def residual_grids(grid: np.ndarray, h: Optional[float] = 5e-4) -> list:
@@ -292,24 +315,30 @@ def chain_residuals(chain: DarbouxChain, grid, h: Optional[float] = 5e-4) -> np.
     Standard: u_j'' + (eps_j - U) u_j.  Confluent: the Jordan-chain
     system with inhomogeneity -u_{j-1}.  Second derivatives come from
     stencils of step h (None: ``numerics.default_step``) on the
-    first-derivative channel.  The chain functions are evaluated on the
-    whole grid at once, and their derivatives on all the stencil nodes at
-    once: the two ``residual_grids``, which a caller may have read ahead.
+    first-derivative channel.  The chain is read on the whole grid at
+    once, and its members' u' on all the stencil nodes at once: the two
+    ``residual_grids`` (``residuals`` takes reads a caller already has).
     """
     grid = np.asarray(grid, dtype=float)
-    with memo_scope():      # members that share factors read them once per grid
-        u = chain.potential(grid)
-        values = [f(grid) for f, _ in chain.funcs]
-        seconds = [derivative(d, grid, 1, h) for _, d in chain.funcs]
-    out = np.zeros(len(chain.funcs))
+    on_grid = read(chain, grid)
+    nodes = stencil_nodes(grid, 1, h)
+    return residuals(chain, on_grid, [member(nodes)[1] for member in chain.members], h)
+
+
+def residuals(chain: DarbouxChain, on_grid: ChainRead, slopes: list,
+              h: Optional[float] = 5e-4) -> np.ndarray:
+    """``chain_residuals`` from the chain's read on the grid and each member's u' on its nodes."""
+    seconds = [sampled_derivative(g, on_grid.y, 1, h) for g in slopes]
+    out = np.zeros(len(chain.members))
     for j, second in enumerate(seconds):
         eps = chain.eps[j] if chain.kind == KIND_STANDARD else chain.eps[0]
+        value = on_grid.members[j][0]
         with np.errstate(all="ignore"):     # inf - inf and inf / inf are NaN: the check fails
-            term = (eps - u) * values[j]
+            term = (eps - on_grid.u) * value
             res = second + term
             scale = abs(second) + abs(term)
             if chain.kind == KIND_CONFLUENT and j > 0:
-                prev = values[j - 1]
+                prev = on_grid.members[j - 1][0]
                 res = res + prev
                 scale = scale + abs(prev)
             out[j] = np.max(abs(res) / np.maximum(scale, 1e-30), initial=0.0)
@@ -318,7 +347,11 @@ def chain_residuals(chain: DarbouxChain, grid, h: Optional[float] = 5e-4) -> np.
 
 def validate_chain(chain: DarbouxChain, grid, tol) -> None:
     """ConstructionError unless every residual is at most tol (a float, or one per member)."""
-    res = chain_residuals(chain, grid)
+    require_residuals(chain_residuals(chain, grid), tol)
+
+
+def require_residuals(res: np.ndarray, tol) -> None:
+    """ConstructionError unless every entry of res is at most tol."""
     if not np.all(res <= tol):
         raise ConstructionError(
             f"chain residuals {res} exceed tolerance {tol}")

@@ -18,19 +18,19 @@ grid, so the functions of the system and of psi must then accept it
 too, and every entry equals the per-float call bit for bit (powers go
 through ``libm.power``).  The guards are ``np.any`` tests, which reject
 a grid, with the per-point message, if any of its points fails.
-``sampled_parity_defect`` evaluates f on all its samples at once.
+``state_checks`` reads psi once for both of ``verify``'s checks of it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Tuple
 
 import numpy as np
 
 from .errors import ContractError, DomainError
-from .libm import memo_scope, power
+from .libm import power
 from .numerics import QuadratureResult, integrate_real_line
 
 @dataclass(frozen=True)
@@ -50,42 +50,72 @@ class DunklParams:
 
 @dataclass(frozen=True)
 class MassProfile:
-    """Mass profile with first and second derivative and definite parity."""
+    """Mass profile with definite parity, read as its jet.
 
-    m: Callable[[float], float]
-    m1: Callable[[float], float]
-    m2: Callable[[float], float]
+    jet(x) gives (m, m', m'') at x, with the factors they share computed
+    once; m, m1 and m2 are views of it.
+    """
+
+    jet: Callable[[float], Tuple[float, float, float]]
     parity: int
 
     def __post_init__(self):
         if self.parity not in (-1, 1):
             raise DomainError("MassProfile: parity must be +-1")
 
+    def m(self, x):
+        return self.jet(x)[0]
+
+    def m1(self, x):
+        return self.jet(x)[1]
+
+    def m2(self, x):
+        return self.jet(x)[2]
+
 
 @dataclass(frozen=True)
 class EnergyPotential:
-    """Potential V(E, x) together with its energy derivative dV/dE."""
+    """Potential V(E, x) with its energy derivative dV/dE, read at fixed x.
 
-    v: Callable[[float, float], float]
-    dv_dE: Callable[[float, float], float]
+    at(x) gives the pair of functions E -> V(E, x) and E -> dV/dE(E, x),
+    with the factors free of E computed once; v and dV_dE are views.
+    """
+
+    at: Callable[[float], Tuple[Callable[[float], float], Callable[[float], float]]]
+
+    def v(self, E, x):
+        return self.at(x)[0](E)
+
+    def dv_dE(self, E, x):
+        return self.at(x)[1](E)
 
 
 @dataclass(frozen=True)
 class ParityFunction:
-    """Function with definite parity; first derivative required, second optional.
+    """Function with definite parity, read as its jet.
 
-    ``dunkl_residual`` needs the second derivative f2; the density and the
-    parity check read only f.
+    jet(x, k) gives (f, f', ..., f^(k)) at x for k up to ``order``, with
+    the factors they share computed once and the others not at all (the
+    density and the parity check read only f).  f, f1 and f2 are views
+    of it.  ``dunkl_residual`` needs order 2.
     """
 
-    f: Callable[[float], float]
-    f1: Callable[[float], float]
+    jet: Callable[[float, int], tuple]
     parity: int
-    f2: Optional[Callable[[float], float]] = None
+    order: int = 2
 
     def __post_init__(self):
         if self.parity not in (-1, 1):
             raise DomainError("ParityFunction: parity must be +-1")
+
+    def f(self, x):
+        return self.jet(x, 0)[0]
+
+    def f1(self, x):
+        return self.jet(x, 1)[1]
+
+    def f2(self, x):
+        return self.jet(x, 2)[2]
 
 
 @dataclass(frozen=True)
@@ -107,30 +137,26 @@ def weight_exponent(params: DunklParams) -> float:
     return 2 * nu - delta * nu + delta * nu / mu
 
 
-def dunkl_residual(system: DunklSystem, psi: ParityFunction, E: float, x,
-                   relative: bool = False):
-    """Residual of the expanded governing equation at x (zero on solutions).
-
-    With ``relative=True`` the residual is divided by the local scale,
-    the sum of the magnitudes of the three contributing terms (where
-    that sum is positive).  On a grid an overflowing or underflowing
-    term gives inf or NaN (a squared mass that underflows to 0 divides
-    by zero), and so does inf - inf or inf / inf; the residual reports
-    it, and numpy's warnings for it are not emitted.
-    """
+def _mass_at(system: DunklSystem, psi: ParityFunction, x):
+    """(m, m') at x, after the refusals of ``dunkl_residual`` that come before psi is read."""
     if np.any(x == 0):
         raise DomainError("dunkl_residual: x = 0 is outside the domain")
     if psi.parity != system.params.delta:
         raise ContractError("dunkl_residual: solution parity must match delta")
-    if psi.f2 is None:
+    if psi.order < 2:
         raise ContractError("dunkl_residual: psi needs its second derivative f2")
-    nu, delta, mu = system.params.nu, system.params.delta, system.params.mu
-    m = system.mass.m(x)
-    m1 = system.mass.m1(x)
+    m, m1, _ = system.mass.jet(x)
     if np.any(m == 0):
         raise DomainError("dunkl_residual: mass vanishes at evaluation point")
-    with memo_scope(), np.errstate(all="ignore"):     # f, f1 and f2 share their factors
-        kin = psi.f2(x) / (2 * m)
+    return m, m1
+
+
+def _residual(system: DunklSystem, E: float, x, m, m1, psi_at, relative: bool):
+    """The residual of ``dunkl_residual`` at x from (m, m') there and psi_at(), psi's jet there."""
+    nu, delta, mu = system.params.nu, system.params.delta, system.params.mu
+    with np.errstate(all="ignore"):
+        f, f1, f2 = psi_at()
+        kin = f2 / (2 * m)
         m_sq = power(m, 2)
         x_sq = power(x, 2)
         coeff1 = (-m1 / (2 * m_sq) + nu / (m * x) - nu * delta / (2 * m * x)
@@ -140,7 +166,7 @@ def dunkl_residual(system: DunklSystem, psi: ParityFunction, E: float, x,
                   + nu**2 / (2 * m * x_sq) - nu**2 * delta / (2 * m * x_sq)
                   + nu**2 * delta / (2 * mu * m * x_sq) - nu**2 / (2 * mu * m * x_sq)
                   + E - system.potential.v(E, x))
-        t1, t0 = coeff1 * psi.f1(x), coeff0 * psi.f(x)
+        t1, t0 = coeff1 * f1, coeff0 * f
         res = kin + t1 + t0
         if not relative:
             return res
@@ -148,6 +174,41 @@ def dunkl_residual(system: DunklSystem, psi: ParityFunction, E: float, x,
         if isinstance(res, np.ndarray):
             return np.divide(res, scale, out=res.copy(), where=scale > 0)
         return res / scale if scale > 0 else res
+
+
+def dunkl_residual(system: DunklSystem, psi: ParityFunction, E: float, x,
+                   relative: bool = False):
+    """Residual of the expanded governing equation at x (zero on solutions).
+
+    With ``relative=True`` the residual is divided by the local scale,
+    the sum of the magnitudes of the three contributing terms (where
+    that sum is positive).  On a grid an overflowing or underflowing
+    term gives inf or NaN (a squared mass that underflows to 0 divides
+    by zero), and so does inf - inf or inf / inf; the residual reports
+    it, and numpy's warnings for it are not emitted.  psi is read once,
+    as its jet of order 2.
+    """
+    m, m1 = _mass_at(system, psi, x)
+    return _residual(system, E, x, m, m1, lambda: psi.jet(x, 2), relative)
+
+
+def state_checks(system: DunklSystem, psi: ParityFunction, E: float, grid: np.ndarray):
+    """``verify``'s checks of psi on grid: (relative ``dunkl_residual``, parity defect).
+
+    The parity defect is max |f(-x) - parity f(x)| over the grid's points
+    x > 0 (0.0 if none; NaN if a value is NaN).  psi is read once, at the
+    grid and at the reflections of those points: the extension of a
+    half-line form by parity reads each |x| once.
+    """
+    m, m1 = _mass_at(system, psi, grid)
+    pos = grid > 0
+    n = grid.size
+    with np.errstate(all="ignore"):     # as in dunkl_residual: the residual reports inf and NaN
+        f, f1, f2 = psi.jet(np.concatenate([grid, -grid[pos]]), 2)
+    res = _residual(system, E, grid, m, m1, lambda: (f[:n], f1[:n], f2[:n]), True)
+    if not pos.any():
+        return res, 0.0
+    return res, float(np.max(np.abs(f[n:] - psi.parity * f[:n][pos])))
 
 
 def _weighted_amplitude(val, ax, w: float):
@@ -203,17 +264,3 @@ def probability_density(system: DunklSystem, psi: ParityFunction, E: float, x):
 def modified_norm(system: DunklSystem, psi: ParityFunction, E: float) -> QuadratureResult:
     """Norm integral of the modified density over the real line."""
     return integrate_real_line(lambda x: probability_density(system, psi, E, x))
-
-
-def sampled_parity_defect(f: ParityFunction, xs) -> float:
-    """Max |f(-x) - parity * f(x)| over the sampled x > 0 (0.0 if none).
-
-    ``verify`` reports it as the parity_defect check.  f is evaluated
-    once on the positive samples and once on their reflections, so it
-    must accept an ndarray; a NaN defect is returned as NaN.
-    """
-    xs = np.asarray(xs, dtype=float)
-    xs = xs[xs > 0]
-    if not xs.size:
-        return 0.0
-    return float(np.max(np.abs(f.f(-xs) - f.parity * f.f(xs))))

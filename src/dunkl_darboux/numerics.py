@@ -6,7 +6,7 @@ precision; every stencil applies one Richardson extrapolation step.
 as well as a float and then work elementwise, equal to the per-point
 calls bit for bit.  ``parameter_derivative`` has two users: the
 confluent chain, whose u2 is the eps-derivative of the mapped family
-(``scenarios.confluent_chain``, which builds the members at
+(``scenarios.seeded_chain``, which builds the members at
 ``parameter_probes`` itself), and
 ``pointmap.energy_relation_residual``, where the numerical dU/dE is the
 independent side of the check.  Figure 4's dV-hat/dE is analytic
@@ -102,21 +102,32 @@ def derivative(f: Callable[[float], float], y, order: int, h=None):
     One Richardson extrapolation step is applied, giving O(h^4)
     truncation.  For an ndarray y (h a float or an array of per-point
     steps), f must work elementwise: it is called once, on the
-    ``stencil_nodes`` of all points together.
+    ``stencil_nodes`` of all points together (``sampled_derivative``).
     """
+    if isinstance(y, np.ndarray):
+        return sampled_derivative(f(stencil_nodes(y, order, h)), y, order, h)
+    steps, _ = _layout(y, order, h)
+    samples = []
+    for step in steps:
+        s = {}
+        for k in _SHIFTS[order]:
+            node = y + k * step if k else y
+            s[k] = _check_finite(f(node), node, "sample at ")
+        samples.append(s)
+    return _extrapolated(order, samples, steps)
+
+
+def sampled_derivative(values: np.ndarray, y: np.ndarray, order: int, h=None):
+    """``derivative`` of f at the ndarray y from values = f(``stencil_nodes(y, order, h)``)."""
     steps, nodes = _layout(y, order, h)
     shifts = _SHIFTS[order]
-    if nodes is not None:
-        parts = np.split(_check_finite(f(nodes), nodes, "sample at "), 2 * len(shifts))
-        samples = [dict(zip(shifts, parts[i * len(shifts):])) for i in (0, 1)]
-    else:
-        samples = []
-        for step in steps:
-            s = {}
-            for k in shifts:
-                node = y + k * step if k else y
-                s[k] = _check_finite(f(node), node, "sample at ")
-            samples.append(s)
+    parts = np.split(_check_finite(values, nodes, "sample at "), 2 * len(shifts))
+    return _extrapolated(order, [dict(zip(shifts, parts[i * len(shifts):])) for i in (0, 1)],
+                         steps)
+
+
+def _extrapolated(order: int, samples: list, steps) -> float:
+    """The Richardson step of ``derivative`` from the samples at the coarse and fine step."""
     coarse = _stencil(order, samples[0], steps[0])
     fine = _stencil(order, samples[1], steps[1])
     return (4 * fine - coarse) / 3

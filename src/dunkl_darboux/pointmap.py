@@ -107,6 +107,53 @@ def inverse_map(phi_hat: Callable[[float], float], coord: CoordinateChange,
     return math.sqrt(radicand) * x ** (-prefactor_exponent(params)) * phi_hat(y)
 
 
+def _geometry(coord: CoordinateChange, mass: MassProfile, potential: EnergyPotential,
+              params: DunklParams, y):
+    """(x, x', m, square, dV/dE, E -> ``induced_potential``) at y, the terms free of E computed once.
+
+    A derivative of x that is x's own function (all of the exp map's) is
+    x itself, not evaluated again, and so is the square of anything that is
+    x (the exp map's x'', the PDM mass's m').
+    """
+    x = coord.x_of_y(y)
+    if np.any(abs(x) < COORD_SINGULARITY_GUARD):
+        raise DomainError("induced_potential: too close to the coordinate singularity")
+    xp = x if coord.d1 is coord.x_of_y else coord.d1(y)
+    if np.any(xp == 0):
+        raise DomainError("induced_potential: coordinate change not invertible here")
+    xpp, xppp = (x if d is coord.x_of_y else d(y) for d in (coord.d2, coord.d3))
+    m, m1, m2 = mass.jet(x)
+    nu, delta, mu = params.nu, params.delta, params.mu
+    xp2 = xp * xp
+    x_sq = power(x, 2)
+
+    def square(a):
+        return x_sq if a is x else power(a, 2)
+
+    with np.errstate(all="ignore"):     # overflow stays inf/NaN for the caller
+        tail = (- delta * nu * xp2 / (2 * x_sq),
+                - delta * nu * xp2 / (2 * mu * x_sq),
+                nu**2 * xp2 / (2 * x_sq),
+                nu**2 * xp2 / (2 * mu * x_sq),
+                - delta * nu * m1 * xp2 / (2 * m * x),
+                - delta * nu * m1 * xp2 / (2 * mu * m * x),
+                3 * square(m1) * xp2 / (4 * m * m),
+                - m2 * xp2 / (2 * m),
+                3 * square(xpp) / (4 * xp2),
+                - xppp / (2 * xp))
+
+    v, dv_dE = potential.at(x)
+
+    def at(E):
+        with np.errstate(all="ignore"):
+            total = E - 2 * E * m * xp2 + 2 * m * v(E) * xp2
+            for term in tail:
+                total = total + term
+            return total
+
+    return x, xp, m, square, dv_dE, at
+
+
 def induced_potential(coord: CoordinateChange, mass: MassProfile,
                       potential: EnergyPotential, params: DunklParams,
                       E: float, y: float) -> float:
@@ -115,35 +162,7 @@ def induced_potential(coord: CoordinateChange, mass: MassProfile,
     This is the full potential condition of the transformation; every
     geometric and mass-gradient term is written out explicitly.
     """
-    x = coord.x_of_y(y)
-    if np.any(abs(x) < COORD_SINGULARITY_GUARD):
-        raise DomainError("induced_potential: too close to the coordinate singularity")
-    xp = coord.d1(y)
-    if np.any(xp == 0):
-        raise DomainError("induced_potential: coordinate change not invertible here")
-    xpp = coord.d2(y)
-    xppp = coord.d3(y)
-    m = mass.m(x)
-    m1 = mass.m1(x)
-    m2 = mass.m2(x)
-    nu, delta, mu = params.nu, params.delta, params.mu
-    xp2 = xp * xp
-    x_sq = power(x, 2)
-    with np.errstate(all="ignore"):     # overflow stays inf/NaN for the caller
-        v = potential.v(E, x)
-        return (E
-                - 2 * E * m * xp2
-                + 2 * m * v * xp2
-                - delta * nu * xp2 / (2 * x_sq)
-                - delta * nu * xp2 / (2 * mu * x_sq)
-                + nu**2 * xp2 / (2 * x_sq)
-                + nu**2 * xp2 / (2 * mu * x_sq)
-                - delta * nu * m1 * xp2 / (2 * m * x)
-                - delta * nu * m1 * xp2 / (2 * mu * m * x)
-                + 3 * power(m1, 2) * xp2 / (4 * m * m)
-                - m2 * xp2 / (2 * m)
-                + 3 * power(xpp, 2) / (4 * xp2)
-                - xppp / (2 * xp))
+    return _geometry(coord, mass, potential, params, y)[-1](E)
 
 
 def energy_relation_residual(coord: CoordinateChange, mass: MassProfile,
@@ -153,11 +172,11 @@ def energy_relation_residual(coord: CoordinateChange, mass: MassProfile,
 
     For an energy-independent coordinate change,
     1 - dU/dE = 2 m(x(y)) x'(y)^2 (1 - dV/dE) must hold; the left-hand
-    derivative is taken numerically through the induced potential.
+    derivative is taken numerically through the induced potential, whose
+    terms free of E are computed once.
     """
-    du_dE = parameter_derivative(
-        lambda e, yy: induced_potential(coord, mass, potential, params, e, yy), E, y)
-    x = coord.x_of_y(y)
+    x, xp, m, square, dv_dE, at = _geometry(coord, mass, potential, params, y)
+    du_dE = parameter_derivative(lambda e, _: at(e), E, y)
     with np.errstate(all="ignore"):     # E * E may underflow to 0: inf fails the check
-        rhs = 2 * mass.m(x) * power(coord.d1(y), 2) * (1.0 - potential.dv_dE(E, x))
+        rhs = 2 * m * square(xp) * (1.0 - dv_dE(E))
         return (1.0 - du_dE) - rhs

@@ -39,15 +39,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, partial
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .darboux import (DarbouxChain, KIND_CONFLUENT, KIND_STANDARD, OdeSolution,
-                      residual_grids, transformed_potential, transformed_solution,
-                      validate_chain)
+from .darboux import (ChainRead, DarbouxChain, KIND_CONFLUENT, KIND_STANDARD, OdeSolution,
+                      require_residuals, residual_grids, residuals, transformed_potential,
+                      transformed_solution, validate_chain)
 from .errors import ConstructionError, ContractError, DomainError, SingularityError
-from .libm import exp, log, memo_scope, memoise_parts, memoised, power
+from .libm import exp, log, power
 from .model import (DunklParams, DunklSystem, EnergyPotential, MassProfile,
                     ParityFunction)
 from .numerics import (DEFAULT_PARAM_STEP_SCALE, PARAM_STENCIL_OFFSETS,
@@ -86,50 +87,70 @@ def monomial_exponent(params: DunklParams) -> float:
     return 0.5 - params.nu + 0.5 * discriminant_root(params)
 
 
+def _scaled_square(c: float, x):
+    """c x^2, formed as (c x) x, or a DomainError at the first |x| where it overflows."""
+    with np.errstate(over="ignore"):
+        value = c * x * x
+    bad = ~np.isfinite(value)
+    if np.any(bad):
+        at = float(np.abs(np.broadcast_to(x, np.shape(bad)))[bad][0])
+        raise DomainError(f"|x| = {at:g} is out of range: x^2 overflows")
+    return value
+
+
+def _extended(core, parity: int):
+    """The jet (x, k) -> (f, ..., f^(k)) of the extension by parity of core to x <= 0.
+
+    core(ax, k) is the jet of the half-line form at the ndarray ax > 0.
+    Each distinct |x| is read once, in the order it first occurs (a grid
+    and the reflections of its points read the grid's |x|), and a float x
+    is the one-point grid [x], with floats back.
+    """
+    signs = (parity, -parity, parity)
+
+    def jet(x, k):
+        grid = np.asarray(x, dtype=float).reshape(-1)
+        pos = grid > 0
+        ax = np.where(pos, grid, -grid)
+        _, first, back = np.unique(ax, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        at = rank[back.reshape(-1)]
+        parts = [np.where(pos, 1.0, sign) * v[at]
+                 for sign, v in zip(signs, core(ax[first[order]], k))]
+        if isinstance(x, np.ndarray):
+            return [part.reshape(x.shape) for part in parts]
+        return [float(part[0]) for part in parts]
+
+    return jet
+
+
 def _decaying_state(s: float, scale: float, decay: float, u, up, upp,
                     delta: int) -> ParityFunction:
     """e^{-decay x^2/2} x^s F(scale x^2) on x > 0, extended by parity delta.
 
-    u, up and upp are F, F' and F'' in their argument.  Both scenarios'
-    bound states take this form: gaussian-mass with scale 1 and decay 2,
-    harmonic-energy with scale = decay = 1/sqrt(E).  f, f1 and f2 take a
-    float or an ndarray of x; on an ndarray the half-line form is
-    evaluated once, on the reflected grid.
+    u, up and upp map an ndarray z to F, F' and F'' there, each read only
+    by the derivatives that need it.  Both scenarios' bound states take
+    this form: gaussian-mass with scale 1 and decay 2, harmonic-energy
+    with scale = decay = 1/sqrt(E).  Where x^2 overflows the state is
+    refused by |x|.
     """
 
-    def g(x):
-        return power(x, s) * u(scale * x * x)
+    def core(x, k):
+        z = _scaled_square(scale, x)
+        e = exp(-0.5 * decay * x * x)
+        if k == 0:
+            return [e * (power(x, s) * u(z))]
+        p2, f0, p, f1 = power(x, s - 2), u(z), power(x, s), up(z)     # in the order f'' reads them
+        g2 = (s * (s - 1) * p2 * f0 + (4 * s + 2) * scale * p * f1
+              + 4 * scale * scale * power(x, s + 2) * upp(z))
+        g1 = s * power(x, s - 1) * f0 + 2 * scale * power(x, s + 1) * f1
+        g = p * f0
+        return [e * g, e * (g1 - decay * x * g),
+                e * (g2 - 2 * decay * x * g1 + (decay * decay * x * x - decay) * g)]
 
-    def g1(x):
-        z = scale * x * x
-        return s * power(x, s - 1) * u(z) + 2 * scale * power(x, s + 1) * up(z)
-
-    def g2(x):
-        z = scale * x * x
-        return (s * (s - 1) * power(x, s - 2) * u(z)
-                + (4 * s + 2) * scale * power(x, s) * up(z)
-                + 4 * scale * scale * power(x, s + 2) * upp(z))
-
-    def core(x):
-        return exp(-0.5 * decay * x * x) * g(x)
-
-    def core1(x):
-        return exp(-0.5 * decay * x * x) * (g1(x) - decay * x * g(x))
-
-    def core2(x):
-        return exp(-0.5 * decay * x * x) * (
-            g2(x) - 2 * decay * x * g1(x) + (decay * decay * x * x - decay) * g(x))
-
-    def extend(fn, sign):
-        def ext(x):
-            if isinstance(x, np.ndarray):
-                pos = x > 0
-                return np.where(pos, 1.0, sign) * fn(np.where(pos, x, -x))
-            return fn(x) if x > 0 else sign * fn(-x)
-        return ext
-
-    return ParityFunction(f=extend(core, delta), f1=extend(core1, -delta),
-                          f2=extend(core2, delta), parity=delta)
+    return ParityFunction(jet=_extended(core, delta), parity=delta)
 
 
 # ---------------------------------------------------------------------------
@@ -143,21 +164,18 @@ class ScenarioGaussianMass:
     default_rule = "ene0"
 
     def mass(self) -> MassProfile:
-        def m(x):
-            return exp(-x * x)
+        def jet(x):         # refused where x^2 overflows
+            m = exp(_scaled_square(-1.0, x))
+            return m, -2 * x * m, (4 * x * x - 2) * m
 
-        return MassProfile(
-            m=m,
-            m1=lambda x: -2 * x * m(x),
-            m2=lambda x: (4 * x * x - 2) * m(x),
-            parity=1,
-        )
+        return MassProfile(jet=jet, parity=1)
 
     def potential(self) -> EnergyPotential:
-        return EnergyPotential(
-            v=lambda E, x: E - 2 * E * exp(x * x) - 0.5 * exp(x * x),
-            dv_dE=lambda E, x: 1.0 - 2 * exp(x * x),
-        )
+        def at(x):
+            grow = exp(x * x)
+            return (lambda E: E - 2 * E * grow - 0.5 * grow), (lambda E: 1.0 - 2 * grow)
+
+        return EnergyPotential(at=at)
 
     def coord(self) -> CoordinateChange:
         return sqrt_map()
@@ -181,10 +199,10 @@ def gaussian_solution_function(params: DunklParams, E: float) -> ParityFunction:
     """Decaying-form bound-state candidate for the gaussian-mass scenario.
 
     e^{-x^2} x^s M(a; b; x^2) with analytic derivatives via the Kummer
-    contiguous rule dM/dz = (a/b) M(a+1; b+1; z).  f, f1 and f2 accept
-    a float or an ndarray of x.  A derivative whose coefficient is
-    exactly 0 (a = 0, or a = -1 for the second) never reads its Kummer
-    factor; see ``_times_factor``.
+    contiguous rule dM/dz = (a/b) M(a+1; b+1; z).  Its jet takes a float
+    or an ndarray of x.  A derivative whose coefficient is exactly 0
+    (a = 0, or a = -1 for the second) never reads its Kummer factor; see
+    ``_times_factor``.
     """
     if not gaussian_admissible(params):
         raise ContractError(f"(delta, nu) = ({params.delta}, {params.nu}) not admissible")
@@ -198,16 +216,15 @@ def gaussian_solution_function(params: DunklParams, E: float) -> ParityFunction:
 
 
 def _times_factor(coef: float, a: float, b: float):
-    """z -> coef M(a; b; z), with M not read when coef is exactly 0.
+    """z -> coef M(a; b; z) on an ndarray z, with M not read when coef is exactly 0.
 
     coef is 0 only at a = 1 or 2 here; with b > 0 and z = x^2 >= 0,
-    M > 0, so the product is the zero of coef's sign.  That zero is
-    returned, a float for a float z.
+    M > 0, so the product is the zero of coef's sign, which is returned.
     """
     if coef != 0.0:
         factor = _kummer(a, b)
         return lambda z: coef * factor(z)
-    return lambda z: coef * (np.zeros_like(z) if isinstance(z, np.ndarray) else 0.0)
+    return lambda z: coef * np.zeros_like(z)
 
 
 def gaussian_solution(params: DunklParams, E: float, x: float,
@@ -250,7 +267,7 @@ _PRINTED_STATES = {
 def printed_bound_state(n: int, delta: int) -> ParityFunction:
     """The six explicitly printed bound states at nu = 1/2 (poly x gaussian).
 
-    f, f1 and f2 accept a float or an ndarray of x.  Where x^2 or the
+    The jet takes a float or an ndarray of x.  Where x^2 or the
     polynomial overflows (|x| from about 1e61 on), a value is 0 times
     inf, NaN, which the callers refuse.
     """
@@ -262,19 +279,15 @@ def printed_bound_state(n: int, delta: int) -> ParityFunction:
     dpoly = poly.deriv()
     ddpoly = dpoly.deriv()
 
-    def f(x):
+    def jet(x, k):
         with np.errstate(over="ignore", invalid="ignore"):
-            return exp(-x * x) * poly(x)
+            e = exp(-x * x)
+            if k == 0:
+                return [e * poly(x)]
+            return [e * poly(x), e * (dpoly(x) - 2 * x * poly(x)),
+                    e * (ddpoly(x) - 4 * x * dpoly(x) + (4 * x * x - 2) * poly(x))]
 
-    def f1(x):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return exp(-x * x) * (dpoly(x) - 2 * x * poly(x))
-
-    def f2(x):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return exp(-x * x) * (ddpoly(x) - 4 * x * dpoly(x) + (4 * x * x - 2) * poly(x))
-
-    return ParityFunction(f=f, f1=f1, f2=f2, parity=delta)
+    return ParityFunction(jet=jet, parity=delta)
 
 
 def bound_state_energy(n: int, params: DunklParams, rule: str) -> float:
@@ -319,14 +332,11 @@ class ScenarioHarmonicEnergy:
     default_rule = "ene1"
 
     def mass(self) -> MassProfile:
-        return MassProfile(m=lambda x: 0.5, m1=lambda x: 0.0,
-                           m2=lambda x: 0.0, parity=1)
+        return MassProfile(jet=lambda x: (0.5, 0.0, 0.0), parity=1)
 
     def potential(self) -> EnergyPotential:
-        return EnergyPotential(
-            v=lambda E, x: x * x / E,
-            dv_dE=lambda E, x: -x * x / (E * E),
-        )
+        return EnergyPotential(at=lambda x: ((lambda E: x * x / E),
+                                             (lambda E: -x * x / (E * E))))
 
     def coord(self) -> CoordinateChange:
         return exp_map()
@@ -344,8 +354,7 @@ class ScenarioHarmonicEnergy:
         A term that overflows (e^{4y}/E at a subnormal E) is inf, and U is
         inf or NaN there, which the Wronskian and residual checks refuse.
         """
-        with np.errstate(over="ignore", invalid="ignore"):
-            return 0.25 - E * exp(2 * y) + exp(4 * y) / E
+        return _mapped_u(E, exp(2 * y), exp(4 * y))
 
     @staticmethod
     def form() -> SchrodingerForm:      # the background of every chain
@@ -364,14 +373,15 @@ class ScenarioHarmonicEnergyPdm:
     solution = None
 
     def mass(self) -> MassProfile:
-        return MassProfile(m=lambda x: 0.5 * x * x, m1=lambda x: x,
-                           m2=lambda x: 1.0, parity=1)
+        return MassProfile(jet=lambda x: (0.5 * x * x, x, 1.0), parity=1)
 
     def potential(self) -> EnergyPotential:
-        return EnergyPotential(
-            v=lambda E, x: E + 1.0 / E - E / (x * x) - 2.0 / power(x, 4),
-            dv_dE=lambda E, x: 1.0 - 1.0 / (E * E) - 1.0 / (x * x),
-        )
+        def at(x):
+            quartic = power(x, 4)
+            return ((lambda E: E + 1.0 / E - E / (x * x) - 2.0 / quartic),
+                    (lambda E: 1.0 - 1.0 / (E * E) - 1.0 / (x * x)))
+
+        return EnergyPotential(at=at)
 
     def coord(self) -> CoordinateChange:
         return exp_map()
@@ -386,40 +396,17 @@ def pdm_equivalence_nu(nu_bar: float, delta_bar: int, delta: int) -> float:
     return 1.5 * delta + 0.5 * math.sqrt(radicand)
 
 
-def _row_group(kernel, rows, ahead=()) -> list:
-    """One closure z -> row i of kernel(rows, z) per row, the group read through ``memoised``.
-
-    kernel(unique, z) gives the group's distinct rows on the ndarray z, a
-    row listed twice being one row of the call; a float z is the
-    one-point grid [z] and gets a float back.  The key is (kernel,
-    unique), so within a memo scope every closure over the same rows
-    shares one kernel call per grid.  Rows belong together only when
-    every caller reads all of them on each grid: a chain's members, and
-    with them the seed Phi that the chain transforms (``seeded_chain``).
-    A kernel row does not depend on the rows beside it, so grouping
-    never changes a bit.  A package error of that call is raised by
-    whichever row is read, and nothing is stored.  The group is read on
-    each ndarray z of ``ahead`` now, in one kernel call, and stored in
-    the open memo (``libm.memoise_parts``), or not at all outside one.
-    """
-    unique = tuple(dict.fromkeys(rows))
-    memoise_parts((kernel, unique), ahead, kernel, unique)
-
-    def read(i, z):
-        grid = z if isinstance(z, np.ndarray) else np.array([z], dtype=float)
-        values = memoised((kernel, unique), grid, kernel, unique, grid)
-        return values[i] if grid is z else float(values[i][0])
-
-    return [lambda z, i=unique.index(row): read(i, z) for row in rows]
+def _kummer(a: float, b: float):
+    """z -> M(a; b; z) on an ndarray z, one kernel call per read."""
+    return lambda z: kummer_m_grid(a, b, z).values
 
 
-def _kummer_values(rows, z):
-    """M(a; b; z) as a one-row group, rows = ((a, b),)."""
-    (a, b), = rows
-    return kummer_m_grid(a, b, z).values[None]
+def _laguerre(degree: float, alpha: float):
+    """z -> L_degree^alpha(z) on an ndarray z, one kernel call per read."""
+    return lambda z: assoc_laguerre_grid(degree, alpha, z).values
 
 
-# The tag of a Laguerre group row (degree, alpha, _SLOPE): d/d(degree) of L_degree^alpha.
+# The tag of a Laguerre row (degree, alpha, _SLOPE): d/d(degree) of L_degree^alpha.
 _SLOPE = "d/d(degree)"
 
 
@@ -428,7 +415,8 @@ def _laguerre_values(rows, z):
 
     A row (degree, alpha, ``_SLOPE``) is d/d(degree) L_degree^alpha(z),
     derived from its (degree, alpha) row in the same call; such rows come
-    last, in the order of their (degree, alpha) rows.
+    last, in the order of their (degree, alpha) rows.  A kernel row does
+    not depend on the rows beside it, so grouping never changes a bit.
     """
     if len(rows[-1]) == 2:      # no slope rows
         return assoc_laguerre_grid(*zip(*rows), z).values
@@ -436,16 +424,6 @@ def _laguerre_values(rows, z):
     values, slopes = assoc_laguerre_grid(*zip(*plain), z, degree_derivative=[
         row + (_SLOPE,) in rows for row in plain])
     return np.concatenate([values.values, slopes.values])
-
-
-def _kummer(a: float, b: float):
-    """z -> M(a; b; z) for a float or an ndarray z, one ``_row_group`` row."""
-    return _row_group(_kummer_values, ((a, b),))[0]
-
-
-def _laguerre_rows(*rows, ahead=()):
-    """One closure z -> L_degree^alpha(z) per (degree, alpha) row, one ``_row_group``."""
-    return _row_group(_laguerre_values, rows, ahead)
 
 
 def _mapped_degree(E: float, r: float) -> float:
@@ -464,8 +442,8 @@ def harmonic_initial_solution_function(params: DunklParams, E: float) -> ParityF
 
     e^{-x^2/(2 sqrt(E))} x^s L_d^alpha(x^2/sqrt(E)); the exponential
     carries the decaying sign, fixed by the residual check (the printed
-    growing sign does not solve the equation).  f, f1 and f2 accept a
-    float or an ndarray of x.
+    growing sign does not solve the equation).  Its jet takes a float or
+    an ndarray of x.
     """
     if E <= 0:
         raise DomainError("harmonic_initial_solution: E must be positive")
@@ -474,7 +452,7 @@ def harmonic_initial_solution_function(params: DunklParams, E: float) -> ParityF
     degree, alpha = _mapped_degree(E, r), 0.5 * r
     # L, -L' = L_{d-1}^{a+1} and L'' = L_{d-2}^{a+2}, a factor each, so
     # each is evaluated only where it is read (density reads only psi)
-    u, lower, upp = (_laguerre_rows((degree - k, alpha + k))[0] for k in range(3))
+    u, lower, upp = (_laguerre(degree - k, alpha + k) for k in range(3))
 
     def up(z):
         return -lower(z)
@@ -483,100 +461,171 @@ def harmonic_initial_solution_function(params: DunklParams, E: float) -> ParityF
                            params.delta)
 
 
-def _mapped_z(E: float, y):
-    """z = e^{2y}/sqrt(E), the Laguerre argument of the mapped family at y."""
-    return (1.0 / math.sqrt(E)) * exp(2 * y)
+def _family_rows(E: float, r: float) -> list:
+    """L_d^{r/2} and L_{d-1}^{r/2+1} = -L', the Laguerre rows of the mapped family at index r."""
+    degree = _mapped_degree(E, r)
+    return [(degree, 0.5 * r), (degree - 1, 0.5 * r + 1)]
 
 
-def _family_lags(E: float, rs: Sequence[float], seed: Optional[DunklParams] = None,
-                 grids: Sequence = (), slopes: bool = False) -> tuple:
-    """(closures, Phi): L_d^{r/2} and L_{d-1}^{r/2+1} = -L' per index r of rs, one group.
-
-    Without a seed, Phi is None.  With one, the ``_laguerre_rows`` group
-    also holds Phi's two rows, the mapped family at r =
-    discriminant_root(seed), after those of rs (which are formed, and
-    refused, first), and Phi is that member as an ``OdeSolution`` whose
-    spectral parameter is the Dunkl constant delta nu - nu^2.  With
-    slopes, the group's last rows, and closures, are the degree
-    derivatives of the rows of rs, in their order, from the same kernel
-    call.  The group is read ahead at z = ``_mapped_z(E, y)`` of each
-    ndarray y of grids, in one kernel call, into the open memo.
-    """
-    def pair(r):
-        degree = _mapped_degree(E, r)
-        return [(degree, 0.5 * r), (degree - 1, 0.5 * r + 1)]
-
-    rows = [row for r in rs for row in pair(r)]
-    if seed is not None:
-        r = discriminant_root(seed)
-        rows += pair(r)
-    if slopes:
-        rows += [row + (_SLOPE,) for row in rows[:2 * len(rs)]]
-    with np.errstate(over="ignore"):   # z = inf at a subnormal E: the kernel refuses it
-        ahead = [_mapped_z(E, y) for y in grids]
-    lags = _laguerre_rows(*rows, ahead=ahead)
-    if seed is None:
-        return lags, None
-    phi, phi1 = _family_member(E, r, *lags[2 * len(rs):2 * len(rs) + 2])
-    return lags, OdeSolution(f=phi, f1=phi1, eps=seed.delta * seed.nu - seed.nu**2)
-
-
-def _family_member(E: float, r: float, u, lower):
-    """(Phi, Phi') of the mapped family at index r, on its two closures of ``_family_lags``.
+def _family(r: float, y, z, lag, low) -> tuple:
+    """(e^{-z/2 + (r/2) y}, Phi, Phi') of the mapped family at index r, from its rows at z.
 
     Phi(y) = e^{-z/2 + (r/2) y} L_d^{r/2}(z), z = e^{2y}/sqrt(E),
     d = -1/2 + E^{3/2}/4 - r/4, solves the mapped equation at spectral
-    parameter (1 - r^2)/4.  Phi and Phi' accept a float or an ndarray of y.
-    A product that overflows is inf or NaN, which the callers refuse.
+    parameter (1 - r^2)/4; lag and low are L_d^{r/2} and L_{d-1}^{r/2+1}
+    at z.  A product that overflows is inf or NaN, which the callers refuse.
     """
-    def phi(y):
-        z = _mapped_z(E, y)
-        scale, lag = exp(-0.5 * z + 0.5 * r * y), u(z)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return scale * lag
-
-    def phi1(y):
-        z = _mapped_z(E, y)
-        scale, lag, low = exp(-0.5 * z + 0.5 * r * y), u(z), lower(z)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return scale * ((0.5 * r - z) * lag - 2 * z * low)
-
-    return phi, phi1
+    scale = exp(-0.5 * z + 0.5 * r * y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return scale, scale * lag, scale * ((0.5 * r - z) * lag - 2 * z * low)
 
 
-def _mapped_family(E: float, rs: Sequence[float], lags: list) -> list:
-    """[(Phi, Phi'), ...] at indices rs, on ``lags``, two ``_family_lags`` closures per index."""
-    return [_family_member(E, r, *lags[2 * i:2 * i + 2]) for i, r in enumerate(rs)]
+def _mapped_u(E: float, e2y, e4y):
+    """U_E(y) = 1/4 - E e^{2y} + e^{4y}/E from e^{2y} and e^{4y} (see ``mapped_potential``)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 0.25 - E * e2y + e4y / E
 
 
-def mapped_initial_solution(params: DunklParams, E: float, grids: Sequence = ()) -> OdeSolution:
+class MappedGrid:
+    """Points y of the mapped variable, with e^{2y} and e^{4y} computed on their first read.
+
+    Both are free of E, so the chains of several energies read on one
+    MappedGrid (figures 3-7) compute them once.
+    """
+
+    def __init__(self, y: np.ndarray):
+        self.y = y
+
+    @cached_property
+    def e2y(self):
+        return exp(2 * self.y)
+
+    @cached_property
+    def e4y(self):
+        return exp(4 * self.y)
+
+
+@dataclass(frozen=True)
+class _Group:
+    """The Laguerre rows of a chain, and of its seed Phi, read in one kernel call per read.
+
+    The members read the mapped family at the indices rs, two rows each
+    (``_family_rows``): the standard chain's r = 0 and 2, or the confluent
+    chain's r at eps1 and at its four ``parameter_probes``.  Phi is the
+    family at r_seed (None: no seed).  ``rows`` are the distinct rows, in
+    the kernel's order, and ``pick`` the index into them of each row read:
+    those of rs, then Phi's, then (figure 4) the degree derivatives of the
+    chain's rows.
+    """
+
+    E: float
+    kind: str
+    rs: tuple
+    eps1: float
+    r_seed: Optional[float]
+    rows: tuple
+    pick: tuple
+
+    def at(self, grids: Sequence[MappedGrid]) -> list:
+        """(grid, z, rows at z) per grid of grids, the rows from one kernel call."""
+        with np.errstate(over="ignore"):   # z = inf at a subnormal E: the kernel refuses it
+            zs = [(1.0 / math.sqrt(self.E)) * grid.e2y for grid in grids]
+        values = _laguerre_values(self.rows, np.concatenate(zs))[list(self.pick)]
+        return list(zip(grids, zs, np.split(values, np.cumsum([z.size for z in zs])[:-1],
+                                            axis=1)))
+
+    def forms(self, y, z, v, seed: bool = True, values: bool = True) -> tuple:
+        """(members, Phi) at y from the rows v at z: each member's (u_j, u_j'), and
+        (Phi, Phi'), or None without a seed or with seed unset.
+
+        The standard chain's u1' keeps the form z (2 L' - L) e^{-z/2}: the
+        family's (r/2 - z) L + 2 z L' rounds differently, and where Phi is
+        u2 (delta nu - nu^2 = -3/4) the transformed state is pure rounding
+        noise that any change would move.  The confluent u2 is
+        ``numerics.parameter_derivative`` of the probes' values and
+        derivatives, its value left out (None) with values unset.
+        """
+        fam = [_family(r, y, z, v[2 * i], v[2 * i + 1]) for i, r in enumerate(self.rs)]
+        if not fam:
+            members = []
+        elif self.kind == KIND_STANDARD:
+            (scale, u1, _), *rest = fam
+            members = [(u1, scale * z * (2 * (-v[1]) - v[0]))] + [(u, g) for _, u, g in rest]
+        else:
+            (_, u1, g1), *probed = fam
+            by_eps = dict(zip(parameter_probes(self.eps1), probed))
+            members = [(u1, g1), tuple(
+                parameter_derivative(lambda e, _, k=k: by_eps[e][k], self.eps1, y)
+                if values or k == 2 else None for k in (1, 2))]
+        if self.r_seed is None or not seed:
+            return members, None
+        n = len(self.rs)
+        known = dict(zip(self.rs, fam)).get(self.r_seed)
+        _, phi, phi1 = known or _family(self.r_seed, y, z, v[2 * n], v[2 * n + 1])
+        return members, (phi, phi1)
+
+    def read(self, at: tuple) -> ChainRead:
+        """The chain and Phi read at the grid of ``at``: U, then the members, then Phi."""
+        grid, z, v = at
+        return ChainRead(grid.y, _mapped_u(self.E, grid.e2y, grid.e4y), *self.forms(grid.y, z, v))
+
+    def jets(self, y) -> tuple:
+        """(members, Phi) at y, a float or an ndarray, from one kernel call (floats for a float)."""
+        grid = y if isinstance(y, np.ndarray) else np.array([y], dtype=float)
+        (_, z, v), = self.at([MappedGrid(grid)])
+        members, phi = self.forms(grid, z, v)
+        if grid is y:
+            return members, phi
+        return [tuple(float(p[0]) for p in m) for m in members], phi and (
+            float(phi[0][0]), float(phi[1][0]))
+
+    def seed(self, params: DunklParams) -> OdeSolution:
+        """Phi, the seed of params in this group: the Dunkl constant delta nu - nu^2 its eps."""
+        return OdeSolution(jet=lambda y: self.jets(y)[1], eps=params.delta * params.nu - params.nu**2)
+
+
+def _group(E: float, kind: str, rs: Sequence[float], eps1: float,
+           seed: Optional[DunklParams], slopes: bool) -> _Group:
+    """The ``_Group`` of a chain's rows; its family degrees are refused before seed's nu."""
+    rows = [row for r in rs for row in _family_rows(E, r)]
+    r_seed = None if seed is None else discriminant_root(seed)
+    if seed is not None:
+        rows += _family_rows(E, r_seed)
+    if slopes:
+        rows += [row + (_SLOPE,) for row in rows[:2 * len(rs)]]
+    unique = tuple(dict.fromkeys(rows))
+    return _Group(E, kind, tuple(rs), eps1, r_seed, unique,
+                  tuple(unique.index(row) for row in rows))
+
+
+def mapped_initial_solution(params: DunklParams, E: float) -> OdeSolution:
     """The initial solution in mapped coordinates, with spectral parameter.
 
     The mapped family at r = sqrt(1 - 4 delta nu + 4 nu^2); its parameter
     is the Dunkl constant delta nu - nu^2.  ``seeded_chain`` gives the
-    same Phi in a chain's group.  Its rows are read ahead on grids, the
-    ndarrays of y a caller in an open memo scope will read, in one kernel
-    call (``_family_lags``).
+    same Phi with a chain.
     """
-    return _family_lags(E, [], params, grids)[1]
+    return _group(E, KIND_STANDARD, (), CONFLUENT_EPS1, params, False).seed(params)
+
+
+def mapped_equation_residual(params: DunklParams, E: float, grid: np.ndarray) -> float:
+    """The worst ``chain_residuals`` of Phi in its own mapped equation, at the default step.
+
+    Phi (``mapped_initial_solution``) is read, as the order-1 standard
+    chain of itself, on grid and on the grid's stencil nodes in one kernel
+    call, and U on grid only.
+    """
+    group = _group(E, KIND_STANDARD, (), CONFLUENT_EPS1, params, False)
+    phi = group.seed(params)
+    chain = DarbouxChain(kind=KIND_STANDARD, members=(phi.jet,), eps=(phi.eps,),
+                         background=ScenarioHarmonicEnergy.form(), energy=E)
+    on_grid, (nodes, z, v) = group.at([MappedGrid(g) for g in residual_grids(grid, None)])
+    at = group.read(on_grid)
+    slope = group.forms(nodes.y, z, v)[1][1]
+    return float(np.max(residuals(chain, at._replace(members=[at.solution]), [slope], None)))
 
 
 STANDARD_CHAIN_EPS = (0.25, -0.75)
-
-
-def _standard_u1p(E: float, lag, lower):
-    """u1' = z (2 L' - L) e^{-z/2} of the standard chain, on the closures L and -L' at r = 0.
-
-    u1 is the mapped family at r = 0, but u1' keeps this form: the
-    family's (r/2 - z) L + 2 z L' rounds differently, and where Phi is u2
-    (delta nu - nu^2 = -3/4) the transformed state is pure rounding noise
-    that any change would move.
-    """
-    def u1p(y):
-        z = _mapped_z(E, y)
-        return exp(-0.5 * z) * z * (2 * (-lower(z)) - lag(z))
-
-    return u1p
 
 
 def _validated(chain: DarbouxChain, validate: bool) -> DarbouxChain:
@@ -608,8 +657,10 @@ def confluent_chain(E: float, eps1: float = CONFLUENT_EPS1) -> DarbouxChain:
 
 
 # The confluent chain's validation grid: its residuals are read here and
-# at the grid's stencil nodes (``residual_grids``).
+# at the grid's stencil nodes (``residual_grids``), whose factors free of E
+# every confluent build shares.
 CONFLUENT_CHECK_GRID = np.linspace(-2.0, 1.0, 25)
+_CHECK_GRIDS = [MappedGrid(y) for y in residual_grids(CONFLUENT_CHECK_GRID)]
 
 # (kind, order) of each chain built here -> the public builder its E refusal names
 _CHAINS = {(KIND_STANDARD, 1): "standard_chain_order1",
@@ -620,7 +671,7 @@ _CHAINS = {(KIND_STANDARD, 1): "standard_chain_order1",
 def seeded_chain(params: Optional[DunklParams], E: float, kind: str = KIND_STANDARD,
                  order: int = 2, eps1: float = CONFLUENT_EPS1, grids: Sequence = (),
                  slopes: bool = False) -> tuple:
-    """(chain, Phi): the one builder of the chains, each built once, with its seed.
+    """(chain, Phi, reader per grid...): the one builder of the chains, with its seed.
 
     The chain is the unvalidated standard chain of ``order`` 1 or 2 (the
     mapped family at r = 0 and 2, eps = 1/4 and -3/4), or the confluent
@@ -629,25 +680,23 @@ def seeded_chain(params: Optional[DunklParams], E: float, kind: str = KIND_STAND
     of its value and y-derivative, on the members at the stencil's four
     probes.  Any other kind or order is refused.  Phi is the seed
     ``mapped_initial_solution(params, E)``, or None when params is None,
-    and its two rows join the chain's group (``_family_lags``), so the
-    chain and Phi read one kernel call per grid, bit for bit as each
-    would read alone.  That group is read ahead in one kernel call, on
-    the confluent chain's validation grids
-    (``residual_grids(CONFLUENT_CHECK_GRID)``) and on each ndarray of
-    ``grids``, the y its caller will read the chain on: a caller in an
-    open memo scope (``cli.run`` opens one per command) then reads the
-    group from the memo, as the validation does.  The confluent chain is
-    refused if u2 vanishes on the 25-point grid, or unless the residuals
-    there are at most 1e-7 (u1) and 1e-5 (u2).  The build-time refusals
-    (kind and order, eps1, E <= 0, the family degree) come before Phi's
-    nu; a kernel refusal is the first the read-ahead meets, on any of its
-    grids, and comes before the validation's.
+    and its two rows join the chain's (``_Group``), so every read of the
+    chain and Phi is one kernel call, bit for bit as each would read
+    alone.  The group is read once, in one kernel call, on the confluent
+    chain's validation grids (``residual_grids(CONFLUENT_CHECK_GRID)``)
+    and on each ``MappedGrid`` of ``grids``; for each of those the result
+    holds a reader, a function of no argument that forms the
+    ``ChainRead`` of the chain and Phi there (U, the members, Phi) when
+    its caller needs it.  The confluent chain is refused if u2 vanishes on the 25-point
+    grid, or unless the residuals there are at most 1e-7 (u1) and 1e-5
+    (u2).  The build-time refusals (kind and order, eps1, E <= 0, the
+    family degree) come before Phi's nu; a kernel refusal is the first
+    the read meets, on any of its grids, and comes before the validation's.
 
     With slopes (the order-2 standard chain only), the group also holds
-    the degree derivatives of the chain's four rows, and the result is
-    (chain, Phi, dV-hat/dE): x -> ``_vhat_dE`` at the points x > 0, read
-    at y = ln x from the group, so a caller that reads the chain on ln x
-    in an open memo scope pays no kernel call for it.
+    the degree derivatives of the chain's four rows, and the result ends
+    with dV-hat/dE: x -> ``_vhat_dE`` at the points x > 0 whose ln x is
+    the first of grids, from that same kernel call.
     """
     name = _CHAINS.get((kind, order))
     if name is None:
@@ -668,43 +717,28 @@ def seeded_chain(params: Optional[DunklParams], E: float, kind: str = KIND_STAND
         rs, eps = [math.sqrt(1.0 - 4.0 * e) for e in [eps1] + probes], (eps1,)
     if E <= 0:
         raise DomainError(f"{name}: E must be positive")
-    checks = residual_grids(CONFLUENT_CHECK_GRID) if kind == KIND_CONFLUENT else []
-    with memo_scope():      # the scale check and the validation read the rows read ahead
-        lags, phi = _family_lags(E, rs, params, [*checks, *grids], slopes)
-        (u1, u1p), *members = _mapped_family(E, rs, lags)
-        if kind == KIND_STANDARD:
-            funcs = ((u1, _standard_u1p(E, *lags[:2])), *members)
-        else:
-            probed = dict(zip(probes, members))
-
-            def u2(y):
-                return parameter_derivative(lambda e, t: probed[e][0](t), eps1, y)
-
-            def u2p(y):
-                return parameter_derivative(lambda e, t: probed[e][1](t), eps1, y)
-
-            funcs = ((u1, u1p), (u2, u2p))
-        chain = DarbouxChain(kind=kind, funcs=funcs, eps=eps,
-                             background=ScenarioHarmonicEnergy.form(), energy=E)
-        if kind == KIND_CONFLUENT:
-            grid = CONFLUENT_CHECK_GRID
-            scale1 = np.max(abs(u1(grid)))
-            if np.max(abs(u2(grid))) < 1e-12 * max(scale1, 1.0):
-                raise ConstructionError("family does not depend on eps: degenerate chain")
-            validate_chain(chain, grid, (1e-7, 1e-5))
+    group = _group(E, kind, rs, eps1, params, slopes)
+    checks = _CHECK_GRIDS if kind == KIND_CONFLUENT else []
+    reads = group.at([*checks, *grids]) if checks or grids else []
+    chain = DarbouxChain(kind=kind, members=tuple(
+        lambda y, j=j: group.jets(y)[0][j] for j in range(order)), eps=eps,
+        background=ScenarioHarmonicEnergy.form(), energy=E)
+    phi = None if params is None else group.seed(params)
+    if kind == KIND_CONFLUENT:
+        (grid, z, v), (nodes, z_nodes, v_nodes) = reads[:2]
+        at = ChainRead(grid.y, _mapped_u(E, grid.e2y, grid.e4y),
+                       group.forms(grid.y, z, v, seed=False)[0])
+        (u1, _), (u2, _) = at.members
+        if np.max(abs(u2)) < 1e-12 * max(np.max(abs(u1)), 1.0):
+            raise ConstructionError("family does not depend on eps: degenerate chain")
+        slope = [g for _, g in group.forms(nodes.y, z_nodes, v_nodes, False, False)[0]]
+        require_residuals(residuals(chain, at, slope), (1e-7, 1e-5))
+    readers = [partial(group.read, at) for at in reads[len(checks):]]
     if not slopes:
-        return chain, phi
+        return (chain, phi, *readers)
+    _, z, v = reads[len(checks)]
+    return (chain, phi, *readers, lambda x: _vhat_dE(E, x, z, v[:4], v[-4:]))
 
-    def vhat_dE(x):
-        z = _mapped_z(E, log(x))
-        return _vhat_dE(E, x, z, [f(z) for f in lags[:4]], [f(z) for f in lags[-4:]])
-
-    return chain, phi, vhat_dE
-
-
-# ---------------------------------------------------------------------------
-# Transformed closed forms and pipeline helpers
-# ---------------------------------------------------------------------------
 
 def closed_form_hatpsi_E4(x: float) -> float:
     """Transformed bound state at E = 4 (nu = 5/2, delta = -1), closed form.

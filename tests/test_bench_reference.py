@@ -33,7 +33,6 @@ from dunkl_darboux import cli
 from dunkl_darboux.darboux import (transformed_pair, transformed_potential,
                                    transformed_solution)
 from dunkl_darboux.errors import DunklDarbouxError
-from dunkl_darboux.libm import memo_scope
 from dunkl_darboux.model import DunklParams
 from dunkl_darboux.scenarios import (bound_state_energy, confluent_chain,
                                      mapped_initial_solution, pipeline_hatpsi,
@@ -85,7 +84,7 @@ def test_benchmark_ops_match_their_references(workload):
     assert set(outcomes) <= {"ok", "expected_failure"}
 
 
-def _three_grids(E, chain, phi, ys, xs):
+def _three_grids(E, chain, phi, ys, xs, *_):
     """cli._chain_columns as three public calls: U-hat and Phi-hat on y, V-hat at x."""
     return (transformed_potential(chain, ys), transformed_solution(chain, phi, ys),
             pipeline_vhat(E, chain, xs))
@@ -181,16 +180,14 @@ _OLD_BUILDERS = {("standard", 1): lambda E: standard_chain_order1(E, False),
 
 def _seeded_bits(params, E, chain, phi, phi_given):
     """Bits of every closure of (chain, Phi), on a grid and at floats, and of
-    their transformed pair and Psi-hat, read in a memo scope of their own."""
+    their transformed pair and Psi-hat."""
     ys = np.linspace(-2.0, 1.0, 31)
     xs = np.linspace(0.2, 3.0, 31)
     bits = []
-    with memo_scope():
-        for fn in [fn for pair in (*chain.funcs, (phi.f, phi.f1)) for fn in pair]:
-            bits += [_bits(fn(ys)), _bits([fn(float(y)) for y in ys[::6]])]
-        bits.append(_bits(transformed_pair(chain, phi, ys)))
-        bits.append(_bits(pipeline_hatpsi(params, E, chain, xs,
-                                          phi if phi_given else None)))
+    for fn in [fn for pair in (*chain.funcs, (phi.f, phi.f1)) for fn in pair]:
+        bits += [_bits(fn(ys)), _bits([fn(float(y)) for y in ys[::6]])]
+    bits.append(_bits(transformed_pair(chain, phi, ys)))
+    bits.append(_bits(pipeline_hatpsi(params, E, chain, xs, phi if phi_given else None)))
     return bits
 
 

@@ -69,9 +69,12 @@ def test_verify_fails_under_impossible_tolerance(monkeypatch, capsys):
     assert "overall: FAIL" in capsys.readouterr().out
 
 
-def _nan_at(fn, node):
-    """fn, but NaN at the grid point ``node`` (fn takes an ndarray)."""
-    return lambda x: np.where(x == node, np.nan, fn(x))
+def _nan_at(jet, node):
+    """The state jet, but with f NaN at the grid point ``node`` (x an ndarray)."""
+    def broken(x, k):
+        f, *rest = jet(x, k)
+        return [np.where(x == node, np.nan, f), *rest]
+    return broken
 
 
 def test_verify_fails_on_nan_psi_at_interior_node(monkeypatch, capsys):
@@ -82,7 +85,7 @@ def test_verify_fails_on_nan_psi_at_interior_node(monkeypatch, capsys):
 
     def broken(params, E):
         psi = real(params, E)
-        return replace(psi, f=_nan_at(psi.f, node))
+        return replace(psi, jet=_nan_at(psi.jet, node))
 
     monkeypatch.setattr(scenarios, "harmonic_initial_solution_function", broken)
     code = run(["verify", "--scenario", "harmonic-energy",
@@ -96,13 +99,13 @@ def test_verify_fails_on_nan_psi_at_interior_node(monkeypatch, capsys):
 
 def test_verify_fails_on_nan_mapped_solution(monkeypatch, capsys):
     node = np.linspace(-2.0, 1.0, 100)[40]
-    real = cli.mapped_initial_solution
+    real = scenarios._family
 
-    def broken(params, E, *grids):
-        phi = real(params, E, *grids)
-        return replace(phi, f=_nan_at(phi.f, node))
+    def broken(r, y, z, lag, low):        # Phi of the mapped family, NaN at one node
+        scale, phi, phi1 = real(r, y, z, lag, low)
+        return scale, np.where(y == node, np.nan, phi), phi1
 
-    monkeypatch.setattr(cli, "mapped_initial_solution", broken)
+    monkeypatch.setattr(scenarios, "_family", broken)
     code = run(["verify", "--scenario", "harmonic-energy",
                 "--nu", "2.5", "--delta", "-1", "--format", "json"])
     checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
@@ -829,34 +832,28 @@ def test_darboux_checks_grid_before_building_chain(monkeypatch, capsys, extra, m
                                          ("confluent", 2)])
 def test_darboux_reads_each_member_once(monkeypatch, capsys, kind, order):
     # cmd_darboux takes U-hat and Phi-hat from one read of the chain and
-    # its seed Phi: each member closure (u_j and u_j') and Phi and Phi'
-    # are called once, on the one grid of the command, after the chain is
-    # built
+    # its seed Phi, the one its build gave for the command's grid: no
+    # member or Phi is read again through its jet
     reads = []
     real_build = cli._build_chain
 
     def counted(fn, key):
-        def read(y):
-            reads.append((key, np.shape(y)))
-            return fn(y)
+        def read(*args):
+            reads.append(key)
+            return fn(*args)
         return read
 
     def build(config, params, E, grid):
-        chain, phi = real_build(config, params, E, grid)
-        funcs = tuple((counted(f, (j, "u")), counted(d, (j, "u'")))
-                      for j, (f, d) in enumerate(chain.funcs))
-        return (replace(chain, funcs=funcs),
-                replace(phi, f=counted(phi.f, ("phi", "u")),
-                        f1=counted(phi.f1, ("phi", "u'"))))
+        chain, phi, reader = real_build(config, params, E, grid)
+        members = tuple(counted(m, j) for j, m in enumerate(chain.members))
+        return (replace(chain, members=members), replace(phi, jet=counted(phi.jet, "phi")),
+                counted(reader, "read"))
 
     monkeypatch.setattr(cli, "_build_chain", build)
     assert run(["darboux", "--kind", kind, "--order", str(order),
                 "--grid-count", "60"]) == EXIT_OK
     capsys.readouterr()
-    keys = [key for key, _ in reads]
-    assert sorted(keys, key=str) == sorted(
-        [(j, part) for j in [*range(order), "phi"] for part in ("u", "u'")], key=str)
-    assert len({shape for _, shape in reads}) == 1
+    assert reads == ["read"]
 
 
 @pytest.mark.parametrize("eps", [1.0, 0.25, 0.24999])

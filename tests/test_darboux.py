@@ -24,6 +24,18 @@ from dunkl_darboux.scenarios import (ScenarioHarmonicEnergy, confluent_chain,
 GRID = np.linspace(-2.0, 1.0, 25)
 
 
+def _chain(kind, funcs, eps, background, energy=0.0):
+    """The DarbouxChain whose members are the jets of the (u, u') pairs funcs."""
+    return DarbouxChain(kind=kind, members=tuple(lambda y, f=f, d=d: (f(y), d(y))
+                                                 for f, d in funcs),
+                        eps=eps, background=background, energy=energy)
+
+
+def _solution(f, f1, eps):
+    """The OdeSolution whose jet is (f, f1)."""
+    return OdeSolution(jet=lambda y: (f(y), f1(y)), eps=eps)
+
+
 def _harmonic_oscillator_form():
     """U(y) = y^2 with eigenfunctions for an independent cross-check."""
     return SchrodingerForm(u_e=lambda E, y: y * y)
@@ -36,26 +48,21 @@ def _hermite_chain():
     u1p = lambda y: -y * math.exp(-0.5 * y * y)
     u2 = lambda y: y * math.exp(-0.5 * y * y)
     u2p = lambda y: (1 - y * y) * math.exp(-0.5 * y * y)
-    return DarbouxChain(kind="standard", funcs=((u1, u1p), (u2, u2p)),
-                        eps=(1.0, 3.0), background=_harmonic_oscillator_form(),
-                        energy=0.0)
+    return _chain("standard", ((u1, u1p), (u2, u2p)), (1.0, 3.0),
+                  _harmonic_oscillator_form())
 
 
 def test_chain_validation_rules():
     form = _harmonic_oscillator_form()
     f = (lambda y: 1.0, lambda y: 0.0)
     with pytest.raises(DomainError):
-        DarbouxChain(kind="unknown", funcs=(f,), eps=(1.0,),
-                     background=form, energy=0.0)
+        _chain("unknown", (f,), (1.0,), form)
     with pytest.raises(DomainError):
-        DarbouxChain(kind="standard", funcs=(f, f), eps=(1.0,),
-                     background=form, energy=0.0)
+        _chain("standard", (f, f), (1.0,), form)
     with pytest.raises(DomainError):
-        DarbouxChain(kind="standard", funcs=(f, f), eps=(1.0, 1.0),
-                     background=form, energy=0.0)
+        _chain("standard", (f, f), (1.0, 1.0), form)
     with pytest.raises(DomainError):
-        DarbouxChain(kind="confluent", funcs=(f, f), eps=(1.0, 2.0),
-                     background=form, energy=0.0)
+        _chain("confluent", (f, f), (1.0, 2.0), form)
 
 
 def test_wronskian_order2_against_sampled_determinant():
@@ -68,9 +75,8 @@ def test_wronskian_order2_against_sampled_determinant():
 
 def _hermite_phi():
     # the eps = 5 eigenfunction (2 y^2 - 1) e^{-y^2/2}
-    return OdeSolution(f=lambda y: math.exp(-0.5 * y * y) * (2 * y * y - 1),
-                       f1=lambda y: math.exp(-0.5 * y * y) * (5 * y - 2 * y**3),
-                       eps=5.0)
+    return _solution(lambda y: math.exp(-0.5 * y * y) * (2 * y * y - 1),
+                     lambda y: math.exp(-0.5 * y * y) * (5 * y - 2 * y**3), 5.0)
 
 
 def test_wronskian_order3_reduced_rows_against_stencil():
@@ -165,7 +171,7 @@ def test_chain_residuals_confluent():
 
 def test_validate_chain_raises_on_wrong_eps():
     chain = standard_chain_u12(4.0, validate=False)
-    broken = DarbouxChain(kind=chain.kind, funcs=chain.funcs,
+    broken = DarbouxChain(kind=chain.kind, members=chain.members,
                           eps=(0.3, -0.75), background=chain.background,
                           energy=chain.energy)
     with pytest.raises(ConstructionError):
@@ -196,15 +202,16 @@ def test_intertwining_confluent():
 
 
 def _patch_family(monkeypatch, change):
-    """Make confluent_chain build its members from change(members, rs)."""
-    real = scenarios._mapped_family
-    monkeypatch.setattr(scenarios, "_mapped_family",
-                        lambda E, rs, lags: change(real(E, rs, lags), rs))
+    """Make confluent_chain read the family at index r as change(y, r, (scale, Phi, Phi'))."""
+    real = scenarios._family
+    monkeypatch.setattr(scenarios, "_family",
+                        lambda r, y, *rows: change(y, r, real(r, y, *rows)))
 
 
 def test_confluent_build_rejects_degenerate_family(monkeypatch):
-    # every probe member is the member at eps1, so u2 is exactly 0
-    _patch_family(monkeypatch, lambda members, rs: [members[0]] * len(members))
+    # every member is the member at eps1 (r = 3), so u2 is exactly 0
+    rows = {}
+    _patch_family(monkeypatch, lambda y, r, member: rows.setdefault(y.size, member))
     with pytest.raises(ConstructionError, match="does not depend on eps"):
         confluent_chain(4.0)
 
@@ -217,9 +224,9 @@ def test_confluent_build_refuses_a_nan_member(monkeypatch):
     # u1 is NaN at y = 0, a point of the validation grid, and the stencil
     # probes of u2 are finite: the NaN residual must refuse the chain,
     # which is accepted without it
-    def nan_u1(members, rs):
-        (u1, u1p), *probes = members
-        return [(lambda y: _nan_at_zero(u1(y), y), u1p), *probes]
+    def nan_u1(y, r, member):
+        scale, u, up = member
+        return (scale, _nan_at_zero(u, y), up) if r == 3.0 else member
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -235,8 +242,8 @@ def test_validate_chain_refuses_a_nan_member():
     u1p = lambda y: -y * np.exp(-0.5 * y * y)
     u2 = lambda y: y * np.exp(-0.5 * y * y)
     u2p = lambda y: (1 - y * y) * np.exp(-0.5 * y * y)
-    chain = DarbouxChain(kind="standard", funcs=((u1, u1p), (u2, u2p)), eps=(1.0, 3.0),
-                         background=_harmonic_oscillator_form(), energy=0.0)
+    chain = _chain("standard", ((u1, u1p), (u2, u2p)), (1.0, 3.0),
+                   _harmonic_oscillator_form())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = chain_residuals(chain, GRID)
@@ -248,10 +255,8 @@ def test_validate_chain_refuses_a_nan_member():
 def test_matrix_size_cap():
     chain = _hermite_chain()
     f = (lambda y: 1.0, lambda y: 0.0)
-    big = DarbouxChain(kind="standard",
-                       funcs=chain.funcs + (f, f),
-                       eps=(-1.0, -3.0, -5.0, -7.0),
-                       background=chain.background, energy=0.0)
+    big = _chain("standard", chain.funcs + (f, f), (-1.0, -3.0, -5.0, -7.0),
+                 chain.background)
     with pytest.raises(CapabilityError):
         wronskian(big, 0.0)
 
@@ -261,10 +266,10 @@ def test_floor_moves_with_rescaled_members():
     # neither does their common floor: with both members of the Hermite
     # chain scaled by 1e-8, W is about 1e-16 and both stay finite
     chain = _hermite_chain()
-    scaled = DarbouxChain(kind="standard",
-                          funcs=tuple((lambda y, f=f: 1e-8 * f(y), lambda y, d=d: 1e-8 * d(y))
-                                      for f, d in chain.funcs),
-                          eps=chain.eps, background=chain.background, energy=0.0)
+    scaled = _chain("standard",
+                    tuple((lambda y, f=f: 1e-8 * f(y), lambda y, d=d: 1e-8 * d(y))
+                          for f, d in chain.funcs),
+                    chain.eps, chain.background)
     phi = _hermite_phi()
     y = 0.3
     assert abs(wronskian(scaled, y)) < 1e-12
@@ -281,9 +286,8 @@ def test_wronskian_floor_guard():
     form = _harmonic_oscillator_form()
     u = (lambda y: y, lambda y: 1.0)
     v = (lambda y: y, lambda y: 1.0)
-    chain = DarbouxChain(kind="standard", funcs=(u, v), eps=(1.0, 2.0),
-                         background=form, energy=0.0)
-    phi = OdeSolution(f=lambda y: 1.0, f1=lambda y: 0.0, eps=0.0)
+    chain = _chain("standard", (u, v), (1.0, 2.0), form)
+    phi = _solution(lambda y: 1.0, lambda y: 0.0, 0.0)
     with pytest.raises(SingularityError):
         transformed_solution(chain, phi, 0.5)
 
@@ -296,9 +300,8 @@ def test_transform_applies_the_relative_floor():
     form = _harmonic_oscillator_form()
     u = (lambda y: y, lambda y: 1.0)
     v = (lambda y: y + 1e-13, lambda y: 1.0)
-    chain = DarbouxChain(kind="standard", funcs=(u, v), eps=(1.0, 2.0),
-                         background=form, energy=0.0)
-    phi = OdeSolution(f=lambda y: 1.0, f1=lambda y: 0.0, eps=0.0)
+    chain = _chain("standard", (u, v), (1.0, 2.0), form)
+    phi = _solution(lambda y: 1.0, lambda y: 0.0, 0.0)
     with pytest.raises(SingularityError, match="below floor at y=0.5"):
         transform(chain, phi, np.linspace(0.5, 1.0, 11))
     with pytest.raises(SingularityError):
@@ -309,10 +312,10 @@ def test_transformed_pair_refuses_below_floor_as_the_two_routines():
     # W = -1e-13 is below the floor 1e-12 on the whole grid: the pair
     # raises the error type and message that both routines raise
     form = _harmonic_oscillator_form()
-    chain = DarbouxChain(kind="standard", funcs=((lambda y: y, lambda y: 1.0 + 0.0 * y),
-                                                 (lambda y: y + 1e-13, lambda y: 1.0 + 0.0 * y)),
-                         eps=(1.0, 2.0), background=form, energy=0.0)
-    phi = OdeSolution(f=lambda y: 1.0 + 0.0 * y, f1=lambda y: 0.0 * y, eps=0.0)
+    chain = _chain("standard", ((lambda y: y, lambda y: 1.0 + 0.0 * y),
+                                (lambda y: y + 1e-13, lambda y: 1.0 + 0.0 * y)),
+                   (1.0, 2.0), form)
+    phi = _solution(lambda y: 1.0 + 0.0 * y, lambda y: 0.0 * y, 0.0)
     grid = np.linspace(0.5, 1.0, 11)
     errors = []
     for call in (lambda: transformed_pair(chain, phi, grid),
@@ -333,7 +336,7 @@ def test_zero_wronskian_is_refused_where_the_floor_scale_underflows():
     chain = confluent_chain(4.0)
     phi = mapped_initial_solution(DunklParams(nu=2.5, delta=-1, mu=1), 4.0)
     y = np.array([-400.0, -350.0, -300.0])
-    w, _, _, scale = darboux._wronskian(chain, *darboux._read(chain, y))
+    w, _, _, scale = darboux._wronskian(chain, *darboux.read(chain, y)[1:3])
     assert not np.any(w) and not np.any(scale)
     for call in (lambda: transformed_pair(chain, phi, y),
                  lambda: transformed_potential(chain, y),
@@ -344,8 +347,7 @@ def test_zero_wronskian_is_refused_where_the_floor_scale_underflows():
     # the same with members of 1e-200: their product, the scale, is 0
     form = _harmonic_oscillator_form()
     tiny = (lambda t: 1e-200 * t, lambda t: 1e-200 + 0.0 * t)
-    dependent = DarbouxChain(kind="standard", funcs=(tiny, tiny), eps=(1.0, 2.0),
-                             background=form, energy=0.0)
+    dependent = _chain("standard", (tiny, tiny), (1.0, 2.0), form)
     with pytest.raises(SingularityError, match="below floor at y=0.5"):
         transformed_potential(dependent, np.array([0.5, 1.0]))
 

@@ -16,8 +16,24 @@ from dunkl_darboux.errors import ContractError, DomainError
 from dunkl_darboux.libm import exp
 from dunkl_darboux.model import (DunklParams, DunklSystem, EnergyPotential,
                                  MassProfile, ParityFunction, dunkl_residual,
-                                 modified_norm, probability_density,
-                                 sampled_parity_defect, weight_exponent)
+                                 modified_norm, probability_density, state_checks,
+                                 weight_exponent)
+
+
+def _mass(m, m1, m2, parity):
+    """The MassProfile whose jet is (m, m1, m2)."""
+    return MassProfile(jet=lambda x: (m(x), m1(x), m2(x)), parity=parity)
+
+
+def _potential(v, dv_dE):
+    """The EnergyPotential of v(E, x) and dv_dE(E, x)."""
+    return EnergyPotential(at=lambda x: ((lambda e: v(e, x)), (lambda e: dv_dE(e, x))))
+
+
+def _state(parity, *derivatives):
+    """The ParityFunction whose jet is f and its given derivatives."""
+    return ParityFunction(jet=lambda x, k: [d(x) for d in derivatives[:k + 1]],
+                          parity=parity, order=len(derivatives) - 1)
 
 
 def _odd_mass_residual(m, m1, v, nu, delta, E, psi, x):
@@ -47,16 +63,12 @@ def _constant_mass_residual(v, nu, delta, E, psi, x):
 
 def _smooth_state(delta):
     if delta == -1:
-        return ParityFunction(
-            f=lambda x: x * exp(-0.3 * x * x),
-            f1=lambda x: (1 - 0.6 * x * x) * exp(-0.3 * x * x),
-            f2=lambda x: (-1.8 * x + 0.36 * x**3) * exp(-0.3 * x * x),
-            parity=-1)
-    return ParityFunction(
-        f=lambda x: exp(-0.3 * x * x),
-        f1=lambda x: -0.6 * x * exp(-0.3 * x * x),
-        f2=lambda x: (0.36 * x * x - 0.6) * exp(-0.3 * x * x),
-        parity=1)
+        return _state(-1, lambda x: x * exp(-0.3 * x * x),
+                      lambda x: (1 - 0.6 * x * x) * exp(-0.3 * x * x),
+                      lambda x: (-1.8 * x + 0.36 * x**3) * exp(-0.3 * x * x))
+    return _state(1, lambda x: exp(-0.3 * x * x),
+                  lambda x: -0.6 * x * exp(-0.3 * x * x),
+                  lambda x: (0.36 * x * x - 0.6) * exp(-0.3 * x * x))
 
 
 def test_params_validation():
@@ -81,8 +93,8 @@ def test_residual_specialization_odd_mass():
     v = lambda e, x: 0.2 * x * x + 0.1 * e
     system = DunklSystem(
         params=DunklParams(nu=nu, delta=delta, mu=-1),
-        mass=MassProfile(m=m, m1=m1, m2=m2, parity=-1),
-        potential=EnergyPotential(v=v, dv_dE=lambda e, x: 0.1))
+        mass=_mass(m, m1, m2, parity=-1),
+        potential=_potential(v=v, dv_dE=lambda e, x: 0.1))
     psi = _smooth_state(delta)
     for x in (0.5, 1.2, 2.4):
         want = _odd_mass_residual(m, m1, v, nu, delta, E, psi, x)
@@ -97,8 +109,8 @@ def test_residual_specialization_even_mass():
     v = lambda e, x: 0.3 * x**4 - e * 0.05
     system = DunklSystem(
         params=DunklParams(nu=nu, delta=delta, mu=1),
-        mass=MassProfile(m=m, m1=m1, m2=m2, parity=1),
-        potential=EnergyPotential(v=v, dv_dE=lambda e, x: -0.05))
+        mass=_mass(m, m1, m2, parity=1),
+        potential=_potential(v=v, dv_dE=lambda e, x: -0.05))
     psi = _smooth_state(delta)
     for x in (0.5, 1.2, 2.4):
         want = _even_mass_residual(m, m1, v, nu, delta, E, psi, x)
@@ -110,9 +122,8 @@ def test_residual_specialization_constant_mass():
     v = lambda e, x: x * x / e
     system = DunklSystem(
         params=DunklParams(nu=nu, delta=delta, mu=1),
-        mass=MassProfile(m=lambda x: 0.5, m1=lambda x: 0.0,
-                         m2=lambda x: 0.0, parity=1),
-        potential=EnergyPotential(v=v, dv_dE=lambda e, x: -x * x / e**2))
+        mass=_mass(lambda x: 0.5, lambda x: 0.0, lambda x: 0.0, parity=1),
+        potential=_potential(v=v, dv_dE=lambda e, x: -x * x / e**2))
     psi = _smooth_state(delta)
     for x in (0.5, 1.2, 2.4):
         want = _constant_mass_residual(v, nu, delta, E, psi, x)
@@ -122,9 +133,8 @@ def test_residual_specialization_constant_mass():
 def test_residual_contracts():
     system = DunklSystem(
         params=DunklParams(nu=0.5, delta=-1, mu=1),
-        mass=MassProfile(m=lambda x: 1.0, m1=lambda x: 0.0,
-                         m2=lambda x: 0.0, parity=1),
-        potential=EnergyPotential(v=lambda e, x: 0.0, dv_dE=lambda e, x: 0.0))
+        mass=_mass(lambda x: 1.0, lambda x: 0.0, lambda x: 0.0, parity=1),
+        potential=_potential(v=lambda e, x: 0.0, dv_dE=lambda e, x: 0.0))
     even = _smooth_state(1)
     with pytest.raises(ContractError):
         dunkl_residual(system, even, 1.0, 0.5)
@@ -145,10 +155,9 @@ def test_residual_refuses_psi_without_f2():
 
     system = DunklSystem(
         params=DunklParams(nu=0.5, delta=-1, mu=1),
-        mass=MassProfile(m=record("m", 1.0), m1=record("m1", 0.0),
-                         m2=record("m2", 0.0), parity=1),
-        potential=EnergyPotential(v=lambda e, x: 0.0, dv_dE=lambda e, x: 0.0))
-    psi = ParityFunction(f=record("f", 0.5), f1=record("f1", 1.0), parity=-1)
+        mass=_mass(record("m", 1.0), record("m1", 0.0), record("m2", 0.0), parity=1),
+        potential=_potential(v=lambda e, x: 0.0, dv_dE=lambda e, x: 0.0))
+    psi = _state(-1, record("f", 0.5), record("f1", 1.0))
     with pytest.raises(ContractError, match="second derivative f2"):
         dunkl_residual(system, psi, 1.0, 0.5)
     with pytest.raises(ContractError, match="second derivative f2"):
@@ -160,9 +169,8 @@ def test_system_mass_parity_contract():
     with pytest.raises(ContractError):
         DunklSystem(
             params=DunklParams(nu=0.5, delta=-1, mu=-1),
-            mass=MassProfile(m=lambda x: 1.0, m1=lambda x: 0.0,
-                             m2=lambda x: 0.0, parity=1),
-            potential=EnergyPotential(v=lambda e, x: 0.0, dv_dE=lambda e, x: 0.0))
+            mass=_mass(lambda x: 1.0, lambda x: 0.0, lambda x: 0.0, parity=1),
+            potential=_potential(v=lambda e, x: 0.0, dv_dE=lambda e, x: 0.0))
 
 
 def test_probability_density_worked_value():
@@ -171,10 +179,8 @@ def test_probability_density_worked_value():
     from dunkl_darboux.scenarios import ScenarioGaussianMass
     params = DunklParams(nu=0.5, delta=-1, mu=1)
     system = ScenarioGaussianMass().system(params)
-    psi = ParityFunction(
-        f=lambda x: x * math.exp(-x * x),
-        f1=lambda x: (1 - 2 * x * x) * math.exp(-x * x),
-        parity=-1)
+    psi = _state(-1, lambda x: x * math.exp(-x * x),
+                 lambda x: (1 - 2 * x * x) * math.exp(-x * x))
     E = 0.75
     got = probability_density(system, psi, E, 1.0)
     assert got == pytest.approx(2.0 * math.exp(-1.0), rel=1e-12)
@@ -216,8 +222,39 @@ def test_modified_norm_ground_state():
 
 
 def test_sampled_parity_defect():
+    # state_checks' defect is max |f(-x) - parity f(x)| over the grid's x > 0
+    system = DunklSystem(
+        params=DunklParams(nu=0.5, delta=-1, mu=1),
+        mass=_mass(lambda x: 1.0, lambda x: 0.0, lambda x: 0.0, parity=1),
+        potential=_potential(v=lambda e, x: 0.0, dv_dE=lambda e, x: 0.0))
     odd = _smooth_state(-1)
-    assert sampled_parity_defect(odd, np.linspace(0.1, 2.0, 10)) == 0.0
-    broken = ParityFunction(f=lambda x: x + 0.001 * x * x,
-                            f1=lambda x: 1 + 0.002 * x, parity=-1)
-    assert sampled_parity_defect(broken, [1.0]) == pytest.approx(0.002, rel=1e-9)
+    assert state_checks(system, odd, 1.0, np.linspace(0.1, 2.0, 10))[1] == 0.0
+    broken = _state(-1, lambda x: x + 0.001 * x * x, lambda x: 1 + 0.002 * x,
+                    lambda x: 0.002 + 0.0 * x)
+    grid = np.array([-3.0, -1.0, 1.0])
+    assert state_checks(system, broken, 1.0, grid)[1] == pytest.approx(0.002, rel=1e-9)
+    assert state_checks(system, broken, 1.0, np.array([-1.0]))[1] == 0.0
+
+
+def test_state_checks_read_psi_once():
+    # one read of psi, at the grid and at the reflections of its points
+    # x > 0; the residual is dunkl_residual's on the grid, bit for bit
+    reads = []
+    smooth = _smooth_state(-1)
+
+    def jet(x, k):
+        reads.append((x.copy(), k))
+        return smooth.jet(x, k)
+
+    psi = ParityFunction(jet=jet, parity=-1)
+    system = DunklSystem(
+        params=DunklParams(nu=0.5, delta=-1, mu=1),
+        mass=_mass(lambda x: 1.0 + 0.0 * x, lambda x: 0.0 * x, lambda x: 0.0 * x, parity=1),
+        potential=_potential(v=lambda e, x: 0.3 * x * x, dv_dE=lambda e, x: 0.0))
+    grid = np.linspace(-1.0, 2.0, 6)
+    residual, defect = state_checks(system, psi, 1.3, grid)
+    [(points, k)] = reads
+    assert k == 2 and points.tolist() == grid.tolist() + (-grid[grid > 0]).tolist()
+    want = dunkl_residual(system, smooth, 1.3, grid, relative=True)
+    assert residual.tobytes() == want.tobytes()
+    assert defect == 0.0

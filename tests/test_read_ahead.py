@@ -1,27 +1,26 @@
-"""One kernel call per chain read: the rows read ahead equal the rows read per grid.
+"""One kernel call per chain read: the joined read equals the reads one grid at a time.
 
-``scenarios.seeded_chain`` reads its chain's Laguerre rows ahead, in one
+``scenarios.seeded_chain`` reads its chain's Laguerre rows once, in one
 call of the series kernel, on the confluent validation grid, that grid's
-stencil nodes and the grids its caller names; ``verify``'s mapped-equation
-check reads Phi ahead on its grid and stencil nodes.  The kernel is
-elementwise, so every member, residual and refusal must be what the
-reads one grid at a time give, bit for bit.  Figure 4 reads dV-hat/dE
-from the same call, which derives the chain's rows and no others.
+stencil nodes and the grids its caller names, and hands the caller the
+arrays of each grid; ``verify``'s mapped-equation check reads Phi on its
+grid and stencil nodes in one call.  The kernel is elementwise, so every
+member, residual and refusal must be what the chain's jets give, read one
+grid at a time, bit for bit.  Figure 4 reads dV-hat/dE from the same
+call, which derives the chain's rows and no others.
 """
 
 import numpy as np
 import pytest
 
 from dunkl_darboux import cli, specfun
-from dunkl_darboux.darboux import (KIND_CONFLUENT, KIND_STANDARD, DarbouxChain,
-                                   chain_residuals, residual_grids, transformed_pair)
+from dunkl_darboux.darboux import (KIND_CONFLUENT, KIND_STANDARD, chain_residuals, read,
+                                   residual_grids, residuals, transformed_pair)
 from dunkl_darboux.errors import DunklDarbouxError
-from dunkl_darboux.libm import memo_scope
 from dunkl_darboux.model import DunklParams
-from dunkl_darboux.scenarios import (CONFLUENT_CHECK_GRID, ScenarioHarmonicEnergy,
-                                     _mapped_degree, bound_state_energy,
-                                     mapped_initial_solution, seeded_chain,
-                                     standard_vhat_dE)
+from dunkl_darboux.scenarios import (CONFLUENT_CHECK_GRID, MappedGrid, _mapped_degree,
+                                     bound_state_energy, mapped_equation_residual,
+                                     seeded_chain, standard_vhat_dE)
 
 
 @pytest.fixture
@@ -57,17 +56,12 @@ def test_kernel_call_budget_per_command(argv, calls, kernel_calls, capsys):
 
 
 def test_chain_residuals_check_makes_one_kernel_call(kernel_calls):
-    # verify's mapped-equation check: Phi read ahead on the grid and the
-    # stencil nodes, then chain_residuals reads both from the memo; the
-    # confluent validation reads its 25 points and 100 nodes in one call
+    # verify's mapped-equation check reads Phi on the grid and the stencil
+    # nodes in one call; the confluent validation reads its 25 points and
+    # 100 nodes in one call
     params = DunklParams(nu=2.5, delta=-1, mu=1)
     E = bound_state_energy(1, params, "ene1")
-    grid = np.linspace(-2.0, 1.0, 100)
-    with memo_scope():
-        phi = mapped_initial_solution(params, E, residual_grids(grid, None))
-        chain = DarbouxChain(kind=KIND_STANDARD, funcs=((phi.f, phi.f1),), eps=(phi.eps,),
-                             background=ScenarioHarmonicEnergy.form(), energy=E)
-        chain_residuals(chain, grid, h=None)
+    mapped_equation_residual(params, E, np.linspace(-2.0, 1.0, 100))
     assert kernel_calls == [500]
     kernel_calls.clear()
     seeded_chain(None, 4.0, KIND_CONFLUENT)
@@ -104,9 +98,7 @@ def test_figure_4_vhat_dE_agrees_with_its_own_kernel_call():
     xs = np.linspace(0.2, 3.0, 300)
     for n in (0, 1, 2):
         E = bound_state_energy(n, params, "ene1")
-        with memo_scope():
-            vhat_dE = seeded_chain(params, E, slopes=True)[2]
-            got = vhat_dE(xs)
+        got = seeded_chain(params, E, grids=[MappedGrid(np.log(xs))], slopes=True)[-1](xs)
         want = standard_vhat_dE(E, xs)
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
@@ -123,16 +115,9 @@ def _outcome(call):
         return type(exc).__name__, str(exc)
 
 
-def _members(chain, phi, grids):
-    """Bits of every member closure, of Phi and of the residuals, each grid read alone."""
-    funcs = [f for pair in chain.funcs for f in pair]
-    if phi is not None:
-        funcs += [phi.f, phi.f1]
-    out = []
-    for y in grids:
-        out.append(_outcome(lambda: [f(y) for f in funcs]))
-    out.append(_outcome(lambda: [chain_residuals(chain, CONFLUENT_CHECK_GRID)]))
-    return out
+def _arrays(at):
+    """U, every member's (u, u') and (Phi, Phi') of one read of the chain, in that order."""
+    return [at.u, *[part for member in at.members for part in member], *at.solution]
 
 
 _CASES = [(kind, order, nu, delta, n) for kind, order in
@@ -142,27 +127,24 @@ _CASES = [(kind, order, nu, delta, n) for kind, order in
 
 @pytest.mark.parametrize("kind, order, nu, delta, n", _CASES)
 def test_rows_read_ahead_equal_rows_read_per_grid(kind, order, nu, delta, n):
-    # the chain and Phi read ahead on the command's grids (y joined with
-    # ln(e^y), and ln(x) of a figure grid) with the validation grids, and
-    # read one grid at a time in scopes of their own: every member, Phi,
-    # the residuals and the transformed pair agree bit for bit
+    # the chain and Phi read in one kernel call on the command's grids (y
+    # joined with ln(e^y), and ln(x) of a figure grid) with the validation
+    # grids, and read one grid at a time through their jets: U, every
+    # member, Phi, the residuals and the transformed pair agree bit for bit
     params = DunklParams(nu=nu, delta=delta, mu=1)
     E = bound_state_energy(n, params, "ene1")
     ys = np.linspace(-2.0, 1.0, 61)
-    grids = [cli._joined_grid(ys, cli.exp(ys))[0], cli.log(np.linspace(0.2, 3.0, 37))]
-    with memo_scope():
-        chain, phi = seeded_chain(params, E, kind, order, grids=grids)
-        ahead = _members(chain, phi, grids + residual_grids(CONFLUENT_CHECK_GRID))
-        ahead.append(_outcome(lambda: transformed_pair(chain, phi, grids[0])))
-    alone = []
-    chain, phi = seeded_chain(params, E, kind, order)
-    for y in grids + residual_grids(CONFLUENT_CHECK_GRID):
-        with memo_scope():
-            alone += _members(chain, phi, [y])[:1]
-    with memo_scope():
-        alone.append(_outcome(lambda: [chain_residuals(chain, CONFLUENT_CHECK_GRID)]))
-    with memo_scope():
-        alone.append(_outcome(lambda: transformed_pair(chain, phi, grids[0])))
+    grids = [cli._joined_grid(ys, cli.exp(ys))[0], cli.log(np.linspace(0.2, 3.0, 37)),
+             *residual_grids(CONFLUENT_CHECK_GRID)]
+    chain, phi, *readers = seeded_chain(params, E, kind, order,
+                                        grids=[MappedGrid(y) for y in grids])
+    ahead = [_outcome(lambda r=r: _arrays(r())) for r in readers]
+    ahead.append(_outcome(lambda: [residuals(chain, readers[2](),
+                                             [g for _, g in readers[3]().members])]))
+    ahead.append(_outcome(lambda: transformed_pair(chain, phi, readers[0]())))
+    alone = [_outcome(lambda y=y: _arrays(read(chain, y, phi))) for y in grids]
+    alone.append(_outcome(lambda: [chain_residuals(chain, CONFLUENT_CHECK_GRID)]))
+    alone.append(_outcome(lambda: transformed_pair(chain, phi, grids[0])))
     assert ahead == alone
 
 
@@ -174,14 +156,16 @@ def test_rows_read_ahead_equal_rows_read_per_grid(kind, order, nu, delta, n):
 ])
 def test_refusal_read_ahead_equals_refusal_read_per_grid(kind, E, lo, hi):
     # a grid that the kernel or the Wronskian refuses is refused with the
-    # same text whether the build read its rows ahead or not
+    # same text whether the build read the grid or the jets read it after
     params = DunklParams(nu=2.5, delta=-1, mu=1)
     grid = np.linspace(lo, hi, 7)
-    with memo_scope():
-        ahead = _outcome(lambda: transformed_pair(*seeded_chain(params, E, kind, grids=[grid]),
-                                                  grid))
+
+    def joined():
+        chain, phi, reader = seeded_chain(params, E, kind, grids=[MappedGrid(grid)])
+        return transformed_pair(chain, phi, reader())
+
+    ahead = _outcome(joined)
     chain, phi = seeded_chain(params, E, kind)
-    with memo_scope():
-        alone = _outcome(lambda: transformed_pair(chain, phi, grid))
+    alone = _outcome(lambda: transformed_pair(chain, phi, grid))
     assert ahead == alone
     assert isinstance(alone, tuple) == (lo > 0 or lo < -300)

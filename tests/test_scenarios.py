@@ -1,15 +1,14 @@
 """Worked solvable systems: closed forms, spectra, parity, equivalences."""
 
-import gc
 import math
-import weakref
 
 import numpy as np
 import pytest
 
-from dunkl_darboux import cli, libm, scenarios
-from dunkl_darboux.darboux import (DarbouxChain, chain_residuals,
-                                   transformed_potential, transformed_solution)
+from dunkl_darboux import cli, scenarios
+from dunkl_darboux.darboux import (KIND_CONFLUENT, KIND_STANDARD, DarbouxChain,
+                                   chain_residuals, transformed_potential,
+                                   transformed_solution)
 from dunkl_darboux.errors import ContractError, DomainError
 from dunkl_darboux.model import (DunklParams, ParityFunction, dunkl_residual,
                                  modified_norm)
@@ -30,7 +29,7 @@ from dunkl_darboux.scenarios import (DUNKL_GRID,
                                      pdm_equivalence_nu, pipeline_hatpsi,
                                      pipeline_vhat, printed_bound_state,
                                      standard_chain_u12, standard_vhat_dE)
-from dunkl_darboux.libm import memo_scope
+from dunkl_darboux.libm import exp
 from dunkl_darboux.specfun import assoc_laguerre_grid, kummer_m
 
 
@@ -272,7 +271,7 @@ def test_pipeline_vhat_of_the_empty_chain_round_trip():
     # the empty chain's U-hat is U itself: V-hat is the map's inverse of U
     E = 4.0
     form = ScenarioHarmonicEnergy.form()
-    empty = DarbouxChain(kind="standard", funcs=(), eps=(), background=form, energy=E)
+    empty = DarbouxChain(kind="standard", members=(), eps=(), background=form, energy=E)
     x = 1.3
     got = pipeline_vhat(E, empty, x)
     # V(x) = E - 1/(4 x^2) + U(log x)/x^2, with U the mapped potential
@@ -337,16 +336,18 @@ def _count_grid_calls(monkeypatch) -> list:
 
 
 def test_chain_members_share_their_laguerre_factors(monkeypatch):
+    # u1 and u1' read L_{c-1/2}^0 and L_{c-3/2}^1, u2 and u2' the pair
+    # L_{c-1}^1, L_{c-2}^2: the chain's read on a grid is one kernel call
+    # of its four rows, and with its seed Phi of six
     calls = _count_grid_calls(monkeypatch)
-    chain = standard_chain_u12(4.0, validate=False)
     ys = np.linspace(-2.0, 1.0, 50)
-    with memo_scope():
-        transformed_potential(chain, ys)
-        # u1 and u1' read L_{c-1/2}^0 and L_{c-3/2}^1, u2 and u2' the pair
-        # L_{c-1}^1, L_{c-2}^2: the chain's four rows are one group
-        assert len(calls) == 1 and len(calls[0][0]) == 4
-        transformed_solution(chain, mapped_initial_solution(TRANSFORM_PARAMS, 4.0), ys)
-        assert len(calls) == 2     # only phi's pair of factors is new
+    chain, _, read = scenarios.seeded_chain(None, 4.0, grids=[scenarios.MappedGrid(ys)])
+    transformed_potential(chain, read())
+    assert [len(degrees) for degrees, _ in calls] == [4]
+    chain, phi, read = scenarios.seeded_chain(TRANSFORM_PARAMS, 4.0,
+                                              grids=[scenarios.MappedGrid(ys)])
+    transformed_solution(chain, phi, read())
+    assert [len(degrees) for degrees, _ in calls] == [4, 6]
 
 
 def _count_builds(monkeypatch) -> list:
@@ -427,9 +428,19 @@ def test_seeded_chain_refuses_kinds_and_orders_it_does_not_build(kind, order, me
 
 
 def _family(E, *rs):
-    """[(Phi, Phi'), ...] of the mapped family at indices rs, as one group."""
-    lags, _ = scenarios._family_lags(E, rs)
-    return scenarios._mapped_family(E, rs, lags)
+    """[(Phi, Phi'), ...] of the mapped family at indices rs, each a pair of functions of y
+    (a float or an ndarray) that read all the rows of rs in one kernel call."""
+    rows = [row for r in rs for row in scenarios._family_rows(E, r)]
+
+    def read(i, k, y):
+        grid = np.atleast_1d(np.asarray(y, dtype=float))
+        z = (1.0 / math.sqrt(E)) * exp(2 * grid)
+        values = scenarios._laguerre_values(rows, z)
+        part = scenarios._family(rs[i], grid, z, values[2 * i], values[2 * i + 1])[k]
+        return part if isinstance(y, np.ndarray) else float(part[0])
+
+    return [(lambda y, i=i: read(i, 1, y), lambda y, i=i: read(i, 2, y))
+            for i in range(len(rs))]
 
 
 @pytest.mark.parametrize("E", [4.0, 12.0 ** (2.0 / 3.0)])
@@ -439,13 +450,13 @@ def test_standard_members_and_phi_are_the_mapped_family(E, monkeypatch):
     # -3/4, is u2: all bit for bit, floats included.  Joined with the
     # chain, Phi's rows are u2's, so the group's call reads four rows.
     calls = _count_grid_calls(monkeypatch)
-    chain, phi = scenarios.seeded_chain(DunklParams(nu=1.5, delta=1, mu=1), E)
+    ys = np.linspace(-2.0, 1.0, 41)
+    chain, phi, read = scenarios.seeded_chain(DunklParams(nu=1.5, delta=1, mu=1), E,
+                                              grids=[scenarios.MappedGrid(ys)])
     (u1, _), (u2, u2p) = chain.funcs
     (f0, _), (f2, f2p) = _family(E, 0.0, 2.0)
     assert phi.eps == -0.75
-    ys = np.linspace(-2.0, 1.0, 41)
-    with memo_scope():
-        transformed_solution(chain, phi, ys)
+    transformed_solution(chain, phi, read())
     assert [len(degrees) for degrees, _ in calls] == [4]
     pairs = [(u1, f0), (u2, f2), (u2p, f2p), (phi.f, u2), (phi.f1, u2p)]
     for got, want in pairs:
@@ -490,42 +501,27 @@ def test_grouped_members_equal_single_members(E):
 
 def test_laguerre_pair_evaluates_both_rows_in_one_call(monkeypatch):
     calls = _count_grid_calls(monkeypatch)
-    lag, lower = scenarios._laguerre_rows((1.7, 0.5), (0.7, 1.5))
-    up = lambda z: -lower(z)                # dL_d^a/dz = -L_{d-1}^{a+1}
     z = np.linspace(0.0, 3.0, 9)
-    with memo_scope():
-        values, slopes = lag(z), up(z)
-        assert calls == [((1.7, 0.7), (0.5, 1.5))]
-        assert lag(z.copy()).base is values.base and _bits(up(z)) == _bits(slopes)
-        assert len(calls) == 1                               # both rows memoised
-        assert _bits(values) == _bits([_laguerre(1.7, 0.5, v) for v in z])
-        assert _bits(slopes) == _bits([-_laguerre(0.7, 1.5, v) for v in z])
-        # a float is a one-point grid through the same memo: both rows at once
-        assert lag(1.5) == _laguerre(1.7, 0.5, 1.5) and len(calls) == 2
-        assert calls[1] == ((1.7, 0.7), (0.5, 1.5))
-        assert up(1.5) == -_laguerre(0.7, 1.5, 1.5) and len(calls) == 2
-        assert type(lag(1.5)) is float and len(calls) == 2
-    # outside a scope every read evaluates the group afresh
-    lag(z)
-    assert len(calls) == 3
+    values, lower = scenarios._laguerre_values(((1.7, 0.5), (0.7, 1.5)), z)
+    assert calls == [((1.7, 0.7), (0.5, 1.5))]
+    assert _bits(values) == _bits([_laguerre(1.7, 0.5, v) for v in z])
+    assert _bits(-lower) == _bits([-_laguerre(0.7, 1.5, v) for v in z])
 
 
 @pytest.mark.parametrize("first", ["lag", "up"])
 def test_laguerre_pair_raises_the_group_error_from_either_row(monkeypatch, first):
     # L_601^0 is refused (polynomial degree above the limit), so the
     # pair's one kernel call fails: reading either row, in either order,
-    # raises that call's error, and the failure is not stored, so each
-    # read calls the kernel again
+    # raises that call's error, each read calling the kernel again
     calls = _count_grid_calls(monkeypatch)
-    lag, lower = scenarios._laguerre_rows((601.0, 0.0), (600.0, 1.0))
-    up = lambda z: -lower(z)
+    rows = ((601.0, 0.0), (600.0, 1.0))
+    lag = lambda z: scenarios._laguerre_values(rows, z)[0]
+    up = lambda z: -scenarios._laguerre_values(rows, z)[1]
     reads = [up, lag, up] if first == "up" else [lag, up, lag]
     z = np.array([0.1, 0.2])
-    with memo_scope():
-        for read in reads:
-            with pytest.raises(DomainError, match="polynomial degree 601 exceeds"):
-                read(z)
-        assert not libm._MEMO.get()
+    for read in reads:
+        with pytest.raises(DomainError, match="polynomial degree 601 exceeds"):
+            read(z)
     assert [len(c[0]) for c in calls] == [2, 2, 2]
 
 
@@ -536,15 +532,13 @@ def _bits(values):
 @pytest.mark.parametrize("coef", [0.0, -0.0, 0.4])
 def test_derivative_factor_keeps_the_product_bits(monkeypatch, coef):
     # a zero coefficient skips its factor and returns the product's zero,
-    # sign included; a float z still gets a Python float
+    # sign included
     calls = _count_grid_calls(monkeypatch)
     factor = scenarios._kummer(1.0, 2.5)
     scaled = scenarios._times_factor(coef, 1.0, 2.5)
     z = np.linspace(0.0, 9.0, 7)
     assert _bits(scaled(z)) == _bits(coef * factor(z))
-    value = scaled(2.0)
-    assert type(value) is float and _bits([value]) == _bits([coef * factor(2.0)])
-    assert len(calls) == (2 if coef == 0.0 else 4)
+    assert len(calls) == (1 if coef == 0.0 else 2)
 
 
 @pytest.mark.parametrize("scenario", [ScenarioHarmonicEnergy(), ScenarioGaussianMass()])
@@ -563,83 +557,3 @@ def test_relative_residual_evaluates_each_factor_once(monkeypatch, scenario):
     # f, f1 and f2 use three factors between them, each on one grid
     assert len(calls) == 3
     assert len(set(calls)) == 3
-
-
-@pytest.mark.parametrize("make, scalar", [
-    (lambda: scenarios._laguerre_rows((0.7, 0.5))[0], lambda z: _laguerre(0.7, 0.5, z)),
-    (lambda: scenarios._kummer(-0.3, 1.5), lambda z: kummer_m(-0.3, 1.5, z).value),
-])
-def test_factor_memo_keys_on_grid_bytes(monkeypatch, make, scalar):
-    calls = _count_grid_calls(monkeypatch)
-    factor = make()
-    z = np.linspace(0.0, 3.0, 7)
-    with memo_scope():
-        first = factor(z)
-        assert factor(z.copy()).base is first.base and len(calls) == 1
-        with pytest.raises(ValueError):
-            first[0] = 1.0                   # shared result is read-only
-        z[3] = 5.0                           # the caller changes its grid in place
-        fresh = factor(z)
-        assert len(calls) == 2
-        assert fresh[3] == scalar(5.0) and first[3] == scalar(1.5)
-        factor(np.array([0.0]))
-        factor(np.array([-0.0]))             # a different key
-        assert len(calls) == 4
-        # a float is the one-point grid [z], keyed and memoised like any grid
-        assert factor(1.5) == scalar(1.5) and len(calls) == 5
-        assert type(factor(1.5)) is float and len(calls) == 5
-        assert factor(np.array([1.5]))[0] == scalar(1.5) and len(calls) == 5
-        assert factor(0.0) == scalar(0.0) and len(calls) == 5     # [0.0] is stored
-    assert factor(0.0) == scalar(0.0) and len(calls) == 6         # the scope is closed
-
-
-@pytest.mark.parametrize("make", [lambda: scenarios._laguerre_rows((1.7, 0.5), (0.7, 1.5))[0],
-                                  lambda: scenarios._kummer(-0.3, 1.5)])
-def test_factor_memo_is_freed_with_its_closure(make):
-    # nothing outlives the scope: refcounting alone frees the stored row
-    # groups when the outermost scope closes, while the closure lives on
-    # (a memo kept in a reference cycle would wait for the cyclic
-    # collector, and the groups of a command would pile up in memory)
-    gc.disable()
-    try:
-        factor = make()
-        with memo_scope():
-            assert factor(1.5) == factor(1.5)
-            values = weakref.ref(factor(np.linspace(0.0, 3.0, 7)).base)
-            assert values() is not None     # held by the memo
-        assert values() is None
-        assert factor(1.5) == factor(1.5)
-    finally:
-        gc.enable()
-
-
-def test_closures_over_the_same_rows_share_one_call_per_grid(monkeypatch):
-    # the memo is keyed by the rows, not by the closure: two families
-    # built apart read one group, and a float reads the one-point grid
-    calls = _count_grid_calls(monkeypatch)
-    (phi, phi1), = _family(4.0, 2.0)
-    (psi, psi1), = _family(4.0, 2.0)
-    ys = np.linspace(-2.0, 1.0, 9)
-    with memo_scope():
-        assert _bits(phi(ys)) == _bits(psi(ys)) and len(calls) == 1
-        assert _bits(psi1(ys)) == _bits(phi1(ys)) and len(calls) == 1
-        assert phi(0.5) == psi(0.5) and psi1(0.5) == phi1(0.5) and len(calls) == 2
-        first, second = scenarios._kummer(-0.3, 1.5), scenarios._kummer(-0.3, 1.5)
-        assert _bits(first(ys)) == _bits(second(ys)) and len(calls) == 3
-
-
-def test_nested_scope_joins_the_outer_one(monkeypatch):
-    calls = _count_grid_calls(monkeypatch)
-    chain = standard_chain_u12(4.0, validate=False)
-    ys = np.linspace(-2.0, 1.0, 50)
-    with memo_scope():
-        outer = libm._MEMO.get()
-        transformed_potential(chain, ys)            # _read opens a nested scope
-        assert libm._MEMO.get() is outer and len(calls) == 1
-        with memo_scope():
-            assert libm._MEMO.get() is outer
-            transformed_potential(chain, ys)
-        assert libm._MEMO.get() is outer and len(calls) == 1
-    assert libm._MEMO.get() is None
-    transformed_potential(chain, ys)                 # a new scope evaluates afresh
-    assert len(calls) == 2

@@ -87,10 +87,8 @@ def monomial_exponent(params: DunklParams) -> float:
     return 0.5 - params.nu + 0.5 * discriminant_root(params)
 
 
-def _scaled_square(c: float, x):
-    """c x^2, formed as (c x) x, or a DomainError at the first |x| where it overflows."""
-    with np.errstate(over="ignore"):
-        value = c * x * x
+def _finite_square(value, x):
+    """value, a multiple of x^2, or a DomainError at the first |x| where it overflowed."""
     bad = ~np.isfinite(value)
     if np.any(bad):
         at = float(np.abs(np.broadcast_to(x, np.shape(bad)))[bad][0])
@@ -134,15 +132,17 @@ def _decaying_state(s: float, scale: float, decay: float, u, up, upp,
     by the derivatives that need it.  Both scenarios' bound states take
     this form: gaussian-mass with scale 1 and decay 2, harmonic-energy
     with scale = decay = 1/sqrt(E).  Where x^2 overflows the state is
-    refused by |x|.
+    refused by |x|, where F would first read it.
     """
 
     def core(x, k):
-        z = _scaled_square(scale, x)
-        e = exp(-0.5 * decay * x * x)
+        with np.errstate(over="ignore"):
+            z, e = scale * x * x, exp(-0.5 * decay * x * x)
         if k == 0:
-            return [e * (power(x, s) * u(z))]
-        p2, f0, p, f1 = power(x, s - 2), u(z), power(x, s), up(z)     # in the order f'' reads them
+            p = power(x, s)
+            return [e * (p * u(_finite_square(z, x)))]
+        p2 = power(x, s - 2)        # then the factors in the order f'' reads them
+        f0, p, f1 = u(_finite_square(z, x)), power(x, s), up(z)
         g2 = (s * (s - 1) * p2 * f0 + (4 * s + 2) * scale * p * f1
               + 4 * scale * scale * power(x, s + 2) * upp(z))
         g1 = s * power(x, s - 1) * f0 + 2 * scale * power(x, s + 1) * f1
@@ -164,8 +164,9 @@ class ScenarioGaussianMass:
     default_rule = "ene0"
 
     def mass(self) -> MassProfile:
-        def jet(x):         # refused where x^2 overflows
-            m = exp(_scaled_square(-1.0, x))
+        def jet(x):
+            with np.errstate(over="ignore"):
+                m = exp(_finite_square(-x * x, x))
             return m, -2 * x * m, (4 * x * x - 2) * m
 
         return MassProfile(jet=jet, parity=1)

@@ -180,9 +180,10 @@ NON_FINITE = [
 # Overflows that escaped as a RuntimeWarning: the nu = 250 confluent
 # Phi-hat determinant (printed as nan), the nu = 400 seed's
 # e^{-z/2 + (r/2) y} L, U_E(y)'s e^{4y}/E at E = 1e-310, and x^2 at a grid
-# end near the float limit in figure 1's states and in the initial
-# potential of figures 3 and 7; and the PDM route at E = 1e-310, which
-# reported its overflow as a failed check.
+# end near the float limit in figure 1's states, in the initial potential
+# of figures 3 and 7, in the gaussian-mass state (density) and mass
+# (verify); figure 4's density product at nu = 250; and the PDM route at
+# E = 1e-310, which reported its overflow as a failed check.
 OVERFLOWS = [
     ["darboux", "--kind", "confluent", "--nu", "250", "--delta", "-1", "--energy", "4",
      "--grid-hi", "3", "--grid-count", "25"],
@@ -195,6 +196,11 @@ OVERFLOWS = [
     ["figure", "1", "--grid-lo=-1.7e+308", "--grid-hi=1", "--grid-count", "2"],
     ["figure", "3", "--grid-hi=1.7e+308", "--grid-count", "2"],
     ["figure", "7", "--grid-lo=-1.7e+308", "--grid-hi=1", "--grid-count", "2"],
+    ["density", "--scenario", "gaussian-mass", "--nu", "0.5", "--delta", "-1", "--grid-lo=1",
+     "--grid-hi=1.7e+308", "--grid-count", "2"],
+    ["verify", "--scenario", "gaussian-mass", "--nu", "0.5", "--delta", "-1", "--grid-lo=1",
+     "--grid-hi=1.7e+308", "--grid-count", "2"],
+    ["figure", "4", "--nu", "250", "--delta", "1", "--grid-hi=4", "--grid-count", "3"],
 ]
 
 

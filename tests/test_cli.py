@@ -350,7 +350,11 @@ def test_zero_kummer_coefficient_reads_no_series(delta, n, monkeypatch, capsys):
 # darboux printed as nan and now refuses by column; the nu = 400 seed
 # overflows its product e^{-z/2 + (r/2) y} L, and U_E(y) its e^{4y}/E.
 # At a grid end near the float limit, x^2 overflows in figure 1's states
-# and in the initial potential of figures 3 and 7, which refuse the grid.
+# and in the initial potential of figures 3 and 7, which refuse the grid,
+# and in the gaussian-mass state and mass, which refuse |x| (density used
+# to print the kernel's "argument z is not finite", verify "mass vanishes
+# at evaluation point").  Figure 4's density at nu = 250 overflows in
+# p_hat_0 (it used to print "non-finite value in emitted series").
 @pytest.mark.parametrize("argv, code, stream, start", [
     (["darboux", "--nu", "1e6"], EXIT_USAGE, "err",
      "error: exp(5025.1241321172565): result overflows"),
@@ -377,6 +381,14 @@ def test_zero_kummer_coefficient_reads_no_series(delta, n, monkeypatch, capsys):
     (["figure", "7", "--grid-lo=-1.7e+308", "--grid-hi=1", "--grid-count", "2"],
      EXIT_USAGE, "err",
      "error: figure 7: the grid is out of range: v_initial is not finite at x=-1.7e+308"),
+    (["density", "--scenario", "gaussian-mass", "--nu", "0.5", "--delta", "-1", "--grid-lo=1",
+      "--grid-hi=1.7e+308", "--grid-count", "2"],
+     EXIT_USAGE, "err", "error: |x| = 1.7e+308 is out of range: x^2 overflows\n"),
+    (["verify", "--scenario", "gaussian-mass", "--nu", "0.5", "--delta", "-1", "--grid-lo=1",
+      "--grid-hi=1.7e+308", "--grid-count", "2"],
+     EXIT_USAGE, "err", "error: |x| = 1.7e+308 is out of range: x^2 overflows\n"),
+    (["figure", "4", "--nu", "250", "--delta", "1", "--grid-hi=4", "--grid-count", "3"],
+     EXIT_USAGE, "err", "error: figure 4: p_hat_0 overflows at x=4.0\n"),
 ])
 def test_overflow_raises_no_numpy_warning(argv, code, stream, start, capsys):
     with warnings.catch_warnings():

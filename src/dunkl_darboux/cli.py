@@ -595,17 +595,25 @@ def _potential_rows(config: argparse.Namespace, kind: str):
 
 
 def _figure_hat(config: argparse.Namespace, nu: float, delta: int, density: bool):
-    """Figures 4-6: standard-chain Psi-hat or its density (nu, delta: defaults)."""
+    """Figures 4-6: standard-chain Psi-hat or its density (nu, delta: defaults).
+
+    Psi-hat is ``pipeline_hatpsi``'s, read in its order: x^{1/2 - nu},
+    then U's factors of ln(x), then the chain's rows; those free of E are
+    computed once.  A grid with x <= 0 is refused by ``pipeline_hatpsi``.
+    """
     params = _params(config, nu, delta)
     energies = [bound_state_energy(n, params, "ene1") for n in (0, 1, 2)]
     xs = _grid(config, 0.2, 3.0, 300)
-    grids = [MappedGrid(log(xs))] if xs[0] > 0 else []      # the grid ascends
-    states, slopes, scale = [], [], None
+    grids = []
+    if xs[0] > 0:       # the grid ascends
+        scale, grid = power(xs, 0.5 - params.nu), MappedGrid(log(xs))
+        grid.e2y, grid.e4y      # U's factors before the rows, as pipeline_hatpsi reads them
+        grids = [grid]
+    states, slopes = [], []
     for E in energies:      # the chain, Phi and figure 4's dV-hat/dE read one kernel call
         chain, phi, *read = seeded_chain(params, E, grids=grids, slopes=density and bool(grids))
         if not read:
             pipeline_hatpsi(params, E, chain, xs, phi)      # refuses x <= 0
-        scale = power(xs, 0.5 - params.nu) if scale is None else scale   # as pipeline_hatpsi
         states.append(scale * transformed_solution(chain, phi, read[0]()))
         slopes += read[1:]
     if not density:

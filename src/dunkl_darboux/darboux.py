@@ -11,23 +11,20 @@ product over members of max(|u_j|, |u_j'|), which a rescaled member
 moves with W, and W = 0 also where that product underflows.  The one
 matrix left is the 3 x 3 numerator of the order-2 Phi-hat, whose third
 row is reduced through the chain equation and expanded by an explicit
-cofactor formula.  ``chain_residuals`` is the one residual routine of
-standard-form equations, and ``validate_chain`` the one refusal on it.
+cofactor formula.  ``residuals`` is the one residual routine of
+standard-form equations, and ``require_residuals`` the one refusal on it.
 The chains themselves are built in ``scenarios``, where their family lives.
 
-A chain's members and a solution Phi are jets: each maps y to its (u, u')
-there, the factors they share computed once.  The routines work on a
-``ChainRead``, the arrays of one read of the chain (and of Phi) at the
-points y: U(y) and every (u_j, u_j').  ``wronskian``,
-``wronskian_first_derivative``, ``transformed_potential``,
-``transformed_solution`` and ``transformed_pair`` (U-hat and Phi-hat from
-one read, for callers that need both) take a float or an ndarray of
-points y, which they read the chain at (``read``), or a read the caller
-already has (``scenarios.seeded_chain`` gives one per grid of its one
-kernel call).  A float gives a float, and an ndarray is evaluated
-elementwise, equal to the per-point calls bit for bit.
-``chain_residuals`` reads the chain on the whole grid it is given and
-its members' u' on the stencil nodes; ``residuals`` takes those arrays.
+A chain's members and a solution Phi are jets, y -> (u, u').  The
+routines take a ``ChainRead``, the arrays of one read of the chain (and
+of Phi) at the points y: ``wronskian``, ``transformed_potential``,
+``transformed_solution`` and ``transformed_pair`` (U-hat and Phi-hat for
+callers that need both) take points y, a float or an ndarray, which
+they ``read``, or the read a caller already has (``scenarios.seeded_chain``
+gives one per grid).  An ndarray is evaluated elementwise, equal to the
+per-point calls bit for bit.  ``chain_residuals`` reads the chain on its
+grid and the members' u' on the stencil nodes, and ``residuals`` takes
+those arrays.
 """
 
 from __future__ import annotations
@@ -50,10 +47,8 @@ KIND_CONFLUENT = "confluent"
 
 @dataclass(frozen=True)
 class OdeSolution:
-    """Solution of a standard-form equation: its jet y -> (phi, phi'), and its spectral parameter.
-
-    f and f1 are views of the jet.
-    """
+    """Solution of a standard-form equation: its jet y -> (phi, phi'), with views f and f1,
+    and its spectral parameter."""
 
     jet: Callable[[float], Tuple[float, float]]
     eps: float
@@ -116,11 +111,7 @@ class DarbouxOutput:
 
 
 class ChainRead(NamedTuple):
-    """A chain, and a solution Phi with it, read at the points y.
-
-    u is U(y) (None where it is not read), members holds each member's
-    (u_j, u_j') in chain order and solution (Phi, Phi'), or None.
-    """
+    """A chain read at the points y: U(y), each member's (u_j, u_j'), and (Phi, Phi') or None."""
 
     y: object
     u: object

@@ -11,6 +11,8 @@ must reproduce the per-point float path bit for bit.
 Where the scalar routine fails (a result that overflows, the log of a
 nonpositive number, zero to a negative power), the helper raises a
 ``DomainError`` that names the function and the first failing argument.
+Nothing is stored: each call evaluates its input afresh, and code that
+needs a value twice keeps the array it got.
 """
 
 from __future__ import annotations

@@ -12,10 +12,12 @@ Parity is carried as explicit metadata on functions: it is a modeling
 assumption, not a detected property.  The domain is the punctured line;
 evaluation at x = 0 is rejected rather than regularized.
 
+A state, a mass profile and a potential are read as jets: one call at x
+gives the value and the derivatives the caller needs, with the factors
+they share computed once, and nothing is stored between two reads.
 ``dunkl_residual`` and ``probability_density`` take a float or an
 ndarray of x: floats in, floats out.  An ndarray is evaluated as one
-grid, so the functions of the system and of psi must then accept it
-too, and every entry equals the per-float call bit for bit (powers go
+grid, and every entry equals the per-float call bit for bit (powers go
 through ``libm.power``).  The guards are ``np.any`` tests, which reject
 a grid, with the per-point message, if any of its points fails.
 ``state_checks`` reads psi once for both of ``verify``'s checks of it.
@@ -50,11 +52,7 @@ class DunklParams:
 
 @dataclass(frozen=True)
 class MassProfile:
-    """Mass profile with definite parity, read as its jet.
-
-    jet(x) gives (m, m', m'') at x, with the factors they share computed
-    once; m, m1 and m2 are views of it.
-    """
+    """Mass profile with definite parity: jet(x) gives (m, m', m''), m a view of it."""
 
     jet: Callable[[float], Tuple[float, float, float]]
     parity: int
@@ -66,20 +64,11 @@ class MassProfile:
     def m(self, x):
         return self.jet(x)[0]
 
-    def m1(self, x):
-        return self.jet(x)[1]
-
-    def m2(self, x):
-        return self.jet(x)[2]
-
 
 @dataclass(frozen=True)
 class EnergyPotential:
-    """Potential V(E, x) with its energy derivative dV/dE, read at fixed x.
-
-    at(x) gives the pair of functions E -> V(E, x) and E -> dV/dE(E, x),
-    with the factors free of E computed once; v and dV_dE are views.
-    """
+    """Potential V(E, x) and dV/dE: at(x) gives them as functions of E, with the
+    factors free of E computed once; v and dv_dE are views."""
 
     at: Callable[[float], Tuple[Callable[[float], float], Callable[[float], float]]]
 

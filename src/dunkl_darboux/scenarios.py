@@ -14,25 +14,20 @@ Three named scenarios are exposed:
 
 Energies always come from the quantization rules, never hard-coded, so
 parameter sweeps stay consistent.  Each family of closed forms is
-written once, with analytic derivatives from the contiguous-derivative
-identities of the Kummer and Laguerre functions: ``_decaying_state``
-for the x-space bound states, ``_mapped_family`` for the mapped-coordinate
-solutions.  Their Kummer and Laguerre factors are row groups
-(``_row_group``) that evaluate a float as a one-point grid and are
-stored in ``libm``'s memo, so within a memo scope each group is
-evaluated once per grid.  The Darboux chains are built here too, on
-members of ``_mapped_family``, by one builder, ``seeded_chain``.  A
-group holds the rows that every caller reads together: a chain's
-members, and with them the seed Phi that the chain transforms, itself a
-member of the same family.  Each chain is built once, on the group it
-is read from, and the group is read ahead, in one kernel call, on every
-grid the chain will be read on: the confluent chain's validation grid,
-its stencil nodes and the grids the caller names.  So a ``darboux``
-(12 rows for a confluent chain) and each energy of figures 3-7 make one
-kernel call, and ``verify``'s mapped-equation check reads Phi ahead on
-its grid and stencil nodes, one call.  Figure 4's group also holds the
-degree derivatives of the chain's rows, from the same call, and its
-dV-hat/dE (``_vhat_dE``) is formed from them.
+written once, as a jet (one call gives the value and the derivatives a
+caller reads, their shared factors computed once), with analytic
+derivatives from the contiguous-derivative identities of the Kummer and
+Laguerre functions: ``_decaying_state`` for the x-space bound states,
+``_family`` for the mapped-coordinate solutions.  The Darboux chains are
+built here too, on members of the mapped family, by one builder,
+``seeded_chain``.  A chain's members and the seed Phi that it transforms
+read one row group (``_Group``), evaluated in one kernel call on every
+grid the chain is read on: the confluent chain's validation grid, its
+stencil nodes and the grids the caller names.  The caller gets each
+grid's arrays, so a ``darboux`` and each energy of figures 3-7 make one
+kernel call, and so does ``verify``'s mapped-equation check.  Figure
+4's group also holds the degree derivatives of the chain's rows, from
+the same call, and its dV-hat/dE (``_vhat_dE``) is formed from them.
 """
 
 from __future__ import annotations
@@ -97,12 +92,10 @@ def _finite_square(value, x):
 
 
 def _extended(core, parity: int):
-    """The jet (x, k) -> (f, ..., f^(k)) of the extension by parity of core to x <= 0.
+    """The jet (x, k) -> (f, ..., f^(k)) of core, a jet on x > 0, extended by parity.
 
-    core(ax, k) is the jet of the half-line form at the ndarray ax > 0.
     Each distinct |x| is read once, in the order it first occurs (a grid
-    and the reflections of its points read the grid's |x|), and a float x
-    is the one-point grid [x], with floats back.
+    and its reflection read the grid's |x|); a float x is the grid [x].
     """
     signs = (parity, -parity, parity)
 
@@ -488,11 +481,8 @@ def _mapped_u(E: float, e2y, e4y):
 
 
 class MappedGrid:
-    """Points y of the mapped variable, with e^{2y} and e^{4y} computed on their first read.
-
-    Both are free of E, so the chains of several energies read on one
-    MappedGrid (figures 3-7) compute them once.
-    """
+    """Points y with e^{2y} and e^{4y}, computed on first read: free of E, so the
+    chains of several energies read on one MappedGrid (figures 3-7) share them."""
 
     def __init__(self, y: np.ndarray):
         self.y = y
@@ -508,15 +498,13 @@ class MappedGrid:
 
 @dataclass(frozen=True)
 class _Group:
-    """The Laguerre rows of a chain, and of its seed Phi, read in one kernel call per read.
+    """The Laguerre rows of a chain and its seed Phi, one kernel call per read.
 
-    The members read the mapped family at the indices rs, two rows each
-    (``_family_rows``): the standard chain's r = 0 and 2, or the confluent
-    chain's r at eps1 and at its four ``parameter_probes``.  Phi is the
-    family at r_seed (None: no seed).  ``rows`` are the distinct rows, in
-    the kernel's order, and ``pick`` the index into them of each row read:
-    those of rs, then Phi's, then (figure 4) the degree derivatives of the
-    chain's rows.
+    The members read the mapped family at the indices rs (the standard
+    chain's r = 0 and 2, or the confluent chain's r at eps1 and at its
+    probes), Phi at r_seed (None: no seed).  ``rows`` are the distinct
+    rows, and ``pick`` indexes them by the rows of rs, then Phi's, then
+    the degree derivatives of the chain's rows (figure 4).
     """
 
     E: float
@@ -536,15 +524,13 @@ class _Group:
                                             axis=1)))
 
     def forms(self, y, z, v, seed: bool = True, values: bool = True) -> tuple:
-        """(members, Phi) at y from the rows v at z: each member's (u_j, u_j'), and
-        (Phi, Phi'), or None without a seed or with seed unset.
+        """(members' (u_j, u_j'), (Phi, Phi') or None) at y from the rows v at z.
 
-        The standard chain's u1' keeps the form z (2 L' - L) e^{-z/2}: the
-        family's (r/2 - z) L + 2 z L' rounds differently, and where Phi is
-        u2 (delta nu - nu^2 = -3/4) the transformed state is pure rounding
-        noise that any change would move.  The confluent u2 is
-        ``numerics.parameter_derivative`` of the probes' values and
-        derivatives, its value left out (None) with values unset.
+        The standard u1' keeps the form z (2 L' - L) e^{-z/2}: the family's
+        (r/2 - z) L + 2 z L' rounds differently, and where Phi is u2 the
+        transformed state is rounding noise that any change would move.
+        The confluent u2 is ``parameter_derivative`` over the probes; its
+        value is None with values unset, and Phi None with seed unset.
         """
         fam = [_family(r, y, z, v[2 * i], v[2 * i + 1]) for i, r in enumerate(self.rs)]
         if not fam:
@@ -590,8 +576,7 @@ def _group(E: float, kind: str, rs: Sequence[float], eps1: float,
     """The ``_Group`` of a chain's rows; its family degrees are refused before seed's nu."""
     rows = [row for r in rs for row in _family_rows(E, r)]
     r_seed = None if seed is None else discriminant_root(seed)
-    if seed is not None:
-        rows += _family_rows(E, r_seed)
+    rows += [] if seed is None else _family_rows(E, r_seed)
     if slopes:
         rows += [row + (_SLOPE,) for row in rows[:2 * len(rs)]]
     unique = tuple(dict.fromkeys(rows))
@@ -610,12 +595,8 @@ def mapped_initial_solution(params: DunklParams, E: float) -> OdeSolution:
 
 
 def mapped_equation_residual(params: DunklParams, E: float, grid: np.ndarray) -> float:
-    """The worst ``chain_residuals`` of Phi in its own mapped equation, at the default step.
-
-    Phi (``mapped_initial_solution``) is read, as the order-1 standard
-    chain of itself, on grid and on the grid's stencil nodes in one kernel
-    call, and U on grid only.
-    """
+    """The worst ``chain_residuals`` of Phi, as the order-1 standard chain of itself, at
+    the default step: Phi read on grid and its stencil nodes in one kernel call, U on grid."""
     group = _group(E, KIND_STANDARD, (), CONFLUENT_EPS1, params, False)
     phi = group.seed(params)
     chain = DarbouxChain(kind=KIND_STANDARD, members=(phi.jet,), eps=(phi.eps,),
@@ -680,24 +661,19 @@ def seeded_chain(params: Optional[DunklParams], E: float, kind: str = KIND_STAND
     having r = sqrt(1 - 4 eps), and u2 is ``numerics.parameter_derivative``
     of its value and y-derivative, on the members at the stencil's four
     probes.  Any other kind or order is refused.  Phi is the seed
-    ``mapped_initial_solution(params, E)``, or None when params is None,
-    and its two rows join the chain's (``_Group``), so every read of the
-    chain and Phi is one kernel call, bit for bit as each would read
-    alone.  The group is read once, in one kernel call, on the confluent
-    chain's validation grids (``residual_grids(CONFLUENT_CHECK_GRID)``)
-    and on each ``MappedGrid`` of ``grids``; for each of those the result
-    holds a reader, a function of no argument that forms the
-    ``ChainRead`` of the chain and Phi there (U, the members, Phi) when
-    its caller needs it.  The confluent chain is refused if u2 vanishes on the 25-point
-    grid, or unless the residuals there are at most 1e-7 (u1) and 1e-5
-    (u2).  The build-time refusals (kind and order, eps1, E <= 0, the
-    family degree) come before Phi's nu; a kernel refusal is the first
-    the read meets, on any of its grids, and comes before the validation's.
-
-    With slopes (the order-2 standard chain only), the group also holds
-    the degree derivatives of the chain's four rows, and the result ends
-    with dV-hat/dE: x -> ``_vhat_dE`` at the points x > 0 whose ln x is
-    the first of grids, from that same kernel call.
+    ``mapped_initial_solution(params, E)``, or None when params is None;
+    its rows join the chain's (``_Group``), bit for bit as each would read
+    alone.  The group is read in one kernel call, on the confluent chain's
+    validation grids and on each ``MappedGrid`` of ``grids``; per grid of
+    grids the result holds a reader, which forms the ``ChainRead`` there
+    (U, the members, Phi) when called.  The confluent chain is refused if
+    u2 vanishes on ``CONFLUENT_CHECK_GRID``, or unless its residuals are
+    at most 1e-7 (u1) and 1e-5 (u2).  The build's refusals (kind and
+    order, eps1, E <= 0, the family degree) come before Phi's nu; a
+    kernel refusal, on any grid, before the validation's.  With slopes
+    (the order-2 standard chain), the result ends with x -> dV-hat/dE
+    (``_vhat_dE``) at the x whose ln x is the first grid, from the degree
+    derivatives of the chain's rows in the same call.
     """
     name = _CHAINS.get((kind, order))
     if name is None:

@@ -36,8 +36,8 @@ from .errors import DomainError, DunklDarbouxError
 from .libm import exp, log, power
 from .model import DunklParams, modified_norm, probability_density, state_checks
 from .pointmap import energy_relation_residual, induced_potential
-from .scenarios import (CONFLUENT_EPS1, MappedGrid, ScenarioGaussianMass, ScenarioHarmonicEnergy,
-                        ScenarioHarmonicEnergyPdm, bound_state_energy,
+from .scenarios import (CONFLUENT_EPS1, MappedGrid, ScenarioGaussianMass,
+                        ScenarioHarmonicEnergy, ScenarioHarmonicEnergyPdm, bound_state_energy,
                         get_scenario, mapped_equation_residual,
                         pdm_equivalence_nu, pipeline_hatpsi, pipeline_vhat,
                         printed_bound_state, seeded_chain, SCENARIO_NAMES)

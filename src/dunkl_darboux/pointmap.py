@@ -109,7 +109,7 @@ def inverse_map(phi_hat: Callable[[float], float], coord: CoordinateChange,
 
 def _geometry(coord: CoordinateChange, mass: MassProfile, potential: EnergyPotential,
               params: DunklParams, y):
-    """(x, x', m, square, dV/dE, E -> ``induced_potential``) at y, the terms free of E computed once.
+    """(x, x', m, square, dV/dE, E -> ``induced_potential``) at y, its E-free terms read once.
 
     A derivative of x that is x's own function (all of the exp map's) is
     x itself, not evaluated again, and so is the square of anything that is

@@ -557,7 +557,7 @@ class _Group:
         return ChainRead(grid.y, _mapped_u(self.E, grid.e2y, grid.e4y), *self.forms(grid.y, z, v))
 
     def jets(self, y) -> tuple:
-        """(members, Phi) at y, a float or an ndarray, from one kernel call (floats for a float)."""
+        """(members, Phi) at y, a float or an ndarray, from one kernel call (floats for floats)."""
         grid = y if isinstance(y, np.ndarray) else np.array([y], dtype=float)
         (_, z, v), = self.at([MappedGrid(grid)])
         members, phi = self.forms(grid, z, v)
@@ -568,7 +568,8 @@ class _Group:
 
     def seed(self, params: DunklParams) -> OdeSolution:
         """Phi, the seed of params in this group: the Dunkl constant delta nu - nu^2 its eps."""
-        return OdeSolution(jet=lambda y: self.jets(y)[1], eps=params.delta * params.nu - params.nu**2)
+        return OdeSolution(jet=lambda y: self.jets(y)[1],
+                           eps=params.delta * params.nu - params.nu**2)
 
 
 def _group(E: float, kind: str, rs: Sequence[float], eps1: float,

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from dunkl_darboux import cli, scenarios
-from dunkl_darboux.darboux import (KIND_CONFLUENT, KIND_STANDARD, DarbouxChain,
-                                   chain_residuals, transformed_potential,
+from dunkl_darboux.darboux import (DarbouxChain, chain_residuals, transformed_potential,
                                    transformed_solution)
 from dunkl_darboux.errors import ContractError, DomainError
 from dunkl_darboux.model import (DunklParams, ParityFunction, dunkl_residual,
@@ -30,7 +29,7 @@ from dunkl_darboux.scenarios import (DUNKL_GRID,
                                      pipeline_vhat, printed_bound_state,
                                      standard_chain_u12, standard_vhat_dE)
 from dunkl_darboux.libm import exp
-from dunkl_darboux.specfun import assoc_laguerre_grid, kummer_m
+from dunkl_darboux.specfun import assoc_laguerre_grid
 
 
 def _laguerre(degree, alpha, z):

@@ -140,11 +140,11 @@ def _mass_at(system: DunklSystem, psi: ParityFunction, x):
     return m, m1
 
 
-def _residual(system: DunklSystem, E: float, x, m, m1, psi_at, relative: bool):
-    """The residual of ``dunkl_residual`` at x from (m, m') there and psi_at(), psi's jet there."""
+def _residual(system: DunklSystem, E: float, x, m, m1, jet, relative: bool):
+    """The residual of ``dunkl_residual`` at x from (m, m') and psi's jet (f, f', f'') there."""
     nu, delta, mu = system.params.nu, system.params.delta, system.params.mu
+    f, f1, f2 = jet
     with np.errstate(all="ignore"):
-        f, f1, f2 = psi_at()
         kin = f2 / (2 * m)
         m_sq = power(m, 2)
         x_sq = power(x, 2)
@@ -178,7 +178,9 @@ def dunkl_residual(system: DunklSystem, psi: ParityFunction, E: float, x,
     as its jet of order 2.
     """
     m, m1 = _mass_at(system, psi, x)
-    return _residual(system, E, x, m, m1, lambda: psi.jet(x, 2), relative)
+    with np.errstate(all="ignore"):     # an overflow stays inf or NaN, which the residual reports
+        jet = psi.jet(x, 2)
+    return _residual(system, E, x, m, m1, jet, relative)
 
 
 def state_checks(system: DunklSystem, psi: ParityFunction, E: float, grid: np.ndarray):
@@ -192,9 +194,9 @@ def state_checks(system: DunklSystem, psi: ParityFunction, E: float, grid: np.nd
     m, m1 = _mass_at(system, psi, grid)
     pos = grid > 0
     n = grid.size
-    with np.errstate(all="ignore"):     # as in dunkl_residual: the residual reports inf and NaN
+    with np.errstate(all="ignore"):     # as in dunkl_residual
         f, f1, f2 = psi.jet(np.concatenate([grid, -grid[pos]]), 2)
-    res = _residual(system, E, grid, m, m1, lambda: (f[:n], f1[:n], f2[:n]), True)
+    res = _residual(system, E, grid, m, m1, (f[:n], f1[:n], f2[:n]), True)
     if not pos.any():
         return res, 0.0
     return res, float(np.max(np.abs(f[n:] - psi.parity * f[:n][pos])))

@@ -26,17 +26,17 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .darboux import (DarbouxChain, KIND_CONFLUENT, KIND_STANDARD, OdeSolution,
-                      transformed_pair, transformed_potential, transformed_solution)
+                      transformed_pair)
 from .errors import DomainError, DunklDarbouxError
-from .libm import exp, log, power
+from .libm import Grid, exp, log, power
 from .model import DunklParams, modified_norm, probability_density, state_checks
 from .pointmap import energy_relation_residual, induced_potential
-from .scenarios import (CONFLUENT_EPS1, MappedGrid, ScenarioGaussianMass,
+from .scenarios import (CONFLUENT_EPS1, ScenarioGaussianMass,
                         ScenarioHarmonicEnergy, ScenarioHarmonicEnergyPdm, bound_state_energy,
                         get_scenario, mapped_equation_residual,
                         pdm_equivalence_nu, pipeline_hatpsi, pipeline_vhat,
@@ -383,7 +383,7 @@ def _verify_pdm(params: DunklParams, E: float, tol: float) -> VerificationReport
     harm = ScenarioHarmonicEnergy()
     pdm = ScenarioHarmonicEnergyPdm()
     coord = pdm.coord()
-    ys = np.linspace(-2.0, 1.0, 100)
+    ys = Grid(np.linspace(-2.0, 1.0, 100))      # both routes share e^y and its powers
     report = VerificationReport()
     u_harm = induced_potential(coord, harm.mass(), harm.potential(), params, E, ys)
     u_pdm = induced_potential(coord, pdm.mass(), pdm.potential(),
@@ -463,30 +463,33 @@ def cmd_density(config: argparse.Namespace) -> int:
 
 
 def _build_chain(config: argparse.Namespace, params: DunklParams, E: float,
-                 grid: np.ndarray) -> Tuple[DarbouxChain, OdeSolution, Callable]:
-    """The command's chain, its seed Phi and their reader on grid (``seeded_chain``)."""
+                 grid: Grid) -> Tuple[DarbouxChain, OdeSolution]:
+    """The command's chain and its seed Phi, their rows read on grid (``seeded_chain``)."""
     return seeded_chain(params, E, config.chain_kind or KIND_STANDARD,
                         config.chain_order if config.chain_order is not None else 2,
-                        config.chain_eps[0] if config.chain_eps else CONFLUENT_EPS1,
-                        [MappedGrid(grid)])
+                        config.chain_eps[0] if config.chain_eps else CONFLUENT_EPS1, [grid])
 
 
 def _joined_grid(ys: np.ndarray, xs: np.ndarray):
-    """(grid, moved): y followed by the points of ln(x) that differ from y, and where."""
-    ln_x = log(xs)
-    moved = ln_x != ys
-    return np.concatenate([ys, ln_x[moved]]), moved
+    """(grid, moved): the Grid of y followed by the points of ln(x) that differ from y,
+    and where; kept with xs = e^y when it is a Grid."""
+    def join():
+        ln_x = log(xs)
+        moved = ln_x != ys
+        return Grid(np.concatenate([ys, ln_x[moved]])), moved
+
+    return xs.kept(("joined",), join) if isinstance(xs, Grid) else join()
 
 
 def _chain_columns(E: float, chain: DarbouxChain, phi: OdeSolution, ys: np.ndarray,
-                   xs: np.ndarray, read: Callable, moved: np.ndarray):
+                   xs: np.ndarray):
     """(U-hat, Phi-hat, V-hat) of ``cmd_darboux``, from one ``transformed_pair`` call.
 
-    The call takes the chain's read on ``_joined_grid(ys, xs)``, whose
-    kernel rows the command's build read; moved marks the points of ln(x)
-    that differ from y.
+    The call reads the chain on ``_joined_grid(ys, xs)``, whose kernel
+    rows the command's build read.
     """
-    u_grid, phi_grid = transformed_pair(chain, phi, read())
+    grid, moved = _joined_grid(ys, xs)
+    u_grid, phi_grid = transformed_pair(chain, phi, grid)
     u_ln = u_grid[:ys.size].copy()
     u_ln[moved] = u_grid[ys.size:]
     v_hat = E - power(xs, -2.0) * (0.25 - u_ln)
@@ -505,17 +508,17 @@ def cmd_darboux(config: argparse.Namespace) -> int:
     validation grids, in the command's one kernel call.  The routines are
     elementwise, so the columns equal ``transformed_potential(chain, y)``,
     ``transformed_solution(chain, phi, y)`` and ``pipeline_vhat(E,
-    chain, x)`` bit for bit; a refusal is the first this read meets.
+    chain, x)`` bit for bit; a refusal is the first this read meets.  y and
+    x are ``libm.Grid``s, so x^-2 and x^(1/2 - nu) are one power at nu = 5/2.
     """
     params = _params(config, 2.5, -1)
     E = _energy(config, params, "ene1")
-    ys = _grid(config, -2.0, 1.0, 200)
+    ys = Grid(_grid(config, -2.0, 1.0, 200))
     xs = exp(ys)
     if not xs.all():
         raise DomainError(f"darboux: x = e^y underflows to 0 at y={float(ys[xs == 0.0][0])}")
-    grid, moved = _joined_grid(ys, xs)
-    chain, phi, read = _build_chain(config, params, E, grid)
-    u_hat, phi_hat, v_hat = _chain_columns(E, chain, phi, ys, xs, read, moved)
+    chain, phi = _build_chain(config, params, E, _joined_grid(ys, xs)[0])
+    u_hat, phi_hat, v_hat = _chain_columns(E, chain, phi, ys, xs)
     psi_hat = power(xs, 0.5 - params.nu) * phi_hat
     header = ["y", "x", "u_hat", "v_hat", "phi_hat", "psi_hat"]
     _emit_table(config, header,
@@ -545,7 +548,7 @@ def _figure_states(delta: int) -> list:
 
 
 def _figure_1(config: argparse.Namespace):
-    grid = _grid(config, -3.0, 3.0, 400)
+    grid = Grid(_grid(config, -3.0, 3.0, 400))      # the states share e^{-x^2}
     header = ["x", "psi0", "psi1", "psi2"]
     columns = [grid] + [s.f(grid) for s in _figure_states(1)]
     return header, _finite("figure 1: the grid is out of range", header, columns).tolist()
@@ -556,11 +559,12 @@ def _figure_2(config: argparse.Namespace):
     params = DunklParams(nu=0.5, delta=-1, mu=1)
     system = ScenarioGaussianMass().system(params)
     live = grid != 0.0      # the density is 0 at x = 0, outside the domain
+    at = Grid(grid[live])   # the three states share its factors
     columns = [grid]
     for n, psi in enumerate(_figure_states(-1)):
         E = bound_state_energy(n, params, "ene0")
         density = np.zeros_like(grid)
-        density[live] = (probability_density(system, psi, E, grid[live])
+        density[live] = (probability_density(system, psi, E, at)
                          / modified_norm(system, psi, E).value)
         columns.append(density)
     return ["x", "p0", "p1", "p2"], _rows(*columns)
@@ -570,62 +574,49 @@ def _potential_rows(config: argparse.Namespace, kind: str):
     """Figures 3 and 7: initial potential and V-hat at the three energies.
 
     Each energy's chain (order 2, of ``kind``) is built and read on ln(x)
-    in one kernel call; V-hat is ``pipeline_vhat``'s, with x^-2 and the
-    factors of ln(x) free of E computed once.  A grid with x <= 0 is
-    refused by ``pipeline_vhat`` after the first build.
+    in one kernel call, and x and ln(x) are ``libm.Grid``s, so V-hat's
+    factors free of E are evaluated once; a grid with x <= 0 is read by
+    ``pipeline_vhat``, which refuses it after the build.
     """
     params = _params(config, 2.5, -1)
     energies = [bound_state_energy(n, params, "ene1") for n in (0, 1, 2)]
-    xs = _grid(config, 0.2, 3.0, 300)
-    grids = [MappedGrid(log(xs))] if xs[0] > 0 else []      # the grid ascends
+    xs = Grid(_grid(config, 0.2, 3.0, 300))
+    grids = [log(xs)] if xs[0] > 0 else []      # the grid ascends
     # The initial potential is energy-scaled; the ground energy fixes
     # the displayed curve.
     with np.errstate(over="ignore"):
         v_initial = xs * xs / energies[0]
     _finite(f"figure {config.number}: the grid is out of range", ["x", "v_initial"],
             [xs, v_initial])
-    columns, scale = [xs, v_initial], None
-    for E in energies:
-        chain, _, *read = seeded_chain(None, E, kind, grids=grids)
-        if not read:
-            pipeline_vhat(E, chain, xs)     # refuses x <= 0
-        scale = power(xs, -2.0) if scale is None else scale     # as pipeline_vhat, once
-        columns.append(E - scale * (0.25 - transformed_potential(chain, read[0]())))
+    columns = [xs, v_initial]
+    columns += [pipeline_vhat(E, seeded_chain(None, E, kind, grids=grids)[0], xs)
+                for E in energies]
     return ["x", "v_initial", "v_hat_0", "v_hat_1", "v_hat_2"], _rows(*columns)
 
 
 def _figure_hat(config: argparse.Namespace, nu: float, delta: int, density: bool):
     """Figures 4-6: standard-chain Psi-hat or its density (nu, delta: defaults).
 
-    Psi-hat is ``pipeline_hatpsi``'s, read in its order: x^{1/2 - nu},
-    then U's factors of ln(x), then the chain's rows; those free of E are
-    computed once.  A grid with x <= 0 is refused by ``pipeline_hatpsi``.
+    x and ln(x) are ``libm.Grid``s: the three energies share their factors
+    free of E, and figure 4's dV-hat/dE reads the rows each chain read there.
     """
     params = _params(config, nu, delta)
     energies = [bound_state_energy(n, params, "ene1") for n in (0, 1, 2)]
-    xs = _grid(config, 0.2, 3.0, 300)
-    grids = []
-    if xs[0] > 0:       # the grid ascends
-        scale, grid = power(xs, 0.5 - params.nu), MappedGrid(log(xs))
-        grid.e2y, grid.e4y      # U's factors before the rows, as pipeline_hatpsi reads them
-        grids = [grid]
+    xs = Grid(_grid(config, 0.2, 3.0, 300))
     states, slopes = [], []
     for E in energies:      # the chain, Phi and figure 4's dV-hat/dE read one kernel call
-        chain, phi, *read = seeded_chain(params, E, grids=grids, slopes=density and bool(grids))
-        if not read:
-            pipeline_hatpsi(params, E, chain, xs, phi)      # refuses x <= 0
-        states.append(scale * transformed_solution(chain, phi, read[0]()))
-        slopes += read[1:]
+        chain, phi, *vhat_dE = seeded_chain(params, E, slopes=density)
+        states.append(pipeline_hatpsi(params, E, chain, xs, phi))
+        slopes += vhat_dE
     if not density:
         return ["x", "psi_hat_0", "psi_hat_1", "psi_hat_2"], _rows(xs, *states)
     # Densities are normalized on the emitted grid (trapezoid rule over
     # the symmetric extension), which is the display contract.
-    columns, weight = [], None
+    columns = []
     for n, (psi, vhat_dE) in enumerate(zip(states, slopes)):
         square = power(psi, 2)
-        weight = power(xs, 2.0 * params.nu) if weight is None else weight
         with np.errstate(over="ignore", invalid="ignore"):      # refused below
-            raw = square * weight
+            raw = square * power(xs, 2.0 * params.nu)
         dv_de = vhat_dE(xs)
         bad = ~np.isfinite(dv_de)       # where W underflows, and psi-hat is 0
         if bad.any():

@@ -15,16 +15,15 @@ cofactor formula.  ``residuals`` is the one residual routine of
 standard-form equations, and ``require_residuals`` the one refusal on it.
 The chains themselves are built in ``scenarios``, where their family lives.
 
-A chain's members and a solution Phi are jets, y -> (u, u').  The
-routines take a ``ChainRead``, the arrays of one read of the chain (and
-of Phi) at the points y: ``wronskian``, ``transformed_potential``,
-``transformed_solution`` and ``transformed_pair`` (U-hat and Phi-hat for
-callers that need both) take points y, a float or an ndarray, which
-they ``read``, or the read a caller already has (``scenarios.seeded_chain``
-gives one per grid).  An ndarray is evaluated elementwise, equal to the
-per-point calls bit for bit.  ``chain_residuals`` reads the chain on its
-grid and the members' u' on the stencil nodes, and ``residuals`` takes
-those arrays.
+A chain is one jet, y -> its members' (u_j, u_j'), and a solution Phi
+is a jet y -> (Phi, Phi').  ``read`` reads the chain (and Phi) at the
+points y, an ndarray as one ``libm.Grid``, into a ``ChainRead``:
+``wronskian``, ``transformed_potential``, ``transformed_solution`` and
+``transformed_pair`` (U-hat and Phi-hat for callers that need both) take
+points y, a float or an ndarray, or a ``ChainRead``.  An ndarray is
+evaluated elementwise, equal to the per-point calls bit for bit.
+``chain_residuals`` reads the chain on its grid and the members' u' on
+the stencil nodes, and ``residuals`` takes those arrays.
 """
 
 from __future__ import annotations
@@ -36,6 +35,7 @@ import numpy as np
 
 from .errors import (CapabilityError, ConstructionError, DomainError, EvaluationError,
                      SingularityError)
+from .libm import Grid
 from .numerics import derivative, sampled_derivative, stencil_nodes
 from .pointmap import SchrodingerForm
 
@@ -64,15 +64,17 @@ class OdeSolution:
 class DarbouxChain:
     """Ordered transformation functions with their spectral parameters.
 
-    Each member is a jet y -> (u_j, u_j'), and ``funcs`` holds their
-    views, (u_j, u_j') pairs of functions of y.  ``energy`` fixes the
-    energy at which the background potential is evaluated; the members
-    solve the background equation at their ``eps`` parameters (standard)
-    or form a Jordan chain at the single eps (confluent).
+    ``jet`` maps y to the list of the ``order`` members' (u_j, u_j'), and
+    ``funcs`` holds their views, (u_j, u_j') pairs of functions of y.
+    ``energy`` fixes the energy at which the background potential is
+    evaluated; the members solve the background equation at their ``eps``
+    parameters (standard) or form a Jordan chain at the single eps
+    (confluent).
     """
 
     kind: str
-    members: Tuple[Callable[[float], Tuple[float, float]], ...]
+    jet: Callable[[float], list]
+    order: int
     eps: Tuple[float, ...]
     background: SchrodingerForm
     energy: float
@@ -81,7 +83,7 @@ class DarbouxChain:
         if self.kind not in (KIND_STANDARD, KIND_CONFLUENT):
             raise DomainError(f"DarbouxChain: unknown kind {self.kind!r}")
         if self.kind == KIND_STANDARD:
-            if len(self.eps) != len(self.members):
+            if len(self.eps) != self.order:
                 raise DomainError("DarbouxChain: one eps per function required")
             if len(set(self.eps)) != len(self.eps):
                 raise DomainError("DarbouxChain: standard eps must be pairwise distinct")
@@ -90,12 +92,9 @@ class DarbouxChain:
                 raise DomainError("DarbouxChain: confluent chain has a single eps")
 
     @property
-    def order(self) -> int:
-        return len(self.members)
-
-    @property
     def funcs(self) -> tuple:
-        return tuple((lambda y, m=m: m(y)[0], lambda y, m=m: m(y)[1]) for m in self.members)
+        return tuple((lambda y, j=j: self.jet(y)[j][0], lambda y, j=j: self.jet(y)[j][1])
+                     for j in range(self.order))
 
     def potential(self, y: float) -> float:
         return self.background.u_e(self.energy, y)
@@ -120,9 +119,9 @@ class ChainRead(NamedTuple):
 
 
 def read(chain: DarbouxChain, y, phi: Optional[OdeSolution] = None) -> ChainRead:
-    """The chain read at y: U, then each member's jet, then phi's (if given)."""
-    return ChainRead(y, chain.potential(y), [member(y) for member in chain.members],
-                     None if phi is None else phi.jet(y))
+    """The chain read at y (an ndarray as a ``libm.Grid``): U, its jet, phi's (if given)."""
+    y = Grid(y) if isinstance(y, np.ndarray) else y
+    return ChainRead(y, chain.potential(y), chain.jet(y), None if phi is None else phi.jet(y))
 
 
 def _wronskian(chain: DarbouxChain, u, members: list):
@@ -312,15 +311,14 @@ def chain_residuals(chain: DarbouxChain, grid, h: Optional[float] = 5e-4) -> np.
     """
     grid = np.asarray(grid, dtype=float)
     on_grid = read(chain, grid)
-    nodes = stencil_nodes(grid, 1, h)
-    return residuals(chain, on_grid, [member(nodes)[1] for member in chain.members], h)
+    return residuals(chain, on_grid, [g for _, g in chain.jet(stencil_nodes(grid, 1, h))], h)
 
 
 def residuals(chain: DarbouxChain, on_grid: ChainRead, slopes: list,
               h: Optional[float] = 5e-4) -> np.ndarray:
     """``chain_residuals`` from the chain's read on the grid and each member's u' on its nodes."""
     seconds = [sampled_derivative(g, on_grid.y, 1, h) for g in slopes]
-    out = np.zeros(len(chain.members))
+    out = np.zeros(chain.order)
     for j, second in enumerate(seconds):
         eps = chain.eps[j] if chain.kind == KIND_STANDARD else chain.eps[0]
         value = on_grid.members[j][0]

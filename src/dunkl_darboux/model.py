@@ -12,15 +12,16 @@ Parity is carried as explicit metadata on functions: it is a modeling
 assumption, not a detected property.  The domain is the punctured line;
 evaluation at x = 0 is rejected rather than regularized.
 
-A state, a mass profile and a potential are read as jets: one call at x
-gives the value and the derivatives the caller needs, with the factors
-they share computed once, and nothing is stored between two reads.
-``dunkl_residual`` and ``probability_density`` take a float or an
-ndarray of x: floats in, floats out.  An ndarray is evaluated as one
-grid, and every entry equals the per-float call bit for bit (powers go
-through ``libm.power``).  The guards are ``np.any`` tests, which reject
-a grid, with the per-point message, if any of its points fails.
-``state_checks`` reads psi once for both of ``verify``'s checks of it.
+A state and a mass profile are read as jets: one call at x gives the
+value and the derivatives the caller needs.  ``dunkl_residual`` and
+``probability_density`` take a float or an ndarray of x: floats in,
+floats out.  An ndarray is evaluated as one grid, and every entry equals
+the per-float call bit for bit (powers go through ``libm.power``).  The
+residual reads the mass, the state and its own x^2 on one ``libm.Grid``,
+so a factor they share is evaluated once.  The guards are ``np.any``
+tests, which reject a grid, with the per-point message, if any of its
+points fails.  ``state_checks`` reads psi once for both of ``verify``'s
+checks of it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .errors import ContractError, DomainError
-from .libm import power
+from .libm import Grid, power
 from .numerics import QuadratureResult, integrate_real_line
 
 @dataclass(frozen=True)
@@ -67,16 +68,10 @@ class MassProfile:
 
 @dataclass(frozen=True)
 class EnergyPotential:
-    """Potential V(E, x) and dV/dE: at(x) gives them as functions of E, with the
-    factors free of E computed once; v and dv_dE are views."""
+    """Potential V(E, x) together with its energy derivative dV/dE."""
 
-    at: Callable[[float], Tuple[Callable[[float], float], Callable[[float], float]]]
-
-    def v(self, E, x):
-        return self.at(x)[0](E)
-
-    def dv_dE(self, E, x):
-        return self.at(x)[1](E)
+    v: Callable[[float, float], float]
+    dv_dE: Callable[[float, float], float]
 
 
 @dataclass(frozen=True)
@@ -177,6 +172,7 @@ def dunkl_residual(system: DunklSystem, psi: ParityFunction, E: float, x,
     it, and numpy's warnings for it are not emitted.  psi is read once,
     as its jet of order 2.
     """
+    x = Grid(x) if isinstance(x, np.ndarray) else x
     m, m1 = _mass_at(system, psi, x)
     with np.errstate(all="ignore"):     # an overflow stays inf or NaN, which the residual reports
         jet = psi.jet(x, 2)
@@ -188,15 +184,16 @@ def state_checks(system: DunklSystem, psi: ParityFunction, E: float, grid: np.nd
 
     The parity defect is max |f(-x) - parity f(x)| over the grid's points
     x > 0 (0.0 if none; NaN if a value is NaN).  psi is read once, at the
-    grid and at the reflections of those points: the extension of a
-    half-line form by parity reads each |x| once.
+    grid and at the reflections of those points (``Grid.reflected``), and
+    the mass, psi and the residual share the grid's factors.
     """
+    grid = Grid(grid)
     m, m1 = _mass_at(system, psi, grid)
-    pos = grid > 0
     n = grid.size
     with np.errstate(all="ignore"):     # as in dunkl_residual
-        f, f1, f2 = psi.jet(np.concatenate([grid, -grid[pos]]), 2)
+        f, f1, f2 = psi.jet(grid.reflected(), 2)
     res = _residual(system, E, grid, m, m1, (f[:n], f1[:n], f2[:n]), True)
+    pos = grid > 0
     if not pos.any():
         return res, 0.0
     return res, float(np.max(np.abs(f[n:] - psi.parity * f[:n][pos])))
@@ -229,12 +226,14 @@ def probability_density(system: DunklSystem, psi: ParityFunction, E: float, x):
     """Modified probability density |psi|^2 |x|^w (1 - dV/dE).
 
     On an ndarray it is the integrand of ``modified_norm``, which calls
-    it on all the nodes of a quadrature level at once.
+    it on all the nodes of a quadrature level at once; psi, |x|^w and
+    dV/dE read x as one ``libm.Grid`` where the amplitude survives everywhere.
     """
     grid = isinstance(x, np.ndarray)
     if np.any(x == 0) if grid else x == 0:
         raise DomainError("probability_density: x = 0 is outside the domain")
     w = weight_exponent(system.params)
+    x = Grid(x) if grid else x
     val = psi.f(x)
     # Far tail: the amplitude underflows before any growing factor of
     # the energy derivative can overflow; the density is zero there,
@@ -242,9 +241,9 @@ def probability_density(system: DunklSystem, psi: ParityFunction, E: float, x):
     if grid:
         with np.errstate(all="ignore"):     # an overflow stays inf for the caller
             live = val * val != 0.0
-            xs = x[live]
+            xs = x if live.all() else x[live]
             density = np.zeros_like(val)
-            density[live] = (_weighted_amplitude(val[live], np.abs(xs), w)
+            density[live] = (_weighted_amplitude(val[live], xs.absolute()[0], w)
                              * (1.0 - system.potential.dv_dE(E, xs)))
         return density
     if val * val == 0.0:

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .libm import exp, log, power
+from .libm import Grid, exp, log, power
 from .model import DunklParams, EnergyPotential, MassProfile, ParityFunction
 from .numerics import parameter_derivative
 
@@ -109,27 +109,25 @@ def inverse_map(phi_hat: Callable[[float], float], coord: CoordinateChange,
 
 def _geometry(coord: CoordinateChange, mass: MassProfile, potential: EnergyPotential,
               params: DunklParams, y):
-    """(x, x', m, square, dV/dE, E -> ``induced_potential``) at y, its E-free terms read once.
+    """(x, x', m, E -> ``induced_potential``) at y, with its terms free of E formed once.
 
-    A derivative of x that is x's own function (all of the exp map's) is
-    x itself, not evaluated again, and so is the square of anything that is
-    x (the exp map's x'', the PDM mass's m').
+    y and x are read as ``libm.Grid``s, so factors that coincide (the exp
+    map's x and its derivatives, x^2 and the square of x'' or of a mass
+    m' = x) are evaluated once.
     """
+    y = Grid(y) if isinstance(y, np.ndarray) else y
     x = coord.x_of_y(y)
+    x = Grid(x) if isinstance(x, np.ndarray) else x
     if np.any(abs(x) < COORD_SINGULARITY_GUARD):
         raise DomainError("induced_potential: too close to the coordinate singularity")
-    xp = x if coord.d1 is coord.x_of_y else coord.d1(y)
+    xp = coord.d1(y)
     if np.any(xp == 0):
         raise DomainError("induced_potential: coordinate change not invertible here")
-    xpp, xppp = (x if d is coord.x_of_y else d(y) for d in (coord.d2, coord.d3))
+    xpp, xppp = coord.d2(y), coord.d3(y)
     m, m1, m2 = mass.jet(x)
     nu, delta, mu = params.nu, params.delta, params.mu
     xp2 = xp * xp
     x_sq = power(x, 2)
-
-    def square(a):
-        return x_sq if a is x else power(a, 2)
-
     with np.errstate(all="ignore"):     # overflow stays inf/NaN for the caller
         tail = (- delta * nu * xp2 / (2 * x_sq),
                 - delta * nu * xp2 / (2 * mu * x_sq),
@@ -137,21 +135,19 @@ def _geometry(coord: CoordinateChange, mass: MassProfile, potential: EnergyPoten
                 nu**2 * xp2 / (2 * mu * x_sq),
                 - delta * nu * m1 * xp2 / (2 * m * x),
                 - delta * nu * m1 * xp2 / (2 * mu * m * x),
-                3 * square(m1) * xp2 / (4 * m * m),
+                3 * power(m1, 2) * xp2 / (4 * m * m),
                 - m2 * xp2 / (2 * m),
-                3 * square(xpp) / (4 * xp2),
+                3 * power(xpp, 2) / (4 * xp2),
                 - xppp / (2 * xp))
-
-    v, dv_dE = potential.at(x)
 
     def at(E):
         with np.errstate(all="ignore"):
-            total = E - 2 * E * m * xp2 + 2 * m * v(E) * xp2
+            total = E - 2 * E * m * xp2 + 2 * m * potential.v(E, x) * xp2
             for term in tail:
                 total = total + term
             return total
 
-    return x, xp, m, square, dv_dE, at
+    return x, xp, m, at
 
 
 def induced_potential(coord: CoordinateChange, mass: MassProfile,
@@ -175,8 +171,8 @@ def energy_relation_residual(coord: CoordinateChange, mass: MassProfile,
     derivative is taken numerically through the induced potential, whose
     terms free of E are computed once.
     """
-    x, xp, m, square, dv_dE, at = _geometry(coord, mass, potential, params, y)
+    x, xp, m, at = _geometry(coord, mass, potential, params, y)
     du_dE = parameter_derivative(lambda e, _: at(e), E, y)
     with np.errstate(all="ignore"):     # E * E may underflow to 0: inf fails the check
-        rhs = 2 * m * square(xp) * (1.0 - dv_dE(E))
+        rhs = 2 * m * power(xp, 2) * (1.0 - potential.dv_dE(E, x))
         return (1.0 - du_dE) - rhs

@@ -21,20 +21,19 @@ Laguerre functions: ``_decaying_state`` for the x-space bound states,
 ``_family`` for the mapped-coordinate solutions.  The Darboux chains are
 built here too, on members of the mapped family, by one builder,
 ``seeded_chain``.  A chain's members and the seed Phi that it transforms
-read one row group (``_Group``), evaluated in one kernel call on every
-grid the chain is read on: the confluent chain's validation grid, its
-stencil nodes and the grids the caller names.  The caller gets each
-grid's arrays, so a ``darboux`` and each energy of figures 3-7 make one
-kernel call, and so does ``verify``'s mapped-equation check.  Figure
-4's group also holds the degree derivatives of the chain's rows, from
-the same call, and its dV-hat/dE (``_vhat_dE``) is formed from them.
+read one row group (``_Group``), one kernel call per ``libm.Grid``,
+which keeps the rows: a build reads the confluent chain's validation
+grid, its stencil nodes and the Grids its caller names in one call, so
+a ``darboux`` and each energy of figures 3-7 make one kernel call, and
+so does ``verify``'s mapped-equation check.  Figure 4's group also holds
+the degree derivatives of the chain's rows, from the same call, and its
+dV-hat/dE (``_vhat_dE``) is formed from them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -43,7 +42,7 @@ from .darboux import (ChainRead, DarbouxChain, KIND_CONFLUENT, KIND_STANDARD, Od
                       require_residuals, residual_grids, residuals, transformed_potential,
                       transformed_solution, validate_chain)
 from .errors import ConstructionError, ContractError, DomainError, SingularityError
-from .libm import exp, log, power
+from .libm import Grid, exp, exp_scaled, exp_square, log, power
 from .model import (DunklParams, DunklSystem, EnergyPotential, MassProfile,
                     ParityFunction)
 from .numerics import (DEFAULT_PARAM_STEP_SCALE, PARAM_STENCIL_OFFSETS,
@@ -94,22 +93,19 @@ def _finite_square(value, x):
 def _extended(core, parity: int):
     """The jet (x, k) -> (f, ..., f^(k)) of core, a jet on x > 0, extended by parity.
 
-    Each distinct |x| is read once, in the order it first occurs (a grid
-    and its reflection read the grid's |x|); a float x is the grid [x].
+    core reads |x| as a ``libm.Grid`` (``Grid.absolute``): a Grid of
+    positive points is read itself, so core shares its factors with the
+    other readers of that Grid, and a ``Grid.reflected`` reads each |x|
+    once.  A float x is the grid [x].
     """
     signs = (parity, -parity, parity)
 
     def jet(x, k):
-        grid = np.asarray(x, dtype=float).reshape(-1)
+        grid = x if isinstance(x, Grid) else Grid(np.reshape(x, -1))
+        a, at = grid.absolute()
         pos = grid > 0
-        ax = np.where(pos, grid, -grid)
-        _, first, back = np.unique(ax, return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        at = rank[back.reshape(-1)]
-        parts = [np.where(pos, 1.0, sign) * v[at]
-                 for sign, v in zip(signs, core(ax[first[order]], k))]
+        parts = [np.where(pos, 1.0, sign) * (v if at is None else v[at])
+                 for sign, v in zip(signs, core(a, k))]
         if isinstance(x, np.ndarray):
             return [part.reshape(x.shape) for part in parts]
         return [float(part[0]) for part in parts]
@@ -130,7 +126,8 @@ def _decaying_state(s: float, scale: float, decay: float, u, up, upp,
 
     def core(x, k):
         with np.errstate(over="ignore"):
-            z, e = scale * x * x, exp(-0.5 * decay * x * x)
+            z = scale * x * x
+        e = exp_square(x, -0.5 * decay)
         if k == 0:
             p = power(x, s)
             return [e * (p * u(_finite_square(z, x)))]
@@ -159,17 +156,18 @@ class ScenarioGaussianMass:
     def mass(self) -> MassProfile:
         def jet(x):
             with np.errstate(over="ignore"):
-                m = exp(_finite_square(-x * x, x))
+                _finite_square(-x * x, x)
+            m = exp_square(x, -1.0)
             return m, -2 * x * m, (4 * x * x - 2) * m
 
         return MassProfile(jet=jet, parity=1)
 
     def potential(self) -> EnergyPotential:
-        def at(x):
-            grow = exp(x * x)
-            return (lambda E: E - 2 * E * grow - 0.5 * grow), (lambda E: 1.0 - 2 * grow)
+        def v(E, x):
+            grow = exp_square(x, 1.0)
+            return E - 2 * E * grow - 0.5 * grow
 
-        return EnergyPotential(at=at)
+        return EnergyPotential(v=v, dv_dE=lambda E, x: 1.0 - 2 * exp_square(x, 1.0))
 
     def coord(self) -> CoordinateChange:
         return sqrt_map()
@@ -275,7 +273,7 @@ def printed_bound_state(n: int, delta: int) -> ParityFunction:
 
     def jet(x, k):
         with np.errstate(over="ignore", invalid="ignore"):
-            e = exp(-x * x)
+            e = exp_square(x, -1.0)
             if k == 0:
                 return [e * poly(x)]
             return [e * poly(x), e * (dpoly(x) - 2 * x * poly(x)),
@@ -329,8 +327,8 @@ class ScenarioHarmonicEnergy:
         return MassProfile(jet=lambda x: (0.5, 0.0, 0.0), parity=1)
 
     def potential(self) -> EnergyPotential:
-        return EnergyPotential(at=lambda x: ((lambda E: x * x / E),
-                                             (lambda E: -x * x / (E * E))))
+        return EnergyPotential(v=lambda E, x: x * x / E,
+                               dv_dE=lambda E, x: -x * x / (E * E))
 
     def coord(self) -> CoordinateChange:
         return exp_map()
@@ -348,7 +346,7 @@ class ScenarioHarmonicEnergy:
         A term that overflows (e^{4y}/E at a subnormal E) is inf, and U is
         inf or NaN there, which the Wronskian and residual checks refuse.
         """
-        return _mapped_u(E, exp(2 * y), exp(4 * y))
+        return _mapped_u(E, exp_scaled(y, 2), exp_scaled(y, 4))
 
     @staticmethod
     def form() -> SchrodingerForm:      # the background of every chain
@@ -370,12 +368,10 @@ class ScenarioHarmonicEnergyPdm:
         return MassProfile(jet=lambda x: (0.5 * x * x, x, 1.0), parity=1)
 
     def potential(self) -> EnergyPotential:
-        def at(x):
-            quartic = power(x, 4)
-            return ((lambda E: E + 1.0 / E - E / (x * x) - 2.0 / quartic),
-                    (lambda E: 1.0 - 1.0 / (E * E) - 1.0 / (x * x)))
-
-        return EnergyPotential(at=at)
+        return EnergyPotential(
+            v=lambda E, x: E + 1.0 / E - E / (x * x) - 2.0 / power(x, 4),
+            dv_dE=lambda E, x: 1.0 - 1.0 / (E * E) - 1.0 / (x * x),
+        )
 
     def coord(self) -> CoordinateChange:
         return exp_map()
@@ -480,22 +476,6 @@ def _mapped_u(E: float, e2y, e4y):
         return 0.25 - E * e2y + e4y / E
 
 
-class MappedGrid:
-    """Points y with e^{2y} and e^{4y}, computed on first read: free of E, so the
-    chains of several energies read on one MappedGrid (figures 3-7) share them."""
-
-    def __init__(self, y: np.ndarray):
-        self.y = y
-
-    @cached_property
-    def e2y(self):
-        return exp(2 * self.y)
-
-    @cached_property
-    def e4y(self):
-        return exp(4 * self.y)
-
-
 @dataclass(frozen=True)
 class _Group:
     """The Laguerre rows of a chain and its seed Phi, one kernel call per read.
@@ -515,13 +495,16 @@ class _Group:
     rows: tuple
     pick: tuple
 
-    def at(self, grids: Sequence[MappedGrid]) -> list:
-        """(grid, z, rows at z) per grid of grids, the rows from one kernel call."""
+    def at(self, grids: Sequence[Grid]) -> list:
+        """(z, rows at z) per ``libm.Grid`` of grids, the rows from one kernel call."""
         with np.errstate(over="ignore"):   # z = inf at a subnormal E: the kernel refuses it
-            zs = [(1.0 / math.sqrt(self.E)) * grid.e2y for grid in grids]
+            zs = [(1.0 / math.sqrt(self.E)) * exp_scaled(grid, 2) for grid in grids]
         values = _laguerre_values(self.rows, np.concatenate(zs))[list(self.pick)]
-        return list(zip(grids, zs, np.split(values, np.cumsum([z.size for z in zs])[:-1],
-                                            axis=1)))
+        return list(zip(zs, np.split(values, np.cumsum([z.size for z in zs])[:-1], axis=1)))
+
+    def rows_on(self, grid: Grid) -> tuple:
+        """(z, rows at z) on grid, kept with it: one kernel call per Grid."""
+        return grid.kept(self, lambda: self.at([grid])[0])
 
     def forms(self, y, z, v, seed: bool = True, values: bool = True) -> tuple:
         """(members' (u_j, u_j'), (Phi, Phi') or None) at y from the rows v at z.
@@ -551,17 +534,12 @@ class _Group:
         _, phi, phi1 = known or _family(self.r_seed, y, z, v[2 * n], v[2 * n + 1])
         return members, (phi, phi1)
 
-    def read(self, at: tuple) -> ChainRead:
-        """The chain and Phi read at the grid of ``at``: U, then the members, then Phi."""
-        grid, z, v = at
-        return ChainRead(grid.y, _mapped_u(self.E, grid.e2y, grid.e4y), *self.forms(grid.y, z, v))
-
     def jets(self, y) -> tuple:
-        """(members, Phi) at y, a float or an ndarray, from one kernel call (floats for floats)."""
-        grid = y if isinstance(y, np.ndarray) else np.array([y], dtype=float)
-        (_, z, v), = self.at([MappedGrid(grid)])
-        members, phi = self.forms(grid, z, v)
-        if grid is y:
+        """(members, Phi) at y, a float or an ndarray (floats for floats), from one
+        kernel call per ``libm.Grid``: the forms are kept with it."""
+        grid = Grid(y if isinstance(y, np.ndarray) else [y])
+        members, phi = grid.kept((self, "jets"), lambda: self.forms(grid, *self.rows_on(grid)))
+        if isinstance(y, np.ndarray):
             return members, phi
         return [tuple(float(p[0]) for p in m) for m in members], phi and (
             float(phi[0][0]), float(phi[1][0]))
@@ -600,12 +578,14 @@ def mapped_equation_residual(params: DunklParams, E: float, grid: np.ndarray) ->
     the default step: Phi read on grid and its stencil nodes in one kernel call, U on grid."""
     group = _group(E, KIND_STANDARD, (), CONFLUENT_EPS1, params, False)
     phi = group.seed(params)
-    chain = DarbouxChain(kind=KIND_STANDARD, members=(phi.jet,), eps=(phi.eps,),
-                         background=ScenarioHarmonicEnergy.form(), energy=E)
-    on_grid, (nodes, z, v) = group.at([MappedGrid(g) for g in residual_grids(grid, None)])
-    at = group.read(on_grid)
-    slope = group.forms(nodes.y, z, v)[1][1]
-    return float(np.max(residuals(chain, at._replace(members=[at.solution]), [slope], None)))
+    chain = DarbouxChain(kind=KIND_STANDARD, jet=lambda y: [phi.jet(y)], order=1,
+                         eps=(phi.eps,), background=ScenarioHarmonicEnergy.form(), energy=E)
+    grids = [Grid(g) for g in residual_grids(grid, None)]
+    (z, v), (z_nodes, v_nodes) = group.at(grids)
+    at = ChainRead(grids[0], ScenarioHarmonicEnergy.mapped_potential(E, grids[0]),
+                   [group.forms(grids[0], z, v)[1]])
+    slope = group.forms(grids[1], z_nodes, v_nodes)[1][1]
+    return float(np.max(residuals(chain, at, [slope], None)))
 
 
 STANDARD_CHAIN_EPS = (0.25, -0.75)
@@ -643,7 +623,7 @@ def confluent_chain(E: float, eps1: float = CONFLUENT_EPS1) -> DarbouxChain:
 # at the grid's stencil nodes (``residual_grids``), whose factors free of E
 # every confluent build shares.
 CONFLUENT_CHECK_GRID = np.linspace(-2.0, 1.0, 25)
-_CHECK_GRIDS = [MappedGrid(y) for y in residual_grids(CONFLUENT_CHECK_GRID)]
+_CHECK_GRIDS = [Grid(y) for y in residual_grids(CONFLUENT_CHECK_GRID)]
 
 # (kind, order) of each chain built here -> the public builder its E refusal names
 _CHAINS = {(KIND_STANDARD, 1): "standard_chain_order1",
@@ -654,7 +634,7 @@ _CHAINS = {(KIND_STANDARD, 1): "standard_chain_order1",
 def seeded_chain(params: Optional[DunklParams], E: float, kind: str = KIND_STANDARD,
                  order: int = 2, eps1: float = CONFLUENT_EPS1, grids: Sequence = (),
                  slopes: bool = False) -> tuple:
-    """(chain, Phi, reader per grid...): the one builder of the chains, with its seed.
+    """(chain, Phi): the one builder of the chains, with its seed.
 
     The chain is the unvalidated standard chain of ``order`` 1 or 2 (the
     mapped family at r = 0 and 2, eps = 1/4 and -3/4), or the confluent
@@ -664,17 +644,19 @@ def seeded_chain(params: Optional[DunklParams], E: float, kind: str = KIND_STAND
     probes.  Any other kind or order is refused.  Phi is the seed
     ``mapped_initial_solution(params, E)``, or None when params is None;
     its rows join the chain's (``_Group``), bit for bit as each would read
-    alone.  The group is read in one kernel call, on the confluent chain's
-    validation grids and on each ``MappedGrid`` of ``grids``; per grid of
-    grids the result holds a reader, which forms the ``ChainRead`` there
-    (U, the members, Phi) when called.  The confluent chain is refused if
-    u2 vanishes on ``CONFLUENT_CHECK_GRID``, or unless its residuals are
-    at most 1e-7 (u1) and 1e-5 (u2).  The build's refusals (kind and
+    alone.  The chain's one jet and Phi read the group once per
+    ``libm.Grid``, which keeps the rows.  The build reads the group in one
+    kernel call, on the confluent chain's validation grids and on each
+    Grid of ``grids`` (the points its caller will read the chain on), and
+    keeps each caller Grid's rows with it.  The confluent chain is refused
+    if u2 vanishes on ``CONFLUENT_CHECK_GRID``, or unless its residuals
+    are at most 1e-7 (u1) and 1e-5 (u2).  The build's refusals (kind and
     order, eps1, E <= 0, the family degree) come before Phi's nu; a
     kernel refusal, on any grid, before the validation's.  With slopes
-    (the order-2 standard chain), the result ends with x -> dV-hat/dE
-    (``_vhat_dE``) at the x whose ln x is the first grid, from the degree
-    derivatives of the chain's rows in the same call.
+    (the order-2 standard chain), the result is (chain, Phi, dV-hat/dE):
+    x -> ``_vhat_dE`` at an ndarray x > 0, from the degree derivatives of
+    the chain's rows read at ln x, so on the Grid ln x of a Grid x the
+    chain was read on it costs no kernel call.
     """
     name = _CHAINS.get((kind, order))
     if name is None:
@@ -697,25 +679,30 @@ def seeded_chain(params: Optional[DunklParams], E: float, kind: str = KIND_STAND
         raise DomainError(f"{name}: E must be positive")
     group = _group(E, kind, rs, eps1, params, slopes)
     checks = _CHECK_GRIDS if kind == KIND_CONFLUENT else []
+    grids = [Grid(grid) for grid in grids]
     reads = group.at([*checks, *grids]) if checks or grids else []
-    chain = DarbouxChain(kind=kind, members=tuple(
-        lambda y, j=j: group.jets(y)[0][j] for j in range(order)), eps=eps,
-        background=ScenarioHarmonicEnergy.form(), energy=E)
+    for grid, read in zip(grids, reads[len(checks):]):
+        grid.kept(group, lambda read=read: read)
+    chain = DarbouxChain(kind=kind, jet=lambda y: group.jets(y)[0], order=order, eps=eps,
+                         background=ScenarioHarmonicEnergy.form(), energy=E)
     phi = None if params is None else group.seed(params)
     if kind == KIND_CONFLUENT:
-        (grid, z, v), (nodes, z_nodes, v_nodes) = reads[:2]
-        at = ChainRead(grid.y, _mapped_u(E, grid.e2y, grid.e4y),
-                       group.forms(grid.y, z, v, seed=False)[0])
+        (grid, nodes), ((z, v), (z_nodes, v_nodes)) = checks, reads[:2]
+        at = ChainRead(grid, ScenarioHarmonicEnergy.mapped_potential(E, grid),
+                       group.forms(grid, z, v, seed=False)[0])
         (u1, _), (u2, _) = at.members
         if np.max(abs(u2)) < 1e-12 * max(np.max(abs(u1)), 1.0):
             raise ConstructionError("family does not depend on eps: degenerate chain")
-        slope = [g for _, g in group.forms(nodes.y, z_nodes, v_nodes, False, False)[0]]
+        slope = [g for _, g in group.forms(nodes, z_nodes, v_nodes, False, False)[0]]
         require_residuals(residuals(chain, at, slope), (1e-7, 1e-5))
-    readers = [partial(group.read, at) for at in reads[len(checks):]]
     if not slopes:
-        return (chain, phi, *readers)
-    _, z, v = reads[len(checks)]
-    return (chain, phi, *readers, lambda x: _vhat_dE(E, x, z, v[:4], v[-4:]))
+        return chain, phi
+
+    def vhat_dE(x):
+        z, v = group.rows_on(Grid(log(x)))
+        return _vhat_dE(E, x, z, v[:4], v[-4:])
+
+    return chain, phi, vhat_dE
 
 
 def closed_form_hatpsi_E4(x: float) -> float:
@@ -815,8 +802,8 @@ def _vhat_dE(E: float, x: np.ndarray, z: np.ndarray, lag, lag_dd) -> np.ndarray:
     the members' E-derivatives from ``_member_dE``.  Q does not change
     when a member is multiplied by any factor, E-dependent or not, so the
     members' exponential factors are left out.  lag and lag_dd hold the
-    chain's four Laguerre rows (r = 0, then r = 2, as ``_family_lags``
-    gives them) and their degree derivatives at z.
+    chain's four Laguerre rows (r = 0, then r = 2, as the chain's
+    ``_Group`` orders them) and their degree derivatives at z.
     """
     v1, g1, dv1, dg1 = _member_dE(E, 0.0, z, lag[:2], lag_dd[:2])
     v2, g2, dv2, dg2 = _member_dE(E, 2.0, z, lag[2:], lag_dd[2:])

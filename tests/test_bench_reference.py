@@ -84,7 +84,7 @@ def test_benchmark_ops_match_their_references(workload):
     assert set(outcomes) <= {"ok", "expected_failure"}
 
 
-def _three_grids(E, chain, phi, ys, xs, *_):
+def _three_grids(E, chain, phi, ys, xs):
     """cli._chain_columns as three public calls: U-hat and Phi-hat on y, V-hat at x."""
     return (transformed_potential(chain, ys), transformed_solution(chain, phi, ys),
             pipeline_vhat(E, chain, xs))
@@ -187,7 +187,8 @@ def _seeded_bits(params, E, chain, phi, phi_given):
     for fn in [fn for pair in (*chain.funcs, (phi.f, phi.f1)) for fn in pair]:
         bits += [_bits(fn(ys)), _bits([fn(float(y)) for y in ys[::6]])]
     bits.append(_bits(transformed_pair(chain, phi, ys)))
-    bits.append(_bits(pipeline_hatpsi(params, E, chain, xs, phi if phi_given else None)))
+    bits.append(_bits(pipeline_hatpsi(params, E, chain, xs,
+                                      phi if phi_given else None)))
     return bits
 
 

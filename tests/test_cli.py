@@ -844,28 +844,28 @@ def test_darboux_checks_grid_before_building_chain(monkeypatch, capsys, extra, m
                                          ("confluent", 2)])
 def test_darboux_reads_each_member_once(monkeypatch, capsys, kind, order):
     # cmd_darboux takes U-hat and Phi-hat from one read of the chain and
-    # its seed Phi, the one its build gave for the command's grid: no
-    # member or Phi is read again through its jet
+    # its seed Phi: the chain's jet and Phi's are called once each, on the
+    # one grid of the command, after the chain is built
     reads = []
     real_build = cli._build_chain
 
     def counted(fn, key):
-        def read(*args):
-            reads.append(key)
-            return fn(*args)
+        def read(y):
+            reads.append((key, np.shape(y)))
+            return fn(y)
         return read
 
     def build(config, params, E, grid):
-        chain, phi, reader = real_build(config, params, E, grid)
-        members = tuple(counted(m, j) for j, m in enumerate(chain.members))
-        return (replace(chain, members=members), replace(phi, jet=counted(phi.jet, "phi")),
-                counted(reader, "read"))
+        chain, phi = real_build(config, params, E, grid)
+        return (replace(chain, jet=counted(chain.jet, "chain")),
+                replace(phi, jet=counted(phi.jet, "phi")))
 
     monkeypatch.setattr(cli, "_build_chain", build)
     assert run(["darboux", "--kind", kind, "--order", str(order),
                 "--grid-count", "60"]) == EXIT_OK
     capsys.readouterr()
-    assert reads == ["read"]
+    assert [key for key, _ in reads] == ["chain", "phi"]
+    assert len({shape for _, shape in reads}) == 1
 
 
 @pytest.mark.parametrize("eps", [1.0, 0.25, 0.24999])

@@ -25,10 +25,9 @@ GRID = np.linspace(-2.0, 1.0, 25)
 
 
 def _chain(kind, funcs, eps, background, energy=0.0):
-    """The DarbouxChain whose members are the jets of the (u, u') pairs funcs."""
-    return DarbouxChain(kind=kind, members=tuple(lambda y, f=f, d=d: (f(y), d(y))
-                                                 for f, d in funcs),
-                        eps=eps, background=background, energy=energy)
+    """The DarbouxChain whose jet reads the (u, u') pairs funcs."""
+    return DarbouxChain(kind=kind, jet=lambda y: [(f(y), d(y)) for f, d in funcs],
+                        order=len(funcs), eps=eps, background=background, energy=energy)
 
 
 def _solution(f, f1, eps):
@@ -171,7 +170,7 @@ def test_chain_residuals_confluent():
 
 def test_validate_chain_raises_on_wrong_eps():
     chain = standard_chain_u12(4.0, validate=False)
-    broken = DarbouxChain(kind=chain.kind, members=chain.members,
+    broken = DarbouxChain(kind=chain.kind, jet=chain.jet, order=chain.order,
                           eps=(0.3, -0.75), background=chain.background,
                           energy=chain.energy)
     with pytest.raises(ConstructionError):

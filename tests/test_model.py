@@ -27,7 +27,7 @@ def _mass(m, m1, m2, parity):
 
 def _potential(v, dv_dE):
     """The EnergyPotential of v(E, x) and dv_dE(E, x)."""
-    return EnergyPotential(at=lambda x: ((lambda e: v(e, x)), (lambda e: dv_dE(e, x))))
+    return EnergyPotential(v=v, dv_dE=dv_dE)
 
 
 def _state(parity, *derivatives):

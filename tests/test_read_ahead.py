@@ -2,12 +2,12 @@
 
 ``scenarios.seeded_chain`` reads its chain's Laguerre rows once, in one
 call of the series kernel, on the confluent validation grid, that grid's
-stencil nodes and the grids its caller names, and hands the caller the
-arrays of each grid; ``verify``'s mapped-equation check reads Phi on its
-grid and stencil nodes in one call.  The kernel is elementwise, so every
-member, residual and refusal must be what the chain's jets give, read one
-grid at a time, bit for bit.  Figure 4 reads dV-hat/dE from the same
-call, which derives the chain's rows and no others.
+stencil nodes and the ``libm.Grid``s its caller names, and keeps each
+caller Grid's rows with it; ``verify``'s mapped-equation check reads Phi
+on its grid and stencil nodes in one call.  The kernel is elementwise, so
+every member, residual and refusal must be what the chain's jet gives,
+read one grid at a time, bit for bit.  Figure 4 reads dV-hat/dE from the
+same call, which derives the chain's rows and no others.
 """
 
 import numpy as np
@@ -17,8 +17,9 @@ from dunkl_darboux import cli, specfun
 from dunkl_darboux.darboux import (KIND_CONFLUENT, KIND_STANDARD, chain_residuals, read,
                                    residual_grids, residuals, transformed_pair)
 from dunkl_darboux.errors import DunklDarbouxError
+from dunkl_darboux.libm import Grid, log
 from dunkl_darboux.model import DunklParams
-from dunkl_darboux.scenarios import (CONFLUENT_CHECK_GRID, MappedGrid, _mapped_degree,
+from dunkl_darboux.scenarios import (CONFLUENT_CHECK_GRID, _mapped_degree,
                                      bound_state_energy, mapped_equation_residual,
                                      seeded_chain, standard_vhat_dE)
 
@@ -90,17 +91,22 @@ def test_figure_4_derives_only_the_chain_rows(monkeypatch, capsys):
         assert a[:4] == chain
 
 
-def test_figure_4_vhat_dE_agrees_with_its_own_kernel_call():
-    # figure 4's dV-hat/dE reads the chain's rows at z = e^{2 ln x}/sqrt(E);
-    # standard_vhat_dE makes its own call at z = x^2/sqrt(E): they agree to
-    # rounding
+def test_figure_4_vhat_dE_agrees_with_its_own_kernel_call(kernel_calls):
+    # figure 4's dV-hat/dE reads the chain's rows at z = e^{2 ln x}/sqrt(E),
+    # on the Grid ln x the build read (no call of its own), or at any other
+    # x; standard_vhat_dE makes its own call at z = x^2/sqrt(E): they agree
+    # to rounding
     params = DunklParams(nu=2.5, delta=-1, mu=1)
-    xs = np.linspace(0.2, 3.0, 300)
+    xs = Grid(np.linspace(0.2, 3.0, 300))
     for n in (0, 1, 2):
         E = bound_state_energy(n, params, "ene1")
-        got = seeded_chain(params, E, grids=[MappedGrid(np.log(xs))], slopes=True)[-1](xs)
-        want = standard_vhat_dE(E, xs)
-        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+        kernel_calls.clear()
+        vhat_dE = seeded_chain(params, E, grids=[log(xs)], slopes=True)[-1]
+        got = vhat_dE(xs)
+        assert len(kernel_calls) == 1
+        for x, value in ((xs, got), (xs[::7], vhat_dE(np.asarray(xs[::7])))):
+            want = standard_vhat_dE(E, np.asarray(x))
+            assert np.all(np.abs(value - want) <= 1e-13 * np.abs(want))
 
 
 def _bits(values):
@@ -136,16 +142,29 @@ def test_rows_read_ahead_equal_rows_read_per_grid(kind, order, nu, delta, n):
     ys = np.linspace(-2.0, 1.0, 61)
     grids = [cli._joined_grid(ys, cli.exp(ys))[0], cli.log(np.linspace(0.2, 3.0, 37)),
              *residual_grids(CONFLUENT_CHECK_GRID)]
-    chain, phi, *readers = seeded_chain(params, E, kind, order,
-                                        grids=[MappedGrid(y) for y in grids])
-    ahead = [_outcome(lambda r=r: _arrays(r())) for r in readers]
-    ahead.append(_outcome(lambda: [residuals(chain, readers[2](),
-                                             [g for _, g in readers[3]().members])]))
-    ahead.append(_outcome(lambda: transformed_pair(chain, phi, readers[0]())))
+    grids = [np.asarray(y) for y in grids]
+    kept = [Grid(y.copy()) for y in grids]
+    chain, phi = seeded_chain(params, E, kind, order, grids=kept)
+    ahead = [_outcome(lambda y=y: _arrays(read(chain, y, phi))) for y in kept]
+    ahead.append(_outcome(lambda: [residuals(chain, read(chain, kept[2]),
+                                             [g for _, g in chain.jet(kept[3])])]))
+    ahead.append(_outcome(lambda: transformed_pair(chain, phi, kept[0])))
     alone = [_outcome(lambda y=y: _arrays(read(chain, y, phi))) for y in grids]
     alone.append(_outcome(lambda: [chain_residuals(chain, CONFLUENT_CHECK_GRID)]))
     alone.append(_outcome(lambda: transformed_pair(chain, phi, grids[0])))
     assert ahead == alone
+
+
+def test_kept_rows_are_read_without_a_kernel_call(kernel_calls):
+    # a build reads its caller's Grid in its own call; the chain's and
+    # Phi's jets read that Grid's rows, and a fresh grid costs one call for both
+    params = DunklParams(nu=2.5, delta=-1, mu=1)
+    grid = Grid(np.linspace(-2.0, 1.0, 30))
+    chain, phi = seeded_chain(params, 4.0, grids=[grid])
+    transformed_pair(chain, phi, grid)
+    assert kernel_calls == [30]
+    transformed_pair(chain, phi, np.linspace(-2.0, 1.0, 20))
+    assert kernel_calls == [30, 20]
 
 
 @pytest.mark.parametrize("kind, E, lo, hi", [
@@ -161,8 +180,9 @@ def test_refusal_read_ahead_equals_refusal_read_per_grid(kind, E, lo, hi):
     grid = np.linspace(lo, hi, 7)
 
     def joined():
-        chain, phi, reader = seeded_chain(params, E, kind, grids=[MappedGrid(grid)])
-        return transformed_pair(chain, phi, reader())
+        kept = Grid(grid.copy())
+        chain, phi = seeded_chain(params, E, kind, grids=[kept])
+        return transformed_pair(chain, phi, kept)
 
     ahead = _outcome(joined)
     chain, phi = seeded_chain(params, E, kind)

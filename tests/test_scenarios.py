@@ -28,7 +28,7 @@ from dunkl_darboux.scenarios import (DUNKL_GRID,
                                      pdm_equivalence_nu, pipeline_hatpsi,
                                      pipeline_vhat, printed_bound_state,
                                      standard_chain_u12, standard_vhat_dE)
-from dunkl_darboux.libm import exp
+from dunkl_darboux.libm import Grid, exp
 from dunkl_darboux.specfun import assoc_laguerre_grid
 
 
@@ -270,7 +270,8 @@ def test_pipeline_vhat_of_the_empty_chain_round_trip():
     # the empty chain's U-hat is U itself: V-hat is the map's inverse of U
     E = 4.0
     form = ScenarioHarmonicEnergy.form()
-    empty = DarbouxChain(kind="standard", members=(), eps=(), background=form, energy=E)
+    empty = DarbouxChain(kind="standard", jet=lambda y: [], order=0, eps=(),
+                         background=form, energy=E)
     x = 1.3
     got = pipeline_vhat(E, empty, x)
     # V(x) = E - 1/(4 x^2) + U(log x)/x^2, with U the mapped potential
@@ -335,18 +336,15 @@ def _count_grid_calls(monkeypatch) -> list:
 
 
 def test_chain_members_share_their_laguerre_factors(monkeypatch):
-    # u1 and u1' read L_{c-1/2}^0 and L_{c-3/2}^1, u2 and u2' the pair
-    # L_{c-1}^1, L_{c-2}^2: the chain's read on a grid is one kernel call
-    # of its four rows, and with its seed Phi of six
     calls = _count_grid_calls(monkeypatch)
-    ys = np.linspace(-2.0, 1.0, 50)
-    chain, _, read = scenarios.seeded_chain(None, 4.0, grids=[scenarios.MappedGrid(ys)])
-    transformed_potential(chain, read())
-    assert [len(degrees) for degrees, _ in calls] == [4]
-    chain, phi, read = scenarios.seeded_chain(TRANSFORM_PARAMS, 4.0,
-                                              grids=[scenarios.MappedGrid(ys)])
-    transformed_solution(chain, phi, read())
-    assert [len(degrees) for degrees, _ in calls] == [4, 6]
+    chain = standard_chain_u12(4.0, validate=False)
+    ys = Grid(np.linspace(-2.0, 1.0, 50))      # keeps the rows read on it
+    transformed_potential(chain, ys)
+    # u1 and u1' read L_{c-1/2}^0 and L_{c-3/2}^1, u2 and u2' the pair
+    # L_{c-1}^1, L_{c-2}^2: the chain's four rows are one group
+    assert len(calls) == 1 and len(calls[0][0]) == 4
+    transformed_solution(chain, mapped_initial_solution(TRANSFORM_PARAMS, 4.0), ys)
+    assert len(calls) == 2     # only phi's pair of factors is new
 
 
 def _count_builds(monkeypatch) -> list:
@@ -449,13 +447,12 @@ def test_standard_members_and_phi_are_the_mapped_family(E, monkeypatch):
     # -3/4, is u2: all bit for bit, floats included.  Joined with the
     # chain, Phi's rows are u2's, so the group's call reads four rows.
     calls = _count_grid_calls(monkeypatch)
-    ys = np.linspace(-2.0, 1.0, 41)
-    chain, phi, read = scenarios.seeded_chain(DunklParams(nu=1.5, delta=1, mu=1), E,
-                                              grids=[scenarios.MappedGrid(ys)])
+    chain, phi = scenarios.seeded_chain(DunklParams(nu=1.5, delta=1, mu=1), E)
     (u1, _), (u2, u2p) = chain.funcs
     (f0, _), (f2, f2p) = _family(E, 0.0, 2.0)
     assert phi.eps == -0.75
-    transformed_solution(chain, phi, read())
+    ys = np.linspace(-2.0, 1.0, 41)
+    transformed_solution(chain, phi, ys)
     assert [len(degrees) for degrees, _ in calls] == [4]
     pairs = [(u1, f0), (u2, f2), (u2p, f2p), (phi.f, u2), (phi.f1, u2p)]
     for got, want in pairs:

@@ -64,7 +64,7 @@ def _worst_residual(params, E, chain, phi, xs, h):
     psi, psi1, psi2 = _stencil(lambda x: pipeline_hatpsi(params, E, chain, x, phi), xs, h)
     vhat = pipeline_vhat(E, chain, xs)
     system = DunklSystem(params=params, mass=ScenarioHarmonicEnergy().mass(),
-                         potential=EnergyPotential(at=lambda x: (lambda e: vhat, None)))
+                         potential=EnergyPotential(v=lambda e, x: vhat, dv_dE=lambda e, x: 0.0))
     state = ParityFunction(jet=lambda x, k: (psi, psi1, psi2), parity=params.delta)
     return float(np.max(np.abs(dunkl_residual(system, state, E, xs, relative=True))))
 

@@ -25,8 +25,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -267,44 +266,23 @@ def _emit_table(config: argparse.Namespace, header: Sequence[str],
 # Verification report
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckRecord:
-    name: str
-    max_residual: float
-    tolerance: float
+# A report is a list of checks, each a row (name, max residual, tolerance);
+# a check passes when its residual is at most its tolerance, so NaN fails.
 
-    @property
-    def passed(self) -> bool:
-        return self.max_residual <= self.tolerance
-
-
-@dataclass
-class VerificationReport:
-    checks: List[CheckRecord] = field(default_factory=list)
-
-    @property
-    def overall_pass(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def add(self, name: str, max_residual: float, tolerance: float) -> None:
-        self.checks.append(CheckRecord(name, max_residual, tolerance))
-
-    def as_dict(self) -> dict:
-        return {
-            "overall_pass": self.overall_pass,
-            "checks": [
-                {"name": c.name, "max_residual": _fmt(c.max_residual),
-                 "tolerance": _fmt(c.tolerance), "pass": c.passed}
-                for c in self.checks
-            ],
-        }
-
-    def as_text(self) -> str:
-        lines = [f"{'PASS' if c.passed else 'FAIL'}  {c.name}: max residual "
-                 f"{_fmt(c.max_residual)} (tolerance {_fmt(c.tolerance)})"
-                 for c in self.checks]
-        lines.append(f"overall: {'PASS' if self.overall_pass else 'FAIL'}")
-        return "\n".join(lines) + "\n"
+def _emit_report(config: argparse.Namespace, checks: list) -> int:
+    """The checks as text or JSON; EXIT_OK if every check passes, else EXIT_VERIFICATION."""
+    passed = [worst <= tol for _, worst, tol in checks]
+    overall = all(passed)
+    if config.output_format == "json":
+        _write_json(config.output_path, {"overall_pass": overall, "checks": [
+            {"name": name, "max_residual": _fmt(worst), "tolerance": _fmt(tol), "pass": ok}
+            for (name, worst, tol), ok in zip(checks, passed)]})
+    else:
+        lines = [f"{'PASS' if ok else 'FAIL'}  {name}: max residual {_fmt(worst)} "
+                 f"(tolerance {_fmt(tol)})" for (name, worst, tol), ok in zip(checks, passed)]
+        lines.append(f"overall: {'PASS' if overall else 'FAIL'}")
+        _write(config.output_path, "\n".join(lines) + "\n")
+    return EXIT_OK if overall else EXIT_VERIFICATION
 
 
 def _worst(residuals: np.ndarray) -> float:
@@ -321,7 +299,7 @@ def _resolve(config: argparse.Namespace, lookup):
 
 
 def _verify_solution(config: argparse.Namespace, scenario, params: DunklParams, E: float,
-                     tol: float) -> VerificationReport:
+                     tol: float) -> list:
     """Checks of a scenario's closed-form psi.
 
     The relative Dunkl residual and the parity defect on the grid, one
@@ -329,7 +307,7 @@ def _verify_solution(config: argparse.Namespace, scenario, params: DunklParams, 
     harmonic scenario, else a positive finite norm), then the
     norm-preservation relation on that scenario's relation grid.  The
     norm is computed before any grid work, so a psi that its quadrature
-    refuses stops the command after the two far nodes; the report keeps
+    refuses stops the command after the two far nodes; the checks keep
     the order above.
     """
     system = scenario.system(params)
@@ -337,26 +315,23 @@ def _verify_solution(config: argparse.Namespace, scenario, params: DunklParams, 
     grid = _grid(config, 0.1, 4.0, 400)
     harmonic = isinstance(scenario, ScenarioHarmonicEnergy)
     norm = None if harmonic else modified_norm(system, psi, E)
-    report = VerificationReport()
     residual, defect = state_checks(system, psi, E, grid)
-    report.add("dunkl_residual", _worst(np.abs(residual)), tol)
-    report.add("parity_defect", defect, tol)
+    checks = [("dunkl_residual", _worst(np.abs(residual)), tol), ("parity_defect", defect, tol)]
     if harmonic:
         relation_grid = np.linspace(-2.0, 1.0, 100)
-        report.add("mapped_equation_residual",
-                   mapped_equation_residual(params, E, relation_grid), max(tol, 1e-6))
+        checks.append(("mapped_equation_residual",
+                       mapped_equation_residual(params, E, relation_grid), max(tol, 1e-6)))
     else:
         norm_ok = 0.0 if (norm.value > 0 and math.isfinite(norm.value)) else 1.0
-        report.add("norm_positive_finite", norm_ok, 0.5)
+        checks.append(("norm_positive_finite", norm_ok, 0.5))
         relation_grid = np.linspace(0.25, 4.0, 25)
     worst = _worst(np.abs(energy_relation_residual(
         scenario.coord(), scenario.mass(), scenario.potential(), params, E,
         relation_grid)))
-    report.add("norm_preservation_relation", worst, tol)
-    return report
+    return checks + [("norm_preservation_relation", worst, tol)]
 
 
-def _verify_pdm(params: DunklParams, E: float, tol: float) -> VerificationReport:
+def _verify_pdm(params: DunklParams, E: float, tol: float) -> list:
     """Equivalence of the PDM route with the constant-mass route.
 
     ``params`` carries the constant-mass parameters (nu-bar, delta-bar);
@@ -384,7 +359,6 @@ def _verify_pdm(params: DunklParams, E: float, tol: float) -> VerificationReport
     pdm = ScenarioHarmonicEnergyPdm()
     coord = pdm.coord()
     ys = Grid(np.linspace(-2.0, 1.0, 100))      # both routes share e^y and its powers
-    report = VerificationReport()
     u_harm = induced_potential(coord, harm.mass(), harm.potential(), params, E, ys)
     u_pdm = induced_potential(coord, pdm.mass(), pdm.potential(),
                               DunklParams(nu=nu, delta=delta, mu=1), E, ys)
@@ -393,10 +367,9 @@ def _verify_pdm(params: DunklParams, E: float, tol: float) -> VerificationReport
                           f"potentials, with terms E e^(2y) and e^(4y)/E, overflow on the "
                           f"comparison grid y in [-2, 1]")
     worst = _worst(np.abs(u_harm - u_pdm) / np.maximum(1.0, np.abs(u_harm)))
-    report.add("induced_potential_match", worst, tol)
     defect = abs((3.0 * delta * nu - nu**2) - const_bar) / max(1.0, abs(const_bar))
-    report.add("constant_term_identity", defect, max(tol, 1e-10))
-    return report
+    return [("induced_potential_match", worst, tol),
+            ("constant_term_identity", defect, max(tol, 1e-10))]
 
 
 def cmd_verify(config: argparse.Namespace) -> int:
@@ -404,14 +377,8 @@ def cmd_verify(config: argparse.Namespace) -> int:
     tol = _tolerance()
     scenario, params, E = _resolve(config, get_scenario)
     if scenario.solution is None:
-        report = _verify_pdm(params, E, tol)
-    else:
-        report = _verify_solution(config, scenario, params, E, tol)
-    if config.output_format == "json":
-        _write_json(config.output_path, report.as_dict())
-    else:
-        _write(config.output_path, report.as_text())
-    return EXIT_OK if report.overall_pass else EXIT_VERIFICATION
+        return _emit_report(config, _verify_pdm(params, E, tol))
+    return _emit_report(config, _verify_solution(config, scenario, params, E, tol))
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ is a jet y -> (Phi, Phi').  ``read`` reads the chain (and Phi) at the
 points y, an ndarray as one ``libm.Grid``, into a ``ChainRead``:
 ``wronskian``, ``transformed_potential``, ``transformed_solution`` and
 ``transformed_pair`` (U-hat and Phi-hat for callers that need both) take
-points y, a float or an ndarray, or a ``ChainRead``.  An ndarray is
-evaluated elementwise, equal to the per-point calls bit for bit.
+points y, a float or an ndarray.  An ndarray is evaluated elementwise,
+equal to the per-point calls bit for bit.
 ``chain_residuals`` reads the chain on its grid and the members' u' on
 the stencil nodes, and ``residuals`` takes those arrays.
 """
@@ -206,13 +206,13 @@ def wronskian_first_derivative(chain: DarbouxChain, y):
 
 
 def _checked_read(chain: DarbouxChain, y, phi: Optional[OdeSolution] = None):
-    """The chain's read at y (``read``, with phi; or y itself, a ``ChainRead``) and (W, W', W'').
+    """The chain's read at y (``read``, with phi) and (W, W', W'').
 
     A W, W' or W'' that is not finite is refused by name, then a W = 0 or
     |W| < DEFAULT_W_FLOOR * scale, each at its first y: the floor of U-hat
     and Phi-hat.
     """
-    at = y if isinstance(y, ChainRead) else read(chain, y, phi)
+    at = read(chain, y, phi)
     w, wp, wpp, scale = _wronskian(chain, at.u, at.members)
     for name, part in (("W", w), ("W'", wp), ("W''", wpp)):
         _refuse(~np.isfinite(part), at.y, EvaluationError, f"Wronskian {name} is not finite")
@@ -334,13 +334,8 @@ def residuals(chain: DarbouxChain, on_grid: ChainRead, slopes: list,
     return out
 
 
-def validate_chain(chain: DarbouxChain, grid, tol) -> None:
-    """ConstructionError unless every residual is at most tol (a float, or one per member)."""
-    require_residuals(chain_residuals(chain, grid), tol)
-
-
 def require_residuals(res: np.ndarray, tol) -> None:
-    """ConstructionError unless every entry of res is at most tol."""
+    """ConstructionError unless every entry of res is at most tol (a float, or one per entry)."""
     if not np.all(res <= tol):
         raise ConstructionError(
             f"chain residuals {res} exceed tolerance {tol}")

@@ -13,15 +13,16 @@ assumption, not a detected property.  The domain is the punctured line;
 evaluation at x = 0 is rejected rather than regularized.
 
 A state and a mass profile are read as jets: one call at x gives the
-value and the derivatives the caller needs.  ``dunkl_residual`` and
-``probability_density`` take a float or an ndarray of x: floats in,
-floats out.  An ndarray is evaluated as one grid, and every entry equals
-the per-float call bit for bit (powers go through ``libm.power``).  The
-residual reads the mass, the state and its own x^2 on one ``libm.Grid``,
-so a factor they share is evaluated once.  The guards are ``np.any``
-tests, which reject a grid, with the per-point message, if any of its
-points fails.  ``state_checks`` reads psi once for both of ``verify``'s
-checks of it.
+value and the derivatives the caller needs.  ``dunkl_residual`` takes a
+float or an ndarray of x: a float in, a float out.  An ndarray is
+evaluated as one grid, and every entry equals the per-float call bit for
+bit (powers go through ``libm.power``).  The residual reads the mass,
+the state and its own x^2 on one ``libm.Grid``, so a factor they share
+is evaluated once.  ``probability_density`` takes an ndarray of x, a
+grid or a level of quadrature nodes.  The guards are ``np.any`` tests,
+which reject a grid, with the per-point message, if any of its points
+fails.  ``state_checks`` reads psi once for both of ``verify``'s checks
+of it.
 """
 
 from __future__ import annotations
@@ -78,15 +79,13 @@ class EnergyPotential:
 class ParityFunction:
     """Function with definite parity, read as its jet.
 
-    jet(x, k) gives (f, f', ..., f^(k)) at x for k up to ``order``, with
-    the factors they share computed once and the others not at all (the
-    density and the parity check read only f).  f, f1 and f2 are views
-    of it.  ``dunkl_residual`` needs order 2.
+    jet(x, k) gives (f, f', ..., f^(k)) at x for k up to 2, with the
+    factors they share computed once and the others not at all (the
+    density and the parity check read only f, its view ``f``).
     """
 
     jet: Callable[[float, int], tuple]
     parity: int
-    order: int = 2
 
     def __post_init__(self):
         if self.parity not in (-1, 1):
@@ -94,12 +93,6 @@ class ParityFunction:
 
     def f(self, x):
         return self.jet(x, 0)[0]
-
-    def f1(self, x):
-        return self.jet(x, 1)[1]
-
-    def f2(self, x):
-        return self.jet(x, 2)[2]
 
 
 @dataclass(frozen=True)
@@ -127,8 +120,6 @@ def _mass_at(system: DunklSystem, psi: ParityFunction, x):
         raise DomainError("dunkl_residual: x = 0 is outside the domain")
     if psi.parity != system.params.delta:
         raise ContractError("dunkl_residual: solution parity must match delta")
-    if psi.order < 2:
-        raise ContractError("dunkl_residual: psi needs its second derivative f2")
     m, m1, _ = system.mass.jet(x)
     if np.any(m == 0):
         raise DomainError("dunkl_residual: mass vanishes at evaluation point")
@@ -199,7 +190,7 @@ def state_checks(system: DunklSystem, psi: ParityFunction, E: float, grid: np.nd
     return res, float(np.max(np.abs(f[n:] - psi.parity * f[:n][pos])))
 
 
-def _weighted_amplitude(val, ax, w: float):
+def _weighted_amplitude(val: np.ndarray, ax: np.ndarray, w: float) -> np.ndarray:
     """val^2 ax^w (ax > 0), elementwise; (|val| ax^(w/2))^2 where ax^w alone overflows.
 
     Only those change form (gaussian-mass from nu = 119.8), so the others
@@ -210,7 +201,7 @@ def _weighted_amplitude(val, ax, w: float):
     except DomainError as exc:
         overflow = exc
     out = []
-    for v, a in zip(np.atleast_1d(val).tolist(), np.atleast_1d(ax).tolist()):
+    for v, a in zip(val.tolist(), ax.tolist()):
         try:
             out.append(v * v * a ** w)
         except OverflowError:
@@ -219,36 +210,32 @@ def _weighted_amplitude(val, ax, w: float):
             except OverflowError:
                 raise overflow from None
             out.append(half * half)
-    return np.array(out) if isinstance(ax, np.ndarray) else out[0]
+    return np.array(out)
 
 
-def probability_density(system: DunklSystem, psi: ParityFunction, E: float, x):
-    """Modified probability density |psi|^2 |x|^w (1 - dV/dE).
+def probability_density(system: DunklSystem, psi: ParityFunction, E: float,
+                        x: np.ndarray) -> np.ndarray:
+    """Modified probability density |psi|^2 |x|^w (1 - dV/dE) at the points x, an ndarray.
 
-    On an ndarray it is the integrand of ``modified_norm``, which calls
-    it on all the nodes of a quadrature level at once; psi, |x|^w and
-    dV/dE read x as one ``libm.Grid`` where the amplitude survives everywhere.
+    It is the integrand of ``modified_norm``, which calls it on all the
+    nodes of a quadrature level at once; psi, |x|^w and dV/dE read x as
+    one ``libm.Grid`` where the amplitude survives everywhere.
     """
-    grid = isinstance(x, np.ndarray)
-    if np.any(x == 0) if grid else x == 0:
+    if np.any(x == 0):
         raise DomainError("probability_density: x = 0 is outside the domain")
     w = weight_exponent(system.params)
-    x = Grid(x) if grid else x
+    x = Grid(x)
     val = psi.f(x)
     # Far tail: the amplitude underflows before any growing factor of
     # the energy derivative can overflow; the density is zero there,
     # and dV/dE is evaluated only where the amplitude survives.
-    if grid:
-        with np.errstate(all="ignore"):     # an overflow stays inf for the caller
-            live = val * val != 0.0
-            xs = x if live.all() else x[live]
-            density = np.zeros_like(val)
-            density[live] = (_weighted_amplitude(val[live], xs.absolute()[0], w)
-                             * (1.0 - system.potential.dv_dE(E, xs)))
-        return density
-    if val * val == 0.0:
-        return 0.0
-    return _weighted_amplitude(val, abs(x), w) * (1.0 - system.potential.dv_dE(E, x))
+    with np.errstate(all="ignore"):     # an overflow stays inf for the caller
+        live = val * val != 0.0
+        xs = x if live.all() else x[live]
+        density = np.zeros_like(val)
+        density[live] = (_weighted_amplitude(val[live], xs.absolute()[0], w)
+                         * (1.0 - system.potential.dv_dE(E, xs)))
+    return density
 
 
 def modified_norm(system: DunklSystem, psi: ParityFunction, E: float) -> QuadratureResult:

@@ -2,15 +2,16 @@
 
 Step-size defaults balance truncation against rounding at double
 precision; every stencil applies one Richardson extrapolation step.
-``derivative`` and ``parameter_derivative`` accept an ndarray of points
-as well as a float and then work elementwise, equal to the per-point
-calls bit for bit.  ``parameter_derivative`` has two users: the
-confluent chain, whose u2 is the eps-derivative of the mapped family
-(``scenarios.seeded_chain``, which builds the members at
-``parameter_probes`` itself), and
-``pointmap.energy_relation_residual``, where the numerical dU/dE is the
-independent side of the check.  Figure 4's dV-hat/dE is analytic
-(``scenarios._vhat_dE``, on its chain's degree-derivative rows).
+``derivative`` takes a float y.  Its grid form is ``sampled_derivative``,
+on the values of f at ``stencil_nodes``, and ``parameter_derivative``
+accepts an ndarray of points as well as a float; both work elementwise,
+equal to the per-point calls bit for bit.  ``parameter_derivative`` has
+two users: the confluent chain, whose u2 is the eps-derivative of the
+mapped family (``scenarios.seeded_chain``, which builds the members at
+``parameter_probes`` itself), and ``pointmap.energy_relation_residual``,
+where the numerical dU/dE is the independent side of the check.
+Figure 4's dV-hat/dE is analytic (``scenarios._vhat_dE``, on its
+chain's degree-derivative rows).
 
 Quadrature over the real line uses the double-exponential (exp-sinh)
 rule of Takahasi & Mori, Publ. RIMS 9 (1974) 721, and Mori & Sugihara,
@@ -96,16 +97,12 @@ def stencil_nodes(y: np.ndarray, order: int, h=None) -> np.ndarray:
     return _layout(y, order, h)[1]
 
 
-def derivative(f: Callable[[float], float], y, order: int, h=None):
-    """Central-difference derivative of order 1 or 2, the orders in use.
+def derivative(f: Callable[[float], float], y: float, order: int, h=None) -> float:
+    """Central-difference derivative of order 1 or 2 at y, the orders in use.
 
     One Richardson extrapolation step is applied, giving O(h^4)
-    truncation.  For an ndarray y (h a float or an array of per-point
-    steps), f must work elementwise: it is called once, on the
-    ``stencil_nodes`` of all points together (``sampled_derivative``).
+    truncation.
     """
-    if isinstance(y, np.ndarray):
-        return sampled_derivative(f(stencil_nodes(y, order, h)), y, order, h)
     steps, _ = _layout(y, order, h)
     samples = []
     for step in steps:
@@ -118,7 +115,8 @@ def derivative(f: Callable[[float], float], y, order: int, h=None):
 
 
 def sampled_derivative(values: np.ndarray, y: np.ndarray, order: int, h=None):
-    """``derivative`` of f at the ndarray y from values = f(``stencil_nodes(y, order, h)``)."""
+    """``derivative`` of f at the ndarray y from values = f(``stencil_nodes(y, order, h)``),
+    h a float or an array of per-point steps."""
     steps, nodes = _layout(y, order, h)
     shifts = _SHIFTS[order]
     parts = np.split(_check_finite(values, nodes, "sample at "), 2 * len(shifts))

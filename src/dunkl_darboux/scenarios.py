@@ -39,8 +39,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .darboux import (ChainRead, DarbouxChain, KIND_CONFLUENT, KIND_STANDARD, OdeSolution,
-                      require_residuals, residual_grids, residuals, transformed_potential,
-                      transformed_solution, validate_chain)
+                      chain_residuals, require_residuals, residual_grids, residuals,
+                      transformed_potential, transformed_solution)
 from .errors import ConstructionError, ContractError, DomainError, SingularityError
 from .libm import Grid, exp, exp_scaled, exp_square, log, power
 from .model import (DunklParams, DunklSystem, EnergyPotential, MassProfile,
@@ -594,7 +594,7 @@ STANDARD_CHAIN_EPS = (0.25, -0.75)
 def _validated(chain: DarbouxChain, validate: bool) -> DarbouxChain:
     """The standard chain, refused unless its residuals are at most 1e-7 when validate is set."""
     if validate:
-        validate_chain(chain, np.linspace(-2.0, 1.0, 40), 1e-7)
+        require_residuals(chain_residuals(chain, np.linspace(-2.0, 1.0, 40)), 1e-7)
     return chain
 
 
@@ -816,27 +816,6 @@ def _vhat_dE(E: float, x: np.ndarray, z: np.ndarray, lag, lag_dd) -> np.ndarray:
         dwpp = de * (dg1 * v2 + g1 * dv2 + dv1 * g2 + v1 * dg2)
         dq = (dwpp - wpp * rel - 2.0 * (wp / w) * (dwp - wp * rel)) / w
         return -x * x / (E * E) - 2.0 * dq / (x * x)
-
-
-def standard_vhat_dE(E: float, x):
-    """dV-hat/dE of the order-2 standard chain (``_vhat_dE``), in closed form.
-
-    The chain's four Laguerre rows and their degree derivatives come from
-    one kernel call at z = x^2/sqrt(E).  x is a float or an ndarray of
-    positive points.  ``seeded_chain(..., slopes=True)`` gives the same
-    quantity from the chain's own read.
-    """
-    if E <= 0:
-        raise DomainError("standard_vhat_dE: E must be positive")
-    if np.any(x <= 0):
-        raise DomainError("standard_vhat_dE: x must be positive")
-    xs = x if isinstance(x, np.ndarray) else np.array([x], dtype=float)
-    z = (1.0 / math.sqrt(E)) * (xs * xs)
-    degrees = [_mapped_degree(E, r) - k for r in (0.0, 2.0) for k in (0.0, 1.0)]
-    lag, lag_dd = assoc_laguerre_grid(degrees, [0.0, 1.0, 1.0, 2.0], z,
-                                      degree_derivative=True)
-    out = _vhat_dE(E, xs, z, lag.values, lag_dd.values)
-    return out if isinstance(x, np.ndarray) else float(out[0])
 
 
 # Scenario registry: each has mass(), potential(), coord(), a

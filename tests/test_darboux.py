@@ -9,8 +9,8 @@ import pytest
 from dunkl_darboux import darboux, scenarios
 from dunkl_darboux.darboux import (DarbouxChain, OdeSolution, chain_residuals,
                                    intertwining_residual, transform,
-                                   transformed_pair, transformed_potential,
-                                   transformed_solution, validate_chain,
+                                   require_residuals, transformed_pair,
+                                   transformed_potential, transformed_solution,
                                    wronskian, wronskian_first_derivative)
 from dunkl_darboux.errors import (CapabilityError, ConstructionError,
                                   DomainError, SingularityError)
@@ -168,13 +168,13 @@ def test_chain_residuals_confluent():
     assert res[1] < 1e-5
 
 
-def test_validate_chain_raises_on_wrong_eps():
+def test_chain_validation_raises_on_wrong_eps():
     chain = standard_chain_u12(4.0, validate=False)
     broken = DarbouxChain(kind=chain.kind, jet=chain.jet, order=chain.order,
                           eps=(0.3, -0.75), background=chain.background,
                           energy=chain.energy)
     with pytest.raises(ConstructionError):
-        validate_chain(broken, GRID, 1e-7)
+        require_residuals(chain_residuals(broken, GRID), 1e-7)
 
 
 def test_intertwining_standard_order2():
@@ -235,7 +235,7 @@ def test_confluent_build_refuses_a_nan_member(monkeypatch):
             confluent_chain(4.0)
 
 
-def test_validate_chain_refuses_a_nan_member():
+def test_chain_validation_refuses_a_nan_member():
     # u'' + (eps - y^2) u = 0 at eps = 1 and 3, with u1 NaN at y = 0
     u1 = lambda y: _nan_at_zero(np.exp(-0.5 * y * y), y)
     u1p = lambda y: -y * np.exp(-0.5 * y * y)
@@ -248,7 +248,7 @@ def test_validate_chain_refuses_a_nan_member():
         res = chain_residuals(chain, GRID)
         assert np.isnan(res[0]) and res[1] < 1e-8
         with pytest.raises(ConstructionError, match="nan"):
-            validate_chain(chain, GRID, 1e-7)
+            require_residuals(chain_residuals(chain, GRID), 1e-7)
 
 
 def test_matrix_size_cap():

@@ -1,4 +1,5 @@
-"""Degree derivatives of the Laguerre kernel and figure 4's dV-hat/dE against mpmath.
+"""Degree derivatives of the Laguerre kernel, figure 3's V-hat and figure 4's
+dV-hat/dE against mpmath.
 
 The oracle differentiates mpmath's own laguerre numerically at 40
 digits, so it shares no code with the package.  The degrees include the
@@ -15,8 +16,9 @@ import pytest
 
 from dunkl_darboux import cli, specfun
 from dunkl_darboux.errors import DomainError
-from dunkl_darboux.scenarios import bound_state_energy, standard_vhat_dE
+from dunkl_darboux.libm import Grid, log
 from dunkl_darboux.model import DunklParams
+from dunkl_darboux.scenarios import bound_state_energy, seeded_chain
 from dunkl_darboux.specfun import _digamma_difference, assoc_laguerre_grid
 
 mpmath = pytest.importorskip("mpmath")
@@ -101,16 +103,39 @@ def _vhat_model(E, x):
     return E - (mp.mpf(1) / 4 - u_hat) / x ** 2
 
 
+@pytest.mark.parametrize("nu, delta", [(2.5, -1), (1.5, 1), (1.5, -1)])
+def test_figure_3_vhat_matches_mpmath_model(nu, delta):
+    # figure 3's columns as the command computes them, before they are
+    # printed (12 digits would move a value by about 4e-12 of the column
+    # maximum), at 10 points of its default grid per energy
+    config = cli._settings(cli.build_parser().parse_args(
+        ["figure", "3", "--nu", str(nu), "--delta", str(delta)]))
+    header, rows = cli._FIGURES[3](config)
+    table = np.array(rows)
+    params = DunklParams(nu=nu, delta=delta, mu=1)
+    for n in (0, 1, 2):
+        E = bound_state_energy(n, params, "ene1")
+        column = table[:, header.index(f"v_hat_{n}")]
+        top = np.max(np.abs(column))
+        with mp.workdps(40):
+            for x, got in zip(table[::33, 0], column[::33]):
+                want = _vhat_model(mp.mpf(E), mp.mpf(x))
+                assert abs(got - want) <= 1e-12 * top
+
+
 @pytest.mark.parametrize("n", [0, 1, 2])
-def test_standard_vhat_dE_matches_mpmath_model(n):
-    # figure 4's energies, nu = 5/2 and delta = -1: the r = 2 member's
-    # degree is 0.9999999999999996, 1.9999999999999996, 2.9999999999999996
-    E = bound_state_energy(n, DunklParams(nu=2.5, delta=-1, mu=1), "ene1")
-    xs = np.linspace(0.2, 3.0, 8)
-    got = 1.0 - standard_vhat_dE(E, xs)
+def test_figure_4_vhat_dE_matches_mpmath_model(n):
+    # figure 4's route, energies and grid: seeded_chain(..., slopes=True)
+    # read on the Grid x whose ln x the build read, at nu = 5/2 and
+    # delta = -1, where the r = 2 member's degree is 0.9999999999999996,
+    # 1.9999999999999996, 2.9999999999999996
+    params = DunklParams(nu=2.5, delta=-1, mu=1)
+    E = bound_state_energy(n, params, "ene1")
+    xs = Grid(np.linspace(0.2, 3.0, 300))
+    got = 1.0 - seeded_chain(params, E, grids=[log(xs)], slopes=True)[-1](xs)
     with mp.workdps(40):
         for x, g in zip(xs, got):
-            want = 1 - mp.diff(lambda e: _vhat_model(e, mp.mpf(x)), mp.mpf(E))
+            want = 1 - mp.diff(lambda e: _vhat_model(e, mp.mpf(float(x))), mp.mpf(E))
             assert abs(g - want) <= 1e-12 * abs(want)
 
 
@@ -130,9 +155,12 @@ def test_derivative_rows_run_only_when_asked(monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_standard_vhat_dE_guards():
+def test_figure_4_vhat_dE_guards():
+    # E <= 0 is refused by the build, x <= 0 by ln x, before any kernel call
+    params = DunklParams(nu=2.5, delta=-1, mu=1)
     with pytest.raises(DomainError, match="E must be positive"):
-        standard_vhat_dE(0.0, 1.0)
-    with pytest.raises(DomainError, match="x must be positive"):
-        standard_vhat_dE(4.0, np.array([1.0, 0.0]))
-    assert math.isfinite(standard_vhat_dE(4.0, 1.0))
+        seeded_chain(params, 0.0, slopes=True)
+    vhat_dE = seeded_chain(params, 4.0, slopes=True)[-1]
+    with pytest.raises(DomainError, match=r"log\(0\.0\)"):
+        vhat_dE(np.array([1.0, 0.0]))
+    assert math.isfinite(vhat_dE(np.array([1.0]))[0])

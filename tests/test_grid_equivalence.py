@@ -1,12 +1,13 @@
 """Grid evaluation of the verify and density layers.
 
-Every function below takes a float or an ndarray of points.  On an
-ndarray it must equal its per-float calls bit for bit, which keeps the
-``verify`` and ``density`` output byte-identical to point-by-point
-evaluation, and it must reject the grid with the per-point message when
-one of its points fails a guard (x = 0, the coordinate singularity, the
-Kummer |z| range, a Kummer series that does not converge in its term
-budget).
+Every function below takes an ndarray of points, and all but
+``probability_density`` a float too.  On an ndarray it must equal its
+per-float calls (the density: its one-point calls) bit for bit, which
+keeps the ``verify`` and ``density`` output byte-identical to
+point-by-point evaluation, and it must reject the grid with the
+per-point message when one of its points fails a guard (x = 0, the
+coordinate singularity, the Kummer |z| range, a Kummer series that does
+not converge in its term budget).
 """
 
 import numpy as np
@@ -45,6 +46,11 @@ def _assert_grid_matches_points(fn, xs):
     assert _bits(got) == _bits(want)
 
 
+def _one_point(fn):
+    """fn, which takes an ndarray of x, with a float x read as the one-point grid [x]."""
+    return lambda x: float(fn(np.array([x]))[0]) if isinstance(x, float) else fn(x)
+
+
 def _rarely(common, rare):
     """common, or in one example of ten the value ``rare``."""
     return st.integers(0, 9).flatmap(lambda k: st.just(rare) if k == 0 else common)
@@ -81,10 +87,10 @@ _EXTRA = _rarely(_rarely(st.just([]), [0.0]), [30.0])
        xs=_XS, extra=_rarely(st.just([]), [30.0]))
 def test_solution_closures_grid_equals_points(scenario, nu, delta, n, rule, xs, extra):
     _, _, _, psi = _solvable(scenario, nu, delta, n, rule)
-    # One closure, highest derivative first: f1 and f reuse the factors
-    # f2 evaluated on the same grid, and must still match bit for bit
-    for fn in (psi.f2, psi.f1, psi.f):
-        _assert_grid_matches_points(fn, xs + extra)
+    # One jet, highest derivative first: f' and f reuse the factors f''
+    # evaluated on the same grid, and must still match bit for bit
+    for k in (2, 1, 0):
+        _assert_grid_matches_points(lambda x: psi.jet(x, k)[k], xs + extra)
 
 
 @settings(max_examples=60, deadline=None)
@@ -104,7 +110,7 @@ def test_dunkl_residual_grid_equals_points(scenario, nu, delta, n, rule, xs, ext
 def test_probability_density_grid_equals_points(scenario, nu, delta, n, rule, xs, extra):
     sc, params, E, psi = _solvable(scenario, nu, delta, n, rule)
     system = sc.system(params)
-    _assert_grid_matches_points(lambda x: probability_density(system, psi, E, x),
+    _assert_grid_matches_points(_one_point(lambda x: probability_density(system, psi, E, x)),
                                 xs + extra)
 
 
@@ -118,7 +124,8 @@ def test_probability_density_far_tail_grid(nu, delta, n, tail):
     sc, params, E, psi = _solvable("gaussian-mass", nu, delta, n, "ene0")
     system = sc.system(params)
     xs = [1.0] + tail + [-x for x in tail]
-    _assert_grid_matches_points(lambda x: probability_density(system, psi, E, x), xs)
+    _assert_grid_matches_points(_one_point(lambda x: probability_density(system, psi, E, x)),
+                                xs)
     assert probability_density(system, psi, E, np.array([30.0, 40.0])).tolist() == [0.0, 0.0]
 
 
@@ -152,7 +159,7 @@ def test_grid_guards_match_point_messages():
     system = sc.system(params)
     grid = np.array([0.5, 0.0, 1.5])
     for fn in (lambda x: dunkl_residual(system, psi, E, x),
-               lambda x: probability_density(system, psi, E, x)):
+               _one_point(lambda x: probability_density(system, psi, E, x))):
         with pytest.raises(DomainError) as point:
             fn(0.0)
         with pytest.raises(DomainError) as whole:

@@ -33,7 +33,7 @@ def _potential(v, dv_dE):
 def _state(parity, *derivatives):
     """The ParityFunction whose jet is f and its given derivatives."""
     return ParityFunction(jet=lambda x, k: [d(x) for d in derivatives[:k + 1]],
-                          parity=parity, order=len(derivatives) - 1)
+                          parity=parity)
 
 
 def _odd_mass_residual(m, m1, v, nu, delta, E, psi, x):
@@ -43,7 +43,8 @@ def _odd_mass_residual(m, m1, v, nu, delta, E, psi, x):
           + nu * delta / (2 * m(x) * x**2) + nu * delta * m1(x) / (2 * m(x) ** 2 * x)
           + nu**2 / (m(x) * x**2) - nu**2 * delta / (m(x) * x**2)
           + E - v(E, x))
-    return psi.f2(x) / (2 * m(x)) + c1 * psi.f1(x) + c0 * psi.f(x)
+    f, f1, f2 = psi.jet(x, 2)
+    return f2 / (2 * m(x)) + c1 * f1 + c0 * f
 
 
 def _even_mass_residual(m, m1, v, nu, delta, E, psi, x):
@@ -52,13 +53,14 @@ def _even_mass_residual(m, m1, v, nu, delta, E, psi, x):
     c0 = (-nu / (2 * m(x) * x**2) - nu * m1(x) / (2 * m(x) ** 2 * x)
           + nu * delta / (2 * m(x) * x**2) + nu * delta * m1(x) / (2 * m(x) ** 2 * x)
           + E - v(E, x))
-    return psi.f2(x) / (2 * m(x)) + c1 * psi.f1(x) + c0 * psi.f(x)
+    f, f1, f2 = psi.jet(x, 2)
+    return f2 / (2 * m(x)) + c1 * f1 + c0 * f
 
 
 def _constant_mass_residual(v, nu, delta, E, psi, x):
     """Independent coding of the m = 1/2 specialization."""
-    return (psi.f2(x) + (2 * nu / x) * psi.f1(x)
-            + ((nu * delta - nu) / x**2 + E - v(E, x)) * psi.f(x))
+    f, f1, f2 = psi.jet(x, 2)
+    return f2 + (2 * nu / x) * f1 + ((nu * delta - nu) / x**2 + E - v(E, x)) * f
 
 
 def _smooth_state(delta):
@@ -143,8 +145,9 @@ def test_residual_contracts():
         dunkl_residual(system, odd, 1.0, 0.0)
 
 
-def test_residual_refuses_psi_without_f2():
-    # the residual needs f2; without it, nothing is evaluated
+def test_residual_refusals_come_before_psi_is_read():
+    # x = 0 and a parity mismatch are refused before the mass or psi is
+    # evaluated, and a vanishing mass before psi is
     calls = []
 
     def record(name, value):
@@ -153,16 +156,24 @@ def test_residual_refuses_psi_without_f2():
             return value
         return fn
 
-    system = DunklSystem(
-        params=DunklParams(nu=0.5, delta=-1, mu=1),
-        mass=_mass(record("m", 1.0), record("m1", 0.0), record("m2", 0.0), parity=1),
-        potential=_potential(v=lambda e, x: 0.0, dv_dE=lambda e, x: 0.0))
-    psi = _state(-1, record("f", 0.5), record("f1", 1.0))
-    with pytest.raises(ContractError, match="second derivative f2"):
-        dunkl_residual(system, psi, 1.0, 0.5)
-    with pytest.raises(ContractError, match="second derivative f2"):
-        dunkl_residual(system, psi, 1.0, np.linspace(0.1, 2.0, 5), relative=True)
+    def system(m):
+        return DunklSystem(
+            params=DunklParams(nu=0.5, delta=-1, mu=1),
+            mass=_mass(record("m", m), record("m1", 0.0), record("m2", 0.0), parity=1),
+            potential=_potential(v=lambda e, x: 0.0, dv_dE=lambda e, x: 0.0))
+
+    psi = _state(-1, record("f", 0.5), record("f1", 1.0), record("f2", 0.0))
+    even = _state(1, record("f", 0.5), record("f1", 1.0), record("f2", 0.0))
+    with pytest.raises(DomainError, match="x = 0"):
+        dunkl_residual(system(1.0), psi, 1.0, 0.0)
+    with pytest.raises(DomainError, match="x = 0"):
+        dunkl_residual(system(1.0), psi, 1.0, np.array([0.5, 0.0]), relative=True)
+    with pytest.raises(ContractError, match="parity"):
+        dunkl_residual(system(1.0), even, 1.0, np.linspace(0.1, 2.0, 5), relative=True)
     assert calls == []
+    with pytest.raises(DomainError, match="mass vanishes"):
+        dunkl_residual(system(0.0), psi, 1.0, 0.5)
+    assert calls == ["m", "m1", "m2"]
 
 
 def test_system_mass_parity_contract():
@@ -179,18 +190,17 @@ def test_probability_density_worked_value():
     from dunkl_darboux.scenarios import ScenarioGaussianMass
     params = DunklParams(nu=0.5, delta=-1, mu=1)
     system = ScenarioGaussianMass().system(params)
-    psi = _state(-1, lambda x: x * math.exp(-x * x),
-                 lambda x: (1 - 2 * x * x) * math.exp(-x * x))
+    psi = _state(-1, lambda x: x * exp(-x * x), lambda x: (1 - 2 * x * x) * exp(-x * x))
     E = 0.75
-    got = probability_density(system, psi, E, 1.0)
-    assert got == pytest.approx(2.0 * math.exp(-1.0), rel=1e-12)
+    got = probability_density(system, psi, E, np.array([1.0]))
+    assert got[0] == pytest.approx(2.0 * math.exp(-1.0), rel=1e-12)
     with pytest.raises(DomainError):
-        probability_density(system, psi, E, 0.0)
+        probability_density(system, psi, E, np.array([0.0]))
 
 
 def test_probability_density_of_an_overflowing_psi_warns_nothing():
     # at nu = 169 the harmonic-energy psi exceeds 1.3e154 on the grid, so
-    # psi^2 overflows: the grid must give what the per-point calls give,
+    # psi^2 overflows: the grid must give what the one-point calls give,
     # inf (NaN at 0 * inf), with no RuntimeWarning
     import warnings
 
@@ -203,7 +213,7 @@ def test_probability_density_of_an_overflowing_psi_warns_nothing():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         grid = probability_density(system, psi, E, xs)
-        points = [probability_density(system, psi, E, float(x)) for x in xs]
+        points = [probability_density(system, psi, E, np.array([x]))[0] for x in xs]
     assert np.isinf(grid).sum() >= 1
     assert grid.view(np.uint64).tolist() == np.array(points).view(np.uint64).tolist()
 

@@ -8,7 +8,8 @@ import pytest
 from dunkl_darboux.errors import AccuracyError, DomainError, EvaluationError
 from dunkl_darboux.libm import exp
 from dunkl_darboux.numerics import (QuadratureResult, derivative,
-                                    integrate_real_line, parameter_derivative)
+                                    integrate_real_line, parameter_derivative,
+                                    sampled_derivative, stencil_nodes)
 
 
 def test_first_derivative():
@@ -34,17 +35,19 @@ def test_derivative_flags_nonfinite_samples():
 
 
 def test_derivatives_on_ndarray_equal_pointwise_bit_for_bit():
-    # f must be elementwise: libm.exp is, and agrees with math.exp per element
+    # the grid form samples f at the stencil nodes of all points at once;
+    # libm.exp is elementwise and agrees with math.exp per element
     ys = np.linspace(-2.0, 3.0, 11)
     bits = lambda v: np.asarray(v, dtype=float).view(np.uint64).tolist()
     for order, h in ((1, None), (2, None), (2, 1e-2), (1, 1e-3)):
-        grid = derivative(exp, ys, order, h)
+        grid = sampled_derivative(exp(stencil_nodes(ys, order, h)), ys, order, h)
         assert bits(grid) == bits([derivative(math.exp, float(y), order, h) for y in ys])
     grid = parameter_derivative(lambda eps, y: exp(eps * y), 0.3, ys)
     assert bits(grid) == bits([parameter_derivative(lambda eps, y: math.exp(eps * y), 0.3,
                                                     float(y)) for y in ys])
+    nodes = stencil_nodes(ys, 1)
     with pytest.raises(EvaluationError):
-        derivative(lambda y: np.where(y > 1.0, np.inf, y), ys, 1)
+        sampled_derivative(np.where(nodes > 1.0, np.inf, nodes), ys, 1)
 
 
 def test_parameter_derivative_exponential_family():

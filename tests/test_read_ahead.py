@@ -19,9 +19,9 @@ from dunkl_darboux.darboux import (KIND_CONFLUENT, KIND_STANDARD, chain_residual
 from dunkl_darboux.errors import DunklDarbouxError
 from dunkl_darboux.libm import Grid, log
 from dunkl_darboux.model import DunklParams
-from dunkl_darboux.scenarios import (CONFLUENT_CHECK_GRID, _mapped_degree,
+from dunkl_darboux.scenarios import (CONFLUENT_CHECK_GRID, _mapped_degree, _vhat_dE,
                                      bound_state_energy, mapped_equation_residual,
-                                     seeded_chain, standard_vhat_dE)
+                                     seeded_chain)
 
 
 @pytest.fixture
@@ -46,11 +46,20 @@ def kernel_calls(monkeypatch):
     (["figure", "7"], 3),
     (["figure", "3"], 3),
     (["figure", "4"], 3),
+    (["figure", "5"], 3),
+    (["figure", "6"], 3),
+    (["verify", "--scenario", "harmonic-energy", "--nu", "2.5", "--delta", "-1"], 4),
+    (["verify", "--scenario", "gaussian-mass", "--nu", "0.5", "--delta", "-1"], 3),
 ])
 def test_kernel_call_budget_per_command(argv, calls, kernel_calls, capsys):
     # a confluent darboux reads its 12 rows on the validation grid, its
-    # stencil nodes and y joined with ln(e^y) in one call; figures 3, 4
-    # and 7 make one call per energy
+    # stencil nodes and y joined with ln(e^y) in one call; figures 3-7
+    # make one call per energy; the harmonic-energy verify reads psi's
+    # three Laguerre rows, one call each, and the mapped-equation check's
+    # Phi in one call; the gaussian-mass verify reads psi's Kummer row
+    # (at n = 0 its derivative rows have coefficient 0 and are not read)
+    # at the norm's two far nodes, at its other nodes, and on the grid
+    # with its reflection
     assert cli.run(argv) == cli.EXIT_OK
     capsys.readouterr()
     assert len(kernel_calls) == calls
@@ -91,11 +100,19 @@ def test_figure_4_derives_only_the_chain_rows(monkeypatch, capsys):
         assert a[:4] == chain
 
 
+def _vhat_dE_at_x_squared(E, x):
+    """``_vhat_dE`` from a kernel call of its own at z = x^2/sqrt(E), not e^{2 ln x}/sqrt(E)."""
+    z = (1.0 / np.sqrt(E)) * (x * x)
+    degrees = [_mapped_degree(E, r) - k for r in (0.0, 2.0) for k in (0.0, 1.0)]
+    lag, lag_dd = specfun.assoc_laguerre_grid(degrees, [0.0, 1.0, 1.0, 2.0], z,
+                                              degree_derivative=True)
+    return _vhat_dE(E, x, z, lag.values, lag_dd.values)
+
+
 def test_figure_4_vhat_dE_agrees_with_its_own_kernel_call(kernel_calls):
     # figure 4's dV-hat/dE reads the chain's rows at z = e^{2 ln x}/sqrt(E),
     # on the Grid ln x the build read (no call of its own), or at any other
-    # x; standard_vhat_dE makes its own call at z = x^2/sqrt(E): they agree
-    # to rounding
+    # x; a call of its own at z = x^2/sqrt(E) agrees to rounding
     params = DunklParams(nu=2.5, delta=-1, mu=1)
     xs = Grid(np.linspace(0.2, 3.0, 300))
     for n in (0, 1, 2):
@@ -105,7 +122,7 @@ def test_figure_4_vhat_dE_agrees_with_its_own_kernel_call(kernel_calls):
         got = vhat_dE(xs)
         assert len(kernel_calls) == 1
         for x, value in ((xs, got), (xs[::7], vhat_dE(np.asarray(xs[::7])))):
-            want = standard_vhat_dE(E, np.asarray(x))
+            want = _vhat_dE_at_x_squared(E, np.asarray(x))
             assert np.all(np.abs(value - want) <= 1e-13 * np.abs(want))
 
 

@@ -27,7 +27,7 @@ from dunkl_darboux.scenarios import (DUNKL_GRID,
                                      monomial_exponent, parity_exponent,
                                      pdm_equivalence_nu, pipeline_hatpsi,
                                      pipeline_vhat, printed_bound_state,
-                                     standard_chain_u12, standard_vhat_dE)
+                                     seeded_chain, standard_chain_u12)
 from dunkl_darboux.libm import Grid, exp
 from dunkl_darboux.specfun import assoc_laguerre_grid
 
@@ -303,7 +303,9 @@ def test_transformed_solution_solves_transformed_dunkl_equation():
 
 def test_pipeline_grid_equals_pointwise_bit_for_bit():
     # an ndarray of x is one grid evaluation; it must reproduce the
-    # per-float calls exactly, which keeps the CLI output byte-identical
+    # per-float calls exactly (figure 4's dV-hat/dE, which takes an
+    # ndarray, the one-point calls), which keeps the CLI output
+    # byte-identical
     def bits(values):
         return np.asarray(values, dtype=float).view(np.uint64).tolist()
 
@@ -314,14 +316,15 @@ def test_pipeline_grid_equals_pointwise_bit_for_bit():
         cases = [lambda x: pipeline_hatpsi(TRANSFORM_PARAMS, E, std, x),
                  lambda x: pipeline_hatpsi(TRANSFORM_PARAMS, E, con, x),
                  lambda x: pipeline_vhat(E, std, x),
-                 lambda x: pipeline_vhat(E, con, x),
-                 lambda x: standard_vhat_dE(E, x)]
+                 lambda x: pipeline_vhat(E, con, x)]
         for fn in cases:
             grid = fn(xs)
             points = [fn(float(x)) for x in xs]
             assert isinstance(grid, np.ndarray)
             assert all(type(p) is float for p in points)
             assert bits(grid) == bits(points)
+        vhat_dE = seeded_chain(TRANSFORM_PARAMS, E, slopes=True)[-1]
+        assert bits(vhat_dE(xs)) == bits([vhat_dE(np.array([x]))[0] for x in xs])
 
 
 def _count_grid_calls(monkeypatch) -> list:

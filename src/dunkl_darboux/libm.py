@@ -19,7 +19,10 @@ the factors that independent readers take at the same points (the
 residual's x^2 and a state's x^(s+1) at s = 1, the gaussian mass's and
 state's e^{-x^2}, e^{2y} of three energies' chains) are evaluated once.
 A kept result is a Grid too; arithmetic, and any other ndarray, evaluate
-afresh, and nothing outlives the Grid.
+afresh, and nothing outlives the Grid, with one exception: the module-level
+``scenarios._CHECK_GRIDS`` (the confluent chain's validation grid and its
+stencil nodes) keep their E-free factors, e^{2y} and e^{4y}, for the whole
+process.
 """
 
 from __future__ import annotations
@@ -101,17 +104,23 @@ class Grid(np.ndarray):
         return out
 
 
-# Each helper tests for an ndarray itself, so a float costs one call.
+def _libm(key, fn, x, *args):
+    """fn(x, *args): kept on a Grid x under key, which starts with fn's name; per
+    element on another ndarray; and the scalar routine on a float, whose failure
+    is the DomainError of ``_error``."""
+    name = key[0]
+    if isinstance(x, Grid):
+        return x.kept(key, lambda: _per_element(name, fn, x, *args))
+    if isinstance(x, np.ndarray):
+        return _per_element(name, fn, x, *args)
+    try:
+        return fn(x, *args)
+    except (ArithmeticError, ValueError) as exc:
+        raise _error(name, exc, x, *args) from None
+
 
 def exp(x):
-    if isinstance(x, Grid):
-        return x.kept(("exp", 1.0), lambda: _per_element("exp", math.exp, x))
-    if isinstance(x, np.ndarray):
-        return _per_element("exp", math.exp, x)
-    try:
-        return math.exp(x)
-    except OverflowError as exc:
-        raise _error("exp", exc, x) from None
+    return _libm(("exp", 1.0), math.exp, x)     # exp_scaled(x, 1.0)'s key
 
 
 def exp_scaled(x, k: float):
@@ -133,23 +142,9 @@ def exp_square(x, c: float):
 
 
 def log(x):
-    if isinstance(x, Grid):
-        return x.kept(("log",), lambda: _per_element("log", math.log, x))
-    if isinstance(x, np.ndarray):
-        return _per_element("log", math.log, x)
-    try:
-        return math.log(x)
-    except ValueError as exc:
-        raise _error("log", exc, x) from None
+    return _libm(("log",), math.log, x)
 
 
 def power(x, p):
     """x ** p, for a scalar exponent p."""
-    if isinstance(x, Grid):
-        return x.kept(("power", p), lambda: _per_element("power", pow, x, p))
-    if isinstance(x, np.ndarray):
-        return _per_element("power", pow, x, p)
-    try:
-        return pow(x, p)
-    except ArithmeticError as exc:
-        raise _error("power", exc, x, p) from None
+    return _libm(("power", p), pow, x, p)

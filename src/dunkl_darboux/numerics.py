@@ -2,10 +2,11 @@
 
 Step-size defaults balance truncation against rounding at double
 precision; every stencil applies one Richardson extrapolation step.
-``derivative`` takes a float y.  Its grid form is ``sampled_derivative``,
-on the values of f at ``stencil_nodes``, and ``parameter_derivative``
-accepts an ndarray of points as well as a float; both work elementwise,
-equal to the per-point calls bit for bit.  ``parameter_derivative`` has
+``sampled_derivative`` takes the values of f at ``stencil_nodes`` of an
+ndarray of points; ``derivative`` is its one-point case at a float y,
+calling f node by node.  ``parameter_derivative`` accepts an ndarray of
+points as well as a float.  Both work elementwise, equal to the
+per-point calls bit for bit.  ``parameter_derivative`` has
 two users: the confluent chain, whose u2 is the eps-derivative of the
 mapped family (``scenarios.seeded_chain``, which builds the members at
 ``parameter_probes`` itself), and ``pointmap.energy_relation_residual``,
@@ -47,21 +48,16 @@ class QuadratureResult:
             raise DomainError("QuadratureResult: invalid error estimate or eval count")
 
 
-def default_step(y):
-    if isinstance(y, np.ndarray):
-        return DEFAULT_SPATIAL_STEP_SCALE * np.maximum(1.0, np.abs(y))
-    return DEFAULT_SPATIAL_STEP_SCALE * max(1.0, abs(y))
+def default_step(y: np.ndarray) -> np.ndarray:
+    return DEFAULT_SPATIAL_STEP_SCALE * np.maximum(1.0, np.abs(y))
 
 
 def _check_finite(val, node, what: str):
-    """val, or EvaluationError at its first non-finite entry."""
-    if isinstance(val, np.ndarray):
-        bad = ~np.isfinite(val)
-        if bad.any():
-            where = float(np.broadcast_to(node, val.shape)[bad][0])
-            raise EvaluationError(f"non-finite {what}{where}", node=where)
-    elif not math.isfinite(val):
-        raise EvaluationError(f"non-finite {what}{node}", node=node)
+    """val (a float or an ndarray), or EvaluationError at its first non-finite entry."""
+    bad = ~np.isfinite(val)
+    if bad.any():
+        where = float(np.broadcast_to(node, np.shape(val))[bad][0])
+        raise EvaluationError(f"non-finite {what}{where}", node=where)
     return val
 
 
@@ -76,58 +72,44 @@ def _stencil(order: int, s, step):
     return (s[1] - 2 * s[0] + s[-1]) / power(step, 2)
 
 
-def _layout(y, order: int, h) -> tuple:
-    """(coarse and fine step, the nodes f is sampled at or None for a float y) of
-    ``derivative``, with its refusals of order and h."""
+def _layout(y: np.ndarray, order: int, h) -> tuple:
+    """(coarse and fine step, the nodes f is sampled at) of ``sampled_derivative``,
+    with its refusals of order and h."""
     if order not in (1, 2):
         raise DomainError(f"derivative: unsupported order {order}")
     if h is None:
         h = default_step(y)
-    if np.any(h <= 0) if isinstance(h, np.ndarray) else h <= 0:
+    if np.any(h <= 0):
         raise DomainError("derivative: step must be positive")
     steps = (h, h / 2)
-    if not isinstance(y, np.ndarray):
-        return steps, None
     return steps, np.concatenate([y + k * step if k else y for step in steps
                                   for k in _SHIFTS[order]])
 
 
 def stencil_nodes(y: np.ndarray, order: int, h=None) -> np.ndarray:
-    """The points at which ``derivative(f, y, order, h)`` calls f, for an ndarray y."""
+    """The points at which ``sampled_derivative(values, y, order, h)`` reads f."""
     return _layout(y, order, h)[1]
 
 
 def derivative(f: Callable[[float], float], y: float, order: int, h=None) -> float:
-    """Central-difference derivative of order 1 or 2 at y, the orders in use.
-
-    One Richardson extrapolation step is applied, giving O(h^4)
-    truncation.
-    """
-    steps, _ = _layout(y, order, h)
-    samples = []
-    for step in steps:
-        s = {}
-        for k in _SHIFTS[order]:
-            node = y + k * step if k else y
-            s[k] = _check_finite(f(node), node, "sample at ")
-        samples.append(s)
-    return _extrapolated(order, samples, steps)
+    """Central-difference derivative of order 1 or 2 at the float y: the
+    one-point ``sampled_derivative``, f called at each stencil node in turn."""
+    at = np.array([y])
+    values = [_check_finite(f(node), node, "sample at ")
+              for node in stencil_nodes(at, order, h).tolist()]
+    return float(sampled_derivative(np.array(values), at, order, h)[0])
 
 
 def sampled_derivative(values: np.ndarray, y: np.ndarray, order: int, h=None):
-    """``derivative`` of f at the ndarray y from values = f(``stencil_nodes(y, order, h)``),
-    h a float or an array of per-point steps."""
+    """Central-difference derivative of order 1 or 2, the orders in use, of f at
+    the ndarray y from values = f(``stencil_nodes(y, order, h)``), h a float or
+    an array of per-point steps.  One Richardson extrapolation step is applied,
+    giving O(h^4) truncation."""
     steps, nodes = _layout(y, order, h)
     shifts = _SHIFTS[order]
     parts = np.split(_check_finite(values, nodes, "sample at "), 2 * len(shifts))
-    return _extrapolated(order, [dict(zip(shifts, parts[i * len(shifts):])) for i in (0, 1)],
-                         steps)
-
-
-def _extrapolated(order: int, samples: list, steps) -> float:
-    """The Richardson step of ``derivative`` from the samples at the coarse and fine step."""
-    coarse = _stencil(order, samples[0], steps[0])
-    fine = _stencil(order, samples[1], steps[1])
+    coarse, fine = (_stencil(order, dict(zip(shifts, parts[i * len(shifts):])), steps[i])
+                    for i in (0, 1))
     return (4 * fine - coarse) / 3
 
 

@@ -8,18 +8,22 @@ reversed or reach past x = 0.  numpy's RuntimeWarning is raised as an
 error.  Whatever the command, no exception leaves ``cli.run``; exit 1
 prints nothing on stdout and one ``error:`` line on stderr; exit 0
 prints a result whose every number is finite; exit 2 is a ``verify``
-report with a failed check.
+report with a failed check.  The README's own refusal examples
+(``output_digest.REFUSALS``) each print the message it quotes.
 """
 
 import contextlib
 import io
 import math
 import re
+import shlex
 import warnings
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from dunkl_darboux import cli
+from output_digest import REFUSALS
 
 
 def _rarely(common, rare):
@@ -120,3 +124,66 @@ def test_each_command_gives_a_result_or_one_error_line(argv):
     else:
         assert argv[0] == "verify"
         assert "FAIL" in stdout or '"pass": false' in stdout
+
+
+_OVERFLOW = "error: power(...): result overflows"
+_DEGREE = "error: kummer_m: polynomial degree ... exceeds the limit of 600"
+_Z_RANGE = "error: kummer_m: |z| exceeds supported range 700.0"
+_RESIDUALS = "error: chain residuals [...] exceed tolerance (1e-07, 1e-05)"
+_NAN_RESIDUAL = "FAIL  dunkl_residual: max residual nan"
+
+# The README's refusal examples -> (exit code, the start of the line it quotes,
+# "..." standing for the values it leaves out): the stderr line of an exit 1,
+# the first stdout line of a verify report that fails (exit 2).
+README_REFUSALS = {
+    "verify --scenario gaussian-mass --nu 1e154 --delta 1":
+        (1, "error: nu = ... is out of range"),
+    "density --scenario gaussian-mass --nu 171 --delta 1":
+        (1, "error: quadrature: the integral overflows the float range"),
+    "density --scenario gaussian-mass --nu 200 --delta 1":
+        (1, "error: non-finite integrand at ..."),
+    "density --scenario gaussian-mass --nu 250 --delta 1": (1, _OVERFLOW),
+    "density --scenario harmonic-energy --nu 400 --delta -1": (1, _Z_RANGE),
+    "density --scenario harmonic-energy --nu 512 --delta -1": (1, _Z_RANGE),
+    "darboux --nu 400": (1, _OVERFLOW),
+    "verify --scenario harmonic-energy --nu 1000 --delta 1":
+        (1, "error: exp(...): result overflows"),
+    "figure 5 --nu 1000": (1, _OVERFLOW),
+    "density --scenario harmonic-energy --nu 1e150 --delta -1":
+        (1, "error: density: psi underflows to 0 on the whole line, so its norm is 0"),
+    "darboux --energy -1": (1, "error: ...: E must be positive"),
+    "darboux --energy 1e10": (1, _DEGREE),
+    "darboux --energy 1e204": (1, _DEGREE),
+    "darboux --energy 1e206":
+        (1, "error: E = ... is out of range: E^1.5 overflows above about 3e205"),
+    "darboux --kind confluent --nu 52 --delta -1": (1, _RESIDUALS),
+    "figure 7 --nu 54 --delta 1": (1, _RESIDUALS),
+    "spectrum --nu 2.5 --delta -1 --rule ene1 --n-max -1":
+        (1, "error: spectrum: --n-max must be nonnegative"),
+    "darboux --grid-count 1": (1, "error: grid: count must be at least 2"),
+    "darboux --nu 1e150": (1, _DEGREE),
+    "verify --scenario harmonic-energy --nu 0.5 --delta 1 --grid-hi 25":
+        (1, "error: kummer_m: series not converged within 600 terms"),
+    "verify --scenario gaussian-mass --nu 0.5 --delta -1 --grid-hi 19.5": (2, _NAN_RESIDUAL),
+    "verify --scenario gaussian-mass --nu 0.5 --delta -1 --grid-lo 27 --grid-hi 28":
+        (1, "error: dunkl_residual: mass vanishes at evaluation point"),
+    "verify --scenario gaussian-mass --nu 0.5 --delta -1 --grid-hi 22": (2, _NAN_RESIDUAL),
+    "verify --scenario gaussian-mass --nu 0.5 --delta -1 --rule ene1 --grid-lo 0":
+        (1, _Z_RANGE),
+}
+
+
+@pytest.mark.parametrize("argv", REFUSALS, ids=shlex.join)
+def test_readme_refusal_prints_the_quoted_message(argv):
+    code, quote = README_REFUSALS[shlex.join(argv)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert cli.run(argv) == code
+    stdout, stderr = out.getvalue(), err.getvalue()
+    if code == cli.EXIT_USAGE:
+        assert stdout == "" and stderr.count("\n") == 1
+        line = stderr
+    else:
+        assert stderr == ""
+        line = stdout.splitlines()[0]
+    assert re.match(re.escape(quote).replace(re.escape("..."), ".+"), line)

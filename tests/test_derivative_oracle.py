@@ -1,5 +1,6 @@
-"""Degree derivatives of the Laguerre kernel, figure 3's V-hat and figure 4's
-dV-hat/dE against mpmath.
+"""Degree derivatives of the Laguerre kernel, the standard chain's printed
+columns (``darboux``, figure 3's V-hat, figures 5 and 6's psi-hat) and
+figure 4's dV-hat/dE against mpmath.
 
 The oracle differentiates mpmath's own laguerre numerically at 40
 digits, so it shares no code with the package.  The degrees include the
@@ -16,7 +17,7 @@ import pytest
 
 from dunkl_darboux import cli, specfun
 from dunkl_darboux.errors import DomainError
-from dunkl_darboux.libm import Grid, log
+from dunkl_darboux.libm import Grid, exp, log, power
 from dunkl_darboux.model import DunklParams
 from dunkl_darboux.scenarios import bound_state_energy, seeded_chain
 from dunkl_darboux.specfun import _digamma_difference, assoc_laguerre_grid
@@ -84,9 +85,9 @@ def test_degree_derivative_needs_z_above_reflection_seam():
         assoc_laguerre_grid(1.5, 0.0, np.array([0.5, -1.5]), degree_derivative=True)
 
 
-def _vhat_model(E, x):
-    """V-hat(x) of the order-2 standard chain at energy E, in mpmath."""
-    y = mp.log(x)
+def _chain_model(E, y, order, params=None):
+    """(U-hat, Phi-hat) at y of the standard chain of order 1 or 2 at energy E, in
+    mpmath: Phi-hat of the seed Phi of params (None without params)."""
     z = mp.exp(2 * y) / mp.sqrt(E)
 
     def member(r):
@@ -96,11 +97,31 @@ def _vhat_model(E, x):
         scale = mp.exp(-z / 2 + r * y / 2)
         return scale * lag, scale * ((alpha - z) * lag + 2 * z * lag1)
 
-    (v1, g1), (v2, g2) = member(0), member(2)
-    w, wp, wpp = v1 * g2 - g1 * v2, v1 * v2, g1 * v2 + v1 * g2
-    u_hat = (mp.mpf(1) / 4 - E * mp.exp(2 * y) + mp.exp(4 * y) / E
-             - 2 * (wpp * w - wp * wp) / w ** 2)
-    return E - (mp.mpf(1) / 4 - u_hat) / x ** 2
+    u = mp.mpf(1) / 4 - E * mp.exp(2 * y) + mp.exp(4 * y) / E
+    eps = [mp.mpf(1) / 4, -mp.mpf(3) / 4][:order]
+    members = [member(r) for r in (0, 2)[:order]]
+    if order == 1:
+        (v1, g1), = members
+        w, wp, wpp = v1, g1, (u - eps[0]) * v1
+    else:       # W', W'' by Abel's identity, eps1 - eps2 = 1
+        (v1, g1), (v2, g2) = members
+        w, wp, wpp = v1 * g2 - g1 * v2, v1 * v2, g1 * v2 + v1 * g2
+    u_hat = u - 2 * (wpp * w - wp * wp) / w ** 2
+    if params is None:
+        return u_hat, None
+    # Phi: the family at r = sqrt(1 - 4 delta nu + 4 nu^2), eps = delta nu - nu^2
+    nu, delta = mp.mpf(params.nu), params.delta
+    members.append(member(mp.sqrt(1 - 4 * delta * nu + 4 * nu ** 2)))
+    eps.append(delta * nu - nu ** 2)
+    # W(u_1..u_n, Phi), each u'' = (U - eps) u
+    numerator = mp.det(mp.matrix([[v, g, (u - e) * v][:order + 1]
+                                  for (v, g), e in zip(members, eps)]))
+    return u_hat, numerator / w
+
+
+def _vhat_model(E, x):
+    """V-hat(x) of the order-2 standard chain at energy E, in mpmath."""
+    return E - (mp.mpf(1) / 4 - _chain_model(E, mp.log(x), 2)[0]) / x ** 2
 
 
 @pytest.mark.parametrize("nu, delta", [(2.5, -1), (1.5, 1), (1.5, -1)])
@@ -121,6 +142,56 @@ def test_figure_3_vhat_matches_mpmath_model(nu, delta):
             for x, got in zip(table[::33, 0], column[::33]):
                 want = _vhat_model(mp.mpf(E), mp.mpf(x))
                 assert abs(got - want) <= 1e-12 * top
+
+
+# (order, nu, delta, n) of the standard darboux chains; order 2 at (1.5, +1)
+# is left out: there Phi is the chain's own u2, and Phi-hat is rounding noise
+DARBOUX_CASES = [(order, nu, delta, n) for order in (1, 2) for nu in (1.5, 2.5, 3.5)
+                 for delta in (1, -1) for n in (0, 2) if (order, nu, delta) != (2, 1.5, 1)]
+
+
+@pytest.mark.parametrize("order, nu, delta, n", DARBOUX_CASES)
+def test_darboux_columns_match_mpmath_model(order, nu, delta, n):
+    # the columns of darboux --kind standard, as the command computes them
+    # before they are printed, at 10 points of its default y grid
+    params = DunklParams(nu=nu, delta=delta, mu=1)
+    E = bound_state_energy(n, params, "ene1")
+    ys = Grid(np.linspace(-2.0, 1.0, 200))
+    xs = exp(ys)
+    chain, phi = seeded_chain(params, E, "standard", order,
+                              grids=[cli._joined_grid(ys, xs)[0]])
+    u_hat, phi_hat, v_hat = cli._chain_columns(E, chain, phi, ys, xs)
+    columns = [u_hat, phi_hat, v_hat, power(xs, 0.5 - nu) * phi_hat]
+    tops = [np.max(np.abs(column)) for column in columns]
+    with mp.workdps(40):
+        E = mp.mpf(E)
+        for i in range(0, ys.size, 20):
+            y, x = mp.mpf(float(ys[i])), mp.mpf(float(xs[i]))
+            at_y, at_x = _chain_model(E, y, order, params), _chain_model(E, mp.log(x), order,
+                                                                         params)
+            wants = [at_y[0], at_y[1], E - (mp.mpf(1) / 4 - at_x[0]) / x ** 2,
+                     x ** (mp.mpf(1) / 2 - nu) * at_x[1]]
+            for column, top, want in zip(columns, tops, wants):
+                assert abs(column[i] - want) <= 1e-12 * top
+
+
+@pytest.mark.parametrize("number, nu, delta", [(5, 2.5, -1), (6, 3.5, 1)])
+def test_figure_psi_hat_matches_mpmath_model(number, nu, delta):
+    # figures 5 and 6 as the command computes them, at 10 points of the
+    # default grid per energy: psi-hat(x) = x^(1/2 - nu) Phi-hat(ln x)
+    config = cli._settings(cli.build_parser().parse_args(["figure", str(number)]))
+    header, rows = cli._FIGURES[number](config)
+    table = np.array(rows)
+    params = DunklParams(nu=nu, delta=delta, mu=1)
+    for n in (0, 1, 2):
+        E = bound_state_energy(n, params, "ene1")
+        column = table[:, header.index(f"psi_hat_{n}")]
+        top = np.max(np.abs(column))
+        with mp.workdps(40):
+            for x, got in zip(table[::30, 0], column[::30]):
+                x = mp.mpf(x)
+                phi_hat = _chain_model(mp.mpf(E), mp.log(x), 2, params)[1]
+                assert abs(got - x ** (mp.mpf(1) / 2 - nu) * phi_hat) <= 1e-12 * top
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])

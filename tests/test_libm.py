@@ -34,6 +34,23 @@ def test_failed_evaluation_stores_nothing():
             power(x, 2.0)
 
 
+@pytest.mark.parametrize("fn, x, args, start", [
+    (exp, 1000.0, (), "exp(1000.0): result overflows"),
+    (log, 0.0, (), "log(0.0): "),
+    (log, -1.0, (), "log(-1.0): "),
+    (power, 0.0, (-1.0,), "power(0.0, -1.0): "),
+    (power, 1e200, (2.0,), "power(1e+200, 2.0): result overflows"),
+])
+def test_float_and_one_point_array_fail_with_one_text(fn, x, args, start):
+    # the scalar routine's failure, as the float path and the array path name it
+    texts = []
+    for arg in (x, np.array([x]), Grid([x])):
+        with pytest.raises(DomainError) as failure:
+            fn(arg, *args)
+        texts.append(str(failure.value))
+    assert texts[0].startswith(start) and texts.count(texts[0]) == 3
+
+
 def test_grid_keeps_each_factor_and_nothing_else():
     x = np.linspace(-3.0, 3.0, 41)
     grid = Grid(x)

@@ -238,7 +238,7 @@ def gaussian_solution(params: DunklParams, E: float, x: float,
     b = 1.0 + 0.5 * r
     ax = abs(x)
     sign = 1.0 if x > 0 else params.delta
-    return sign * ax**s * kummer_m(a, b, -ax * ax).value
+    return sign * ax**s * kummer_m(a, b, -ax * ax)
 
 
 # Printed polynomial bound states, indexed by (delta, n): coefficients of
@@ -388,12 +388,12 @@ def pdm_equivalence_nu(nu_bar: float, delta_bar: int, delta: int) -> float:
 
 def _kummer(a: float, b: float):
     """z -> M(a; b; z) on an ndarray z, one kernel call per read."""
-    return lambda z: kummer_m_grid(a, b, z).values
+    return lambda z: kummer_m_grid(a, b, z)
 
 
 def _laguerre(degree: float, alpha: float):
     """z -> L_degree^alpha(z) on an ndarray z, one kernel call per read."""
-    return lambda z: assoc_laguerre_grid(degree, alpha, z).values
+    return lambda z: assoc_laguerre_grid(degree, alpha, z)
 
 
 # The tag of a Laguerre row (degree, alpha, _SLOPE): d/d(degree) of L_degree^alpha.
@@ -409,11 +409,11 @@ def _laguerre_values(rows, z):
     not depend on the rows beside it, so grouping never changes a bit.
     """
     if len(rows[-1]) == 2:      # no slope rows
-        return assoc_laguerre_grid(*zip(*rows), z).values
+        return assoc_laguerre_grid(*zip(*rows), z)
     plain = [row for row in rows if len(row) == 2]
     values, slopes = assoc_laguerre_grid(*zip(*plain), z, degree_derivative=[
         row + (_SLOPE,) in rows for row in plain])
-    return np.concatenate([values.values, slopes.values])
+    return np.concatenate([values, slopes])
 
 
 def _mapped_degree(E: float, r: float) -> float:
@@ -714,8 +714,8 @@ def closed_form_hatpsi_E4(x: float) -> float:
     functions; the odd factor is required by delta = -1.
     """
     quarter = 0.25 * x * x
-    i0 = bessel_i(0, quarter).value
-    i1 = bessel_i(1, quarter).value
+    i0 = bessel_i(0, quarter)
+    i1 = bessel_i(1, quarter)
     den = (24.0 - 6.0 * x * x + x**4) * i0 - x * x * (x * x - 4.0) * i1
     if abs(den) < 1e-12:
         raise SingularityError(f"closed_form_hatpsi_E4: denominator vanishes at x={x}")
@@ -732,8 +732,8 @@ def closed_form_hatv4(x: float) -> float:
     if x == 0:
         raise DomainError("closed_form_hatv4: x = 0 is outside the domain")
     quarter = 0.25 * x * x
-    i0 = bessel_i(0, quarter).value
-    i1 = bessel_i(1, quarter).value
+    i0 = bessel_i(0, quarter)
+    i1 = bessel_i(1, quarter)
     x2 = x * x
     den_core = (24.0 - 6.0 * x2 + x2 * x2) * i0 - x2 * (x2 - 4.0) * i1
     den = 4.0 * den_core * den_core

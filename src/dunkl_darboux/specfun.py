@@ -3,16 +3,16 @@
 Provides the Kummer confluent hypergeometric function M = 1F1, the
 associated Laguerre function with real (non-integer) degree, and the
 modified Bessel functions I0 and I1.  All routines are self-contained
-double-precision evaluations; each returns the value together with a
-conservative absolute error estimate.
+double-precision evaluations, and each refuses a value that is not
+finite with a ``DomainError`` naming the first such z (``_finite``).
 
 ``kummer_m_grid`` and ``assoc_laguerre_grid`` take scalar parameters
-and an ndarray of arguments and return a ``SpecialGrid``;
+and an ndarray of arguments and return an ndarray of values;
 ``assoc_laguerre_grid`` also takes sequences of degrees and alphas and
 then returns one row per pair.  ``kummer_m`` is a one-point call of
-``kummer_m_grid`` that returns a ``SpecialValue``, so each branch, check
-and error message has one implementation.  ``bessel_i`` is scalar and
-refuses |z| from ``BESSEL_SERIES_CUTOFF`` on.
+``kummer_m_grid`` that returns a float, so each branch, check and error
+message has one implementation.  ``bessel_i`` is scalar and refuses |z|
+from ``BESSEL_SERIES_CUTOFF`` on.
 
 The Kummer series of a point is term_0 = 1, term_{k+1} = term_k (a + k)
 z / ((b + k)(k + 1)), and its value is the correctly rounded sum of the
@@ -71,7 +71,6 @@ its first-kind companion is ever evaluated here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,8 +98,6 @@ _K = np.arange(KUMMER_MAX_TERMS, dtype=float)
 _K1 = _K + 1.0
 _K_LIST = _K.tolist()      # the probe's k, as Python floats
 _TERM_INDEX = np.arange(KUMMER_MAX_TERMS + 1)[:, None]
-# k ** 0.5 (libm pow, as a float ** computes it) for every possible series length k.
-_SQRT_COUNT = np.array([k ** 0.5 for k in range(KUMMER_MAX_TERMS + 2)])
 _NOT_CONVERGED = f"kummer_m: series not converged within {KUMMER_MAX_TERMS} terms"
 # Largest m * peak (m terms of magnitude at most peak) for which no
 # partial sum of the exact summation or of fsum can overflow.
@@ -111,39 +108,20 @@ _SIGMA_MIN_EXP = -970
 _SIGMA_MAX_EXP = 1023
 
 
-@dataclass(frozen=True)
-class SpecialValue:
-    """Function value with a conservative absolute error estimate."""
-
-    value: float
-    est_abs_error: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise DomainError("special function value is not finite")
-        if self.est_abs_error < 0:
-            raise DomainError("error estimate must be nonnegative")
-
-
-@dataclass(frozen=True)
-class SpecialGrid:
-    """Function values on a grid with conservative absolute error estimates."""
-
-    values: np.ndarray
-    est_abs_errors: np.ndarray
-
-    def __post_init__(self):
-        if not np.isfinite(self.values).all():
-            raise DomainError("special function value is not finite")
-        if (self.est_abs_errors < 0).any():
-            raise DomainError("error estimate must be nonnegative")
+def _finite(what: str, values, z):
+    """values (z's shape, or rows of it), unless one is not finite: then the first such z."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        at = np.asarray(z)[bad.reshape((-1,) + np.shape(z)).any(axis=0)][0]
+        raise DomainError(f"{what} is not finite at z={float(at)}")
+    return values
 
 
 def _is_nonpositive_integer(x: float) -> bool:
     return x <= 0 and x == math.floor(x)
 
 
-def kummer_m(a: float, b: float, z: float) -> SpecialValue:
+def kummer_m(a: float, b: float, z: float) -> float:
     """Confluent hypergeometric function M(a; b; z) = 1F1(a; b; z).
 
     For nonpositive integer a the series truncates and the exact
@@ -151,8 +129,7 @@ def kummer_m(a: float, b: float, z: float) -> SpecialValue:
     ``KUMMER_SERIES_Z_MIN`` the identity M(a;b;z) = e^z M(b-a;b;-z)
     routes the evaluation through a non-alternating series.
     """
-    grid = kummer_m_grid(a, b, np.array([z], dtype=float))
-    return SpecialValue(float(grid.values[0]), float(grid.est_abs_errors[0]))
+    return float(kummer_m_grid(a, b, np.array([z], dtype=float))[0])
 
 
 def _kummer_polynomial(n: int, b: float, z: np.ndarray) -> np.ndarray:
@@ -171,13 +148,13 @@ def _kummer_polynomial(n: int, b: float, z: np.ndarray) -> np.ndarray:
         c *= (-n + k) / ((b + k) * (k + 1))
         coeffs.append(c)
     acc = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):  # SpecialGrid refuses inf/NaN
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses inf/NaN
         for c in reversed(coeffs):
             acc = acc * z + c
     return acc
 
 
-def kummer_m_grid(a: float, b: float, z: np.ndarray) -> SpecialGrid:
+def kummer_m_grid(a: float, b: float, z: np.ndarray) -> np.ndarray:
     """``kummer_m`` at every entry of the ndarray z (scalar a and b).
 
     The |z| range guard rejects the whole grid if any point is outside it.
@@ -188,33 +165,29 @@ def kummer_m_grid(a: float, b: float, z: np.ndarray) -> SpecialGrid:
             raise DomainError(f"kummer_m: argument {name} is not finite")
     if not np.isfinite(z).all():
         raise DomainError("kummer_m: argument z is not finite")
-    values, est = _kummer_rows([a], [b], z)
-    return SpecialGrid(values[0], est[0])
+    return _finite("kummer_m: value", _kummer_rows([a], [b], z)[0], z)
 
 
 def _kummer_rows(a: list, b: list, z: np.ndarray, da=False):
-    """M(a[i]; b[i]; z) for every row i: (values, estimates), each (rows, *z.shape).
+    """M(a[i]; b[i]; z) for every row i, shape (rows, *z.shape).
 
     Each row takes its own branch (polynomial or series); the series rows
     are evaluated together, in one call of the series kernel.  da is a
     bool, or a sequence of one per row: the rows it sets are derivative
-    rows, and their a-derivatives and estimates follow, one row each in
-    row order, from the same kernel call (a polynomial's derivative is a
-    series).  With any derivative row, z must be at least
+    rows, and with any of them the result is (values, a-derivatives), one
+    a-derivative row per derivative row in row order, from the same
+    kernel call (a polynomial's derivative is a series).  With any
+    derivative row, z must be at least
     ``KUMMER_SERIES_Z_MIN``, and no derivative row's a may be subnormal.
     z must be finite; the result is not validated.
     """
     derive = [da] * len(a) if isinstance(da, bool) else list(da)
-    rows = []      # (values, estimates) of a polynomial row, None for a series row
+    rows = []      # the values of a polynomial row, None for a series row
     for ai, bi in zip(a, b):
         if _is_nonpositive_integer(bi):
             raise DomainError("kummer_m: b must not be a nonpositive integer")
-        if _is_nonpositive_integer(ai):
-            n = int(-ai)
-            acc = _kummer_polynomial(n, bi, z)
-            rows.append((acc, (n + 1) * _EPS * np.maximum(1.0, np.abs(acc))))
-        else:
-            rows.append(None)
+        rows.append(_kummer_polynomial(int(-ai), bi, z) if _is_nonpositive_integer(ai)
+                    else None)
     series = [i for i, row in enumerate(rows) if row is None or derive[i]]
     if series:
         if (np.abs(z) > KUMMER_Z_MAX).any():
@@ -230,28 +203,23 @@ def _kummer_rows(a: list, b: list, z: np.ndarray, da=False):
                                   f"{KUMMER_SERIES_Z_MIN:g}")
             if ((sa[sd] != 0.0) & (np.abs(sa[sd]) < np.finfo(float).tiny)).any():  # 1/a overflows
                 raise DomainError("kummer_m: the a-derivative refuses a subnormal a")
-            values, est, *slopes = _kummer_series_grid(sa, sb, flat, sd)
-            slopes = [part.reshape((np.count_nonzero(sd),) + z.shape) for part in slopes]
+            values, slopes = _kummer_series_grid(sa, sb, flat, sd)
+            slopes = slopes.reshape((np.count_nonzero(sd),) + z.shape)
         else:
             if low.any():
                 # M(a; b; z) = e^z M(b - a; b; -z) at the low points.
                 sa = np.where(low, sb - sa, sa)
                 flat = np.where(low, -flat, flat)
-            values, est = _kummer_series_grid(sa, sb, flat)
+            values = _kummer_series_grid(sa, sb, flat)
             if low.any():
-                scale = exp(z.reshape(-1)[low])
-                est[:, low] = scale * est[:, low] + _EPS * np.abs(scale * values[:, low])
-                values[:, low] *= scale
+                values[:, low] *= exp(z.reshape(-1)[low])
             if len(series) == len(rows):
-                shape = (len(series),) + z.shape
-                return values.reshape(shape), est.reshape(shape)
+                return values.reshape((len(series),) + z.shape)
         for j, i in enumerate(series):
             if rows[i] is None:
-                rows[i] = values[j].reshape(z.shape), est[j].reshape(z.shape)
-    shape = (len(rows),) + z.shape
-    values = np.array([row[0] for row in rows]).reshape(shape)
-    est = np.array([row[1] for row in rows]).reshape(shape)
-    return (values, est, *slopes) if any(derive) else (values, est)
+                rows[i] = values[j].reshape(z.shape)
+    values = np.array(rows).reshape((len(rows),) + z.shape)
+    return (values, slopes) if any(derive) else values
 
 
 def _series_ratios(ks: slice, a, b, z, out=None, removed: bool = False):
@@ -331,7 +299,7 @@ def _first_block(a: np.ndarray, b: np.ndarray, z: np.ndarray, da: bool = False) 
 
 
 def _kummer_series_grid(a: np.ndarray, b: np.ndarray, z: np.ndarray, da=None):
-    """The Kummer series per column: (values, error estimates), each (rows, points).
+    """The Kummer series per column, shape (rows, points).
 
     Column (i, j) is the series of M(a[i, j]; b[i]; z[j]): a has shape
     (rows, 1) or (rows, points), b (rows, 1), z (points,).  terms[k, c]
@@ -343,9 +311,9 @@ def _kummer_series_grid(a: np.ndarray, b: np.ndarray, z: np.ndarray, da=None):
     only which products are computed, never their values, so a column's
     bits do not depend on it.
 
-    da is None or a bool per row (a of shape (rows, 1)); the rows it sets
-    are derivative rows, and their a-derivatives (sums of term_k H_k) and
-    estimates follow, one row each.  H_k, A_k, the derivative stop scan
+    da is None or a bool per row (a of shape (rows, 1)); with any row set
+    the result is (values, a-derivatives), the a-derivatives (sums of
+    term_k H_k) one row per row set.  H_k, A_k, the derivative stop scan
     and the derivative sums run on those rows' columns alone, so a value
     row costs and rounds as in a call without derivatives.  A derivative
     row whose a is a nonpositive integer has no value of its own: the
@@ -395,16 +363,11 @@ def _kummer_series_grid(a: np.ndarray, b: np.ndarray, z: np.ndarray, da=None):
             kept = (terms[:count].reshape(count, rows, n)[:, derived]
                     * h_sum[:count, :, None]).reshape(count, -1)
             np.putmask(kept, _TERM_INDEX[:count] > dlast, 0.0)
-            # H_k adds one rounding per index, so the rounding grows with the count.
-            dest = np.abs(kept[dlast, dcols]) + _EPS * dpeak * (dlast + 1)
-            shape = derived.size, n
-            slopes = _fsum_columns(kept, dpeak).reshape(shape), dest.reshape(shape)
+            slopes = _fsum_columns(kept, dpeak).reshape(derived.size, n)
     kept = terms[:last.max(initial=0) + 1]
     np.putmask(kept, _TERM_INDEX[:len(kept)] > last, 0.0)
-    # Truncation bound from the last term plus rounding at the series peak.
-    est = np.abs(terms[last, cols]) + _EPS * peak * _SQRT_COUNT[last + 1]
-    values, est = _fsum_columns(kept, peak).reshape(rows, n), est.reshape(rows, n)
-    return (values, est, *slopes) if derived.size else (values, est)
+    values = _fsum_columns(kept, peak).reshape(rows, n)
+    return (values, slopes) if derived.size else values
 
 
 def _harmonic_sums(a: np.ndarray, poly: np.ndarray, count: int) -> np.ndarray:
@@ -555,8 +518,8 @@ def assoc_laguerre_grid(degree, alpha, z: np.ndarray, degree_derivative=False):
     rows raises the first error any row meets.
 
     degree_derivative is a bool, or a sequence of one per row.  With any
-    row set, the result is a pair of ``SpecialGrid``s: the values and, one
-    row per row set, in row order, d/d(degree) of L_degree^alpha, which is
+    row set, the result is a pair of ndarrays: the values and, one row
+    per row set, in row order, d/d(degree) of L_degree^alpha, which is
     binom(degree + alpha, degree) [(psi(degree + alpha + 1) -
     psi(degree + 1)) M - dM/da] at a = -degree, b = alpha + 1 (at a
     Gamma(degree + 1) pole, the binomial's slope times M).  z must then
@@ -584,39 +547,32 @@ def assoc_laguerre_grid(degree, alpha, z: np.ndarray, degree_derivative=False):
         if derive[i] or not _is_nonpositive_integer(d + 1.0):
             live.append(i)
             prefactors.append(_laguerre_prefactor(d, al))
-    hyp, hyp_est, *dhyp = _kummer_rows([-rows[i][0] for i in live],
-                                       [rows[i][1] + 1.0 for i in live], z,
-                                       [derive[i] for i in live])
+    derived = np.array([derive[i] for i in live], dtype=bool)
+    hyp = _kummer_rows([-rows[i][0] for i in live], [rows[i][1] + 1.0 for i in live], z,
+                       derived)
+    if derived.any():
+        hyp, dhyp = hyp
     shape = (-1,) + (1,) * z.ndim
     scale = np.array(prefactors).reshape(shape)
-    with np.errstate(over="ignore", invalid="ignore"):  # SpecialGrid refuses inf/NaN
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses inf/NaN
         values = scale * hyp
-        est = np.abs(scale) * hyp_est + _EPS * np.abs(values)
-        if dhyp:
+        if derived.any():
             # Per derivative row: derivative = scale (c_m M + c_da dM/da).
             pole = np.array([_is_nonpositive_integer(rows[i][0] + 1.0) for i in live])
-            derived = np.array([derive[i] for i in live], dtype=bool)
             c_m = np.array([1.0 if p else _digamma_difference(rows[i][0] + 1.0, rows[i][1])
                             for i, p in zip(np.array(live)[derived], pole[derived])])
             c_m = c_m.reshape(shape)
             c_da = np.where(pole[derived], 0.0, -1.0).reshape(shape)
-            dvalues = scale[derived] * (c_m * hyp[derived] + c_da * dhyp[0])
-            dest = (np.abs(scale[derived]) * (np.abs(c_m) * hyp_est[derived]
-                                              + np.abs(c_da) * dhyp[1])
-                    + _EPS * np.abs(dvalues))
-            values[pole], est[pole] = 0.0, 0.0
+            dvalues = scale[derived] * (c_m * hyp[derived] + c_da * dhyp)
+            values[pole] = 0.0
     if len(live) < len(rows):
-        live_values, live_est = values, est
+        live_values = values
         values = np.zeros((len(rows),) + z.shape)
-        est = np.zeros_like(values)
-        values[live], est[live] = live_values, live_est
-    if single:
-        values, est = values[0], est[0]
-    if dhyp:
-        if single:
-            dvalues, dest = dvalues[0], dest[0]
-        return SpecialGrid(values, est), SpecialGrid(dvalues, dest)
-    return SpecialGrid(values, est)
+        values[live] = live_values
+    values = _finite("assoc_laguerre: value", values[0] if single else values, z)
+    if not derived.any():
+        return values
+    return values, _finite("assoc_laguerre: d/d(degree)", dvalues[0] if single else dvalues, z)
 
 
 def _gamma_sign(x: float) -> float:
@@ -628,7 +584,7 @@ def _gamma_sign(x: float) -> float:
     return 1.0 if math.floor(x) % 2 == 0 else -1.0
 
 
-def bessel_i(order: int, z: float) -> SpecialValue:
+def bessel_i(order: int, z: float) -> float:
     """Modified Bessel function of the first kind, I0 or I1.
 
     Ascending power series (all terms positive, no cancellation), which
@@ -641,19 +597,14 @@ def bessel_i(order: int, z: float) -> SpecialValue:
     if abs(z) >= BESSEL_SERIES_CUTOFF:
         raise DomainError(f"bessel_i: |z| = {abs(z):g} is out of range: the series "
                           f"serves |z| < BESSEL_SERIES_CUTOFF = {BESSEL_SERIES_CUTOFF:g}")
-    sign = -1.0 if (z < 0 and order == 1) else 1.0
-    res = _bessel_series(order, abs(z))
-    return SpecialValue(sign * res.value, res.est_abs_error)
-
-
-def _bessel_series(order: int, z: float) -> SpecialValue:
-    q = 0.25 * z * z
-    term = (0.5 * z) ** order / math.factorial(order)
+    x = abs(z)
+    q = 0.25 * x * x
+    term = (0.5 * x) ** order / math.factorial(order)
     terms = [term]
     k = 0
     while abs(term) > 1e-18 * abs(terms[0]) or k < 4:
         k += 1
         term *= q / (k * (k + order))
         terms.append(term)
-    value = math.fsum(terms)
-    return SpecialValue(value, abs(term) + _EPS * value * len(terms) ** 0.5)
+    sign = -1.0 if (z < 0 and order == 1) else 1.0
+    return _finite("bessel_i: value", sign * math.fsum(terms), z)

@@ -53,6 +53,8 @@ REFUSALS = [
     ["density", "--scenario", "gaussian-mass", "--nu", "171", "--delta", "1"],
     ["density", "--scenario", "gaussian-mass", "--nu", "200", "--delta", "1"],
     ["density", "--scenario", "gaussian-mass", "--nu", "250", "--delta", "1"],
+    ["density", "--scenario", "gaussian-mass", "--nu", "0.5", "--delta", "1", "--n", "20"],
+    ["density", "--scenario", "gaussian-mass", "--nu", "0.5", "--delta", "-1", "--n", "100"],
     ["density", "--scenario", "harmonic-energy", "--nu", "400", "--delta", "-1"],
     ["density", "--scenario", "harmonic-energy", "--nu", "512", "--delta", "-1"],
     ["darboux", "--nu", "400"],

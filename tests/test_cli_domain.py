@@ -143,6 +143,10 @@ README_REFUSALS = {
     "density --scenario gaussian-mass --nu 200 --delta 1":
         (1, "error: non-finite integrand at ..."),
     "density --scenario gaussian-mass --nu 250 --delta 1": (1, _OVERFLOW),
+    "density --scenario gaussian-mass --nu 0.5 --delta 1 --n 20":
+        (1, "error: quadrature did not converge: steps 1/512 and 1/1024 differ by ..."),
+    "density --scenario gaussian-mass --nu 0.5 --delta -1 --n 100":
+        (1, "error: kummer_m: value is not finite at z=..."),
     "density --scenario harmonic-energy --nu 400 --delta -1": (1, _Z_RANGE),
     "density --scenario harmonic-energy --nu 512 --delta -1": (1, _Z_RANGE),
     "darboux --nu 400": (1, _OVERFLOW),

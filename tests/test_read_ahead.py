@@ -106,7 +106,7 @@ def _vhat_dE_at_x_squared(E, x):
     degrees = [_mapped_degree(E, r) - k for r in (0.0, 2.0) for k in (0.0, 1.0)]
     lag, lag_dd = specfun.assoc_laguerre_grid(degrees, [0.0, 1.0, 1.0, 2.0], z,
                                               degree_derivative=True)
-    return _vhat_dE(E, x, z, lag.values, lag_dd.values)
+    return _vhat_dE(E, x, z, lag, lag_dd)
 
 
 def test_figure_4_vhat_dE_agrees_with_its_own_kernel_call(kernel_calls):

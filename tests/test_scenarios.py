@@ -34,7 +34,7 @@ from dunkl_darboux.specfun import assoc_laguerre_grid
 
 def _laguerre(degree, alpha, z):
     """L_degree^alpha(z) at a float z, a one-point grid call of the kernel."""
-    return float(assoc_laguerre_grid(degree, alpha, np.array([z], dtype=float)).values[0])
+    return float(assoc_laguerre_grid(degree, alpha, np.array([z], dtype=float))[0])
 
 
 NU_HALF_ODD = DunklParams(nu=0.5, delta=-1, mu=1)

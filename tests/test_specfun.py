@@ -22,16 +22,14 @@ from dunkl_darboux.specfun import (BESSEL_SERIES_CUTOFF, KUMMER_Z_MAX, _fsum_col
 
 def _laguerre(degree, alpha, z):
     """L_degree^alpha(z) at a float z: a one-point call of the grid routine."""
-    grid = assoc_laguerre_grid(degree, alpha, np.array([z], dtype=float))
-    return specfun.SpecialValue(float(grid.values[0]), float(grid.est_abs_errors[0]))
+    return float(assoc_laguerre_grid(degree, alpha, np.array([z], dtype=float))[0])
 
 
 def test_kummer_terminating_series():
     # M(-1; 2; z) = 1 - z/2, exact polynomial
-    assert kummer_m(-1.0, 2.0, 1.0).value == pytest.approx(0.5, abs=1e-14)
-    assert kummer_m(-2.0, 2.0, 1.0).value == pytest.approx(1.0 - 1.0 + 1.0 / 6.0,
-                                                           abs=1e-14)
-    assert kummer_m(0.0, 3.0, 7.0).value == 1.0
+    assert kummer_m(-1.0, 2.0, 1.0) == pytest.approx(0.5, abs=1e-14)
+    assert kummer_m(-2.0, 2.0, 1.0) == pytest.approx(1.0 - 1.0 + 1.0 / 6.0, abs=1e-14)
+    assert kummer_m(0.0, 3.0, 7.0) == 1.0
 
 
 def test_kummer_against_scipy():
@@ -42,14 +40,13 @@ def test_kummer_against_scipy():
         z = rng.uniform(-30.0, 30.0)
         want = sp.hyp1f1(a, b, z)
         got = kummer_m(a, b, z)
-        assert got.value == pytest.approx(want, rel=1e-10, abs=1e-12)
-        assert abs(got.value - want) <= max(got.est_abs_error * 1e3, 1e-10 * abs(want))
+        assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
 def test_kummer_reflection_identity():
     a, b, z = 0.25, 1.5, 2.0
-    lhs = kummer_m(a, b, z).value
-    rhs = math.exp(z) * kummer_m(b - a, b, -z).value
+    lhs = kummer_m(a, b, z)
+    rhs = math.exp(z) * kummer_m(b - a, b, -z)
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
@@ -57,7 +54,7 @@ def test_kummer_negative_argument_no_cancellation():
     # strongly negative z routes through the exp-prefactor identity
     got = kummer_m(0.7, 2.3, -60.0)
     want = sp.hyp1f1(0.7, 2.3, -60.0)
-    assert got.value == pytest.approx(want, rel=1e-9)
+    assert got == pytest.approx(want, rel=1e-9)
 
 
 def test_kummer_domain_errors():
@@ -74,13 +71,13 @@ def test_kummer_domain_errors():
 def test_kummer_polynomial_branch_ignores_range_cap():
     # terminating series evaluates at arguments beyond the series cap
     got = kummer_m(-2.0, 2.0, 900.0)
-    assert got.value == pytest.approx(1.0 - 900.0 + 900.0**2 / 6.0, rel=1e-13)
+    assert got == pytest.approx(1.0 - 900.0 + 900.0**2 / 6.0, rel=1e-13)
 
 
 def test_laguerre_integer_degree():
     # L_1(z) = 1 - z; L_2^1(1) = 3 - 3 + 1/2
-    assert _laguerre(1.0, 0.0, 2.0).value == pytest.approx(-1.0, abs=1e-13)
-    assert _laguerre(2.0, 1.0, 1.0).value == pytest.approx(0.5, abs=1e-13)
+    assert _laguerre(1.0, 0.0, 2.0) == pytest.approx(-1.0, abs=1e-13)
+    assert _laguerre(2.0, 1.0, 1.0) == pytest.approx(0.5, abs=1e-13)
 
 
 def test_laguerre_against_scipy_integer():
@@ -90,7 +87,7 @@ def test_laguerre_against_scipy_integer():
         alpha = rng.uniform(0.0, 3.0)
         z = rng.uniform(0.0, 8.0)
         want = sp.eval_genlaguerre(n, alpha, z)
-        assert _laguerre(float(n), alpha, z).value == pytest.approx(
+        assert _laguerre(float(n), alpha, z) == pytest.approx(
             want, rel=1e-10, abs=1e-12)
 
 
@@ -103,8 +100,7 @@ def test_laguerre_real_degree_gamma_form():
         z = rng.uniform(0.0, 8.0)
         want = (math.gamma(d + a + 1.0) / (math.gamma(d + 1.0) * math.gamma(a + 1.0))
                 * sp.hyp1f1(-d, a + 1.0, z))
-        assert _laguerre(d, a, z).value == pytest.approx(want, rel=1e-9,
-                                                              abs=1e-12)
+        assert _laguerre(d, a, z) == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 def test_laguerre_half_integer_bessel_reduction():
@@ -112,20 +108,19 @@ def test_laguerre_half_integer_bessel_reduction():
     for z in (0.3, 1.1, 2.7, 6.0):
         want = math.exp(0.5 * z) * ((1.0 - z) * sp.iv(0, 0.5 * z)
                                     + z * sp.iv(1, 0.5 * z))
-        assert _laguerre(0.5, 0.0, z).value == pytest.approx(want, rel=1e-11)
+        assert _laguerre(0.5, 0.0, z) == pytest.approx(want, rel=1e-11)
 
 
 def test_laguerre_negative_integer_degree_vanishes():
     # Gamma pole in the prefactor: the function is identically zero
-    res = _laguerre(-1.0, 0.5, 1.3)
-    assert res.value == 0.0 and res.est_abs_error == 0.0
+    assert _laguerre(-1.0, 0.5, 1.3) == 0.0
 
 
 def test_laguerre_derivative_identity():
     # d/dz L_d^a(z) = -L_{d-1}^{a+1}(z), valid for real degree
     d, a, z, h = 1.7, 0.3, 2.1, 1e-5
-    num = (_laguerre(d, a, z + h).value - _laguerre(d, a, z - h).value) / (2 * h)
-    assert num == pytest.approx(-_laguerre(d - 1.0, a + 1.0, z).value, rel=1e-8)
+    num = (_laguerre(d, a, z + h) - _laguerre(d, a, z - h)) / (2 * h)
+    assert num == pytest.approx(-_laguerre(d - 1.0, a + 1.0, z), rel=1e-8)
 
 
 def test_bessel_against_scipy():
@@ -133,19 +128,19 @@ def test_bessel_against_scipy():
         for order in (0, 1):
             want = sp.iv(order, z)
             got = bessel_i(order, z)
-            assert got.value == pytest.approx(want, rel=1e-12)
+            assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_bessel_odd_symmetry():
-    assert bessel_i(0, -2.0).value == bessel_i(0, 2.0).value
-    assert bessel_i(1, -2.0).value == -bessel_i(1, 2.0).value
+    assert bessel_i(0, -2.0) == bessel_i(0, 2.0)
+    assert bessel_i(1, -2.0) == -bessel_i(1, 2.0)
 
 
 def test_bessel_derivative_identity():
     # d/dz I0 = I1
     z, h = 1.3, 1e-6
-    num = (bessel_i(0, z + h).value - bessel_i(0, z - h).value) / (2 * h)
-    assert num == pytest.approx(bessel_i(1, z).value, abs=1e-8)
+    num = (bessel_i(0, z + h) - bessel_i(0, z - h)) / (2 * h)
+    assert num == pytest.approx(bessel_i(1, z), abs=1e-8)
 
 
 def test_bessel_domain_errors():
@@ -156,17 +151,27 @@ def test_bessel_domain_errors():
     with pytest.raises(DomainError):
         bessel_i(0, math.inf)
     # the series serves |z| below the cutoff; there is no asymptotic branch
-    assert bessel_i(0, 17.999999).value == pytest.approx(sp.iv(0, 17.999999), rel=1e-12)
+    assert bessel_i(0, 17.999999) == pytest.approx(sp.iv(0, 17.999999), rel=1e-12)
     for z in (BESSEL_SERIES_CUTOFF, 18.1, 40.0, 250.0, -40.0):
         for order in (0, 1):
             with pytest.raises(DomainError, match="BESSEL_SERIES_CUTOFF = 18"):
                 bessel_i(order, z)
 
 
-def test_error_estimates_are_conservative():
-    for a, b, z in ((0.3, 1.2, 4.0), (1.7, 2.2, -8.0)):
-        res = kummer_m(a, b, z)
-        assert abs(res.value - sp.hyp1f1(a, b, z)) <= 1e3 * res.est_abs_error + 1e-14
+def test_non_finite_value_names_the_routine_and_first_z():
+    # degree-600 polynomial and degree-400 Laguerre rows overflow at z = 700;
+    # the values are checked before the derivative rows
+    with pytest.raises(DomainError, match=r"^kummer_m: value is not finite at z=700\.0$"):
+        kummer_m_grid(-600.0, 0.5, np.array([700.0]))
+    with pytest.raises(DomainError, match=r"^kummer_m: value is not finite at z=650\.0$"):
+        kummer_m_grid(-600.0, 0.5, np.array([1.0, 650.0, 700.0]))
+    for derive in (False, True):
+        with pytest.raises(DomainError,
+                           match=r"^assoc_laguerre: value is not finite at z=700\.0$"):
+            assoc_laguerre_grid(400.0, 100.0, np.array([700.0]), degree_derivative=derive)
+    with pytest.raises(DomainError,
+                       match=r"^assoc_laguerre: value is not finite at z=700\.0$"):
+        assoc_laguerre_grid([2.0, 400.0], [0.5, 100.0], np.array([0.5, 700.0]))
 
 
 # Grid evaluation: every entry must equal the scalar reference route
@@ -175,9 +180,6 @@ def test_error_estimates_are_conservative():
 # same branches, checks and error messages as the package.  It shares
 # no code with the grid kernel; the public float routines are one-point
 # grids and must equal it too.
-
-_EPS = 2.0 ** -52
-
 
 def _is_nonpositive_integer(x):
     return x <= 0 and x == math.floor(x)
@@ -196,8 +198,7 @@ def _reference_series(a, b, z):
     else:
         raise AccuracyError(f"kummer_m: series not converged within "
                             f"{specfun.KUMMER_MAX_TERMS} terms")
-    # Truncation bound from the last term plus rounding at the series peak.
-    return math.fsum(terms), abs(terms[-1]) + _EPS * peak * len(terms) ** 0.5
+    return math.fsum(terms)
 
 
 def _reference_polynomial(n, b, z):
@@ -215,24 +216,30 @@ def _reference_polynomial(n, b, z):
     return acc
 
 
-def _reference_kummer_m(a, b, z):
+def _reference_finite(name, value, z):
+    if not math.isfinite(value):
+        raise DomainError(f"{name}: value is not finite at z={z}")
+    return value
+
+
+def _reference_hyp(a, b, z):
+    """M(a; b; z), not yet checked for a finite value."""
     for name, val in (("a", a), ("b", b), ("z", z)):
         if not math.isfinite(val):
             raise DomainError(f"kummer_m: argument {name} is not finite")
     if _is_nonpositive_integer(b):
         raise DomainError("kummer_m: b must not be a nonpositive integer")
     if _is_nonpositive_integer(a):
-        n = int(-a)
-        acc = _reference_polynomial(n, b, z)
-        return specfun.SpecialValue(acc, (n + 1) * _EPS * max(1.0, abs(acc)))
+        return _reference_polynomial(int(-a), b, z)
     if abs(z) > KUMMER_Z_MAX:
         raise DomainError(f"kummer_m: |z| exceeds supported range {KUMMER_Z_MAX}")
     if z < specfun.KUMMER_SERIES_Z_MIN:
-        value, est = _reference_series(b - a, b, -z)
-        scale = math.exp(z)
-        return specfun.SpecialValue(scale * value,
-                                    scale * est + _EPS * abs(scale * value))
-    return specfun.SpecialValue(*_reference_series(a, b, z))
+        return math.exp(z) * _reference_series(b - a, b, -z)
+    return _reference_series(a, b, z)
+
+
+def _reference_kummer_m(a, b, z):
+    return _reference_finite("kummer_m", _reference_hyp(a, b, z), z)
 
 
 def _reference_assoc_laguerre(degree, alpha, z):
@@ -242,12 +249,10 @@ def _reference_assoc_laguerre(degree, alpha, z):
     if _is_nonpositive_integer(alpha + 1.0):
         raise DomainError("assoc_laguerre: alpha+1 must not be a nonpositive integer")
     if _is_nonpositive_integer(degree + 1.0):
-        return specfun.SpecialValue(0.0, 0.0)
+        return 0.0
     prefactor = specfun._laguerre_prefactor(degree, alpha)
-    hyp = _reference_kummer_m(-degree, alpha + 1.0, z)
-    value = prefactor * hyp.value
-    return specfun.SpecialValue(value, abs(prefactor) * hyp.est_abs_error
-                                + _EPS * abs(value))
+    value = prefactor * _reference_hyp(-degree, alpha + 1.0, z)
+    return _reference_finite("assoc_laguerre", value, z)
 
 
 def _bits(values):
@@ -255,8 +260,7 @@ def _bits(values):
 
 
 def _pointwise(fn, p, q, zs):
-    results = [fn(p, q, z) for z in zs]
-    return [r.value for r in results], [r.est_abs_error for r in results]
+    return [fn(p, q, z) for z in zs]
 
 
 def _assert_grid_matches_reference(reference, fn, grid_fn, p, q, zs):
@@ -271,12 +275,8 @@ def _assert_grid_matches_reference(reference, fn, grid_fn, p, q, zs):
             _pointwise(fn, p, q, zs)
         assert str(scalar.value) == str(exc)
         return
-    got = grid_fn(p, q, np.array(zs))
-    assert _bits(got.values) == _bits(want[0])
-    assert _bits(got.est_abs_errors) == _bits(want[1])
-    scalar = _pointwise(fn, p, q, zs)
-    assert _bits(scalar[0]) == _bits(want[0])
-    assert _bits(scalar[1]) == _bits(want[1])
+    assert _bits(grid_fn(p, q, np.array(zs))) == _bits(want)
+    assert _bits(_pointwise(fn, p, q, zs)) == _bits(want)
 
 
 # Arguments cover the series (z >= -1), reflected (z < -1) and polynomial
@@ -334,10 +334,9 @@ def test_laguerre_rows_equal_single_rows_bit_for_bit(degree, alpha, zs, outside)
         assert str(joint.value) in errors
         return
     joint = assoc_laguerre_grid(*zip(*rows), z)
-    assert joint.values.shape == joint.est_abs_errors.shape == (2, len(z))
+    assert joint.shape == (2, len(z))
     for i, single in enumerate(singles):
-        assert _bits(joint.values[i]) == _bits(single.values)
-        assert _bits(joint.est_abs_errors[i]) == _bits(single.est_abs_errors)
+        assert _bits(joint[i]) == _bits(single)
 
 
 @pytest.mark.parametrize("rows", [
@@ -350,9 +349,7 @@ def test_laguerre_rows_mix_branches(rows):
     z = np.array([-3.0, -1.0, 0.0, 0.4, 7.5])
     joint = assoc_laguerre_grid(*zip(*rows), z)
     for i, (d, al) in enumerate(rows):
-        single = assoc_laguerre_grid(d, al, z)
-        assert _bits(joint.values[i]) == _bits(single.values)
-        assert _bits(joint.est_abs_errors[i]) == _bits(single.est_abs_errors)
+        assert _bits(joint[i]) == _bits(assoc_laguerre_grid(d, al, z))
 
 
 @pytest.mark.parametrize("degree", [601.0, 5e149])
@@ -369,8 +366,8 @@ def test_polynomial_degree_limit_on_both_paths(degree):
         assoc_laguerre_grid(degree, 0.0, z)
     assert str(lag_grid.value) == str(scalar.value)
     # the polynomial at the limit is still evaluated, as its series would be
-    assert _bits(kummer_m_grid(-600.0, 1.5, z).values) == _bits(
-        [_reference_kummer_m(-600.0, 1.5, float(v)).value for v in z])
+    assert _bits(kummer_m_grid(-600.0, 1.5, z)) == _bits(
+        [_reference_kummer_m(-600.0, 1.5, float(v)) for v in z])
 
 
 def test_grid_range_guard_matches_scalar_message():
@@ -381,8 +378,8 @@ def test_grid_range_guard_matches_scalar_message():
         kummer_m_grid(0.3, 1.2, zs)
     assert str(grid.value) == str(scalar.value)
     # the terminating polynomial has no range restriction on either path
-    assert (kummer_m_grid(-2.0, 1.2, zs).values[-1]
-            == _reference_kummer_m(-2.0, 1.2, float(zs[-1])).value)
+    assert (kummer_m_grid(-2.0, 1.2, zs)[-1]
+            == _reference_kummer_m(-2.0, 1.2, float(zs[-1])))
 
 
 @pytest.mark.parametrize("zs", [[100.0], [250.0], [390.0], [-250.0],
@@ -452,8 +449,8 @@ def test_first_block_size_changes_no_bit(rows, zs, far, da):
     # Polynomial and series rows, reflected points (z < -1), empty and
     # one-point grids, and one example in ten with a far point (|z| from
     # 300 to 520: the series runs to hundreds of terms, and from about
-    # 496 it does not converge): values, estimates, a-derivative rows
-    # and errors are the same under every setting.
+    # 496 it does not converge): values, a-derivative rows and errors
+    # are the same under every setting.
     a, b = [list(col) for col in zip(*rows)]
     z = np.array(zs + far)
     outcomes = []
@@ -477,15 +474,12 @@ def test_derivative_rows_per_row_change_no_bit(rows, zs):
     # Value and derivative rows in one call, polynomial and near-integer
     # a among them: the value rows are those of a call without
     # derivatives, and the derivative rows those of a call that derives
-    # every row, bit for bit, estimates included.
+    # every row, bit for bit.
     a, b, da = [list(col) for col in zip(*rows)]
     z = np.array(zs)
-    values, est, slopes, slope_est = specfun._kummer_rows(a, b, z, da)
-    plain = specfun._kummer_rows(a, b, z)
-    every = specfun._kummer_rows(a, b, z, True)
-    assert _bits(values) == _bits(plain[0]) and _bits(est) == _bits(plain[1])
-    assert _bits(slopes) == _bits(every[2][da])
-    assert _bits(slope_est) == _bits(every[3][da])
+    values, slopes = specfun._kummer_rows(a, b, z, da)
+    assert _bits(values) == _bits(specfun._kummer_rows(a, b, z))
+    assert _bits(slopes) == _bits(specfun._kummer_rows(a, b, z, True)[1][da])
 
 
 def _chain_rows(nu, delta, n):
@@ -512,10 +506,8 @@ def test_chain_rows_derived_per_row_change_no_bit(nu, delta, n):
     values, slopes = assoc_laguerre_grid(degrees, alphas, z, degree_derivative=derive)
     plain = assoc_laguerre_grid(degrees, alphas, z)
     every = assoc_laguerre_grid(degrees, alphas, z, degree_derivative=True)[1]
-    assert _bits(values.values) == _bits(plain.values)
-    assert _bits(values.est_abs_errors) == _bits(plain.est_abs_errors)
-    assert _bits(slopes.values) == _bits(every.values[derive])
-    assert _bits(slopes.est_abs_errors) == _bits(every.est_abs_errors[derive])
+    assert _bits(values) == _bits(plain)
+    assert _bits(slopes) == _bits(every[derive])
 
 
 def test_a_derivative_refuses_a_subnormal_a():
@@ -527,9 +519,9 @@ def test_a_derivative_refuses_a_subnormal_a():
     for a in (5e-324, -1e-310, 2.0 ** -1023):
         with pytest.raises(DomainError, match="a-derivative refuses a subnormal a"):
             specfun._kummer_rows([a], [1.0], z, True)
-    at_zero = specfun._kummer_rows([0.0], [1.0], z, True)[2]
+    at_zero = specfun._kummer_rows([0.0], [1.0], z, True)[1]
     for a in (np.finfo(float).tiny, -np.finfo(float).tiny, 1e-300):
-        slope = specfun._kummer_rows([a], [1.0], z, True)[2]
+        slope = specfun._kummer_rows([a], [1.0], z, True)[1]
         assert np.allclose(slope, at_zero, rtol=1e-14, atol=0.0)
 
 
